@@ -292,8 +292,8 @@ func BenchmarkLPSolvers(b *testing.B) {
 
 // --- Engine micro-benchmarks ---
 
-func benchPipelineEpoch(b *testing.B, legacy, recycle bool) {
-	pipe, batch, err := benchcase.PipelineEpoch(legacy)
+func benchPipelineEpoch(b *testing.B, recycle bool) {
+	pipe, batch, err := benchcase.PipelineEpoch()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,15 +308,13 @@ func benchPipelineEpoch(b *testing.B, legacy, recycle bool) {
 	}
 }
 
-// BenchmarkPipelineEpoch measures the default batch-vectorized epoch
-// loop (the canonical setup lives in internal/benchcase, shared with
-// jarvis-bench -exp micro). The Legacy variant runs the record-at-a-time
-// reference path for the A/B comparison; the Recycled variant
-// additionally returns epoch buffers to the pool, as the in-process
-// Processor does.
-func BenchmarkPipelineEpoch(b *testing.B)         { benchPipelineEpoch(b, false, false) }
-func BenchmarkPipelineEpochRecycled(b *testing.B) { benchPipelineEpoch(b, false, true) }
-func BenchmarkPipelineEpochLegacy(b *testing.B)   { benchPipelineEpoch(b, true, false) }
+// BenchmarkPipelineEpoch measures an epoch over a row batch — RunEpoch
+// presenting the rows to the wave loop as one Rows section (the
+// canonical setup lives in internal/benchcase, shared with jarvis-bench
+// -exp micro). The Recycled variant additionally returns epoch buffers
+// to the pool, as the in-process Processor does.
+func BenchmarkPipelineEpoch(b *testing.B)         { benchPipelineEpoch(b, false) }
+func BenchmarkPipelineEpochRecycled(b *testing.B) { benchPipelineEpoch(b, true) }
 
 // BenchmarkAgentEpochColumnar measures the agent-side SoA epoch: the
 // generator's column sections flow through RunEpochColumnar with no

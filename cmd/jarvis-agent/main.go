@@ -19,11 +19,10 @@
 // a promoted standby deduplicates by sequence, a stale or unpromoted SP
 // rejects the hello and the dialer moves on.
 //
-// By default the agent generates epochs as SoA columns and runs the
-// columnar pipeline (-columnar-gen=false selects the row path for A/B
-// comparison), and offers flate compression for its columnar data
-// frames (-wire-compress=false ships them plain); compression is used
-// only when the SP's ack also advertises it.
+// The agent generates epochs as SoA columns, so records are built only
+// where the plan has no columnar kernel, and offers flate compression
+// for its columnar data frames (-wire-compress=false ships them plain);
+// compression is used only when the SP's ack also advertises it.
 //
 // -tenant and -class declare the agent's identity to an SP running
 // admission control: the hello carries both as trailing extensions, and
@@ -47,8 +46,6 @@ import (
 	"jarvis/internal/core"
 	"jarvis/internal/experiments"
 	"jarvis/internal/obs"
-	"jarvis/internal/stream"
-	"jarvis/internal/telemetry"
 	"jarvis/internal/transport"
 	"jarvis/internal/wire"
 	"jarvis/internal/workload"
@@ -65,7 +62,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", checkpoint.DefaultEvery, "epochs between durable snapshots (1 = every epoch, cheap with delta snapshots)")
 	ckptRetain := flag.Int("checkpoint-retain", checkpoint.DefaultRetain, "base+delta snapshot chains to keep when compacting (0 = keep all)")
 	ckptAsync := flag.Bool("checkpoint-async", false, "save snapshots on a writer goroutine (the epoch path only captures state)")
-	columnar := flag.Bool("columnar-gen", true, "generate epochs as SoA columns and run the columnar agent pipeline (falls back to rows automatically where the plan has no columnar kernels)")
 	compress := flag.Bool("wire-compress", true, "offer flate compression for columnar data frames (used only when the SP also advertises it)")
 	obsListen := flag.String("obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)")
 	obsDecisions := flag.String("obs-decisions", "", "append runtime adaptation decisions to this JSONL file")
@@ -73,13 +69,13 @@ func main() {
 	className := flag.String("class", "silver", "SLO class announced in the hello (gold|silver|best-effort)")
 	flag.Parse()
 
-	if err := run(*spAddr, uint32(*id), *queryName, *budget, *epochs, *realtime, *ckptDir, *ckptEvery, *ckptRetain, *ckptAsync, *columnar, *compress, *obsListen, *obsDecisions, *tenantName, *className); err != nil {
+	if err := run(*spAddr, uint32(*id), *queryName, *budget, *epochs, *realtime, *ckptDir, *ckptEvery, *ckptRetain, *ckptAsync, *compress, *obsListen, *obsDecisions, *tenantName, *className); err != nil {
 		fmt.Fprintln(os.Stderr, "jarvis-agent:", err)
 		os.Exit(1)
 	}
 }
 
-func run(spAddr string, id uint32, queryName string, budget float64, epochs int, realtime bool, ckptDir string, ckptEvery, ckptRetain int, ckptAsync bool, columnar, compress bool, obsListen, obsDecisions, tenantName, className string) error {
+func run(spAddr string, id uint32, queryName string, budget float64, epochs int, realtime bool, ckptDir string, ckptEvery, ckptRetain int, ckptAsync, compress bool, obsListen, obsDecisions, tenantName, className string) error {
 	endpoints := transport.ParseEndpoints(spAddr)
 	if len(endpoints) == 0 {
 		return fmt.Errorf("no SP endpoints in %q", spAddr)
@@ -164,12 +160,14 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 		}
 	}
 
-	next, nextCols := mkGenerator(queryName, uint64(id))
+	next := mkGenerator(queryName, uint64(id))
 	// The synthetic generator is deterministic: fast-forward it past the
 	// epochs the snapshot already covers (a real agent would resume its
 	// upstream ingest instead).
+	var cb wire.ColumnarBatch
 	for e := uint64(0); e < resume; e++ {
-		next(1_000_000)
+		cb.Reset()
+		next(1_000_000, &cb)
 	}
 	if _, err := ship.ConnectAny(endpoints); err != nil {
 		fmt.Fprintf(os.Stderr, "jarvis-agent %d: no SP reachable (%v), buffering epochs\n", id, err)
@@ -177,31 +175,17 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 	fmt.Printf("jarvis-agent %d: %s at %.1f Mbps, budget %.0f%%, sp %v\n",
 		id, q.Name, rate, budget*100, endpoints)
 
-	var cb wire.ColumnarBatch
 	for e := int(resume); epochs == 0 || e < epochs; e++ {
 		start := time.Now()
-		var res stream.EpochResult
 		var genDur time.Duration
 		genStart := obs.Now()
-		if columnar {
-			// SoA path: the generator emits columns straight into the
-			// pipeline; records only materialize where the plan lacks
-			// columnar kernels.
-			cb.Reset()
-			nextCols(1_000_000, &cb)
-			if !genStart.IsZero() {
-				genDur = time.Since(genStart)
-				obs.ObserveDurN(obs.StageGenerate, genDur, id, uint64(e))
-			}
-			res, err = src.RunEpochColumnar(&cb)
-		} else {
-			batch := next(1_000_000)
-			if !genStart.IsZero() {
-				genDur = time.Since(genStart)
-				obs.ObserveDurN(obs.StageGenerate, genDur, id, uint64(e))
-			}
-			res, err = src.RunEpoch(batch)
+		cb.Reset()
+		next(1_000_000, &cb)
+		if !genStart.IsZero() {
+			genDur = time.Since(genStart)
+			obs.ObserveDurN(obs.StageGenerate, genDur, id, uint64(e))
 		}
+		res, err := src.RunEpochColumnar(&cb)
 		if err != nil {
 			return err
 		}
@@ -250,18 +234,14 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 	return nil
 }
 
-// mkGenerator returns row and columnar epoch generators for the chosen
-// query, backed by the same generator instance (same RNG stream and
-// event-time cursor, so either form may be used each epoch).
-func mkGenerator(queryName string, seed uint64) (func(durMicros int64) telemetry.Batch, func(durMicros int64, cb *wire.ColumnarBatch)) {
+// mkGenerator returns the columnar epoch generator for the chosen query.
+func mkGenerator(queryName string, seed uint64) func(durMicros int64, cb *wire.ColumnarBatch) {
 	switch queryName {
 	case "log", "loganalytics":
-		gen := workload.NewLogGen(workload.DefaultLogConfig(seed))
-		return gen.NextWindow, gen.NextWindowCols
+		return workload.NewLogGen(workload.DefaultLogConfig(seed)).NextWindowCols
 	default:
 		cfg := workload.DefaultPingConfig(seed)
 		cfg.SrcIP = 0x0A000000 + uint32(seed)
-		gen := workload.NewPingGen(cfg)
-		return gen.NextWindow, gen.NextWindowCols
+		return workload.NewPingGen(cfg).NextWindowCols
 	}
 }

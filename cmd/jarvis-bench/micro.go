@@ -34,30 +34,21 @@ type BenchRecord struct {
 
 // runMicro executes the canonical engine micro-benchmarks (the exact
 // setups of the repository's BenchmarkPipelineEpoch and
-// BenchmarkEndToEndBuildingBlock, via internal/benchcase, plus the
-// legacy record path for the A/B ratio) and writes them to outPath as
-// JSON.
+// BenchmarkEndToEndBuildingBlock, via internal/benchcase) and writes them
+// to outPath as JSON.
 func runMicro(outPath string) error {
 	records := []BenchRecord{}
-	for _, c := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"BenchmarkPipelineEpoch", false},
-		{"BenchmarkPipelineEpochLegacy", true},
-	} {
-		pipe, batch, err := benchcase.PipelineEpoch(c.legacy)
-		if err != nil {
-			return err
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pipe.RunEpoch(batch)
-			}
-		})
-		records = append(records, record(c.name, batch.TotalBytes(), r))
+	pipe, rowBatch, err := benchcase.PipelineEpoch()
+	if err != nil {
+		return err
 	}
+	rp := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pipe.RunEpoch(rowBatch)
+		}
+	})
+	records = append(records, record("BenchmarkPipelineEpoch", rowBatch.TotalBytes(), rp))
 
 	pipeCol, cbCol, err := benchcase.PipelineEpochColumnar()
 	if err != nil {
@@ -150,9 +141,10 @@ func runMicro(outPath string) error {
 }
 
 // spIngestBenchmarks measures the SP-side ingest of one epoch-scale
-// drain through the full S2SProbe plan, on the row path and on the
-// columnar (SoA) path — the PR 5 headline A/B (identical record
-// sequences, see benchcase.SPIngest).
+// drain through the full S2SProbe plan, as a row batch (Ingest: one Rows
+// section through the operators' row routines) and as SoA sections
+// (IngestColumnar: the kernels) — the PR 5 headline A/B (identical
+// record sequences, see benchcase.SPIngest).
 func spIngestBenchmarks() ([]BenchRecord, error) {
 	records := []BenchRecord{}
 

@@ -19,11 +19,9 @@
 // to it and replay the uncovered epochs. A stale primary that rejoins is
 // fenced by the term its former agents now carry.
 //
-// By default the SP executes wire-v2 frames directly over the decoded
-// columns (-columnar-exec=false selects the row-materializing path for
-// A/B comparison) and advertises flate frame compression in its acks;
-// compressed frames from agents that negotiated it are decoded
-// transparently.
+// The SP executes wire-v2 frames directly over the decoded columns and
+// advertises flate frame compression in its acks; compressed frames from
+// agents that negotiated it are decoded transparently.
 //
 // With -admit-rate the SP runs overload protection (internal/admission):
 // every tenant gets a class-weighted token bucket over its logical epoch
@@ -84,7 +82,6 @@ type config struct {
 	ckptDir                string
 	ckptEvery, ckptRetain  int
 	ckptAsync              bool
-	columnarExec           bool
 	replListen             string
 	standby                bool
 	peer                   string
@@ -144,7 +141,6 @@ func main() {
 	flag.StringVar(&cfg.peer, "peer", "", "primary's replication address to sync from (standby)")
 	flag.Uint64Var(&cfg.term, "term", 1, "primary fencing term (epoch lease token)")
 	flag.DurationVar(&cfg.takeoverAfter, "takeover-after", 3*time.Second, "standby: promote after the replication link is down this long (0 = never)")
-	flag.BoolVar(&cfg.columnarExec, "columnar-exec", true, "execute wire-v2 frames over decoded columns (SoA); false selects the row-materializing path")
 	flag.StringVar(&cfg.obsListen, "obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)")
 	flag.StringVar(&cfg.obsDecisions, "obs-decisions", "", "append runtime adaptation decisions to this JSONL file")
 	flag.StringVar(&cfg.obsSpans, "obs-spans", "", "append sampled epoch-lifecycle spans to this JSONL file")
@@ -175,7 +171,6 @@ func run(cfg config) error {
 		return err
 	}
 	rc := transport.NewReceiver(proc.Engine())
-	rc.SetColumnarExec(cfg.columnarExec)
 
 	// Live ingest p99: a windowed quantile over the always-on
 	// stage_latency_seconds{stage="ingest"} histogram. Feeds the

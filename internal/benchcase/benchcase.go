@@ -20,12 +20,9 @@ import (
 
 // PipelineEpoch builds the standard source-pipeline benchmark: S2SProbe
 // with a full budget, all load factors at 1, fed one second of Pingmesh
-// data at the paper's 10× rate. legacy selects the record-at-a-time
-// reference path.
-func PipelineEpoch(legacy bool) (*stream.Pipeline, telemetry.Batch, error) {
-	opts := stream.DefaultOptions(1.0, 0)
-	opts.RecordAtATime = legacy
-	pipe, err := stream.NewPipeline(plan.S2SProbe(), opts)
+// data at the paper's 10× rate.
+func PipelineEpoch() (*stream.Pipeline, telemetry.Batch, error) {
+	pipe, err := stream.NewPipeline(plan.S2SProbe(), stream.DefaultOptions(1.0, 0))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,7 +88,7 @@ func SPIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error) 
 // of input, so its G+R stage carries realistic open-window state — the
 // setup for the snapshot/restore micro-benchmarks.
 func WarmPipeline(epochs int) (*stream.Pipeline, error) {
-	pipe, batch, err := PipelineEpoch(false)
+	pipe, batch, err := PipelineEpoch()
 	if err != nil {
 		return nil, err
 	}

@@ -110,60 +110,27 @@ func (s *Source) Phase() runtime.Phase { return s.rt.Phase() }
 // ObserveTime advances event time during quiet periods so windows close.
 func (s *Source) ObserveTime(micros int64) { s.pipeline.ObserveTime(micros) }
 
-// RunEpoch executes one epoch over the input batch, then lets the Jarvis
+// RunEpoch executes one epoch over a row batch, then lets the Jarvis
 // runtime observe the epoch and refine the partitioning plan. The
 // returned EpochResult carries everything that must ship to the SP.
 func (s *Source) RunEpoch(input telemetry.Batch) (stream.EpochResult, error) {
-	res := s.pipeline.RunEpoch(input)
-	// Keep only the scalar view: the caller owns the epoch's drain and
-	// result buffers (and typically recycles them via Processor.Consume),
-	// so LastResult must not alias pool-owned memory.
-	s.lastResult = res
-	s.lastResult.Drains = nil
-	s.lastResult.Results = nil
-	s.epochs++
-	if !s.opts.Adapt {
-		return res, nil
-	}
-	o := runtime.Observation{
-		Stats:           res.Stats,
-		LoadFactors:     s.pipeline.LoadFactors(),
-		SpareBudgetFrac: res.SpareBudgetFrac,
-		Boundary:        s.boundary,
-	}
-	act := s.rt.OnEpoch(o)
-	if act.SetLoadFactors != nil {
-		if err := s.pipeline.SetLoadFactors(act.SetLoadFactors); err != nil {
-			return res, err
-		}
-		s.emitLoadFactors(o.LoadFactors, act.Phase)
-	}
-	if act.Profile {
-		before := s.pipeline.LoadFactors()
-		pact, err := s.rt.OnProfile(s.profile(res))
-		if err != nil {
-			return res, err
-		}
-		if pact.SetLoadFactors != nil {
-			if err := s.pipeline.SetLoadFactors(pact.SetLoadFactors); err != nil {
-				return res, err
-			}
-			s.emitLoadFactors(before, pact.Phase)
-		}
-	}
-	return res, nil
+	return s.afterEpoch(s.pipeline.RunEpoch(input))
 }
 
 // RunEpochColumnar is RunEpoch over a columnar (SoA) arrival wave: the
 // generator's column sections run the local chain without materializing
-// records wherever the plan has columnar kernels, and the runtime
-// observes the epoch exactly as on the row path (proxy stats are
-// bit-identical by construction). See stream.Pipeline.RunEpochColumnar
-// for the result's column-lifetime contract.
+// records wherever the plan has columnar kernels. See
+// stream.Pipeline.RunEpochColumnar for the result's column-lifetime
+// contract.
 func (s *Source) RunEpochColumnar(cb *wire.ColumnarBatch) (stream.EpochResult, error) {
-	res := s.pipeline.RunEpochColumnar(cb)
-	// Keep only the scalar view, as in RunEpoch: the columnar buffers also
-	// belong to the epoch's consumer.
+	return s.afterEpoch(s.pipeline.RunEpochColumnar(cb))
+}
+
+// afterEpoch records the epoch and lets the runtime adapt on it.
+func (s *Source) afterEpoch(res stream.EpochResult) (stream.EpochResult, error) {
+	// Keep only the scalar view: the caller owns the epoch's drain and
+	// result buffers (and typically recycles them via Processor.Consume),
+	// so LastResult must not alias pool-owned memory.
 	s.lastResult = res
 	s.lastResult.Drains = nil
 	s.lastResult.Results = nil

@@ -1,36 +1,27 @@
 package operator
 
 import (
-	"math"
-
 	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
 )
 
-// Columnar (SoA) execution. The SP-side engine drives whole decoded
-// columnar waves (wire.ColumnarBatch) through the operators that
-// implement ColumnarProcessor, so the hot per-record work — window
-// assignment, filter predicates, group-key extraction — runs over
-// contiguous columns instead of materialized telemetry.Record structs.
+// Columnar (SoA) execution. Both engines drive whole waves
+// (wire.ColumnarBatch) through Operator.ProcessColumnar, so the hot
+// per-record work — window assignment, filter predicates, group-key
+// extraction — runs over contiguous columns instead of materialized
+// telemetry.Record structs. This file holds the kernel types the plan
+// layer wires into operators and the SoA aggregation kernels.
 //
 // ProcessColumnar mutates the wave in place under the wire package's
-// mutation discipline: an operator never writes through a column array
-// it received (those may be shared with the decoded frame); it allocates
-// replacements and swaps the section fields. Filters narrow sections via
-// selection vectors; flat-maps rebuild the section list; GroupAgg
-// consumes the wave entirely (its results leave via Flush, as on the row
-// path). Every ProcessColumnar must be observably equivalent to
-// materializing the wave's live rows and calling ProcessBatch — section
-// types an operator cannot handle SoA are materialized per section, so a
-// wave stays columnar wherever it can.
-type ColumnarProcessor interface {
-	// ColumnarCapable reports whether the operator can usefully process
-	// SoA waves (it has the kernels its configuration needs). The engine
-	// falls back to row materialization at the first incapable stage.
-	ColumnarCapable() bool
-	// ProcessColumnar advances the wave through this operator in place.
-	ProcessColumnar(cb *wire.ColumnarBatch)
-}
+// mutation discipline: an operator never writes through a column or row
+// array it received (those may be shared with the decoded frame or the
+// caller's batch); it allocates replacements and swaps the section
+// fields. Filters narrow sections via selection vectors; flat-maps
+// rebuild the section list; GroupAgg consumes the wave entirely (its
+// results leave via Flush). A kernel must be observably equivalent to the
+// operator's row routine over the section's materialized live rows —
+// section types an operator has no kernel for are materialized per
+// section, so a wave stays columnar wherever it can.
 
 // ColumnarPred compiles a filter predicate against one SoA section: it
 // returns a per-live-row predicate over the column index, or ok=false
@@ -85,235 +76,14 @@ const (
 	AggKernelJobStatsDur
 )
 
-// --- Window ---
-
-// ColumnarCapable implements ColumnarProcessor: window assignment needs
-// only the shared header columns.
-func (w *Window) ColumnarCapable() bool { return true }
-
-// ProcessColumnar implements ColumnarProcessor: each section's window
-// column is recomputed from its time column in one pass. The replacement
-// columns come from a high-water scratch buffer reused across calls
-// (their contents are only referenced until the wave is consumed, within
-// the same engine ingest).
-func (w *Window) ProcessColumnar(cb *wire.ColumnarBatch) {
-	total := 0
-	for si := range cb.Secs {
-		if cb.Secs[si].Rows == nil {
-			total += len(cb.Secs[si].Times)
-		}
-	}
-	if cap(w.winScratch) < total {
-		w.winScratch = make([]int64, total)
-	}
-	buf := w.winScratch[:0]
-	for si := range cb.Secs {
-		sec := &cb.Secs[si]
-		if sec.Rows != nil {
-			// Materialized fallback rows: rewrite the records into a fresh
-			// slice (the input's array may be shared).
-			rows := make(telemetry.Batch, len(sec.Rows))
-			for i, rec := range sec.Rows {
-				rec.Window = w.WindowOf(rec.Time)
-				rows[i] = rec
-			}
-			sec.Rows = rows
-			continue
-		}
-		n := len(sec.Times)
-		win := buf[len(buf) : len(buf)+n]
-		buf = buf[:len(buf)+n]
-		// Event times arrive near-monotonic, so consecutive rows almost
-		// always share a window: cache the current window's [lo, hi) time
-		// range (exactly the floor-division bucket WindowOf computes) and
-		// divide only when a row falls outside it.
-		var curWin, lo, hi int64
-		hi = math.MinInt64 // force the first row to resolve
-		for i, t := range sec.Times {
-			if t < lo || t >= hi {
-				curWin = w.WindowOf(t)
-				lo = curWin * w.dur
-				hi = lo + w.dur
-			}
-			win[i] = curWin
-		}
-		sec.Windows = win
-	}
-}
-
-// --- Filter ---
-
-// SetColumnarPred installs the filter's compiled SoA predicate (the plan
-// layer compiles optimizer-visible expressions; opaque predicates may
-// register a hand-written one). Without it the filter is not columnar
-// capable and the engine materializes rows at this stage.
-func (f *Filter) SetColumnarPred(p ColumnarPred) { f.colPred = p }
-
-// ColumnarCapable implements ColumnarProcessor.
-func (f *Filter) ColumnarCapable() bool { return f.colPred != nil }
-
-// ProcessColumnar implements ColumnarProcessor: sections the compiled
-// predicate covers are narrowed with a selection vector (columns stay
-// shared, zero copying); the rest are materialized and filtered by the
-// row predicate.
-func (f *Filter) ProcessColumnar(cb *wire.ColumnarBatch) {
-	total := 0
-	for si := range cb.Secs {
-		total += cb.Secs[si].Len()
-	}
-	if cap(f.selScratch) < total {
-		f.selScratch = make([]int32, total)
-	}
-	buf := f.selScratch[:0]
-	for si := range cb.Secs {
-		sec := &cb.Secs[si]
-		if sec.Rows != nil {
-			sec.Rows = f.filterRows(sec.Rows)
-			continue
-		}
-		keep, ok := f.colPred(sec)
-		if !ok {
-			var rows telemetry.Batch
-			sec.AppendRows(&rows)
-			*sec = wire.ColSec{Tag: sec.Tag, Rows: f.filterRows(rows)}
-			continue
-		}
-		sel := buf[len(buf):len(buf)]
-		if sec.Sel != nil {
-			for _, i := range sec.Sel {
-				if keep(int(i)) {
-					sel = append(sel, i)
-				}
-			}
-		} else {
-			for i := 0; i < len(sec.Times); i++ {
-				if keep(i) {
-					sel = append(sel, int32(i))
-				}
-			}
-		}
-		buf = buf[:len(buf)+len(sel)]
-		sec.Sel = sel
-	}
-}
-
-// filterRows applies the row predicate to materialized records, always
-// into a fresh slice (the input array may be shared with the frame).
-func (f *Filter) filterRows(rows telemetry.Batch) telemetry.Batch {
-	out := make(telemetry.Batch, 0, len(rows))
-	for i := range rows {
-		if f.pred(rows[i]) {
-			out = append(out, rows[i])
-		}
-	}
-	return out
-}
-
-// --- Map ---
-
-// SetColumnarKernel installs the map's SoA transformation. Without it
-// the map is not columnar capable.
-func (m *Map) SetColumnarKernel(k ColumnarMapKernel) { m.colKernel = k }
-
-// ColumnarCapable implements ColumnarProcessor.
-func (m *Map) ColumnarCapable() bool { return m.colKernel != nil }
-
-// ProcessColumnar implements ColumnarProcessor: the section list is
-// rebuilt through the kernel; sections it declines are materialized and
-// run through the row function.
-func (m *Map) ProcessColumnar(cb *wire.ColumnarBatch) {
-	out := make([]wire.ColSec, 0, len(cb.Secs))
-	for si := range cb.Secs {
-		sec := &cb.Secs[si]
-		if sec.Rows == nil && m.colKernel(sec, &out) {
-			continue
-		}
-		var rows telemetry.Batch
-		sec.AppendRows(&rows)
-		mapped := make(telemetry.Batch, 0, len(rows))
-		emit := func(rec telemetry.Record) { mapped = append(mapped, rec) }
-		for i := range rows {
-			m.fn(rows[i], emit)
-		}
-		out = append(out, wire.ColSec{Tag: sec.Tag, Rows: mapped})
-	}
-	cb.Secs = out
-}
-
-// --- Join ---
-
-// SetColumnarKernel installs the join's SoA probe loop. Without it the
-// join is not columnar capable.
-func (j *Join) SetColumnarKernel(k ColumnarJoinKernel) { j.colKernel = k }
-
-// ColumnarCapable implements ColumnarProcessor. A miss-buffering join
-// stays on the row path: buffered misses must be materialized records
-// anyway (they outlive the wave), so the SoA probe would buy nothing.
-func (j *Join) ColumnarCapable() bool { return j.colKernel != nil && j.bufferDur == 0 }
-
-// ProcessColumnar implements ColumnarProcessor: the section list is
-// rebuilt through the kernel (hash probe over packed columns, selection
-// compacted into the output); sections it declines are materialized and
-// probed through the row function.
-func (j *Join) ProcessColumnar(cb *wire.ColumnarBatch) {
-	out := make([]wire.ColSec, 0, len(cb.Secs))
-	for si := range cb.Secs {
-		sec := &cb.Secs[si]
-		if sec.Rows == nil && j.colKernel(sec, &out) {
-			continue
-		}
-		var rows telemetry.Batch
-		sec.AppendRows(&rows)
-		joined := make(telemetry.Batch, 0, len(rows))
-		for i := range rows {
-			if rec, ok := j.fn(rows[i]); ok {
-				joined = append(joined, rec)
-			}
-		}
-		out = append(out, wire.ColSec{Tag: sec.Tag, Rows: joined})
-	}
-	cb.Secs = out
-}
-
 // --- GroupQuantile ---
 
 // SetAggKernel installs the SoA bulk-observe loop matching the
 // operator's key/value extractors (the same kernel ids GroupAgg uses).
 func (g *GroupQuantile) SetAggKernel(k AggKernel) { g.kernel = k }
 
-// ColumnarCapable implements ColumnarProcessor: partial QuantileRow
-// payloads always arrive as materialized rows (they have no SoA
-// columns) and merge through ProcessBatch, and raw sections either hit
-// the kernel or fall back per section, so the sketch never forces the
-// engine off the SoA path.
-func (g *GroupQuantile) ColumnarCapable() bool { return true }
-
-// ProcessColumnar implements ColumnarProcessor. Like GroupAgg, results
-// leave via Flush, so the wave is consumed whole: raw sections with a
-// matching kernel bulk-append their value column into the per-group
-// sketches straight from the columns, and everything else materializes
-// per section.
-func (g *GroupQuantile) ProcessColumnar(cb *wire.ColumnarBatch) {
-	for si := range cb.Secs {
-		sec := &cb.Secs[si]
-		switch {
-		case sec.Rows != nil:
-			g.ProcessBatch(sec.Rows, nil)
-		case sec.Ping != nil && g.kernel == AggKernelPingPairRTT:
-			g.quantPingPairRTT(sec)
-		case sec.ToR != nil && g.kernel == AggKernelToRPairRTT:
-			g.quantToRPairRTT(sec)
-		default:
-			g.colScratch = g.colScratch[:0]
-			sec.AppendRows(&g.colScratch)
-			g.ProcessBatch(g.colScratch, nil)
-		}
-	}
-	cb.Reset()
-}
-
-// quantObserve folds one numeric-keyed observation into the sketch
-// state, resolving the window map per run of equal window ids.
+// quantState lets observeNumKeyed resolve the window map once per run of
+// equal window ids.
 type quantState struct {
 	win     map[telemetry.GroupKey]*telemetry.QuantileRow
 	winID   int64
@@ -379,41 +149,6 @@ func (g *GroupQuantile) quantToRPairRTT(sec *wire.ColSec) {
 // key/value extractors.
 func (g *GroupAgg) SetAggKernel(k AggKernel) { g.kernel = k }
 
-// ColumnarCapable implements ColumnarProcessor: merging partial AggRow
-// sections columnar is always a win, and anything else falls back per
-// section, so G+R never forces the engine off the SoA path.
-func (g *GroupAgg) ColumnarCapable() bool { return true }
-
-// ProcessColumnar implements ColumnarProcessor. Results leave via Flush,
-// exactly as on the row path, so the wave is consumed whole: partial
-// AggRow sections merge straight from their columns, raw sections with a
-// matching kernel aggregate straight from theirs (no record, key-struct
-// or key-string per row), and everything else materializes per section.
-func (g *GroupAgg) ProcessColumnar(cb *wire.ColumnarBatch) {
-	for si := range cb.Secs {
-		sec := &cb.Secs[si]
-		switch {
-		case sec.Rows != nil:
-			g.ProcessBatch(sec.Rows, nil)
-		case sec.Agg != nil:
-			g.mergeAggCols(sec)
-		case sec.Ping != nil && g.kernel == AggKernelPingPairRTT:
-			g.aggPingPairRTT(sec)
-		case sec.ToR != nil && g.kernel == AggKernelToRPairRTT:
-			g.aggToRPairRTT(sec)
-		case sec.Job != nil && g.kernel == AggKernelJobStatsCount:
-			g.aggJobStatsCount(sec)
-		case sec.Job != nil && g.kernel == AggKernelJobStatsDur:
-			g.aggJobStatsDur(sec)
-		default:
-			g.colScratch = g.colScratch[:0]
-			sec.AppendRows(&g.colScratch)
-			g.ProcessBatch(g.colScratch, nil)
-		}
-	}
-	cb.Reset()
-}
-
 // mergeAggCols merges one partial-aggregate section without building
 // AggRow records: each live row becomes one mergePartial against a
 // stack-allocated row.
@@ -429,8 +164,8 @@ func (g *GroupAgg) mergeAggCols(sec *wire.ColSec) {
 	})
 }
 
-// observeNum folds one numeric-keyed observation, resolving the window
-// state per run of equal window ids like the row batch path.
+// observeNumKeyed folds one numeric-keyed observation, resolving the
+// window state per run of equal window ids like the row routine.
 type numAggState struct {
 	win     *aggWindow
 	winID   int64

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 )
 
 // GroupAgg implements GroupApply + Aggregate over tumbling windows with
@@ -41,7 +42,8 @@ type GroupAgg struct {
 	closed     []int64
 	closedLost bool
 	// kernel selects the columnar aggregation loop (SetAggKernel);
-	// colScratch backs per-section row-materialization fallbacks.
+	// colScratch backs per-section row materialization for sections
+	// without a kernel.
 	kernel     AggKernel
 	colScratch telemetry.Batch
 }
@@ -221,37 +223,43 @@ func (g *GroupAgg) OpenWindows() []int64 {
 	return out
 }
 
-// Process implements Operator.
-func (g *GroupAgg) Process(rec telemetry.Record, emit Emit) {
-	if row, ok := rec.Data.(*telemetry.AggRow); ok {
-		g.mergePartial(rec.Window, row)
-		return
+// ProcessColumnar implements Operator. Results leave via Flush, so the
+// wave is consumed whole: partial AggRow sections merge straight from
+// their columns, raw sections with a matching kernel aggregate straight
+// from theirs (no record, key-struct or key-string per row), and
+// everything else — Rows sections, sections without a kernel — goes
+// through the row routine.
+func (g *GroupAgg) ProcessColumnar(cb *wire.ColumnarBatch) {
+	for si := range cb.Secs {
+		sec := &cb.Secs[si]
+		switch {
+		case sec.Rows != nil:
+			g.observeRows(sec.Rows)
+		case sec.Agg != nil:
+			g.mergeAggCols(sec)
+		case sec.Ping != nil && g.kernel == AggKernelPingPairRTT:
+			g.aggPingPairRTT(sec)
+		case sec.ToR != nil && g.kernel == AggKernelToRPairRTT:
+			g.aggToRPairRTT(sec)
+		case sec.Job != nil && g.kernel == AggKernelJobStatsCount:
+			g.aggJobStatsCount(sec)
+		case sec.Job != nil && g.kernel == AggKernelJobStatsDur:
+			g.aggJobStatsDur(sec)
+		default:
+			g.colScratch = g.colScratch[:0]
+			sec.AppendRows(&g.colScratch)
+			g.observeRows(g.colScratch)
+		}
 	}
-	g.observe(&rec)
+	cb.Reset()
 }
 
-// observe folds one raw record into its group, stamping the dirty
-// generation.
-func (g *GroupAgg) observe(rec *telemetry.Record) {
-	key := g.keyFn(*rec)
-	val := g.valFn(*rec)
-	win := g.window(rec.Window)
-	win.gen = g.gen
-	cell := win.lookup(key)
-	if cell == nil {
-		win.store(key, &aggCell{row: telemetry.NewAggRow(key, rec.Window, val), gen: g.gen})
-		return
-	}
-	cell.row.Observe(val)
-	cell.gen = g.gen
-}
-
-// ProcessBatch implements BatchProcessor. G+R never emits from Process
-// (results leave via Flush), so the batch path is pure state update with
-// no per-record closure. A batch's records overwhelmingly share one
-// tumbling window, so the window map entry is resolved once per run of
-// equal window ids instead of per record.
-func (g *GroupAgg) ProcessBatch(in telemetry.Batch, _ *telemetry.Batch) {
+// observeRows is the row routine: partial AggRow payloads merge, raw
+// records fold into their group through keyFn/valFn, stamping the dirty
+// generation. A batch's records overwhelmingly share one tumbling
+// window, so the window map entry is resolved once per run of equal
+// window ids instead of per record.
+func (g *GroupAgg) observeRows(in telemetry.Batch) {
 	var win *aggWindow
 	haveWin := false
 	winID := int64(0)

@@ -21,9 +21,9 @@ func probeRec(ts int64, src, dst, rtt uint32) telemetry.Record {
 func TestGroupAggBasic(t *testing.T) {
 	g := NewGroupAgg("g", winDur, ProbePairKey, ProbeRTT)
 	var out telemetry.Batch
-	g.Process(probeRec(1_000_000, 1, 2, 100), collect(&out))
-	g.Process(probeRec(2_000_000, 1, 2, 300), collect(&out))
-	g.Process(probeRec(3_000_000, 1, 3, 50), collect(&out))
+	process(g, probeRec(1_000_000, 1, 2, 100), collect(&out))
+	process(g, probeRec(2_000_000, 1, 2, 300), collect(&out))
+	process(g, probeRec(3_000_000, 1, 3, 50), collect(&out))
 	if len(out) != 0 {
 		t.Fatal("nothing should emit before flush")
 	}
@@ -56,9 +56,9 @@ func TestGroupAggBasic(t *testing.T) {
 func TestGroupAggMultiWindow(t *testing.T) {
 	g := NewGroupAgg("g", winDur, ProbePairKey, ProbeRTT)
 	var out telemetry.Batch
-	g.Process(probeRec(1_000_000, 1, 2, 10), collect(&out))
-	g.Process(probeRec(11_000_000, 1, 2, 20), collect(&out))
-	g.Process(probeRec(21_000_000, 1, 2, 30), collect(&out))
+	process(g, probeRec(1_000_000, 1, 2, 10), collect(&out))
+	process(g, probeRec(11_000_000, 1, 2, 20), collect(&out))
+	process(g, probeRec(21_000_000, 1, 2, 30), collect(&out))
 	if got := g.OpenWindows(); len(got) != 3 {
 		t.Fatalf("open windows = %v", got)
 	}
@@ -79,8 +79,8 @@ func TestGroupAggMergePartials(t *testing.T) {
 
 	partial := telemetry.NewAggRow(telemetry.NumKey((1<<32)|2), 0, 500)
 	partial.Observe(700)
-	g.Process(telemetry.NewAggRecord(partial, winDur), collect(&out))
-	g.Process(probeRec(1_000_000, 1, 2, 300), collect(&out))
+	process(g, telemetry.NewAggRecord(partial, winDur), collect(&out))
+	process(g, probeRec(1_000_000, 1, 2, 300), collect(&out))
 
 	g.Flush(winDur, collect(&out))
 	if len(out) != 1 {
@@ -96,7 +96,7 @@ func TestGroupAggMergePartialNewGroup(t *testing.T) {
 	g := NewGroupAgg("g", winDur, ProbePairKey, ProbeRTT)
 	var out telemetry.Batch
 	partial := telemetry.NewAggRow(telemetry.NumKey(42), 1, 9)
-	g.Process(telemetry.NewAggRecord(partial, 2*winDur), collect(&out))
+	process(g, telemetry.NewAggRecord(partial, 2*winDur), collect(&out))
 	g.Flush(2*winDur, collect(&out))
 	if len(out) != 1 || out[0].Data.(*telemetry.AggRow).Count != 1 {
 		t.Fatalf("out = %+v", out)
@@ -106,8 +106,8 @@ func TestGroupAggMergePartialNewGroup(t *testing.T) {
 func TestGroupAggDrain(t *testing.T) {
 	g := NewGroupAgg("g", winDur, ProbePairKey, ProbeRTT)
 	var out telemetry.Batch
-	g.Process(probeRec(1_000_000, 1, 2, 10), collect(&out))
-	g.Process(probeRec(11_000_000, 1, 2, 20), collect(&out))
+	process(g, probeRec(1_000_000, 1, 2, 10), collect(&out))
+	process(g, probeRec(11_000_000, 1, 2, 20), collect(&out))
 	g.Drain(collect(&out))
 	if len(out) != 2 {
 		t.Fatalf("drained %d rows", len(out))
@@ -118,7 +118,7 @@ func TestGroupAggDrain(t *testing.T) {
 	// Drained partials fold back losslessly.
 	g2 := NewGroupAgg("g2", winDur, ProbePairKey, ProbeRTT)
 	for _, r := range out {
-		g2.Process(r, collect(&telemetry.Batch{}))
+		process(g2, r, collect(&telemetry.Batch{}))
 	}
 	var final telemetry.Batch
 	g2.Flush(3*winDur, collect(&final))
@@ -129,7 +129,7 @@ func TestGroupAggDrain(t *testing.T) {
 
 func TestGroupAggReset(t *testing.T) {
 	g := NewGroupAgg("g", winDur, ProbePairKey, ProbeRTT)
-	g.Process(probeRec(1, 1, 2, 10), func(telemetry.Record) {})
+	process(g, probeRec(1, 1, 2, 10), func(telemetry.Record) {})
 	g.Reset()
 	if len(g.OpenWindows()) != 0 {
 		t.Fatal("reset must clear state")
@@ -167,7 +167,7 @@ func TestGroupAggPartitionLossless(t *testing.T) {
 		// Reference: single replica.
 		ref := NewGroupAgg("ref", winDur, ProbePairKey, ProbeRTT)
 		for _, r := range records {
-			ref.Process(r, func(telemetry.Record) {})
+			process(ref, r, func(telemetry.Record) {})
 		}
 		var want telemetry.Batch
 		ref.Flush(4*winDur, collect(&want))
@@ -179,12 +179,12 @@ func TestGroupAggPartitionLossless(t *testing.T) {
 		none := func(telemetry.Record) {}
 		for _, r := range records {
 			if rng.Float64() < p {
-				src.Process(r, none)
+				process(src, r, none)
 			} else {
-				sp.Process(r, none)
+				process(sp, r, none)
 			}
 		}
-		src.Drain(func(r telemetry.Record) { sp.Process(r, none) })
+		src.Drain(func(r telemetry.Record) { process(sp, r, none) })
 		var got telemetry.Batch
 		sp.Flush(4*winDur, collect(&got))
 
@@ -223,9 +223,9 @@ func TestLogStatsKeyAndCount(t *testing.T) {
 			Data:   &telemetry.JobStats{Tenant: tenant, StatName: "cpu util", Bucket: bucket},
 		}
 	}
-	g.Process(mk("a", 3), collect(&out))
-	g.Process(mk("a", 3), collect(&out))
-	g.Process(mk("b", 3), collect(&out))
+	process(g, mk("a", 3), collect(&out))
+	process(g, mk("a", 3), collect(&out))
+	process(g, mk("b", 3), collect(&out))
 	g.Flush(winDur, collect(&out))
 	if len(out) != 2 {
 		t.Fatalf("rows = %d", len(out))
@@ -265,6 +265,6 @@ func BenchmarkGroupAggProcess(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Process(recs[i%len(recs)], func(telemetry.Record) {})
+		process(g, recs[i%len(recs)], func(telemetry.Record) {})
 	}
 }

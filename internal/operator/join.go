@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 )
 
 // Join joins the stream with a static table via a user lookup function
@@ -25,9 +26,10 @@ type Join struct {
 	bufferDur int64
 	pending   map[int64]telemetry.Batch
 
-	// colKernel is the SoA probe loop (SetColumnarKernel); nil means the
-	// join is not columnar capable and waves materialize at this stage.
-	colKernel ColumnarJoinKernel
+	// colKernel is the SoA probe loop (SetColumnarKernel); rowScratch
+	// backs the Rows sections the row probe produces (high-water, reused).
+	colKernel  ColumnarJoinKernel
+	rowScratch telemetry.Batch
 }
 
 // NewJoin creates a join operator. tableSize is the static table's entry
@@ -65,27 +67,41 @@ func (j *Join) BufferMisses(windowDurMicros int64) *Join {
 	return j
 }
 
-// Process implements Operator.
-func (j *Join) Process(rec telemetry.Record, emit Emit) {
-	if out, ok := j.fn(rec); ok {
-		emit(out)
-		return
-	}
-	if j.bufferDur > 0 {
-		j.pending[rec.Window] = append(j.pending[rec.Window], rec)
-	}
-}
+// SetColumnarKernel installs the join's SoA probe loop. Without it every
+// section is probed as rows.
+func (j *Join) SetColumnarKernel(k ColumnarJoinKernel) { j.colKernel = k }
 
-// ProcessBatch implements BatchProcessor: probes the static table for
-// every record in one loop, appending hits.
-func (j *Join) ProcessBatch(in telemetry.Batch, out *telemetry.Batch) {
-	for i := range in {
-		if rec, ok := j.fn(in[i]); ok {
-			*out = append(*out, rec)
-		} else if j.bufferDur > 0 {
-			j.pending[in[i].Window] = append(j.pending[in[i].Window], in[i])
+// ProcessColumnar implements Operator: the section list is rebuilt
+// through the kernel (hash probe over packed columns, selection compacted
+// into the output); sections it declines, and Rows sections, are probed
+// one record at a time. A miss-buffering join probes everything as rows:
+// buffered misses must be materialized records anyway (they outlive the
+// wave), so the SoA probe would buy nothing.
+func (j *Join) ProcessColumnar(cb *wire.ColumnarBatch) {
+	out := make([]wire.ColSec, 0, len(cb.Secs))
+	rows := j.rowScratch[:0]
+	soa := j.colKernel != nil && j.bufferDur == 0
+	for si := range cb.Secs {
+		sec := &cb.Secs[si]
+		if sec.Rows == nil && soa && j.colKernel(sec, &out) {
+			continue
 		}
+		in := sec.Rows
+		if in == nil {
+			sec.AppendRows(&in)
+		}
+		start := len(rows)
+		for i := range in {
+			if rec, ok := j.fn(in[i]); ok {
+				rows = append(rows, rec)
+			} else if j.bufferDur > 0 {
+				j.pending[in[i].Window] = append(j.pending[in[i].Window], in[i])
+			}
+		}
+		out = append(out, wire.ColSec{Tag: sec.Tag, Rows: carve(rows, start)})
 	}
+	j.rowScratch = rows[:0]
+	cb.Secs = out
 }
 
 // Flush implements Operator. With miss buffering enabled, windows closed
@@ -153,11 +169,11 @@ func (j *Join) Drain(emit Emit) {
 	}
 }
 
-// NewSrcToRJoin builds the first T2TProbe join: PingProbe → probe
+// SrcToRLookup is the first T2TProbe join's probe: PingProbe → probe
 // annotated with the source ToR. Records whose source IP misses the table
 // are dropped.
-func NewSrcToRJoin(name string, table *telemetry.ToRTable) *Join {
-	return NewJoin(name, table.Len(), func(rec telemetry.Record) (telemetry.Record, bool) {
+func SrcToRLookup(table *telemetry.ToRTable) func(telemetry.Record) (telemetry.Record, bool) {
+	return func(rec telemetry.Record) (telemetry.Record, bool) {
 		p, ok := rec.Data.(*telemetry.PingProbe)
 		if !ok {
 			return rec, false
@@ -169,7 +185,7 @@ func NewSrcToRJoin(name string, table *telemetry.ToRTable) *Join {
 		out := rec
 		out.Data = &srcToRProbe{probe: p, srcToR: tor}
 		return out, true
-	})
+	}
 }
 
 // srcToRProbe is the intermediate record between the two T2TProbe joins.
@@ -178,11 +194,11 @@ type srcToRProbe struct {
 	srcToR uint32
 }
 
-// NewDstToRJoin builds the second T2TProbe join, which also performs the
-// projection onto (srcToR, dstToR, rtt): the output is smaller than the
-// input, which is why the join still reduces data (paper §VI-B).
-func NewDstToRJoin(name string, table *telemetry.ToRTable) *Join {
-	return NewJoin(name, table.Len(), func(rec telemetry.Record) (telemetry.Record, bool) {
+// DstToRLookup is the second T2TProbe join's probe, which also performs
+// the projection onto (srcToR, dstToR, rtt): the output is smaller than
+// the input, which is why the join still reduces data (paper §VI-B).
+func DstToRLookup(table *telemetry.ToRTable) func(telemetry.Record) (telemetry.Record, bool) {
+	return func(rec telemetry.Record) (telemetry.Record, bool) {
 		sp, ok := rec.Data.(*srcToRProbe)
 		if !ok {
 			return rec, false
@@ -200,5 +216,5 @@ func NewDstToRJoin(name string, table *telemetry.ToRTable) *Join {
 		}
 		out.WireSize = telemetry.ToRProbeWireSize
 		return out, true
-	})
+	}
 }

@@ -43,7 +43,7 @@ func TestJoinBufferMissesReprobeOnFlush(t *testing.T) {
 	}
 
 	var out telemetry.Batch
-	j.ProcessBatch(telemetry.Batch{joinProbeRec(1, 3, 0), joinProbeRec(2, 4, 0)}, &out)
+	ProcessRows(j, telemetry.Batch{joinProbeRec(1, 3, 0), joinProbeRec(2, 4, 0)}, &out)
 	if len(out) != 1 {
 		t.Fatalf("hits = %d, want 1", len(out))
 	}
@@ -73,7 +73,7 @@ func TestJoinBufferMissesReprobeOnFlush(t *testing.T) {
 func TestJoinCheckpointableNonDestructive(t *testing.T) {
 	j := growableJoin(map[uint32]uint32{}, 10)
 	var out telemetry.Batch
-	j.ProcessBatch(telemetry.Batch{joinProbeRec(7, 3, 0), joinProbeRec(8, 4, 0)}, &out)
+	ProcessRows(j, telemetry.Batch{joinProbeRec(7, 3, 0), joinProbeRec(8, 4, 0)}, &out)
 
 	var snapA, snapB telemetry.Batch
 	j.SnapshotWindow(0, func(r telemetry.Record) { snapA = append(snapA, r) })
@@ -87,7 +87,7 @@ func TestJoinCheckpointableNonDestructive(t *testing.T) {
 	table := map[uint32]uint32{}
 	replica := growableJoin(table, 10)
 	for _, rec := range snapA {
-		replica.Process(rec, func(telemetry.Record) { t.Fatal("miss emitted during restore") })
+		process(replica, rec, func(telemetry.Record) { t.Fatal("miss emitted during restore") })
 	}
 	if got := replica.OpenWindows(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("replica windows = %v", got)
@@ -105,7 +105,7 @@ func TestJoinCheckpointableNonDestructive(t *testing.T) {
 func TestJoinDrainHandsRawMissesDownstream(t *testing.T) {
 	j := growableJoin(map[uint32]uint32{}, 10)
 	var out telemetry.Batch
-	j.ProcessBatch(telemetry.Batch{joinProbeRec(5, 3, 0), joinProbeRec(6, 13, 1)}, &out)
+	ProcessRows(j, telemetry.Batch{joinProbeRec(5, 3, 0), joinProbeRec(6, 13, 1)}, &out)
 
 	var drained telemetry.Batch
 	j.Drain(func(r telemetry.Record) { drained = append(drained, r) })
@@ -125,7 +125,7 @@ func TestJoinWithoutBufferingUnchanged(t *testing.T) {
 	if j.Stateful() {
 		t.Fatal("plain join must stay stateless")
 	}
-	j.Process(joinProbeRec(1, 1, 0), func(telemetry.Record) { t.Fatal("miss emitted") })
+	process(j, joinProbeRec(1, 1, 0), func(telemetry.Record) { t.Fatal("miss emitted") })
 	if n := len(j.OpenWindows()); n != 0 {
 		t.Fatalf("plain join buffered %d windows", n)
 	}

@@ -3,20 +3,28 @@
 // GroupApply+Aggregate (G+R) with incrementally updatable, mergeable
 // aggregates (paper §II-A, rule R-1).
 //
-// Operators are single-goroutine state machines: the engine drives them
-// with Process (one record at a time, emitting zero or more outputs) and
-// Flush (event-time watermark advance, releasing closed windows). The
-// same operator implementation runs on the data source and, replicated,
-// on the stream processor; G+R accepts both raw records and partial
-// AggRow records so that source-side partial state merges losslessly into
-// the SP-side state — the property that enables data-level partitioning
-// of stateful operators.
+// Operators are single-goroutine state machines with one data-plane
+// entry point: the engine hands ProcessColumnar a wave of sections
+// (wire.ColumnarBatch) and the operator advances it in place; Flush
+// releases closed windows when the event-time watermark advances. A
+// section is either SoA columns, which the operator's kernels process
+// without building records, or materialized rows (wire.ColSec.Rows) —
+// the generic carrier for payloads without a column layout and for
+// sections an operator has no kernel for. Every operator has exactly one
+// row routine behind that branch. The same operator implementation runs
+// on the data source and, replicated, on the stream processor; G+R
+// accepts both raw records and partial AggRow records so that
+// source-side partial state merges losslessly into the SP-side state —
+// the property that enables data-level partitioning of stateful
+// operators.
 package operator
 
 import (
 	"fmt"
+	"math"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 )
 
 // Kind classifies an operator for planning rules and cost profiling.
@@ -51,40 +59,6 @@ func (k Kind) String() string {
 
 // Emit receives operator output records.
 type Emit func(telemetry.Record)
-
-// BatchProcessor is the vectorized execution interface: one call consumes
-// a whole batch and appends every output to *out, amortizing dispatch and
-// emit-closure cost across the batch. All built-in operators implement
-// it; ProcessBatch(in, out) must be observably equivalent to calling
-// Process(in[i], emit) for each record in order, with emit appending to
-// *out. Implementations must not mutate the input slice's elements.
-type BatchProcessor interface {
-	ProcessBatch(in telemetry.Batch, out *telemetry.Batch)
-}
-
-// AsBatchProcessor returns the operator's vectorized path, wrapping
-// record-at-a-time operators in a generic adapter so third-party
-// Operator implementations keep working on the batch engine.
-func AsBatchProcessor(op Operator) BatchProcessor {
-	if bp, ok := op.(BatchProcessor); ok {
-		return bp
-	}
-	return &recordAdapter{op: op}
-}
-
-// recordAdapter drives a plain Operator record by record, sharing one
-// emit closure across the whole batch.
-type recordAdapter struct {
-	op Operator
-}
-
-// ProcessBatch implements BatchProcessor.
-func (a *recordAdapter) ProcessBatch(in telemetry.Batch, out *telemetry.Batch) {
-	emit := func(rec telemetry.Record) { *out = append(*out, rec) }
-	for i := range in {
-		a.op.Process(in[i], emit)
-	}
-}
 
 // StatefulDrainer is implemented by stateful operators that can hand all
 // partial state downstream immediately (the stateful drain path, §V).
@@ -133,7 +107,7 @@ type DeltaCheckpointable interface {
 // from freshly decoded snapshots and never touch the rows again).
 // AbsorbSnapshot reports false — absorbing nothing — when the batch
 // contains rows it does not recognize; the caller then falls back to
-// Process.
+// ProcessColumnar.
 type SnapshotAbsorber interface {
 	AbsorbSnapshot(rows telemetry.Batch) bool
 }
@@ -144,8 +118,15 @@ type Operator interface {
 	Name() string
 	// Kind classifies the operator.
 	Kind() Kind
-	// Process consumes one record and emits any immediate outputs.
-	Process(rec telemetry.Record, emit Emit)
+	// ProcessColumnar advances a wave through the operator in place: the
+	// sections left in cb afterwards are the operator's output, in record
+	// order (stateful operators that emit only from Flush consume the
+	// wave whole). Shared columns and row arrays are never written
+	// through — see the mutation discipline in columnar.go. Output
+	// sections may live in operator-owned scratch that the next
+	// ProcessColumnar call reuses, so the caller consumes or copies them
+	// first.
+	ProcessColumnar(cb *wire.ColumnarBatch)
 	// Flush advances the event-time watermark, emitting results of any
 	// windows that closed. Stateless operators ignore it.
 	Flush(watermark int64, emit Emit)
@@ -156,14 +137,37 @@ type Operator interface {
 	Reset()
 }
 
+// ProcessRows runs rows through an operator as one materialized section
+// and appends whatever the operator emits to *out. The rows are only
+// read; the appended records may still share their payloads.
+func ProcessRows(op Operator, rows telemetry.Batch, out *telemetry.Batch) {
+	if len(rows) == 0 {
+		return
+	}
+	cb := wire.ColumnarBatch{Secs: []wire.ColSec{{Rows: rows}}}
+	op.ProcessColumnar(&cb)
+	cb.AppendRows(out)
+}
+
+// carve returns buf[start:] as a section's Rows: capacity-clipped, so
+// later appends to buf cannot grow into it, and never nil (nil Rows would
+// mark the section as SoA).
+func carve(buf telemetry.Batch, start int) telemetry.Batch {
+	if buf == nil {
+		return telemetry.Batch{}
+	}
+	return buf[start:len(buf):len(buf)]
+}
+
 // Window assigns records to fixed-size tumbling windows by event time.
 // It is pass-through otherwise.
 type Window struct {
 	name string
 	dur  int64 // window length, microseconds
-	// winScratch backs the replacement window columns of the columnar
-	// path (high-water, reused across waves).
+	// winScratch backs the replacement window columns and rowScratch the
+	// rewritten Rows sections (high-water, reused across waves).
 	winScratch []int64
+	rowScratch telemetry.Batch
 }
 
 // NewWindow creates a tumbling-window operator of the given duration in
@@ -196,20 +200,53 @@ func (w *Window) WindowOf(micros int64) int64 {
 // WindowEnd returns the exclusive end time of a window id.
 func (w *Window) WindowEnd(id int64) int64 { return (id + 1) * w.dur }
 
-// Process implements Operator.
-func (w *Window) Process(rec telemetry.Record, emit Emit) {
-	rec.Window = w.WindowOf(rec.Time)
-	emit(rec)
-}
-
-// ProcessBatch implements BatchProcessor: window assignment is a pure
-// per-record field write, so the batch path is a single tight loop.
-func (w *Window) ProcessBatch(in telemetry.Batch, out *telemetry.Batch) {
-	for i := range in {
-		rec := in[i]
-		rec.Window = w.WindowOf(rec.Time)
-		*out = append(*out, rec)
+// ProcessColumnar implements Operator: each SoA section's window column
+// is recomputed from its time column in one pass, and Rows sections are
+// rewritten record by record. The replacements come from high-water
+// scratch buffers reused across calls.
+func (w *Window) ProcessColumnar(cb *wire.ColumnarBatch) {
+	total := 0
+	for si := range cb.Secs {
+		if cb.Secs[si].Rows == nil {
+			total += len(cb.Secs[si].Times)
+		}
 	}
+	if cap(w.winScratch) < total {
+		w.winScratch = make([]int64, total)
+	}
+	buf := w.winScratch[:0]
+	rows := w.rowScratch[:0]
+	for si := range cb.Secs {
+		sec := &cb.Secs[si]
+		if sec.Rows != nil {
+			start := len(rows)
+			for _, rec := range sec.Rows {
+				rec.Window = w.WindowOf(rec.Time)
+				rows = append(rows, rec)
+			}
+			sec.Rows = carve(rows, start)
+			continue
+		}
+		n := len(sec.Times)
+		win := buf[len(buf) : len(buf)+n]
+		buf = buf[:len(buf)+n]
+		// Event times arrive near-monotonic, so consecutive rows almost
+		// always share a window: cache the current window's [lo, hi) time
+		// range (exactly the floor-division bucket WindowOf computes) and
+		// divide only when a row falls outside it.
+		var curWin, lo, hi int64
+		hi = math.MinInt64 // force the first row to resolve
+		for i, t := range sec.Times {
+			if t < lo || t >= hi {
+				curWin = w.WindowOf(t)
+				lo = curWin * w.dur
+				hi = lo + w.dur
+			}
+			win[i] = curWin
+		}
+		sec.Windows = win
+	}
+	w.rowScratch = rows[:0]
 }
 
 // Flush implements Operator (no-op: windows close downstream).
@@ -226,9 +263,11 @@ type Filter struct {
 	name string
 	pred func(telemetry.Record) bool
 	// colPred is the compiled SoA predicate (SetColumnarPred); selScratch
-	// backs the selection vectors it produces (high-water, reused).
+	// backs the selection vectors it produces and rowScratch the filtered
+	// Rows sections (high-water, reused).
 	colPred    ColumnarPred
 	selScratch []int32
+	rowScratch telemetry.Batch
 }
 
 // NewFilter creates a filter operator.
@@ -236,26 +275,74 @@ func NewFilter(name string, pred func(telemetry.Record) bool) *Filter {
 	return &Filter{name: name, pred: pred}
 }
 
+// SetColumnarPred installs the filter's compiled SoA predicate (the plan
+// layer compiles optimizer-visible expressions; opaque predicates may
+// register a hand-written one). Without it every section is filtered as
+// rows.
+func (f *Filter) SetColumnarPred(p ColumnarPred) { f.colPred = p }
+
 // Name implements Operator.
 func (f *Filter) Name() string { return f.name }
 
 // Kind implements Operator.
 func (f *Filter) Kind() Kind { return KindFilter }
 
-// Process implements Operator.
-func (f *Filter) Process(rec telemetry.Record, emit Emit) {
-	if f.pred(rec) {
-		emit(rec)
+// ProcessColumnar implements Operator: sections the compiled predicate
+// covers are narrowed with a selection vector (columns stay shared, zero
+// copying); the rest are materialized and filtered by the row predicate.
+func (f *Filter) ProcessColumnar(cb *wire.ColumnarBatch) {
+	total := 0
+	for si := range cb.Secs {
+		total += cb.Secs[si].Len()
 	}
-}
-
-// ProcessBatch implements BatchProcessor.
-func (f *Filter) ProcessBatch(in telemetry.Batch, out *telemetry.Batch) {
-	for i := range in {
-		if f.pred(in[i]) {
-			*out = append(*out, in[i])
+	if cap(f.selScratch) < total {
+		f.selScratch = make([]int32, total)
+	}
+	buf := f.selScratch[:0]
+	rows := f.rowScratch[:0]
+	for si := range cb.Secs {
+		sec := &cb.Secs[si]
+		var keep func(i int) bool
+		ok := false
+		if sec.Rows == nil && f.colPred != nil {
+			keep, ok = f.colPred(sec)
 		}
+		if !ok {
+			// Row routine. A SoA section is materialized into the scratch
+			// first and compacted in place (the write index never passes
+			// the read index).
+			start := len(rows)
+			in := sec.Rows
+			if in == nil {
+				sec.AppendRows(&rows)
+				in, rows = rows[start:], rows[:start]
+			}
+			for i := range in {
+				if f.pred(in[i]) {
+					rows = append(rows, in[i])
+				}
+			}
+			*sec = wire.ColSec{Tag: sec.Tag, Rows: carve(rows, start)}
+			continue
+		}
+		sel := buf[len(buf):len(buf)]
+		if sec.Sel != nil {
+			for _, i := range sec.Sel {
+				if keep(int(i)) {
+					sel = append(sel, i)
+				}
+			}
+		} else {
+			for i := 0; i < len(sec.Times); i++ {
+				if keep(i) {
+					sel = append(sel, int32(i))
+				}
+			}
+		}
+		buf = buf[:len(buf)+len(sel)]
+		sec.Sel = sel
 	}
+	f.rowScratch = rows[:0]
 }
 
 // Flush implements Operator.
@@ -274,8 +361,10 @@ type Map struct {
 	name string
 	fn   func(telemetry.Record, Emit)
 	// colKernel is the SoA transformation (SetColumnarKernel), when the
-	// map has one.
-	colKernel ColumnarMapKernel
+	// map has one; rowScratch backs the Rows sections the row function
+	// produces (high-water, reused).
+	colKernel  ColumnarMapKernel
+	rowScratch telemetry.Batch
 }
 
 // NewMap creates a map operator from a flat-map function.
@@ -290,22 +379,40 @@ func NewMap1(name string, fn func(telemetry.Record) telemetry.Record) *Map {
 	}}
 }
 
+// SetColumnarKernel installs the map's SoA transformation. Without it
+// every section runs through the row function.
+func (m *Map) SetColumnarKernel(k ColumnarMapKernel) { m.colKernel = k }
+
 // Name implements Operator.
 func (m *Map) Name() string { return m.name }
 
 // Kind implements Operator.
 func (m *Map) Kind() Kind { return KindMap }
 
-// Process implements Operator.
-func (m *Map) Process(rec telemetry.Record, emit Emit) { m.fn(rec, emit) }
-
-// ProcessBatch implements BatchProcessor: the flat-map function runs per
-// record, but one emit closure is shared across the whole batch.
-func (m *Map) ProcessBatch(in telemetry.Batch, out *telemetry.Batch) {
-	emit := func(rec telemetry.Record) { *out = append(*out, rec) }
-	for i := range in {
-		m.fn(in[i], emit)
+// ProcessColumnar implements Operator: the section list is rebuilt
+// through the kernel; sections it declines (and Rows sections) run
+// through the flat-map function, one emit closure shared by the wave.
+func (m *Map) ProcessColumnar(cb *wire.ColumnarBatch) {
+	out := make([]wire.ColSec, 0, len(cb.Secs))
+	rows := m.rowScratch[:0]
+	emit := func(rec telemetry.Record) { rows = append(rows, rec) }
+	for si := range cb.Secs {
+		sec := &cb.Secs[si]
+		if sec.Rows == nil && m.colKernel != nil && m.colKernel(sec, &out) {
+			continue
+		}
+		in := sec.Rows
+		if in == nil {
+			sec.AppendRows(&in)
+		}
+		start := len(rows)
+		for i := range in {
+			m.fn(in[i], emit)
+		}
+		out = append(out, wire.ColSec{Tag: sec.Tag, Rows: carve(rows, start)})
 	}
+	m.rowScratch = rows[:0]
+	cb.Secs = out
 }
 
 // Flush implements Operator.

@@ -29,8 +29,8 @@ func TestKindString(t *testing.T) {
 func TestWindowAssignment(t *testing.T) {
 	w := NewWindow("w", 10_000_000) // 10 s
 	var out telemetry.Batch
-	w.Process(telemetry.Record{Time: 25_000_000}, collect(&out))
-	w.Process(telemetry.Record{Time: 30_000_000}, collect(&out))
+	process(w, telemetry.Record{Time: 25_000_000}, collect(&out))
+	process(w, telemetry.Record{Time: 30_000_000}, collect(&out))
 	if out[0].Window != 2 || out[1].Window != 3 {
 		t.Fatalf("windows = %d, %d", out[0].Window, out[1].Window)
 	}
@@ -62,8 +62,8 @@ func TestFilter(t *testing.T) {
 		return r.Data.(*telemetry.PingProbe).OK()
 	})
 	var out telemetry.Batch
-	f.Process(telemetry.NewProbeRecord(&telemetry.PingProbe{ErrCode: 0}), collect(&out))
-	f.Process(telemetry.NewProbeRecord(&telemetry.PingProbe{ErrCode: 2}), collect(&out))
+	process(f, telemetry.NewProbeRecord(&telemetry.PingProbe{ErrCode: 0}), collect(&out))
+	process(f, telemetry.NewProbeRecord(&telemetry.PingProbe{ErrCode: 2}), collect(&out))
 	if len(out) != 1 {
 		t.Fatalf("filter kept %d records, want 1", len(out))
 	}
@@ -78,7 +78,7 @@ func TestMapFlat(t *testing.T) {
 		emit(rec)
 	})
 	var out telemetry.Batch
-	m.Process(telemetry.Record{Time: 1}, collect(&out))
+	process(m, telemetry.Record{Time: 1}, collect(&out))
 	if len(out) != 2 {
 		t.Fatalf("flat map emitted %d", len(out))
 	}
@@ -90,7 +90,7 @@ func TestMap1(t *testing.T) {
 		return rec
 	})
 	var out telemetry.Batch
-	m.Process(telemetry.Record{Time: 21}, collect(&out))
+	process(m, telemetry.Record{Time: 21}, collect(&out))
 	if len(out) != 1 || out[0].Time != 42 {
 		t.Fatalf("out = %+v", out)
 	}
@@ -104,19 +104,19 @@ func TestMap1(t *testing.T) {
 func TestJoinToR(t *testing.T) {
 	ips := []uint32{10, 20, 30}
 	table := telemetry.NewToRTable(ips, 2)
-	j1 := NewSrcToRJoin("j1", table)
-	j2 := NewDstToRJoin("j2", table)
+	j1 := NewJoin("j1", table.Len(), SrcToRLookup(table))
+	j2 := NewJoin("j2", table.Len(), DstToRLookup(table))
 
 	probe := telemetry.NewProbeRecord(&telemetry.PingProbe{
 		Timestamp: 5, SrcIP: 10, DstIP: 20, RTTMicros: 900,
 	})
 	var mid telemetry.Batch
-	j1.Process(probe, collect(&mid))
+	process(j1, probe, collect(&mid))
 	if len(mid) != 1 {
 		t.Fatalf("j1 emitted %d", len(mid))
 	}
 	var out telemetry.Batch
-	j2.Process(mid[0], collect(&out))
+	process(j2, mid[0], collect(&out))
 	if len(out) != 1 {
 		t.Fatalf("j2 emitted %d", len(out))
 	}
@@ -130,11 +130,11 @@ func TestJoinToR(t *testing.T) {
 
 	// Misses are dropped (inner join).
 	var none telemetry.Batch
-	j1.Process(telemetry.NewProbeRecord(&telemetry.PingProbe{SrcIP: 99}), collect(&none))
+	process(j1, telemetry.NewProbeRecord(&telemetry.PingProbe{SrcIP: 99}), collect(&none))
 	if len(none) != 0 {
 		t.Fatal("unknown src should be dropped")
 	}
-	j2.Process(probe, collect(&none)) // wrong payload type for j2
+	process(j2, probe, collect(&none)) // wrong payload type for j2
 	if len(none) != 0 {
 		t.Fatal("wrong payload type should be dropped")
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 )
 
 // GroupQuantile is GroupApply + approximate-quantile aggregation. Exact
@@ -27,11 +28,10 @@ type GroupQuantile struct {
 
 	state map[int64]map[telemetry.GroupKey]*telemetry.QuantileRow
 
-	// kernel selects the SoA bulk-observe loop (SetAggKernel); sections it
-	// does not cover fall back to per-section row materialization.
-	kernel AggKernel
-	// colScratch is the reusable materialization buffer for fallback
-	// sections on the columnar path.
+	// kernel selects the SoA bulk-observe loop (SetAggKernel); colScratch
+	// backs per-section row materialization for sections it does not
+	// cover.
+	kernel     AggKernel
 	colScratch telemetry.Batch
 }
 
@@ -72,30 +72,34 @@ func (g *GroupQuantile) Reset() {
 	g.state = make(map[int64]map[telemetry.GroupKey]*telemetry.QuantileRow)
 }
 
-// Process implements Operator: raw records update the group's sketch;
-// *telemetry.QuantileRow payloads (partials from a replica) merge in.
-func (g *GroupQuantile) Process(rec telemetry.Record, emit Emit) {
-	if row, ok := rec.Data.(*telemetry.QuantileRow); ok {
-		g.mergePartial(rec.Window, row)
-		return
+// ProcessColumnar implements Operator. Like GroupAgg, results leave via
+// Flush, so the wave is consumed whole: raw sections with a matching
+// kernel bulk-append their value column into the per-group sketches
+// straight from the columns; partial QuantileRow payloads (which have no
+// SoA layout and always arrive as Rows) and everything else go through
+// the row routine.
+func (g *GroupQuantile) ProcessColumnar(cb *wire.ColumnarBatch) {
+	for si := range cb.Secs {
+		sec := &cb.Secs[si]
+		switch {
+		case sec.Rows != nil:
+			g.observeRows(sec.Rows)
+		case sec.Ping != nil && g.kernel == AggKernelPingPairRTT:
+			g.quantPingPairRTT(sec)
+		case sec.ToR != nil && g.kernel == AggKernelToRPairRTT:
+			g.quantToRPairRTT(sec)
+		default:
+			g.colScratch = g.colScratch[:0]
+			sec.AppendRows(&g.colScratch)
+			g.observeRows(g.colScratch)
+		}
 	}
-	win := g.state[rec.Window]
-	if win == nil {
-		win = make(map[telemetry.GroupKey]*telemetry.QuantileRow)
-		g.state[rec.Window] = win
-	}
-	key := g.keyFn(rec)
-	row := win[key]
-	if row == nil {
-		row = telemetry.NewQuantileRow(key, rec.Window, g.lo, g.hi, g.buckets)
-		win[key] = row
-	}
-	row.Observe(g.valFn(rec))
+	cb.Reset()
 }
 
-// ProcessBatch implements BatchProcessor: like GroupAgg, sketch updates
-// never emit, so the batch path is a closure-free state loop.
-func (g *GroupQuantile) ProcessBatch(in telemetry.Batch, _ *telemetry.Batch) {
+// observeRows is the row routine: raw records update the group's sketch;
+// *telemetry.QuantileRow payloads (partials from a replica) merge in.
+func (g *GroupQuantile) observeRows(in telemetry.Batch) {
 	for i := range in {
 		rec := in[i]
 		if row, ok := rec.Data.(*telemetry.QuantileRow); ok {

@@ -17,7 +17,7 @@ func TestGroupQuantileBasic(t *testing.T) {
 	g := quantileOp()
 	var out telemetry.Batch
 	for i := 0; i < 1000; i++ {
-		g.Process(probeRec(1_000_000, 1, 2, uint32(i*10)), collect(&out))
+		process(g, probeRec(1_000_000, 1, 2, uint32(i*10)), collect(&out))
 	}
 	if len(out) != 0 {
 		t.Fatal("no emissions before flush")
@@ -53,15 +53,15 @@ func TestGroupQuantileMergeLossless(t *testing.T) {
 		none := func(telemetry.Record) {}
 		for i := 0; i < 500; i++ {
 			rec := probeRec(1_000_000, 1, 2, uint32(rng.IntN(12000)))
-			ref.Process(rec, none)
+			process(ref, rec, none)
 			if rng.Float64() < p {
-				a.Process(rec, none)
+				process(a, rec, none)
 			} else {
-				b.Process(rec, none)
+				process(b, rec, none)
 			}
 		}
 		// a drains its partials into b (like source → SP).
-		a.Drain(func(r telemetry.Record) { b.Process(r, none) })
+		a.Drain(func(r telemetry.Record) { process(b, r, none) })
 		var want, got telemetry.Batch
 		ref.Flush(winDur, collect(&want))
 		b.Flush(winDur, collect(&got))
@@ -90,11 +90,11 @@ func TestGroupQuantileMergeLossless(t *testing.T) {
 func TestGroupQuantileIncompatiblePartialDropped(t *testing.T) {
 	g := quantileOp()
 	none := func(telemetry.Record) {}
-	g.Process(probeRec(1_000_000, 1, 2, 100), none)
+	process(g, probeRec(1_000_000, 1, 2, 100), none)
 	// A partial with a different shape must not corrupt state.
 	bad := telemetry.NewQuantileRow(telemetry.NumKey((1<<32)|2), 0, 0, 99, 3)
 	bad.Observe(5)
-	g.Process(telemetry.Record{Window: 0, Data: bad}, none)
+	process(g, telemetry.Record{Window: 0, Data: bad}, none)
 	var out telemetry.Batch
 	g.Flush(winDur, collect(&out))
 	if len(out) != 1 {
@@ -108,7 +108,7 @@ func TestGroupQuantileIncompatiblePartialDropped(t *testing.T) {
 func TestGroupQuantileDrainClearsAndReset(t *testing.T) {
 	g := quantileOp()
 	none := func(telemetry.Record) {}
-	g.Process(probeRec(1_000_000, 1, 2, 100), none)
+	process(g, probeRec(1_000_000, 1, 2, 100), none)
 	var out telemetry.Batch
 	g.Drain(collect(&out))
 	if len(out) != 1 {
@@ -119,7 +119,7 @@ func TestGroupQuantileDrainClearsAndReset(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatal("drain must clear state")
 	}
-	g.Process(probeRec(1_000_000, 1, 2, 100), none)
+	process(g, probeRec(1_000_000, 1, 2, 100), none)
 	g.Reset()
 	g.Flush(winDur, collect(&out))
 	if len(out) != 0 {

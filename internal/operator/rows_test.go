@@ -23,73 +23,64 @@ func probeBatch(n int) telemetry.Batch {
 	return out
 }
 
-// recordPath runs a batch through Process record by record — the
-// reference the vectorized path must match.
+// process feeds one record through an operator as a single-row section
+// and hands whatever it emits to emit — the record-at-a-time reference.
+func process(op Operator, rec telemetry.Record, emit Emit) {
+	var out telemetry.Batch
+	ProcessRows(op, telemetry.Batch{rec}, &out)
+	for _, r := range out {
+		emit(r)
+	}
+}
+
+// recordPath runs a batch through the operator one record at a time —
+// the reference a whole Rows section must match.
 func recordPath(op Operator, in telemetry.Batch) telemetry.Batch {
 	var out telemetry.Batch
-	emit := func(r telemetry.Record) { out = append(out, r) }
 	for i := range in {
-		op.Process(in[i], emit)
+		process(op, in[i], collect(&out))
 	}
 	return out
 }
 
-// plainOperator hides an operator's BatchProcessor implementation so
-// AsBatchProcessor must fall back to the record adapter.
-type plainOperator struct{ Operator }
-
-func assertBatchMatchesRecord(t *testing.T, mk func() Operator, in telemetry.Batch) {
+// assertSectionMatchesRecord checks that one Rows section carrying the
+// whole batch yields exactly the records, in order, that feeding the
+// batch one record at a time does.
+func assertSectionMatchesRecord(t *testing.T, mk func() Operator, in telemetry.Batch) {
 	t.Helper()
 	ref := recordPath(mk(), in)
-
-	vec := mk()
-	bp := AsBatchProcessor(vec)
-	if _, isAdapter := bp.(*recordAdapter); isAdapter {
-		t.Fatalf("%T must implement BatchProcessor natively", vec)
-	}
 	var got telemetry.Batch
-	bp.ProcessBatch(in, &got)
+	ProcessRows(mk(), in, &got)
 	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("vectorized path diverges: %d vs %d records", len(ref), len(got))
-	}
-
-	// The generic adapter must also reproduce the record path.
-	ad := AsBatchProcessor(plainOperator{mk()})
-	if _, isAdapter := ad.(*recordAdapter); !isAdapter {
-		t.Fatal("wrapped operator should use the record adapter")
-	}
-	var viaAdapter telemetry.Batch
-	ad.ProcessBatch(in, &viaAdapter)
-	if !reflect.DeepEqual(ref, viaAdapter) {
-		t.Fatal("record adapter diverges from Process")
+		t.Fatalf("section path diverges: %d vs %d records", len(ref), len(got))
 	}
 }
 
-func TestWindowProcessBatch(t *testing.T) {
+func TestWindowRowsSection(t *testing.T) {
 	in := probeBatch(500)
-	assertBatchMatchesRecord(t, func() Operator {
+	assertSectionMatchesRecord(t, func() Operator {
 		return NewWindow("w", 10_000)
 	}, in)
-	// Input records must stay untouched (the batch path may not mutate
-	// shared input slices).
+	// Input records must stay untouched (operators never write through
+	// a section's shared row array).
 	for i := range in {
 		if in[i].Window != 0 {
-			t.Fatal("ProcessBatch mutated its input")
+			t.Fatal("ProcessColumnar mutated its input rows")
 		}
 	}
 }
 
-func TestFilterProcessBatch(t *testing.T) {
-	assertBatchMatchesRecord(t, func() Operator {
+func TestFilterRowsSection(t *testing.T) {
+	assertSectionMatchesRecord(t, func() Operator {
 		return NewFilter("f", func(r telemetry.Record) bool {
 			return r.Data.(*telemetry.PingProbe).ErrCode == 0
 		})
 	}, probeBatch(500))
 }
 
-func TestMapProcessBatch(t *testing.T) {
+func TestMapRowsSection(t *testing.T) {
 	// Flat-map: emits 0, 1 or 2 records per input.
-	assertBatchMatchesRecord(t, func() Operator {
+	assertSectionMatchesRecord(t, func() Operator {
 		return NewMap("m", func(r telemetry.Record, emit Emit) {
 			p := r.Data.(*telemetry.PingProbe)
 			switch p.ErrCode {
@@ -103,10 +94,10 @@ func TestMapProcessBatch(t *testing.T) {
 	}, probeBatch(500))
 }
 
-func TestJoinProcessBatch(t *testing.T) {
+func TestJoinRowsSection(t *testing.T) {
 	table := telemetry.NewToRTable([]uint32{0x0A000001}, 4)
-	assertBatchMatchesRecord(t, func() Operator {
-		return NewSrcToRJoin("j", table)
+	assertSectionMatchesRecord(t, func() Operator {
+		return NewJoin("j", table.Len(), SrcToRLookup(table))
 	}, probeBatch(500))
 }
 
@@ -116,63 +107,60 @@ func groupAggState(g *GroupAgg) telemetry.Batch {
 	return rows
 }
 
-func TestGroupAggProcessBatch(t *testing.T) {
+func TestGroupAggRowsSection(t *testing.T) {
 	in := probeBatch(1000)
 	// Window-assign first so grouping state lands in real windows.
-	w := NewWindow("w", 10_000)
 	var windowed telemetry.Batch
-	w.ProcessBatch(in, &windowed)
+	ProcessRows(NewWindow("w", 10_000), in, &windowed)
 
 	ref := NewGroupAgg("g", 10_000, ProbePairKey, ProbeRTT)
 	for i := range windowed {
-		ref.Process(windowed[i], func(telemetry.Record) {})
+		process(ref, windowed[i], func(telemetry.Record) {})
 	}
 	vec := NewGroupAgg("g", 10_000, ProbePairKey, ProbeRTT)
 	var none telemetry.Batch
-	vec.ProcessBatch(windowed, &none)
+	ProcessRows(vec, windowed, &none)
 	if len(none) != 0 {
-		t.Fatal("G+R must not emit from ProcessBatch")
+		t.Fatal("G+R must not emit from ProcessColumnar")
 	}
 	if !reflect.DeepEqual(groupAggState(ref), groupAggState(vec)) {
-		t.Fatal("vectorized G+R state diverges from record path")
+		t.Fatal("section G+R state diverges from record path")
 	}
 }
 
-func TestGroupQuantileProcessBatch(t *testing.T) {
+func TestGroupQuantileRowsSection(t *testing.T) {
 	in := probeBatch(1000)
-	w := NewWindow("w", 10_000)
 	var windowed telemetry.Batch
-	w.ProcessBatch(in, &windowed)
+	ProcessRows(NewWindow("w", 10_000), in, &windowed)
 
 	mk := func() *GroupQuantile {
 		return NewGroupQuantile("q", 10_000, ProbePairKey, ProbeRTT, 0, 1000, 50)
 	}
 	ref := mk()
 	for i := range windowed {
-		ref.Process(windowed[i], func(telemetry.Record) {})
+		process(ref, windowed[i], func(telemetry.Record) {})
 	}
 	vec := mk()
 	var none telemetry.Batch
-	vec.ProcessBatch(windowed, &none)
+	ProcessRows(vec, windowed, &none)
 	if len(none) != 0 {
-		t.Fatal("quantile must not emit from ProcessBatch")
+		t.Fatal("quantile must not emit from ProcessColumnar")
 	}
 	var refRows, vecRows telemetry.Batch
 	ref.Drain(func(r telemetry.Record) { refRows = append(refRows, r) })
 	vec.Drain(func(r telemetry.Record) { vecRows = append(vecRows, r) })
 	if !reflect.DeepEqual(refRows, vecRows) {
-		t.Fatal("vectorized quantile state diverges from record path")
+		t.Fatal("section quantile state diverges from record path")
 	}
 }
 
 // TestGroupAggBatchMergesPartials covers the second input shape: AggRow
-// partials from a source replica merging through the batch path.
-func TestGroupAggBatchMergesPartials(t *testing.T) {
+// partials from a source replica merging through a Rows section.
+func TestGroupAggRowsSectionMergesPartials(t *testing.T) {
 	up := NewGroupAgg("up", 10_000, ProbePairKey, ProbeRTT)
-	w := NewWindow("w", 10_000)
-	var windowed telemetry.Batch
-	w.ProcessBatch(probeBatch(400), &windowed)
-	up.ProcessBatch(windowed, nil)
+	var windowed, none telemetry.Batch
+	ProcessRows(NewWindow("w", 10_000), probeBatch(400), &windowed)
+	ProcessRows(up, windowed, &none)
 	var partials telemetry.Batch
 	up.Drain(func(r telemetry.Record) { partials = append(partials, r) })
 	if len(partials) == 0 {
@@ -181,10 +169,10 @@ func TestGroupAggBatchMergesPartials(t *testing.T) {
 
 	ref := NewGroupAgg("d", 10_000, ProbePairKey, ProbeRTT)
 	for i := range partials {
-		ref.Process(partials[i], func(telemetry.Record) {})
+		process(ref, partials[i], func(telemetry.Record) {})
 	}
 	vec := NewGroupAgg("d", 10_000, ProbePairKey, ProbeRTT)
-	vec.ProcessBatch(partials, nil)
+	ProcessRows(vec, partials, &none)
 	if !reflect.DeepEqual(groupAggState(ref), groupAggState(vec)) {
 		t.Fatal("partial merge diverges between paths")
 	}

@@ -67,19 +67,19 @@ func FuzzColumnarJoinDifferential(f *testing.F) {
 		// Row reference: materialize and probe record at a time.
 		var rows telemetry.Batch
 		cb.AppendRows(&rows)
-		j1r := operator.NewSrcToRJoin("src", table)
-		j2r := operator.NewDstToRJoin("dst", table)
+		j1r := operator.NewJoin("src", table.Len(), operator.SrcToRLookup(table))
+		j2r := operator.NewJoin("dst", table.Len(), operator.DstToRLookup(table))
 		var want telemetry.Batch
 		for i := range rows {
-			j1r.Process(rows[i], func(mid telemetry.Record) {
-				j2r.Process(mid, func(out telemetry.Record) { want = append(want, out) })
-			})
+			var mid telemetry.Batch
+			operator.ProcessRows(j1r, rows[i:i+1], &mid)
+			operator.ProcessRows(j2r, mid, &want)
 		}
 
 		// SoA path: the fused kernel pair over the same sections.
-		j1c := operator.NewSrcToRJoin("src", table)
+		j1c := operator.NewJoin("src", table.Len(), operator.SrcToRLookup(table))
 		j1c.SetColumnarKernel(srcToRFusedKernel(table))
-		j2c := operator.NewDstToRJoin("dst", table)
+		j2c := operator.NewJoin("dst", table.Len(), operator.DstToRLookup(table))
 		j2c.SetColumnarKernel(torPassKernel)
 		j1c.ProcessColumnar(&cb)
 		j2c.ProcessColumnar(&cb)

@@ -96,7 +96,7 @@ func TestLogAnalyticsEndToEnd(t *testing.T) {
 	for _, op := range ops {
 		var next telemetry.Batch
 		for _, r := range recs {
-			op.Process(r, func(out telemetry.Record) { next = append(next, out) })
+			operator.ProcessRows(op, telemetry.Batch{r}, &next)
 		}
 		recs = next
 	}
@@ -140,7 +140,7 @@ func TestS2SProbePipelineProcessing(t *testing.T) {
 	for _, op := range ops {
 		var next telemetry.Batch
 		for _, r := range recs {
-			op.Process(r, func(out telemetry.Record) { next = append(next, out) })
+			operator.ProcessRows(op, telemetry.Batch{r}, &next)
 		}
 		recs = next
 	}

@@ -53,16 +53,14 @@ func JoinCostPct(tableSize int) float64 {
 // T2TProbe builds the ToR-to-ToR latency query of Listing 2 against the
 // given IP→ToR table.
 func T2TProbe(table *telemetry.ToRTable) *Query {
-	j1 := operator.NewSrcToRJoin("srcToR", table)
-	j2 := operator.NewDstToRJoin("dstToR", table)
 	jc := JoinCostPct(table.Len())
 	return NewQuery("T2TProbe").
 		WithRefRate(workload.PingmeshMbps10x, telemetry.PingProbeWireSize).
 		Window(10*time.Second, 1.0).
 		FilterExpr("errFilter", Eq(Field("errCode"), Num(0)), 13.0, 0.86).
-		Join("srcToR", table.Len(), joinFn(j1), jc, 1.0).
+		Join("srcToR", table.Len(), operator.SrcToRLookup(table), jc, 1.0).
 		WithJoinKernel(srcToRFusedKernel(table)).
-		Join("dstToR", table.Len(), joinFn(j2), jc,
+		Join("dstToR", table.Len(), operator.DstToRLookup(table), jc,
 			float64(telemetry.ToRProbeWireSize)/float64(telemetry.PingProbeWireSize)).
 		WithJoinKernel(torPassKernel).
 		GroupAgg("torAgg", operator.ToRPairKey, operator.ToRRTT, 6.6, 0.05).
@@ -179,15 +177,6 @@ func torPassKernel(sec *wire.ColSec, out *[]wire.ColSec) bool {
 	})
 	*out = append(*out, ns)
 	return true
-}
-
-func joinFn(j *operator.Join) func(telemetry.Record) (telemetry.Record, bool) {
-	return func(rec telemetry.Record) (telemetry.Record, bool) {
-		var out telemetry.Record
-		ok := false
-		j.Process(rec, func(r telemetry.Record) { out, ok = r, true })
-		return out, ok
-	}
 }
 
 // LogAnalytics builds the per-tenant histogram query of Listing 3.

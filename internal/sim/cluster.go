@@ -357,7 +357,6 @@ func (c *Cluster) newSP(name, query string) (*simSP, error) {
 	}
 	sp := &simSP{name: name, query: query, engine: engine}
 	sp.rc = transport.NewReceiver(engine)
-	sp.rc.SetColumnarExec(true)
 
 	if p := c.sc.Spec.SP; p.AdmitRateMbps > 0 {
 		acfg := admission.DefaultConfig()
@@ -470,7 +469,6 @@ func (sp *simSP) recover(c *Cluster, every int) error {
 	}
 	sp.engine = engine
 	sp.rc = transport.NewReceiver(engine)
-	sp.rc.SetColumnarExec(true)
 	if sp.admit != nil {
 		sp.rc.SetAdmission(sp.admit)
 	}

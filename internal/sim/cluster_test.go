@@ -202,7 +202,6 @@ func recordClusterCapture(t *testing.T, epochs, quietTail int) []byte {
 		t.Fatal(err)
 	}
 	rc := transport.NewReceiver(engine)
-	rc.SetColumnarExec(true)
 	rc.RegisterSource(7)
 	var capture bytes.Buffer
 	tr := transport.NewTrafficRecorder(&capture)
@@ -274,7 +273,6 @@ func TestClusterReplaySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := transport.NewReceiver(engine)
-	direct.SetColumnarExec(true)
 	direct.RegisterSource(7)
 	if _, err := transport.ReplayTraffic(direct, capture); err != nil {
 		t.Fatal(err)

@@ -44,21 +44,9 @@ func (b *TokenBucket) Capacity() float64 { return b.capacity }
 // Tokens returns the tokens remaining in this epoch.
 func (b *TokenBucket) Tokens() float64 { return b.tokens }
 
-// TryConsume withdraws cost tokens if available and reports success.
-func (b *TokenBucket) TryConsume(cost float64) bool {
-	if cost < 0 {
-		return false
-	}
-	if b.tokens < cost {
-		return false
-	}
-	b.tokens -= cost
-	return true
-}
-
 // FitCount returns how many records at the given per-record cost the
 // remaining tokens cover, capped at limit. A non-positive cost fits any
-// number of records (the batch path's counterpart of TryConsume(0)).
+// number of records.
 func (b *TokenBucket) FitCount(cost float64, limit int) int {
 	if cost <= 0 {
 		return limit

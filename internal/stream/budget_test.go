@@ -7,11 +7,12 @@ func TestTokenBucketBasics(t *testing.T) {
 	if b.Capacity() != 100 || b.Tokens() != 100 {
 		t.Fatalf("init: %+v", b)
 	}
-	if !b.TryConsume(60) {
-		t.Fatal("consume 60 of 100 should succeed")
+	if n := b.FitCount(20, 10); n != 5 {
+		t.Fatalf("100 tokens fit %d records at cost 20, want 5", n)
 	}
-	if b.TryConsume(50) {
-		t.Fatal("consume 50 of 40 should fail")
+	b.ConsumeN(20, 3)
+	if n := b.FitCount(50, 10); n != 0 {
+		t.Fatalf("40 tokens fit %d records at cost 50, want 0", n)
 	}
 	if b.Used() != 60 {
 		t.Fatalf("used = %v", b.Used())
@@ -50,10 +51,11 @@ func TestTokenBucketEdgeCases(t *testing.T) {
 	if b.Capacity() != 0 {
 		t.Fatal("negative capacity clamp")
 	}
-	if b.TryConsume(-1) {
-		t.Fatal("negative cost must fail")
+	if n := b.FitCount(0, 7); n != 7 {
+		t.Fatalf("zero cost should fit the whole limit even on an empty bucket, got %d", n)
 	}
-	if !b.TryConsume(0) {
-		t.Fatal("zero cost should succeed even on empty bucket")
+	b.ConsumeN(-1, 3) // ignored
+	if b.Used() != 0 {
+		t.Fatal("negative cost must not charge")
 	}
 }

@@ -259,20 +259,15 @@ func (p *Pipeline) RestoreCheckpoint(cp *Checkpoint) error {
 			return fmt.Errorf("stream: restore stage %d out of range [0,%d)", stage, len(p.ops))
 		}
 		// Bulk path: operators that absorb their own snapshot rows in one
-		// call (and never emit while doing so) skip the per-record loop.
+		// call (and never emit while doing so).
 		if a, ok := p.ops[stage].(operator.SnapshotAbsorber); ok && a.AbsorbSnapshot(rows) {
 			continue
 		}
-		emit := func(out telemetry.Record) {
-			if stage+1 < p.opts.Boundary {
-				p.queues[stage+1] = append(p.queues[stage+1], out)
-			} else {
-				p.restored = append(p.restored, out)
-			}
+		out := &p.restored
+		if stage+1 < p.opts.Boundary {
+			out = &p.queues[stage+1]
 		}
-		for _, rec := range rows {
-			p.ops[stage].Process(rec, emit)
-		}
+		operator.ProcessRows(p.ops[stage], rows, out)
 	}
 	if cp.Watermark > p.watermark {
 		p.watermark = cp.Watermark

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"jarvis/internal/plan"
@@ -10,12 +12,14 @@ import (
 	"jarvis/internal/workload"
 )
 
-// These tests pin the SoA agent pipeline's guarantee: RunEpochColumnar
-// over generator-emitted columns produces the same epoch (stats, drains,
+// These tests pin the wave loop's guarantee: RunEpochColumnar over
+// generator-emitted columns produces the same epoch (stats, drains,
 // results, watermark, byte and budget accounting) as RunEpoch over the
-// row form of the same trace, and an SP replica fed by each path emits
-// identical output — on all of the paper's queries, under routing that
-// exercises forward, drain and mixed regimes.
+// row form of the same trace, both reproduce the record-at-a-time oracle
+// (parity_test.go), and SP replicas fed by each — SoA sections through
+// IngestColumnar, row batches through Ingest, the oracle's records one
+// at a time — emit identical output, on all of the paper's queries,
+// under routing that exercises forward, drain and mixed regimes.
 
 // colParityCase pairs a query with row and columnar generators backed by
 // identically seeded instances (NextWindowCols is trace-identical to
@@ -126,7 +130,8 @@ func TestColumnarAgentEpochParity(t *testing.T) {
 				e.RegisterSource(1)
 				return e
 			}
-			rowSP, colSP := newSP(), newSP()
+			rowSP, colSP, oracleSP := newSP(), newSP(), newSP()
+			ref := newOracle(t, tc.query())
 
 			gen, colGen := tc.gen(), tc.colGen()
 			nops := len(q.Ops)
@@ -150,6 +155,7 @@ func TestColumnarAgentEpochParity(t *testing.T) {
 				if err := colPipe.SetLoadFactors(lf); err != nil {
 					t.Fatal(err)
 				}
+				ref.setLoadFactors(lf)
 				cb.Reset()
 				var input telemetry.Batch
 				if epoch < 11 {
@@ -158,16 +164,34 @@ func TestColumnarAgentEpochParity(t *testing.T) {
 				} else {
 					rowPipe.ObserveTime(int64(epoch+1) * 1_000_000)
 					colPipe.ObserveTime(int64(epoch+1) * 1_000_000)
+					ref.observeTime(int64(epoch+1) * 1_000_000)
 				}
+				ores := ref.runEpoch(input)
 				rres := rowPipe.RunEpoch(input)
 				cres := colPipe.RunEpochColumnar(&cb)
+				if err := matchesOracle(ores, rres); err != nil {
+					t.Fatalf("epoch %d: rows vs oracle: %v", epoch, err)
+				}
 				if err := colEpochsEqual(rres, cres); err != nil {
 					t.Fatalf("epoch %d: %v", epoch, err)
 				}
 
-				// SP replicas: the row epoch feeds Ingest; the columnar epoch
-				// feeds its SoA buffers through IngestColumnar like the
-				// receiver would.
+				// SP replicas: the oracle's records enter one at a time; the
+				// row epoch feeds Ingest; the columnar epoch feeds its SoA
+				// buffers through IngestColumnar like the receiver would.
+				feedOne := func(stage int, recs telemetry.Batch) {
+					for i := range recs {
+						if err := oracleSP.Ingest(stage, recs[i:i+1]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for stage, d := range ores.Drains {
+					feedOne(stage, d)
+				}
+				feedOne(rres.ResultStage, ores.Results)
+				oracleSP.ObserveWatermark(1, ores.Watermark)
+
 				for stage, d := range rres.Drains {
 					if len(d) > 0 {
 						if err := rowSP.Ingest(stage, d); err != nil {
@@ -207,7 +231,10 @@ func TestColumnarAgentEpochParity(t *testing.T) {
 				}
 				colSP.ObserveWatermark(1, cres.Watermark)
 
-				rout, cout := rowSP.Advance(), colSP.Advance()
+				oout, rout, cout := oracleSP.Advance(), rowSP.Advance(), colSP.Advance()
+				if err := batchesEqual(oout, rout); err != nil {
+					t.Fatalf("epoch %d SP output, oracle vs rows: %v", epoch, err)
+				}
 				if err := batchesEqual(rout, cout); err != nil {
 					t.Fatalf("epoch %d SP output: %v", epoch, err)
 				}
@@ -223,6 +250,194 @@ func TestColumnarAgentEpochParity(t *testing.T) {
 			}
 			if rowPipe.PendingTotal() != colPipe.PendingTotal() {
 				t.Fatalf("pending %d vs %d", rowPipe.PendingTotal(), colPipe.PendingTotal())
+			}
+		})
+	}
+}
+
+// soaOf returns the rows as decoded SoA sections (a wire v2 round trip).
+func soaOf(t *testing.T, rows telemetry.Batch) []wire.ColSec {
+	t.Helper()
+	var buf bytes.Buffer
+	fw := wire.NewFrameWriter(&buf)
+	fw.SetColumnar(true)
+	if err := fw.WriteFrame(wire.Frame{Records: rows}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fr := wire.NewFrameReader(&buf)
+	fr.SetColumnarExec(true)
+	f, err := fr.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Cols == nil || f.Cols.Records() != len(rows) {
+		t.Fatalf("SoA round trip lost records")
+	}
+	return f.Cols.Secs
+}
+
+// TestMixedWaveTightBudget covers what the oracle cannot: a budget that
+// runs out mid-epoch and a stage queue that overflows. One pipeline gets
+// each epoch as rows, the other as a wave whose first half is a Rows
+// section and whose second half is SoA; spill into the queues, carry-over
+// order and forced drains must leave both with identical epochs and
+// identical SP output, and once the backlog has drained the output must
+// be the unpartitioned fold of the input — every (window, key) row
+// exactly once.
+func TestMixedWaveTightBudget(t *testing.T) {
+	cases := []struct {
+		name  string
+		query func() *plan.Query
+		gen   func() func() telemetry.Batch
+		lf    []float64
+	}{
+		{
+			name: "S2SProbe", query: plan.S2SProbe, lf: []float64{0.9, 0.8, 1},
+			gen: func() func() telemetry.Batch {
+				g := workload.NewPingGen(workload.DefaultPingConfig(11))
+				return func() telemetry.Batch { return g.NextWindow(1_000_000) }
+			},
+		},
+		{
+			name: "LogAnalytics", query: plan.LogAnalytics, lf: []float64{1, 0.9, 1, 0.8, 0.9, 1},
+			gen: func() func() telemetry.Batch {
+				g := workload.NewLogGen(workload.DefaultLogConfig(11))
+				return func() telemetry.Batch { return g.NextWindow(1_000_000) }
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions(0.3, 0)
+			opts.MaxQueuePerStage = 3000
+			newPipe := func() *Pipeline {
+				p, err := NewPipeline(tc.query(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.SetLoadFactors(tc.lf); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			newSP := func() *SPEngine {
+				e, err := NewSPEngine(tc.query())
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.RegisterSource(1)
+				return e
+			}
+			rowPipe, mixPipe := newPipe(), newPipe()
+			rowSP, mixSP, foldSP := newSP(), newSP(), newSP()
+
+			type rowID struct {
+				window int64
+				key    telemetry.GroupKey
+			}
+			got := make(map[rowID]telemetry.AggRow)
+			collect := func(out telemetry.Batch, into map[rowID]telemetry.AggRow) {
+				for _, r := range out {
+					row := *r.Data.(*telemetry.AggRow)
+					id := rowID{row.Window, row.Key}
+					if _, dup := into[id]; dup {
+						t.Fatalf("row (window %d, key %v) emitted twice", row.Window, row.Key)
+					}
+					into[id] = row
+				}
+			}
+
+			gen := tc.gen()
+			var sawSpill, sawForced, sawCarry, sawMixedDrain bool
+			var lastTime int64
+			for epoch := 0; epoch < 40; epoch++ {
+				var input telemetry.Batch
+				var wave wire.ColumnarBatch
+				switch {
+				case epoch < 12:
+					input = gen()
+					lastTime = input.MaxTime()
+					if err := foldSP.Ingest(0, input); err != nil {
+						t.Fatal(err)
+					}
+					h := len(input) / 2
+					wave.Secs = append([]wire.ColSec{{Rows: input[:h]}}, soaOf(t, input[h:])...)
+				case rowPipe.PendingTotal() > 0:
+					// Quiet epochs let the backlog run down.
+				default:
+					rowPipe.ObserveTime(lastTime + 20_000_000)
+					mixPipe.ObserveTime(lastTime + 20_000_000)
+				}
+				if rowPipe.PendingTotal() > 0 {
+					sawCarry = true
+				}
+				rres := rowPipe.RunEpoch(input)
+				mres := mixPipe.RunEpochColumnar(&wave)
+				if err := colEpochsEqual(rres, mres); err != nil {
+					t.Fatalf("epoch %d: %v", epoch, err)
+				}
+				// Stages spend the budget in order, so the last one starves;
+				// its load factor is 1, so whatever it drains is overflow.
+				last := rres.Stats[len(rres.Stats)-1]
+				sawForced = sawForced || last.Drained > 0
+				sawSpill = sawSpill || last.Pending > 0
+
+				for stage := range rres.Drains {
+					if err := rowSP.Ingest(stage, rres.Drains[stage]); err != nil {
+						t.Fatal(err)
+					}
+					if err := mixSP.Ingest(stage, mres.Drains[stage]); err != nil {
+						t.Fatal(err)
+					}
+					if len(mres.ColDrains[stage].Secs) > 0 {
+						sawMixedDrain = sawMixedDrain || len(mres.Drains[stage]) > 0
+						if err := mixSP.IngestColumnar(stage, &mres.ColDrains[stage]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := rowSP.Ingest(rres.ResultStage, rres.Results); err != nil {
+					t.Fatal(err)
+				}
+				if err := mixSP.Ingest(mres.ResultStage, mres.Results); err != nil {
+					t.Fatal(err)
+				}
+				if err := mixSP.IngestColumnar(mres.ResultStage, &mres.ColResults); err != nil {
+					t.Fatal(err)
+				}
+				rowSP.ObserveWatermark(1, rres.Watermark)
+				mixSP.ObserveWatermark(1, mres.Watermark)
+				rout, mout := rowSP.Advance(), mixSP.Advance()
+				if err := batchesEqual(rout, mout); err != nil {
+					t.Fatalf("epoch %d SP output: %v", epoch, err)
+				}
+				collect(mout, got)
+			}
+			if !sawSpill || !sawForced || !sawCarry || !sawMixedDrain {
+				t.Fatalf("run too easy: spill %v, forced drain %v, carry-over %v, mixed drain %v",
+					sawSpill, sawForced, sawCarry, sawMixedDrain)
+			}
+			if n := mixPipe.PendingTotal(); n != 0 {
+				t.Fatalf("%d records still queued at the end", n)
+			}
+
+			want := make(map[rowID]telemetry.AggRow)
+			foldSP.ObserveWatermark(1, lastTime+20_000_000)
+			collect(foldSP.Advance(), want)
+			if len(want) == 0 {
+				t.Fatal("no result rows — the test is vacuous")
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d result rows, want %d", len(got), len(want))
+			}
+			for id, w := range want {
+				g := got[id]
+				if g.Count != w.Count || g.Min != w.Min || g.Max != w.Max || math.Abs(g.Sum-w.Sum) > 1e-6*math.Abs(w.Sum) {
+					t.Fatalf("row %+v = %+v, want %+v", id, g, w)
+				}
 			}
 		})
 	}

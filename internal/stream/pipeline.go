@@ -29,14 +29,6 @@ type Options struct {
 	// Boundary caps how many leading operators run locally (from the
 	// plan rules); proxies beyond it drain everything.
 	Boundary int
-	// RecordAtATime selects the legacy depth-first record execution loop
-	// instead of the default batch-vectorized one. Both paths implement
-	// the same routing, budget and drain semantics; with budget to spare
-	// they produce identical epoch results (see TestBatchRecordParity).
-	// The record path exists as the semantic reference and for A/B
-	// benchmarking; the batch path amortizes dispatch, charges the cost
-	// model per batch and reuses pooled epoch buffers.
-	RecordAtATime bool
 }
 
 // DefaultOptions mirrors the paper's evaluation setup: 1 s epochs,
@@ -56,11 +48,28 @@ func DefaultOptions(budgetFrac float64, boundary int) Options {
 type EpochResult struct {
 	// Stats holds per-proxy counters and states, one per local operator.
 	Stats []ProxyStats
-	// Drains[i] holds records drained at proxy i; they must be delivered
-	// to the stream processor's replica of operator i.
-	Drains []telemetry.Batch
-	// Results are records emitted past the last local operator.
-	Results telemetry.Batch
+	// Drains[i] and ColDrains[i] together hold the records drained at
+	// proxy i; they must be delivered to the stream processor's replica of
+	// operator i. A drained record stays in the form it travelled in:
+	// Drains[i] takes the ones that were rows (cascades of carried-over
+	// queue records, Rows sections of the arrival wave, flush cascades),
+	// ColDrains[i] the
+	// ones that were SoA sections — views over the wave's column arrays,
+	// narrowed by drain selection vectors. Consumers deliver Drains[i]
+	// before ColDrains[i]. Carry-over runs before the arrival wave, so that
+	// is record order whenever the wave is all rows (RunEpoch) or all SoA
+	// (the generators); in a wave mixing both, order is kept within each
+	// form only.
+	Drains    []telemetry.Batch
+	ColDrains []wire.ColumnarBatch
+	// Results and ColResults hold the records emitted past the last local
+	// operator, split by form like the drains: Results takes restored
+	// records, carry-over cascades, Rows-section survivors and the
+	// end-of-epoch flush emissions, ColResults the arrival wave's SoA
+	// survivors. The shared columns of ColDrains/ColResults stay valid
+	// until the pipeline's next epoch; Recycle only drops the references.
+	Results    telemetry.Batch
+	ColResults wire.ColumnarBatch
 	// ResultStage is the SP-side operator index Results should enter:
 	// the last local operator's own index when it is stateful (partial
 	// aggregates merge into the replica), one past it otherwise.
@@ -75,20 +84,6 @@ type EpochResult struct {
 	// DrainedBytes and ResultBytes are the epoch's outbound volumes.
 	DrainedBytes int64
 	ResultBytes  int64
-
-	// ColDrains[i] holds proxy i's drains from a columnar arrival wave
-	// (RunEpochColumnar), still in SoA form: sections share the wave's
-	// column arrays, narrowed by drain selection vectors. Drains[i] holds
-	// the same epoch's row drains (carried-over records, materialized
-	// fallbacks) and precedes ColDrains[i] in record order. The shared
-	// columns stay valid until the pipeline's next epoch; Recycle only
-	// drops the references.
-	ColDrains []wire.ColumnarBatch
-	// ColResults holds a columnar arrival wave's survivors past the last
-	// local operator, still in SoA form. Results keeps the epoch's row
-	// results: restored records, carryover cascades and the end-of-epoch
-	// flush emissions. Same lifetime as ColDrains.
-	ColResults wire.ColumnarBatch
 
 	// Timing is the agent-side trace context for the cross-process epoch
 	// trace: the pipeline stamps its own duration, the epoch driver (the
@@ -197,50 +192,44 @@ func QueryState(stats []ProxyStats) ProxyState {
 
 // Pipeline executes the source-side replica of a query: operators with a
 // control proxy in front of each, a token-bucket CPU budget, bounded
-// queues and drain paths. Execution is batch-vectorized by default: each
-// epoch drives whole batches stage by stage through the proxies (which
-// still decide drain-vs-forward per record) into the operators'
-// BatchProcessor path, with budget charged per batch and all epoch
-// buffers drawn from pools.
+// queues and drain paths. One loop (runWave) moves every record: each
+// epoch drives waves of sections stage by stage through the proxies
+// (which decide drain-vs-forward per record) into the operators, with
+// budget charged per stage and all epoch buffers drawn from pools or
+// reused scratch.
 type Pipeline struct {
-	query    *plan.Query
-	ops      []operator.Operator
-	batchOps []operator.BatchProcessor
-	proxies  []*Proxy
-	queues   []telemetry.Batch
-	bucket   *TokenBucket
-	cm       *CostModel
-	opts     Options
+	query   *plan.Query
+	ops     []operator.Operator
+	proxies []*Proxy
+	queues  []telemetry.Batch
+	bucket  *TokenBucket
+	cm      *CostModel
+	opts    Options
 
 	maxEventSeen int64
 	watermark    int64
 
-	// epoch scratch, reset by RunEpoch
-	drains  []telemetry.Batch
-	results telemetry.Batch
+	// epoch outputs, reset at the start of every epoch: drains/results
+	// are pooled row batches the caller recycles, colDrains/colResults
+	// are section views the pipeline keeps.
+	drains     []telemetry.Batch
+	results    telemetry.Batch
+	colDrains  []wire.ColumnarBatch
+	colResults wire.ColumnarBatch
 
 	// restored holds records a RestoreCheckpoint emitted past the local
 	// chain; the next epoch's results lead with them.
 	restored telemetry.Batch
 
-	// persistent stage scratch for the batch path (ping-pong wave
-	// buffers plus the per-stage forwarded run), reused across epochs.
-	scratchA telemetry.Batch
-	scratchB telemetry.Batch
-	fwd      telemetry.Batch
-
-	// columnar arrival-wave machinery (RunEpochColumnar). colOps[i] is
-	// non-nil when ops[i] executes SoA waves; colA/colB ping-pong the wave
-	// section headers; colRows is the materialization buffer for the row
-	// fallback; colDrains/colResults hold the epoch's SoA outputs; the sel
-	// free/lent lists recycle routing selection vectors across epochs.
-	colOps     []operator.ColumnarProcessor
+	// wave scratch, reused across epochs: colA/colB ping-pong the wave's
+	// section headers and rowA/rowB the forwarded copies of its Rows
+	// sections; the sel free/lent lists recycle routing selection vectors;
+	// flushRows collects one operator's Flush emissions for the cascade.
 	colA, colB []wire.ColSec
-	colRows    telemetry.Batch
-	colDrains  []wire.ColumnarBatch
-	colResults wire.ColumnarBatch
+	rowA, rowB telemetry.Batch
 	selFree    [][]int32
 	selLent    [][]int32
+	flushRows  telemetry.Batch
 
 	// epochSeq counts completed epochs; prevStates remembers each proxy's
 	// state at the previous epoch boundary so finishEpoch emits a
@@ -269,22 +258,17 @@ func NewPipeline(q *plan.Query, opts Options) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		query:    q,
-		ops:      ops,
-		batchOps: make([]operator.BatchProcessor, len(ops)),
-		proxies:  make([]*Proxy, len(ops)),
-		queues:   make([]telemetry.Batch, len(ops)),
-		bucket:   NewTokenBucket(opts.BudgetFrac * float64(opts.EpochMicros)),
-		cm:       cm,
-		opts:     opts,
+		query:     q,
+		ops:       ops,
+		proxies:   make([]*Proxy, len(ops)),
+		queues:    make([]telemetry.Batch, len(ops)),
+		bucket:    NewTokenBucket(opts.BudgetFrac * float64(opts.EpochMicros)),
+		cm:        cm,
+		opts:      opts,
+		colDrains: make([]wire.ColumnarBatch, len(ops)),
 	}
-	p.colOps = make([]operator.ColumnarProcessor, len(ops))
 	for i := range p.proxies {
 		p.proxies[i] = NewProxy(i) // load factors start at zero (Startup)
-		p.batchOps[i] = operator.AsBatchProcessor(ops[i])
-		if cp, ok := ops[i].(operator.ColumnarProcessor); ok && cp.ColumnarCapable() {
-			p.colOps[i] = cp
-		}
 	}
 	return p, nil
 }
@@ -345,49 +329,26 @@ func (p *Pipeline) PendingTotal() int {
 	return n
 }
 
-// RunEpoch executes one epoch: drains or processes carried-over pending
-// records first, then the epoch's input batch, then advances the
-// watermark and flushes closed windows. Lossless: every input record is
-// either processed locally, queued, or drained to the SP.
+// RunEpoch executes one epoch over a row batch: it presents the rows as
+// one Rows section and runs RunEpochColumnar, so drains come back in
+// Drains and results in Results. The batch is only read.
 func (p *Pipeline) RunEpoch(input telemetry.Batch) EpochResult {
-	start := obs.Now()
-	p.bucket.Refill()
-	if p.opts.RecordAtATime {
-		p.drains = make([]telemetry.Batch, len(p.ops))
-		p.results = nil
-		p.results = append(p.results, p.restored...)
-		p.restored = nil
-		p.runEpochRecord(input)
-	} else {
-		p.drains = getDrainSet(len(p.ops))
-		p.results = telemetry.GetBatch()
-		p.results = append(p.results, p.restored...)
-		p.restored = nil
-		p.runEpochBatch(input)
+	var cb wire.ColumnarBatch
+	if len(input) > 0 {
+		cb.Secs = []wire.ColSec{{Rows: input}}
 	}
-	res := p.finishEpoch()
-	if !start.IsZero() {
-		res.Timing.PipeMicros = obs.ObserveSince(obs.StagePipeline, start).Microseconds()
-	}
-	return res
+	return p.RunEpochColumnar(&cb)
 }
 
-// RunEpochColumnar executes one epoch over a columnar (SoA) arrival
-// wave: the generator's column sections flow through the local chain
-// stage at a time with proxies routing, budget charging and queue bounds
-// applied per live row — observably equivalent to materializing the wave
-// and calling RunEpoch, but records are never built on the all-SoA
-// prefix of the plan. At the first stage without a columnar path the
-// remaining live rows materialize once and finish on the row machinery,
-// exactly like the SP engine's fallback. Carried-over queue records (the
-// previous epoch's budget overflow) always run on the row path first.
-//
-// Proxy decisions consume the same error-diffusion sequence as the row
-// path (RouteSize), so stats, drains, results and watermark are
-// bit-identical to RunEpoch on the materialized batch whenever the
-// operators' columnar kernels are row-equivalent. Columnar epochs always
-// use the batch execution loop; Options.RecordAtATime only affects
-// RunEpoch.
+// RunEpochColumnar executes one epoch: carried-over pending records run
+// first, then the arrival wave, then the watermark advances and closed
+// windows flush. Lossless: every input record is either processed
+// locally, queued, or drained to the SP. SoA sections flow through the
+// local chain without records ever being built wherever the operators
+// have kernels; proxy decisions consume one error-diffusion sequence
+// whatever the sections' form (Route and RouteSize advance it alike), so
+// stats, drains, results and watermark do not depend on whether a trace
+// arrives as columns or as rows.
 //
 // The caller's batch is treated read-only, and the returned ColDrains /
 // ColResults sections reference its column arrays: callers must consume
@@ -406,18 +367,16 @@ func (p *Pipeline) RunEpochColumnar(cb *wire.ColumnarBatch) EpochResult {
 	// consumed before this call, per the contract above).
 	p.selFree = append(p.selFree, p.selLent...)
 	p.selLent = p.selLent[:0]
-	if p.colDrains == nil {
-		p.colDrains = make([]wire.ColumnarBatch, len(p.ops))
-	}
 	for i := range p.colDrains {
 		p.colDrains[i].Secs = p.colDrains[i].Secs[:0]
 	}
 	p.colResults.Secs = p.colResults.Secs[:0]
 
-	p.runCarryover()
+	// Records queued in earlier epochs were already committed to local
+	// processing: they run before the new arrivals.
+	p.runWave(0, nil, true)
 
-	// Event-time progress observes every live arrival, exactly like the
-	// row path's input scan.
+	// Event-time progress observes every live arrival.
 	for si := range cb.Secs {
 		sec := &cb.Secs[si]
 		if sec.Rows != nil {
@@ -443,125 +402,64 @@ func (p *Pipeline) RunEpochColumnar(cb *wire.ColumnarBatch) EpochResult {
 		}
 	}
 
-	p.runColumnarWave(cb)
+	p.runWave(0, cb.Secs, false)
 
 	res := p.finishEpoch()
-	res.ColDrains = p.colDrains
-	res.ColResults = p.colResults
-	for i := range p.colDrains {
-		res.DrainedBytes += p.colDrains[i].TotalBytes()
-	}
-	res.ResultBytes += p.colResults.TotalBytes()
 	if !start.IsZero() {
 		res.Timing.PipeMicros = obs.ObserveSince(obs.StagePipeline, start).Microseconds()
 	}
 	return res
 }
 
-// runColumnarWave drives the SoA arrival wave through the local chain.
-// Each stage mirrors the row wave exactly: route every live row in
-// order (forced drains past the budget+queue bound first, then the
-// proxy's error-diffusion decision), charge the budget for the prefix
-// of forwarded rows it covers, push that prefix through the operator's
-// columnar path, and queue the remainder as rows.
-func (p *Pipeline) runColumnarWave(cb *wire.ColumnarBatch) {
-	b := p.opts.Boundary
-	bufA, bufB := p.colA, p.colB
-	in := append(bufA[:0], cb.Secs...)
-	bufA = in
-	for i := 0; i < b; i++ {
-		if p.colOps[i] == nil {
-			// Fallback: materialize the wave's live rows once and run the
-			// remaining stages on the row path (starting with this stage's
-			// own proxy, which has not routed them yet).
-			p.colRows = p.colRows[:0]
-			w := wire.ColumnarBatch{Secs: in}
-			w.AppendRows(&p.colRows)
-			p.colA, p.colB = bufA[:0], bufB[:0]
-			p.runWaveFrom(i, p.colRows)
-			return
-		}
+// runWave is the pipeline's one execution loop: it drives a wave of
+// sections through stages start..Boundary-1. At each stage the proxy
+// routes every live row in order (forced drains past the budget+queue
+// bound first, then the error-diffusion decision), the budget is charged
+// for the prefix of forwarded rows it covers, that prefix goes through
+// the operator in one ProcessColumnar call, and the remainder is queued
+// as rows. With carry set each stage also runs as much of its queue as
+// the budget still covers, after the cascade from upstream and without
+// routing it again — the start of every epoch calls runWave(0, nil,
+// true). Survivors past the last local stage become the epoch's results.
+func (p *Pipeline) runWave(start int, wave []wire.ColSec, carry bool) {
+	in := append(p.colA[:0], wave...)
+	bufA, bufB := in, p.colB
+	rowsA, rowsB := p.rowA, p.rowB
+	for i := start; i < p.opts.Boundary; i++ {
 		live := 0
 		for si := range in {
 			live += in[si].Len()
 		}
-		if live == 0 {
+		if live == 0 && !carry {
 			break
 		}
-
-		px := p.proxies[i]
+		cost := p.cm.Cost(i)
 		room := p.opts.MaxQueuePerStage - len(p.queues[i])
 		if room < 0 {
 			room = 0
 		}
-		cost := p.cm.Cost(i)
 		// Forwarded rows beyond this bound could neither be processed
 		// (budget) nor queued (bounded stage queue): they force-drain.
 		maxFwd := p.bucket.FitCount(cost, live) + room
 
-		// Route pass: walk live rows in order, splitting each section into
-		// a forwarded view and a drain view. SoA sections split by fresh
-		// selection vectors over shared columns; row sections split by
-		// copying records.
-		fwd := bufB[:0]
+		// Route pass: split each section into a forwarded view and a drain
+		// view. SoA sections split by fresh selection vectors over shared
+		// columns; Rows sections split by copying records.
+		fwd, rows := bufB[:0], rowsB[:0]
 		fwdTotal := 0
 		for si := range in {
 			sec := &in[si]
 			if sec.Rows != nil {
-				var fr, dr telemetry.Batch
-				for k := range sec.Rows {
-					rec := sec.Rows[k]
-					if fwdTotal >= maxFwd {
-						px.NoteForcedDrain(rec.WireSize)
-						dr = append(dr, rec)
-						continue
-					}
-					if px.Route(rec) {
-						fr = append(fr, rec)
-						fwdTotal++
-					} else {
-						dr = append(dr, rec)
-					}
-				}
-				if len(dr) > 0 {
-					p.colDrains[i].Secs = append(p.colDrains[i].Secs, wire.ColSec{Tag: sec.Tag, Rows: dr})
-				}
-				if len(fr) > 0 {
-					fwd = append(fwd, wire.ColSec{Tag: sec.Tag, Rows: fr})
+				first := len(rows)
+				rows = p.routeRows(i, sec.Rows, rows, maxFwd-fwdTotal)
+				if len(rows) > first {
+					fwdTotal += len(rows) - first
+					fwd = append(fwd, wire.ColSec{Tag: sec.Tag, Rows: rows[first:len(rows):len(rows)]})
 				}
 				continue
 			}
-			fwdSel, drSel := p.takeSel(), p.takeSel()
-			if sec.Sel != nil {
-				for _, idx := range sec.Sel {
-					if fwdTotal >= maxFwd {
-						px.NoteForcedDrain(sec.RowBytes(int(idx)))
-						drSel = append(drSel, idx)
-						continue
-					}
-					if px.RouteSize(sec.RowBytes(int(idx))) {
-						fwdSel = append(fwdSel, idx)
-						fwdTotal++
-					} else {
-						drSel = append(drSel, idx)
-					}
-				}
-			} else {
-				for idx := 0; idx < len(sec.Times); idx++ {
-					if fwdTotal >= maxFwd {
-						px.NoteForcedDrain(sec.RowBytes(idx))
-						drSel = append(drSel, int32(idx))
-						continue
-					}
-					if px.RouteSize(sec.RowBytes(idx)) {
-						fwdSel = append(fwdSel, int32(idx))
-						fwdTotal++
-					} else {
-						drSel = append(drSel, int32(idx))
-					}
-				}
-			}
-			fwdSel, drSel = p.lendSel(fwdSel), p.lendSel(drSel)
+			fwdSel, drSel := p.routeCols(i, sec, maxFwd-fwdTotal)
+			fwdTotal += len(fwdSel)
 			if len(drSel) > 0 {
 				dsec := *sec
 				dsec.Sel = drSel
@@ -573,41 +471,107 @@ func (p *Pipeline) runColumnarWave(cb *wire.ColumnarBatch) {
 				fwd = append(fwd, fsec)
 			}
 		}
-		bufB = fwd
 
 		// Budget pass: the prefix of forwarded rows the tokens cover is
-		// processed columnar; the suffix materializes into the stage queue,
-		// exactly like the row path's fwd[n:].
+		// processed; the suffix materializes into the stage queue, behind
+		// whatever the queue still holds.
 		n := p.bucket.FitCount(cost, fwdTotal)
 		p.bucket.ConsumeN(cost, n)
-		px.NoteProcessedN(n)
+		carried, first := 0, len(rows)
+		if carry {
+			q := p.queues[i]
+			carried = p.bucket.FitCount(cost, len(q))
+			p.bucket.ConsumeN(cost, carried)
+			rows = append(rows, q[:carried]...)
+			p.queues[i] = append(q[:0], q[carried:]...)
+		}
 		if n < fwdTotal {
-			fwd = p.spillColumnar(i, fwd, n)
+			fwd = p.spill(i, fwd, n)
 		}
-		if len(fwd) == 0 {
-			p.colA, p.colB = bufA[:0], bufB[:0]
-			return
+		if carried > 0 {
+			fwd = append(fwd, wire.ColSec{Rows: rows[first:len(rows):len(rows)]})
 		}
+		p.proxies[i].NoteProcessedN(n + carried)
 
 		w := wire.ColumnarBatch{Secs: fwd}
-		p.colOps[i].ProcessColumnar(&w)
-		bufA, bufB = bufB, bufA
+		if len(fwd) > 0 {
+			p.ops[i].ProcessColumnar(&w)
+		}
 		in = w.Secs
+		bufA, bufB = fwd[:0], bufA
+		rowsA, rowsB = rows[:0], rowsA
 	}
-	// Survivors past the last local stage are columnar results.
+	// Survivors past the last local stage are the epoch's results, each in
+	// the form it arrived in.
 	for si := range in {
-		if in[si].Len() > 0 {
-			p.colResults.Secs = append(p.colResults.Secs, in[si])
+		switch sec := &in[si]; {
+		case sec.Rows != nil:
+			p.results = append(p.results, sec.Rows...)
+		case sec.Len() > 0:
+			p.colResults.Secs = append(p.colResults.Secs, *sec)
 		}
 	}
 	p.colA, p.colB = bufA[:0], bufB[:0]
+	p.rowA, p.rowB = rowsA[:0], rowsB[:0]
 }
 
-// spillColumnar truncates a routed forward wave to its first n live rows
-// and materializes the remainder into stage i's queue (rows), returning
-// the truncated wave. The materialized records own their memory — queue
+// routeRows routes one Rows section at stage i: forwarded records are
+// appended to fwd (returned), drained ones to the stage's drain buffer.
+// Once room more records have been forwarded the rest force-drain
+// without consulting the proxy.
+func (p *Pipeline) routeRows(i int, in, fwd telemetry.Batch, room int) telemetry.Batch {
+	px := p.proxies[i]
+	limit := len(fwd) + room
+	for k := range in {
+		if len(fwd) >= limit {
+			px.NoteForcedDrain(in[k].WireSize)
+			p.appendDrain(i, in[k])
+		} else if px.Route(in[k]) {
+			fwd = append(fwd, in[k])
+		} else {
+			p.appendDrain(i, in[k])
+		}
+	}
+	return fwd
+}
+
+// routeCols is routeRows for a SoA section: the split is a pair of fresh
+// selection vectors over the shared columns. (Two explicit loops: a
+// shared closure costs a call per row on the agent's hottest path.)
+func (p *Pipeline) routeCols(i int, sec *wire.ColSec, room int) (fwdSel, drSel []int32) {
+	px := p.proxies[i]
+	fwdSel, drSel = p.takeSel(), p.takeSel()
+	if sec.Sel != nil {
+		for _, idx := range sec.Sel {
+			if len(fwdSel) >= room {
+				px.NoteForcedDrain(sec.RowBytes(int(idx)))
+				drSel = append(drSel, idx)
+			} else if px.RouteSize(sec.RowBytes(int(idx))) {
+				fwdSel = append(fwdSel, idx)
+			} else {
+				drSel = append(drSel, idx)
+			}
+		}
+	} else {
+		for idx := range sec.Times {
+			if len(fwdSel) >= room {
+				px.NoteForcedDrain(sec.RowBytes(idx))
+				drSel = append(drSel, int32(idx))
+			} else if px.RouteSize(sec.RowBytes(idx)) {
+				fwdSel = append(fwdSel, int32(idx))
+			} else {
+				drSel = append(drSel, int32(idx))
+			}
+		}
+	}
+	return p.lendSel(fwdSel), p.lendSel(drSel)
+}
+
+// spill truncates a routed forward wave to its first n live rows and
+// materializes the remainder into stage i's queue, returning the
+// truncated wave. The materialized records own their memory — queue
 // entries outlive the epoch's column arrays.
-func (p *Pipeline) spillColumnar(i int, fwd []wire.ColSec, n int) []wire.ColSec {
+func (p *Pipeline) spill(i int, fwd []wire.ColSec, n int) []wire.ColSec {
 	cnt := 0
 	for si := range fwd {
 		sec := &fwd[si]
@@ -639,7 +603,7 @@ func (p *Pipeline) spillColumnar(i int, fwd []wire.ColSec, n int) []wire.ColSec 
 
 // takeSel pops a recycled selection-vector buffer (or returns nil, which
 // append grows); lendSel registers the final slice for reclamation at
-// the next columnar epoch, once the epoch's result has been consumed.
+// the next epoch, once the epoch's result has been consumed.
 func (p *Pipeline) takeSel() []int32 {
 	if nf := len(p.selFree); nf > 0 {
 		s := p.selFree[nf-1]
@@ -656,129 +620,6 @@ func (p *Pipeline) lendSel(s []int32) []int32 {
 	return s
 }
 
-// runEpochBatch is the vectorized execution loop: records move through
-// the local chain as whole waves, one stage at a time. Proxies still
-// route per record (error diffusion needs the record sequence), but
-// forwarded runs are charged to the budget and pushed through the
-// operator in one ProcessBatch call, and every stage reuses persistent
-// scratch buffers. Stage-at-a-time scheduling feeds each operator the
-// same record sequence as the legacy depth-first loop, so with budget to
-// spare the two paths produce identical epochs; they only distribute a
-// mid-epoch budget exhaustion differently across stages (both remain
-// lossless and congestion-visible).
-func (p *Pipeline) runEpochBatch(input telemetry.Batch) {
-	p.runCarryover()
-	for i := range input {
-		if input[i].Time > p.maxEventSeen {
-			p.maxEventSeen = input[i].Time
-		}
-	}
-	p.runWaveFrom(0, input)
-}
-
-// runCarryover processes records queued in earlier epochs: they were
-// already committed to local processing, and their emissions cascade
-// through the chain, routed at each downstream proxy before that stage's
-// own queue runs, mirroring the legacy order. Shared by the row and
-// columnar epoch paths (queues always hold rows).
-func (p *Pipeline) runCarryover() {
-	b := p.opts.Boundary
-	curr, next := p.scratchA[:0], p.scratchB[:0]
-	for i := 0; i < b; i++ {
-		out := &next
-		if i+1 >= b {
-			out = &p.results
-		}
-		p.fwd = p.routeBatch(i, curr, p.fwd[:0])
-		n1 := p.processBatchAt(i, p.fwd, out)
-		pending := p.queues[i]
-		n2 := p.processBatchAt(i, pending, out)
-		q := append(pending[:0], pending[n2:]...)
-		p.queues[i] = append(q, p.fwd[n1:]...)
-		if i+1 < b {
-			curr, next = next, curr[:0]
-		}
-	}
-	p.scratchA, p.scratchB = curr[:0], next[:0]
-}
-
-// runWaveFrom drives one arrival wave of rows through stages start..b-1
-// (the whole local chain for a row epoch; the remaining suffix when a
-// columnar wave materializes at its first row-only stage).
-func (p *Pipeline) runWaveFrom(start int, wave telemetry.Batch) {
-	b := p.opts.Boundary
-	curr, next := p.scratchA[:0], p.scratchB[:0]
-	for i := start; i < b; i++ {
-		var out *telemetry.Batch
-		if i+1 >= b {
-			out = &p.results
-		} else {
-			next = next[:0]
-			out = &next
-		}
-		p.fwd = p.routeBatch(i, wave, p.fwd[:0])
-		n := p.processBatchAt(i, p.fwd, out)
-		if n < len(p.fwd) {
-			p.queues[i] = append(p.queues[i], p.fwd[n:]...)
-		}
-		if i+1 < b {
-			curr, next = next, curr
-			wave = curr
-		}
-	}
-	p.scratchA, p.scratchB = curr, next
-}
-
-// routeBatch routes one stage's arrivals: drained records append to the
-// stage's drain buffer, forwarded records to fwd (returned). Records
-// beyond what the budget can process plus what the stage queue can hold
-// are force-drained without consulting Route, exactly like the legacy
-// per-record overflow check.
-func (p *Pipeline) routeBatch(i int, in telemetry.Batch, fwd telemetry.Batch) telemetry.Batch {
-	if len(in) == 0 {
-		return fwd
-	}
-	px := p.proxies[i]
-	room := p.opts.MaxQueuePerStage - len(p.queues[i])
-	if room < 0 {
-		room = 0
-	}
-	// Forwarded records beyond this bound could neither be processed
-	// (budget) nor queued (bounded stage queue): they must force-drain.
-	maxFwd := p.bucket.FitCount(p.cm.Cost(i), len(in)) + room
-	for k := range in {
-		if len(fwd) >= maxFwd {
-			px.NoteForcedDrain(in[k].WireSize)
-			p.appendDrain(i, in[k])
-			continue
-		}
-		if px.Route(in[k]) {
-			fwd = append(fwd, in[k])
-		} else {
-			p.appendDrain(i, in[k])
-		}
-	}
-	return fwd
-}
-
-// processBatchAt charges the budget for as many of in's records as fit,
-// runs that prefix through operator i in one vectorized call, and
-// returns how many were consumed; the caller queues the remainder.
-func (p *Pipeline) processBatchAt(i int, in telemetry.Batch, out *telemetry.Batch) int {
-	if len(in) == 0 {
-		return 0
-	}
-	cost := p.cm.Cost(i)
-	n := p.bucket.FitCount(cost, len(in))
-	if n == 0 {
-		return 0
-	}
-	p.bucket.ConsumeN(cost, n)
-	p.proxies[i].NoteProcessedN(n)
-	p.batchOps[i].ProcessBatch(in[:n], out)
-	return n
-}
-
 // appendDrain adds one record to stage i's drain buffer, lazily drawing
 // the buffer from the shared pool on the first drain of the epoch.
 func (p *Pipeline) appendDrain(i int, rec telemetry.Record) {
@@ -788,67 +629,45 @@ func (p *Pipeline) appendDrain(i int, rec telemetry.Record) {
 	p.drains[i] = append(p.drains[i], rec)
 }
 
-// runEpochRecord is the legacy record-at-a-time execution loop: each
-// record traverses the local chain depth-first through per-record
-// routing, budget charges and emit closures. Kept as the semantic
-// reference for the batch path and for A/B benchmarks.
-func (p *Pipeline) runEpochRecord(input telemetry.Batch) {
-	// Carryover: process pending records queued in earlier epochs (they
-	// were already committed to local processing).
-	for i := range p.queues {
-		pending := p.queues[i]
-		p.queues[i] = nil
-		for k, rec := range pending {
-			if !p.processAt(i, rec) {
-				// Budget exhausted: requeue this record and the rest.
-				p.queues[i] = append(p.queues[i], pending[k:]...)
-				break
-			}
-		}
-	}
-
-	// New arrivals.
-	for _, rec := range input {
-		if rec.Time > p.maxEventSeen {
-			p.maxEventSeen = rec.Time
-		}
-		p.routeAndFeed(0, rec)
-	}
-}
-
 // finishEpoch advances the watermark, flushes closed windows and builds
-// the epoch's result from the per-proxy stats and drain buffers. Shared
-// by both execution paths.
+// the epoch's result from the per-proxy stats and drain buffers.
 func (p *Pipeline) finishEpoch() EpochResult {
-	// Watermark: the smallest event time still unprocessed locally, or
-	// the max seen if no backlog.
+	// Watermark: just below the smallest event time still queued locally,
+	// or the max seen if no backlog. Queues are not time-ordered — a
+	// cascade of older upstream carry-over lands behind newer spilled
+	// arrivals — so every queued record counts, not just the heads.
 	wm := p.maxEventSeen
 	for _, q := range p.queues {
-		if len(q) > 0 && q[0].Time-1 < wm {
-			wm = q[0].Time - 1
+		for k := range q {
+			if t := q[k].Time - 1; t < wm {
+				wm = t
+			}
 		}
 	}
 	if wm > p.watermark {
 		p.watermark = wm
 	}
 
-	// Flush closed windows in stateful operators (within the boundary).
-	// Flush volumes are small (aggregate rows per closed window), so both
-	// paths share the record-at-a-time cascade.
+	// Flush closed windows in stateful operators (within the boundary);
+	// each operator's emissions continue down the chain as one wave.
+	emit := func(out telemetry.Record) { p.flushRows = append(p.flushRows, out) }
 	for i := 0; i < p.opts.Boundary; i++ {
 		if !p.ops[i].Stateful() {
 			continue
 		}
-		i := i
-		p.ops[i].Flush(p.watermark, func(out telemetry.Record) {
-			p.emitDownstream(i, out)
-		})
+		p.flushRows = p.flushRows[:0]
+		p.ops[i].Flush(p.watermark, emit)
+		if len(p.flushRows) > 0 {
+			p.runWave(i+1, []wire.ColSec{{Rows: p.flushRows}}, false)
+		}
 	}
 
 	res := EpochResult{
 		Stats:       make([]ProxyStats, len(p.proxies)),
 		Drains:      p.drains,
+		ColDrains:   p.colDrains,
 		Results:     p.results,
+		ColResults:  p.colResults,
 		ResultStage: p.resultStage(),
 		Watermark:   p.watermark,
 	}
@@ -877,10 +696,10 @@ func (p *Pipeline) finishEpoch() EpochResult {
 			p.prevStates[i] = st
 		}
 	}
-	for _, d := range p.drains {
-		res.DrainedBytes += d.TotalBytes()
+	for i := range p.drains {
+		res.DrainedBytes += p.drains[i].TotalBytes() + p.colDrains[i].TotalBytes()
 	}
-	res.ResultBytes = p.results.TotalBytes()
+	res.ResultBytes = p.results.TotalBytes() + p.colResults.TotalBytes()
 	return res
 }
 
@@ -890,71 +709,6 @@ func (p *Pipeline) resultStage() int {
 		return last
 	}
 	return p.opts.Boundary
-}
-
-// routeAndFeed lets proxy i decide a record's fate and processes it
-// depth-first through the local chain when forwarded.
-func (p *Pipeline) routeAndFeed(i int, rec telemetry.Record) {
-	if i >= p.opts.Boundary || i >= len(p.ops) {
-		// Past the local boundary: everything continues on the SP.
-		p.emitPast(i, rec)
-		return
-	}
-	// Bounded queue: overflow is drained losslessly.
-	if len(p.queues[i]) >= p.opts.MaxQueuePerStage {
-		p.forceDrain(i, rec)
-		return
-	}
-	if !p.proxies[i].Route(rec) {
-		p.appendDrain(i, rec)
-		return
-	}
-	if !p.processAt(i, rec) {
-		// Forwarded but out of budget: it waits in the stage queue.
-		p.queues[i] = append(p.queues[i], rec)
-	}
-}
-
-// processAt runs one committed record through operator i, feeding
-// emissions downstream. It reports false when the budget is exhausted
-// (the record is NOT consumed).
-func (p *Pipeline) processAt(i int, rec telemetry.Record) bool {
-	if !p.bucket.TryConsume(p.cm.Cost(i)) {
-		return false
-	}
-	p.proxies[i].NoteProcessed()
-	p.ops[i].Process(rec, func(out telemetry.Record) {
-		p.emitDownstream(i, out)
-	})
-	return true
-}
-
-// emitDownstream forwards operator i's output to stage i+1 (or results).
-func (p *Pipeline) emitDownstream(i int, rec telemetry.Record) {
-	if i+1 >= p.opts.Boundary {
-		p.results = append(p.results, rec)
-		return
-	}
-	p.routeAndFeed(i+1, rec)
-}
-
-// emitPast handles a record that crossed the boundary without local
-// processing: it drains at the boundary proxy position.
-func (p *Pipeline) emitPast(i int, rec telemetry.Record) {
-	stage := i
-	if stage >= len(p.ops) {
-		p.results = append(p.results, rec)
-		return
-	}
-	p.appendDrain(stage, rec)
-}
-
-// forceDrain drains a record that could not be queued, keeping the proxy
-// accounting consistent (counted as arrived and drained) through the
-// proxy's own API.
-func (p *Pipeline) forceDrain(i int, rec telemetry.Record) {
-	p.proxies[i].NoteForcedDrain(rec.WireSize)
-	p.appendDrain(i, rec)
 }
 
 // DrainState asks every stateful local operator to hand its partial state

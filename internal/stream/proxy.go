@@ -86,25 +86,14 @@ func (px *Proxy) SetLoadFactor(p float64) {
 // Route decides one record's fate: true = forward to the local operator,
 // false = drain to the stream processor. Deterministic: over n records
 // exactly ⌊np⌋ or ⌈np⌉ are forwarded.
-func (px *Proxy) Route(rec telemetry.Record) bool {
-	px.stats.In++
-	px.acc += px.p
-	if px.acc >= 1-1e-12 {
-		px.acc -= 1
-		px.stats.Forwarded++
-		return true
-	}
-	px.stats.Drained++
-	px.stats.DrainedBytes += int64(rec.WireSize)
-	return false
-}
+func (px *Proxy) Route(rec telemetry.Record) bool { return px.RouteSize(rec.WireSize) }
 
-// RouteSize is Route for the columnar path: the decision and the
-// accounting depend only on the record's wire size, which SoA waves
-// supply straight from their columns without materializing the record.
-// The error-diffusion state advances exactly as Route's does, so a
-// routing sequence mixing Route and RouteSize calls is bit-identical to
-// the same sequence of materialized records through Route alone.
+// RouteSize is Route for SoA sections: the decision and the accounting
+// depend only on the record's wire size, which the sections supply
+// straight from their columns without materializing the record.
+// Route is RouteSize of the record's WireSize, so a routing sequence
+// mixing the two is bit-identical to the same sequence of materialized
+// records through Route alone.
 func (px *Proxy) RouteSize(bytes int) bool {
 	px.stats.In++
 	px.acc += px.p
@@ -118,12 +107,8 @@ func (px *Proxy) RouteSize(bytes int) bool {
 	return false
 }
 
-// NoteProcessed records that the downstream operator consumed one
-// forwarded record within budget.
-func (px *Proxy) NoteProcessed() { px.stats.Processed++ }
-
-// NoteProcessedN records n forwarded records consumed within budget in
-// one amortized update (the batch path's counterpart of NoteProcessed).
+// NoteProcessedN records n forwarded records consumed within budget by
+// the downstream operator, in one amortized update.
 func (px *Proxy) NoteProcessedN(n int) { px.stats.Processed += n }
 
 // NoteForcedDrain accounts for a record the pipeline drained without

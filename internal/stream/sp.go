@@ -26,28 +26,23 @@ import (
 // by transport connections and the sharded Processor at once, each with
 // their own locking discipline, so the engine serializes internally.
 type SPEngine struct {
-	mu       sync.Mutex
-	query    *plan.Query
-	ops      []operator.Operator
-	batchOps []operator.BatchProcessor
-	// colOps[i] is non-nil when ops[i] can execute SoA waves; the
-	// columnar ingest path falls back to row materialization at the
-	// first nil stage.
-	colOps []operator.ColumnarProcessor
-	cm     *CostModel
+	mu    sync.Mutex
+	query *plan.Query
+	ops   []operator.Operator
+	cm    *CostModel
 
 	// watermarks per source node; the effective watermark is their min.
 	sourceWM map[uint32]int64
 
 	results telemetry.Batch
 
-	// ingest scratch (ping-pong wave buffers), reused across batches.
-	scratchA telemetry.Batch
-	scratchB telemetry.Batch
-	// columnar ingest scratch: the wave's section headers (the columns
-	// themselves stay shared with the caller's batch per the wire
-	// package's mutation discipline).
-	colWave []wire.ColSec
+	// ingest scratch, reused across waves: the wave with its section
+	// headers (the columns and rows themselves stay shared with the
+	// caller's batch per the wire package's mutation discipline), and the
+	// buffer one operator's Flush emissions are collected in.
+	wave      wire.ColumnarBatch
+	colWave   []wire.ColSec
+	flushRows telemetry.Batch
 
 	// accounting
 	cpuMicros    float64
@@ -66,87 +61,30 @@ func NewSPEngine(q *plan.Query) (*SPEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &SPEngine{
+	return &SPEngine{
 		query:    q,
 		ops:      ops,
-		batchOps: make([]operator.BatchProcessor, len(ops)),
-		colOps:   make([]operator.ColumnarProcessor, len(ops)),
 		cm:       cm,
 		sourceWM: make(map[uint32]int64),
-	}
-	for i, op := range ops {
-		e.batchOps[i] = operator.AsBatchProcessor(op)
-		if cp, ok := op.(operator.ColumnarProcessor); ok && cp.ColumnarCapable() {
-			e.colOps[i] = cp
-		}
-	}
-	return e, nil
+	}, nil
 }
 
-// Ingest feeds a batch from a source into the pipeline at the given
-// operator stage. Partial AggRow records entering a stateful stage merge
-// into its state; raw records flow through the remaining operators. The
-// whole batch moves stage by stage through the operators' vectorized
-// path, charging the cost model once per stage; each operator sees the
-// same record sequence as record-at-a-time feeding, so the outputs are
-// identical.
+// Ingest feeds a row batch from a source into the pipeline at the given
+// operator stage: it presents the rows as one Rows section and runs
+// IngestColumnar. The batch is only read.
 func (e *SPEngine) Ingest(stage int, batch telemetry.Batch) error {
-	start := obs.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if stage < 0 || stage > len(e.ops) {
-		return fmt.Errorf("stream: ingest stage %d out of range [0,%d]", stage, len(e.ops))
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	e.ingestBytes += batch.TotalBytes()
-	e.ingestCount += int64(len(batch))
-	e.runRowsLocked(stage, batch)
-	obs.Since(obs.StageIngest, start)
-	return nil
+	return e.IngestColumnar(stage, &wire.ColumnarBatch{Secs: []wire.ColSec{{Rows: batch}}})
 }
 
-// runRowsLocked drives a batch through stages [stage, len(ops)) on the
-// vectorized row path, leaving any survivors in e.results. The caller's
-// batch is treated read-only.
-func (e *SPEngine) runRowsLocked(stage int, batch telemetry.Batch) {
-	wave, next := batch, e.scratchA[:0]
-	for i := stage; i < len(e.ops); i++ {
-		e.cpuMicros += e.cm.Cost(i) * float64(len(wave))
-		next = next[:0]
-		e.batchOps[i].ProcessBatch(wave, &next)
-		if i == stage {
-			// The caller's batch stays untouched; from here on the two
-			// scratch buffers ping-pong.
-			wave, next = next, e.scratchB[:0]
-		} else {
-			wave, next = next, wave
-		}
-		if len(wave) == 0 {
-			break
-		}
-	}
-	if len(wave) > 0 {
-		e.results = append(e.results, wave...)
-		e.resultsCount += int64(len(wave))
-	}
-	if stage < len(e.ops) {
-		// After at least one stage, wave and next are the two (possibly
-		// grown) scratch arrays; keep their capacity for the next batch.
-		e.scratchA, e.scratchB = wave[:0], next[:0]
-	}
-}
-
-// IngestColumnar feeds a decoded SoA wave into the pipeline at the given
-// operator stage, driving it through the columnar path of every stage
-// that has one (wire v2 frames then flow decode→execute with zero row
-// materialization on the all-SoA prefix of the plan) and materializing
-// rows once, at the first stage that does not. It is observably
-// equivalent to materializing the batch and calling Ingest.
+// IngestColumnar feeds a wave from a source into the pipeline at the
+// given operator stage. Partial AggRow records entering a stateful stage
+// merge into its state; raw records flow through the remaining
+// operators. Decoded wire v2 frames flow decode→execute with zero row
+// materialization wherever the operators have kernels.
 //
 // The caller's batch is treated read-only: the engine copies the section
-// headers and operators replace, never overwrite, shared columns.
+// headers and operators replace, never overwrite, shared columns and
+// rows.
 func (e *SPEngine) IngestColumnar(stage int, cb *wire.ColumnarBatch) error {
 	start := obs.Now()
 	e.mu.Lock()
@@ -160,44 +98,26 @@ func (e *SPEngine) IngestColumnar(stage int, cb *wire.ColumnarBatch) error {
 	}
 	e.ingestBytes += cb.TotalBytes()
 	e.ingestCount += int64(live)
-	e.colWave = append(e.colWave[:0], cb.Secs...)
-	wave := wire.ColumnarBatch{Secs: e.colWave}
-	for i := stage; i < len(e.ops); i++ {
-		cp := e.colOps[i]
-		if cp == nil {
-			// Fallback: materialize the wave's live rows once and run the
-			// remaining stages on the row path.
-			var rows telemetry.Batch
-			wave.AppendRows(&rows)
-			e.runRowsLocked(i, rows)
-			obs.Since(obs.StageIngest, start)
-			return nil
-		}
-		e.cpuMicros += e.cm.Cost(i) * float64(live)
-		cp.ProcessColumnar(&wave)
-		live = wave.Records()
-		if live == 0 {
-			obs.Since(obs.StageIngest, start)
-			return nil
-		}
-	}
-	// Survivors past the last stage are final results.
-	wave.AppendRows(&e.results)
-	e.resultsCount += int64(live)
+	e.runLocked(stage, cb.Secs)
 	obs.Since(obs.StageIngest, start)
 	return nil
 }
 
-func (e *SPEngine) feed(stage int, rec telemetry.Record) {
-	if stage >= len(e.ops) {
-		e.results = append(e.results, rec)
-		e.resultsCount++
-		return
+// runLocked is the engine's one execution loop: it drives a wave through
+// stages [stage, len(ops)), charging the cost model once per stage, and
+// appends any survivors to e.results as rows.
+func (e *SPEngine) runLocked(stage int, secs []wire.ColSec) {
+	e.colWave = append(e.colWave[:0], secs...)
+	e.wave.Secs = e.colWave
+	live := e.wave.Records()
+	for i := stage; i < len(e.ops) && live > 0; i++ {
+		e.cpuMicros += e.cm.Cost(i) * float64(live)
+		e.ops[i].ProcessColumnar(&e.wave)
+		live = e.wave.Records()
 	}
-	e.cpuMicros += e.cm.Cost(stage)
-	e.ops[stage].Process(rec, func(out telemetry.Record) {
-		e.feed(stage+1, out)
-	})
+	e.wave.AppendRows(&e.results)
+	e.resultsCount += int64(live)
+	e.wave.Secs = nil
 }
 
 // RegisterSource announces a source before its first watermark so the
@@ -273,14 +193,16 @@ func (e *SPEngine) AdvanceTo(wm int64) telemetry.Batch {
 }
 
 func (e *SPEngine) advanceToLocked(wm int64) telemetry.Batch {
+	emit := func(out telemetry.Record) { e.flushRows = append(e.flushRows, out) }
 	for i, op := range e.ops {
 		if !op.Stateful() {
 			continue
 		}
-		i := i
-		op.Flush(wm, func(out telemetry.Record) {
-			e.feed(i+1, out)
-		})
+		e.flushRows = e.flushRows[:0]
+		op.Flush(wm, emit)
+		if len(e.flushRows) > 0 {
+			e.runLocked(i+1, []wire.ColSec{{Rows: e.flushRows}})
+		}
 	}
 	out := e.results
 	e.results = nil

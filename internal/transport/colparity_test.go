@@ -13,11 +13,11 @@ import (
 	"jarvis/internal/workload"
 )
 
-// TestColumnarRowParity extends the engine's batch/record parity
-// guarantee across the wire: agent epochs are applied to four SP
-// replicas — through the columnar (SoA) execution path, through the
-// row-materializing path, record at a time, and from a second agent
-// pipeline running the SoA path end to end (columnar generation,
+// TestColumnarRowParity extends the engine's execution-parity guarantee
+// across the wire: agent epochs are applied to four SP replicas — as
+// decoded SoA sections through the receiver, as row batches decoded and
+// ingested by the test itself, record at a time, and from a second agent
+// pipeline running SoA end to end (columnar generation,
 // RunEpochColumnar, flate-compressed columnar frames) — and all four
 // must emit byte-identical results on the paper's queries, under
 // routing that exercises drains at every stage, partial aggregates and
@@ -129,14 +129,14 @@ func TestColumnarRowParity(t *testing.T) {
 				return e
 			}
 			colEngine, rowEngine, recEngine, soaEngine := newEngine(), newEngine(), newEngine(), newEngine()
-			colRC := NewReceiver(colEngine) // columnar execution (the default)
-			rowRC := NewReceiver(rowEngine)
-			rowRC.SetColumnarExec(false)    // row-materializing reference
+			colRC := NewReceiver(colEngine) // decoded SoA sections
 			soaRC := NewReceiver(soaEngine) // fed by the SoA agent pipeline
 
-			// feedRecords applies the shipped epoch record at a time — the
-			// pre-vectorization reference semantics.
-			feedRecords := func(data []byte) {
+			// feedRows decodes the shipped epoch into row batches (a plain
+			// frame reader materializes records) and applies each frame to
+			// the engine whole (the row reference) or one record at a time
+			// (the record-at-a-time reference).
+			feedRows := func(e *stream.SPEngine, data []byte, whole bool) {
 				fr := wire.NewFrameReader(bytes.NewReader(data))
 				for {
 					f, err := fr.ReadFrame()
@@ -146,13 +146,17 @@ func TestColumnarRowParity(t *testing.T) {
 					if f.StreamID == WatermarkStreamID {
 						for _, rec := range f.Records {
 							if wm, ok := rec.Data.(*wire.Watermark); ok {
-								recEngine.ObserveWatermark(f.Source, wm.Time)
+								e.ObserveWatermark(f.Source, wm.Time)
 							}
 						}
 						continue
 					}
-					for i := range f.Records {
-						if err := recEngine.Ingest(int(f.StreamID), f.Records[i:i+1]); err != nil {
+					step := 1
+					if whole {
+						step = len(f.Records)
+					}
+					for i := 0; i < len(f.Records); i += step {
+						if err := e.Ingest(int(f.StreamID), f.Records[i:i+step]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -197,10 +201,8 @@ func TestColumnarRowParity(t *testing.T) {
 				if err := colRC.HandleStream(bytes.NewReader(data)); err != nil {
 					t.Fatal(err)
 				}
-				if err := rowRC.HandleStream(bytes.NewReader(data)); err != nil {
-					t.Fatal(err)
-				}
-				feedRecords(data)
+				feedRows(rowEngine, data, true)
+				feedRows(recEngine, data, false)
 
 				// Fourth leg: the SoA agent pipeline's epoch, shipped with
 				// frame compression on.
@@ -217,7 +219,7 @@ func TestColumnarRowParity(t *testing.T) {
 				}
 
 				colOut := colRC.Advance()
-				rowOut := rowRC.Advance()
+				rowOut := rowEngine.Advance()
 				recOut := recEngine.Advance()
 				soaOut := soaRC.Advance()
 				if err := tripleEqual(t, colOut, rowOut, recOut); err != nil {

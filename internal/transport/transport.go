@@ -211,7 +211,6 @@ type Receiver struct {
 	manualAck bool
 	maxVer    uint32
 	gate      HelloGate
-	colExec   bool
 	comp      bool
 
 	// Overload protection (nil admit disables it — legacy behavior).
@@ -272,7 +271,6 @@ func NewReceiver(engine *stream.SPEngine) *Receiver {
 		delayed:      make(map[uint32][]*delayedEpoch),
 		gapSeen:      make(map[uint32]uint64),
 		maxVer:       wire.CurrentWireVersion,
-		colExec:      true,
 		comp:         true,
 	}
 }
@@ -317,23 +315,6 @@ func (rc *Receiver) throttleFor(src uint32) uint64 {
 		return ctrl.ThrottleMicros(src)
 	}
 	return 0
-}
-
-// SetColumnarExec switches the receiver's v2 frames between SoA
-// execution (the default: decoded columns flow straight into
-// SPEngine.IngestColumnar, no record materialization on the plan's SoA
-// prefix) and the row-materializing reference path. Call before serving
-// connections.
-func (rc *Receiver) SetColumnarExec(v bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.colExec = v
-}
-
-func (rc *Receiver) columnarExec() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.colExec
 }
 
 // SetMaxVersion caps the wire version this receiver advertises in acks
@@ -482,12 +463,13 @@ func (readOnlyConn) Write(p []byte) (int, error) {
 // flow back on the same connection.
 func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 	fr := wire.NewFrameReader(conn)
-	// maxVer, the execution mode and compression support are fixed before
-	// serving; snapshot them once instead of taking the shared mutex per
-	// frame.
+	// maxVer and compression support are fixed before serving; snapshot
+	// them once instead of taking the shared mutex per frame. A receiver
+	// that accepts v2 decodes columnar frames straight into SoA sections
+	// for SPEngine.IngestColumnar; v1 frames decode to rows either way.
 	maxVer := rc.maxVersion()
 	comp := rc.compression() && maxVer >= wire.WireV2
-	colExec := rc.columnarExec() && maxVer >= wire.WireV2
+	colExec := maxVer >= wire.WireV2
 	fr.SetColumnarExec(colExec)
 	if colExec {
 		// SoA frames decode into pooled arenas; they are recycled at each

@@ -11,8 +11,8 @@ import (
 // ColumnarBatch is a decoded v2 frame kept in SoA (structure-of-arrays)
 // form: per-field columns backed by the decode arena and the decoder's
 // intern table, never materialized into telemetry.Record structs. It is
-// what the columnar execution path (operator.ColumnarProcessor,
-// SPEngine.IngestColumnar) flows between operator stages.
+// what the engines (Operator.ProcessColumnar, Pipeline.RunEpochColumnar,
+// SPEngine.IngestColumnar) flow between operator stages.
 //
 // A batch is an ordered list of sections, one per run of consecutive
 // same-type records, so concatenating the sections' rows in order
