@@ -20,9 +20,9 @@
 // rejects the hello and the dialer moves on.
 //
 // The agent generates epochs as SoA columns, so records are built only
-// where the plan has no columnar kernel, and offers flate compression
-// for its columnar data frames (-wire-compress=false ships them plain);
-// compression is used only when the SP's ack also advertises it.
+// where the plan has no columnar kernel, and flate-compresses its
+// columnar data frames (-wire-compress=false ships them plain); an SP
+// whose ack does not advertise compression is refused at connect.
 //
 // -tenant and -class declare the agent's identity to an SP running
 // admission control: the hello carries both as trailing extensions, and
@@ -62,7 +62,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", checkpoint.DefaultEvery, "epochs between durable snapshots (1 = every epoch, cheap with delta snapshots)")
 	ckptRetain := flag.Int("checkpoint-retain", checkpoint.DefaultRetain, "base+delta snapshot chains to keep when compacting (0 = keep all)")
 	ckptAsync := flag.Bool("checkpoint-async", false, "save snapshots on a writer goroutine (the epoch path only captures state)")
-	compress := flag.Bool("wire-compress", true, "offer flate compression for columnar data frames (used only when the SP also advertises it)")
+	compress := flag.Bool("wire-compress", true, "flate-compress columnar data frames (the SP must advertise support in its ack; every current build does)")
 	obsListen := flag.String("obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)")
 	obsDecisions := flag.String("obs-decisions", "", "append runtime adaptation decisions to this JSONL file")
 	tenantName := flag.String("tenant", "", "tenant name announced in the hello (empty = derived from the source id by the SP)")

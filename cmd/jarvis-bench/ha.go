@@ -55,9 +55,7 @@ func replicationApplyBenchmark() (BenchRecord, error) {
 	if err != nil {
 		return BenchRecord{}, err
 	}
-	rc := transport.NewReceiver(donor)
-	rc.RegisterSource(1)
-	if err := rc.HandleStream(bytes.NewReader(epochBytes)); err != nil {
+	if err := replayEpoch(donor, nil, epochBytes); err != nil {
 		return BenchRecord{}, err
 	}
 	snap := &checkpoint.Snapshot{

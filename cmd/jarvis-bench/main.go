@@ -1,10 +1,12 @@
 // Command jarvis-bench regenerates the paper's evaluation tables and
 // figures (§VI). Run everything with -exp all, or name a single
 // experiment: fig3, fig7, fig8, fig9, fig10, fig11, latency, opcount,
-// overhead. `-exp micro` runs the engine micro-benchmarks
-// (BenchmarkPipelineEpoch, BenchmarkEndToEndBuildingBlock) and writes a
-// machine-readable BENCH_<n>.json so the perf trajectory is tracked
-// across PRs.
+// overhead. `-exp micro` runs the engine micro-benchmarks (agent epoch
+// rows/SoA, the end-to-end building block, SP ingest, checkpoint save/
+// restore/delta, epoch replay and decode, replication apply and failover
+// downtime, obs and flight-recorder overhead, admission, cluster sim)
+// and writes them as JSON to -benchout; the committed BENCH_<n>.json
+// files are such runs, one per PR that moved the numbers.
 package main
 
 import (
@@ -19,7 +21,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (all|fig3|fig7|fig8|fig9|fig10|fig11|latency|opcount|ablation|overhead|micro)")
 	seed := flag.Uint64("seed", 7, "seed for randomized workloads")
-	benchOut := flag.String("benchout", "BENCH_8.json", "output file for -exp micro results")
+	benchOut := flag.String("benchout", "BENCH_local.json", "output file for -exp micro results")
 	obsOff := flag.Bool("obs-off", false, "disable epoch-lifecycle timing (obs.SetEnabled(false)) for A/B overhead runs")
 	flag.Parse()
 

@@ -94,12 +94,6 @@ func runMicro(outPath string) error {
 	}
 	records = append(records, haRecs...)
 
-	wireRecs, err := wireBytesRecords()
-	if err != nil {
-		return err
-	}
-	records = append(records, wireRecs...)
-
 	obsRecs, err := obsOverheadRecords()
 	if err != nil {
 		return err
@@ -345,12 +339,10 @@ func checkpointBenchmarks() ([]BenchRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := transport.NewReceiver(engine)
-	rc.RegisterSource(1)
 	r = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := rc.HandleStream(bytes.NewReader(epochBytes)); err != nil {
+			if err := replayEpoch(engine, nil, epochBytes); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -546,13 +538,11 @@ func obsOverheadRecords() ([]BenchRecord, error) {
 }
 
 // flightOverheadRecords quantifies what the always-armed observability
-// closure costs on the receiver's frame path: the same encoded epoch
-// replayed through HandleStream with an armed flight recorder (one
-// bounded memcpy per frame into the connection ring) plus the epoch
-// trace join, versus the same receiver unarmed. This is the worst case
-// for the recorder — the replay stream dedups after the first apply, so
-// the capture is not amortized by operator ingest — and the budget is
-// still <=3%. NsPerOp carries the percentage, not a duration.
+// closure costs on the receiver's frame path: the same sequenced epoch
+// applied through HandleConn with an armed flight recorder (one bounded
+// memcpy per frame into the connection ring) plus the epoch trace join,
+// versus the same path unarmed. The budget is <=3%. NsPerOp carries the
+// percentage, not a duration.
 func flightOverheadRecords() ([]BenchRecord, error) {
 	_, epochBytes, err := benchcase.ShippedEpoch()
 	if err != nil {
@@ -563,16 +553,15 @@ func flightOverheadRecords() ([]BenchRecord, error) {
 		if err != nil {
 			return 0, err
 		}
-		rc := transport.NewReceiver(engine)
-		rc.RegisterSource(1)
+		var fl *transport.FlightRecorder
 		if armed {
-			rc.SetFlightRecorder(transport.NewFlightRecorder(rc.Counters()))
+			fl = transport.NewFlightRecorder(nil)
 		}
 		best := math.Inf(1)
 		for t := 0; t < 3; t++ {
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if err := rc.HandleStream(bytes.NewReader(epochBytes)); err != nil {
+					if err := replayEpoch(engine, fl, epochBytes); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -597,6 +586,21 @@ func flightOverheadRecords() ([]BenchRecord, error) {
 	}}, nil
 }
 
+// replayEpoch applies one sequenced epoch stream (benchcase.ShippedEpoch)
+// to the engine through a fresh receiver, discarding acks. The receiver
+// must be fresh: a reused one would discard the repeated sequence number
+// as a duplicate instead of applying it. fl, when non-nil, arms the
+// flight recorder on the connection.
+func replayEpoch(engine *stream.SPEngine, fl *transport.FlightRecorder, epochStream []byte) error {
+	rc := transport.NewReceiver(engine)
+	rc.RegisterSource(1)
+	rc.SetFlightRecorder(fl)
+	return rc.HandleConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(epochStream), io.Discard})
+}
+
 func record(name string, totalBytes int64, r testing.BenchmarkResult) BenchRecord {
 	nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
 	mbps := 0.0
@@ -611,86 +615,4 @@ func record(name string, totalBytes int64, r testing.BenchmarkResult) BenchRecor
 		MBPerSec:    mbps,
 		Iterations:  r.N,
 	}
-}
-
-// wireBytesRecords measures bytes-on-wire per shipped agent epoch for
-// each canonical query: the SoA pipeline's epochs are shipped as wire-v2
-// columnar frames, once as-is and once with per-frame flate compression
-// (the negotiated default between current builds). Six epochs at
-// half-open load factors exercise drains at every shippable stage plus
-// window flushes; the ratio record is uncompressed/compressed.
-func wireBytesRecords() ([]BenchRecord, error) {
-	t2tTable := func() *telemetry.ToRTable {
-		ips := []uint32{workload.DefaultPingConfig(7).SrcIP}
-		for i := 0; i < 2000; i++ {
-			ips = append(ips, 0x0B000000+uint32(i))
-		}
-		return telemetry.NewToRTable(ips, 40)
-	}
-	pingCols := func() func(cb *wire.ColumnarBatch) {
-		g := workload.NewPingGen(workload.DefaultPingConfig(7))
-		return func(cb *wire.ColumnarBatch) { g.NextWindowCols(1_000_000, cb) }
-	}
-	cases := []struct {
-		name   string
-		query  func() *plan.Query
-		colGen func() func(cb *wire.ColumnarBatch)
-	}{
-		{"S2SProbe", plan.S2SProbe, pingCols},
-		{"T2TProbe", func() *plan.Query { return plan.T2TProbe(t2tTable()) }, pingCols},
-		{"S2SQuantile", plan.S2SQuantileProbe, pingCols},
-		{"LogAnalytics", plan.LogAnalytics, func() func(cb *wire.ColumnarBatch) {
-			g := workload.NewLogGen(workload.DefaultLogConfig(7))
-			return func(cb *wire.ColumnarBatch) { g.NextWindowCols(1_000_000, cb) }
-		}},
-	}
-	records := []BenchRecord{}
-	for _, c := range cases {
-		pipe, err := stream.NewPipeline(c.query(), stream.DefaultOptions(4.0, 0))
-		if err != nil {
-			return nil, err
-		}
-		lf := make([]float64, len(pipe.Query().Ops))
-		for i := range lf {
-			lf[i] = 0.5
-		}
-		if c.name == "T2TProbe" {
-			// The dstToR join's input is an intermediate payload with no
-			// wire encoding; epochs never drain at that stage.
-			lf[3] = 1
-		}
-		if err := pipe.SetLoadFactors(lf); err != nil {
-			return nil, err
-		}
-		var plainBuf, flateBuf bytes.Buffer
-		plainSh := transport.NewShipper(1, &plainBuf)
-		plainSh.EnableColumnar()
-		flateSh := transport.NewShipper(1, &flateBuf)
-		flateSh.EnableColumnar()
-		flateSh.EnableCompression()
-		colGen := c.colGen()
-		var cb wire.ColumnarBatch
-		for epoch := 0; epoch < 6; epoch++ {
-			cb.Reset()
-			colGen(&cb)
-			res := pipe.RunEpochColumnar(&cb)
-			if err := plainSh.ShipEpoch(res); err != nil {
-				return nil, err
-			}
-			if err := flateSh.ShipEpoch(res); err != nil {
-				return nil, err
-			}
-		}
-		plain, comp := int64(plainBuf.Len()), int64(flateBuf.Len())
-		ratio := 0.0
-		if comp > 0 {
-			ratio = float64(plain) / float64(comp)
-		}
-		records = append(records,
-			BenchRecord{Name: "WireEpochBytes@" + c.name, BytesPerOp: plain, Iterations: 6},
-			BenchRecord{Name: "WireEpochBytesFlate@" + c.name, BytesPerOp: comp, Iterations: 6},
-			BenchRecord{Name: "WireCompressionRatio@" + c.name, NsPerOp: ratio, Iterations: 6},
-		)
-	}
-	return records, nil
 }

@@ -331,7 +331,6 @@ func run(cfg config) error {
 				"term":          gate.Term(),
 				"query":         cfg.query,
 				"wire_version":  rc.MaxVersion(),
-				"compression":   rc.CompressionEnabled(),
 				"bytes_in":      rc.BytesIn(),
 				"frames_in":     rc.Frames(),
 				"watermark_us":  proc.Engine().EffectiveWatermark(),

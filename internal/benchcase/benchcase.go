@@ -101,11 +101,11 @@ func WarmPipeline(epochs int) (*stream.Pipeline, error) {
 }
 
 // ShippedEpoch returns one drain-heavy epoch (all load factors at zero,
-// so the full raw batch ships to the SP) plus the same epoch encoded as
-// wire-v2 columnar frames — the input for the decode and replay-apply
-// micro-benchmarks, sized like the epochs a recovering SP actually
-// re-applies (the sequenced shipper negotiates v2 between current
-// builds, so columnar is the shipped format).
+// so the full raw batch ships to the SP) plus the same epoch as the
+// sequenced wire-v2 stream a reconnecting agent sends — Hello, columnar
+// data frames, EpochEnd — ready for Receiver.HandleConn: the input for
+// the decode and replay-apply micro-benchmarks, sized like the epochs a
+// recovering SP actually re-applies.
 func ShippedEpoch() (stream.EpochResult, []byte, error) {
 	pipe, err := stream.NewPipeline(plan.S2SProbe(), stream.DefaultOptions(1.0, 0))
 	if err != nil {
@@ -116,13 +116,15 @@ func ShippedEpoch() (stream.EpochResult, []byte, error) {
 	}
 	gen := workload.NewPingGen(workload.DefaultPingConfig(1))
 	res := pipe.RunEpoch(gen.NextWindow(1_000_000))
-	var buf bytes.Buffer
-	sh := transport.NewShipper(1, &buf)
-	sh.EnableColumnar()
+	sh := transport.NewDurableShipper(1, 0)
 	if err := sh.ShipEpoch(res); err != nil {
 		return stream.EpochResult{}, nil, err
 	}
-	return res, buf.Bytes(), nil
+	data, err := sh.ResumeBytes()
+	if err != nil {
+		return stream.EpochResult{}, nil, err
+	}
+	return res, data, nil
 }
 
 // PipelineEpochColumnar builds the SoA agent-epoch benchmark: the

@@ -229,47 +229,6 @@ func TestStoreCompactRetainsNewestChains(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotDirRestores proves a snapshot directory written by a
-// pre-columnar build (v1 frames, v1 manifest lines) still restores.
-func TestV1SnapshotDirRestores(t *testing.T) {
-	snap := sampleSnapshot()
-	dir := t.TempDir()
-	name := SnapshotFileName(1)
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.EncodeLegacy(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	line := "v1 1 " + name + " 9 9000000\n"
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := store.Latest()
-	if err != nil || !ok {
-		t.Fatalf("v1 dir: ok=%v err=%v", ok, err)
-	}
-	if got.Seq != snap.Seq || got.Watermark != snap.Watermark || len(got.Stages) != 1 || len(got.Pending) != 2 {
-		t.Fatalf("v1 snapshot restored as %+v", got)
-	}
-	// Follow-up saves in the same dir chain correctly past the v1 entry.
-	if _, err := store.Save(sampleSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, _ = store.Latest()
-	if !ok || got.Seq != 9 {
-		t.Fatalf("latest after v2 save over v1 dir: %+v", got)
-	}
-}
-
 func canonicalBatch(t *testing.T, rows telemetry.Batch) []byte {
 	t.Helper()
 	var buf []byte

@@ -31,11 +31,6 @@ func FuzzDecodeDeltaSnapshot(f *testing.F) {
 	agg := telemetry.NewAggRow(telemetry.StrKey("tenant-001|cpu util|4"), 1, 3)
 	delta.Stages[5] = telemetry.Batch{telemetry.NewAggRecord(agg, 20_000_000)}
 	seed(delta)
-	var legacy bytes.Buffer
-	if err := full.EncodeLegacy(&legacy); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacy.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -90,13 +90,6 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return s.encodeTo(fw)
 }
 
-// EncodeLegacy serializes the snapshot with wire-v1 record-at-a-time
-// stage frames — the format pre-columnar builds wrote. Kept for
-// compatibility tests; DecodeSnapshot reads both.
-func (s *Snapshot) EncodeLegacy(w io.Writer) error {
-	return s.encodeTo(wire.NewFrameWriter(w))
-}
-
 // encodeTo writes the snapshot through an existing frame writer (already
 // redirected at the destination), letting callers reuse its buffers.
 func (s *Snapshot) encodeTo(fw *wire.FrameWriter) error {

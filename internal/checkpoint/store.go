@@ -16,9 +16,10 @@ import (
 // manifestName is the append-only index of snapshots in a store
 // directory. Each line records one fully written snapshot:
 //
-//	v1 <id> <file> <seq> <watermark>                    (full, pre-delta builds)
 //	v2 <id> <file> <seq> <watermark> <base> <f|d>       (full or delta)
 //
+// Lines of any other version (pre-delta builds wrote "v1" lines; no such
+// directory exists anymore) are skipped like torn ones.
 // A snapshot's manifest line is appended only after its file is fully
 // written and closed, so every listed entry is complete; Latest still
 // verifies by decoding and walks backwards past any entry (or
@@ -112,10 +113,6 @@ func (s *Store) entries() ([]manifestEntry, error) {
 		var e manifestEntry
 		var version string
 		switch {
-		case strings.HasPrefix(line, "v1 "):
-			if _, err := fmt.Sscanf(line, "%s %d %s %d %d", &version, &e.id, &e.file, &e.seq, &e.wm); err != nil {
-				continue // torn tail line: skip
-			}
 		case strings.HasPrefix(line, "v2 "):
 			var kind string
 			if _, err := fmt.Sscanf(line, "%s %d %s %d %d %d %s", &version, &e.id, &e.file, &e.seq, &e.wm, &e.base, &kind); err != nil {

@@ -409,18 +409,21 @@ func encodeSnapshot(snap *checkpoint.Snapshot) ([]byte, error) {
 // replSnapshotFrame encodes one ReplSnapshot control frame.
 func replSnapshotFrame(rep *wire.ReplSnapshot) ([]byte, error) {
 	rec := telemetry.Record{WireSize: 40 + len(rep.Data), Data: rep}
-	return encodeFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}}, false)
+	return encodeFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}})
 }
 
 // replRowsFrame encodes one mirrored result-row frame.
 func replRowsFrame(rows telemetry.Batch) ([]byte, error) {
-	return encodeFrame(wire.Frame{StreamID: wire.ReplRowsStreamID, Records: rows}, true)
+	return encodeFrame(wire.Frame{StreamID: wire.ReplRowsStreamID, Records: rows})
 }
 
-func encodeFrame(f wire.Frame, columnar bool) ([]byte, error) {
+// encodeFrame renders one replication frame: mirrored rows go columnar,
+// control records stay row frames (a columnar writer never re-encodes
+// the control stream).
+func encodeFrame(f wire.Frame) ([]byte, error) {
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf)
-	fw.SetColumnar(columnar)
+	fw.SetColumnar(true)
 	if err := fw.WriteFrame(f); err != nil {
 		return nil, err
 	}
@@ -433,13 +436,13 @@ func encodeFrame(f wire.Frame, columnar bool) ([]byte, error) {
 // replAckFrame encodes one ReplAck control frame (standby side).
 func replAckFrame(id, seq uint64) ([]byte, error) {
 	rec := telemetry.Record{WireSize: 33, Data: &wire.ReplAck{ID: id, Seq: seq}}
-	return encodeFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}}, false)
+	return encodeFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}})
 }
 
 // replHelloFrame encodes the standby's attach hello.
 func replHelloFrame(lastID uint64, logWM int64) ([]byte, error) {
 	rec := telemetry.Record{WireSize: 33, Data: &wire.ReplHello{LastID: lastID, LogWM: logWM}}
-	return encodeFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}}, false)
+	return encodeFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}})
 }
 
 var _ checkpoint.Replicator = (*Publisher)(nil)

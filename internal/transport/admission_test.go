@@ -59,7 +59,7 @@ func newAdmissionReceiver(t *testing.T, cfg admission.Config) (*Receiver, *admis
 }
 
 func discardAckWriter() *ackWriter {
-	return &ackWriter{fw: wire.NewFrameWriter(io.Discard), ver: wire.WireV2}
+	return &ackWriter{fw: wire.NewFrameWriter(io.Discard)}
 }
 
 // commit drives one EpochEnd through the receiver's commit path the way

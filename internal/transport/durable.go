@@ -38,8 +38,8 @@ func clonePending(in []PendingEpoch) []PendingEpoch {
 	return out
 }
 
-// DurableShipper is the sequenced, replayable counterpart of Shipper: it
-// numbers every epoch, keeps each one in a bounded replay buffer until
+// DurableShipper ships a source pipeline's epochs to the SP: it numbers
+// every epoch, keeps each one in a bounded replay buffer until
 // the SP acknowledges it durable, and on (re)connect performs the
 // Hello/Ack handshake and replays everything after the SP's durable
 // frontier. Together with the receiver's sequence dedup this applies
@@ -52,19 +52,17 @@ type DurableShipper struct {
 	source   uint32
 	max      int
 	counters *obs.Registry
-	maxVer   uint32
 
-	mu       sync.Mutex // guards all state below
-	wmu      sync.Mutex // serializes writes to conn (never held with mu)
-	conn     io.WriteCloser
-	peerVer  uint32 // wire version negotiated with the current connection
-	peerComp bool   // peer advertised compression support in its ack
-	seq      uint64 // last assigned epoch sequence
-	acked    uint64 // newest sequence the SP reported durable
-	term     uint64 // newest primary term observed in acks (fencing token)
-	prefer   string // last successfully connected endpoint (ConnectAny)
-	pending  []PendingEpoch
-	dropped  int64
+	mu      sync.Mutex // guards all state below
+	wmu     sync.Mutex // serializes writes to conn (never held with mu)
+	conn    io.WriteCloser
+	peerVer uint32 // wire version negotiated with the current connection
+	seq     uint64 // last assigned epoch sequence
+	acked   uint64 // newest sequence the SP reported durable
+	term    uint64 // newest primary term observed in acks (fencing token)
+	prefer  string // last successfully connected endpoint (ConnectAny)
+	pending []PendingEpoch
+	dropped int64
 
 	compress bool // encode columnar data frames flate-compressed
 
@@ -105,7 +103,6 @@ func NewDurableShipper(source uint32, maxPending int) *DurableShipper {
 	return &DurableShipper{
 		source: source, max: maxPending,
 		counters: obs.NewRegistry(),
-		maxVer:   wire.CurrentWireVersion,
 		dial: func(addr string) (io.ReadWriteCloser, error) {
 			return net.Dial("tcp", addr)
 		},
@@ -144,22 +141,11 @@ func (d *DurableShipper) ThrottleHint() time.Duration {
 	return time.Duration(d.throttle) * time.Microsecond
 }
 
-// SetMaxVersion caps the wire version the shipper announces and encodes
-// (SetMaxVersion(wire.WireV1) emulates a pre-columnar agent). Call
-// before the first ShipEpoch or Connect.
-func (d *DurableShipper) SetMaxVersion(v uint32) {
-	if v < wire.WireV1 {
-		v = wire.WireV1
-	}
-	d.maxVer = v
-}
-
 // SetCompression switches the shipper's columnar data frames to the
 // flate-compressed encoding. The replay buffer then stores epochs
-// compressed; connections whose peer did not advertise compression in
-// its ack get the frames decompressed at write time (and v1 peers get
-// them transcoded, as always). No effect below wire v2. Call before the
-// first ShipEpoch or Connect.
+// compressed and every connection gets those bytes verbatim; a peer
+// whose ack does not advertise compression is refused at Connect. Call
+// before the first ShipEpoch or Connect.
 func (d *DurableShipper) SetCompression(v bool) {
 	d.compress = v
 }
@@ -183,10 +169,8 @@ func (d *DurableShipper) Source() uint32 { return d.source }
 
 // encodeEpoch serializes one epoch — drains, results, watermark and the
 // EpochEnd commit marker — into a standalone byte string that can be
-// written (and re-written on replay) as-is. Epochs are encoded in the
-// shipper's newest wire version (columnar data frames under v2); when a
-// connection negotiates down to v1 the bytes are transcoded at write
-// time, so the canonical replay buffer stays version-independent.
+// written (and re-written on replay) as-is: wire-v2 columnar data
+// frames, flate-compressed when SetCompression is on.
 //
 // When lifecycle timing is on, the EpochEnd carries the trace-context
 // extension: the caller's epoch timings plus the encode duration
@@ -198,8 +182,8 @@ func (d *DurableShipper) encodeEpoch(seq uint64, res stream.EpochResult, encStar
 	d.encBuf.Reset()
 	if d.encFW == nil {
 		d.encFW = wire.NewFrameWriter(&d.encBuf)
-		d.encFW.SetColumnar(d.maxVer >= wire.WireV2)
-		d.encFW.SetCompression(d.compress && d.maxVer >= wire.WireV2)
+		d.encFW.SetColumnar(true)
+		d.encFW.SetCompression(d.compress)
 	} else {
 		d.encFW.Reset(&d.encBuf)
 	}
@@ -292,68 +276,18 @@ func (d *DurableShipper) ShipEpoch(res stream.EpochResult) error {
 		d.counters.Inc(CtrEpochsDropped)
 	}
 	conn := d.conn
-	peer := d.peerVer
-	peerComp := d.peerComp
 	seq := d.seq
 	d.mu.Unlock()
 	if conn == nil {
 		return nil
 	}
 	shipStart := obs.Now()
-	werr := d.writeEpochData(conn, peer, peerComp, data)
+	_, werr := conn.Write(data)
 	obs.SinceN(obs.StageShip, shipStart, d.source, seq)
 	if werr != nil {
 		d.disconnect(conn)
 	}
 	return nil
-}
-
-// writeEpochData writes one encoded epoch to a connection, transcoding
-// the canonical v2 bytes down to v1 frames when the peer negotiated v1,
-// and decompressing them (section-byte-stable, no record decode) for a
-// v2 peer that did not advertise compression support.
-func (d *DurableShipper) writeEpochData(conn io.WriteCloser, peerVer uint32, peerComp bool, data []byte) error {
-	if d.maxVer >= wire.WireV2 && peerVer < wire.WireV2 {
-		// transcodeV1's reader inflates compressed frames transparently.
-		v1, err := transcodeV1(data)
-		if err != nil {
-			return fmt.Errorf("transport: transcode epoch for v1 peer: %w", err)
-		}
-		data = v1
-	} else if d.compress && d.maxVer >= wire.WireV2 && !peerComp {
-		plain, err := wire.DecompressFrames(data)
-		if err != nil {
-			return fmt.Errorf("transport: decompress epoch for peer: %w", err)
-		}
-		data = plain
-	}
-	_, err := conn.Write(data)
-	return err
-}
-
-// transcodeV1 re-encodes a byte string of wire frames with v1
-// record-at-a-time framing (decode is version-transparent, so this
-// also accepts already-v1 input).
-func transcodeV1(data []byte) ([]byte, error) {
-	var out bytes.Buffer
-	fr := wire.NewFrameReader(bytes.NewReader(data))
-	fw := wire.NewFrameWriter(&out)
-	for {
-		f, err := fr.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := fw.WriteFrame(f); err != nil {
-			return nil, err
-		}
-	}
-	if err := fw.Flush(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
 }
 
 // Connect dials the SP and performs the resume handshake.
@@ -376,22 +310,13 @@ func (d *DurableShipper) Connect(addr string) error {
 // for the SP's durable-frontier ack, prunes the replay buffer up to it,
 // replays everything after it, and starts the background ack reader.
 func (d *DurableShipper) ConnectConn(conn io.ReadWriteCloser) error {
-	var hello bytes.Buffer
-	fw := wire.NewFrameWriter(&hello)
 	d.mu.Lock()
-	rec := telemetry.Record{WireSize: 29, Data: &wire.Hello{
-		Source: d.source, Seq: d.seq, Version: d.maxVer, Term: d.term,
-		Compress: d.compress && d.maxVer >= wire.WireV2,
-		Class:    d.classWire, Tenant: d.tenant,
-	}}
+	hello, err := d.helloLocked()
 	d.mu.Unlock()
-	if err := fw.WriteFrame(wire.Frame{StreamID: wire.ControlStreamID, Source: d.source, Records: telemetry.Batch{rec}}); err != nil {
+	if err != nil {
 		return err
 	}
-	if err := fw.Flush(); err != nil {
-		return err
-	}
-	if _, err := conn.Write(hello.Bytes()); err != nil {
+	if _, err := conn.Write(hello); err != nil {
 		return fmt.Errorf("transport: hello: %w", err)
 	}
 	fr := wire.NewFrameReader(conn)
@@ -399,18 +324,18 @@ func (d *DurableShipper) ConnectConn(conn io.ReadWriteCloser) error {
 	if err != nil {
 		return fmt.Errorf("transport: hello ack: %w", err)
 	}
-	// Negotiate: both sides speak min(hello, ack). A pre-versioning peer
-	// acks without a version field (0), which means v1.
-	peer := ack.Version
-	if peer == 0 {
-		peer = wire.WireV1
+	// Negotiate: both sides speak min(hello, ack). Below v2 (0 is a
+	// pre-versioning peer) or, for a compressing shipper, without
+	// compression support, the peer could not read the replay buffer's
+	// bytes; refuse before touching any state so the pending epochs wait
+	// for a peer that can.
+	peer := min(ack.Version, wire.CurrentWireVersion)
+	if peer < wire.WireV2 {
+		return fmt.Errorf("transport: peer negotiated wire v%d, need v%d or newer", peer, wire.WireV2)
 	}
-	if peer > d.maxVer {
-		peer = d.maxVer
+	if d.compress && !ack.Compress {
+		return fmt.Errorf("transport: peer does not accept compressed frames")
 	}
-	// Compression is used only when both sides advertise it (and the
-	// negotiated version carries columnar frames at all).
-	peerComp := d.compress && ack.Compress && peer >= wire.WireV2
 
 	// Take the write lock for the whole swap-and-replay: no concurrent
 	// ShipEpoch may interleave a newer epoch ahead of the replayed ones
@@ -428,12 +353,11 @@ func (d *DurableShipper) ConnectConn(conn io.ReadWriteCloser) error {
 	replay := clonePending(d.pending)
 	d.conn = conn
 	d.peerVer = peer
-	d.peerComp = peerComp
 	d.mu.Unlock()
 
 	d.counters.Inc(CtrReconnects)
 	for _, p := range replay {
-		if err := d.writeEpochData(conn, peer, peerComp, p.Data); err != nil {
+		if _, err := conn.Write(p.Data); err != nil {
 			d.wmu.Unlock()
 			d.disconnect(conn)
 			return fmt.Errorf("transport: replay epoch %d: %w", p.Seq, err)
@@ -444,26 +368,15 @@ func (d *DurableShipper) ConnectConn(conn io.ReadWriteCloser) error {
 	return nil
 }
 
-// ResumeBytes renders the shipper's resume stream as one byte string:
-// the Hello handshake followed by every pending (unacked) epoch in the
-// canonical encoding. It is the connectionless counterpart of
-// ConnectConn for synchronous flush sessions — the deterministic
-// cluster sim writes the stream straight into a receiver's HandleConn,
-// collects the ack bytes it wrote back, and feeds them to AdoptAcks; no
-// goroutines, no sockets, no wall clock. Replayed pending epochs
-// deduplicate against the receiver's applied frontier exactly as a live
-// reconnect's replay does. The peer must speak the shipper's own wire
-// version (the sim's receivers do); no v1 transcoding is applied.
-func (d *DurableShipper) ResumeBytes() ([]byte, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// helloLocked encodes the Hello frame that opens a connection: source,
+// last assigned sequence, wire version, fencing term, compression and
+// admission identity. Callers hold d.mu.
+func (d *DurableShipper) helloLocked() ([]byte, error) {
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf)
 	rec := telemetry.Record{WireSize: 29, Data: &wire.Hello{
-		Source: d.source, Seq: d.seq, Version: d.maxVer, Term: d.term,
-		Compress: d.compress && d.maxVer >= wire.WireV2,
+		Source: d.source, Seq: d.seq, Version: wire.CurrentWireVersion, Term: d.term,
+		Compress: d.compress,
 		Class:    d.classWire, Tenant: d.tenant,
 	}}
 	if err := fw.WriteFrame(wire.Frame{StreamID: wire.ControlStreamID, Source: d.source, Records: telemetry.Batch{rec}}); err != nil {
@@ -472,6 +385,28 @@ func (d *DurableShipper) ResumeBytes() ([]byte, error) {
 	if err := fw.Flush(); err != nil {
 		return nil, err
 	}
+	return buf.Bytes(), nil
+}
+
+// ResumeBytes renders the shipper's resume stream as one byte string:
+// the Hello handshake followed by every pending (unacked) epoch in the
+// canonical encoding. It is the connectionless counterpart of
+// ConnectConn for synchronous flush sessions — the deterministic
+// cluster sim writes the stream straight into a receiver's HandleConn,
+// collects the ack bytes it wrote back, and feeds them to AdoptAcks; no
+// goroutines, no sockets, no wall clock. Replayed pending epochs
+// deduplicate against the receiver's applied frontier exactly as a live
+// reconnect's replay does.
+func (d *DurableShipper) ResumeBytes() ([]byte, error) {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	hello, err := d.helloLocked()
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(hello)
 	for _, p := range d.pending {
 		buf.Write(p.Data)
 	}
@@ -560,11 +495,10 @@ func (d *DurableShipper) replayPending(conn io.WriteCloser) {
 		return
 	}
 	replay := clonePending(d.pending)
-	peer, peerComp := d.peerVer, d.peerComp
 	d.mu.Unlock()
 	d.counters.Inc(CtrReplayRequests)
 	for _, p := range replay {
-		if err := d.writeEpochData(conn, peer, peerComp, p.Data); err != nil {
+		if _, err := conn.Write(p.Data); err != nil {
 			d.disconnect(conn)
 			return
 		}

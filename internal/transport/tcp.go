@@ -92,13 +92,3 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	return nil
 }
-
-// Dial connects an agent to an SP address and returns a shipper bound to
-// the connection plus a closer.
-func Dial(source uint32, addr string) (*Shipper, func() error, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return NewShipper(source, conn), conn.Close, nil
-}

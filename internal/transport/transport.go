@@ -8,16 +8,15 @@
 // a source's streams. Frames therefore carry the SP-side stage id; a
 // reserved stream id carries watermarks.
 //
-// Two shipping disciplines coexist on the same wire format:
-//
-//   - Legacy: a Shipper writes epoch frames fire-and-forget; the
-//     receiver applies each frame as it arrives.
-//   - Sequenced (fault tolerance, §IV-E): a DurableShipper opens with a
-//     Hello, numbers every epoch, and terminates it with an EpochEnd
-//     commit marker. The receiver stages a connection's frames until the
-//     marker, applies the epoch atomically exactly once (duplicates from
-//     replay are discarded whole), and acknowledges durability back to
-//     the agent so it can prune its bounded replay buffer.
+// There is one shipping discipline (fault tolerance, §IV-E): a
+// DurableShipper opens with a Hello, numbers every epoch, and terminates
+// it with an EpochEnd commit marker. The receiver stages a connection's
+// frames until the marker, applies the epoch atomically exactly once
+// (duplicates from replay are discarded whole), and acknowledges
+// durability back to the agent so it can prune its bounded replay buffer.
+// Both sides speak wire v2 (columnar data frames, optionally flate-
+// compressed by the shipper): a Hello below v2, or any frame ahead of the
+// Hello, closes the connection and counts as a recv_error.
 package transport
 
 import (
@@ -95,99 +94,6 @@ type HelloGate interface {
 	AdmitHello(agentTerm uint64) (ackTerm uint64, err error)
 }
 
-// Shipper serializes a source pipeline's epoch output onto a byte
-// stream (the legacy fire-and-forget discipline; see DurableShipper for
-// the sequenced, replayable one).
-type Shipper struct {
-	source uint32
-	fw     *wire.FrameWriter
-
-	// accounting
-	bytesOut int64
-	frames   int64
-}
-
-// NewShipper creates a shipper for the given source id writing to w.
-func NewShipper(source uint32, w io.Writer) *Shipper {
-	return &Shipper{source: source, fw: wire.NewFrameWriter(w)}
-}
-
-// EnableColumnar switches the shipper's data frames to the wire-v2
-// columnar encoding. The fire-and-forget discipline has no handshake to
-// negotiate over, so enable it only when the receiving side is known to
-// speak v2 (this repository's Receiver always does).
-func (s *Shipper) EnableColumnar() { s.fw.SetColumnar(true) }
-
-// EnableCompression switches the shipper's columnar data frames to the
-// flate-compressed encoding. Like EnableColumnar, there is no handshake
-// here — enable it only when the receiving side is known to decode it
-// (this repository's Receiver always does). No effect without
-// EnableColumnar.
-func (s *Shipper) EnableCompression() { s.fw.SetCompression(true) }
-
-// ShipEpoch transmits one epoch's drains (row then columnar per stage,
-// preserving the pipeline's record order), results and watermark. It
-// flushes so the SP observes complete epochs.
-func (s *Shipper) ShipEpoch(res stream.EpochResult) error {
-	nStages := len(res.Drains)
-	if len(res.ColDrains) > nStages {
-		nStages = len(res.ColDrains)
-	}
-	for stage := 0; stage < nStages; stage++ {
-		if stage < len(res.Drains) && len(res.Drains[stage]) > 0 {
-			if err := s.ship(uint32(stage), res.Drains[stage]); err != nil {
-				return err
-			}
-		}
-		if stage < len(res.ColDrains) && len(res.ColDrains[stage].Secs) > 0 {
-			if err := s.shipCols(uint32(stage), &res.ColDrains[stage]); err != nil {
-				return err
-			}
-		}
-	}
-	if len(res.Results) > 0 {
-		if err := s.ship(uint32(res.ResultStage), res.Results); err != nil {
-			return err
-		}
-	}
-	if len(res.ColResults.Secs) > 0 {
-		if err := s.shipCols(uint32(res.ResultStage), &res.ColResults); err != nil {
-			return err
-		}
-	}
-	wmRec := telemetry.Record{Time: res.Watermark, WireSize: 17, Data: &wire.Watermark{Time: res.Watermark}}
-	if err := s.ship(WatermarkStreamID, telemetry.Batch{wmRec}); err != nil {
-		return err
-	}
-	return s.fw.Flush()
-}
-
-func (s *Shipper) ship(streamID uint32, batch telemetry.Batch) error {
-	err := s.fw.WriteFrame(wire.Frame{StreamID: streamID, Source: s.source, Records: batch})
-	if err != nil {
-		return fmt.Errorf("transport: ship stream %d: %w", streamID, err)
-	}
-	s.frames++
-	s.bytesOut += batch.TotalBytes()
-	return nil
-}
-
-func (s *Shipper) shipCols(streamID uint32, cb *wire.ColumnarBatch) error {
-	err := s.fw.WriteFrame(wire.Frame{StreamID: streamID, Source: s.source, Cols: cb})
-	if err != nil {
-		return fmt.Errorf("transport: ship stream %d: %w", streamID, err)
-	}
-	s.frames++
-	s.bytesOut += cb.TotalBytes()
-	return nil
-}
-
-// BytesOut returns the payload bytes shipped (wire-size accounting).
-func (s *Shipper) BytesOut() int64 { return s.bytesOut }
-
-// Frames returns the number of frames shipped.
-func (s *Shipper) Frames() int64 { return s.frames }
-
 // Receiver feeds frames from source connections into a shared SP engine.
 // It is safe for concurrent use by one goroutine per connection.
 type Receiver struct {
@@ -209,11 +115,9 @@ type Receiver struct {
 	durable   map[uint32]uint64
 	writers   map[uint32]*ackWriter
 	manualAck bool
-	maxVer    uint32
 	gate      HelloGate
-	comp      bool
 
-	// Overload protection (nil admit disables it — legacy behavior).
+	// Overload protection (nil admit disables it).
 	// delayed holds over-budget epochs per source, row-materialized so
 	// they own their memory after the decode arenas recycle; delayedN is
 	// the total across sources (bounded by the controller's MaxDelayed).
@@ -270,8 +174,6 @@ func NewReceiver(engine *stream.SPEngine) *Receiver {
 		writers:      make(map[uint32]*ackWriter),
 		delayed:      make(map[uint32][]*delayedEpoch),
 		gapSeen:      make(map[uint32]uint64),
-		maxVer:       wire.CurrentWireVersion,
-		comp:         true,
 	}
 }
 
@@ -317,42 +219,6 @@ func (rc *Receiver) throttleFor(src uint32) uint64 {
 	return 0
 }
 
-// SetMaxVersion caps the wire version this receiver advertises in acks
-// (and accepts on the wire): SetMaxVersion(wire.WireV1) makes it behave
-// like a pre-columnar receiver — shippers negotiate down and columnar
-// frames are rejected. Call before serving connections.
-func (rc *Receiver) SetMaxVersion(v uint32) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if v < wire.WireV1 {
-		v = wire.WireV1
-	}
-	rc.maxVer = v
-}
-
-func (rc *Receiver) maxVersion() uint32 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.maxVer
-}
-
-// SetCompression controls whether the receiver advertises
-// flate-compressed columnar frames in its acks (on by default — the
-// reader decodes them transparently). SetCompression(false) emulates a
-// v2 receiver predating compression: shippers then decompress at write
-// time. Call before serving connections.
-func (rc *Receiver) SetCompression(v bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.comp = v
-}
-
-func (rc *Receiver) compression() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.comp
-}
-
 // SetFlightRecorder arms the anomaly flight recorder: every sequenced
 // connection keeps a bounded ring of raw wire frames that the recorder
 // dumps on shed/degrade/failover/fencing events (and on demand). Call
@@ -390,11 +256,7 @@ func (rc *Receiver) trafficRecorder() *TrafficRecorder {
 func (rc *Receiver) Counters() *obs.Registry { return rc.counters }
 
 // MaxVersion returns the wire version the receiver advertises in acks.
-func (rc *Receiver) MaxVersion() uint32 { return rc.maxVersion() }
-
-// CompressionEnabled reports whether the receiver advertises
-// flate-compressed columnar frames in its acks.
-func (rc *Receiver) CompressionEnabled() bool { return rc.compression() }
+func (rc *Receiver) MaxVersion() uint32 { return wire.CurrentWireVersion }
 
 // SetHelloGate installs a hello gate (HA role/fencing checks). Call
 // before serving connections; a nil gate admits every hello with term 0.
@@ -424,16 +286,16 @@ func (rc *Receiver) SetManualAck(v bool) {
 type ackWriter struct {
 	mu   sync.Mutex
 	fw   *wire.FrameWriter
-	ver  uint32 // wire version advertised in this connection's acks
 	term uint64 // primary term advertised in this connection's acks
-	comp bool   // compression support advertised in this connection's acks
 }
 
 func (w *ackWriter) sendAck(source uint32, seq uint64, throttleMicros uint64, replay bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	// Every FrameReader inflates compressed frames transparently, so the
+	// receiver always advertises compression support.
 	rec := telemetry.Record{WireSize: 29, Data: &wire.Ack{
-		Source: source, Seq: seq, Version: w.ver, Term: w.term, Compress: w.comp,
+		Source: source, Seq: seq, Version: wire.CurrentWireVersion, Term: w.term, Compress: true,
 		ThrottleMicros: throttleMicros, Replay: replay,
 	}}
 	if err := w.fw.WriteFrame(wire.Frame{StreamID: wire.ControlStreamID, Source: source, Records: telemetry.Batch{rec}}); err != nil {
@@ -442,40 +304,20 @@ func (w *ackWriter) sendAck(source uint32, seq uint64, throttleMicros uint64, re
 	return w.fw.Flush()
 }
 
-// HandleStream consumes frames from r until EOF, ingesting records and
-// watermarks. It returns nil on clean EOF. Legacy entry point for
-// read-only streams; sequenced connections (Hello/EpochEnd/acks) need
-// HandleConn.
-func (rc *Receiver) HandleStream(r io.Reader) error {
-	return rc.HandleConn(readOnlyConn{r})
-}
-
-type readOnlyConn struct{ io.Reader }
-
-func (readOnlyConn) Write(p []byte) (int, error) {
-	return 0, fmt.Errorf("transport: connection is read-only, cannot ack")
-}
-
-// HandleConn consumes frames from conn until EOF. Plain data frames are
-// ingested immediately (legacy shippers); once a Hello arrives the
-// connection switches to the sequenced discipline: frames are staged and
-// applied atomically, exactly once, at each EpochEnd marker, and acks
-// flow back on the same connection.
+// HandleConn consumes frames from conn until EOF under the sequenced
+// discipline: the connection must open with a Hello announcing wire v2 or
+// newer; after it, frames are staged and applied atomically, exactly
+// once, at each EpochEnd marker, and acks flow back on the same
+// connection. A Hello below v2, or any data, watermark or EpochEnd frame
+// ahead of the Hello, ends the connection with an error (recv_errors)
+// and nothing ingested.
 func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 	fr := wire.NewFrameReader(conn)
-	// maxVer and compression support are fixed before serving; snapshot
-	// them once instead of taking the shared mutex per frame. A receiver
-	// that accepts v2 decodes columnar frames straight into SoA sections
-	// for SPEngine.IngestColumnar; v1 frames decode to rows either way.
-	maxVer := rc.maxVersion()
-	comp := rc.compression() && maxVer >= wire.WireV2
-	colExec := maxVer >= wire.WireV2
-	fr.SetColumnarExec(colExec)
-	if colExec {
-		// SoA frames decode into pooled arenas; they are recycled at each
-		// consumption point below, once nothing references the columns.
-		fr.EnableArenaPooling()
-	}
+	// Data frames decode straight into pooled SoA arenas for
+	// SPEngine.IngestColumnar; they are recycled at each consumption point
+	// below, once nothing references the columns.
+	fr.SetColumnarExec(true)
+	fr.EnableArenaPooling()
 	var (
 		aw        *ackWriter
 		src       uint32
@@ -518,16 +360,17 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 			}
 		}
 		rc.noteFrame(f)
-		if f.Columnar && maxVer < wire.WireV2 {
-			// A v1-capped receiver behaves like a pre-columnar build: the
-			// frame is unintelligible, not silently tolerated.
-			rc.counters.Inc(CtrRecvErrors)
-			return fmt.Errorf("wire: columnar frame on a v1 connection")
-		}
 		if f.StreamID == wire.ControlStreamID {
 			for _, rec := range f.Records {
 				switch c := rec.Data.(type) {
 				case *wire.Hello:
+					if c.Version < wire.WireV2 {
+						// 0 is a pre-versioning build. Acks advertise v2 and no
+						// shipper downgrades below it, so admitting the peer
+						// would only defer the failure to its first epoch.
+						rc.counters.Inc(CtrRecvErrors)
+						return fmt.Errorf("transport: hello announces wire v%d, need v%d or newer", c.Version, wire.WireV2)
+					}
 					var ackTerm uint64
 					if g := rc.helloGate(); g != nil {
 						t, gerr := g.AdmitHello(c.Term)
@@ -553,7 +396,7 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 					if ctrl := rc.admission(); ctrl != nil {
 						ctrl.Register(src, c.Tenant, admission.ClassFromWire(c.Class))
 					}
-					aw = &ackWriter{fw: wire.NewFrameWriter(conn), ver: maxVer, term: ackTerm, comp: comp}
+					aw = &ackWriter{fw: wire.NewFrameWriter(conn), term: ackTerm}
 					seq := rc.registerConn(src, c.Seq, aw)
 					if err := aw.sendAck(src, seq, rc.throttleFor(src), false); err != nil {
 						rc.counters.Inc(CtrRecvErrors)
@@ -617,31 +460,28 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 			}
 			continue
 		}
-		if sequenced {
-			if shedding {
-				// Mid-shed: the rest of the epoch's frames drop on the floor.
-				fr.RecycleArenas()
-				continue
-			}
-			if len(staged) >= maxStagedFrames {
-				// Metered shedding instead of a connection-fatal error: drop
-				// what is staged, skip to this epoch's EpochEnd and have the
-				// shipper replay it later.
-				shedding = true
-				staged = staged[:0]
-				fr.RecycleArenas()
-				continue
-			}
-			staged = append(staged, f)
+		if !sequenced {
+			// No Hello yet: the hello gate (standby, fencing), admission and
+			// sequence dedup have not vetted this peer, so nothing it sends
+			// may reach the engine.
+			rc.counters.Inc(CtrRecvErrors)
+			return fmt.Errorf("transport: frame for stream %d before hello", f.StreamID)
+		}
+		if shedding {
+			// Mid-shed: the rest of the epoch's frames drop on the floor.
+			fr.RecycleArenas()
 			continue
 		}
-		if err := rc.consume(f); err != nil {
-			rc.counters.Inc(CtrRecvErrors)
-			return err
+		if len(staged) >= maxStagedFrames {
+			// Metered shedding instead of a connection-fatal error: drop
+			// what is staged, skip to this epoch's EpochEnd and have the
+			// shipper replay it later.
+			shedding = true
+			staged = staged[:0]
+			fr.RecycleArenas()
+			continue
 		}
-		// Legacy frames are applied one at a time; the frame's columns are
-		// consumed the moment consume returns.
-		fr.RecycleArenas()
+		staged = append(staged, f)
 	}
 }
 
@@ -1104,16 +944,6 @@ func (rc *Receiver) sendAcks(targets []ackTarget) {
 			obs.Traces().FinishUpTo(t.src, t.seq, time.Now().UnixMicro())
 		}
 	}
-}
-
-func (rc *Receiver) consume(f wire.Frame) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if f.StreamID == WatermarkStreamID {
-		eachWatermark(f, func(wm int64) { rc.engine.ObserveWatermark(f.Source, wm) })
-		return nil
-	}
-	return rc.ingest(f)
 }
 
 // RegisterSource pre-registers a source so watermark merging waits for

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -10,8 +12,39 @@ import (
 	"jarvis/internal/plan"
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 	"jarvis/internal/workload"
 )
+
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// rwConn adapts a recorded byte stream plus an ack sink to HandleConn.
+type rwConn struct {
+	io.Reader
+	io.Writer
+}
+
+// handleResume feeds a disconnected shipper's resume stream (Hello plus
+// every pending epoch) through the receiver's HandleConn, acks discarded
+// — the connectionless form of one sequenced session.
+func handleResume(t *testing.T, rc *Receiver, ship *DurableShipper) error {
+	t.Helper()
+	data, err := ship.ResumeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc.HandleConn(replayConn{bytes.NewReader(data)})
+}
 
 // runSourceOverPipe runs a source pipeline for the given epochs, shipping
 // every epoch over an in-memory pipe into an SP receiver, and returns the
@@ -33,11 +66,15 @@ func runSourceOverPipe(t *testing.T, factors []float64) map[telemetry.GroupKey]t
 
 	client, server := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- rc.HandleStream(server) }()
+	go func() { done <- rc.HandleConn(server) }()
 
-	shipper := NewShipper(7, client)
+	shipper := NewDurableShipper(7, 0)
+	if err := shipper.ConnectConn(client); err != nil {
+		t.Fatal(err)
+	}
 	gen := workload.NewPingGen(workload.DefaultPingConfig(21))
-	for e := 0; e < 14; e++ {
+	const epochs = 14
+	for e := 0; e < epochs; e++ {
 		var batch telemetry.Batch
 		if e < 10 {
 			batch = gen.NextWindow(1_000_000)
@@ -49,7 +86,10 @@ func runSourceOverPipe(t *testing.T, factors []float64) map[telemetry.GroupKey]t
 			t.Fatal(err)
 		}
 	}
-	_ = client.Close()
+	// Every ack read means the receiver is idle on this connection, so
+	// closing now gives HandleConn a clean EOF.
+	waitFor(t, "all epochs acked", func() bool { return shipper.Acked() == epochs })
+	_ = shipper.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +127,12 @@ func TestShipOverPipeEquivalence(t *testing.T) {
 	}
 }
 
+// TestShipperAccounting pins what one shipped epoch costs on the wire:
+// the encoded epoch is one drain frame plus one watermark frame (then the
+// EpochEnd commit marker), carrying exactly the drain's and the
+// watermark's payload bytes.
 func TestShipperAccounting(t *testing.T) {
-	client, server := net.Pipe()
-	go func() {
-		buf := make([]byte, 1<<16)
-		for {
-			if _, err := server.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	sh := NewShipper(1, client)
+	sh := NewDurableShipper(1, 0)
 	res := stream.EpochResult{
 		Drains: []telemetry.Batch{
 			{telemetry.NewProbeRecord(&telemetry.PingProbe{Timestamp: 1})},
@@ -108,13 +143,32 @@ func TestShipperAccounting(t *testing.T) {
 	if err := sh.ShipEpoch(res); err != nil {
 		t.Fatal(err)
 	}
-	if sh.Frames() != 2 { // one drain + one watermark
-		t.Fatalf("frames = %d", sh.Frames())
+	_, _, pending := sh.State()
+	if len(pending) != 1 {
+		t.Fatalf("pending epochs = %d", len(pending))
 	}
-	if sh.BytesOut() != telemetry.PingProbeWireSize+17 { // drain + watermark
-		t.Fatalf("bytes = %d", sh.BytesOut())
+	var frames, bytesOut int64
+	fr := wire.NewFrameReader(bytes.NewReader(pending[0].Data))
+	for {
+		f, err := fr.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.StreamID == wire.ControlStreamID {
+			continue
+		}
+		frames++
+		bytesOut += f.PayloadBytes()
 	}
-	_ = client.Close()
+	if frames != 2 { // one drain + one watermark
+		t.Fatalf("frames = %d", frames)
+	}
+	if bytesOut != telemetry.PingProbeWireSize+17 { // drain + watermark
+		t.Fatalf("bytes = %d", bytesOut)
+	}
 }
 
 func TestReceiverWatermarkRouting(t *testing.T) {
@@ -123,11 +177,7 @@ func TestReceiverWatermarkRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := NewReceiver(engine)
-	client, server := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- rc.HandleStream(server) }()
-
-	sh := NewShipper(3, client)
+	sh := NewDurableShipper(3, 0)
 	rec := telemetry.NewProbeRecord(&telemetry.PingProbe{Timestamp: 1_000_000, SrcIP: 1, DstIP: 2, RTTMicros: 50})
 	res := stream.EpochResult{
 		Drains:      []telemetry.Batch{{rec}},
@@ -137,15 +187,16 @@ func TestReceiverWatermarkRouting(t *testing.T) {
 	if err := sh.ShipEpoch(res); err != nil {
 		t.Fatal(err)
 	}
-	_ = client.Close()
-	if err := <-done; err != nil {
+	if err := handleResume(t, rc, sh); err != nil {
 		t.Fatal(err)
 	}
 	out := rc.Advance()
 	if len(out) != 1 {
 		t.Fatalf("rows = %d", len(out))
 	}
-	if rc.Frames() != 2 || rc.BytesIn() != telemetry.PingProbeWireSize+17 {
+	// Drain + watermark as before, plus the session's Hello (29 B) and
+	// EpochEnd (33 B) control frames.
+	if rc.Frames() != 4 || rc.BytesIn() != telemetry.PingProbeWireSize+17+29+33 {
 		t.Fatalf("accounting: frames=%d bytes=%d", rc.Frames(), rc.BytesIn())
 	}
 }
@@ -153,10 +204,7 @@ func TestReceiverWatermarkRouting(t *testing.T) {
 func TestReceiverBadStage(t *testing.T) {
 	engine, _ := stream.NewSPEngine(plan.S2SProbe())
 	rc := NewReceiver(engine)
-	client, server := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- rc.HandleStream(server) }()
-	sh := NewShipper(1, client)
+	sh := NewDurableShipper(1, 0)
 	rec := telemetry.NewProbeRecord(&telemetry.PingProbe{})
 	res := stream.EpochResult{
 		Drains:      nil,
@@ -165,8 +213,7 @@ func TestReceiverBadStage(t *testing.T) {
 		Watermark:   1,
 	}
 	_ = sh.ShipEpoch(res)
-	_ = client.Close()
-	if err := <-done; err == nil {
+	if err := handleResume(t, rc, sh); err == nil {
 		t.Fatal("invalid stage should propagate an error")
 	}
 }
@@ -192,19 +239,22 @@ func TestTCPServerEndToEnd(t *testing.T) {
 		_ = srv.Serve(ctx, ln)
 	}()
 
-	// Two agents ship concurrently.
+	// Two agents ship concurrently. Their connections stay open until the
+	// results are in: closing with acks unread could reset the socket under
+	// the server before it has read the tail.
 	var agents sync.WaitGroup
-	for id := uint32(1); id <= 2; id++ {
-		rc.RegisterSource(id)
+	ships := [2]*DurableShipper{NewDurableShipper(1, 0), NewDurableShipper(2, 0)}
+	for _, sh := range ships {
+		defer sh.Close()
+		rc.RegisterSource(sh.Source())
 		agents.Add(1)
-		go func(id uint32) {
+		go func(sh *DurableShipper) {
 			defer agents.Done()
-			sh, closeFn, err := Dial(id, ln.Addr().String())
-			if err != nil {
+			id := sh.Source()
+			if err := sh.Connect(ln.Addr().String()); err != nil {
 				t.Errorf("dial: %v", err)
 				return
 			}
-			defer closeFn()
 			src, err := stream.NewPipeline(q, stream.DefaultOptions(1.0, 0))
 			if err != nil {
 				t.Errorf("pipeline: %v", err)
@@ -226,7 +276,7 @@ func TestTCPServerEndToEnd(t *testing.T) {
 					return
 				}
 			}
-		}(id)
+		}(sh)
 	}
 	agents.Wait()
 

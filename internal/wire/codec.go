@@ -470,7 +470,7 @@ func DecodeRecord(buf []byte) (telemetry.Record, int, error) {
 		// The version field was appended in v2 builds, the HA term after
 		// it, the compression capability after that, and the admission
 		// extension (SLO class + tenant) after that; a genuinely old
-		// peer's Hello ends early, which decodes as Version 0 (= v1),
+		// peer's Hello ends early, which decodes as Version 0 (rejected),
 		// Term 0 (pre-HA), Compress false and an unspecified class with
 		// no tenant label. Hello records must travel in single-record
 		// frames for these trailing extensions to be unambiguous (they

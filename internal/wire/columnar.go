@@ -9,9 +9,11 @@ import (
 	"jarvis/internal/telemetry"
 )
 
-// Wire format v2: columnar batch frames.
+// Wire format v2: columnar batch frames, the only data-frame format the
+// transport ships.
 //
-// A v1 frame serializes its batch record by record, so the decode side
+// A count-prefixed row frame (control records, result logs, agent
+// checkpoints) serializes its batch record by record, so the decode side
 // pays one struct allocation (plus string allocations) per record. A v2
 // frame stores the same batch column-wise: records are grouped into
 // *sections* of consecutive same-type records, and each section holds
@@ -39,33 +41,32 @@ import (
 // allocation per frame.
 //
 // Sections cover the telemetry payload types and watermarks; any other
-// payload falls back to a raw section (tag 0) of per-record v1
-// encodings, so v2 frames can carry everything v1 frames can.
+// payload falls back to a raw section (tag 0) of per-record row
+// encodings, so columnar frames can carry everything row frames can.
 
 // ColumnarMarker is the frame record-count sentinel announcing a v2
-// columnar payload. v1 readers reject it (the implied record count can
-// never fit a frame), so a columnar frame fails fast instead of being
-// misparsed by a peer that only speaks v1.
+// columnar payload (as a record count it could never fit a frame, so it
+// cannot collide with a row frame).
 const ColumnarMarker = ^uint32(0)
 
 // ColumnarFlateMarker is the frame record-count sentinel announcing a
 // flate-compressed v2 columnar payload: a uvarint raw payload length
 // followed by the flate stream of the exact bytes an uncompressed
-// columnar frame would carry after its marker. Like ColumnarMarker, v1
-// readers reject it fast, and v2 readers without compression never see
-// it because compression is negotiated through the Hello/Ack handshake.
+// columnar frame would carry after its marker. Every FrameReader
+// inflates it transparently.
 const ColumnarFlateMarker = ^uint32(0) - 2
 
-// Wire protocol versions negotiated by the Hello/Ack handshake.
+// Wire protocol versions negotiated by the Hello/Ack handshake. WireV2 is
+// the oldest version the transport accepts.
 const (
-	WireV1 = 1 // record-at-a-time frames
+	WireV1 = 1 // record-at-a-time data frames (pre-columnar builds; rejected)
 	WireV2 = 2 // columnar batch frames
 
 	// CurrentWireVersion is the newest version this build speaks.
 	CurrentWireVersion = WireV2
 )
 
-// tagRawSection opens a fallback section of per-record v1 encodings.
+// tagRawSection opens a fallback section of per-record row encodings.
 const tagRawSection byte = 0x00
 
 // maxCanonStrings bounds the decode-side canonicalization cache; when a

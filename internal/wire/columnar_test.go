@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"unsafe"
 
@@ -98,8 +99,8 @@ func TestColumnarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Columnar {
-		t.Fatal("frame did not decode as columnar")
+	if marker := binary.BigEndian.Uint32(fr.RawFrame()[8:]); marker != ColumnarMarker {
+		t.Fatalf("frame carries marker %#x, not the columnar one", marker)
 	}
 	if got.StreamID != 3 || got.Source != 7 {
 		t.Fatalf("header mismatch: %+v", got)
@@ -223,16 +224,25 @@ func TestColumnarControlFramesStayV1(t *testing.T) {
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewFrameReader(bytes.NewReader(buf.Bytes())).ReadFrame()
+	fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
+	got, err := fr.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Columnar {
-		t.Fatal("control frame was encoded columnar")
+	if count := binary.BigEndian.Uint32(fr.RawFrame()[8:]); count != 1 {
+		t.Fatalf("control frame carries count/marker %#x, want a 1-record row frame", count)
 	}
 	h, ok := got.Records[0].Data.(*Hello)
 	if !ok || h.Version != WireV2 {
 		t.Fatalf("hello round-trip: %+v", got.Records[0].Data)
+	}
+	// A row frame has no columnar form: handing it Cols is a caller bug,
+	// reported instead of silently materialized.
+	if err := fw.WriteFrame(Frame{StreamID: ControlStreamID, Cols: &ColumnarBatch{}}); err == nil {
+		t.Fatal("control frame accepted a columnar batch")
+	}
+	if err := NewFrameWriter(&buf).WriteFrame(Frame{StreamID: 1, Cols: &ColumnarBatch{}}); err == nil {
+		t.Fatal("row-mode writer accepted a columnar batch")
 	}
 }
 

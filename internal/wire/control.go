@@ -19,15 +19,16 @@ const ReplRowsStreamID = ^uint32(0) - 2
 
 // Hello opens a sequenced connection: the agent announces its source id,
 // the last epoch sequence number it assigned, the newest wire version it
-// speaks (0 from pre-versioning builds, meaning v1), the newest primary
-// term it has observed (0 from pre-HA builds), and whether it can emit
-// per-frame flate compression on v2 columnar frames. The receiver
-// replies with an Ack carrying the newest durably-applied sequence for
-// that source plus its own version, term and compression support; both
-// sides then use min(hello, ack) for the version, the agent adopts the
-// larger term, and compression is used only when both sides advertise
-// it. An SP that sees a Hello carrying a term above its own knows a
-// newer primary was promoted and fences itself (rejects the connection).
+// speaks (0 from pre-versioning builds), the newest primary term it has
+// observed (0 from pre-HA builds), and whether its data frames are
+// flate-compressed. The receiver replies with an Ack carrying the
+// newest durably-applied sequence for that source plus its own version,
+// term and compression support; both sides then use min(hello, ack) for
+// the version and the agent adopts the larger term. The transport
+// refuses a negotiated version below WireV2 on either side, and a
+// compressing agent refuses an Ack without Compress. An SP that sees a
+// Hello carrying a term above its own knows a newer primary was promoted
+// and fences itself (rejects the connection).
 // Hello records travel alone in their frame (the trailing extensions
 // rely on it).
 //

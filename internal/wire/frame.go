@@ -34,17 +34,17 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 	return &FrameWriter{w: bufio.NewWriter(w)}
 }
 
-// SetColumnar switches data frames to the v2 columnar encoding (control
-// frames stay v1 — they are single tiny records). Enable it only when
-// the peer negotiated wire v2, or when the bytes are consumed by this
-// build's own FrameReader (snapshot files, benchmarks).
+// SetColumnar switches data frames to the v2 columnar encoding, the only
+// data-frame format the transport ships (control frames stay
+// count-prefixed row frames — they are single tiny records). A writer
+// left in row mode produces the count-prefixed format throughout: the
+// on-disk format of checkpoint.ResultLog and stream.Checkpoint.Encode.
 func (fw *FrameWriter) SetColumnar(v bool) { fw.columnar = v }
 
 // SetCompression switches columnar data frames to the flate-compressed
-// encoding (control frames and v1 frames are never compressed). It has
-// no effect unless SetColumnar(true) is also in force. Enable it only
-// when the peer advertised compression support in its Hello/Ack, or when
-// the bytes are consumed by this build's own FrameReader.
+// encoding (control and row frames are never compressed). It has no
+// effect unless SetColumnar(true) is also in force. Every FrameReader
+// inflates compressed frames transparently.
 func (fw *FrameWriter) SetCompression(v bool) { fw.compress = v }
 
 // Reset redirects the writer to w, discarding unflushed data but keeping
@@ -64,10 +64,6 @@ type Frame struct {
 	Source uint32
 	// Records is the batch payload.
 	Records telemetry.Batch
-	// Columnar reports (on decode) that the frame arrived in the v2
-	// columnar encoding. WriteFrame ignores it; the writer's SetColumnar
-	// mode decides the outgoing encoding.
-	Columnar bool
 	// Cols holds the frame's payload in SoA form instead of Records when
 	// the reader runs in columnar-execution mode (SetColumnarExec) and
 	// the frame arrived columnar. Exactly one of Records/Cols is set for
@@ -84,9 +80,10 @@ func (f *Frame) PayloadBytes() int64 {
 	return f.Records.TotalBytes()
 }
 
-// WriteFrame encodes and writes one frame. A frame may carry its payload
-// as Records or (on the columnar send path) as Cols; when both are set,
-// Cols wins. It does not flush; call Flush at epoch boundaries.
+// WriteFrame encodes and writes one frame. A columnar writer's data
+// frame may carry its payload as Records or as Cols (when both are set,
+// Cols wins); a row frame carries Records only, and Cols is an error. It
+// does not flush; call Flush at epoch boundaries.
 func (fw *FrameWriter) WriteFrame(f Frame) error {
 	fw.buf = fw.buf[:0]
 	fw.buf = binary.BigEndian.AppendUint32(fw.buf, f.StreamID)
@@ -112,15 +109,11 @@ func (fw *FrameWriter) WriteFrame(f Frame) error {
 		}
 		return fw.writePayload()
 	}
-	recs := f.Records
 	if f.Cols != nil {
-		// A v1 frame cannot carry columns — materialize them. This only
-		// happens when a columnar epoch is shipped to a v1-only peer.
-		recs = recs[:0:0]
-		f.Cols.AppendRows(&recs)
+		return fmt.Errorf("wire: row frame on stream %d cannot carry a columnar batch", f.StreamID)
 	}
-	fw.buf = binary.BigEndian.AppendUint32(fw.buf, uint32(len(recs)))
-	for _, rec := range recs {
+	fw.buf = binary.BigEndian.AppendUint32(fw.buf, uint32(len(f.Records)))
+	for _, rec := range f.Records {
 		fw.buf, err = EncodeRecord(fw.buf, rec)
 		if err != nil {
 			return err
@@ -182,8 +175,8 @@ func (fw *FrameWriter) writePayload() error {
 // Flush flushes buffered frames to the underlying writer.
 func (fw *FrameWriter) Flush() error { return fw.w.Flush() }
 
-// FrameReader reads frames written by FrameWriter. It decodes both wire
-// versions transparently; its columnar decoder (and thus the
+// FrameReader reads frames written by FrameWriter. It decodes row,
+// columnar and compressed frames transparently; its columnar decoder (and thus the
 // cross-frame string canonicalization cache) lives for the reader's
 // lifetime — one reader per connection or per snapshot store.
 type FrameReader struct {
@@ -258,8 +251,9 @@ func (fr *FrameReader) RawFrame() []byte { return fr.buf }
 // SetColumnarExec switches the reader to columnar-execution decoding:
 // columnar data frames are returned as SoA batches (Frame.Cols) instead
 // of materialized records, so a v2 connection's payload can flow
-// decode→execute with zero row materialization. Non-columnar frames
-// (v1 peers, control frames) still decode to Records.
+// decode→execute with zero row materialization (the receiver); snapshot
+// and standby readers leave it off and get rows. Row frames (control
+// records, result logs) decode to Records either way.
 func (fr *FrameReader) SetColumnarExec(v bool) { fr.colExec = v }
 
 // ReadFrame reads and decodes the next frame. It returns io.EOF cleanly at
@@ -342,7 +336,6 @@ func (fr *FrameReader) decodeColumnar(f Frame, payload []byte) (Frame, error) {
 	if fr.dec == nil {
 		fr.dec = NewColumnarDecoder()
 	}
-	f.Columnar = true
 	if fr.colExec {
 		f.Cols = &ColumnarBatch{}
 		if err := fr.dec.DecodeColumnar(payload, f.Cols); err != nil {
@@ -389,60 +382,4 @@ func (fr *FrameReader) inflateFramePayload(body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("wire: compressed payload longer than declared %d bytes", rawLen)
 	}
 	return fr.zbuf, nil
-}
-
-// DecompressFrames rewrites a sequence of encoded frames (the bytes a
-// FrameWriter produced for one epoch), replacing every flate-compressed
-// columnar frame with its uncompressed columnar equivalent and copying
-// all other frames verbatim. The shipper uses it to downgrade a replay
-// buffer stored compressed for a v2 peer that did not advertise
-// compression — no record decode, no re-encode, byte-stable sections.
-func DecompressFrames(data []byte) ([]byte, error) {
-	var zsrc *bytes.Reader
-	var zr io.ReadCloser
-	out := make([]byte, 0, len(data))
-	for off := 0; off < len(data); {
-		if off+4 > len(data) {
-			return nil, ErrShortBuffer
-		}
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		if n > MaxFrameSize || off+4+n > len(data) {
-			return nil, ErrShortBuffer
-		}
-		frame := data[off+4 : off+4+n]
-		off += 4 + n
-		if n < 12 || binary.BigEndian.Uint32(frame[8:]) != ColumnarFlateMarker {
-			out = append(out, data[off-4-n:off]...)
-			continue
-		}
-		body := frame[12:]
-		rawLen, k := binary.Uvarint(body)
-		if k <= 0 {
-			return nil, ErrShortBuffer
-		}
-		if rawLen > MaxFrameSize {
-			return nil, fmt.Errorf("wire: compressed payload of %d bytes exceeds max %d", rawLen, MaxFrameSize)
-		}
-		if zsrc == nil {
-			zsrc = bytes.NewReader(body[k:])
-			zr = flate.NewReader(zsrc)
-		} else {
-			zsrc.Reset(body[k:])
-			if err := zr.(flate.Resetter).Reset(zsrc, nil); err != nil {
-				return nil, err
-			}
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(12+rawLen))
-		out = append(out, frame[:8]...)
-		out = binary.BigEndian.AppendUint32(out, ColumnarMarker)
-		start := len(out)
-		out = slices.Grow(out, int(rawLen))[:start+int(rawLen)]
-		if _, err := io.ReadFull(zr, out[start:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-	}
-	return out, nil
 }
