@@ -368,6 +368,43 @@ func BenchmarkSPIngestColumnar(b *testing.B) {
 	}
 }
 
+// BenchmarkSPIngestLogColumnar and BenchmarkReceiverDecodeLog are the SP
+// ingest and the receiver-side decode of one LogAnalytics epoch shipped
+// 81 % raw (benchcase.LogShippedEpochs — the log-adaptive shape), cycling
+// through consecutive epochs: the string path's owner records next to
+// BenchmarkPipelineEpochLog.
+func BenchmarkSPIngestLogColumnar(b *testing.B) {
+	engine, epochs, err := benchcase.LogIngest()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range epochs[i%len(epochs)] {
+			if err := engine.IngestColumnar(f.Stage, f.Cols); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkReceiverDecodeLog(b *testing.B) {
+	epochs, err := benchcase.LogShippedEpochs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fr := benchcase.NewEpochDecoder()
+	b.SetBytes(int64(len(epochs[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := benchcase.DecodeEpoch(fr, epochs[i%len(epochs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSimEpoch(b *testing.B) {
 	node, err := sim.NewNode(sim.DefaultNodeConfig(plan.S2SProbe(), workload.PingmeshMbps10x, 0.6))
 	if err != nil {

@@ -199,6 +199,47 @@ func spIngestBenchmarks() ([]BenchRecord, error) {
 		}
 	})
 	records = append(records, record("BenchmarkSPIngestSpansColumnar", spanBatch.TotalBytes(), r))
+
+	// The string path: LogAnalytics epochs shipped 81 % raw (the
+	// log-adaptive shape), each decoded as the receiver decodes it and
+	// ingested as the receiver ingests it, cycling through
+	// benchcase.LogEpochs consecutive epochs. With BenchmarkPipelineEpochLog (the agent
+	// side) these are the owner records of the three layers a log line
+	// crosses.
+	logEngine, logEpochs, err := benchcase.LogIngest()
+	if err != nil {
+		return nil, err
+	}
+	var logBytes int64
+	for _, f := range logEpochs[0] {
+		logBytes += f.Cols.TotalBytes()
+	}
+	r = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, f := range logEpochs[i%len(logEpochs)] {
+				if err := logEngine.IngestColumnar(f.Stage, f.Cols); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	records = append(records, record("BenchmarkSPIngestLogColumnar", logBytes, r))
+
+	logStreams, err := benchcase.LogShippedEpochs()
+	if err != nil {
+		return nil, err
+	}
+	fr := benchcase.NewEpochDecoder()
+	r = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := benchcase.DecodeEpoch(fr, logStreams[i%len(logStreams)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	records = append(records, record("BenchmarkReceiverDecodeLog", int64(len(logStreams[0])), r))
 	return records, nil
 }
 

@@ -8,6 +8,7 @@ package benchcase
 import (
 	"bytes"
 	"fmt"
+	"io"
 
 	"jarvis/internal/core"
 	"jarvis/internal/plan"
@@ -181,4 +182,107 @@ func SpanIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error
 		return nil, nil, nil, fmt.Errorf("benchcase: span SoA decode yielded %d of %d records", f.Cols.Records(), len(batch))
 	}
 	return engine, batch, f.Cols, nil
+}
+
+// LogEpochs is how many consecutive epochs the log micro-benchmarks
+// cycle through: 20 × ~4 060 raw lines is more distinct strings than a
+// decoder's canonicalization cache holds, so — as on any real stream of
+// unique lines — no iteration finds its lines cached by an earlier one.
+const LogEpochs = 20
+
+// LogShippedEpochs is ShippedEpoch for the string-heavy query, in the
+// shape the repository benchmark's log-adaptive workload converges to:
+// LogAnalytics with the first proxy at load factor 3/16, so 81.25 % of
+// each 100 ms epoch's 5 000 generated lines ship raw and the SP finishes
+// the query on them; flate-compressed like the agent's default. It
+// returns LogEpochs consecutive epochs, each as its own sequenced stream
+// — the input of the log decode and log ingest micro-benchmarks.
+func LogShippedEpochs() ([][]byte, error) {
+	pipe, err := stream.NewPipeline(plan.LogAnalytics(), stream.DefaultOptions(1.0, 0))
+	if err != nil {
+		return nil, err
+	}
+	if err := pipe.SetLoadFactors([]float64{3.0 / 16, 1, 1, 1, 1, 1}); err != nil {
+		return nil, err
+	}
+	gen := workload.NewLogGen(workload.DefaultLogConfig(1))
+	epochs := make([][]byte, LogEpochs)
+	for i := range epochs {
+		var cb wire.ColumnarBatch
+		gen.NextWindowCols(100_000, &cb)
+		sh := transport.NewDurableShipper(1, 0)
+		sh.SetCompression(true)
+		if err := sh.ShipEpoch(pipe.RunEpochColumnar(&cb)); err != nil {
+			return nil, err
+		}
+		if epochs[i], err = sh.ResumeBytes(); err != nil {
+			return nil, err
+		}
+	}
+	return epochs, nil
+}
+
+// StageBatch is one decoded data frame and the SP stage it enters.
+type StageBatch struct {
+	Stage int
+	Cols  *wire.ColumnarBatch
+}
+
+// LogIngest builds the LogAnalytics SP ingest benchmark: an engine plus
+// the data frames of each of LogShippedEpochs' epochs decoded to SoA, as
+// the receiver hands them to SPEngine.IngestColumnar.
+func LogIngest() (*stream.SPEngine, [][]StageBatch, error) {
+	engine, err := stream.NewSPEngine(plan.LogAnalytics())
+	if err != nil {
+		return nil, nil, err
+	}
+	streams, err := LogShippedEpochs()
+	if err != nil {
+		return nil, nil, err
+	}
+	epochs := make([][]StageBatch, len(streams))
+	for i, data := range streams {
+		fr := wire.NewFrameReader(bytes.NewReader(data))
+		fr.SetColumnarExec(true)
+		for {
+			f, err := fr.ReadFrame()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			if f.Cols != nil && f.StreamID != wire.ControlStreamID && f.StreamID != transport.WatermarkStreamID {
+				epochs[i] = append(epochs[i], StageBatch{Stage: int(f.StreamID), Cols: f.Cols})
+			}
+		}
+		if len(epochs[i]) == 0 {
+			return nil, nil, fmt.Errorf("benchcase: log epoch %d shipped no data frames", i)
+		}
+	}
+	return engine, epochs, nil
+}
+
+// NewEpochDecoder returns a frame reader set up as Receiver.HandleConn
+// sets its own up: data frames decode to SoA sections in pooled arenas.
+func NewEpochDecoder() *wire.FrameReader {
+	fr := wire.NewFrameReader(bytes.NewReader(nil))
+	fr.SetColumnarExec(true)
+	fr.EnableArenaPooling()
+	return fr
+}
+
+// DecodeEpoch reads every frame of one shipped epoch stream and then
+// recycles the arenas, as the receiver does at the epoch's commit — one
+// iteration of the receiver-decode micro-benchmarks.
+func DecodeEpoch(fr *wire.FrameReader, epochStream []byte) error {
+	fr.Reset(bytes.NewReader(epochStream))
+	for {
+		if _, err := fr.ReadFrame(); err == io.EOF {
+			fr.RecycleArenas()
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
 }

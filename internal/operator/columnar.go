@@ -1,6 +1,8 @@
 package operator
 
 import (
+	"strings"
+
 	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
 )
@@ -67,7 +69,7 @@ const (
 	// (tenant, statName, bucket) and counts — JobStatsKey/JobStatsOne.
 	// The string form "tenant|statName|bucket" is assembled once per
 	// group (when the group is first seen), not once per row: lookups go
-	// through a per-window cache keyed on the interned column strings.
+	// through a per-window cache keyed on the column strings.
 	AggKernelJobStatsCount
 	// AggKernelJobStatsDur keys JobStats sections like
 	// AggKernelJobStatsCount but aggregates the Stat value instead of
@@ -235,12 +237,38 @@ func (g *GroupAgg) aggToRPairRTT(sec *wire.ColSec) {
 	}
 }
 
-// jobRefKey is the columnar lookup key for JobStats groups: the interned
-// column strings plus the bucket, hashed without assembling the
-// "tenant|statName|bucket" string the canonical key uses.
+// jobRefKey is the columnar lookup key for JobStats groups: the column
+// strings plus the bucket, hashed without assembling the
+// "tenant|statName|bucket" string the canonical key uses. Stored keys
+// hold symbol-table copies (GroupAgg.sym), never the probing row's
+// strings.
 type jobRefKey struct {
 	tenant, stat string
 	bucket       int64
+}
+
+// maxSyms bounds the symbol table; flooded with unique key parts it
+// resets rather than growing without bound (entries still referenced by
+// open windows stay alive through those references).
+const maxSyms = 1 << 16
+
+// sym returns the operator's own copy of a key part. The tenant and stat
+// name columns of a parsed log section slice a per-section arena (and a
+// decoded section's may slice whatever its producer chose); a byRef
+// entry lives as long as its window, so storing the column's string
+// would pin that arena — one ~600 KB buffer per group in the worst case —
+// for the window's ten seconds. The table holds one short copy per
+// distinct tenant and stat name instead.
+func (g *GroupAgg) sym(s string) string {
+	if c, ok := g.syms[s]; ok {
+		return c
+	}
+	if g.syms == nil || len(g.syms) >= maxSyms {
+		g.syms = make(map[string]string)
+	}
+	c := strings.Clone(s)
+	g.syms[c] = c
+	return c
 }
 
 // aggJobStatsCount aggregates a JobStats section keyed on interned
@@ -255,10 +283,12 @@ func (g *GroupAgg) aggJobStatsDur(sec *wire.ColSec) {
 	g.aggJobStats(sec, true)
 }
 
-// aggJobStats aggregates a JobStats section keyed on interned string
-// refs: the canonical string key is assembled only when a group is first
-// seen in a window; afterwards rows reach their cell through the
-// per-window byRef cache. useStat selects the folded value: the Stat
+// aggJobStats aggregates a JobStats section keyed on its string columns:
+// the canonical string key is assembled only when a group is first seen
+// in a window; afterwards rows reach their cell through the per-window
+// byRef cache. Everything stored — the assembled key, the byRef entry —
+// is the operator's own copy, so no state outlives the epoch pointing
+// into a section's strings. useStat selects the folded value: the Stat
 // column (durations) or a constant 1 (counts).
 func (g *GroupAgg) aggJobStats(sec *wire.ColSec, useStat bool) {
 	c := sec.Job
@@ -280,20 +310,18 @@ func (g *GroupAgg) aggJobStats(sec *wire.ColSec, useStat bool) {
 		if cell == nil {
 			// First sighting through the columnar path: assemble the
 			// canonical key once, find or create the row-path cell, and
-			// cache it under the interned refs.
+			// cache it under the symbol-table copies of the refs.
 			key := telemetry.StrKey(ref.tenant + "|" + ref.stat + "|" + itoa(int(ref.bucket)))
+			ref.tenant, ref.stat = g.sym(ref.tenant), g.sym(ref.stat)
+			if win.byRef == nil {
+				win.byRef = make(map[jobRefKey]*aggCell)
+			}
 			cell = win.lookup(key)
 			if cell == nil {
 				cell = &aggCell{row: telemetry.NewAggRow(key, w, val), gen: g.gen}
 				win.store(key, cell)
-				if win.byRef == nil {
-					win.byRef = make(map[jobRefKey]*aggCell)
-				}
 				win.byRef[ref] = cell
 				return
-			}
-			if win.byRef == nil {
-				win.byRef = make(map[jobRefKey]*aggCell)
 			}
 			win.byRef[ref] = cell
 		}

@@ -46,6 +46,9 @@ type GroupAgg struct {
 	// without a kernel.
 	kernel     AggKernel
 	colScratch telemetry.Batch
+	// syms is the symbol table behind sym: the operator's own copies of
+	// the key parts its byRef caches are keyed on.
+	syms map[string]string
 }
 
 // maxClosedTombstones bounds the closed-window list an operator keeps
@@ -75,10 +78,10 @@ type aggWindow struct {
 	num map[uint64]*aggCell             // keys with Str == ""
 	str map[telemetry.GroupKey]*aggCell // keys carrying a string
 	gen uint64
-	// byRef caches cells under their interned columnar refs (tenant,
-	// statName, bucket) so the SoA JobStats kernel assembles the
-	// canonical string key once per group, not once per row. Entries
-	// alias cells of str; the cache dies with the window.
+	// byRef caches cells under their columnar refs (tenant, statName,
+	// bucket) so the SoA JobStats kernel assembles the canonical string
+	// key once per group, not once per row. Entries alias cells of str;
+	// the cache dies with the window.
 	byRef map[jobRefKey]*aggCell
 	// cache is a direct-mapped front for num, indexed by a Fibonacci
 	// hash of the key. The SoA aggregation kernels re-observe the same

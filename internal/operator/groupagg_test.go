@@ -1,11 +1,16 @@
 package operator
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 )
 
 const winDur = 10_000_000 // 10 s in microseconds
@@ -266,5 +271,81 @@ func BenchmarkGroupAggProcess(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		process(g, recs[i%len(recs)], func(telemetry.Record) {})
+	}
+}
+
+// TestGroupAggStateDoesNotPinSectionStrings is the retention guard of the
+// string-column rule: a parsed log section's Tenant and StatName columns
+// slice a per-section arena that dies with the epoch, while GroupAgg
+// state lives for the window. After a LogAnalytics-sized window (64
+// tenants × 3 stats × 12 buckets = 2 304 groups, spread over many
+// sections) is ingested through the SoA kernel and a GC is forced, no
+// group key, row key or byRef string may point into any section's arena
+// — or one group would pin one ~600 KB buffer for the window's ten
+// seconds.
+func TestGroupAggStateDoesNotPinSectionStrings(t *testing.T) {
+	g := NewGroupAgg("histogram", 10_000_000, JobStatsKey, JobStatsOne)
+	g.SetAggKernel(AggKernelJobStatsCount)
+	stats := []string{"job running time", "cpu util", "memory util"}
+	type span struct{ lo, hi uintptr }
+	var arenas []span
+	for s := 0; s < 24; s++ {
+		// One section's arena: the normalized lines back to back.
+		var arena strings.Builder
+		type field struct{ tenant, stat [2]int }
+		var fields []field
+		for l := 0; l < 96; l++ {
+			arena.WriteString("tenant name=")
+			t0 := arena.Len()
+			fmt.Fprintf(&arena, "tenant-%03d", (s*96+l)%64)
+			t1 := arena.Len()
+			for _, st := range stats {
+				arena.WriteString(", ")
+				s0 := arena.Len()
+				arena.WriteString(st)
+				fields = append(fields, field{tenant: [2]int{t0, t1}, stat: [2]int{s0, arena.Len()}})
+				arena.WriteString("=1")
+			}
+			arena.WriteString("\n")
+		}
+		a := arena.String()
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(a)))
+		arenas = append(arenas, span{lo, lo + uintptr(len(a))})
+		sec := wire.ColSec{Tag: wire.TagJobStats, Job: &wire.JobCols{}}
+		for i, f := range fields {
+			sec.Times = append(sec.Times, int64(i))
+			sec.Windows = append(sec.Windows, 0)
+			sec.Job.TS = append(sec.Job.TS, int64(i))
+			sec.Job.Tenant = append(sec.Job.Tenant, a[f.tenant[0]:f.tenant[1]])
+			sec.Job.StatName = append(sec.Job.StatName, a[f.stat[0]:f.stat[1]])
+			sec.Job.Stat = append(sec.Job.Stat, 1)
+			sec.Job.Bucket = append(sec.Job.Bucket, int64((s+i)%12))
+		}
+		g.ProcessColumnar(&wire.ColumnarBatch{Secs: []wire.ColSec{sec}})
+	}
+	runtime.GC()
+
+	win := g.state[0]
+	if win == nil || len(win.str) != 64*3*12 || len(win.byRef) != len(win.str) {
+		t.Fatalf("window holds %d groups, %d refs, want 2304 of each", len(win.str), len(win.byRef))
+	}
+	check := func(what, s string) {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for i, a := range arenas {
+			if p >= a.lo && p < a.hi {
+				t.Fatalf("%s %q points into section %d's arena", what, s, i)
+			}
+		}
+	}
+	for k, cell := range win.str {
+		check("group key", k.Str)
+		check("row key", cell.row.Key.Str)
+	}
+	for ref := range win.byRef {
+		check("byRef tenant", ref.tenant)
+		check("byRef stat", ref.stat)
+	}
+	if len(g.syms) != 64+len(stats) {
+		t.Fatalf("symbol table holds %d strings, want one per tenant and stat name (%d)", len(g.syms), 64+len(stats))
 	}
 }

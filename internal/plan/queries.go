@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"jarvis/internal/operator"
 	"jarvis/internal/telemetry"
@@ -201,13 +202,7 @@ func LogAnalytics() *Query {
 		if !ok {
 			return
 		}
-		line := ll.Raw
-		// Strip trailing free-form payload after the key=value section
-		// (the '=' split of Listing 3).
-		if i := strings.Index(line, " #"); i >= 0 {
-			line = line[:i]
-		}
-		stats, err := telemetry.ParseJobStats(ll.Timestamp, line)
+		stats, err := telemetry.ParseJobStats(ll.Timestamp, statFields(ll.Raw))
 		if err != nil {
 			return // malformed lines are dropped, like a lossy parse
 		}
@@ -245,29 +240,105 @@ func LogAnalytics() *Query {
 		WithAggKernel(operator.AggKernelJobStatsCount)
 }
 
+// statFields strips the trailing free-form payload — everything from the
+// first " #" — after a line's key=value section (the '=' split of
+// Listing 3). It looks for the rare '#' and checks the byte before it: a
+// two-byte search for " #" restarts at every space of the line.
+func statFields(line string) string {
+	for off := 0; ; {
+		i := strings.IndexByte(line[off:], '#')
+		if i < 0 {
+			return line
+		}
+		if i += off; i > 0 && line[i-1] == ' ' {
+			return line[:i-1]
+		}
+		off = i + 1
+	}
+}
+
 // The LogAnalytics SoA kernels mirror the row functions above exactly,
-// minus the per-record telemetry.Record materialization.
+// minus the per-record telemetry.Record materialization and the
+// per-line strings: a section costs a fixed number of allocations, not
+// one or more per line (TestLogKernelAllocs).
+
+// asciiLower maps A–Z to a–z and every other byte to itself.
+var asciiLower = func() (t [256]byte) {
+	for i := range t {
+		t[i] = byte(i)
+		if 'A' <= i && i <= 'Z' {
+			t[i] += 'a' - 'A'
+		}
+	}
+	return t
+}()
+
+// appendNormalized returns strings.ToLower(strings.TrimSpace(s)), byte
+// for byte. An ASCII line is lower-cased through chunk into arena and the
+// result slices the arena; a line holding any byte ≥ 0x80 (where
+// lower-casing can change the length and more runes count as space) goes
+// through the strings functions themselves. Bytes such a line wrote
+// before its first high byte stay behind in the arena, unreferenced.
+func appendNormalized(arena *strings.Builder, chunk *[256]byte, s string) string {
+	lo, hi := 0, len(s)
+	for lo < hi && asciiSpace(s[lo]) {
+		lo++
+	}
+	for lo < hi && asciiSpace(s[hi-1]) {
+		hi--
+	}
+	start := arena.Len()
+	for rest := s[lo:hi]; len(rest) > 0; {
+		n := min(len(rest), len(chunk))
+		high := byte(0)
+		for i := 0; i < n; i++ {
+			high |= rest[i]
+			chunk[i] = asciiLower[rest[i]]
+		}
+		if high >= utf8.RuneSelf {
+			return strings.ToLower(strings.TrimSpace(s))
+		}
+		arena.Write(chunk[:n])
+		rest = rest[n:]
+	}
+	return arena.String()[start:]
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || ('\t' <= c && c <= '\r')
+}
 
 // normalizeKernel lowercases/trims the raw column into a compacted log
-// section (strings already normal — the generator's common case — stay
-// interned, no allocation).
+// section. LogGen emits mixed-case, padded lines, so every line changes:
+// the normalized lines of a section are written into one arena (a
+// strings.Builder sized for the section, so its bytes become the strings
+// without a copy) that dies with the epoch. Without a selection the
+// other columns are shared.
 func normalizeKernel(sec *wire.ColSec, out *[]wire.ColSec) bool {
 	if sec.Log == nil {
 		return false
 	}
-	n := sec.Len()
-	ns := wire.ColSec{
-		Tag:     wire.TagLogLine,
-		Times:   make([]int64, 0, n),
-		Windows: make([]int64, 0, n),
-		Log:     &wire.LogCols{TS: make([]int64, 0, n), Raw: make([]string, 0, n)},
-	}
 	c := sec.Log
+	n := sec.Len()
+	ns := wire.ColSec{Tag: wire.TagLogLine, Times: sec.Times, Windows: sec.Windows,
+		Log: &wire.LogCols{TS: c.TS, Raw: make([]string, 0, n)}}
+	if sec.Sel != nil {
+		ns.Times = make([]int64, 0, n)
+		ns.Windows = make([]int64, 0, n)
+		ns.Log.TS = make([]int64, 0, n)
+		for _, i := range sec.Sel {
+			ns.Times = append(ns.Times, sec.Times[i])
+			ns.Windows = append(ns.Windows, sec.Windows[i])
+			ns.Log.TS = append(ns.Log.TS, c.TS[i])
+		}
+	}
+	total := 0
+	sec.Live(func(i int) { total += len(c.Raw[i]) })
+	var arena strings.Builder
+	arena.Grow(total)
+	var chunk [256]byte
 	sec.Live(func(i int) {
-		ns.Times = append(ns.Times, sec.Times[i])
-		ns.Windows = append(ns.Windows, sec.Windows[i])
-		ns.Log.TS = append(ns.Log.TS, c.TS[i])
-		ns.Log.Raw = append(ns.Log.Raw, strings.ToLower(strings.TrimSpace(c.Raw[i])))
+		ns.Log.Raw = append(ns.Log.Raw, appendNormalized(&arena, &chunk, c.Raw[i]))
 	})
 	*out = append(*out, ns)
 	return true
@@ -285,41 +356,44 @@ func patternsColPred(sec *wire.ColSec) (func(i int) bool, bool) {
 
 // parseKernel flat-maps a log section into a JobStats section: one
 // output row per statistic on each parseable line, malformed lines
-// dropped — identical to the row path's parse.
+// dropped — identical to the row path's parse, through the same field
+// scanner. Fields are scanned in place and appended straight to the
+// output columns; Tenant and StatName slice the input lines. A line
+// yields at most one row per comma, which sizes the columns up front (+1:
+// a line without a tenant holds one more until it is rolled back).
 func parseKernel(sec *wire.ColSec, out *[]wire.ColSec) bool {
 	if sec.Log == nil {
 		return false
 	}
-	n := sec.Len()
-	ns := wire.ColSec{
-		Tag:     wire.TagJobStats,
-		Times:   make([]int64, 0, n),
-		Windows: make([]int64, 0, n),
-		Job: &wire.JobCols{
-			TS: make([]int64, 0, n), Tenant: make([]string, 0, n),
-			StatName: make([]string, 0, n), Stat: make([]float64, 0, n),
-		},
-	}
 	c := sec.Log
+	n := 0
+	sec.Live(func(i int) { n += strings.Count(c.Raw[i], ",") })
+	j := &wire.JobCols{
+		TS: make([]int64, 0, n), Tenant: make([]string, 0, n),
+		StatName: make([]string, 0, n+1), Stat: make([]float64, 0, n+1),
+	}
+	ns := wire.ColSec{Tag: wire.TagJobStats, Job: j,
+		Times: make([]int64, 0, n), Windows: make([]int64, 0, n)}
+	stat := func(name string, v float64) {
+		j.StatName = append(j.StatName, name)
+		j.Stat = append(j.Stat, v)
+	}
 	sec.Live(func(i int) {
-		line := c.Raw[i]
-		if j := strings.Index(line, " #"); j >= 0 {
-			line = line[:j]
-		}
-		stats, err := telemetry.ParseJobStats(c.TS[i], line)
+		tenant, err := telemetry.ScanJobStats(statFields(c.Raw[i]), stat)
 		if err != nil {
+			// Roll back the malformed line's partial rows.
+			j.StatName = j.StatName[:len(j.Tenant)]
+			j.Stat = j.Stat[:len(j.Tenant)]
 			return
 		}
-		for k := range stats {
+		for k := len(j.Tenant); k < len(j.Stat); k++ {
 			ns.Times = append(ns.Times, sec.Times[i])
 			ns.Windows = append(ns.Windows, sec.Windows[i])
-			ns.Job.TS = append(ns.Job.TS, stats[k].Timestamp)
-			ns.Job.Tenant = append(ns.Job.Tenant, stats[k].Tenant)
-			ns.Job.StatName = append(ns.Job.StatName, stats[k].StatName)
-			ns.Job.Stat = append(ns.Job.Stat, stats[k].Stat)
+			j.TS = append(j.TS, c.TS[i])
+			j.Tenant = append(j.Tenant, tenant)
 		}
 	})
-	ns.Job.Bucket = make([]int64, len(ns.Times))
+	j.Bucket = make([]int64, len(ns.Times))
 	*out = append(*out, ns)
 	return true
 }

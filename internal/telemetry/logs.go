@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -38,45 +40,71 @@ func (j *JobStats) JobStatsWireSize() int {
 }
 
 // ParseJobStats parses a LogAnalytics line of the form produced by
-// workload.LogGen, e.g.
+// workload.LogGen after the query's trim/lower-case Map, e.g.
 //
-//	tenant name=alpha-07 job running time=532 cpu util=74.2 memory util=31.0
+//	tenant name=alpha-07, job running time=532, cpu util=74.2, memory util=31.0
 //
-// The line must already be trimmed/lowercased (the query's first Map).
-// It returns one JobStats per statistic present on the line.
+// Fields are separated by commas; the line must already be trimmed and
+// lower-cased. It returns one JobStats per statistic present on the line.
 func ParseJobStats(ts int64, line string) ([]JobStats, error) {
-	fields := strings.Split(line, ",")
-	var tenant string
-	type kv struct {
-		name string
-		val  float64
+	var out []JobStats
+	tenant, err := ScanJobStats(line, func(name string, v float64) {
+		out = append(out, JobStats{Timestamp: ts, StatName: name, Stat: v})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: %w: %q", err, line)
 	}
-	var stats []kv
-	for _, f := range fields {
-		eq := strings.IndexByte(f, '=')
-		if eq < 0 {
+	for i := range out {
+		out[i].Tenant = tenant
+	}
+	return out, nil
+}
+
+var (
+	errBadStat  = errors.New("statistic is not a finite decimal number")
+	errNoTenant = errors.New("line has no tenant")
+)
+
+// ScanJobStats is the one LogAnalytics line parser — ParseJobStats and
+// the query's SoA parse kernel both drive it. It walks the
+// comma-separated key=value fields of line in place (no split, nothing
+// allocated), calls stat for each statistic in line order, and returns
+// the line's tenant (the last "tenant name" field wins). name and the
+// tenant are substrings of line. Fields without '=' are skipped. The line
+// is malformed — an error, after stat may already have been called for
+// earlier fields — when it has no tenant or a statistic is not a finite
+// decimal number: nan, inf and hex floats are rejected although
+// strconv.ParseFloat reads them, because width_bucket of a non-finite
+// value is an implementation-defined float→int conversion.
+func ScanJobStats(line string, stat func(name string, v float64)) (tenant string, err error) {
+	for rest, more := line, true; more; {
+		var f string
+		f, rest, more = strings.Cut(rest, ",")
+		key, val, ok := strings.Cut(f, "=")
+		if !ok {
 			continue
 		}
-		key := strings.TrimSpace(f[:eq])
-		val := strings.TrimSpace(f[eq+1:])
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		if key == "tenant name" {
 			tenant = val
 			continue
 		}
 		x, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: bad stat %q: %w", f, err)
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) || isHexFloat(val) {
+			return "", errBadStat
 		}
-		stats = append(stats, kv{key, x})
+		stat(key, x)
 	}
 	if tenant == "" {
-		return nil, fmt.Errorf("telemetry: line has no tenant: %q", line)
+		return "", errNoTenant
 	}
-	out := make([]JobStats, 0, len(stats))
-	for _, s := range stats {
-		out = append(out, JobStats{Timestamp: ts, Tenant: tenant, StatName: s.name, Stat: s.val})
-	}
-	return out, nil
+	return tenant, nil
+}
+
+// isHexFloat reports whether a number strconv.ParseFloat accepted was
+// written with a 0x prefix (the only place that syntax admits an x).
+func isHexFloat(val string) bool {
+	return strings.IndexByte(val, 'x') >= 0 || strings.IndexByte(val, 'X') >= 0
 }
 
 // WidthBucket reproduces SQL width_bucket(v, lo, hi, n): values below lo

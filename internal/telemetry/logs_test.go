@@ -47,6 +47,28 @@ func TestParseJobStatsErrors(t *testing.T) {
 	}
 }
 
+// TestParseJobStatsRejectsNonDecimal pins the shared scanner's number
+// grammar: strconv.ParseFloat reads nan, inf and hex floats, but
+// WidthBucket(NaN) is an implementation-defined float→int conversion —
+// the group key would differ by architecture — so such a line is
+// malformed, for ParseJobStats and the parse kernel alike.
+func TestParseJobStatsRejectsNonDecimal(t *testing.T) {
+	for _, v := range []string{"nan", "NaN", "+Inf", "-inf", "infinity", "0x1p-2", "0X1P-2", "1e999"} {
+		line := "tenant name=x, cpu util=" + v
+		if stats, err := ParseJobStats(0, line); err == nil {
+			t.Errorf("%q parsed to %+v, want an error", line, stats)
+		}
+		calls := 0
+		if _, err := ScanJobStats("memory util=1, "+line, func(string, float64) { calls++ }); err == nil || calls != 1 {
+			t.Errorf("ScanJobStats(%q): err %v after %d stats, want an error after 1", line, err, calls)
+		}
+	}
+	stats, err := ParseJobStats(0, "tenant name=x, cpu util=-0.5e1, memory util=+7.")
+	if err != nil || len(stats) != 2 || stats[0].Stat != -5 || stats[1].Stat != 7 {
+		t.Fatalf("decimal forms: %+v, %v", stats, err)
+	}
+}
+
 func TestWidthBucket(t *testing.T) {
 	cases := []struct {
 		v    float64

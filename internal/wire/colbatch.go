@@ -10,7 +10,7 @@ import (
 
 // ColumnarBatch is a decoded v2 frame kept in SoA (structure-of-arrays)
 // form: per-field columns backed by the decode arena and the decoder's
-// intern table, never materialized into telemetry.Record structs. It is
+// strings, never materialized into telemetry.Record structs. It is
 // what the engines (Operator.ProcessColumnar, Pipeline.RunEpochColumnar,
 // SPEngine.IngestColumnar) flow between operator stages.
 //
@@ -72,15 +72,15 @@ type ToRCols struct {
 	SrcToR, DstToR, RTT []uint32
 }
 
-// LogCols are the payload columns of a TagLogLine section. Raw strings
-// are interned through the decoder's canonicalization cache.
+// LogCols are the payload columns of a TagLogLine section. Decoded Raw
+// strings slice one per-frame copy of the frame's string table.
 type LogCols struct {
 	TS  []int64
 	Raw []string
 }
 
-// JobCols are the payload columns of a TagJobStats section. Tenant and
-// StatName are interned.
+// JobCols are the payload columns of a TagJobStats section. Decoded
+// Tenant and StatName strings are the canonicalization cache's copies.
 type JobCols struct {
 	TS               []int64
 	Tenant, StatName []string
@@ -309,8 +309,7 @@ func (cb *ColumnarBatch) Clone() *ColumnarBatch {
 // materializing telemetry.Record structs for the section types the SoA
 // layer models. Column arrays are freshly allocated per call (one arena
 // allocation per column, not per record) and own their memory; strings
-// go through the decoder's canonicalization cache like the
-// row-materializing path.
+// resolve by column role like the row-materializing path.
 func (d *ColumnarDecoder) DecodeColumnar(payload []byte, cb *ColumnarBatch) error {
 	if len(payload) < 4 {
 		return ErrShortBuffer
@@ -367,18 +366,34 @@ func (d *ColumnarDecoder) f64Col(r *reader, n int) []float64 {
 	return out
 }
 
-// strCol decodes one string-reference column through the frame table and
-// intern cache. The slice comes from the arena pool when enabled; the
-// strings themselves are owned by the canonicalization cache.
-func (d *ColumnarDecoder) strCol(r *reader, n int) ([]string, error) {
-	out := d.strArena(n)
-	for i := range out {
-		s, err := d.strOrErr(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
+// strCol bulk-decodes one string-reference column: a key column
+// (strings owned by the canonicalization cache) or, with payload set, the
+// log-line column (strings slicing the frame's table copy). The slice
+// comes from the arena pool when enabled.
+func (d *ColumnarDecoder) strCol(r *reader, n int, payload bool) ([]string, error) {
+	if r.err != nil {
+		return nil, r.err
 	}
+	out := d.strArena(n, payload)
+	buf, off := r.buf, r.off
+	for i := range out {
+		ref, next := nextUvarint(buf, off)
+		if next < 0 {
+			return nil, ErrShortBuffer
+		}
+		off = next
+		switch {
+		case ref == 0:
+			out[i] = ""
+		case ref > uint64(len(d.ents)):
+			return nil, fmt.Errorf("wire: string ref %d exceeds table of %d", ref, len(d.ents))
+		case payload:
+			out[i] = d.payloadAt(int(ref) - 1)
+		default:
+			out[i] = d.keyAt(int(ref) - 1)
+		}
+	}
+	r.off = off
 	return out, nil
 }
 
@@ -423,7 +438,7 @@ func (d *ColumnarDecoder) decodeSectionCols(r *reader, cb *ColumnarBatch) error 
 	case TagLogLine:
 		sec.Times, sec.Windows = d.headerCols(r, n)
 		c := &LogCols{TS: d.tsCol(r, sec.Times)}
-		raw, err := d.strCol(r, n)
+		raw, err := d.strCol(r, n, true)
 		if err != nil {
 			return err
 		}
@@ -433,10 +448,10 @@ func (d *ColumnarDecoder) decodeSectionCols(r *reader, cb *ColumnarBatch) error 
 		sec.Times, sec.Windows = d.headerCols(r, n)
 		c := &JobCols{TS: d.tsCol(r, sec.Times)}
 		var err error
-		if c.Tenant, err = d.strCol(r, n); err != nil {
+		if c.Tenant, err = d.strCol(r, n, false); err != nil {
 			return err
 		}
-		if c.StatName, err = d.strCol(r, n); err != nil {
+		if c.StatName, err = d.strCol(r, n, false); err != nil {
 			return err
 		}
 		c.Stat = d.f64Col(r, n)
@@ -454,7 +469,7 @@ func (d *ColumnarDecoder) decodeSectionCols(r *reader, cb *ColumnarBatch) error 
 			}
 		}
 		var err error
-		if c.KeyStr, err = d.strCol(r, n); err != nil {
+		if c.KeyStr, err = d.strCol(r, n, false); err != nil {
 			return err
 		}
 		c.Window = d.i64Arena(n)

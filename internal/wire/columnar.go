@@ -38,7 +38,10 @@ import (
 // sharing happens on the decode side, where a per-connection (or
 // per-store) canonicalization cache makes repeated group keys, tenants
 // and stat names decode to one shared string handle instead of a fresh
-// allocation per frame.
+// allocation per frame. The decoder resolves a reference by the role of
+// the column holding it: key columns go through that cache, while the
+// log-line column — unique strings that die with the epoch — slices one
+// per-frame copy of the table bytes.
 //
 // Sections cover the telemetry payload types and watermarks; any other
 // payload falls back to a raw section (tag 0) of per-record row
@@ -70,8 +73,9 @@ const (
 const tagRawSection byte = 0x00
 
 // maxCanonStrings bounds the decode-side canonicalization cache; when a
-// pathological stream floods it with unique strings it resets rather
-// than growing without bound.
+// pathological stream floods it with unique key strings it resets rather
+// than growing without bound. Payload strings (log lines) never enter
+// the cache, so a stream of unique lines cannot evict the keys.
 const maxCanonStrings = 1 << 16
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -505,15 +509,24 @@ func (e *columnarEncoder) encodeColSec(dst []byte, s *ColSec) ([]byte, error) {
 
 // ColumnarDecoder materializes v2 columnar payloads. One decoder serves
 // one connection (or one snapshot store): its canonicalization cache
-// makes strings that repeat across frames — group keys, tenants, stat
-// names, log templates — decode to a single shared string instead of a
-// fresh allocation per frame. Each DecodeBatch call materializes records
+// makes the key strings that repeat across frames — group keys, tenants,
+// stat names — decode to a single shared string instead of a fresh
+// allocation per frame. Each DecodeBatch call materializes records
 // into freshly allocated per-section arenas, so decoded records own
-// their memory and may be retained freely; the per-record allocation of
-// the v1 decoder is gone.
+// their memory and may be retained freely (a retained log line keeps
+// its frame's string copy alive, as a retained record keeps its
+// section arena); the per-record allocation of the v1 decoder is gone.
 type ColumnarDecoder struct {
 	canon map[string]string
-	strs  []string // current frame's resolved string table (reused)
+	// The current frame's string table: tab is the table's bytes (a view
+	// into the frame buffer) and ents each entry's extent within it.
+	// keys memoizes the entries already resolved through canon ("" =
+	// not yet); backing is the frame's one string copy of tab that
+	// payload strings slice, made on the first payload reference.
+	tab     []byte
+	ents    []tabEntry
+	keys    []string
+	backing string
 	// scratch columns reused across sections (values are copied into
 	// records/arenas before the next section touches them).
 	times   []int64
@@ -539,6 +552,9 @@ type arenaPool struct {
 	u64 [][]uint64
 	f64 [][]float64
 	str [][]string
+	// raw is used on the lent side only: the string arenas that hold
+	// payload strings (they return to str, cleared).
+	raw [][]string
 }
 
 // EnableArenaPooling switches the decoder to pooled column arenas: SoA
@@ -568,11 +584,16 @@ func (d *ColumnarDecoder) RecycleArenas() {
 	d.pool.u64 = append(d.pool.u64, d.lent.u64...)
 	d.pool.f64 = append(d.pool.f64, d.lent.f64...)
 	d.pool.str = append(d.pool.str, d.lent.str...)
+	for _, s := range d.lent.raw {
+		clear(s) // a free arena must not pin a dead frame's string copy
+	}
+	d.pool.str = append(d.pool.str, d.lent.raw...)
 	d.lent.i64 = d.lent.i64[:0]
 	d.lent.u32 = d.lent.u32[:0]
 	d.lent.u64 = d.lent.u64[:0]
 	d.lent.f64 = d.lent.f64[:0]
 	d.lent.str = d.lent.str[:0]
+	d.lent.raw = d.lent.raw[:0]
 }
 
 // popArena pops the newest free arena with enough capacity, discarding
@@ -640,17 +661,24 @@ func (d *ColumnarDecoder) f64Arena(n int) []float64 {
 	return make([]float64, n)
 }
 
-func (d *ColumnarDecoder) strArena(n int) []string {
+func (d *ColumnarDecoder) strArena(n int, payload bool) []string {
 	if d.pool != nil {
 		s, ok := popArena(&d.pool.str, n)
 		if !ok {
 			s = make([]string, n)
 		}
-		d.lent.str = append(d.lent.str, s)
+		if payload {
+			d.lent.raw = append(d.lent.raw, s)
+		} else {
+			d.lent.str = append(d.lent.str, s)
+		}
 		return s
 	}
 	return make([]string, n)
 }
+
+// tabEntry is one string-table entry's extent within the table bytes.
+type tabEntry struct{ off, n uint32 }
 
 // intern canonicalizes one decoded string through the cross-frame cache.
 func (d *ColumnarDecoder) intern(b []byte) string {
@@ -668,15 +696,58 @@ func (d *ColumnarDecoder) intern(b []byte) string {
 	return s
 }
 
-// str resolves one string reference against the current frame's table.
-func (d *ColumnarDecoder) str(ref uint64) (string, error) {
-	if ref == 0 {
-		return "", nil
+// entry reads one string reference and returns its table index, -1 for
+// the empty string.
+func (d *ColumnarDecoder) entry(r *reader) (int, error) {
+	ref := r.uvarint()
+	if r.err != nil {
+		return 0, r.err
 	}
-	if ref > uint64(len(d.strs)) {
-		return "", fmt.Errorf("wire: string ref %d exceeds table of %d", ref, len(d.strs))
+	if ref > uint64(len(d.ents)) {
+		return 0, fmt.Errorf("wire: string ref %d exceeds table of %d", ref, len(d.ents))
 	}
-	return d.strs[ref-1], nil
+	return int(ref) - 1, nil
+}
+
+// keyAt resolves table entry i for a key column (tenant, stat name,
+// group key): strings that repeat across frames and may outlive the
+// epoch, so they resolve to the canon cache's own copy.
+func (d *ColumnarDecoder) keyAt(i int) string {
+	if d.keys[i] == "" {
+		e := d.ents[i]
+		d.keys[i] = d.intern(d.tab[e.off : e.off+e.n])
+	}
+	return d.keys[i]
+}
+
+// payloadAt resolves table entry i for a payload column (log lines):
+// unique strings that die with the epoch, so they slice the frame's one
+// copy of the table instead of being hashed, copied and cached one by
+// one.
+func (d *ColumnarDecoder) payloadAt(i int) string {
+	if d.backing == "" {
+		d.backing = string(d.tab)
+	}
+	e := d.ents[i]
+	return d.backing[e.off : e.off+e.n]
+}
+
+// keyStr reads and resolves one key-column reference.
+func (d *ColumnarDecoder) keyStr(r *reader) (string, error) {
+	i, err := d.entry(r)
+	if i < 0 || err != nil {
+		return "", err
+	}
+	return d.keyAt(i), nil
+}
+
+// payloadStr reads and resolves one payload-column reference.
+func (d *ColumnarDecoder) payloadStr(r *reader) (string, error) {
+	i, err := d.entry(r)
+	if i < 0 || err != nil {
+		return "", err
+	}
+	return d.payloadAt(i), nil
 }
 
 // DecodeBatch parses one columnar payload (the frame bytes after the
@@ -701,7 +772,8 @@ func (d *ColumnarDecoder) DecodeBatch(payload []byte, out *telemetry.Batch) erro
 	return nil
 }
 
-// readTable resolves the frame's string table through the canon cache.
+// readTable indexes the frame's string table; entries are resolved on
+// reference, by column role (keyStr, payloadStr).
 func (d *ColumnarDecoder) readTable(buf []byte) error {
 	r := &reader{buf: buf}
 	n := r.uvarint()
@@ -711,14 +783,20 @@ func (d *ColumnarDecoder) readTable(buf []byte) error {
 	if n > uint64(len(buf)) { // every entry takes ≥ 1 byte
 		return fmt.Errorf("wire: string table of %d entries in %d bytes", n, len(buf))
 	}
-	d.strs = d.strs[:0]
+	d.tab, d.backing = buf, ""
+	d.ents = d.ents[:0]
 	for i := uint64(0); i < n; i++ {
 		b := r.rawBytes()
 		if r.err != nil {
 			return r.err
 		}
-		d.strs = append(d.strs, d.intern(b))
+		d.ents = append(d.ents, tabEntry{off: uint32(r.off - len(b)), n: uint32(len(b))})
 	}
+	clear(d.keys)
+	if cap(d.keys) < len(d.ents) {
+		d.keys = make([]string, len(d.ents))
+	}
+	d.keys = d.keys[:len(d.ents)]
 	return nil
 }
 
@@ -959,7 +1037,7 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 			arena[i].Timestamp = times[i] + d.aux[i]
 		}
 		for i := range arena {
-			s, err := d.strOrErr(r)
+			s, err := d.payloadStr(r)
 			if err != nil {
 				return err
 			}
@@ -979,14 +1057,14 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 			arena[i].Timestamp = times[i] + d.aux[i]
 		}
 		for i := range arena {
-			s, err := d.strOrErr(r)
+			s, err := d.keyStr(r)
 			if err != nil {
 				return err
 			}
 			arena[i].Tenant = s
 		}
 		for i := range arena {
-			s, err := d.strOrErr(r)
+			s, err := d.keyStr(r)
 			if err != nil {
 				return err
 			}
@@ -1016,7 +1094,7 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 			return r.err
 		}
 		for i := range arena {
-			s, err := d.strOrErr(r)
+			s, err := d.keyStr(r)
 			if err != nil {
 				return err
 			}
@@ -1059,7 +1137,7 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 			}
 		}
 		for i := range arena {
-			s, err := d.strOrErr(r)
+			s, err := d.keyStr(r)
 			if err != nil {
 				return err
 			}
@@ -1127,13 +1205,4 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 		return fmt.Errorf("%w: columnar section 0x%02x", ErrUnknownTag, tag)
 	}
 	return r.err
-}
-
-// strOrErr reads one string reference and resolves it.
-func (d *ColumnarDecoder) strOrErr(r *reader) (string, error) {
-	ref := r.uvarint()
-	if r.err != nil {
-		return "", r.err
-	}
-	return d.str(ref)
 }

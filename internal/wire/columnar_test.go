@@ -157,6 +157,74 @@ func TestColumnarInternSharing(t *testing.T) {
 	}
 }
 
+// TestCanonSurvivesUniqueLines is the eviction guard of the role-based
+// string table: 200 000 unique log lines, interleaved frame by frame with
+// JobStats sections, never enter the canonicalization cache — it holds
+// exactly the distinct key strings, and a tenant decoded after the flood
+// is the very string handle decoded before it (at the old eager
+// interning the lines filled the 65 536-entry cache and reset it, keys
+// included, every few frames). It also pins where the strings live: a
+// key column never points into the frame's line storage.
+func TestCanonSurvivesUniqueLines(t *testing.T) {
+	tenants := []string{"tenant-a", "tenant-b", "tenant-c", "tenant-d", "tenant-e"}
+	stats := []string{"cpu util", "memory util", "job running time"}
+	var jobs telemetry.Batch
+	for i := 0; i < 60; i++ {
+		j := &telemetry.JobStats{Timestamp: int64(i), Tenant: tenants[i%len(tenants)], StatName: stats[i%len(stats)], Stat: float64(i)}
+		jobs = append(jobs, telemetry.Record{Time: int64(i), WireSize: j.JobStatsWireSize(), Data: j})
+	}
+	dec := NewColumnarDecoder()
+	fr := NewFrameReader(bytes.NewReader(nil))
+	fr.UseDecoder(dec)
+	fr.SetColumnarExec(true)
+	fr.EnableArenaPooling()
+	var first string
+	const frames, perFrame = 40, 5000
+	for k := 0; k < frames; k++ {
+		fr.Reset(bytes.NewReader(uniqueLinesFrame(t, k, perFrame, jobs)))
+		f, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Cols.Secs) != 2 || f.Cols.Secs[0].Log == nil || f.Cols.Secs[1].Job == nil {
+			t.Fatalf("frame %d decoded to %d sections", k, len(f.Cols.Secs))
+		}
+		raw, job := f.Cols.Secs[0].Log.Raw, f.Cols.Secs[1].Job
+		// The lines slice one backing string, in table order.
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(raw[0])))
+		last := raw[len(raw)-1]
+		hi := uintptr(unsafe.Pointer(unsafe.StringData(last))) + uintptr(len(last))
+		if span := hi - lo; span > 2*perFrame*130 {
+			t.Fatalf("frame %d: %d lines span %d bytes — not one backing string", k, perFrame, span)
+		}
+		for i := range job.Tenant {
+			for _, s := range []string{job.Tenant[i], job.StatName[i]} {
+				if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= lo && p < hi {
+					t.Fatalf("frame %d: key %q points into the frame's line storage", k, s)
+				}
+			}
+		}
+		if k == 0 {
+			first = job.Tenant[0]
+		} else if unsafe.StringData(job.Tenant[0]) != unsafe.StringData(first) {
+			t.Fatalf("frame %d: tenant %q decoded to a new string — the canon cache was flushed", k, first)
+		}
+		fr.RecycleArenas()
+	}
+	// Recycled arenas may keep key strings (the cache owns those anyway)
+	// but no log line: one stale entry would pin its frame's whole copy.
+	for _, arena := range dec.pool.str {
+		for _, s := range arena[:cap(arena)] {
+			if len(s) > len("job running time") {
+				t.Fatalf("a free string arena still holds the log line %q", s)
+			}
+		}
+	}
+	if got, want := len(dec.canon), len(tenants)+len(stats); got != want {
+		t.Fatalf("canon cache holds %d strings after %d unique lines, want the %d key strings", got, frames*perFrame, want)
+	}
+}
+
 // TestColumnarDenseJobStats pins the section count guard against the
 // densest legal JobStats encoding: every varint at its 1-byte minimum
 // (small time deltas, interned refs). A too-strict minRecordBytes once

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"jarvis/internal/telemetry"
@@ -61,6 +62,59 @@ func TestWarmDecodeAllocs(t *testing.T) {
 	if avg > 16 {
 		t.Fatalf("warm columnar decode allocates %.1f times for a 38k-record frame (want ≤ 16)", avg)
 	}
+
+	// Log lines: 5 000 strings no earlier frame carried, decoded as the
+	// receiver decodes them (SoA, pooled arenas). They slice one copy of
+	// the frame's string table, so the frame costs that copy plus the
+	// section and batch headers — not a string, a hash and a cache entry
+	// per line.
+	t.Run("log lines", func(t *testing.T) {
+		frames := make([][]byte, 8)
+		for i := range frames {
+			frames[i] = uniqueLinesFrame(t, i, 5000, nil)
+		}
+		fr := NewFrameReader(bytes.NewReader(nil))
+		fr.SetColumnarExec(true)
+		fr.EnableArenaPooling()
+		next := 0
+		decode := func() {
+			fr.Reset(bytes.NewReader(frames[next%len(frames)]))
+			next++
+			f, err := fr.ReadFrame()
+			if err != nil || f.Cols.Records() != 5000 {
+				t.Fatalf("decoded %v, %v", f.Cols, err)
+			}
+			fr.RecycleArenas()
+		}
+		decode()
+		if avg := testing.AllocsPerRun(len(frames)-1, decode); avg > 8 {
+			t.Fatalf("warm SoA decode allocates %.1f times for a frame of 5000 unique lines (want ≤ 8)", avg)
+		}
+	})
+}
+
+// uniqueLinesFrame builds one columnar frame holding a log section of n
+// ~120-byte lines that no other (frame, index) pair repeats, followed by
+// the given records (nil for none).
+func uniqueLinesFrame(tb testing.TB, frame, n int, tail telemetry.Batch) []byte {
+	tb.Helper()
+	batch := make(telemetry.Batch, 0, n+len(tail))
+	for i := 0; i < n; i++ {
+		line := fmt.Sprintf("  Tenant Name=tenant-%03d, Job Running Time=%d, CPU Util=%d.%d, Memory Util=31.0   #%058d",
+			i%64, i, frame%100, i%10, frame*n+i)
+		batch = append(batch, telemetry.NewLogRecord(int64(frame*n+i), line))
+	}
+	batch = append(batch, tail...)
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	fw.SetColumnar(true)
+	if err := fw.WriteFrame(Frame{StreamID: 0, Source: 1, Records: batch}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // BenchmarkColumnarDecodeEpoch tracks the wire-level decode rate of one
