@@ -405,6 +405,48 @@ func BenchmarkReceiverDecodeLog(b *testing.B) {
 	}
 }
 
+// BenchmarkWireEncodePing and BenchmarkWireDecodePing are the wire
+// codec's owner records on the drain the s2s-drain workload ships
+// (benchcase.DrainedPingCols): one epoch's raw probes to a
+// flate-compressed columnar frame and back to SoA sections. MB/s is over
+// the logical payload (PingProbeWireSize per probe), not the wire bytes,
+// so a denser encoding does not read as a slower one.
+func BenchmarkWireEncodePing(b *testing.B) {
+	cb, err := benchcase.DrainedPingCols()
+	if err != nil {
+		b.Fatal(err)
+	}
+	encode, _ := benchcase.PingFrameCodec(cb)
+	b.SetBytes(cb.TotalBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWireDecodePing(b *testing.B) {
+	cb, err := benchcase.DrainedPingCols()
+	if err != nil {
+		b.Fatal(err)
+	}
+	encode, decode := benchcase.PingFrameCodec(cb)
+	frame, err := encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(cb.TotalBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decode(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSimEpoch(b *testing.B) {
 	node, err := sim.NewNode(sim.DefaultNodeConfig(plan.S2SProbe(), workload.PingmeshMbps10x, 0.6))
 	if err != nil {

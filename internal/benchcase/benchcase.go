@@ -51,7 +51,7 @@ func EndToEnd() (*core.BuildingBlock, telemetry.Batch, error) {
 // SPIngest builds the canonical SP-side ingest benchmark: an S2SProbe
 // engine plus one second of Pingmesh drain, returned both as the decoded
 // row batch (the input of BenchmarkSPIngest since PR 1) and as the same
-// records decoded into a wire-v2 SoA batch (BenchmarkSPIngestColumnar).
+// records decoded into a wire-v3 SoA batch (BenchmarkSPIngestColumnar).
 // The two inputs carry identical record sequences, so the benchmarks
 // measure execution strategy, not workload differences.
 func SPIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error) {
@@ -103,7 +103,7 @@ func WarmPipeline(epochs int) (*stream.Pipeline, error) {
 
 // ShippedEpoch returns one drain-heavy epoch (all load factors at zero,
 // so the full raw batch ships to the SP) plus the same epoch as the
-// sequenced wire-v2 stream a reconnecting agent sends — Hello, columnar
+// sequenced wire-v3 stream a reconnecting agent sends — Hello, columnar
 // data frames, EpochEnd — ready for Receiver.HandleConn: the input for
 // the decode and replay-apply micro-benchmarks, sized like the epochs a
 // recovering SP actually re-applies.
@@ -128,6 +128,51 @@ func ShippedEpoch() (stream.EpochResult, []byte, error) {
 	return res, data, nil
 }
 
+// DrainedPingCols returns the drain a budget-starved S2SProbe agent ships
+// per epoch, in the shape the repository benchmark's s2s-drain workload
+// converges to: the first proxy at load factor 1/16, so 93.75 % of one
+// second of generated probes leave as a SoA section narrowed by the
+// drain's selection vector — the input of the wire codec's owner
+// micro-benchmarks (BenchmarkWireEncodePing / BenchmarkWireDecodePing).
+func DrainedPingCols() (*wire.ColumnarBatch, error) {
+	pipe, err := stream.NewPipeline(plan.S2SProbe(), stream.DefaultOptions(1.0, 0))
+	if err != nil {
+		return nil, err
+	}
+	if err := pipe.SetLoadFactors([]float64{1.0 / 16, 1, 1}); err != nil {
+		return nil, err
+	}
+	gen := workload.NewPingGen(workload.DefaultPingConfig(1))
+	var cb wire.ColumnarBatch
+	gen.NextWindowCols(1_000_000, &cb)
+	res := pipe.RunEpochColumnar(&cb)
+	if len(res.ColDrains) == 0 || res.ColDrains[0].Records() == 0 {
+		return nil, fmt.Errorf("benchcase: the starved pipeline drained nothing at its first proxy")
+	}
+	return res.ColDrains[0].Clone(), nil
+}
+
+// PingFrameCodec returns the two halves of one wire-codec iteration over
+// a drained ping batch, each as the transport runs it: encode writes the
+// batch as one flate-compressed columnar frame (the shipper's encoder
+// settings) and returns the frame bytes; decode reads them back to SoA
+// sections in pooled arenas and recycles (the receiver's decoder).
+func PingFrameCodec(cb *wire.ColumnarBatch) (encode func() ([]byte, error), decode func([]byte) error) {
+	var buf bytes.Buffer
+	fw := wire.NewFrameWriter(&buf)
+	fw.SetColumnar(true)
+	fw.SetCompression(true)
+	encode = func() ([]byte, error) {
+		buf.Reset()
+		if err := fw.WriteFrame(wire.Frame{StreamID: 0, Source: 1, Cols: cb}); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), fw.Flush()
+	}
+	fr := NewEpochDecoder()
+	return encode, func(frame []byte) error { return DecodeEpoch(fr, frame) }
+}
+
 // PipelineEpochColumnar builds the SoA agent-epoch benchmark: the
 // PipelineEpoch pipeline fed the same second of Pingmesh data as
 // generated column sections (NextWindowCols is trace-identical to
@@ -150,7 +195,7 @@ func PipelineEpochColumnar() (*stream.Pipeline, *wire.ColumnarBatch, error) {
 
 // SpanIngest builds the TraceSpanAgg ingest benchmark pair: a span
 // engine plus one second of SpanGen drain as decoded rows and as the
-// identical records decoded into a wire-v2 SoA batch — the span-query
+// identical records decoded into a wire-v3 SoA batch — the span-query
 // analogue of SPIngest, so the columnar-vs-row A/B holds for the
 // distributed-tracing workload too.
 func SpanIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error) {

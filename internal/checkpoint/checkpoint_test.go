@@ -111,6 +111,53 @@ func TestStoreSaveLatest(t *testing.T) {
 	}
 }
 
+// TestStoreSkipsOtherFormatVersions: the manifest's version names the
+// encoding of the files it lists, so a directory whose lines all carry
+// another version — a wire-v2 build's snapshots, whose integer columns
+// this decoder would misread — restores as empty instead of being
+// decoded, and the store carries on from id 1.
+func TestStoreSkipsOtherFormatVersions(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(3); seq <= 4; seq++ {
+		snap := sampleSnapshot()
+		snap.Seq = seq
+		if _, err := st.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, manifestName)
+	manifest, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(manifest, []byte("v3 ")); n != 2 {
+		t.Fatalf("manifest holds %d v3 lines, want 2:\n%s", n, manifest)
+	}
+	if err := os.WriteFile(path, bytes.ReplaceAll(manifest, []byte("v3 "), []byte("v2 ")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	old, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, ok, err := old.Latest(); err != nil || ok {
+		t.Fatalf("a store of v2 lines restored %+v (ok=%v err=%v)", snap, ok, err)
+	}
+	fresh := sampleSnapshot()
+	fresh.Seq = 11
+	if id, err := old.Save(fresh); err != nil || id != 1 {
+		t.Fatalf("save into a store of v2 lines: id %d err %v", id, err)
+	}
+	if got, ok, err := old.Latest(); err != nil || !ok || got.Seq != 11 {
+		t.Fatalf("latest after the save: ok=%v err=%v snap=%+v", ok, err, got)
+	}
+}
+
 func resultRow(key uint64, window, endMicros int64, v float64) telemetry.Record {
 	agg := telemetry.NewAggRow(telemetry.NumKey(key), window, v)
 	return telemetry.NewAggRecord(agg, endMicros)

@@ -16,10 +16,13 @@ import (
 // manifestName is the append-only index of snapshots in a store
 // directory. Each line records one fully written snapshot:
 //
-//	v2 <id> <file> <seq> <watermark> <base> <f|d>       (full or delta)
+//	v3 <id> <file> <seq> <watermark> <base> <f|d>       (full or delta)
 //
-// Lines of any other version (pre-delta builds wrote "v1" lines; no such
-// directory exists anymore) are skipped like torn ones.
+// The version names the encoding of the listed files: lines of any other
+// version ("v2" files hold columnar sections this build's decoder cannot
+// read, "v1" lines predate deltas) are skipped like torn ones, so such a
+// directory restores as empty and its files are overwritten as ids
+// restart.
 // A snapshot's manifest line is appended only after its file is fully
 // written and closed, so every listed entry is complete; Latest still
 // verifies by decoding and walks backwards past any entry (or
@@ -113,7 +116,7 @@ func (s *Store) entries() ([]manifestEntry, error) {
 		var e manifestEntry
 		var version string
 		switch {
-		case strings.HasPrefix(line, "v2 "):
+		case strings.HasPrefix(line, "v3 "):
 			var kind string
 			if _, err := fmt.Sscanf(line, "%s %d %s %d %d %d %s", &version, &e.id, &e.file, &e.seq, &e.wm, &e.base, &kind); err != nil {
 				continue
@@ -179,7 +182,7 @@ func (s *Store) Save(snap *Snapshot) (uint64, error) {
 			return 0, err
 		}
 	}
-	if _, err := fmt.Fprintf(s.mf, "v2 %d %s %d %d %d %s\n", id, name, snap.Seq, snap.Watermark, snap.BaseID, kind); err != nil {
+	if _, err := fmt.Fprintf(s.mf, "v3 %d %s %d %d %d %s\n", id, name, snap.Seq, snap.Watermark, snap.BaseID, kind); err != nil {
 		// A short write may have left an unterminated line; reopen (with
 		// tail repair) before the next attempt rather than appending onto
 		// the torn tail.
@@ -374,7 +377,7 @@ func (s *Store) Compact(retain int) error {
 		if e.delta {
 			kind = "d"
 		}
-		if _, err := fmt.Fprintf(f, "v2 %d %s %d %d %d %s\n", e.id, e.file, e.seq, e.wm, e.base, kind); err != nil {
+		if _, err := fmt.Fprintf(f, "v3 %d %s %d %d %d %s\n", e.id, e.file, e.seq, e.wm, e.base, kind); err != nil {
 			_ = f.Close()
 			_ = os.Remove(tmp)
 			return err

@@ -346,7 +346,7 @@ func TestStagedOverflowShedsNotFatal(t *testing.T) {
 		}
 	}
 	writeControl(telemetry.Record{WireSize: 29, Data: &wire.Hello{
-		Source: 7, Seq: 0, Version: wire.WireV2,
+		Source: 7, Seq: 0, Version: wire.CurrentWireVersion,
 		Class: admission.Silver.Wire(), Tenant: "acme",
 	}})
 

@@ -67,6 +67,7 @@ func TestHandshakeRejects(t *testing.T) {
 	}{
 		{"hello v0 (pre-versioning)", nil, append(frames(false, control(29, &wire.Hello{Source: 3})), epochBytes...)},
 		{"hello v1", nil, append(frames(false, control(29, &wire.Hello{Source: 3, Version: wire.WireV1})), epochBytes...)},
+		{"hello v2 (unpacked columns)", nil, append(frames(false, control(29, &wire.Hello{Source: 3, Version: wire.WireV2, Compress: true})), epochBytes...)},
 		{"data frame before hello", nil, epochBytes},
 		{"row data frame before hello", nil, frames(false, drain, watermark)},
 		{"watermark frame before hello", nil, frames(true, watermark, drain)},
@@ -106,8 +107,9 @@ func TestHandshakeRejects(t *testing.T) {
 		ack      wire.Ack
 	}{
 		{"ack v1", true, wire.Ack{Source: 3, Version: wire.WireV1, Compress: true}},
+		{"ack v2 (unpacked columns)", true, wire.Ack{Source: 3, Version: wire.WireV2, Compress: true}},
 		{"ack v0 (pre-versioning)", false, wire.Ack{Source: 3}},
-		{"ack without compress to a compressing shipper", true, wire.Ack{Source: 3, Version: wire.WireV2}},
+		{"ack without compress to a compressing shipper", true, wire.Ack{Source: 3, Version: wire.WireV3}},
 	}
 	for _, tc := range ackCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,4 +1,4 @@
-// Traffic recorder: full-fidelity capture of wire-v2 epoch streams. The
+// Traffic recorder: full-fidelity capture of wire-v3 epoch streams. The
 // flight recorder (flight.go) keeps a bounded ring for anomaly
 // post-mortems; the traffic recorder instead writes *every* sequenced
 // frame of every connection to a stream, so a live run becomes a

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +206,28 @@ func TestFrameReaderBadLength(t *testing.T) {
 	}
 }
 
+// inflateBombFrame is a 25-byte compressed frame whose body declares a
+// MaxFrameSize payload ahead of a five-byte (empty) flate stream.
+var inflateBombFrame = []byte{0, 0, 0, 21, 0, 0, 0, 1, 0, 0, 0, 3, 0xFF, 0xFF, 0xFF, 0xFD,
+	0x80, 0x80, 0x80, 0x20, // uvarint 64 MiB
+	0x01, 0x00, 0x00, 0xFF, 0xFF}
+
+// TestInflateDeclaredLengthBound: the declared raw length of a compressed
+// frame sizes the inflate buffer, so one the stream behind it could never
+// expand to must be refused before anything is allocated from it.
+func TestInflateDeclaredLengthBound(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewFrameReader(bytes.NewReader(inflateBombFrame)).ReadFrame()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 5-byte flate stream declaring 64 MiB decoded")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("refusing a %d-byte frame allocated %d KiB", len(inflateBombFrame), grown>>10)
+	}
+}
+
 func TestFrameTooShortHeader(t *testing.T) {
 	// Frame body shorter than 12 bytes must be rejected.
 	var buf bytes.Buffer
@@ -301,12 +324,12 @@ func TestDecodeRecordNeverPanics(t *testing.T) {
 }
 
 func TestHelloAckTermRoundTrip(t *testing.T) {
-	h := &Hello{Source: 3, Seq: 17, Version: WireV2, Term: 5}
+	h := &Hello{Source: 3, Seq: 17, Version: WireV3, Term: 5}
 	got := roundTrip(t, telemetry.Record{WireSize: 29, Data: h})
 	if !reflect.DeepEqual(got.Data, h) {
 		t.Fatalf("hello = %+v", got.Data)
 	}
-	a := &Ack{Source: 3, Seq: 16, Version: WireV2, Term: 6}
+	a := &Ack{Source: 3, Seq: 16, Version: WireV3, Term: 6}
 	got = roundTrip(t, telemetry.Record{WireSize: 29, Data: a})
 	if !reflect.DeepEqual(got.Data, a) {
 		t.Fatalf("ack = %+v", got.Data)
@@ -314,12 +337,12 @@ func TestHelloAckTermRoundTrip(t *testing.T) {
 }
 
 func TestHelloAckAdmissionExtensionRoundTrip(t *testing.T) {
-	h := &Hello{Source: 3, Seq: 17, Version: WireV2, Term: 5, Compress: true, Class: 3, Tenant: "acme"}
+	h := &Hello{Source: 3, Seq: 17, Version: WireV3, Term: 5, Compress: true, Class: 3, Tenant: "acme"}
 	got := roundTrip(t, telemetry.Record{WireSize: 29, Data: h})
 	if !reflect.DeepEqual(got.Data, h) {
 		t.Fatalf("hello = %+v", got.Data)
 	}
-	a := &Ack{Source: 3, Seq: 16, Version: WireV2, Term: 6, ThrottleMicros: 750_000, Replay: true}
+	a := &Ack{Source: 3, Seq: 16, Version: WireV3, Term: 6, ThrottleMicros: 750_000, Replay: true}
 	got = roundTrip(t, telemetry.Record{WireSize: 29, Data: a})
 	if !reflect.DeepEqual(got.Data, a) {
 		t.Fatalf("ack = %+v", got.Data)
@@ -330,7 +353,7 @@ func TestHelloAckAdmissionExtensionRoundTrip(t *testing.T) {
 // the extension fields must decode as zero values, not as an error.
 func TestHelloAckAdmissionExtensionCompat(t *testing.T) {
 	enc, err := EncodeRecord(nil, telemetry.Record{WireSize: 29,
-		Data: &Hello{Source: 1, Seq: 2, Version: WireV2, Term: 3, Compress: true}})
+		Data: &Hello{Source: 1, Seq: 2, Version: WireV3, Term: 3, Compress: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +369,7 @@ func TestHelloAckAdmissionExtensionCompat(t *testing.T) {
 	}
 
 	enc, err = EncodeRecord(nil, telemetry.Record{WireSize: 29,
-		Data: &Ack{Source: 1, Seq: 2, Version: WireV2, Term: 3, Compress: true}})
+		Data: &Ack{Source: 1, Seq: 2, Version: WireV3, Term: 3, Compress: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,8 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
+import "jarvis/internal/telemetry"
 
-	"jarvis/internal/telemetry"
-)
-
-// ColumnarBatch is a decoded v2 frame kept in SoA (structure-of-arrays)
+// ColumnarBatch is a decoded columnar frame kept in SoA (structure-of-arrays)
 // form: per-field columns backed by the decode arena and the decoder's
 // strings, never materialized into telemetry.Record structs. It is
 // what the engines (Operator.ProcessColumnar, Pipeline.RunEpochColumnar,
@@ -311,17 +305,10 @@ func (cb *ColumnarBatch) Clone() *ColumnarBatch {
 // allocation per column, not per record) and own their memory; strings
 // resolve by column role like the row-materializing path.
 func (d *ColumnarDecoder) DecodeColumnar(payload []byte, cb *ColumnarBatch) error {
-	if len(payload) < 4 {
-		return ErrShortBuffer
-	}
-	tableOff := binary.BigEndian.Uint32(payload)
-	if tableOff < 4 || uint64(tableOff) > uint64(len(payload)) {
-		return fmt.Errorf("wire: columnar table offset %d outside payload of %d", tableOff, len(payload))
-	}
-	if err := d.readTable(payload[tableOff:]); err != nil {
+	r, err := d.open(payload)
+	if err != nil {
 		return err
 	}
-	r := &reader{buf: payload[:tableOff], off: 4}
 	for r.off < len(r.buf) {
 		if err := d.decodeSectionCols(r, cb); err != nil {
 			return err
@@ -330,30 +317,38 @@ func (d *ColumnarDecoder) DecodeColumnar(payload []byte, cb *ColumnarBatch) erro
 	return nil
 }
 
-// headerCols decodes the shared Times/Windows header columns into
-// (pooled when enabled) arenas.
-func (d *ColumnarDecoder) headerCols(r *reader, n int) (times, windows []int64) {
-	times = d.i64Arena(n)
-	windows = d.i64Arena(n)
-	r.zigzagDeltas(times)
-	r.zigzagDeltas(windows)
-	return times, windows
+// i64Col, u32Col and u64Col decode one packed integer column into a
+// (pooled when enabled) arena.
+func (d *ColumnarDecoder) i64Col(r *reader, n int) []int64 {
+	out := d.i64Arena(n)
+	readPacked(r, out)
+	return out
 }
 
-// u32Col decodes one packed big-endian uint32 column into an arena.
 func (d *ColumnarDecoder) u32Col(r *reader, n int) []uint32 {
-	raw := r.take(4 * n)
-	if r.err != nil {
-		return nil
-	}
 	out := d.u32Arena(n)
+	readPacked(r, out)
+	return out
+}
+
+func (d *ColumnarDecoder) u64Col(r *reader, n int) []uint64 {
+	out := d.u64Arena(n)
+	readPacked(r, out)
+	return out
+}
+
+// offsetCol decodes a column that travels as offsets against base (payload
+// timestamps against record times, payload windows against record
+// windows) into absolute values.
+func (d *ColumnarDecoder) offsetCol(r *reader, base []int64) []int64 {
+	out := d.i64Col(r, len(base))
 	for i := range out {
-		out[i] = binary.BigEndian.Uint32(raw[4*i:])
+		out[i] += base[i]
 	}
 	return out
 }
 
-// f64Col decodes one packed big-endian float64 column into an arena.
+// f64Col decodes one big-endian float64 column into an arena.
 func (d *ColumnarDecoder) f64Col(r *reader, n int) []float64 {
 	raw := r.take(8 * n)
 	if r.err != nil {
@@ -361,52 +356,25 @@ func (d *ColumnarDecoder) f64Col(r *reader, n int) []float64 {
 	}
 	out := d.f64Arena(n)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+		out[i] = f64At(raw, i)
 	}
 	return out
 }
 
-// strCol bulk-decodes one string-reference column: a key column
-// (strings owned by the canonicalization cache) or, with payload set, the
-// log-line column (strings slicing the frame's table copy). The slice
-// comes from the arena pool when enabled.
-func (d *ColumnarDecoder) strCol(r *reader, n int, payload bool) ([]string, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := d.strArena(n, payload)
-	buf, off := r.buf, r.off
-	for i := range out {
-		ref, next := nextUvarint(buf, off)
-		if next < 0 {
-			return nil, ErrShortBuffer
-		}
-		off = next
-		switch {
-		case ref == 0:
-			out[i] = ""
-		case ref > uint64(len(d.ents)):
-			return nil, fmt.Errorf("wire: string ref %d exceeds table of %d", ref, len(d.ents))
-		case payload:
-			out[i] = d.payloadAt(int(ref) - 1)
-		default:
-			out[i] = d.keyAt(int(ref) - 1)
-		}
-	}
-	r.off = off
-	return out, nil
-}
-
-// tsCol decodes the payload-timestamp column (zigzag deltas against the
-// record times) into absolute timestamps.
-func (d *ColumnarDecoder) tsCol(r *reader, times []int64) []int64 {
-	out := d.i64Arena(len(times))
-	r.zigzags(out)
+// strCol decodes one string-reference column: a key column (strings
+// owned by the canonicalization cache) or, with payload set, the log-line
+// column (strings slicing the frame's table copy). The slice comes from
+// the arena pool when enabled.
+func (d *ColumnarDecoder) strCol(r *reader, n int, payload bool) []string {
+	refs := d.intCols(r, 1, n)[0]
 	if r.err != nil {
 		return nil
 	}
-	for i := range out {
-		out[i] += times[i]
+	out := d.strArena(n, payload)
+	for i, ref := range refs {
+		if out[i], r.err = d.str(ref, payload); r.err != nil {
+			return nil
+		}
 	}
 	return out
 }
@@ -417,74 +385,39 @@ func (d *ColumnarDecoder) decodeSectionCols(r *reader, cb *ColumnarBatch) error 
 		return err
 	}
 	sec := ColSec{Tag: tag}
+	// The column reads below run in source order, which is wire order: Go
+	// evaluates the calls of a composite literal left to right.
+	switch tag {
+	case TagPingProbe, TagToRProbe, TagLogLine, TagJobStats, TagAggRow:
+		sec.Times, sec.Windows = d.i64Col(r, n), d.i64Col(r, n)
+	}
 	switch tag {
 	case TagPingProbe:
-		sec.Times, sec.Windows = d.headerCols(r, n)
-		c := &PingCols{TS: d.tsCol(r, sec.Times)}
-		c.SrcIP = d.u32Col(r, n)
-		c.SrcCluster = d.u32Col(r, n)
-		c.DstIP = d.u32Col(r, n)
-		c.DstCluster = d.u32Col(r, n)
-		c.RTT = d.u32Col(r, n)
-		c.Err = d.u32Col(r, n)
-		sec.Ping = c
+		sec.Ping = &PingCols{
+			TS:    d.offsetCol(r, sec.Times),
+			SrcIP: d.u32Col(r, n), SrcCluster: d.u32Col(r, n),
+			DstIP: d.u32Col(r, n), DstCluster: d.u32Col(r, n),
+			RTT: d.u32Col(r, n), Err: d.u32Col(r, n),
+		}
 	case TagToRProbe:
-		sec.Times, sec.Windows = d.headerCols(r, n)
-		c := &ToRCols{TS: d.tsCol(r, sec.Times)}
-		c.SrcToR = d.u32Col(r, n)
-		c.DstToR = d.u32Col(r, n)
-		c.RTT = d.u32Col(r, n)
-		sec.ToR = c
+		sec.ToR = &ToRCols{
+			TS:     d.offsetCol(r, sec.Times),
+			SrcToR: d.u32Col(r, n), DstToR: d.u32Col(r, n), RTT: d.u32Col(r, n),
+		}
 	case TagLogLine:
-		sec.Times, sec.Windows = d.headerCols(r, n)
-		c := &LogCols{TS: d.tsCol(r, sec.Times)}
-		raw, err := d.strCol(r, n, true)
-		if err != nil {
-			return err
-		}
-		c.Raw = raw
-		sec.Log = c
+		sec.Log = &LogCols{TS: d.offsetCol(r, sec.Times), Raw: d.strCol(r, n, true)}
 	case TagJobStats:
-		sec.Times, sec.Windows = d.headerCols(r, n)
-		c := &JobCols{TS: d.tsCol(r, sec.Times)}
-		var err error
-		if c.Tenant, err = d.strCol(r, n, false); err != nil {
-			return err
+		sec.Job = &JobCols{
+			TS:     d.offsetCol(r, sec.Times),
+			Tenant: d.strCol(r, n, false), StatName: d.strCol(r, n, false),
+			Bucket: d.i64Col(r, n), Stat: d.f64Col(r, n),
 		}
-		if c.StatName, err = d.strCol(r, n, false); err != nil {
-			return err
-		}
-		c.Stat = d.f64Col(r, n)
-		c.Bucket = d.i64Arena(n)
-		r.zigzags(c.Bucket)
-		sec.Job = c
 	case TagAggRow:
-		sec.Times, sec.Windows = d.headerCols(r, n)
-		c := &AggCols{}
-		raw := r.take(8 * n)
-		if r.err == nil {
-			c.KeyNum = d.u64Arena(n)
-			for i := range c.KeyNum {
-				c.KeyNum[i] = binary.BigEndian.Uint64(raw[8*i:])
-			}
+		sec.Agg = &AggCols{
+			KeyNum: d.u64Col(r, n), KeyStr: d.strCol(r, n, false),
+			Window: d.offsetCol(r, sec.Windows), Count: d.i64Col(r, n),
+			Sum: d.f64Col(r, n), Min: d.f64Col(r, n), Max: d.f64Col(r, n),
 		}
-		var err error
-		if c.KeyStr, err = d.strCol(r, n, false); err != nil {
-			return err
-		}
-		c.Window = d.i64Arena(n)
-		r.zigzags(c.Window)
-		if r.err == nil {
-			for i := range c.Window {
-				c.Window[i] += sec.Windows[i]
-			}
-		}
-		c.Count = d.i64Arena(n)
-		r.uvarints(c.Count)
-		c.Sum = d.f64Col(r, n)
-		c.Min = d.f64Col(r, n)
-		c.Max = d.f64Col(r, n)
-		sec.Agg = c
 	default:
 		// Raw, quantile and watermark sections have no SoA columns —
 		// materialize them through the shared section parser.

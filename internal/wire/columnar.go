@@ -9,30 +9,50 @@ import (
 	"jarvis/internal/telemetry"
 )
 
-// Wire format v2: columnar batch frames, the only data-frame format the
-// transport ships.
+// Wire format v3: columnar batch frames with bit-packed integer columns,
+// the only data-frame format the transport ships.
 //
 // A count-prefixed row frame (control records, result logs, agent
 // checkpoints) serializes its batch record by record, so the decode side
-// pays one struct allocation (plus string allocations) per record. A v2
-// frame stores the same batch column-wise: records are grouped into
-// *sections* of consecutive same-type records, and each section holds
-// per-field contiguous arrays — event times and windows as zigzag-delta
-// varints, fixed-width numeric fields as packed big-endian arrays, and
-// strings as references into a per-frame string table. The decoder
-// materializes a whole section into one arena slice, so decoding a
-// frame costs O(sections) allocations instead of O(records).
+// pays one struct allocation (plus string allocations) per record. A
+// columnar frame stores the same batch column-wise: records are grouped
+// into *sections* of consecutive same-type records, and each section
+// holds per-field contiguous arrays — every integer field (event times,
+// windows, ids, counts, string references) as a packed column
+// (packed.go), floats as big-endian arrays, and strings as references
+// into a per-frame string table. The decoder materializes a whole
+// section into one arena slice, so decoding a frame costs O(sections)
+// allocations instead of O(records).
 //
 // Layout (the frame header's record-count field holds ColumnarMarker):
 //
 //	[4B tableOff] [section ...] [string table]
-//	section: 1B tag, uvarint n, per-field columns (tag-specific)
+//	section: 1B tag, uvarint n, packed integer columns, float columns
+//	packed:  1B mode (0 plain, 1 delta) [zigzag-varint first value if delta]
+//	         then per block of ≤ 128 values:
+//	         zigzag-varint min, 1B width w (0..64), ⌈count·w/8⌉ bytes of
+//	         (value − min) at w bits each, least-significant bit first
+//	float:   n × 8B big-endian IEEE 754
 //	table:   uvarint count, count × (uvarint len, bytes)
+//
+// Integer columns per tag, in wire order (sectionIntCols): record time
+// and window open every section; then ping: timestamp − time, src ip,
+// src cluster, dst ip, dst cluster, rtt, err; ToR: timestamp − time, src
+// ToR, dst ToR, rtt; log: timestamp − time, line ref; job: timestamp −
+// time, tenant ref, stat-name ref, bucket, then the stat floats; agg:
+// key num, key ref, payload window − window, count, then sum/min/max
+// floats; quantile: key num, key ref, payload window − window, total,
+// counts length, then lo/hi floats and one packed column of every row's
+// bucket counts; watermark: watermark − time. The encoder picks plain or
+// delta per column by whichever packs smaller, so a constant column, a
+// constant-stride column (timestamps, sweeps, fresh string references)
+// and a narrow one (rtt, error codes) all cost what they carry before
+// the per-frame flate wrapper sees them.
 //
 // The string table sits at the end (tableOff points at it, relative to
 // the payload start) so the encoder can emit sections in one pass and
-// patch the offset, copy-free. String references are uvarints where 0
-// means the empty string and k > 0 means table entry k-1. Each frame is
+// patch the offset, copy-free. String references are 0 for the empty
+// string and k > 0 for table entry k-1. Each frame is
 // self-contained — the table resets per frame — which keeps replayed
 // epochs byte-stable across reconnects and SP restarts; cross-frame
 // sharing happens on the decode side, where a per-connection (or
@@ -47,26 +67,28 @@ import (
 // payload falls back to a raw section (tag 0) of per-record row
 // encodings, so columnar frames can carry everything row frames can.
 
-// ColumnarMarker is the frame record-count sentinel announcing a v2
+// ColumnarMarker is the frame record-count sentinel announcing a
 // columnar payload (as a record count it could never fit a frame, so it
 // cannot collide with a row frame).
 const ColumnarMarker = ^uint32(0)
 
 // ColumnarFlateMarker is the frame record-count sentinel announcing a
-// flate-compressed v2 columnar payload: a uvarint raw payload length
+// flate-compressed columnar payload: a uvarint raw payload length
 // followed by the flate stream of the exact bytes an uncompressed
 // columnar frame would carry after its marker. Every FrameReader
 // inflates it transparently.
 const ColumnarFlateMarker = ^uint32(0) - 2
 
-// Wire protocol versions negotiated by the Hello/Ack handshake. WireV2 is
-// the oldest version the transport accepts.
+// Wire protocol versions negotiated by the Hello/Ack handshake. A v2 and
+// a v3 payload are mutually undecodable, so WireV3 is both the newest
+// version this build speaks and the oldest the transport accepts.
 const (
 	WireV1 = 1 // record-at-a-time data frames (pre-columnar builds; rejected)
-	WireV2 = 2 // columnar batch frames
+	WireV2 = 2 // columnar frames with big-endian/varint integer columns (rejected)
+	WireV3 = 3 // columnar frames with bit-packed integer columns
 
 	// CurrentWireVersion is the newest version this build speaks.
-	CurrentWireVersion = WireV2
+	CurrentWireVersion = WireV3
 )
 
 // tagRawSection opens a fallback section of per-record row encodings.
@@ -81,12 +103,17 @@ const maxCanonStrings = 1 << 16
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// columnarEncoder builds v2 payloads. It is owned by a FrameWriter; the
+// columnarEncoder builds columnar payloads. It is owned by a FrameWriter; the
 // string index map and table are reused (and reset) across frames.
 type columnarEncoder struct {
-	idx  map[string]uint32
-	tab  []string
-	live []int32 // scratch live-index vector for column-direct encoding
+	idx map[string]uint32
+	tab []string
+	// vals backs cols, the scratch integer columns a section's values are
+	// gathered into before packing.
+	vals []int64
+	cols [9][]int64
+	// values counts the frame's integer column values (maxFrameValues).
+	values int
 }
 
 // ref returns the string-table reference for s, interning it on first
@@ -128,18 +155,31 @@ func sectionTag(rec *telemetry.Record) byte {
 	}
 }
 
-// encode appends the columnar payload for batch to dst.
-func (e *columnarEncoder) encode(dst []byte, batch telemetry.Batch) ([]byte, error) {
+// begin resets the per-frame string table and reserves the table offset.
+func (e *columnarEncoder) begin(dst []byte) []byte {
 	if e.idx == nil {
 		e.idx = make(map[string]uint32)
 	} else {
 		clear(e.idx)
 	}
-	e.tab = e.tab[:0]
+	e.tab, e.values = e.tab[:0], 0
+	return append(dst, 0, 0, 0, 0) // tableOff, patched by finish
+}
 
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // tableOff, patched below
+// finish patches the table offset of the payload that starts at base and
+// appends the string table.
+func (e *columnarEncoder) finish(dst []byte, base int) []byte {
+	binary.BigEndian.PutUint32(dst[base:], uint32(len(dst)-base))
+	dst = binary.AppendUvarint(dst, uint64(len(e.tab)))
+	for _, s := range e.tab {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	return dst
+}
 
+// encodeRuns writes batch as one section per run of same-type records.
+func (e *columnarEncoder) encodeRuns(dst []byte, batch telemetry.Batch) ([]byte, error) {
 	var err error
 	for lo := 0; lo < len(batch); {
 		tag := sectionTag(&batch[lo])
@@ -153,37 +193,71 @@ func (e *columnarEncoder) encode(dst []byte, batch telemetry.Batch) ([]byte, err
 		}
 		lo = hi
 	}
-
-	binary.BigEndian.PutUint32(dst[base:], uint32(len(dst)-base))
-	dst = binary.AppendUvarint(dst, uint64(len(e.tab)))
-	for _, s := range e.tab {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
-	}
 	return dst, nil
 }
 
-// appendTimeCols writes the shared Record header columns: event times
-// and window ids, both zigzag-delta packed (the first value absolute).
-func appendTimeCols(dst []byte, sec telemetry.Batch) []byte {
-	prev := int64(0)
-	for i := range sec {
-		dst = binary.AppendUvarint(dst, zigzag(sec[i].Time-prev))
-		prev = sec[i].Time
+// encode appends the columnar payload for batch to dst.
+func (e *columnarEncoder) encode(dst []byte, batch telemetry.Batch) ([]byte, error) {
+	base := len(dst)
+	dst, err := e.encodeRuns(e.begin(dst), batch)
+	if err != nil {
+		return nil, err
 	}
-	prev = 0
-	for i := range sec {
-		dst = binary.AppendUvarint(dst, zigzag(sec[i].Window-prev))
-		prev = sec[i].Window
-	}
-	return dst
+	return e.finish(dst, base), nil
 }
 
+// maxFrameValues bounds the integer column values of one frame, on both
+// sides: packed constant columns cost next to nothing on the wire, so a
+// frame's size no longer bounds what it decodes to. The bound is what a
+// MaxFrameSize frame of one-byte varints — the densest the unpacked
+// layout got — could carry.
+const maxFrameValues = MaxFrameSize
+
+// charge counts n integer column values against the frame's budget.
+func (e *columnarEncoder) charge(n int) error {
+	if e.values += n; e.values > maxFrameValues {
+		return fmt.Errorf("wire: frame of more than %d integer column values", maxFrameValues)
+	}
+	return nil
+}
+
+// sectionHeader opens a section of n records, charging its integer
+// columns to the frame's value budget.
+func (e *columnarEncoder) sectionHeader(dst []byte, tag byte, n int) ([]byte, error) {
+	return binary.AppendUvarint(append(dst, tag), uint64(n)), e.charge(n * max(1, sectionIntCols(tag)))
+}
+
+// intCols returns k scratch columns of n values each for a row walker to
+// gather a section's integer columns into.
+func (e *columnarEncoder) intCols(k, n int) [][]int64 {
+	if cap(e.vals) < k*n {
+		e.vals = make([]int64, k*n)
+	}
+	for i := 0; i < k; i++ {
+		e.cols[i] = e.vals[i*n : (i+1)*n : (i+1)*n]
+	}
+	return e.cols[:k]
+}
+
+// appendF64 appends one float column value; f64At reads value i of a
+// float column.
+func appendF64(dst []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+func f64At(col []byte, i int) float64 {
+	return math.Float64frombits(binary.BigEndian.Uint64(col[8*i:]))
+}
+
+// encodeSection writes one run of same-type records as a wire section:
+// the integer columns gathered into scratch and packed, in the order
+// decodeSectionBody reads them, then the float columns.
 func (e *columnarEncoder) encodeSection(dst []byte, tag byte, sec telemetry.Batch) ([]byte, error) {
-	dst = append(dst, tag)
-	dst = binary.AppendUvarint(dst, uint64(len(sec)))
+	dst, err := e.sectionHeader(dst, tag, len(sec))
+	if err != nil {
+		return nil, err
+	}
 	if tag == tagRawSection {
-		var err error
 		for i := range sec {
 			dst, err = EncodeRecord(dst, sec[i])
 			if err != nil {
@@ -192,125 +266,107 @@ func (e *columnarEncoder) encodeSection(dst []byte, tag byte, sec telemetry.Batc
 		}
 		return dst, nil
 	}
-	dst = appendTimeCols(dst, sec)
+	ints := sectionIntCols(tag)
+	if ints == 0 {
+		return nil, fmt.Errorf("wire: columnar section for unhandled tag 0x%02x", tag)
+	}
+	c := e.intCols(ints, len(sec))
+	for i := range sec {
+		c[0][i], c[1][i] = sec[i].Time, sec[i].Window
+	}
 	switch tag {
 	case TagPingProbe:
 		for i := range sec {
 			p := sec[i].Data.(*telemetry.PingProbe)
-			dst = binary.AppendUvarint(dst, zigzag(p.Timestamp-sec[i].Time))
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).SrcIP)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).SrcCluster)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).DstIP)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).DstCluster)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).RTTMicros)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).ErrCode)
+			c[2][i] = p.Timestamp - sec[i].Time
+			c[3][i] = int64(p.SrcIP)
+			c[4][i] = int64(p.SrcCluster)
+			c[5][i] = int64(p.DstIP)
+			c[6][i] = int64(p.DstCluster)
+			c[7][i] = int64(p.RTTMicros)
+			c[8][i] = int64(p.ErrCode)
 		}
 	case TagToRProbe:
 		for i := range sec {
 			p := sec[i].Data.(*telemetry.ToRProbe)
-			dst = binary.AppendUvarint(dst, zigzag(p.Timestamp-sec[i].Time))
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.ToRProbe).SrcToR)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.ToRProbe).DstToR)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.ToRProbe).RTTMicros)
+			c[2][i] = p.Timestamp - sec[i].Time
+			c[3][i] = int64(p.SrcToR)
+			c[4][i] = int64(p.DstToR)
+			c[5][i] = int64(p.RTTMicros)
 		}
 	case TagLogLine:
 		for i := range sec {
 			p := sec[i].Data.(*telemetry.LogLine)
-			dst = binary.AppendUvarint(dst, zigzag(p.Timestamp-sec[i].Time))
-		}
-		for i := range sec {
-			dst = binary.AppendUvarint(dst, e.ref(sec[i].Data.(*telemetry.LogLine).Raw))
+			c[2][i] = p.Timestamp - sec[i].Time
+			c[3][i] = int64(e.ref(p.Raw))
 		}
 	case TagJobStats:
 		for i := range sec {
 			p := sec[i].Data.(*telemetry.JobStats)
-			dst = binary.AppendUvarint(dst, zigzag(p.Timestamp-sec[i].Time))
+			c[2][i] = p.Timestamp - sec[i].Time
+			c[3][i] = int64(e.ref(p.Tenant))
+			c[5][i] = int64(p.Bucket)
 		}
+		// Interned after every tenant, as encodeColSec interns column by
+		// column: the string table's order is part of the bytes.
 		for i := range sec {
-			dst = binary.AppendUvarint(dst, e.ref(sec[i].Data.(*telemetry.JobStats).Tenant))
-		}
-		for i := range sec {
-			dst = binary.AppendUvarint(dst, e.ref(sec[i].Data.(*telemetry.JobStats).StatName))
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(sec[i].Data.(*telemetry.JobStats).Stat))
-		}
-		for i := range sec {
-			dst = binary.AppendUvarint(dst, zigzag(int64(sec[i].Data.(*telemetry.JobStats).Bucket)))
+			c[4][i] = int64(e.ref(sec[i].Data.(*telemetry.JobStats).StatName))
 		}
 	case TagAggRow:
 		for i := range sec {
-			dst = binary.BigEndian.AppendUint64(dst, sec[i].Data.(*telemetry.AggRow).Key.Num)
-		}
-		for i := range sec {
-			dst = binary.AppendUvarint(dst, e.ref(sec[i].Data.(*telemetry.AggRow).Key.Str))
-		}
-		for i := range sec {
 			p := sec[i].Data.(*telemetry.AggRow)
-			dst = binary.AppendUvarint(dst, zigzag(p.Window-sec[i].Window))
-		}
-		for i := range sec {
-			dst = binary.AppendUvarint(dst, uint64(sec[i].Data.(*telemetry.AggRow).Count))
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(sec[i].Data.(*telemetry.AggRow).Sum))
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(sec[i].Data.(*telemetry.AggRow).Min))
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(sec[i].Data.(*telemetry.AggRow).Max))
+			c[2][i] = int64(p.Key.Num)
+			c[3][i] = int64(e.ref(p.Key.Str))
+			c[4][i] = p.Window - sec[i].Window
+			c[5][i] = p.Count
 		}
 	case TagQuantileRow:
 		for i := range sec {
-			dst = binary.BigEndian.AppendUint64(dst, sec[i].Data.(*telemetry.QuantileRow).Key.Num)
-		}
-		for i := range sec {
-			dst = binary.AppendUvarint(dst, e.ref(sec[i].Data.(*telemetry.QuantileRow).Key.Str))
-		}
-		for i := range sec {
 			p := sec[i].Data.(*telemetry.QuantileRow)
-			dst = binary.AppendUvarint(dst, zigzag(p.Window-sec[i].Window))
-		}
-		for i := range sec {
-			p := sec[i].Data.(*telemetry.QuantileRow)
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Lo))
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Hi))
-			dst = binary.AppendUvarint(dst, uint64(p.Total))
-		}
-		for i := range sec {
-			dst = binary.AppendUvarint(dst, uint64(len(sec[i].Data.(*telemetry.QuantileRow).Counts)))
-		}
-		for i := range sec {
-			for _, c := range sec[i].Data.(*telemetry.QuantileRow).Counts {
-				dst = binary.AppendUvarint(dst, uint64(c))
-			}
+			c[2][i] = int64(p.Key.Num)
+			c[3][i] = int64(e.ref(p.Key.Str))
+			c[4][i] = p.Window - sec[i].Window
+			c[5][i] = p.Total
+			c[6][i] = int64(len(p.Counts))
 		}
 	case TagWatermark:
 		for i := range sec {
-			p := sec[i].Data.(*Watermark)
-			dst = binary.AppendUvarint(dst, zigzag(p.Time-sec[i].Time))
+			c[2][i] = sec[i].Data.(*Watermark).Time - sec[i].Time
 		}
-	default:
-		return nil, fmt.Errorf("wire: columnar section for unhandled tag 0x%02x", tag)
+	}
+	for _, col := range c {
+		dst = appendPacked(dst, col)
+	}
+	switch tag {
+	case TagJobStats:
+		for i := range sec {
+			dst = appendF64(dst, sec[i].Data.(*telemetry.JobStats).Stat)
+		}
+	case TagAggRow:
+		for i := range sec {
+			dst = appendF64(dst, sec[i].Data.(*telemetry.AggRow).Sum)
+		}
+		for i := range sec {
+			dst = appendF64(dst, sec[i].Data.(*telemetry.AggRow).Min)
+		}
+		for i := range sec {
+			dst = appendF64(dst, sec[i].Data.(*telemetry.AggRow).Max)
+		}
+	case TagQuantileRow:
+		for i := range sec {
+			dst = appendF64(dst, sec[i].Data.(*telemetry.QuantileRow).Lo)
+		}
+		for i := range sec {
+			dst = appendF64(dst, sec[i].Data.(*telemetry.QuantileRow).Hi)
+		}
+		e.vals = e.vals[:0]
+		for i := range sec {
+			e.vals = append(e.vals, sec[i].Data.(*telemetry.QuantileRow).Counts...)
+		}
+		if err := e.charge(len(e.vals)); err != nil {
+			return nil, err
+		}
+		dst = appendPacked(dst, e.vals)
 	}
 	return dst, nil
 }
@@ -322,31 +378,14 @@ func (e *columnarEncoder) encodeSection(dst []byte, tag byte, sec telemetry.Batc
 // encoded through the row path, grouped into runs exactly like encode.
 // Decoding the result reproduces AppendRows' record sequence.
 func (e *columnarEncoder) encodeCols(dst []byte, cb *ColumnarBatch) ([]byte, error) {
-	if e.idx == nil {
-		e.idx = make(map[string]uint32)
-	} else {
-		clear(e.idx)
-	}
-	e.tab = e.tab[:0]
-
 	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // tableOff, patched below
-
+	dst = e.begin(dst)
 	var err error
 	for si := range cb.Secs {
 		s := &cb.Secs[si]
 		if s.Rows != nil {
-			for lo := 0; lo < len(s.Rows); {
-				tag := sectionTag(&s.Rows[lo])
-				hi := lo + 1
-				for hi < len(s.Rows) && sectionTag(&s.Rows[hi]) == tag {
-					hi++
-				}
-				dst, err = e.encodeSection(dst, tag, s.Rows[lo:hi])
-				if err != nil {
-					return nil, err
-				}
-				lo = hi
+			if dst, err = e.encodeRuns(dst, s.Rows); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -358,156 +397,132 @@ func (e *columnarEncoder) encodeCols(dst []byte, cb *ColumnarBatch) ([]byte, err
 			return nil, err
 		}
 	}
-
-	binary.BigEndian.PutUint32(dst[base:], uint32(len(dst)-base))
-	dst = binary.AppendUvarint(dst, uint64(len(e.tab)))
-	for _, s := range e.tab {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
-	}
-	return dst, nil
+	return e.finish(dst, base), nil
 }
 
-// liveIdx returns the section's live row indices, using the selection
-// vector directly when present and a reusable identity vector otherwise.
-func (e *columnarEncoder) liveIdx(s *ColSec) []int32 {
-	if s.Sel != nil {
-		return s.Sel
+// packCol packs the live rows of one column: the column itself when the
+// section is dense, gathered through the selection vector otherwise.
+func packCol[T packable](e *columnarEncoder, dst []byte, col []T, s *ColSec) []byte {
+	if s.Sel == nil {
+		return appendPacked(dst, col[:len(s.Times)])
 	}
-	n := len(s.Times)
-	if cap(e.live) < n {
-		e.live = make([]int32, n)
-		for i := range e.live {
-			e.live[i] = int32(i)
+	v := e.intCols(1, len(s.Sel))[0]
+	for k, i := range s.Sel {
+		v[k] = int64(col[i])
+	}
+	return appendPacked(dst, v)
+}
+
+// packDiff packs the live rows of a−b, the form payload timestamps and
+// payload windows travel in (offsets against the record header columns).
+func (e *columnarEncoder) packDiff(dst []byte, a, b []int64, s *ColSec) []byte {
+	v := e.intCols(1, s.Len())[0]
+	if s.Sel == nil {
+		for i := range v {
+			v[i] = a[i] - b[i]
 		}
-	} else if len(e.live) < n {
-		for i := len(e.live); i < n; i++ {
-			e.live = append(e.live, int32(i))
+	} else {
+		for k, i := range s.Sel {
+			v[k] = a[i] - b[i]
 		}
 	}
-	return e.live[:n]
+	return appendPacked(dst, v)
+}
+
+// packRefs interns the live rows of a string column and packs the
+// references.
+func (e *columnarEncoder) packRefs(dst []byte, col []string, s *ColSec) []byte {
+	v := e.intCols(1, s.Len())[0]
+	if s.Sel == nil {
+		for i := range v {
+			v[i] = int64(e.ref(col[i]))
+		}
+	} else {
+		for k, i := range s.Sel {
+			v[k] = int64(e.ref(col[i]))
+		}
+	}
+	return appendPacked(dst, v)
+}
+
+// appendF64s appends the live rows of one float column.
+func appendF64s(dst []byte, col []float64, s *ColSec) []byte {
+	if s.Sel == nil {
+		for _, v := range col[:len(s.Times)] {
+			dst = appendF64(dst, v)
+		}
+		return dst
+	}
+	for _, i := range s.Sel {
+		dst = appendF64(dst, col[i])
+	}
+	return dst
 }
 
 // encodeColSec writes one SoA section's live rows as a wire section,
 // byte-identical to encodeSection over the materialized rows.
 func (e *columnarEncoder) encodeColSec(dst []byte, s *ColSec) ([]byte, error) {
-	live := e.liveIdx(s)
+	var tag byte
 	switch {
 	case s.Ping != nil:
-		dst = append(dst, TagPingProbe)
+		tag = TagPingProbe
 	case s.ToR != nil:
-		dst = append(dst, TagToRProbe)
+		tag = TagToRProbe
 	case s.Log != nil:
-		dst = append(dst, TagLogLine)
+		tag = TagLogLine
 	case s.Job != nil:
-		dst = append(dst, TagJobStats)
+		tag = TagJobStats
 	case s.Agg != nil:
-		dst = append(dst, TagAggRow)
+		tag = TagAggRow
 	default:
 		return nil, fmt.Errorf("wire: columnar section 0x%02x has no columns", s.Tag)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(live)))
-	prev := int64(0)
-	for _, i := range live {
-		dst = binary.AppendUvarint(dst, zigzag(s.Times[i]-prev))
-		prev = s.Times[i]
+	dst, err := e.sectionHeader(dst, tag, s.Len())
+	if err != nil {
+		return nil, err
 	}
-	prev = 0
-	for _, i := range live {
-		dst = binary.AppendUvarint(dst, zigzag(s.Windows[i]-prev))
-		prev = s.Windows[i]
-	}
+	dst = packCol(e, dst, s.Times, s)
+	dst = packCol(e, dst, s.Windows, s)
 	switch {
 	case s.Ping != nil:
 		c := s.Ping
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, zigzag(c.TS[i]-s.Times[i]))
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.SrcIP[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.SrcCluster[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.DstIP[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.DstCluster[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.RTT[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.Err[i])
-		}
+		dst = e.packDiff(dst, c.TS, s.Times, s)
+		dst = packCol(e, dst, c.SrcIP, s)
+		dst = packCol(e, dst, c.SrcCluster, s)
+		dst = packCol(e, dst, c.DstIP, s)
+		dst = packCol(e, dst, c.DstCluster, s)
+		dst = packCol(e, dst, c.RTT, s)
+		dst = packCol(e, dst, c.Err, s)
 	case s.ToR != nil:
 		c := s.ToR
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, zigzag(c.TS[i]-s.Times[i]))
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.SrcToR[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.DstToR[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.RTT[i])
-		}
+		dst = e.packDiff(dst, c.TS, s.Times, s)
+		dst = packCol(e, dst, c.SrcToR, s)
+		dst = packCol(e, dst, c.DstToR, s)
+		dst = packCol(e, dst, c.RTT, s)
 	case s.Log != nil:
-		c := s.Log
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, zigzag(c.TS[i]-s.Times[i]))
-		}
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, e.ref(c.Raw[i]))
-		}
+		dst = e.packDiff(dst, s.Log.TS, s.Times, s)
+		dst = e.packRefs(dst, s.Log.Raw, s)
 	case s.Job != nil:
 		c := s.Job
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, zigzag(c.TS[i]-s.Times[i]))
-		}
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, e.ref(c.Tenant[i]))
-		}
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, e.ref(c.StatName[i]))
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Stat[i]))
-		}
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, zigzag(c.Bucket[i]))
-		}
+		dst = e.packDiff(dst, c.TS, s.Times, s)
+		dst = e.packRefs(dst, c.Tenant, s)
+		dst = e.packRefs(dst, c.StatName, s)
+		dst = packCol(e, dst, c.Bucket, s)
+		dst = appendF64s(dst, c.Stat, s)
 	case s.Agg != nil:
 		c := s.Agg
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint64(dst, c.KeyNum[i])
-		}
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, e.ref(c.KeyStr[i]))
-		}
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, zigzag(c.Window[i]-s.Windows[i]))
-		}
-		for _, i := range live {
-			dst = binary.AppendUvarint(dst, uint64(c.Count[i]))
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Sum[i]))
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Min[i]))
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Max[i]))
-		}
+		dst = packCol(e, dst, c.KeyNum, s)
+		dst = e.packRefs(dst, c.KeyStr, s)
+		dst = e.packDiff(dst, c.Window, s.Windows, s)
+		dst = packCol(e, dst, c.Count, s)
+		dst = appendF64s(dst, c.Sum, s)
+		dst = appendF64s(dst, c.Min, s)
+		dst = appendF64s(dst, c.Max, s)
 	}
 	return dst, nil
 }
 
-// ColumnarDecoder materializes v2 columnar payloads. One decoder serves
+// ColumnarDecoder materializes columnar payloads. One decoder serves
 // one connection (or one snapshot store): its canonicalization cache
 // makes the key strings that repeat across frames — group keys, tenants,
 // stat names — decode to a single shared string instead of a fresh
@@ -527,11 +542,14 @@ type ColumnarDecoder struct {
 	ents    []tabEntry
 	keys    []string
 	backing string
-	// scratch columns reused across sections (values are copied into
-	// records/arenas before the next section touches them).
-	times   []int64
-	windows []int64
-	aux     []int64
+	// vals backs cols, the scratch integer columns reused across sections
+	// (values are copied into records/arenas before the next section
+	// touches them).
+	vals []int64
+	cols [9][]int64
+	// values counts the current frame's integer column values
+	// (maxFrameValues).
+	values int
 	// pool holds free column arenas when pooling is enabled (nil
 	// otherwise); lent tracks the arenas handed out since the last
 	// recycle so RecycleArenas can return them to the free lists.
@@ -696,19 +714,6 @@ func (d *ColumnarDecoder) intern(b []byte) string {
 	return s
 }
 
-// entry reads one string reference and returns its table index, -1 for
-// the empty string.
-func (d *ColumnarDecoder) entry(r *reader) (int, error) {
-	ref := r.uvarint()
-	if r.err != nil {
-		return 0, r.err
-	}
-	if ref > uint64(len(d.ents)) {
-		return 0, fmt.Errorf("wire: string ref %d exceeds table of %d", ref, len(d.ents))
-	}
-	return int(ref) - 1, nil
-}
-
 // keyAt resolves table entry i for a key column (tenant, stat name,
 // group key): strings that repeat across frames and may outlive the
 // epoch, so they resolve to the canon cache's own copy.
@@ -732,40 +737,52 @@ func (d *ColumnarDecoder) payloadAt(i int) string {
 	return d.backing[e.off : e.off+e.n]
 }
 
-// keyStr reads and resolves one key-column reference.
-func (d *ColumnarDecoder) keyStr(r *reader) (string, error) {
-	i, err := d.entry(r)
-	if i < 0 || err != nil {
-		return "", err
+// str resolves one string reference by the role of the column holding
+// it: 0 is the empty string, k > 0 table entry k-1 as a payload or a key.
+func (d *ColumnarDecoder) str(ref int64, payload bool) (string, error) {
+	switch {
+	case ref == 0:
+		return "", nil
+	case uint64(ref) > uint64(len(d.ents)):
+		return "", fmt.Errorf("wire: string ref %d exceeds table of %d", ref, len(d.ents))
+	case payload:
+		return d.payloadAt(int(ref) - 1), nil
+	default:
+		return d.keyAt(int(ref) - 1), nil
 	}
-	return d.keyAt(i), nil
 }
 
-// payloadStr reads and resolves one payload-column reference.
-func (d *ColumnarDecoder) payloadStr(r *reader) (string, error) {
-	i, err := d.entry(r)
-	if i < 0 || err != nil {
-		return "", err
-	}
-	return d.payloadAt(i), nil
-}
-
-// DecodeBatch parses one columnar payload (the frame bytes after the
-// 12-byte header) and appends the materialized records to *out.
-func (d *ColumnarDecoder) DecodeBatch(payload []byte, out *telemetry.Batch) error {
+// open validates a columnar payload's envelope (the frame bytes after
+// the 12-byte header), indexes its string table and returns a reader over
+// its sections.
+func (d *ColumnarDecoder) open(payload []byte) (*reader, error) {
 	if len(payload) < 4 {
-		return ErrShortBuffer
+		return nil, ErrShortBuffer
 	}
 	tableOff := binary.BigEndian.Uint32(payload)
 	if tableOff < 4 || uint64(tableOff) > uint64(len(payload)) {
-		return fmt.Errorf("wire: columnar table offset %d outside payload of %d", tableOff, len(payload))
+		return nil, fmt.Errorf("wire: columnar table offset %d outside payload of %d", tableOff, len(payload))
 	}
 	if err := d.readTable(payload[tableOff:]); err != nil {
+		return nil, err
+	}
+	d.values = 0
+	return &reader{buf: payload[:tableOff], off: 4}, nil
+}
+
+// DecodeBatch parses one columnar payload and appends the materialized
+// records to *out.
+func (d *ColumnarDecoder) DecodeBatch(payload []byte, out *telemetry.Batch) error {
+	r, err := d.open(payload)
+	if err != nil {
 		return err
 	}
-	r := &reader{buf: payload[:tableOff], off: 4}
 	for r.off < len(r.buf) {
-		if err := d.decodeSection(r, out); err != nil {
+		tag, n, err := d.sectionHeader(r)
+		if err != nil {
+			return err
+		}
+		if err := d.decodeSectionBody(r, tag, n, out); err != nil {
 			return err
 		}
 	}
@@ -773,7 +790,7 @@ func (d *ColumnarDecoder) DecodeBatch(payload []byte, out *telemetry.Batch) erro
 }
 
 // readTable indexes the frame's string table; entries are resolved on
-// reference, by column role (keyStr, payloadStr).
+// reference, by column role (str).
 func (d *ColumnarDecoder) readTable(buf []byte) error {
 	r := &reader{buf: buf}
 	n := r.uvarint()
@@ -800,105 +817,6 @@ func (d *ColumnarDecoder) readTable(buf []byte) error {
 	return nil
 }
 
-// minRecordBytes is the smallest possible encoding of one record in a
-// section of the given tag, used to reject corrupt counts before sizing
-// arenas from attacker-controlled input.
-func minRecordBytes(tag byte) int {
-	switch tag {
-	case TagPingProbe:
-		return 3 + 24
-	case TagToRProbe:
-		return 3 + 12
-	case TagLogLine:
-		return 4
-	case TagJobStats:
-		// time + window + ts-delta + tenant ref + stat-name ref +
-		// stat (8 B) + bucket, all varints at their 1-byte minimum.
-		return 5 + 8 + 1
-	case TagAggRow:
-		return 2 + 8 + 1 + 1 + 1 + 24
-	case TagQuantileRow:
-		return 2 + 8 + 1 + 1 + 16 + 1 + 1
-	case TagWatermark:
-		return 3
-	default:
-		return 17 // raw v1 record: tag + 16-byte header
-	}
-}
-
-// nextUvarint reads one uvarint from buf at off with a single-byte fast
-// path (the dominant case for delta-packed columns), returning the value
-// and the new offset, or newOff < 0 on underflow/overflow.
-func nextUvarint(buf []byte, off int) (uint64, int) {
-	if off < len(buf) {
-		if b := buf[off]; b < 0x80 {
-			return uint64(b), off + 1
-		}
-	}
-	v, k := binary.Uvarint(buf[off:])
-	if k <= 0 {
-		return 0, -1
-	}
-	return v, off + k
-}
-
-// zigzagDeltas bulk-decodes n zigzag-delta varints (running sum) into
-// out, a single pass over the buffer with one bounds state.
-func (r *reader) zigzagDeltas(out []int64) {
-	if r.err != nil {
-		return
-	}
-	buf, off := r.buf, r.off
-	prev := int64(0)
-	for i := range out {
-		v, next := nextUvarint(buf, off)
-		if next < 0 {
-			r.err = ErrShortBuffer
-			return
-		}
-		off = next
-		prev += unzigzag(v)
-		out[i] = prev
-	}
-	r.off = off
-}
-
-// zigzags bulk-decodes n independent zigzag varints into out.
-func (r *reader) zigzags(out []int64) {
-	if r.err != nil {
-		return
-	}
-	buf, off := r.buf, r.off
-	for i := range out {
-		v, next := nextUvarint(buf, off)
-		if next < 0 {
-			r.err = ErrShortBuffer
-			return
-		}
-		off = next
-		out[i] = unzigzag(v)
-	}
-	r.off = off
-}
-
-// uvarints bulk-decodes n uvarints into out (as int64).
-func (r *reader) uvarints(out []int64) {
-	if r.err != nil {
-		return
-	}
-	buf, off := r.buf, r.off
-	for i := range out {
-		v, next := nextUvarint(buf, off)
-		if next < 0 {
-			r.err = ErrShortBuffer
-			return
-		}
-		off = next
-		out[i] = int64(v)
-	}
-	r.off = off
-}
-
 // take returns the next n bytes as a view and advances, or nil on
 // underflow.
 func (r *reader) take(n int) []byte {
@@ -914,48 +832,77 @@ func (r *reader) take(n int) []byte {
 	return out
 }
 
-// grow returns s resized to n, reusing capacity.
-func grow(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
+// intCols reads k packed integer columns of n values each into the
+// decoder's reusable scratch — what the row walker scatters into records.
+func (d *ColumnarDecoder) intCols(r *reader, k, n int) [][]int64 {
+	if cap(d.vals) < k*n {
+		d.vals = make([]int64, k*n)
 	}
-	return s[:n]
+	for i := 0; i < k; i++ {
+		d.cols[i] = d.vals[i*n : (i+1)*n : (i+1)*n]
+		readPacked(r, d.cols[i])
+	}
+	return d.cols[:k]
 }
 
-// timeCols reads the shared header columns into the decoder's reusable
-// times/windows scratch.
-func (d *ColumnarDecoder) timeCols(r *reader, n int) {
-	d.times = grow(d.times, n)
-	d.windows = grow(d.windows, n)
-	r.zigzagDeltas(d.times)
-	r.zigzagDeltas(d.windows)
+// admit charges n integer column values to the frame's budget.
+func (d *ColumnarDecoder) admit(n uint64) error {
+	if n > uint64(maxFrameValues-d.values) {
+		return fmt.Errorf("wire: frame decodes to more than %d integer column values", maxFrameValues)
+	}
+	d.values += int(n)
+	return nil
 }
 
-// sectionHeader reads one section's tag and record count, validating the
-// count against the bytes that remain (shared by the row-materializing
-// and SoA decoders).
+// sectionHeader reads one section's tag and record count (shared by the
+// row-materializing and SoA decoders). The count sizes arenas, so it is
+// bounded before anything is allocated: a raw record takes at least its
+// tag and 16-byte header, and a packed column at least two bytes per
+// 128-value block, so the bytes that remain cap the count at 64 per byte
+// — and the section's integer columns must fit the frame's value budget.
 func (d *ColumnarDecoder) sectionHeader(r *reader) (tag byte, n int, err error) {
 	tag = r.u8()
 	cnt := r.uvarint()
 	if r.err != nil {
 		return 0, 0, r.err
 	}
-	if cnt > uint64(len(r.buf)-r.off)/uint64(minRecordBytes(tag)) {
+	limit := uint64(len(r.buf)-r.off) * (packBlock / 2)
+	if tag == tagRawSection {
+		limit = uint64(len(r.buf)-r.off) / 17
+	}
+	if cnt > limit {
 		return 0, 0, fmt.Errorf("wire: section 0x%02x count %d exceeds remaining %d bytes", tag, cnt, len(r.buf)-r.off)
 	}
-	return tag, int(cnt), nil
+	return tag, int(cnt), d.admit(cnt * uint64(max(1, sectionIntCols(tag))))
 }
 
-func (d *ColumnarDecoder) decodeSection(r *reader, out *telemetry.Batch) error {
-	tag, n, err := d.sectionHeader(r)
-	if err != nil {
-		return err
+// sectionIntCols returns how many packed integer columns open a section
+// of the given tag (the two record-header columns included), 0 for a tag
+// without a columnar layout.
+func sectionIntCols(tag byte) int {
+	switch tag {
+	case TagPingProbe:
+		return 9 // time, window, ts offset, src ip/cluster, dst ip/cluster, rtt, err
+	case TagToRProbe:
+		return 6 // time, window, ts offset, src tor, dst tor, rtt
+	case TagLogLine:
+		return 4 // time, window, ts offset, line ref
+	case TagJobStats:
+		return 6 // time, window, ts offset, tenant ref, stat-name ref, bucket
+	case TagAggRow:
+		return 6 // time, window, key num, key ref, window offset, count
+	case TagQuantileRow:
+		return 7 // time, window, key num, key ref, window offset, total, counts length
+	case TagWatermark:
+		return 3 // time, window, watermark offset
+	default:
+		return 0
 	}
-	return d.decodeSectionBody(r, tag, n, out)
 }
 
 // decodeSectionBody materializes one section (header already consumed)
-// into records appended to *out.
+// into records appended to *out: the packed integer columns are read
+// into scratch in wire order, then scattered into one arena.
 func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *telemetry.Batch) error {
 	if tag == tagRawSection {
 		for i := 0; i < n; i++ {
@@ -968,241 +915,158 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 		}
 		return nil
 	}
-	d.timeCols(r, n)
+	ints := sectionIntCols(tag)
+	if ints == 0 {
+		return fmt.Errorf("%w: columnar section 0x%02x", ErrUnknownTag, tag)
+	}
+	c := d.intCols(r, ints, n)
 	if r.err != nil {
 		return r.err
 	}
-	times, windows := d.times, d.windows
+	times, windows := c[0], c[1]
 	*out = slices.Grow(*out, n)
+	recs := (*out)[len(*out) : len(*out)+n]
 	switch tag {
 	case TagPingProbe:
 		arena := make([]telemetry.PingProbe, n)
-		d.aux = grow(d.aux, n)
-		r.zigzags(d.aux)
-		srcIP := r.take(4 * n)
-		srcCl := r.take(4 * n)
-		dstIP := r.take(4 * n)
-		dstCl := r.take(4 * n)
-		rtt := r.take(4 * n)
-		errc := r.take(4 * n)
-		if r.err != nil {
-			return r.err
-		}
-		// One pass: the arena line is written exactly once while the six
-		// input columns stream sequentially.
-		recs := (*out)[len(*out) : len(*out)+n]
 		for i := range arena {
-			p := &arena[i]
-			p.Timestamp = times[i] + d.aux[i]
-			p.SrcIP = binary.BigEndian.Uint32(srcIP[4*i:])
-			p.SrcCluster = binary.BigEndian.Uint32(srcCl[4*i:])
-			p.DstIP = binary.BigEndian.Uint32(dstIP[4*i:])
-			p.DstCluster = binary.BigEndian.Uint32(dstCl[4*i:])
-			p.RTTMicros = binary.BigEndian.Uint32(rtt[4*i:])
-			p.ErrCode = binary.BigEndian.Uint32(errc[4*i:])
+			arena[i] = telemetry.PingProbe{
+				Timestamp: times[i] + c[2][i],
+				SrcIP:     uint32(c[3][i]), SrcCluster: uint32(c[4][i]),
+				DstIP: uint32(c[5][i]), DstCluster: uint32(c[6][i]),
+				RTTMicros: uint32(c[7][i]), ErrCode: uint32(c[8][i]),
+			}
 			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
-				WireSize: telemetry.PingProbeWireSize, Data: p,
+				WireSize: telemetry.PingProbeWireSize, Data: &arena[i],
 			}
 		}
-		*out = (*out)[:len(*out)+n]
 	case TagToRProbe:
 		arena := make([]telemetry.ToRProbe, n)
-		d.aux = grow(d.aux, n)
-		r.zigzags(d.aux)
-		srcToR := r.take(4 * n)
-		dstToR := r.take(4 * n)
-		rtt := r.take(4 * n)
-		if r.err != nil {
-			return r.err
-		}
-		recs := (*out)[len(*out) : len(*out)+n]
 		for i := range arena {
-			p := &arena[i]
-			p.Timestamp = times[i] + d.aux[i]
-			p.SrcToR = binary.BigEndian.Uint32(srcToR[4*i:])
-			p.DstToR = binary.BigEndian.Uint32(dstToR[4*i:])
-			p.RTTMicros = binary.BigEndian.Uint32(rtt[4*i:])
+			arena[i] = telemetry.ToRProbe{
+				Timestamp: times[i] + c[2][i],
+				SrcToR:    uint32(c[3][i]), DstToR: uint32(c[4][i]), RTTMicros: uint32(c[5][i]),
+			}
 			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
-				WireSize: telemetry.ToRProbeWireSize, Data: p,
+				WireSize: telemetry.ToRProbeWireSize, Data: &arena[i],
 			}
 		}
-		*out = (*out)[:len(*out)+n]
 	case TagLogLine:
 		arena := make([]telemetry.LogLine, n)
-		d.aux = grow(d.aux, n)
-		r.zigzags(d.aux)
 		for i := range arena {
-			arena[i].Timestamp = times[i] + d.aux[i]
-		}
-		for i := range arena {
-			s, err := d.payloadStr(r)
+			raw, err := d.str(c[3][i], true)
 			if err != nil {
 				return err
 			}
-			arena[i].Raw = s
-		}
-		for i := range arena {
-			*out = append(*out, telemetry.Record{
+			arena[i] = telemetry.LogLine{Timestamp: times[i] + c[2][i], Raw: raw}
+			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
-				WireSize: len(arena[i].Raw), Data: &arena[i],
-			})
+				WireSize: len(raw), Data: &arena[i],
+			}
 		}
 	case TagJobStats:
 		arena := make([]telemetry.JobStats, n)
-		d.aux = grow(d.aux, n)
-		r.zigzags(d.aux)
-		for i := range arena {
-			arena[i].Timestamp = times[i] + d.aux[i]
-		}
-		for i := range arena {
-			s, err := d.keyStr(r)
-			if err != nil {
-				return err
-			}
-			arena[i].Tenant = s
-		}
-		for i := range arena {
-			s, err := d.keyStr(r)
-			if err != nil {
-				return err
-			}
-			arena[i].StatName = s
-		}
-		col := r.take(8 * n)
-		if r.err == nil {
-			for i := range arena {
-				arena[i].Stat = math.Float64frombits(binary.BigEndian.Uint64(col[8*i:]))
-			}
-		}
-		r.zigzags(d.aux)
+		stat := r.take(8 * n)
 		if r.err != nil {
 			return r.err
 		}
 		for i := range arena {
-			arena[i].Bucket = int(d.aux[i])
-			*out = append(*out, telemetry.Record{
+			tenant, err := d.str(c[3][i], false)
+			if err != nil {
+				return err
+			}
+			name, err := d.str(c[4][i], false)
+			if err != nil {
+				return err
+			}
+			arena[i] = telemetry.JobStats{
+				Timestamp: times[i] + c[2][i], Tenant: tenant, StatName: name,
+				Stat:   f64At(stat, i),
+				Bucket: int(c[5][i]),
+			}
+			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
 				WireSize: arena[i].JobStatsWireSize(), Data: &arena[i],
-			})
+			}
 		}
 	case TagAggRow:
 		arena := make([]telemetry.AggRow, n)
-		keyNum := r.take(8 * n)
+		f := r.take(24 * n)
 		if r.err != nil {
 			return r.err
 		}
+		sums, mins, maxs := f[:8*n], f[8*n:16*n], f[16*n:]
 		for i := range arena {
-			s, err := d.keyStr(r)
+			key, err := d.str(c[3][i], false)
 			if err != nil {
 				return err
 			}
-			arena[i].Key.Str = s
-		}
-		d.aux = grow(d.aux, n)
-		r.zigzags(d.aux) // window offset vs record window
-		if r.err == nil {
-			for i := range arena {
-				arena[i].Window = windows[i] + d.aux[i]
-			}
-		}
-		r.uvarints(d.aux) // counts
-		sums := r.take(8 * n)
-		mins := r.take(8 * n)
-		maxs := r.take(8 * n)
-		if r.err != nil {
-			return r.err
-		}
-		recs := (*out)[len(*out) : len(*out)+n]
-		for i := range arena {
 			p := &arena[i]
-			p.Key.Num = binary.BigEndian.Uint64(keyNum[8*i:])
-			p.Count = d.aux[i]
-			p.Sum = math.Float64frombits(binary.BigEndian.Uint64(sums[8*i:]))
-			p.Min = math.Float64frombits(binary.BigEndian.Uint64(mins[8*i:]))
-			p.Max = math.Float64frombits(binary.BigEndian.Uint64(maxs[8*i:]))
+			p.Key = telemetry.GroupKey{Num: uint64(c[2][i]), Str: key}
+			p.Window = windows[i] + c[4][i]
+			p.Count = c[5][i]
+			p.Sum = f64At(sums, i)
+			p.Min = f64At(mins, i)
+			p.Max = f64At(maxs, i)
 			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
 				WireSize: p.AggRowWireSize(), Data: p,
 			}
 		}
-		*out = (*out)[:len(*out)+n]
 	case TagQuantileRow:
 		arena := make([]telemetry.QuantileRow, n)
-		col := r.take(8 * n) // Key.Num
-		if r.err == nil {
-			for i := range arena {
-				arena[i].Key.Num = binary.BigEndian.Uint64(col[8*i:])
+		f := r.take(16 * n)
+		if r.err != nil {
+			return r.err
+		}
+		// The per-row bucket counts travel as one packed column of all
+		// rows' counts; its length is bounded like a section count.
+		total, limit := int64(0), int64(len(r.buf)-r.off)*(packBlock/2)
+		for _, l := range c[6] {
+			if l < 0 || l > limit-total {
+				return fmt.Errorf("wire: quantile counts of %d in %d bytes", l, len(r.buf)-r.off)
 			}
+			total += l
+		}
+		if err := d.admit(uint64(total)); err != nil {
+			return err
+		}
+		counts := make([]int64, total)
+		readPacked(r, counts)
+		if r.err != nil {
+			return r.err
 		}
 		for i := range arena {
-			s, err := d.keyStr(r)
+			key, err := d.str(c[3][i], false)
 			if err != nil {
 				return err
 			}
-			arena[i].Key.Str = s
-		}
-		d.aux = grow(d.aux, n)
-		r.zigzags(d.aux)
-		if r.err == nil {
-			for i := range arena {
-				arena[i].Window = windows[i] + d.aux[i]
+			l := int(c[6][i])
+			arena[i] = telemetry.QuantileRow{
+				Key:    telemetry.GroupKey{Num: uint64(c[2][i]), Str: key},
+				Window: windows[i] + c[4][i],
+				Lo:     f64At(f, i),
+				Hi:     f64At(f, n+i),
+				Total:  c[5][i], Counts: counts[:l:l],
 			}
-		}
-		for i := range arena {
-			arena[i].Lo = math.Float64frombits(r.u64())
-			arena[i].Hi = math.Float64frombits(r.u64())
-			arena[i].Total = int64(r.uvarint())
-		}
-		r.uvarints(d.aux) // counts lengths
-		if r.err != nil {
-			return r.err
-		}
-		total := 0
-		for i := range arena {
-			l := d.aux[i]
-			if l < 0 || l > int64(len(r.buf)-r.off) {
-				return fmt.Errorf("wire: quantile counts of %d in %d bytes", l, len(r.buf)-r.off)
-			}
-			total += int(l)
-		}
-		if total > len(r.buf)-r.off {
-			return fmt.Errorf("wire: %d quantile counts in %d bytes", total, len(r.buf)-r.off)
-		}
-		counts := make([]int64, total)
-		off := 0
-		for i := range arena {
-			cs := counts[off : off+int(d.aux[i]) : off+int(d.aux[i])]
-			off += int(d.aux[i])
-			r.uvarints(cs)
-			arena[i].Counts = cs
-		}
-		if r.err != nil {
-			return r.err
-		}
-		for i := range arena {
-			*out = append(*out, telemetry.Record{
+			counts = counts[l:]
+			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
 				WireSize: arena[i].WireSize(), Data: &arena[i],
-			})
+			}
 		}
 	case TagWatermark:
 		arena := make([]Watermark, n)
-		d.aux = grow(d.aux, n)
-		r.zigzags(d.aux)
-		if r.err != nil {
-			return r.err
-		}
 		for i := range arena {
-			arena[i].Time = times[i] + d.aux[i]
-			*out = append(*out, telemetry.Record{
+			arena[i].Time = times[i] + c[2][i]
+			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
 				WireSize: 17, Data: &arena[i],
-			})
+			}
 		}
-	default:
-		return fmt.Errorf("%w: columnar section 0x%02x", ErrUnknownTag, tag)
 	}
-	return r.err
+	*out = (*out)[:len(*out)+n]
+	return nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -225,35 +226,123 @@ func TestCanonSurvivesUniqueLines(t *testing.T) {
 	}
 }
 
-// TestColumnarDenseJobStats pins the section count guard against the
-// densest legal JobStats encoding: every varint at its 1-byte minimum
-// (small time deltas, interned refs). A too-strict minRecordBytes once
-// rejected frames the encoder itself produced.
-func TestColumnarDenseJobStats(t *testing.T) {
-	var batch telemetry.Batch
-	for i := 0; i < 200; i++ {
-		j := &telemetry.JobStats{Timestamp: int64(i), Tenant: "t", StatName: "s", Stat: 1, Bucket: 0}
-		batch = append(batch, telemetry.Record{Time: int64(i), WireSize: j.JobStatsWireSize(), Data: j})
-	}
+// writeColumnar returns the frame bytes a columnar writer produces for f.
+func writeColumnar(t testing.TB, f Frame, compress bool) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
 	fw.SetColumnar(true)
-	if err := fw.WriteFrame(Frame{StreamID: 2, Records: batch}); err != nil {
+	fw.SetCompression(compress)
+	if err := fw.WriteFrame(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewFrameReader(bytes.NewReader(buf.Bytes())).ReadFrame()
-	if err != nil {
-		t.Fatalf("dense JobStats frame rejected: %v", err)
+	return buf.Bytes()
+}
+
+// TestSectionCountGuard pins the section count guard from both sides.
+// Packed constant columns legitimately cost a fraction of a bit per row,
+// so the densest frames the encoder produces — far below any per-record
+// byte floor — must decode; and a forged count must be refused before it
+// sizes an arena, whether it exceeds what the remaining bytes could pack
+// or the frame's value budget.
+func TestSectionCountGuard(t *testing.T) {
+	var probes, jobs telemetry.Batch
+	for i := 0; i < 50_000; i++ {
+		probes = append(probes, telemetry.NewProbeRecord(&telemetry.PingProbe{
+			Timestamp: int64(i * 26), SrcIP: 0x0A000001, SrcCluster: 0x0A00,
+			DstIP: 0x0B000000 + uint32(i), DstCluster: 0x0B00, RTTMicros: 400,
+		}))
 	}
-	if len(got.Records) != len(batch) {
-		t.Fatalf("decoded %d of %d records", len(got.Records), len(batch))
+	for i := 0; i < 200; i++ {
+		j := &telemetry.JobStats{Timestamp: int64(i), Tenant: "t", StatName: "s", Stat: 1, Bucket: 0}
+		jobs = append(jobs, telemetry.Record{Time: int64(i), WireSize: j.JobStatsWireSize(), Data: j})
 	}
-	if !bytes.Equal(canonical(t, got.Records), canonical(t, batch)) {
-		t.Fatal("dense JobStats round-trip changed content")
+	for _, batch := range []telemetry.Batch{probes, jobs} {
+		data := writeColumnar(t, Frame{StreamID: 2, Records: batch}, false)
+		got, err := NewFrameReader(bytes.NewReader(data)).ReadFrame()
+		if err != nil {
+			t.Fatalf("dense %d-record frame of %d bytes rejected: %v", len(batch), len(data), err)
+		}
+		if !bytes.Equal(canonical(t, got.Records), canonical(t, batch)) {
+			t.Fatal("dense frame round-trip changed content")
+		}
 	}
+	if perRow := float64(len(writeColumnar(t, Frame{Records: probes}, false))) / float64(len(probes)); perRow > 0.2 {
+		t.Fatalf("constant-stride probe section costs %.2f B/row", perRow)
+	}
+
+	// Forged headers: a ping section claiming n rows over a body of
+	// zeros (mode plain, min 0, width 0 — valid constant blocks as far as
+	// they go).
+	forged := func(n uint64, body int) []byte {
+		p := []byte{0, 0, 0, 0, TagPingProbe}
+		p = binary.AppendUvarint(p, n)
+		p = append(p, make([]byte, body)...)
+		binary.BigEndian.PutUint32(p, uint32(len(p)))
+		return append(p, 0) // empty string table
+	}
+	for _, tc := range []struct {
+		name string
+		n    uint64
+		body int
+	}{
+		{"count beyond 64 per remaining byte", 1 << 40, 64},
+		{"count beyond the frame value budget", maxFrameValues/9 + 1, 1 << 20},
+		{"count the bytes could pack but do not", 100_000, 100_000 / 64 * 2},
+	} {
+		payload := forged(tc.n, tc.body)
+		var rows telemetry.Batch
+		var cb ColumnarBatch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rowErr := NewColumnarDecoder().DecodeBatch(payload, &rows)
+		colErr := NewColumnarDecoder().DecodeColumnar(payload, &cb)
+		runtime.ReadMemStats(&after)
+		if rowErr == nil || colErr == nil {
+			t.Fatalf("%s: decoded (rows err %v, columnar err %v)", tc.name, rowErr, colErr)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<20 {
+			t.Fatalf("%s: refusing a %d-byte payload allocated %d MiB", tc.name, len(payload), grown>>20)
+		}
+	}
+}
+
+// TestColsEncodeMatchesRows pins the two section encoders to each other:
+// a SoA batch — dense sections and sections narrowed by a selection
+// vector — must encode to exactly the bytes its materialized rows encode
+// to, packing modes and block widths included.
+func TestColsEncodeMatchesRows(t *testing.T) {
+	var cb ColumnarBatch
+	payload := writeColumnar(t, Frame{StreamID: 1, Records: mixedBatch()}, false)[16:]
+	if err := NewColumnarDecoder().DecodeColumnar(payload, &cb); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string) {
+		t.Helper()
+		var rows telemetry.Batch
+		cb.AppendRows(&rows)
+		fromCols := writeColumnar(t, Frame{StreamID: 1, Cols: &cb}, false)
+		fromRows := writeColumnar(t, Frame{StreamID: 1, Records: rows}, false)
+		if !bytes.Equal(fromCols, fromRows) {
+			t.Fatalf("%s: column-direct encoding (%d bytes) differs from the row encoding (%d bytes)", name, len(fromCols), len(fromRows))
+		}
+	}
+	check("dense")
+	for si := range cb.Secs {
+		s := &cb.Secs[si]
+		if s.Rows != nil {
+			continue
+		}
+		for i := 0; i < s.N(); i++ {
+			if i%3 != 1 {
+				s.Sel = append(s.Sel, int32(i))
+			}
+		}
+	}
+	check("selected")
 }
 
 func TestColumnarEmptyBatch(t *testing.T) {
@@ -285,7 +374,7 @@ func TestColumnarControlFramesStayV1(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
 	fw.SetColumnar(true)
-	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 1, Seq: 2, Version: WireV2}}
+	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 1, Seq: 2, Version: WireV3}}
 	if err := fw.WriteFrame(Frame{StreamID: ControlStreamID, Records: telemetry.Batch{rec}}); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +390,7 @@ func TestColumnarControlFramesStayV1(t *testing.T) {
 		t.Fatalf("control frame carries count/marker %#x, want a 1-record row frame", count)
 	}
 	h, ok := got.Records[0].Data.(*Hello)
-	if !ok || h.Version != WireV2 {
+	if !ok || h.Version != WireV3 {
 		t.Fatalf("hello round-trip: %+v", got.Records[0].Data)
 	}
 	// A row frame has no columnar form: handing it Cols is a caller bug,
@@ -319,7 +408,7 @@ func TestColumnarControlFramesStayV1(t *testing.T) {
 // (= v1 peer), a pre-HA Hello (version but no term) reads as Term 0,
 // and a pre-compression Hello reads as Compress false.
 func TestLegacyHelloDecodes(t *testing.T) {
-	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 9, Seq: 4, Version: WireV2, Term: 3, Compress: true, Class: 2, Tenant: "t"}}
+	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 9, Seq: 4, Version: WireV3, Term: 3, Compress: true, Class: 2, Tenant: "t"}}
 	enc, err := EncodeRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -334,10 +423,10 @@ func TestLegacyHelloDecodes(t *testing.T) {
 	}{
 		// The one-char tenant encodes as 2 bytes (uvarint len + byte),
 		// the class as 1; every earlier trailing field is 1 byte here.
-		{"current", 0, WireV2, 3, true, 2},
-		{"pre-admission", 3, WireV2, 3, true, 0},
-		{"pre-compression", 4, WireV2, 3, false, 0},
-		{"pre-ha", 5, WireV2, 0, false, 0},
+		{"current", 0, WireV3, 3, true, 2},
+		{"pre-admission", 3, WireV3, 3, true, 0},
+		{"pre-compression", 4, WireV3, 3, false, 0},
+		{"pre-ha", 5, WireV3, 0, false, 0},
 		{"pre-versioning", 6, 0, 0, false, 0},
 	} {
 		legacy := enc[:len(enc)-tc.strip] // each trailing field is 1 byte here

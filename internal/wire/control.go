@@ -25,7 +25,7 @@ const ReplRowsStreamID = ^uint32(0) - 2
 // newest durably-applied sequence for that source plus its own version,
 // term and compression support; both sides then use min(hello, ack) for
 // the version and the agent adopts the larger term. The transport
-// refuses a negotiated version below WireV2 on either side, and a
+// refuses a negotiated version below WireV3 on either side, and a
 // compressing agent refuses an Ack without Compress. An SP that sees a
 // Hello carrying a term above its own knows a newer primary was promoted
 // and fences itself (rejects the connection).

@@ -34,7 +34,7 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 	return &FrameWriter{w: bufio.NewWriter(w)}
 }
 
-// SetColumnar switches data frames to the v2 columnar encoding, the only
+// SetColumnar switches data frames to the columnar encoding, the only
 // data-frame format the transport ships (control frames stay
 // count-prefixed row frames — they are single tiny records). A writer
 // left in row mode produces the count-prefixed format throughout: the
@@ -193,7 +193,9 @@ type FrameReader struct {
 // FrameStats is a reader's cumulative wire accounting: frame count,
 // bytes as carried on the wire, and the equivalent uncompressed bytes
 // (equal to WireBytes when no frame was compressed). The ratio
-// RawBytes/WireBytes is the effective wire compression ratio.
+// RawBytes/WireBytes is the effective wire compression ratio — of flate
+// over frames whose integer columns are already bit-packed, so it says
+// what the flate wrapper still removes, not how far the records shrank.
 type FrameStats struct {
 	Frames           int64
 	WireBytes        int64
@@ -250,7 +252,7 @@ func (fr *FrameReader) RawFrame() []byte { return fr.buf }
 
 // SetColumnarExec switches the reader to columnar-execution decoding:
 // columnar data frames are returned as SoA batches (Frame.Cols) instead
-// of materialized records, so a v2 connection's payload can flow
+// of materialized records, so a connection's payload can flow
 // decode→execute with zero row materialization (the receiver); snapshot
 // and standby readers leave it off and get rows. Row frames (control
 // records, result logs) decode to Records either way.
@@ -359,6 +361,11 @@ func (fr *FrameReader) inflateFramePayload(body []byte) ([]byte, error) {
 	}
 	if rawLen > MaxFrameSize {
 		return nil, fmt.Errorf("wire: compressed payload of %d bytes exceeds max %d", rawLen, MaxFrameSize)
+	}
+	// Deflate expands at most 1032:1, so a declared length the stream
+	// cannot reach is corrupt — reject it before sizing the buffer from it.
+	if rawLen > uint64(len(body)-k)*1032+64 {
+		return nil, fmt.Errorf("wire: compressed payload declares %d bytes for a %d-byte stream", rawLen, len(body)-k)
 	}
 	if fr.zsrc == nil {
 		fr.zsrc = bytes.NewReader(body[k:])
