@@ -9,7 +9,6 @@ import (
 	"jarvis/internal/admission"
 	"jarvis/internal/benchcase"
 	"jarvis/internal/plan"
-	"jarvis/internal/sim"
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/workload"
@@ -22,9 +21,6 @@ import (
 //   - AdmissionOverheadPct: that cost as a percentage of one warm
 //     columnar SP ingest epoch — the number the ≤3% budget is checked
 //     against (min-of-3 on the ingest side to filter scheduler noise).
-//   - JainFairness@10xSpike / OverloadEpochsLost: the deterministic
-//     overload simulation's end-of-run fairness index and loss count
-//     under a 10x hot-tenant spike (see internal/sim.RunOverload).
 //   - DegradedModeErrPct@rate=0.25: relative error of sampled-and-
 //     rescaled ingestion vs an exact replica on the LogAnalytics query,
 //     alongside the a-priori bound the SP records for the tenant.
@@ -72,29 +68,6 @@ func admissionBenchmarks() ([]BenchRecord, error) {
 		Name:    "AdmissionOverheadPct",
 		NsPerOp: 100 * admitRec.NsPerOp / ingestNs,
 	})
-
-	// Fairness under a 10x hot-tenant spike, from the deterministic
-	// overload simulation (same scenario the sim package's acceptance
-	// test runs). NsPerOp carries the Jain index / the lost-epoch count.
-	res, err := sim.RunOverload(sim.OverloadConfig{
-		Tenants: []sim.TenantSpec{
-			{Source: 1, Name: "gold-app", Class: admission.Gold, BytesPerEpoch: 800},
-			{Source: 2, Name: "steady", Class: admission.Silver, BytesPerEpoch: 400},
-			{Source: 3, Name: "hot", Class: admission.Silver, BytesPerEpoch: 400,
-				SpikeFrom: 10, SpikeTo: 25, SpikeFactor: 10},
-		},
-		Epochs: 40, EpochMicros: 1_000_000,
-		Admission: admission.Config{
-			RateBytesPerSec: 1000, BurstBytes: 1000, MaxDelayedEpochs: 2,
-			DegradeAfter: 3, PromoteAfter: 4, DegradeRate: 0.25,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	records = append(records,
-		BenchRecord{Name: "JainFairness@10xSpike", NsPerOp: res.Jain},
-		BenchRecord{Name: "OverloadEpochsLost", NsPerOp: float64(res.Lost)})
 
 	errPct, boundPct, err := degradedModeError(0.25)
 	if err != nil {

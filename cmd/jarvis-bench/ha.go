@@ -55,7 +55,7 @@ func replicationApplyBenchmark() (BenchRecord, error) {
 	if err != nil {
 		return BenchRecord{}, err
 	}
-	if err := replayEpoch(donor, nil, epochBytes); err != nil {
+	if err := replayEpoch(donor, epochBytes); err != nil {
 		return BenchRecord{}, err
 	}
 	snap := &checkpoint.Snapshot{

@@ -4,7 +4,7 @@
 // overhead. `-exp micro` runs the engine micro-benchmarks (agent epoch
 // rows/SoA, the end-to-end building block, SP ingest, checkpoint save/
 // restore/delta, epoch replay and decode, replication apply and failover
-// downtime, obs and flight-recorder overhead, admission, cluster sim)
+// downtime, obs overhead, admission, cluster sim)
 // and writes them as JSON to -benchout; the committed BENCH_<n>.json
 // files are such runs, one per PR that moved the numbers.
 package main

@@ -100,12 +100,6 @@ func runMicro(outPath string) error {
 	}
 	records = append(records, obsRecs...)
 
-	flightRecs, err := flightOverheadRecords()
-	if err != nil {
-		return err
-	}
-	records = append(records, flightRecs...)
-
 	admRecs, err := admissionBenchmarks()
 	if err != nil {
 		return err
@@ -383,7 +377,7 @@ func checkpointBenchmarks() ([]BenchRecord, error) {
 	r = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := replayEpoch(engine, nil, epochBytes); err != nil {
+			if err := replayEpoch(engine, epochBytes); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -609,64 +603,13 @@ func obsOverheadRecords() ([]BenchRecord, error) {
 	}}, nil
 }
 
-// flightOverheadRecords quantifies what the always-armed observability
-// closure costs on the receiver's frame path: the same sequenced epoch
-// applied through HandleConn with an armed flight recorder (one bounded
-// memcpy per frame into the connection ring) plus the epoch trace join,
-// versus the same path unarmed. The budget is <=3%. NsPerOp carries the
-// percentage, not a duration.
-func flightOverheadRecords() ([]BenchRecord, error) {
-	_, epochBytes, err := benchcase.ShippedEpoch()
-	if err != nil {
-		return nil, err
-	}
-	run := func(armed bool) (float64, error) {
-		engine, err := stream.NewSPEngine(plan.S2SProbe())
-		if err != nil {
-			return 0, err
-		}
-		var fl *transport.FlightRecorder
-		if armed {
-			fl = transport.NewFlightRecorder(nil)
-		}
-		best := math.Inf(1)
-		for t := 0; t < 3; t++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := replayEpoch(engine, fl, epochBytes); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			if ns := float64(r.T.Nanoseconds()) / float64(r.N); ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-	armed, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	unarmed, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	return []BenchRecord{{
-		Name:    "FlightRecorderOverheadPct",
-		NsPerOp: 100 * (armed - unarmed) / unarmed,
-	}}, nil
-}
-
 // replayEpoch applies one sequenced epoch stream (benchcase.ShippedEpoch)
 // to the engine through a fresh receiver, discarding acks. The receiver
 // must be fresh: a reused one would discard the repeated sequence number
-// as a duplicate instead of applying it. fl, when non-nil, arms the
-// flight recorder on the connection.
-func replayEpoch(engine *stream.SPEngine, fl *transport.FlightRecorder, epochStream []byte) error {
+// as a duplicate instead of applying it.
+func replayEpoch(engine *stream.SPEngine, epochStream []byte) error {
 	rc := transport.NewReceiver(engine)
 	rc.RegisterSource(1)
-	rc.SetFlightRecorder(fl)
 	return rc.HandleConn(struct {
 		io.Reader
 		io.Writer

@@ -18,6 +18,9 @@
 //
 //	jarvis-sim -spec cluster.json -nodes 1000 -checkpoint-dir /tmp/ckpt \
 //	    -replay s2s=traffic.capture
+//
+// -replay takes either recording a jarvis-sp produces: a -record-traffic
+// capture or an anomaly dump fetched from /flightrecorder.
 package main
 
 import (
@@ -31,6 +34,7 @@ import (
 	"jarvis/internal/experiments"
 	"jarvis/internal/runtime"
 	"jarvis/internal/sim"
+	"jarvis/internal/transport"
 	"jarvis/internal/workload/spec"
 )
 
@@ -93,6 +97,12 @@ func runCluster(specPath string, nodes int, checkpointDir string, printLogs bool
 		capture, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		// A /flightrecorder dump is the same format plus a header record
+		// saying why it was taken; a malformed file fails in NewCluster.
+		if meta, _ := transport.ReadDumpMeta(capture); meta != nil {
+			fmt.Printf("replay %s: anomaly dump #%d (%s), %d decisions, counter deltas %v\n",
+				path, meta.Seq, meta.Reason, len(meta.Decisions), meta.CounterDeltas)
 		}
 		cfg.Replay = append(cfg.Replay, sim.ReplaySource{Query: query, Capture: capture})
 	}

@@ -41,7 +41,8 @@
 // serves them at /trace), and arms an anomaly flight recorder — a
 // bounded ring of raw wire frames per connection that dumps
 // automatically on shed/degrade/failover/fencing decisions and on
-// demand at /flightrecorder.
+// demand at /flightrecorder, in the same capture format -record-traffic
+// writes (jarvis-sim -replay reads either).
 //
 // Usage:
 //
@@ -58,6 +59,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -211,26 +213,20 @@ func run(cfg config) error {
 		}
 	}
 
-	// Anomaly flight recorder: always armed — capture is one bounded
-	// copy per frame, and the decision-triggered dumps are rate-limited.
-	fl := transport.NewFlightRecorder(rc.Counters())
-	rc.SetFlightRecorder(fl)
-	obs.Decisions().SetNotify(fl.OnDecision)
-
-	// Full-fidelity traffic recording: unlike the flight ring this keeps
-	// every frame, turning the live run into a deterministic replay corpus.
+	// One frame recorder, two sinks. The anomaly ring is always armed —
+	// capture is one bounded copy per frame, and the decision-triggered
+	// dumps are rate-limited. -record-traffic adds the stream, which keeps
+	// every frame and turns the live run into a deterministic replay
+	// corpus; both serialize in the same capture format.
+	var stream io.Writer
 	if cfg.recordTraffic != "" {
 		tf, err := os.Create(cfg.recordTraffic)
 		if err != nil {
 			return fmt.Errorf("-record-traffic: %w", err)
 		}
 		tw := bufio.NewWriterSize(tf, 1<<20)
-		tr := transport.NewTrafficRecorder(tw)
-		rc.SetTrafficRecorder(tr)
+		stream = tw
 		defer func() {
-			if err := tr.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "jarvis-sp: traffic recorder:", err)
-			}
 			if err := tw.Flush(); err != nil {
 				fmt.Fprintln(os.Stderr, "jarvis-sp: traffic flush:", err)
 			}
@@ -238,6 +234,15 @@ func run(cfg config) error {
 		}()
 		fmt.Printf("jarvis-sp: recording traffic to %s\n", cfg.recordTraffic)
 	}
+	rec := transport.NewTrafficRecorder(stream)
+	rec.ArmRing(rc.Counters())
+	rc.SetTrafficRecorder(rec)
+	obs.Decisions().SetNotify(rec.OnDecision)
+	defer func() {
+		if err := rec.Err(); err != nil {
+			fmt.Fprintln(os.Stderr, "jarvis-sp: traffic recorder:", err)
+		}
+	}()
 
 	var (
 		rm   *checkpoint.SPRecovery
@@ -324,7 +329,7 @@ func run(cfg config) error {
 		if admit != nil {
 			osrv.AddRegistry(admit.Counters())
 		}
-		osrv.Handle("/flightrecorder", fl.ServeHTTP)
+		osrv.Handle("/flightrecorder", rec.ServeHTTP)
 		osrv.SetStatus(func() any {
 			st := map[string]any{
 				"role":          gate.Role().String(),
@@ -337,7 +342,7 @@ func run(cfg config) error {
 				"ingest_p99_s":  ingestP99.P99(),
 				"traces_joined": obs.Traces().Total(),
 			}
-			if meta, ok := fl.LastDump(); ok {
+			if meta, ok := rec.LastDump(); ok {
 				st["flight_last"] = map[string]any{
 					"reason": meta.Reason, "seq": meta.Seq, "ts_us": meta.TsMicros,
 				}

@@ -223,6 +223,18 @@ type tenant struct {
 	degraded    bool
 	delayed     int     // epochs currently held in the delay queue
 	lastDeficit float64 // bytes the last over-budget commit was short
+	stats       TenantStats
+}
+
+// TenantStats is one tenant's cumulative admission activity: epochs that
+// entered the delay queue, were shed from it (and replayed by the
+// shipper), and how often the tenant flipped to sampled ingestion and
+// back.
+type TenantStats struct {
+	Delayed  int64 `json:"epochs_delayed"`
+	Shed     int64 `json:"epochs_shed"`
+	Degrades int64 `json:"degrades"`
+	Promotes int64 `json:"promotes"`
 }
 
 // Controller is the admission controller shared by every connection of
@@ -475,6 +487,7 @@ func (c *Controller) setDegradedLocked(t *tenant, degraded bool, source uint32) 
 	}
 	c.gDegraded.Set(n)
 	if degraded {
+		t.stats.Degrades++
 		c.deg.Degrade(t.name, c.cfg.DegradeRate)
 		obs.Emit(obs.Decision{
 			Kind:        "degrade",
@@ -488,6 +501,7 @@ func (c *Controller) setDegradedLocked(t *tenant, degraded bool, source uint32) 
 				t.name, t.class, c.cfg.DegradeRate, c.cfg.DegradeRate),
 		})
 	} else {
+		t.stats.Promotes++
 		c.deg.Promote(t.name)
 		obs.Emit(obs.Decision{
 			Kind:        "promote",
@@ -595,7 +609,9 @@ func (c *Controller) NoteBacklog(source uint32, bytes int64) {
 func (c *Controller) NoteDelayed(source uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tenantOf(source).delayed++
+	t := c.tenantOf(source)
+	t.delayed++
+	t.stats.Delayed++
 	c.bumpDelayedLocked(1)
 }
 
@@ -621,6 +637,7 @@ func (c *Controller) NoteShed(source uint32, seq uint64, cause string, fromQueue
 		}
 		c.bumpDelayedLocked(-1)
 	}
+	t.stats.Shed++
 	class := t.class
 	name := t.name
 	c.ctrShed.Inc()
@@ -755,6 +772,17 @@ func (c *Controller) Degraded(name string) bool {
 	return t != nil && t.degraded
 }
 
+// TenantStats returns every tenant's cumulative admission activity.
+func (c *Controller) TenantStats() map[string]TenantStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]TenantStats, len(c.tenants))
+	for name, t := range c.tenants {
+		out[name] = t.stats
+	}
+	return out
+}
+
 // Snapshot summarizes per-tenant admission state for status endpoints.
 func (c *Controller) Snapshot() map[string]any {
 	c.mu.Lock()
@@ -766,6 +794,7 @@ func (c *Controller) Snapshot() map[string]any {
 			"tokens":   math.Round(t.bucket.tokens),
 			"degraded": t.degraded,
 			"delayed":  t.delayed,
+			"stats":    t.stats,
 		}
 	}
 	out := map[string]any{

@@ -8,6 +8,7 @@ import (
 	"jarvis/internal/plan"
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 )
 
 // Processor is the stream-processor side of a core building block: the
@@ -162,13 +163,14 @@ func (p *Processor) shardFor(source uint32) (*procShard, error) {
 // source's watermark advances the merge. Safe for concurrent use; the
 // epoch is validated eagerly, queued on the source's shard (per-source
 // order preserved), ingested concurrently at the next Results call and
-// its buffers recycled afterwards.
+// its buffers recycled afterwards. Row and columnar sections
+// (RunEpoch / RunEpochColumnar results) are both ingested.
 func (p *Processor) Consume(source uint32, res stream.EpochResult) error {
 	nops := len(p.query.Ops)
-	if len(res.Drains) > 0 && len(res.Drains) > nops {
-		return fmt.Errorf("core: %d drain stages for %d operators", len(res.Drains), nops)
+	if len(res.Drains) > nops || len(res.ColDrains) > nops {
+		return fmt.Errorf("core: %d row / %d columnar drain stages for %d operators", len(res.Drains), len(res.ColDrains), nops)
 	}
-	if len(res.Results) > 0 && (res.ResultStage < 0 || res.ResultStage > nops) {
+	if (len(res.Results) > 0 || len(res.ColResults.Secs) > 0) && (res.ResultStage < 0 || res.ResultStage > nops) {
 		return fmt.Errorf("core: result stage %d out of range [0,%d]", res.ResultStage, nops)
 	}
 
@@ -192,24 +194,48 @@ func (p *Processor) Consume(source uint32, res stream.EpochResult) error {
 	if err != nil {
 		return err
 	}
+	// The job waits for the next Results call, but its columnar sections
+	// view column arrays that are only valid until the source's next
+	// epoch: materialize them into rows the job owns, behind the row
+	// records of the same stage (the order ingestInto delivers them in).
+	for stage := range res.ColDrains {
+		if len(res.ColDrains[stage].Secs) > 0 {
+			for len(res.Drains) <= stage {
+				res.Drains = append(res.Drains, nil)
+			}
+			res.ColDrains[stage].AppendRows(&res.Drains[stage])
+		}
+	}
+	res.ColDrains = nil
+	res.ColResults.AppendRows(&res.Results)
+	res.ColResults = wire.ColumnarBatch{}
 	shard.jobs = append(shard.jobs, res)
 	return nil
 }
 
-// ingestInto feeds one epoch's drains and results into an engine.
+// ingestInto feeds one epoch's drains and results into an engine, each
+// stage's row records ahead of its columnar sections (the EpochResult
+// delivery order).
 func (p *Processor) ingestInto(e *stream.SPEngine, res *stream.EpochResult) error {
-	for stage, batch := range res.Drains {
-		if len(batch) == 0 {
-			continue
+	for stage := 0; stage < len(res.Drains) || stage < len(res.ColDrains); stage++ {
+		if stage < len(res.Drains) && len(res.Drains[stage]) > 0 {
+			if err := e.Ingest(stage, res.Drains[stage]); err != nil {
+				return err
+			}
 		}
-		if err := e.Ingest(stage, batch); err != nil {
-			return err
+		if stage < len(res.ColDrains) {
+			if err := e.IngestColumnar(stage, &res.ColDrains[stage]); err != nil {
+				return err
+			}
 		}
 	}
 	if len(res.Results) > 0 {
 		if err := e.Ingest(res.ResultStage, res.Results); err != nil {
 			return err
 		}
+	}
+	if len(res.ColResults.Secs) > 0 {
+		return e.IngestColumnar(res.ResultStage, &res.ColResults)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"jarvis/internal/plan"
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 	"jarvis/internal/workload"
 )
 
@@ -261,5 +262,90 @@ func TestProcessorConsumeAfterTransportIngest(t *testing.T) {
 	}
 	if rows := p.Results(); len(rows) == 0 {
 		t.Fatal("engine-driven flow must still flush through Results")
+	}
+}
+
+// TestProcessorConsumeColumnar feeds RunEpochColumnar results — records
+// travel in ColDrains/ColResults, not Drains/Results — through Consume
+// on the serial and the sharded path. Both must land exactly where the
+// same trace run as rows lands; a Consume that reads only the row fields
+// advances the watermark over nothing and closes every window empty.
+func TestProcessorConsumeColumnar(t *testing.T) {
+	const sources = 3
+	q := plan.S2SProbe()
+	run := func(columnar bool, maxShards int) (map[string]int64, int64) {
+		proc, err := NewProcessor(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proc.SetMaxShards(maxShards)
+		srcs := make([]*Source, sources)
+		gens := make([]*workload.PingGen, sources)
+		for i := range srcs {
+			// Load factors below 1 put records in the drains as well as
+			// the results.
+			if srcs[i], err = NewSource(q, SourceOptions{BudgetFrac: 4, Adapt: false}); err != nil {
+				t.Fatal(err)
+			}
+			if err := srcs[i].SetLoadFactors([]float64{0.6, 0.6, 0.6}); err != nil {
+				t.Fatal(err)
+			}
+			cfg := workload.DefaultPingConfig(uint64(i) + 1)
+			cfg.SrcIP = 0x0A000000 + uint32(i+1)
+			gens[i] = workload.NewPingGen(cfg)
+			proc.RegisterSource(uint32(i + 1))
+		}
+		rows := map[string]int64{}
+		var cb wire.ColumnarBatch
+		for epoch := 0; epoch < 13; epoch++ {
+			// Every source runs before Results: on the sharded path each
+			// queued epoch must survive the others' column reuse.
+			for i, src := range srcs {
+				var res stream.EpochResult
+				if columnar {
+					cb.Reset()
+					gens[i].NextWindowCols(1_000_000, &cb)
+					res, err = src.RunEpochColumnar(&cb)
+				} else {
+					res, err = src.RunEpoch(gens[i].NextWindow(1_000_000))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if columnar && epoch == 0 {
+					n := res.ColResults.Records()
+					for s := range res.ColDrains {
+						n += res.ColDrains[s].Records()
+					}
+					if n == 0 {
+						t.Fatal("columnar epoch carries no columnar records: the test is vacuous")
+					}
+				}
+				if err := proc.Consume(uint32(i+1), res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k, n := range collectRows(proc.Results()) {
+				rows[k] += n
+			}
+			if err := proc.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rows, proc.IngressBytes()
+	}
+
+	want, wantBytes := run(false, 1)
+	if len(want) == 0 {
+		t.Fatal("row reference produced no result rows")
+	}
+	for name, shards := range map[string]int{"serial": 1, "sharded": 4} {
+		got, gotBytes := run(true, shards)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: columnar epochs produced %d result groups, rows produced %d (or counts differ)", name, len(got), len(want))
+		}
+		if gotBytes != wantBytes {
+			t.Fatalf("%s: ingress %d bytes from columnar epochs, %d from rows", name, gotBytes, wantBytes)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"jarvis/internal/metrics"
 	"jarvis/internal/partition"
 	"jarvis/internal/plan"
 	"jarvis/internal/synopsis"
@@ -39,7 +38,7 @@ type Fig9Result struct {
 	JarvisOut100 float64
 	JarvisOut20  float64
 	// ErrCDFs holds the full error CDFs per rate for plotting.
-	ErrCDFs map[float64]*metrics.CDF
+	ErrCDFs map[float64]*CDF
 }
 
 // Fig9 runs the sampling study on a synthetic Pingmesh trace with sparse
@@ -93,7 +92,7 @@ func Fig9(seed uint64) (*Fig9Result, error) {
 	// to which sampling cost is proportional either way.
 	res := &Fig9Result{
 		InputMbps: workload.PingmeshMbps10x,
-		ErrCDFs:   map[float64]*metrics.CDF{},
+		ErrCDFs:   map[float64]*CDF{},
 	}
 	for _, rate := range Fig9Rates {
 		w := synopsis.NewWSP(rate, seed+uint64(rate*100))
@@ -117,7 +116,7 @@ func Fig9(seed uint64) (*Fig9Result, error) {
 			}
 			errs = append(errs, math.Abs(trueRange-estRange)/1000)
 		}
-		cdf := metrics.NewCDF(errs)
+		cdf := NewCDF(errs)
 		res.ErrCDFs[rate] = cdf
 		missed := 0
 		for key := range alerts {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"jarvis/internal/metrics"
 	"jarvis/internal/partition"
 	"jarvis/internal/plan"
 	"jarvis/internal/sim"
@@ -60,8 +59,8 @@ func Latency() (*LatencyResult, error) {
 				return nil, err
 			}
 			lats := trace.Latencies(warm, epochs)
-			med := metrics.Median(lats)
-			max := metrics.Max(lats)
+			med := Median(lats)
+			max := Max(lats)
 			if who == partition.Jarvis {
 				row.JarvisMedian, row.JarvisMax = med, max
 			} else {

@@ -1,14 +1,13 @@
-// Package metrics provides the measurement utilities the evaluation
-// harness reports with: percentile estimation over latency samples,
-// throughput accumulators, and CDFs for the estimation-error analysis of
-// Fig. 9.
-package metrics
+package experiments
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
+
+// Sample statistics the figures report with: exact percentiles over
+// latency samples (latency.go) and the empirical error CDF of Fig. 9
+// (fig9.go).
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of samples using linear
 // interpolation between closest ranks. It returns NaN for empty input.
@@ -54,18 +53,6 @@ func Max(samples []float64) float64 {
 	return max
 }
 
-// Mean returns the arithmetic mean (NaN for empty input).
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / float64(len(samples))
-}
-
 // CDF is an empirical cumulative distribution over a sample set.
 type CDF struct {
 	sorted []float64
@@ -107,33 +94,3 @@ func (c *CDF) Inverse(q float64) float64 {
 
 // Len returns the sample count.
 func (c *CDF) Len() int { return len(c.sorted) }
-
-// Throughput accumulates (bytes, duration) pairs and reports Mbps.
-type Throughput struct {
-	bytes  int64
-	micros int64
-}
-
-// Add records bytes transferred/processed over a duration in
-// microseconds.
-func (t *Throughput) Add(bytes int64, micros int64) {
-	t.bytes += bytes
-	t.micros += micros
-}
-
-// Mbps returns the accumulated average rate (0 before any time passed).
-func (t *Throughput) Mbps() float64 {
-	if t.micros == 0 {
-		return 0
-	}
-	return float64(t.bytes) * 8 / float64(t.micros)
-}
-
-// Bytes returns the accumulated byte count.
-func (t *Throughput) Bytes() int64 { return t.bytes }
-
-// Reset clears the accumulator.
-func (t *Throughput) Reset() { t.bytes, t.micros = 0, 0 }
-
-// FormatMbps renders a rate for tables ("12.34 Mbps").
-func FormatMbps(v float64) string { return fmt.Sprintf("%.2f Mbps", v) }

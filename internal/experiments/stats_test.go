@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"math"
@@ -47,7 +47,7 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMedianMaxMean(t *testing.T) {
+func TestMedianMax(t *testing.T) {
 	s := []float64{4, 1, 3}
 	if Median(s) != 3 {
 		t.Fatal("median")
@@ -55,10 +55,7 @@ func TestMedianMaxMean(t *testing.T) {
 	if Max(s) != 4 {
 		t.Fatal("max")
 	}
-	if Mean(s) != 8.0/3 {
-		t.Fatal("mean")
-	}
-	if !math.IsNaN(Max(nil)) || !math.IsNaN(Mean(nil)) {
+	if !math.IsNaN(Max(nil)) {
 		t.Fatal("empty stats should be NaN")
 	}
 }
@@ -124,29 +121,5 @@ func TestCDFProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	var tp Throughput
-	if tp.Mbps() != 0 {
-		t.Fatal("zero-time rate")
-	}
-	tp.Add(1_000_000, 1_000_000) // 1 MB over 1 s = 8 Mbps
-	if got := tp.Mbps(); math.Abs(got-8) > 1e-12 {
-		t.Fatalf("Mbps = %v", got)
-	}
-	if tp.Bytes() != 1_000_000 {
-		t.Fatal("bytes")
-	}
-	tp.Reset()
-	if tp.Mbps() != 0 || tp.Bytes() != 0 {
-		t.Fatal("reset")
-	}
-}
-
-func TestFormatMbps(t *testing.T) {
-	if got := FormatMbps(12.345); got != "12.35 Mbps" {
-		t.Fatalf("format = %q", got)
 	}
 }

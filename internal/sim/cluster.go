@@ -7,6 +7,14 @@
 // and two runs of the same compiled spec produce byte-identical result
 // logs and decision traces, which is what makes 1000-node failover
 // scenarios regression-testable under -race.
+//
+// Cluster is also the one overload model: a hot-tenant spike is a spec
+// (rate_spike fault, sp.admit_* sizing) driven through the production
+// receiver's delay queue, shed-and-replay and degrade hysteresis, never
+// a re-implementation of that discipline — ClusterResult reports what
+// the controller and shippers themselves counted. Recorded traffic, a
+// -record-traffic capture or a /flightrecorder dump alike, replays as an
+// arrival source (ClusterConfig.Replay).
 package sim
 
 import (
@@ -66,7 +74,8 @@ type ClusterConfig struct {
 type ReplaySource struct {
 	// Query names the canonical query the capture was recorded against.
 	Query string
-	// Capture is a transport traffic capture (TrafficMagic format).
+	// Capture is a transport traffic capture or ring dump (TrafficMagic
+	// format).
 	Capture []byte
 }
 
@@ -94,6 +103,19 @@ type ClusterResult struct {
 	// how often overload protection actually engaged during the run.
 	EpochsDelayed  int64
 	EpochsDegraded int64
+	// Jain is each admission-controlled SP's budget-normalized fairness
+	// index at the end of the run (keyed by SP name).
+	Jain map[string]float64
+	// Tenants is every tenant's cumulative admission activity, keyed by
+	// tenant (the spec group name).
+	Tenants map[string]admission.TenantStats
+	// EpochGaps sums the sequence holes the SPs' receivers detected (an
+	// SP's count restarts with its receiver at an sp_crash); Unacked is,
+	// per spec node in scenario order, the epochs left in its shipper's
+	// replay buffer when the run ended. Both zero means nothing shipped
+	// was lost: every epoch, shed ones included, was applied and acked.
+	EpochGaps int64
+	Unacked   []int
 	// ResultLogs holds one canonical result log per SP (keyed by SP
 	// name): rows rendered sorted within each advance batch, so two
 	// deterministic runs compare byte-for-byte.
@@ -751,14 +773,24 @@ func (c *Cluster) Run() (*ClusterResult, error) {
 		Events:         c.nEvents,
 		Failovers:      c.failovers,
 		ResultLogs:     map[string][]byte{},
+		Jain:           map[string]float64{},
+		Tenants:        map[string]admission.TenantStats{},
+	}
+	for _, n := range c.nodes {
+		res.Unacked = append(res.Unacked, int(n.ship.Seq()-n.ship.Acked()))
 	}
 	for _, name := range c.spOrder {
 		sp := c.sps[name]
 		res.ResultLogs[name] = append([]byte(nil), sp.log.Bytes()...)
 		res.Rows += sp.rows
+		res.EpochGaps += sp.rc.Counters().Get(transport.CtrEpochGaps)
 		if sp.admit != nil {
 			res.EpochsDelayed += sp.admit.Counters().Counter(admission.CtrEpochsDelayed).Value()
 			res.EpochsDegraded += sp.admit.Counters().Counter(admission.CtrEpochsDegraded).Value()
+			res.Jain[name] = sp.admit.JainIndex()
+			for tenant, st := range sp.admit.TenantStats() {
+				res.Tenants[tenant] = st
+			}
 		}
 		if sp.rm != nil {
 			_ = sp.rm.Snapshot()

@@ -191,10 +191,11 @@ func TestClusterDegradeDeterministic(t *testing.T) {
 	}
 }
 
-// recordClusterCapture ships a fixed generator stream epoch by epoch
-// into a receiver with the traffic recorder armed, exactly as a live
-// agent would, and returns the capture.
-func recordClusterCapture(t *testing.T, epochs, quietTail int) []byte {
+// recordClusterCapture ships a fixed generator stream into a receiver
+// with both recorder sinks armed — one sequenced session, hello then
+// every epoch — and returns the stream capture plus a ring dump of the
+// same connection.
+func recordClusterCapture(t *testing.T, epochs, quietTail int) (capture, dump []byte) {
 	t.Helper()
 	q := plan.S2SProbe()
 	engine, err := stream.NewSPEngine(q)
@@ -203,8 +204,9 @@ func recordClusterCapture(t *testing.T, epochs, quietTail int) []byte {
 	}
 	rc := transport.NewReceiver(engine)
 	rc.RegisterSource(7)
-	var capture bytes.Buffer
-	tr := transport.NewTrafficRecorder(&capture)
+	var recorded bytes.Buffer
+	tr := transport.NewTrafficRecorder(&recorded)
+	tr.ArmRing(rc.Counters())
 	rc.SetTrafficRecorder(tr)
 
 	pipe, err := stream.NewPipeline(q, stream.DefaultOptions(4.0, 0))
@@ -242,30 +244,31 @@ func recordClusterCapture(t *testing.T, epochs, quietTail int) []byte {
 		if err := ship.ShipEpoch(res); err != nil {
 			t.Fatal(err)
 		}
-		data, err := ship.ResumeBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ack bytes.Buffer
-		if err := rc.HandleConn(rwConn{bytes.NewReader(data), &ack}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ship.AdoptAcks(ack.Bytes()); err != nil {
-			t.Fatal(err)
-		}
+	}
+	data, err := ship.ResumeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack bytes.Buffer
+	if err := rc.HandleConn(rwConn{bytes.NewReader(data), &ack}); err != nil {
+		t.Fatal(err)
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return capture.Bytes()
+	if dump = tr.Trigger("test:cluster-replay"); dump == nil {
+		t.Fatal("ring recorded nothing")
+	}
+	return recorded.Bytes(), dump
 }
 
-// TestClusterReplaySource records a live wire-v2 run and replays it
-// into the sim as an arrival source: the dedicated replay SP must apply
-// every recorded epoch, produce the same total rows as a direct
-// capture replay, and stay byte-deterministic across cluster runs.
+// TestClusterReplaySource records a live wire-v3 run and replays it
+// into the sim as an arrival source — once from the stream capture,
+// once from a ring dump of the same connection: the dedicated replay SP
+// must apply every recorded epoch, produce the same total rows as a
+// direct capture replay, and stay byte-deterministic across cluster runs.
 func TestClusterReplaySource(t *testing.T) {
-	capture := recordClusterCapture(t, 6, 11)
+	capture, dump := recordClusterCapture(t, 6, 11)
 
 	// Ground truth: replay the capture straight through a fresh receiver.
 	engine, err := stream.NewSPEngine(plan.S2SProbe())
@@ -288,23 +291,30 @@ func TestClusterReplaySource(t *testing.T) {
   "epochs": 6,
   "groups": [{"name": "live", "query": "s2s", "nodes": 4, "rate_mbps": 0.05}]
 }`
-	cfg := ClusterConfig{Replay: []ReplaySource{{Query: "s2s", Capture: capture}}}
-	r1 := runCluster(t, doc, cfg)
-	r2 := runCluster(t, doc, cfg)
+	var logs [][]byte
+	for _, input := range [][]byte{capture, dump} {
+		cfg := ClusterConfig{Replay: []ReplaySource{{Query: "s2s", Capture: input}}}
+		r1 := runCluster(t, doc, cfg)
+		r2 := runCluster(t, doc, cfg)
 
-	replayLog, ok := r1.ResultLogs["replay:s2s"]
-	if !ok {
-		t.Fatalf("no replay SP in result logs: %v", keysOf(r1.ResultLogs))
+		replayLog, ok := r1.ResultLogs["replay:s2s"]
+		if !ok {
+			t.Fatalf("no replay SP in result logs: %v", keysOf(r1.ResultLogs))
+		}
+		gotRows := bytes.Count(replayLog, []byte("\n")) - bytes.Count(replayLog, []byte("epoch "))
+		if gotRows != wantRows {
+			t.Fatalf("replay SP emitted %d rows, direct replay %d", gotRows, wantRows)
+		}
+		if !bytes.Equal(replayLog, r2.ResultLogs["replay:s2s"]) {
+			t.Fatal("replayed-source result log diverged between cluster runs")
+		}
+		if liveLog := r1.ResultLogs["s2s"]; len(liveLog) == 0 {
+			t.Fatal("live spec query produced no results alongside the replay source")
+		}
+		logs = append(logs, replayLog)
 	}
-	gotRows := bytes.Count(replayLog, []byte("\n")) - bytes.Count(replayLog, []byte("epoch "))
-	if gotRows != wantRows {
-		t.Fatalf("replay SP emitted %d rows, direct replay %d", gotRows, wantRows)
-	}
-	if !bytes.Equal(replayLog, r2.ResultLogs["replay:s2s"]) {
-		t.Fatal("replayed-source result log diverged between cluster runs")
-	}
-	if liveLog := r1.ResultLogs["s2s"]; len(liveLog) == 0 {
-		t.Fatal("live spec query produced no results alongside the replay source")
+	if !bytes.Equal(logs[0], logs[1]) {
+		t.Fatal("the ring dump and the stream capture of one connection replay to different result logs")
 	}
 }
 
@@ -424,5 +434,109 @@ func TestClusterScaleNodes(t *testing.T) {
 		if s.Groups[i].Nodes < 1 {
 			t.Fatalf("group %q scaled to zero", s.Groups[i].Name)
 		}
+	}
+}
+
+// hotSpikeSpec is the overload soak: three single-node tenants — gold,
+// silver, silver — share one SP at 40 % of their admission budgets, and
+// (when spike is set) the "hot" silver tenant runs at 10x its rate for
+// epochs 10–25. Epochs are one 10 s query window long: Cluster pins
+// load factors to 1, so an agent ships per-window aggregates, and only
+// at this cadence does every epoch's shipped size follow the input rate
+// (~2.5 KB silver, ~5 KB gold, ~13.5 KB spiked). The bucket refills one
+// steady silver epoch's worth per 0.4 epochs and holds one epoch of
+// refill, so a spiked epoch can never drain at its exact cost — only
+// sampled — and the queue bound of 2 makes the spike shed and replay,
+// not just delay.
+func hotSpikeSpec(spike bool) string {
+	faults := ""
+	if spike {
+		faults = `"faults": [{"epoch": 10, "kind": "rate_spike", "group": "hot", "factor": 10, "until_epoch": 25}],`
+	}
+	return fmt.Sprintf(`{
+  "name": "hot-tenant-spike", "seed": 5, "epochs": 40, "epoch_millis": 10000, "drain_epochs": 3,
+  "sp": {"admit_rate_mbps": 0.005, "admit_burst_kb": 6.1, "max_delayed_epochs": 2},
+  %s
+  "groups": [
+    {"name": "gold-app", "query": "spans", "nodes": 1, "rate_mbps": 0.005, "class": "gold"},
+    {"name": "steady", "query": "spans", "nodes": 1, "rate_mbps": 0.002, "class": "silver"},
+    {"name": "hot", "query": "spans", "nodes": 1, "rate_mbps": 0.002, "class": "silver"}
+  ]
+}`, faults)
+}
+
+// TestClusterHotTenantSpike is the overload acceptance scenario on the
+// production receiver: one tenant spikes to 10x its rate for 15 epochs.
+// Nothing is lost (shed epochs replay from the shipper's buffer), the
+// well-behaved tenants never feel it, the hot tenant is delayed, shed,
+// degraded to sampled ingestion and promoted back once the spike ends —
+// both transitions in the decision trace — and fairness recovers to
+// Jain >= 0.9. The spike-free run of the same spec is clean, and the
+// overload response is byte-deterministic.
+func TestClusterHotTenantSpike(t *testing.T) {
+	base := runCluster(t, hotSpikeSpec(false), ClusterConfig{})
+	res := runCluster(t, hotSpikeSpec(true), ClusterConfig{})
+	again := runCluster(t, hotSpikeSpec(true), ClusterConfig{})
+
+	for name, r := range map[string]*ClusterResult{"spike-free": base, "spike": res} {
+		if r.EpochGaps != 0 {
+			t.Fatalf("%s run: %d sequence gaps (a shed epoch was not replayed in order)", name, r.EpochGaps)
+		}
+		for i, n := range r.Unacked {
+			if n != 0 {
+				t.Fatalf("%s run: node %d ended with %d unacked epochs (shed must replay, not drop)", name, i, n)
+			}
+		}
+		if r.Rows == 0 {
+			t.Fatalf("%s run produced no result rows", name)
+		}
+	}
+	for _, name := range []string{"gold-app", "steady"} {
+		got, ref := res.Tenants[name], base.Tenants[name]
+		if got.Shed != 0 || got.Degrades != 0 {
+			t.Fatalf("%s (well-behaved) was shed or degraded under the spike: %+v", name, got)
+		}
+		if got.Delayed > ref.Delayed {
+			t.Fatalf("%s delayed %d epochs under the spike, %d without it", name, got.Delayed, ref.Delayed)
+		}
+	}
+
+	hot := res.Tenants["hot"]
+	if hot.Delayed == 0 {
+		t.Fatal("hot tenant was never throttled")
+	}
+	if hot.Shed == 0 {
+		t.Fatal("tight queue bound never shed (scenario not exercising replay)")
+	}
+	if hot.Degrades == 0 {
+		t.Fatal("hot tenant never degraded at 10x its rate")
+	}
+	if hot.Promotes != hot.Degrades {
+		t.Fatalf("hot tenant degraded %d times but promoted %d: not exact again after the spike", hot.Degrades, hot.Promotes)
+	}
+	if hot.Delayed <= res.Tenants["steady"].Delayed {
+		t.Fatal("the spike's queueing cost must land on the hot tenant")
+	}
+	for _, kind := range []string{"kind=degrade", "kind=promote"} {
+		found := false
+		for _, line := range bytes.Split(res.Decisions, []byte("\n")) {
+			found = found || (bytes.Contains(line, []byte(kind)) && bytes.Contains(line, []byte("tenant=hot")))
+		}
+		if !found {
+			t.Fatalf("decision trace misses the hot tenant's %s transition:\n%s", kind, res.Decisions)
+		}
+	}
+	if j := res.Jain["spans"]; j < 0.9 {
+		t.Fatalf("fairness did not recover: Jain = %.3f", j)
+	}
+
+	// The spike-free baseline is clean end to end.
+	if bh := base.Tenants["hot"]; bh.Degrades != 0 || bh.Shed != 0 || base.Jain["spans"] < 0.95 {
+		t.Fatalf("baseline run not clean: hot %+v, jain %.3f", bh, base.Jain["spans"])
+	}
+
+	// The overload response on the real receiver is deterministic.
+	if !bytes.Equal(res.Decisions, again.Decisions) || !bytes.Equal(res.ResultLogs["spans"], again.ResultLogs["spans"]) {
+		t.Fatal("two runs of the spike diverged (decision trace or result log)")
 	}
 }

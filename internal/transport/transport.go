@@ -130,10 +130,7 @@ type Receiver struct {
 	delayedN int
 	gapSeen  map[uint32]uint64
 
-	// Anomaly flight recorder (nil = unarmed, zero capture cost).
-	flight *FlightRecorder
-
-	// Full-stream traffic recorder (nil = unarmed).
+	// Frame recorder: stream capture and/or anomaly rings (nil = unarmed).
 	traffic *TrafficRecorder
 
 	bytesIn int64
@@ -219,26 +216,10 @@ func (rc *Receiver) throttleFor(src uint32) uint64 {
 	return 0
 }
 
-// SetFlightRecorder arms the anomaly flight recorder: every sequenced
-// connection keeps a bounded ring of raw wire frames that the recorder
-// dumps on shed/degrade/failover/fencing events (and on demand). Call
-// before serving connections; nil disarms.
-func (rc *Receiver) SetFlightRecorder(f *FlightRecorder) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.flight = f
-}
-
-func (rc *Receiver) flightRecorder() *FlightRecorder {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.flight
-}
-
-// SetTrafficRecorder arms full-stream traffic capture: every sequenced
-// frame of every connection is appended to the recorder for later
-// replay (ReplayTraffic) or sim ingestion. Call before serving
-// connections; nil disarms.
+// SetTrafficRecorder arms frame capture: every frame of every connection
+// is handed to the recorder, which streams it to a capture file and/or
+// keeps it in a bounded ring dumped on shed/degrade/failover/fencing
+// events (see traffic.go). Call before serving connections; nil disarms.
 func (rc *Receiver) SetTrafficRecorder(t *TrafficRecorder) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -326,12 +307,8 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 		shedding  bool          // staged-frame overflow: drop until the next EpochEnd
 		decAccum  time.Duration // frame-decode time since the last EpochEnd (trace context)
 	)
-	var ring *flightRing
-	if fl := rc.flightRecorder(); fl != nil {
-		ring = fl.newRing()
-		defer ring.close()
-	}
 	tap := rc.trafficRecorder().newTap()
+	defer tap.close()
 	defer func() {
 		if sequenced {
 			rc.dropWriter(src, aw)
@@ -349,7 +326,6 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 			return fmt.Errorf("transport: read frame: %w", err)
 		}
 		decAccum += obs.ObserveSince(obs.StageDecode, decStart)
-		ring.capture(fr.RawFrame())
 		tap.capture(fr.RawFrame())
 		if st := fr.Stats(); st != lastStats {
 			rc.ctrWireBytes.Add(st.WireBytes - lastStats.WireBytes)
@@ -389,7 +365,7 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 						rc.dropWriter(src, aw)
 					}
 					src, sequenced, shedding = c.Source, true, false
-					ring.pinHello(src)
+					tap.pinHello(fr.RawFrame())
 					staged = staged[:0]
 					// Any frames staged before this Hello are dropped whole;
 					// their decoded columns are unreferenced now.
@@ -409,6 +385,7 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 						rc.counters.Inc(CtrRecvErrors)
 						return fmt.Errorf("transport: epoch end before hello")
 					}
+					tap.noteEpoch()
 					if c.TraceID != 0 {
 						// The agent armed cross-process tracing for this epoch:
 						// join its half (clock stamps and stage durations from
@@ -455,7 +432,6 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 					if err != nil {
 						return err
 					}
-					tap.noteEpoch()
 					rc.sendAcks(targets)
 				}
 			}
@@ -921,9 +897,9 @@ func (rc *Receiver) noteShed(src uint32, seq uint64, cause string, fromQueue boo
 		// The controller's shed decision reaches the flight recorder via
 		// the decision-log notify hook.
 		ctrl.NoteShed(src, seq, cause, fromQueue)
-	} else if fl := rc.flightRecorder(); fl != nil {
+	} else if t := rc.trafficRecorder(); t != nil {
 		// No controller, no decision emitted: trigger the dump directly.
-		fl.trigger("shed:"+cause, true)
+		t.trigger("shed:"+cause, true)
 	}
 }
 
