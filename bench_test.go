@@ -416,7 +416,7 @@ func BenchmarkWireEncodePing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	encode, _ := benchcase.PingFrameCodec(cb)
+	encode, _ := benchcase.FrameCodec(cb)
 	b.SetBytes(cb.TotalBytes())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -432,7 +432,47 @@ func BenchmarkWireDecodePing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	encode, decode := benchcase.PingFrameCodec(cb)
+	encode, decode := benchcase.FrameCodec(cb)
+	frame, err := encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(cb.TotalBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decode(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireEncodeSpans and BenchmarkWireDecodeSpans are the same
+// owner records on the frame the spans-ha workload ships
+// (benchcase.SpanIngest's 47 620 spans): the one canonical frame with a
+// float column, so the byte-plane codec and the stored region show here.
+func BenchmarkWireEncodeSpans(b *testing.B) {
+	_, _, cb, err := benchcase.SpanIngest()
+	if err != nil {
+		b.Fatal(err)
+	}
+	encode, _ := benchcase.FrameCodec(cb)
+	b.SetBytes(cb.TotalBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWireDecodeSpans(b *testing.B) {
+	_, _, cb, err := benchcase.SpanIngest()
+	if err != nil {
+		b.Fatal(err)
+	}
+	encode, decode := benchcase.FrameCodec(cb)
 	frame, err := encode()
 	if err != nil {
 		b.Fatal(err)

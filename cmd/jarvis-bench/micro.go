@@ -404,36 +404,47 @@ func checkpointBenchmarks() ([]BenchRecord, error) {
 	})
 	records = append(records, record("BenchmarkReceiverDecode", int64(len(epochBytes)), r))
 
-	// The wire codec alone, both directions and flate included, on the
-	// drain a budget-starved S2SProbe agent ships (the s2s-drain shape);
-	// MB/s is over the logical payload, not the wire bytes.
+	// The wire codec alone, both directions and flate included: on the
+	// drain a budget-starved S2SProbe agent ships (the s2s-drain shape,
+	// integer columns only) and on the span frame spans-ha ships (the one
+	// with a float column); MB/s is over the logical payload, not the wire
+	// bytes.
 	pingCols, err := benchcase.DrainedPingCols()
 	if err != nil {
 		return nil, err
 	}
-	encode, decode := benchcase.PingFrameCodec(pingCols)
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := encode(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	records = append(records, record("BenchmarkWireEncodePing", pingCols.TotalBytes(), r))
-	frame, err := encode()
+	_, _, spanCols, err := benchcase.SpanIngest()
 	if err != nil {
 		return nil, err
 	}
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := decode(frame); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		cols *wire.ColumnarBatch
+	}{{"Ping", pingCols}, {"Spans", spanCols}} {
+		encode, decode := benchcase.FrameCodec(c.cols)
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := encode(); err != nil {
+					b.Fatal(err)
+				}
 			}
+		})
+		records = append(records, record("BenchmarkWireEncode"+c.name, c.cols.TotalBytes(), r))
+		frame, err := encode()
+		if err != nil {
+			return nil, err
 		}
-	})
-	records = append(records, record("BenchmarkWireDecodePing", pingCols.TotalBytes(), r))
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := decode(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		records = append(records, record("BenchmarkWireDecode"+c.name, c.cols.TotalBytes(), r))
+	}
 
 	delta, err := deltaSnapshotBenchmark()
 	if err != nil {

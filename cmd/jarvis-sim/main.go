@@ -7,7 +7,7 @@
 //
 // With -spec it runs the cluster simulator: a declarative workload
 // spec compiled to hundreds or thousands of real agent pipelines
-// shipping wire-v3 epochs into real SP engines under one shared
+// shipping wire-v4 epochs into real SP engines under one shared
 // virtual clock — no goroutines, no wall-clock sleeps, byte-identical
 // result logs and decision traces on every run of the same spec.
 //

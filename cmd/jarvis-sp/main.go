@@ -19,7 +19,7 @@
 // to it and replay the uncovered epochs. A stale primary that rejoins is
 // fenced by the term its former agents now carry.
 //
-// The SP executes wire-v3 frames directly over the decoded columns and
+// The SP executes wire-v4 frames directly over the decoded columns and
 // advertises flate frame compression in its acks; compressed frames from
 // agents that negotiated it are decoded transparently.
 //

@@ -51,7 +51,7 @@ func EndToEnd() (*core.BuildingBlock, telemetry.Batch, error) {
 // SPIngest builds the canonical SP-side ingest benchmark: an S2SProbe
 // engine plus one second of Pingmesh drain, returned both as the decoded
 // row batch (the input of BenchmarkSPIngest since PR 1) and as the same
-// records decoded into a wire-v3 SoA batch (BenchmarkSPIngestColumnar).
+// records decoded into a wire-v4 SoA batch (BenchmarkSPIngestColumnar).
 // The two inputs carry identical record sequences, so the benchmarks
 // measure execution strategy, not workload differences.
 func SPIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error) {
@@ -103,7 +103,7 @@ func WarmPipeline(epochs int) (*stream.Pipeline, error) {
 
 // ShippedEpoch returns one drain-heavy epoch (all load factors at zero,
 // so the full raw batch ships to the SP) plus the same epoch as the
-// sequenced wire-v3 stream a reconnecting agent sends — Hello, columnar
+// sequenced wire-v4 stream a reconnecting agent sends — Hello, columnar
 // data frames, EpochEnd — ready for Receiver.HandleConn: the input for
 // the decode and replay-apply micro-benchmarks, sized like the epochs a
 // recovering SP actually re-applies.
@@ -152,12 +152,13 @@ func DrainedPingCols() (*wire.ColumnarBatch, error) {
 	return res.ColDrains[0].Clone(), nil
 }
 
-// PingFrameCodec returns the two halves of one wire-codec iteration over
-// a drained ping batch, each as the transport runs it: encode writes the
-// batch as one flate-compressed columnar frame (the shipper's encoder
-// settings) and returns the frame bytes; decode reads them back to SoA
-// sections in pooled arenas and recycles (the receiver's decoder).
-func PingFrameCodec(cb *wire.ColumnarBatch) (encode func() ([]byte, error), decode func([]byte) error) {
+// FrameCodec returns the two halves of one wire-codec iteration over a
+// SoA batch (DrainedPingCols, SpanIngest's spans), each as the transport
+// runs it: encode writes the batch as one flate-compressed columnar frame
+// (the shipper's encoder settings) and returns the frame bytes; decode
+// reads them back to SoA sections in pooled arenas and recycles (the
+// receiver's decoder).
+func FrameCodec(cb *wire.ColumnarBatch) (encode func() ([]byte, error), decode func([]byte) error) {
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf)
 	fw.SetColumnar(true)
@@ -195,7 +196,7 @@ func PipelineEpochColumnar() (*stream.Pipeline, *wire.ColumnarBatch, error) {
 
 // SpanIngest builds the TraceSpanAgg ingest benchmark pair: a span
 // engine plus one second of SpanGen drain as decoded rows and as the
-// identical records decoded into a wire-v3 SoA batch — the span-query
+// identical records decoded into a wire-v4 SoA batch — the span-query
 // analogue of SPIngest, so the columnar-vs-row A/B holds for the
 // distributed-tracing workload too.
 func SpanIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error) {

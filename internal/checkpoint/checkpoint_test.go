@@ -113,10 +113,17 @@ func TestStoreSaveLatest(t *testing.T) {
 
 // TestStoreSkipsOtherFormatVersions: the manifest's version names the
 // encoding of the files it lists, so a directory whose lines all carry
-// another version — a wire-v2 build's snapshots, whose integer columns
-// this decoder would misread — restores as empty instead of being
-// decoded, and the store carries on from id 1.
+// another version — a wire-v3 build's snapshots, whose float columns
+// this decoder would misread without an error, or a wire-v2 build's,
+// whose integer columns it cannot read — restores as empty instead of
+// being decoded, and the store carries on from id 1.
 func TestStoreSkipsOtherFormatVersions(t *testing.T) {
+	for _, old := range []string{"v3 ", "v2 "} {
+		t.Run(old, func(t *testing.T) { storeSkipsVersion(t, old) })
+	}
+}
+
+func storeSkipsVersion(t *testing.T, oldVersion string) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
@@ -134,10 +141,10 @@ func TestStoreSkipsOtherFormatVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(manifest, []byte("v3 ")); n != 2 {
-		t.Fatalf("manifest holds %d v3 lines, want 2:\n%s", n, manifest)
+	if n := bytes.Count(manifest, []byte("v4 ")); n != 2 {
+		t.Fatalf("manifest holds %d v4 lines, want 2:\n%s", n, manifest)
 	}
-	if err := os.WriteFile(path, bytes.ReplaceAll(manifest, []byte("v3 "), []byte("v2 ")), 0o644); err != nil {
+	if err := os.WriteFile(path, bytes.ReplaceAll(manifest, []byte("v4 "), []byte(oldVersion)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,12 +153,12 @@ func TestStoreSkipsOtherFormatVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap, ok, err := old.Latest(); err != nil || ok {
-		t.Fatalf("a store of v2 lines restored %+v (ok=%v err=%v)", snap, ok, err)
+		t.Fatalf("a store of %slines restored %+v (ok=%v err=%v)", oldVersion, snap, ok, err)
 	}
 	fresh := sampleSnapshot()
 	fresh.Seq = 11
 	if id, err := old.Save(fresh); err != nil || id != 1 {
-		t.Fatalf("save into a store of v2 lines: id %d err %v", id, err)
+		t.Fatalf("save into a store of %slines: id %d err %v", oldVersion, id, err)
 	}
 	if got, ok, err := old.Latest(); err != nil || !ok || got.Seq != 11 {
 		t.Fatalf("latest after the save: ok=%v err=%v snap=%+v", ok, err, got)

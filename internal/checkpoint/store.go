@@ -16,11 +16,12 @@ import (
 // manifestName is the append-only index of snapshots in a store
 // directory. Each line records one fully written snapshot:
 //
-//	v3 <id> <file> <seq> <watermark> <base> <f|d>       (full or delta)
+//	v4 <id> <file> <seq> <watermark> <base> <f|d>       (full or delta)
 //
 // The version names the encoding of the listed files: lines of any other
-// version ("v2" files hold columnar sections this build's decoder cannot
-// read, "v1" lines predate deltas) are skipped like torn ones, so such a
+// version ("v3" files hold float columns this build's decoder would
+// misread, "v2" files integer columns it cannot read, "v1" lines predate
+// deltas) are skipped like torn ones, so such a
 // directory restores as empty and its files are overwritten as ids
 // restart.
 // A snapshot's manifest line is appended only after its file is fully
@@ -116,7 +117,7 @@ func (s *Store) entries() ([]manifestEntry, error) {
 		var e manifestEntry
 		var version string
 		switch {
-		case strings.HasPrefix(line, "v3 "):
+		case strings.HasPrefix(line, "v4 "):
 			var kind string
 			if _, err := fmt.Sscanf(line, "%s %d %s %d %d %d %s", &version, &e.id, &e.file, &e.seq, &e.wm, &e.base, &kind); err != nil {
 				continue
@@ -182,7 +183,7 @@ func (s *Store) Save(snap *Snapshot) (uint64, error) {
 			return 0, err
 		}
 	}
-	if _, err := fmt.Fprintf(s.mf, "v3 %d %s %d %d %d %s\n", id, name, snap.Seq, snap.Watermark, snap.BaseID, kind); err != nil {
+	if _, err := fmt.Fprintf(s.mf, "v4 %d %s %d %d %d %s\n", id, name, snap.Seq, snap.Watermark, snap.BaseID, kind); err != nil {
 		// A short write may have left an unterminated line; reopen (with
 		// tail repair) before the next attempt rather than appending onto
 		// the torn tail.
@@ -377,7 +378,7 @@ func (s *Store) Compact(retain int) error {
 		if e.delta {
 			kind = "d"
 		}
-		if _, err := fmt.Fprintf(f, "v3 %d %s %d %d %d %s\n", e.id, e.file, e.seq, e.wm, e.base, kind); err != nil {
+		if _, err := fmt.Fprintf(f, "v4 %d %s %d %d %d %s\n", e.id, e.file, e.seq, e.wm, e.base, kind); err != nil {
 			_ = f.Close()
 			_ = os.Remove(tmp)
 			return err

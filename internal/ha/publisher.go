@@ -101,6 +101,17 @@ func (p *Publisher) handle(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
+	// The stream carries snapshot bytes as encoded, and a v3 float column
+	// read as planes decodes without error into wrong sums: a standby of
+	// another build is refused before anything is queued for it.
+	if hello.Version != wire.CurrentWireVersion {
+		obs.Emit(obs.Decision{
+			Kind: "replication_refused", Cause: "standby_wire_version", Term: p.term,
+			Detail: fmt.Sprintf("standby decodes wire v%d, this primary encodes v%d", hello.Version, wire.CurrentWireVersion),
+		})
+		_ = conn.Close()
+		return
+	}
 	sub, err := p.attach(conn, hello)
 	if err != nil {
 		_ = conn.Close()
@@ -441,7 +452,7 @@ func replAckFrame(id, seq uint64) ([]byte, error) {
 
 // replHelloFrame encodes the standby's attach hello.
 func replHelloFrame(lastID uint64, logWM int64) ([]byte, error) {
-	rec := telemetry.Record{WireSize: 33, Data: &wire.ReplHello{LastID: lastID, LogWM: logWM}}
+	rec := telemetry.Record{WireSize: 33, Data: &wire.ReplHello{LastID: lastID, LogWM: logWM, Version: wire.CurrentWireVersion}}
 	return encodeFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}})
 }
 

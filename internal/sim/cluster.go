@@ -59,7 +59,7 @@ type ClusterConfig struct {
 	// <dir>/<query>; sp_crash faults then recover from the latest
 	// snapshot instead of losing state.
 	CheckpointDir string
-	// Replay adds recorded wire-v3 traffic captures as additional
+	// Replay adds recorded wire-v4 traffic captures as additional
 	// arrival sources: each capture's connections are split into
 	// per-epoch frame runs and fed, one run per virtual epoch, into a
 	// dedicated SP for the named query.

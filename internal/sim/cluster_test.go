@@ -262,7 +262,7 @@ func recordClusterCapture(t *testing.T, epochs, quietTail int) (capture, dump []
 	return recorded.Bytes(), dump
 }
 
-// TestClusterReplaySource records a live wire-v3 run and replays it
+// TestClusterReplaySource records a live wire-v4 run and replays it
 // into the sim as an arrival source — once from the stream capture,
 // once from a ring dump of the same connection: the dedicated replay SP
 // must apply every recorded epoch, produce the same total rows as a

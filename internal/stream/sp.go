@@ -79,7 +79,7 @@ func (e *SPEngine) Ingest(stage int, batch telemetry.Batch) error {
 // IngestColumnar feeds a wave from a source into the pipeline at the
 // given operator stage. Partial AggRow records entering a stateful stage
 // merge into its state; raw records flow through the remaining
-// operators. Decoded wire v3 frames flow decode→execute with zero row
+// operators. Decoded wire v4 frames flow decode→execute with zero row
 // materialization wherever the operators have kernels.
 //
 // The caller's batch is treated read-only: the engine copies the section

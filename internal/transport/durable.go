@@ -169,7 +169,7 @@ func (d *DurableShipper) Source() uint32 { return d.source }
 
 // encodeEpoch serializes one epoch — drains, results, watermark and the
 // EpochEnd commit marker — into a standalone byte string that can be
-// written (and re-written on replay) as-is: wire-v3 columnar data
+// written (and re-written on replay) as-is: wire-v4 columnar data
 // frames, flate-compressed when SetCompression is on.
 //
 // When lifecycle timing is on, the EpochEnd carries the trace-context
@@ -324,15 +324,15 @@ func (d *DurableShipper) ConnectConn(conn io.ReadWriteCloser) error {
 	if err != nil {
 		return fmt.Errorf("transport: hello ack: %w", err)
 	}
-	// Negotiate: both sides speak min(hello, ack). Below v3 (0 is a
-	// pre-versioning peer, 2 one that cannot read packed columns) or, for
-	// a compressing shipper, without
+	// Negotiate: both sides speak min(hello, ack). Below v4 (0 is a
+	// pre-versioning peer, 2 and 3 ones that cannot read packed integer or
+	// byte-plane float columns) or, for a compressing shipper, without
 	// compression support, the peer could not read the replay buffer's
 	// bytes; refuse before touching any state so the pending epochs wait
 	// for a peer that can.
 	peer := min(ack.Version, wire.CurrentWireVersion)
-	if peer < wire.WireV3 {
-		return fmt.Errorf("transport: peer negotiated wire v%d, need v%d or newer", peer, wire.WireV3)
+	if peer < wire.WireV4 {
+		return fmt.Errorf("transport: peer negotiated wire v%d, need v%d or newer", peer, wire.WireV4)
 	}
 	if d.compress && !ack.Compress {
 		return fmt.Errorf("transport: peer does not accept compressed frames")

@@ -18,11 +18,11 @@ type refuseGate struct{}
 func (refuseGate) AdmitHello(uint64) (uint64, error) { return 0, io.ErrClosedPipe }
 
 // TestHandshakeRejects pins the one connection contract from both ends.
-// Receiver side: a Hello below wire v2, or any data, watermark or
+// Receiver side: a Hello below wire v4, or any data, watermark or
 // EpochEnd frame ahead of the Hello, closes the connection with
 // recv_errors counted, nothing acked and nothing ingested — including on
 // a standby, where hello-less frames used to reach the engine without
-// ever meeting the gate. Shipper side: an ack that negotiates below v2,
+// ever meeting the gate. Shipper side: an ack that negotiates below v4,
 // or lacks compression support for a compressing shipper, fails Connect
 // with the replay buffer untouched, and a following Connect to a good
 // receiver delivers every pending epoch.
@@ -68,6 +68,7 @@ func TestHandshakeRejects(t *testing.T) {
 		{"hello v0 (pre-versioning)", nil, append(frames(false, control(29, &wire.Hello{Source: 3})), epochBytes...)},
 		{"hello v1", nil, append(frames(false, control(29, &wire.Hello{Source: 3, Version: wire.WireV1})), epochBytes...)},
 		{"hello v2 (unpacked columns)", nil, append(frames(false, control(29, &wire.Hello{Source: 3, Version: wire.WireV2, Compress: true})), epochBytes...)},
+		{"hello v3 (big-endian floats)", nil, append(frames(false, control(29, &wire.Hello{Source: 3, Version: wire.WireV3, Compress: true})), epochBytes...)},
 		{"data frame before hello", nil, epochBytes},
 		{"row data frame before hello", nil, frames(false, drain, watermark)},
 		{"watermark frame before hello", nil, frames(true, watermark, drain)},
@@ -108,8 +109,9 @@ func TestHandshakeRejects(t *testing.T) {
 	}{
 		{"ack v1", true, wire.Ack{Source: 3, Version: wire.WireV1, Compress: true}},
 		{"ack v2 (unpacked columns)", true, wire.Ack{Source: 3, Version: wire.WireV2, Compress: true}},
+		{"ack v3 (big-endian floats)", true, wire.Ack{Source: 3, Version: wire.WireV3, Compress: true}},
 		{"ack v0 (pre-versioning)", false, wire.Ack{Source: 3}},
-		{"ack without compress to a compressing shipper", true, wire.Ack{Source: 3, Version: wire.WireV3}},
+		{"ack without compress to a compressing shipper", true, wire.Ack{Source: 3, Version: wire.WireV4}},
 	}
 	for _, tc := range ackCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,8 +14,8 @@
 // frames until the marker, applies the epoch atomically exactly once
 // (duplicates from replay are discarded whole), and acknowledges
 // durability back to the agent so it can prune its bounded replay buffer.
-// Both sides speak wire v3 (columnar data frames, optionally flate-
-// compressed by the shipper): a Hello below v3, or any frame ahead of the
+// Both sides speak wire v4 (columnar data frames, optionally flate-
+// compressed by the shipper): a Hello below v4, or any frame ahead of the
 // Hello, closes the connection and counts as a recv_error.
 package transport
 
@@ -286,10 +286,10 @@ func (w *ackWriter) sendAck(source uint32, seq uint64, throttleMicros uint64, re
 }
 
 // HandleConn consumes frames from conn until EOF under the sequenced
-// discipline: the connection must open with a Hello announcing wire v3 or
+// discipline: the connection must open with a Hello announcing wire v4 or
 // newer; after it, frames are staged and applied atomically, exactly
 // once, at each EpochEnd marker, and acks flow back on the same
-// connection. A Hello below v3, or any data, watermark or EpochEnd frame
+// connection. A Hello below v4, or any data, watermark or EpochEnd frame
 // ahead of the Hello, ends the connection with an error (recv_errors)
 // and nothing ingested.
 func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
@@ -340,13 +340,14 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 			for _, rec := range f.Records {
 				switch c := rec.Data.(type) {
 				case *wire.Hello:
-					if c.Version < wire.WireV3 {
-						// 0 is a pre-versioning build, 2 a build whose integer
-						// columns this decoder cannot read. Acks advertise v3
-						// and no shipper downgrades below it, so admitting the
-						// peer would only defer the failure to its first epoch.
+					if c.Version < wire.WireV4 {
+						// 0 is a pre-versioning build, 2 and 3 builds whose
+						// integer or float columns this decoder cannot read.
+						// Acks advertise v4 and no shipper downgrades below it,
+						// so admitting the peer would only defer the failure to
+						// its first epoch — or, for v3 floats, decode it wrong.
 						rc.counters.Inc(CtrRecvErrors)
-						return fmt.Errorf("transport: hello announces wire v%d, need v%d or newer", c.Version, wire.WireV3)
+						return fmt.Errorf("transport: hello announces wire v%d, need v%d or newer", c.Version, wire.WireV4)
 					}
 					var ackTerm uint64
 					if g := rc.helloGate(); g != nil {

@@ -15,8 +15,9 @@ import (
 // before and after the per-frame flate wrapper. A codec change that
 // bloats a section fails here, by name, rather than only against the
 // repository benchmark's 2 % wire_bytes_per_record bound. Ceilings sit
-// ~5 % above the sizes measured when the packed columns landed (in the
-// comments, uncompressed / flate, the unpacked v2 layout's beside them).
+// ~5 % above the sizes measured when the packed columns (v3) and the
+// float planes (v4) landed (in the comments, uncompressed / flate, the
+// unpacked v2 layout's beside them).
 func TestWireBytesPerRecordBudget(t *testing.T) {
 	ping, _, err := benchcase.ShippedEpoch()
 	if err != nil {
@@ -62,11 +63,12 @@ func TestWireBytesPerRecordBudget(t *testing.T) {
 	}{
 		// 38 462 raw probes: 2.13 / 1.70 B (v2: 27.00 / 4.84).
 		{"raw ping", []wire.Frame{{Records: ping.Drains[0]}}, 2.25, 1.78},
-		// 19 447 partial aggregates: 24.33 / 6.40 B (v2: 37.00 / 8.58).
-		{"agg partials", agg, 25.5, 6.7},
-		// 47 620 spans: 9.53 / 8.86 B (v2: 14.02 / 8.76 — flate coded the
-		// skewed one-byte operation references below their packed 7 bits).
-		{"spans", []wire.Frame{{Cols: spans}}, 10, 9.3},
+		// 19 447 partial aggregates: 24.33 / 4.87 B (v3: 24.33 / 6.40, v2:
+		// 37.00 / 8.58) — integral sums: the zero mantissa planes vanish.
+		{"agg partials", agg, 25.5, 5.2},
+		// 47 620 spans: 9.53 / 8.12 B (v3: 9.53 / 8.86, v2: 14.02 / 8.76) —
+		// lognormal durations: six of eight planes are noise flate stores.
+		{"spans", []wire.Frame{{Cols: spans}}, 10, 8.4},
 		// 4 063 log lines, one 100 ms LogAnalytics epoch at load factor
 		// 3/16: 123.70 / 14.74 B (v2: 127.97 / 17.14).
 		{"log lines", logFrames, 129, 15.5},

@@ -218,7 +218,7 @@ func EncodeRecord(dst []byte, rec telemetry.Record) ([]byte, error) {
 		dst = appendHeader(dst, rec)
 		dst = binary.BigEndian.AppendUint64(dst, p.LastID)
 		dst = binary.BigEndian.AppendUint64(dst, uint64(p.LogWM))
-		return dst, nil
+		return binary.AppendUvarint(dst, uint64(p.Version)), nil
 	case *ReplSnapshot:
 		dst = append(dst, TagReplSnapshot)
 		dst = appendHeader(dst, rec)
@@ -609,6 +609,9 @@ func DecodeRecord(buf []byte) (telemetry.Record, int, error) {
 		p := &ReplHello{}
 		p.LastID = r.u64()
 		p.LogWM = int64(r.u64())
+		if r.err == nil && r.off < len(buf) {
+			p.Version = uint32(r.uvarint())
+		}
 		rec.Data = p
 		rec.WireSize = 33
 	case TagReplSnapshot:

@@ -324,12 +324,12 @@ func TestDecodeRecordNeverPanics(t *testing.T) {
 }
 
 func TestHelloAckTermRoundTrip(t *testing.T) {
-	h := &Hello{Source: 3, Seq: 17, Version: WireV3, Term: 5}
+	h := &Hello{Source: 3, Seq: 17, Version: WireV4, Term: 5}
 	got := roundTrip(t, telemetry.Record{WireSize: 29, Data: h})
 	if !reflect.DeepEqual(got.Data, h) {
 		t.Fatalf("hello = %+v", got.Data)
 	}
-	a := &Ack{Source: 3, Seq: 16, Version: WireV3, Term: 6}
+	a := &Ack{Source: 3, Seq: 16, Version: WireV4, Term: 6}
 	got = roundTrip(t, telemetry.Record{WireSize: 29, Data: a})
 	if !reflect.DeepEqual(got.Data, a) {
 		t.Fatalf("ack = %+v", got.Data)
@@ -337,12 +337,12 @@ func TestHelloAckTermRoundTrip(t *testing.T) {
 }
 
 func TestHelloAckAdmissionExtensionRoundTrip(t *testing.T) {
-	h := &Hello{Source: 3, Seq: 17, Version: WireV3, Term: 5, Compress: true, Class: 3, Tenant: "acme"}
+	h := &Hello{Source: 3, Seq: 17, Version: WireV4, Term: 5, Compress: true, Class: 3, Tenant: "acme"}
 	got := roundTrip(t, telemetry.Record{WireSize: 29, Data: h})
 	if !reflect.DeepEqual(got.Data, h) {
 		t.Fatalf("hello = %+v", got.Data)
 	}
-	a := &Ack{Source: 3, Seq: 16, Version: WireV3, Term: 6, ThrottleMicros: 750_000, Replay: true}
+	a := &Ack{Source: 3, Seq: 16, Version: WireV4, Term: 6, ThrottleMicros: 750_000, Replay: true}
 	got = roundTrip(t, telemetry.Record{WireSize: 29, Data: a})
 	if !reflect.DeepEqual(got.Data, a) {
 		t.Fatalf("ack = %+v", got.Data)
@@ -353,7 +353,7 @@ func TestHelloAckAdmissionExtensionRoundTrip(t *testing.T) {
 // the extension fields must decode as zero values, not as an error.
 func TestHelloAckAdmissionExtensionCompat(t *testing.T) {
 	enc, err := EncodeRecord(nil, telemetry.Record{WireSize: 29,
-		Data: &Hello{Source: 1, Seq: 2, Version: WireV3, Term: 3, Compress: true}})
+		Data: &Hello{Source: 1, Seq: 2, Version: WireV4, Term: 3, Compress: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestHelloAckAdmissionExtensionCompat(t *testing.T) {
 	}
 
 	enc, err = EncodeRecord(nil, telemetry.Record{WireSize: 29,
-		Data: &Ack{Source: 1, Seq: 2, Version: WireV3, Term: 3, Compress: true}})
+		Data: &Ack{Source: 1, Seq: 2, Version: WireV4, Term: 3, Compress: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,10 +384,20 @@ func TestHelloAckAdmissionExtensionCompat(t *testing.T) {
 }
 
 func TestReplicationRecordsRoundTrip(t *testing.T) {
-	hello := &ReplHello{LastID: 12, LogWM: 9_000_000}
+	hello := &ReplHello{LastID: 12, LogWM: 9_000_000, Version: CurrentWireVersion}
 	got := roundTrip(t, telemetry.Record{WireSize: 33, Data: hello})
 	if !reflect.DeepEqual(got.Data, hello) {
 		t.Fatalf("repl hello = %+v", got.Data)
+	}
+	// A hello from a build without the version field ends one byte early
+	// and decodes as version 0.
+	enc, err := EncodeRecord(nil, telemetry.Record{WireSize: 33, Data: hello})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, _, err := DecodeRecord(enc[:len(enc)-1])
+	if h, ok := old.Data.(*ReplHello); err != nil || !ok || h.Version != 0 || h.LastID != 12 || h.LogWM != 9_000_000 {
+		t.Fatalf("old-shaped repl hello = %+v, err %v", old.Data, err)
 	}
 	snap := &ReplSnapshot{ID: 8, BaseID: 7, Seq: 40, Term: 2, Delta: true, Data: []byte{1, 2, 3, 4}}
 	got = roundTrip(t, telemetry.Record{WireSize: 40 + len(snap.Data), Data: snap})

@@ -348,16 +348,14 @@ func (d *ColumnarDecoder) offsetCol(r *reader, base []int64) []int64 {
 	return out
 }
 
-// f64Col decodes one big-endian float64 column into an arena.
+// f64Col decodes one float column (planes.go) into an arena.
 func (d *ColumnarDecoder) f64Col(r *reader, n int) []float64 {
 	raw := r.take(8 * n)
 	if r.err != nil {
 		return nil
 	}
 	out := d.f64Arena(n)
-	for i := range out {
-		out[i] = f64At(raw, i)
-	}
+	readPlanes(out, raw)
 	return out
 }
 

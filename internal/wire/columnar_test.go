@@ -284,16 +284,26 @@ func TestSectionCountGuard(t *testing.T) {
 		binary.BigEndian.PutUint32(p, uint32(len(p)))
 		return append(p, 0) // empty string table
 	}
+	// And a job section whose integer columns are all there but whose
+	// float column is one byte short of its eight planes.
+	const shortRows = 100_000
+	short := binary.AppendUvarint([]byte{0, 0, 0, 0, TagJobStats}, shortRows)
+	for c := 0; c < sectionIntCols(TagJobStats); c++ {
+		short = appendPacked(short, make([]int64, shortRows))
+	}
+	short = append(short, make([]byte, 8*shortRows-1)...)
+	binary.BigEndian.PutUint32(short, uint32(len(short)))
+	short = append(short, 0)
 	for _, tc := range []struct {
-		name string
-		n    uint64
-		body int
+		name    string
+		payload []byte
 	}{
-		{"count beyond 64 per remaining byte", 1 << 40, 64},
-		{"count beyond the frame value budget", maxFrameValues/9 + 1, 1 << 20},
-		{"count the bytes could pack but do not", 100_000, 100_000 / 64 * 2},
+		{"count beyond 64 per remaining byte", forged(1<<40, 64)},
+		{"count beyond the frame value budget", forged(maxFrameValues/9+1, 1<<20)},
+		{"count the bytes could pack but do not", forged(100_000, 100_000/64*2)},
+		{"float column a byte short of its planes", short},
 	} {
-		payload := forged(tc.n, tc.body)
+		payload := tc.payload
 		var rows telemetry.Batch
 		var cb ColumnarBatch
 		var before, after runtime.MemStats
@@ -313,7 +323,8 @@ func TestSectionCountGuard(t *testing.T) {
 // TestColsEncodeMatchesRows pins the two section encoders to each other:
 // a SoA batch — dense sections and sections narrowed by a selection
 // vector — must encode to exactly the bytes its materialized rows encode
-// to, packing modes and block widths included.
+// to, packing modes, block widths and float planes included, compressed
+// or not.
 func TestColsEncodeMatchesRows(t *testing.T) {
 	var cb ColumnarBatch
 	payload := writeColumnar(t, Frame{StreamID: 1, Records: mixedBatch()}, false)[16:]
@@ -324,10 +335,12 @@ func TestColsEncodeMatchesRows(t *testing.T) {
 		t.Helper()
 		var rows telemetry.Batch
 		cb.AppendRows(&rows)
-		fromCols := writeColumnar(t, Frame{StreamID: 1, Cols: &cb}, false)
-		fromRows := writeColumnar(t, Frame{StreamID: 1, Records: rows}, false)
-		if !bytes.Equal(fromCols, fromRows) {
-			t.Fatalf("%s: column-direct encoding (%d bytes) differs from the row encoding (%d bytes)", name, len(fromCols), len(fromRows))
+		for _, compress := range []bool{false, true} {
+			fromCols := writeColumnar(t, Frame{StreamID: 1, Cols: &cb}, compress)
+			fromRows := writeColumnar(t, Frame{StreamID: 1, Records: rows}, compress)
+			if !bytes.Equal(fromCols, fromRows) {
+				t.Fatalf("%s (compress %v): column-direct encoding (%d bytes) differs from the row encoding (%d bytes)", name, compress, len(fromCols), len(fromRows))
+			}
 		}
 	}
 	check("dense")
@@ -374,7 +387,7 @@ func TestColumnarControlFramesStayV1(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
 	fw.SetColumnar(true)
-	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 1, Seq: 2, Version: WireV3}}
+	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 1, Seq: 2, Version: WireV4}}
 	if err := fw.WriteFrame(Frame{StreamID: ControlStreamID, Records: telemetry.Batch{rec}}); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +403,7 @@ func TestColumnarControlFramesStayV1(t *testing.T) {
 		t.Fatalf("control frame carries count/marker %#x, want a 1-record row frame", count)
 	}
 	h, ok := got.Records[0].Data.(*Hello)
-	if !ok || h.Version != WireV3 {
+	if !ok || h.Version != WireV4 {
 		t.Fatalf("hello round-trip: %+v", got.Records[0].Data)
 	}
 	// A row frame has no columnar form: handing it Cols is a caller bug,
@@ -408,7 +421,7 @@ func TestColumnarControlFramesStayV1(t *testing.T) {
 // (= v1 peer), a pre-HA Hello (version but no term) reads as Term 0,
 // and a pre-compression Hello reads as Compress false.
 func TestLegacyHelloDecodes(t *testing.T) {
-	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 9, Seq: 4, Version: WireV3, Term: 3, Compress: true, Class: 2, Tenant: "t"}}
+	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 9, Seq: 4, Version: WireV4, Term: 3, Compress: true, Class: 2, Tenant: "t"}}
 	enc, err := EncodeRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -423,10 +436,10 @@ func TestLegacyHelloDecodes(t *testing.T) {
 	}{
 		// The one-char tenant encodes as 2 bytes (uvarint len + byte),
 		// the class as 1; every earlier trailing field is 1 byte here.
-		{"current", 0, WireV3, 3, true, 2},
-		{"pre-admission", 3, WireV3, 3, true, 0},
-		{"pre-compression", 4, WireV3, 3, false, 0},
-		{"pre-ha", 5, WireV3, 0, false, 0},
+		{"current", 0, WireV4, 3, true, 2},
+		{"pre-admission", 3, WireV4, 3, true, 0},
+		{"pre-compression", 4, WireV4, 3, false, 0},
+		{"pre-ha", 5, WireV4, 0, false, 0},
 		{"pre-versioning", 6, 0, 0, false, 0},
 	} {
 		legacy := enc[:len(enc)-tc.strip] // each trailing field is 1 byte here

@@ -25,7 +25,7 @@ const ReplRowsStreamID = ^uint32(0) - 2
 // newest durably-applied sequence for that source plus its own version,
 // term and compression support; both sides then use min(hello, ack) for
 // the version and the agent adopts the larger term. The transport
-// refuses a negotiated version below WireV3 on either side, and a
+// refuses a negotiated version below WireV4 on either side, and a
 // compressing agent refuses an Ack without Compress. An SP that sees a
 // Hello carrying a term above its own knows a newer primary was promoted
 // and fences itself (rejects the connection).
@@ -167,10 +167,16 @@ type ReplayEpoch struct {
 // newest primary snapshot id it has applied and the watermark through
 // which its mirrored result log is already populated. The primary always
 // resyncs state with a full folded snapshot; LogWM bounds how much
-// result-log tail must be re-sent to heal any gap.
+// result-log tail must be re-sent to heal any gap. Version is the wire
+// version the standby decodes snapshot bytes with (appended; 0 from
+// builds that sent none): the stream carries Snapshot.Encode's bytes as
+// they are, so the primary refuses any version but its own rather than
+// feed a standby columns it would misread. ReplHello travels alone in
+// its frame.
 type ReplHello struct {
-	LastID uint64
-	LogWM  int64
+	LastID  uint64
+	LogWM   int64
+	Version uint32
 }
 
 // ReplSnapshot carries one durable snapshot from primary to standby:

@@ -83,10 +83,10 @@ func FuzzDecodeRecord(f *testing.F) {
 func FuzzDecodeControlHandshake(f *testing.F) {
 	seeds := []telemetry.Record{
 		{Time: 1, WireSize: 29, Data: &Hello{Source: 3, Seq: 12}},
-		{Time: 1, WireSize: 29, Data: &Hello{Source: 3, Seq: 12, Version: WireV3, Term: 4, Compress: true, Class: 1, Tenant: "best-effort-tenant"}},
+		{Time: 1, WireSize: 29, Data: &Hello{Source: 3, Seq: 12, Version: WireV4, Term: 4, Compress: true, Class: 1, Tenant: "best-effort-tenant"}},
 		{Time: 1, WireSize: 29, Data: &Hello{Source: 7, Seq: 0, Class: 3, Tenant: "acme"}},
 		{Time: 1, WireSize: 29, Data: &Ack{Source: 3, Seq: 11}},
-		{Time: 1, WireSize: 29, Data: &Ack{Source: 3, Seq: 11, Version: WireV3, Term: 4, Compress: true, ThrottleMicros: 2_000_000, Replay: true}},
+		{Time: 1, WireSize: 29, Data: &Ack{Source: 3, Seq: 11, Version: WireV4, Term: 4, Compress: true, ThrottleMicros: 2_000_000, Replay: true}},
 		{Time: 1, WireSize: 29, Data: &Ack{Source: 7, Seq: 5, ThrottleMicros: 1}},
 	}
 	for _, rec := range seeds {
