@@ -1,41 +1,101 @@
 // Command jarvis-bench regenerates the paper's evaluation tables and
 // figures (§VI). Run everything with -exp all, or name a single
-// experiment: fig3, fig7, fig8, fig9, fig10, fig11, latency, opcount,
-// overhead. `-exp micro` runs the engine micro-benchmarks (agent epoch
-// rows/SoA, the end-to-end building block, SP ingest, checkpoint save/
-// restore/delta, epoch replay and decode, replication apply and failover
-// downtime, obs overhead, admission, cluster sim)
-// and writes them as JSON to -benchout; the committed BENCH_<n>.json
-// files are such runs, one per PR that moved the numbers.
+// experiment from the table below (-h lists them). The engine's layer
+// micro-benchmarks are not here: they are `go test -bench` functions in
+// the repository root (bench_test.go).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"jarvis/internal/experiments"
-	"jarvis/internal/obs"
 )
 
+// experimentTable is the one ordered list of what -exp accepts: `all` runs
+// it top to bottom, and the help string and the unknown-experiment error
+// are generated from it.
+var experimentTable = []struct {
+	name string
+	run  func(seed uint64) ([]fmt.Stringer, error)
+}{
+	{"fig3", one(experiments.Fig3)},
+	{"fig7", func(uint64) ([]fmt.Stringer, error) {
+		results, err := experiments.Fig7All()
+		if err != nil {
+			return nil, err
+		}
+		return []fmt.Stringer{results["s2s"], results["t2t"], results["log"]}, nil
+	}},
+	{"fig8", func(uint64) ([]fmt.Stringer, error) {
+		var out []fmt.Stringer
+		for _, f := range []func() (*experiments.Fig8Result, error){
+			experiments.Fig8S2S, experiments.Fig8T2T, experiments.Fig8Log,
+		} {
+			r, err := f()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r)
+		}
+		return out, nil
+	}},
+	{"fig9", func(seed uint64) ([]fmt.Stringer, error) {
+		r, err := experiments.Fig9(seed)
+		if err != nil {
+			return nil, err
+		}
+		return []fmt.Stringer{r}, nil
+	}},
+	{"fig10", many(experiments.Fig10All)},
+	{"fig11", many(experiments.Fig11All)},
+	{"latency", one(experiments.Latency)},
+	{"opcount", one(experiments.OpCount)},
+	{"ablation", one(func() (*experiments.AblationResult, error) { return experiments.Ablation(0.60) })},
+	{"overhead", one(experiments.Overhead)},
+}
+
+// one and many adapt the seedless experiment functions to the table.
+func one[T fmt.Stringer](f func() (T, error)) func(uint64) ([]fmt.Stringer, error) {
+	return func(uint64) ([]fmt.Stringer, error) {
+		r, err := f()
+		if err != nil {
+			return nil, err
+		}
+		return []fmt.Stringer{r}, nil
+	}
+}
+
+func many[T fmt.Stringer](f func() ([]T, error)) func(uint64) ([]fmt.Stringer, error) {
+	return func(uint64) ([]fmt.Stringer, error) {
+		results, err := f()
+		if err != nil {
+			return nil, err
+		}
+		out := make([]fmt.Stringer, len(results))
+		for i, r := range results {
+			out[i] = r
+		}
+		return out, nil
+	}
+}
+
+// experimentNames is "all|fig3|…|overhead", in table order.
+func experimentNames() string {
+	names := []string{"all"}
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, "|")
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all|fig3|fig7|fig8|fig9|fig10|fig11|latency|opcount|ablation|overhead|micro)")
+	exp := flag.String("exp", "all", "experiment to run ("+experimentNames()+")")
 	seed := flag.Uint64("seed", 7, "seed for randomized workloads")
-	benchOut := flag.String("benchout", "BENCH_local.json", "output file for -exp micro results")
-	obsOff := flag.Bool("obs-off", false, "disable epoch-lifecycle timing (obs.SetEnabled(false)) for A/B overhead runs")
 	flag.Parse()
 
-	if *obsOff {
-		obs.SetEnabled(false)
-	}
-
-	if *exp == "micro" {
-		if err := runMicro(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "jarvis-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*exp, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "jarvis-bench:", err)
 		os.Exit(1)
@@ -43,101 +103,22 @@ func main() {
 }
 
 func run(exp string, seed uint64) error {
-	all := exp == "all"
 	ran := false
-
-	if all || exp == "fig3" {
-		ran = true
-		r, err := experiments.Fig3()
-		if err != nil {
-			return err
+	for _, e := range experimentTable {
+		if exp != "all" && exp != e.name {
+			continue
 		}
-		fmt.Println(r)
-	}
-	if all || exp == "fig7" {
 		ran = true
-		results, err := experiments.Fig7All()
-		if err != nil {
-			return err
-		}
-		for _, name := range []string{"s2s", "t2t", "log"} {
-			fmt.Println(results[name])
-		}
-	}
-	if all || exp == "fig8" {
-		ran = true
-		for _, f := range []func() (*experiments.Fig8Result, error){
-			experiments.Fig8S2S, experiments.Fig8T2T, experiments.Fig8Log,
-		} {
-			r, err := f()
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
-		}
-	}
-	if all || exp == "fig9" {
-		ran = true
-		r, err := experiments.Fig9(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if all || exp == "fig10" {
-		ran = true
-		results, err := experiments.Fig10All()
+		results, err := e.run(seed)
 		if err != nil {
 			return err
 		}
 		for _, r := range results {
 			fmt.Println(r)
 		}
-	}
-	if all || exp == "fig11" {
-		ran = true
-		results, err := experiments.Fig11All()
-		if err != nil {
-			return err
-		}
-		for _, r := range results {
-			fmt.Println(r)
-		}
-	}
-	if all || exp == "latency" {
-		ran = true
-		r, err := experiments.Latency()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if all || exp == "opcount" {
-		ran = true
-		r, err := experiments.OpCount()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if all || exp == "ablation" {
-		ran = true
-		r, err := experiments.Ablation(0.60)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if all || exp == "overhead" {
-		ran = true
-		r, err := experiments.Overhead()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q (want %s)", exp, experimentNames())
 	}
 	return nil
 }

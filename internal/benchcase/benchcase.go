@@ -1,8 +1,9 @@
 // Package benchcase defines the canonical engine micro-benchmark
-// workloads in one place, shared by the repository benchmarks
-// (bench_test.go) and cmd/jarvis-bench's machine-readable `-exp micro`
-// mode, so BENCH_<n>.json always measures exactly the same setups as
-// `go test -bench`.
+// workloads in one place: the setups behind the owner benchmarks in the
+// repository root (bench_test.go, run with `go test -bench`) and behind
+// the tests in other packages that pin the same frames' sizes and
+// allocations, so a benchmark and the budget test next to it always see
+// the same input.
 package benchcase
 
 import (
@@ -50,10 +51,10 @@ func EndToEnd() (*core.BuildingBlock, telemetry.Batch, error) {
 
 // SPIngest builds the canonical SP-side ingest benchmark: an S2SProbe
 // engine plus one second of Pingmesh drain, returned both as the decoded
-// row batch (the input of BenchmarkSPIngest since PR 1) and as the same
-// records decoded into a wire-v4 SoA batch (BenchmarkSPIngestColumnar).
-// The two inputs carry identical record sequences, so the benchmarks
-// measure execution strategy, not workload differences.
+// row batch (the parity tests' oracle input, and the payload size the
+// benchmark's MB/s is over) and as the same records decoded into a
+// wire-v4 SoA batch (BenchmarkSPIngestColumnar). The two carry identical
+// record sequences.
 func SPIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error) {
 	engine, err := stream.NewSPEngine(plan.S2SProbe())
 	if err != nil {
@@ -126,6 +127,20 @@ func ShippedEpoch() (stream.EpochResult, []byte, error) {
 		return stream.EpochResult{}, nil, err
 	}
 	return res, data, nil
+}
+
+// ReplayEpoch applies one sequenced epoch stream (ShippedEpoch) to the
+// engine through a fresh receiver, discarding acks — what a restarted SP
+// does per epoch it catches up on. The receiver must be fresh: a reused
+// one would discard the repeated sequence number as a duplicate instead
+// of applying it.
+func ReplayEpoch(engine *stream.SPEngine, epochStream []byte) error {
+	rc := transport.NewReceiver(engine)
+	rc.RegisterSource(1)
+	return rc.HandleConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(epochStream), io.Discard})
 }
 
 // DrainedPingCols returns the drain a budget-starved S2SProbe agent ships

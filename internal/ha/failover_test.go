@@ -40,6 +40,14 @@ const (
 	// re-emission.
 	haKillEarly = 7
 	haKillMid   = 11
+	// Snapshot cadence of every SP in these runs, in applied epochs. Acks
+	// are gated on the snapshot that covers them, so after epoch e the
+	// standby-durable frontier is e rounded down to a multiple of this.
+	haCadence = 2
+	// A failover that takes longer than this is a failure, not a slow
+	// runner: the bound is loose on purpose (the measured downtime, tens
+	// of milliseconds on a laptop, is logged).
+	haDowntimeBound = 10 * time.Second
 )
 
 type haCase struct {
@@ -106,7 +114,7 @@ func startPrimary(t *testing.T, q *plan.Query, dir string, term uint64, repl boo
 	rc := transport.NewReceiver(proc.Engine())
 	gate := NewGate(RolePrimary, term, nil)
 	rc.SetHelloGate(gate)
-	rm := checkpoint.NewSPRecovery(store, rlog, proc.Engine(), rc, 2)
+	rm := checkpoint.NewSPRecovery(store, rlog, proc.Engine(), rc, haCadence)
 	if _, err := rm.Restore(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +198,7 @@ func startStandby(t *testing.T, q *plan.Query, dir, primaryReplAddr string) *sta
 func (n *standbyNode) promote(t *testing.T) {
 	t.Helper()
 	n.runCancel()
-	rm, err := n.st.Promote(n.rc, 2, checkpoint.DefaultRetain)
+	rm, err := n.st.Promote(n.rc, haCadence, checkpoint.DefaultRetain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +370,10 @@ func failoverRun(t *testing.T, tc haCase, killEpoch int, rejoin bool) telemetry.
 
 	primaryUp := true
 	var stale *primaryNode
+	var (
+		killAt   time.Time
+		restored uint64 // the standby's applied frontier at promotion
+	)
 	for e := 1; e <= haTotalEpochs; e++ {
 		var input telemetry.Batch
 		if e <= haDataEpochs {
@@ -388,6 +400,15 @@ func failoverRun(t *testing.T, tc haCase, killEpoch int, rejoin bool) telemetry.
 			}
 		} else if sb.rm != nil {
 			waitAppliedFailover(t, agent, sb.rc, agent.ship.Seq(), endpoints)
+			if e == killEpoch+1 {
+				// Downtime: from the kill until the promoted standby has
+				// applied every stalled epoch and the first new one.
+				downtime := time.Since(killAt)
+				t.Logf("kill at epoch %d: %d epoch(s) stalled, downtime %v", killEpoch, uint64(killEpoch)-restored, downtime)
+				if downtime > haDowntimeBound {
+					t.Errorf("failover downtime %v exceeds %v", downtime, haDowntimeBound)
+				}
+			}
 			if _, err := sb.rm.Advance(); err != nil {
 				t.Fatal(err)
 			}
@@ -403,9 +424,23 @@ func failoverRun(t *testing.T, tc haCase, killEpoch int, rejoin bool) telemetry.
 			}
 			// Kill the primary and promote the warm standby; the agent's
 			// next epoch finds the connection dead and fails over.
+			killAt = time.Now()
 			pri.stop()
 			primaryUp = false
 			sb.promote(t)
+			// The stalled epochs are the ones shipped but not covered by a
+			// replicated snapshot. The promoted receiver must resume exactly
+			// at that cut — no acked epoch behind it, every stalled one still
+			// in the agent's replay buffer: one higher and a stalled epoch is
+			// discarded as a duplicate, one lower and a covered epoch is
+			// applied on top of state that already contains it.
+			restored = sb.rc.AppliedSeq(1)
+			if want := uint64(killEpoch - killEpoch%haCadence); restored != want {
+				t.Fatalf("promoted standby resumes after epoch %d, want %d (the last replicated cut before the kill at %d)", restored, want, killEpoch)
+			}
+			if acked := agent.ship.Acked(); acked > restored {
+				t.Fatalf("agent was acked through epoch %d but the standby only covers %d", acked, restored)
+			}
 		}
 		if rejoin && e == killEpoch+2 && stale == nil {
 			// By now the agent has failed over and adopted the promoted
@@ -442,6 +477,17 @@ func failoverRun(t *testing.T, tc haCase, killEpoch int, rejoin bool) telemetry.
 	}
 	if err := sb.rm.Flush(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Every epoch past the replicated cut — the stalled ones, replayed from
+	// the agent's buffer, and the ones produced after the kill — was applied
+	// by the promoted standby exactly once: no gap in the sequence, and as
+	// many applies as epochs (a duplicate is discarded and counted apart).
+	if got, want := sb.rc.AppliedSeq(1), agent.ship.Seq(); got != want {
+		t.Fatalf("promoted standby applied through epoch %d, agent shipped %d", got, want)
+	}
+	if got, want := sb.rc.Counters().Get(transport.CtrEpochsApplied), int64(agent.ship.Seq()-restored); got != want {
+		t.Fatalf("promoted standby applied %d epochs, want %d (epochs %d..%d once each)", got, want, restored+1, agent.ship.Seq())
 	}
 
 	// Sanity: the failover actually exercised the machinery.

@@ -37,7 +37,7 @@ var enabled atomic.Bool
 func init() { enabled.Store(true) }
 
 // SetEnabled switches epoch-lifecycle timing on or off process-wide.
-// jarvis-bench -obs-off uses it to measure the instrumentation delta.
+// benchmark/ uses it to measure the instrumentation delta, obs.sat_overhead_pct.
 func SetEnabled(v bool) { enabled.Store(v) }
 
 // Enabled reports whether lifecycle timing is on.

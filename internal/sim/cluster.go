@@ -153,9 +153,16 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)         { *h = append(*h, x.(*simEvent)) }
-func (h *eventHeap) Pop() any           { old := *h; n := len(old); e := old[n-1]; old[n-1] = nil; *h = old[:n-1]; return e }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
+}
 func (h eventHeap) peekAt() (int64, bool) {
 	if len(h) == 0 {
 		return 0, false
