@@ -581,7 +581,7 @@ func BenchmarkEndToEndBuildingBlock(b *testing.B) {
 
 // warmSnapshot returns the canonical warm agent pipeline (three epochs
 // of S2SProbe state in its G+R stage) and a function taking its full
-// snapshot — Pipeline.Checkpoint into a checkpoint.Snapshot, the exact
+// snapshot — Pipeline.Capture into a checkpoint.Snapshot, the exact
 // work AgentRecovery.AfterEpoch does each cadence.
 func warmSnapshot(b *testing.B) func(seq int) *checkpoint.Snapshot {
 	pipe, err := benchcase.WarmPipeline(3)
@@ -589,12 +589,10 @@ func warmSnapshot(b *testing.B) func(seq int) *checkpoint.Snapshot {
 		b.Fatal(err)
 	}
 	return func(seq int) *checkpoint.Snapshot {
-		cp := pipe.Checkpoint(int64(seq))
 		return &checkpoint.Snapshot{
-			Seq:       uint64(seq),
-			Watermark: cp.Watermark,
-			Stages:    cp.Stages,
-			Factors:   pipe.LoadFactors(),
+			Checkpoint: pipe.Capture(true),
+			Seq:        uint64(seq),
+			Factors:    pipe.LoadFactors(),
 		}
 	}
 }
@@ -645,7 +643,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 		if err != nil {
 			return err
 		}
-		return fresh.RestoreCheckpoint(&stream.Checkpoint{Epoch: int64(got.Seq), Watermark: got.Watermark, Stages: got.Stages})
+		return fresh.RestoreCheckpoint(&got.Checkpoint)
 	})
 }
 
@@ -692,9 +690,7 @@ func BenchmarkDeltaSnapshotSave(b *testing.B) {
 		if store, err = checkpoint.OpenStore(b.TempDir()); err != nil {
 			b.Fatal(err)
 		}
-		cp := pipe.Checkpoint(0)
-		pipe.MarkSnapshotClean()
-		if lastID, err = store.Save(&checkpoint.Snapshot{Seq: 0, Watermark: cp.Watermark, Stages: cp.Stages}); err != nil {
+		if lastID, err = store.Save(&checkpoint.Snapshot{Checkpoint: pipe.Capture(true)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -713,11 +709,11 @@ func BenchmarkDeltaSnapshotSave(b *testing.B) {
 		pipe.RunEpoch(gen.NextWindow(1_000_000))
 		epoch := uint64(i + 1)
 		b.StartTimer()
-		cp := pipe.CheckpointDelta(int64(epoch))
 		snap := &checkpoint.Snapshot{
-			Seq: epoch, Watermark: cp.Watermark, Stages: cp.Stages,
-			Factors: pipe.LoadFactors(),
-			Delta:   true, BaseID: lastID, Meta: cp.Meta,
+			Checkpoint: pipe.Capture(false),
+			Seq:        epoch,
+			Factors:    pipe.LoadFactors(),
+			BaseID:     lastID,
 		}
 		if lastID, err = store.Save(snap); err != nil {
 			b.Fatal(err)
@@ -789,9 +785,9 @@ func BenchmarkReplicationApply(b *testing.B) {
 	}
 	var enc bytes.Buffer
 	if err := (&checkpoint.Snapshot{
-		Seq:     1,
-		Stages:  donor.SnapshotStages(),
-		Sources: map[uint32]checkpoint.SourceState{1: {Watermark: 1_000_000, AppliedSeq: 1}},
+		Checkpoint: stream.Checkpoint{Stages: donor.Capture(true).Stages},
+		Seq:        1,
+		Sources:    map[uint32]checkpoint.SourceState{1: {Watermark: 1_000_000, AppliedSeq: 1}},
 	}).Encode(&enc); err != nil {
 		b.Fatal(err)
 	}

@@ -145,8 +145,8 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 		if err != nil {
 			return err
 		}
+		store.SetRetention(ckptRetain)
 		arec = checkpoint.NewAgentRecovery(store, ckptEvery, src, ship)
-		arec.SetRetention(ckptRetain)
 		arec.SetAsync(ckptAsync)
 		defer arec.Close()
 		var restored bool
@@ -183,7 +183,7 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 		next(1_000_000, &cb)
 		if !genStart.IsZero() {
 			genDur = time.Since(genStart)
-			obs.ObserveDurN(obs.StageGenerate, genDur, id, uint64(e))
+			obs.Observe(obs.StageGenerate, genDur)
 		}
 		res, err := src.RunEpochColumnar(&cb)
 		if err != nil {

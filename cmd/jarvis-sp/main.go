@@ -91,8 +91,6 @@ type config struct {
 	takeoverAfter          time.Duration
 	obsListen              string
 	obsDecisions           string
-	obsSpans               string
-	obsSpanEvery           int
 	admitRate              float64
 	admitBurst             float64
 	admitMaxDelayed        int
@@ -145,8 +143,6 @@ func main() {
 	flag.DurationVar(&cfg.takeoverAfter, "takeover-after", 3*time.Second, "standby: promote after the replication link is down this long (0 = never)")
 	flag.StringVar(&cfg.obsListen, "obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)")
 	flag.StringVar(&cfg.obsDecisions, "obs-decisions", "", "append runtime adaptation decisions to this JSONL file")
-	flag.StringVar(&cfg.obsSpans, "obs-spans", "", "append sampled epoch-lifecycle spans to this JSONL file")
-	flag.IntVar(&cfg.obsSpanEvery, "obs-span-every", 100, "with -obs-spans, export every Nth span per stage")
 	flag.Float64Var(&cfg.admitRate, "admit-rate", 0, "per-tenant admission budget in bytes/sec of epoch payload for a weight-1 (silver) class; 0 disables admission control")
 	flag.Float64Var(&cfg.admitBurst, "admit-burst", 0, "admission bucket capacity in bytes (0 = 2x -admit-rate); must exceed the largest epoch a tenant ships or that epoch can never drain")
 	flag.IntVar(&cfg.admitMaxDelayed, "admit-max-delayed", 0, "delay-queue bound across all tenants before shed-and-replay (0 = default 256)")
@@ -265,18 +261,19 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
+		st.Store().SetRetention(cfg.ckptRetain)
 	} else if cfg.ckptDir != "" {
 		store, err := checkpoint.OpenStore(cfg.ckptDir)
 		if err != nil {
 			return err
 		}
+		store.SetRetention(cfg.ckptRetain)
 		rlog, err := checkpoint.OpenResultLog(filepath.Join(cfg.ckptDir, "results.log"))
 		if err != nil {
 			return err
 		}
 		defer rlog.Close()
 		rm = checkpoint.NewSPRecovery(store, rlog, proc.Engine(), rc, cfg.ckptEvery)
-		rm.SetRetention(cfg.ckptRetain)
 		rm.SetAsync(cfg.ckptAsync)
 		restored, err := rm.Restore()
 		if err != nil {
@@ -314,14 +311,6 @@ func run(cfg config) error {
 		}
 		defer f.Close()
 		obs.Decisions().SetSink(f)
-	}
-	if cfg.obsSpans != "" {
-		f, err := os.OpenFile(cfg.obsSpans, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		obs.SetSpanSink(f, cfg.obsSpanEvery)
 	}
 	if cfg.obsListen != "" {
 		osrv := obs.NewServer()
@@ -439,7 +428,7 @@ func run(cfg config) error {
 					// it would emit rows the primary owns. Watch the link
 					// and promote when the takeover policy says so.
 					if cfg.takeoverAfter > 0 && st.DownFor() > cfg.takeoverAfter {
-						prm, perr := st.Promote(rc, cfg.ckptEvery, cfg.ckptRetain)
+						prm, perr := st.Promote(rc, cfg.ckptEvery)
 						if perr != nil {
 							fmt.Fprintln(os.Stderr, "jarvis-sp: promote:", perr)
 							continue

@@ -131,7 +131,7 @@ func startStandby(dir, peer string) (*spNode, error) {
 // promote fails the standby over: adopt the warm shadow engine and bump
 // the fencing term.
 func (n *spNode) promote() error {
-	rm, err := n.st.Promote(n.rc, 4, checkpoint.DefaultRetain)
+	rm, err := n.st.Promote(n.rc, 4)
 	if err != nil {
 		return err
 	}

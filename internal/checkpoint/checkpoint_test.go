@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/transport"
 )
@@ -14,13 +15,15 @@ func sampleSnapshot() *Snapshot {
 	agg := telemetry.NewAggRow(telemetry.NumKey(42), 0, 17)
 	agg.Observe(3)
 	return &Snapshot{
+		Checkpoint: stream.Checkpoint{
+			Watermark: 9_000_000,
+			Stages: map[int]telemetry.Batch{
+				2: {telemetry.NewAggRecord(agg, 10_000_000)},
+			},
+		},
 		Seq:       9,
-		Watermark: 9_000_000,
 		EmittedWM: 8_000_000,
 		Acked:     7,
-		Stages: map[int]telemetry.Batch{
-			2: {telemetry.NewAggRecord(agg, 10_000_000)},
-		},
 		Sources: map[uint32]SourceState{
 			1: {Watermark: 9_000_000, AppliedSeq: 9},
 			2: {Watermark: 8_500_000, AppliedSeq: 8},

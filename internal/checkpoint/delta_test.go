@@ -69,9 +69,7 @@ func TestDeltaChainReconstruction(t *testing.T) {
 	for e := 0; e < 2; e++ {
 		pipe.RunEpoch(next(1_000_000))
 	}
-	cp := pipe.Checkpoint(2)
-	pipe.MarkSnapshotClean()
-	lastID, err := store.Save(&Snapshot{Seq: 2, Watermark: cp.Watermark, Stages: cp.Stages})
+	lastID, err := store.Save(&Snapshot{Seq: 2, Checkpoint: pipe.Capture(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +78,11 @@ func TestDeltaChainReconstruction(t *testing.T) {
 	// once, so closed-window tombstones are exercised.
 	for e := 3; e <= 14; e++ {
 		pipe.RunEpoch(next(1_000_000))
-		d := pipe.CheckpointDelta(int64(e))
+		d := pipe.Capture(false)
 		if !d.Delta {
-			t.Fatal("CheckpointDelta did not mark the capture as delta")
+			t.Fatal("Capture(false) did not mark the capture as delta")
 		}
-		lastID, err = store.Save(&Snapshot{
-			Seq: uint64(e), Watermark: d.Watermark, Stages: d.Stages,
-			Delta: true, BaseID: lastID, Meta: d.Meta,
-		})
+		lastID, err = store.Save(&Snapshot{Seq: uint64(e), Checkpoint: d, BaseID: lastID})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +95,7 @@ func TestDeltaChainReconstruction(t *testing.T) {
 	if got.Seq != 14 {
 		t.Fatalf("reconstructed seq %d, want 14", got.Seq)
 	}
-	want := pipe.Checkpoint(14) // ground truth: full capture of the live state
+	want := pipe.Capture(true) // ground truth: full capture of the live state
 	gotRows, wantRows := stageKeyRows(t, got.Stages), stageKeyRows(t, want.Stages)
 	if len(gotRows) != len(wantRows) {
 		t.Fatalf("reconstructed %d rows, want %d", len(gotRows), len(wantRows))
@@ -185,18 +180,21 @@ func TestStoreCompactRetainsNewestChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.SetRetention(0) // no auto-compaction; test calls Compact directly
 	arec := NewAgentRecovery(store, 1, pipe, nil)
-	arec.SetMaxChain(2)  // base, d, d, base, d, d, ...
-	arec.SetRetention(0) // no auto-compaction; test calls Compact directly
-	for e := 1; e <= 12; e++ {
+	// Three whole chains (a base + DefaultMaxChain deltas each) and the
+	// base of a fourth.
+	const link = DefaultMaxChain + 1
+	const last = 3*link + 1
+	for e := 1; e <= last; e++ {
 		pipe.RunEpoch(next(1_000_000))
 		if err := arec.AfterEpoch(uint64(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before, _ := store.Snapshots()
-	if before != 12 {
-		t.Fatalf("expected 12 snapshots before compaction, got %d", before)
+	if before != last {
+		t.Fatalf("expected %d snapshots before compaction, got %d", last, before)
 	}
 	if err := store.Compact(2); err != nil {
 		t.Fatal(err)
@@ -205,8 +203,8 @@ func TestStoreCompactRetainsNewestChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after >= before || after < 4 {
-		t.Fatalf("compaction kept %d of %d entries", after, before)
+	if after != link+1 { // the newest whole chain + the newest base
+		t.Fatalf("compaction kept %d of %d entries, want %d", after, before, link+1)
 	}
 	// Old snapshot files are gone from disk.
 	files, _ := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
@@ -214,17 +212,17 @@ func TestStoreCompactRetainsNewestChains(t *testing.T) {
 		t.Fatalf("%d snapshot files for %d manifest entries", len(files), after)
 	}
 	got, ok, err := store.Latest()
-	if err != nil || !ok || got.Seq != 12 {
+	if err != nil || !ok || got.Seq != last {
 		t.Fatalf("latest after compaction: ok=%v err=%v seq=%d", ok, err, got.Seq)
 	}
 	// The store keeps accepting saves after compaction (manifest handle
 	// was re-established).
 	pipe.RunEpoch(next(1_000_000))
-	if err := arec.AfterEpoch(13); err != nil {
+	if err := arec.AfterEpoch(last + 1); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, _ = store.Latest()
-	if !ok || got.Seq != 13 {
+	if !ok || got.Seq != last+1 {
 		t.Fatalf("latest after post-compaction save: %+v", got)
 	}
 }
@@ -289,7 +287,7 @@ func TestSaveFailureForcesFullBase(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("latest: ok=%v err=%v", ok, err)
 	}
-	want := pipe.Checkpoint(5)
+	want := pipe.Capture(true)
 	gotRows, wantRows := stageKeyRows(t, got.Stages), stageKeyRows(t, want.Stages)
 	if len(gotRows) != len(wantRows) {
 		t.Fatalf("post-failure base has %d rows, want %d", len(gotRows), len(wantRows))

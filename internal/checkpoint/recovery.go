@@ -22,18 +22,13 @@ import (
 // the cadence can drop to every epoch: `-checkpoint-every 1`.
 const DefaultEvery = 32
 
-// DefaultMaxChain bounds a base + delta chain before the next snapshot
-// is forced full: longer chains shrink per-snapshot cost but lengthen
-// restore (every link decodes and folds) and pin older files until
-// compaction.
-const DefaultMaxChain = 16
-
 // Agent is the source-side surface the recovery manager needs. Both
 // *stream.Pipeline and *core.Source implement it.
 type Agent interface {
-	// Checkpoint snapshots the stateful operators' open-window state
-	// non-destructively.
-	Checkpoint(epoch int64) *stream.Checkpoint
+	// Capture copies the stateful operators' open-window state
+	// non-destructively: everything (full), or only what was dirtied since
+	// the previous capture. Either starts a new dirty generation.
+	Capture(full bool) stream.Checkpoint
 	// RestoreCheckpoint folds a checkpoint back into the operators and
 	// resumes the watermark.
 	RestoreCheckpoint(cp *stream.Checkpoint) error
@@ -41,19 +36,6 @@ type Agent interface {
 	// restarted agent replays epochs with identical routing decisions.
 	LoadFactors() []float64
 	SetLoadFactors([]float64) error
-}
-
-// DeltaAgent is an Agent that additionally tracks dirty state for
-// incremental snapshots. *stream.Pipeline and *core.Source implement
-// it; agents that do not are always snapshotted in full.
-type DeltaAgent interface {
-	Agent
-	// CheckpointDelta captures only state dirtied since the previous
-	// capture and starts a new dirty generation.
-	CheckpointDelta(epoch int64) *stream.Checkpoint
-	// MarkSnapshotClean starts a new dirty generation after a full
-	// capture that begins a chain.
-	MarkSnapshotClean()
 }
 
 // AgentRecovery takes epoch-aligned snapshots of a source agent — its
@@ -70,89 +52,25 @@ type DeltaAgent interface {
 // drops. With -checkpoint-every 1 the re-run window is at most the
 // single epoch in flight at the crash.
 type AgentRecovery struct {
+	saver
 	store *Store
 	every uint64
 	agent Agent
 	ship  *transport.DurableShipper
-
-	maxChain int
-	retain   int
-
-	// Capture-side chain state (only the AfterEpoch caller touches it).
-	capHaveBase bool
-	capChainLen int
-
-	// Save-side chain state, shared with the async writer.
-	chainMu   sync.Mutex
-	lastID    uint64 // store id of the last successful save
-	forceFull bool   // a save failed: deltas are skipped until a full base lands
-
-	aw          *asyncWriter
-	deferredErr error
 }
 
 // NewAgentRecovery wires a recovery manager to an agent. every is the
 // snapshot cadence in epochs (minimum 1); ship may be nil for agents
-// that consume epochs in process. When the agent tracks dirty state
-// (DeltaAgent), snapshots after a chain base are incremental up to
-// DefaultMaxChain deltas per chain, and the store is compacted to
-// DefaultRetain chains at each new base (SetRetention adjusts).
+// that consume epochs in process. Which snapshots are full bases and
+// which are deltas, and when the store compacts, is the store's Chain's
+// decision.
 func NewAgentRecovery(store *Store, every int, agent Agent, ship *transport.DurableShipper) *AgentRecovery {
 	if every < 1 {
 		every = 1
 	}
-	return &AgentRecovery{
-		store: store, every: uint64(every), agent: agent, ship: ship,
-		maxChain: DefaultMaxChain, retain: DefaultRetain,
-	}
-}
-
-// SetRetention sets how many base + delta chains compaction keeps
-// (minimum 1); 0 disables pruning.
-func (r *AgentRecovery) SetRetention(n int) { r.retain = n }
-
-// SetMaxChain bounds deltas per chain before a full snapshot is forced
-// (0 disables deltas entirely).
-func (r *AgentRecovery) SetMaxChain(n int) { r.maxChain = n }
-
-// SetAsync moves the durable save (encode + write + compaction) onto a
-// writer goroutine, leaving only the state capture — which must see the
-// between-epochs quiescent point — on the epoch path. Mirrors
-// SPRecovery.SetAsync: call once before the run loop, pair with Close on
-// shutdown so queued snapshots drain, and any deferred save error
-// surfaces from the next AfterEpoch call.
-func (r *AgentRecovery) SetAsync(on bool) {
-	if on == (r.aw != nil) {
-		return
-	}
-	if !on {
-		if err := r.aw.close(); err != nil && r.deferredErr == nil {
-			r.deferredErr = err
-		}
-		r.aw = nil
-		return
-	}
-	r.aw = newAsyncWriter(r.save)
-}
-
-// Flush blocks until every queued async save has completed and returns
-// (clearing) the first deferred save error, if any. A no-op without the
-// async writer.
-func (r *AgentRecovery) Flush() error {
-	if r.aw == nil {
-		return nil
-	}
-	return r.aw.flush()
-}
-
-// Close drains the async writer (when enabled) and stops it.
-func (r *AgentRecovery) Close() error {
-	if r.aw == nil {
-		return nil
-	}
-	err := r.aw.close()
-	r.aw = nil
-	return err
+	r := &AgentRecovery{store: store, every: uint64(every), agent: agent, ship: ship}
+	r.do = r.save
+	return r
 }
 
 // Restore loads the newest consistent snapshot into the agent (and the
@@ -163,8 +81,7 @@ func (r *AgentRecovery) Restore() (resumeEpoch uint64, ok bool, err error) {
 	if err != nil || !ok {
 		return 0, false, err
 	}
-	cp := &stream.Checkpoint{Epoch: int64(snap.Seq), Watermark: snap.Watermark, Stages: snap.Stages}
-	if err := r.agent.RestoreCheckpoint(cp); err != nil {
+	if err := r.agent.RestoreCheckpoint(&snap.Checkpoint); err != nil {
 		return 0, false, fmt.Errorf("checkpoint: restore agent state: %w", err)
 	}
 	if len(snap.Factors) > 0 {
@@ -176,49 +93,23 @@ func (r *AgentRecovery) Restore() (resumeEpoch uint64, ok bool, err error) {
 		r.ship.RestoreState(snap.Seq, snap.Acked, snap.Pending)
 		r.ship.SetTerm(snap.Term)
 	}
-	// The restore re-marked everything it absorbed as dirty, so the next
-	// snapshot must be a fresh chain base.
-	r.capHaveBase, r.capChainLen = false, 0
-	r.chainMu.Lock()
-	r.lastID, r.forceFull = 0, false
-	r.chainMu.Unlock()
+	r.store.Chain().Reset()
 	return snap.Seq, true, nil
 }
 
 // AfterEpoch snapshots the agent when the cadence is due. Call it after
-// every RunEpoch+ShipEpoch pair with the epoch's sequence number. The
-// first snapshot (and every DefaultMaxChain-th after it) captures full
-// state and starts a chain; the rest are deltas of the state dirtied
-// since the previous snapshot.
+// every RunEpoch+ShipEpoch pair with the epoch's sequence number.
 func (r *AgentRecovery) AfterEpoch(epoch uint64) error {
-	if err := r.deferredErr; err != nil {
-		r.deferredErr = nil
+	if err := r.takeDeferred(); err != nil {
 		return err
 	}
 	if epoch%r.every != 0 {
 		return nil
 	}
-	da, tracksDirty := r.agent.(DeltaAgent)
-	r.chainMu.Lock()
-	forceFull := r.forceFull
-	r.chainMu.Unlock()
-	full := !tracksDirty || !r.capHaveBase || r.capChainLen >= r.maxChain || forceFull
-	var cp *stream.Checkpoint
-	if full {
-		cp = r.agent.Checkpoint(int64(epoch))
-		if tracksDirty {
-			da.MarkSnapshotClean()
-		}
-	} else {
-		cp = da.CheckpointDelta(int64(epoch))
-	}
 	snap := &Snapshot{
-		Seq:       epoch,
-		Watermark: cp.Watermark,
-		Stages:    cp.Stages,
-		Factors:   r.agent.LoadFactors(),
-		Delta:     !full,
-		Meta:      cp.Meta,
+		Checkpoint: r.agent.Capture(r.store.Chain().Next()),
+		Seq:        epoch,
+		Factors:    r.agent.LoadFactors(),
 	}
 	if r.ship != nil {
 		// State() deep-copies the replay buffer, so the capture stays
@@ -226,54 +117,20 @@ func (r *AgentRecovery) AfterEpoch(epoch uint64) error {
 		snap.Seq, snap.Acked, snap.Pending = r.ship.State()
 		snap.Term = r.ship.Term()
 	}
-	if full {
-		r.capHaveBase, r.capChainLen = true, 0
-	} else {
-		r.capChainLen++
-	}
-	job := &saveJob{snap: snap, full: full}
-	if r.aw != nil {
-		r.aw.enqueue(job)
-		return r.aw.takeErr()
-	}
-	return r.save(job)
+	return r.submit(&saveJob{snap: snap}, false)
 }
 
-// save writes one captured agent snapshot durably and compacts the
-// store. It runs on the caller's goroutine (sync mode) or the async
-// writer's. BaseID is stamped here — with the async writer, earlier
-// captures may still be in flight at capture time.
+// save writes one captured agent snapshot through the chain. It runs on
+// the caller's goroutine (sync mode) or the async writer's.
 func (r *AgentRecovery) save(job *saveJob) error {
-	r.chainMu.Lock()
-	if job.snap.Delta {
-		if r.forceFull {
-			// This delta chains onto a save that failed; the full base the
-			// next capture is forced to take covers its rows.
-			r.chainMu.Unlock()
-			return nil
-		}
-		job.snap.BaseID = r.lastID
-	}
-	r.chainMu.Unlock()
 	snapStart := obs.Now()
-	id, err := r.store.Save(job.snap)
+	id, err := r.store.Chain().Save(job.snap)
+	if id == 0 && err == nil {
+		return nil // dropped: chained onto a failed save
+	}
 	obs.Since(obs.StageSnapshot, snapStart)
 	if err != nil {
-		// The capture already advanced the dirty generation, so the rows
-		// this snapshot carried will never appear in a later delta; force
-		// the next capture full or the chain would silently miss them.
-		r.chainMu.Lock()
-		r.forceFull = true
-		r.chainMu.Unlock()
 		return fmt.Errorf("checkpoint: save agent snapshot: %w", err)
-	}
-	r.chainMu.Lock()
-	r.lastID, r.forceFull = id, false
-	r.chainMu.Unlock()
-	if job.full && r.retain > 0 {
-		if err := r.store.Compact(r.retain); err != nil {
-			return fmt.Errorf("checkpoint: compact store: %w", err)
-		}
 	}
 	return nil
 }
@@ -320,6 +177,7 @@ const DefaultReplAckTimeout = 2 * time.Second
 // every-epoch checkpointing works even for probe workloads whose dirty
 // set is the whole window state.
 type SPRecovery struct {
+	saver
 	store  *Store
 	log    *ResultLog
 	engine *stream.SPEngine
@@ -329,57 +187,29 @@ type SPRecovery struct {
 	snapAt   uint64 // progress measure (sum of applied seqs) at last snapshot
 	haveSnap bool
 
-	maxChain int
-	retain   int
-
-	// Capture-side chain state (only the snapshot() caller touches it):
-	// whether a chain base exists and how many deltas were captured onto
-	// it since.
-	capHaveBase bool
-	capChainLen int
-
-	// Save-side chain state, shared with the async writer.
-	chainMu   sync.Mutex
-	lastID    uint64 // store id of the last successful save
-	forceFull bool   // a save failed: deltas are skipped until a full base lands
-
 	repl       Replicator
 	ackTimeout time.Duration
 
-	term         uint64 // fencing term stamped into snapshots (chainMu)
+	termMu       sync.Mutex
+	term         uint64 // fencing term stamped into snapshots
 	restoredTerm uint64 // term recovered from the restored snapshot
-
-	aw *asyncWriter
-	// deferredErr holds a save error from a torn-down async writer until
-	// the next snapshot call surfaces it.
-	deferredErr error
 }
 
 // NewSPRecovery wires a recovery manager to an SP engine and its
 // receiver. every is the snapshot cadence in applied epochs (minimum 1,
 // summed across sources); log may be nil to skip result logging. The
-// receiver is switched to manual (durability-gated) acks. Snapshots
-// after a chain base are incremental (engine dirty tracking) up to
-// DefaultMaxChain deltas; the store is compacted to DefaultRetain
-// chains at each new base (SetRetention adjusts).
+// receiver is switched to manual (durability-gated) acks. Which
+// snapshots are full bases and which are deltas of the engine's dirty
+// state, and when the store compacts, is the store's Chain's decision.
 func NewSPRecovery(store *Store, log *ResultLog, engine *stream.SPEngine, rc *transport.Receiver, every int) *SPRecovery {
 	if every < 1 {
 		every = 1
 	}
 	rc.SetManualAck(true)
-	return &SPRecovery{
-		store: store, log: log, engine: engine, rc: rc, every: uint64(every),
-		maxChain: DefaultMaxChain, retain: DefaultRetain,
-	}
+	r := &SPRecovery{store: store, log: log, engine: engine, rc: rc, every: uint64(every)}
+	r.do = r.saveAndAck
+	return r
 }
-
-// SetRetention sets how many base + delta chains compaction keeps
-// (minimum 1); 0 disables pruning.
-func (r *SPRecovery) SetRetention(n int) { r.retain = n }
-
-// SetMaxChain bounds deltas per chain before a full snapshot is forced
-// (0 disables deltas entirely).
-func (r *SPRecovery) SetMaxChain(n int) { r.maxChain = n }
 
 // SetReplicator attaches a warm-standby replicator: emitted rows and
 // saved snapshots are mirrored to it, and agent acks wait (up to
@@ -397,8 +227,8 @@ func (r *SPRecovery) SetReplicator(repl Replicator, ackTimeout time.Duration) {
 // never regresses), so a restarted node resumes at the term it had
 // reached rather than its configured default.
 func (r *SPRecovery) SetTerm(t uint64) {
-	r.chainMu.Lock()
-	defer r.chainMu.Unlock()
+	r.termMu.Lock()
+	defer r.termMu.Unlock()
 	if t > r.term {
 		r.term = t
 	}
@@ -408,45 +238,6 @@ func (r *SPRecovery) SetTerm(t uint64) {
 // snapshot (0 on a fresh store or pre-HA files). Callers raise their
 // gate to max(configured, restored).
 func (r *SPRecovery) RestoredTerm() uint64 { return r.restoredTerm }
-
-// SetAsync moves the durable save (encode + write + replication wait +
-// agent acks) onto a writer goroutine; the epoch path only captures the
-// consistent cut and enqueues it. Call once before serving; pair with
-// Close on shutdown so queued snapshots drain. Disabling keeps any
-// deferred save error, which the next snapshot call surfaces.
-func (r *SPRecovery) SetAsync(on bool) {
-	if on == (r.aw != nil) {
-		return
-	}
-	if !on {
-		if err := r.aw.close(); err != nil && r.deferredErr == nil {
-			r.deferredErr = err
-		}
-		r.aw = nil
-		return
-	}
-	r.aw = newAsyncWriter(r.saveAndAck)
-}
-
-// Flush blocks until every queued async save has completed and returns
-// (clearing) the first deferred save error, if any. A no-op without the
-// async writer.
-func (r *SPRecovery) Flush() error {
-	if r.aw == nil {
-		return nil
-	}
-	return r.aw.flush()
-}
-
-// Close drains the async writer (when enabled) and stops it.
-func (r *SPRecovery) Close() error {
-	if r.aw == nil {
-		return nil
-	}
-	err := r.aw.close()
-	r.aw = nil
-	return err
-}
 
 // Prime marks snap — already loaded into the engine and receiver by the
 // caller — as the recovery manager's starting point: the snapshot
@@ -461,10 +252,7 @@ func (r *SPRecovery) Prime(snap *Snapshot) {
 	}
 	r.snapAt = total
 	r.haveSnap = true
-	r.capHaveBase, r.capChainLen = false, 0
-	r.chainMu.Lock()
-	r.lastID, r.forceFull = 0, false
-	r.chainMu.Unlock()
+	r.store.Chain().Reset()
 	r.SetTerm(snap.Term)
 }
 
@@ -491,12 +279,7 @@ func (r *SPRecovery) Restore() (ok bool, err error) {
 	r.SetTerm(snap.Term)
 	r.snapAt = total
 	r.haveSnap = true
-	// The restore re-marked everything it absorbed as dirty, so the next
-	// snapshot must be a fresh chain base.
-	r.capHaveBase, r.capChainLen = false, 0
-	r.chainMu.Lock()
-	r.lastID, r.forceFull = 0, false
-	r.chainMu.Unlock()
+	r.store.Chain().Reset()
 	return true, nil
 }
 
@@ -540,18 +323,12 @@ func (r *SPRecovery) Snapshot() error {
 type saveJob struct {
 	snap *Snapshot
 	seqs map[uint32]uint64
-	full bool
 }
 
 func (r *SPRecovery) snapshot(force bool) error {
-	if err := r.deferredErr; err != nil {
-		r.deferredErr = nil
+	if err := r.takeDeferred(); err != nil {
 		return err
 	}
-	r.chainMu.Lock()
-	forceFull := r.forceFull
-	r.chainMu.Unlock()
-	full := !r.capHaveBase || r.capChainLen >= r.maxChain || forceFull
 	var job *saveJob
 	// Freeze pauses epoch application so the captured operator state,
 	// watermarks and sequence numbers are one consistent cut.
@@ -566,24 +343,14 @@ func (r *SPRecovery) snapshot(force bool) error {
 		if !force && !r.haveSnap && total < r.every {
 			return
 		}
-		r.chainMu.Lock()
+		r.termMu.Lock()
 		term := r.term
-		r.chainMu.Unlock()
+		r.termMu.Unlock()
 		snap := &Snapshot{
-			Seq:       total,
-			Watermark: r.engine.EffectiveWatermark(),
-			Sources:   make(map[uint32]SourceState),
-			Delta:     !full,
-			Term:      term,
-		}
-		if full {
-			snap.Stages = r.engine.SnapshotStages()
-			r.engine.MarkSnapshotClean()
-		} else {
-			// BaseID is stamped at save time — with the async writer,
-			// earlier captures may still be in flight and the base's store
-			// id is not known yet.
-			snap.Stages, snap.Meta = r.engine.SnapshotStagesDelta()
+			Checkpoint: r.engine.Capture(r.store.Chain().Next()),
+			Seq:        total,
+			Sources:    make(map[uint32]SourceState),
+			Term:       term,
 		}
 		if r.log != nil {
 			snap.EmittedWM = r.log.EmittedWM()
@@ -598,75 +365,32 @@ func (r *SPRecovery) snapshot(force bool) error {
 		}
 		r.snapAt = total
 		r.haveSnap = true
-		job = &saveJob{snap: snap, seqs: applied, full: full}
+		job = &saveJob{snap: snap, seqs: applied}
 	})
 	if job == nil {
-		if r.aw != nil {
-			return r.aw.takeErr()
-		}
-		return nil
+		return r.asyncErr()
 	}
-	if full {
-		r.capHaveBase, r.capChainLen = true, 0
-	} else {
-		r.capChainLen++
-	}
-	if r.aw != nil {
-		if force {
-			// Forced snapshots (shutdown) stay synchronous: drain the queue
-			// so saves keep capture order, then save inline.
-			if err := r.aw.flush(); err != nil {
-				return err
-			}
-			return r.saveAndAck(job)
-		}
-		r.aw.enqueue(job)
-		return r.aw.takeErr()
-	}
-	return r.saveAndAck(job)
+	// Forced snapshots (shutdown) stay synchronous.
+	return r.submit(job, force)
 }
 
-// saveAndAck writes one captured snapshot durably, compacts and
-// replicates it, and only then acknowledges the covered epochs to the
-// agents. It runs on the caller's goroutine (sync mode) or the async
-// writer's.
+// saveAndAck writes one captured snapshot through the chain, replicates
+// it, and only then acknowledges the covered epochs to the agents. It
+// runs on the caller's goroutine (sync mode) or the async writer's.
 func (r *SPRecovery) saveAndAck(job *saveJob) error {
-	r.chainMu.Lock()
-	if job.snap.Delta {
-		if r.forceFull {
-			// This delta chains onto a save that failed; its rows are
-			// covered by the full base the next capture is forced to take.
-			// Saving it would silently corrupt the chain.
-			r.chainMu.Unlock()
-			return nil
-		}
-		job.snap.BaseID = r.lastID
-	}
-	r.chainMu.Unlock()
 	snapStart := obs.Now()
-	id, err := r.store.Save(job.snap)
+	id, err := r.store.Chain().Save(job.snap)
+	if id == 0 && err == nil {
+		return nil // dropped: chained onto a failed save, so nothing to ack
+	}
 	snapDur := obs.ObserveSince(obs.StageSnapshot, snapStart)
 	if err != nil {
-		// The capture already advanced the dirty generation, so the rows
-		// this snapshot carried will never appear in a later delta; force
-		// the next capture full or the chain would silently miss them.
-		r.chainMu.Lock()
-		r.forceFull = true
-		r.chainMu.Unlock()
 		return fmt.Errorf("checkpoint: save SP snapshot: %w", err)
 	}
 	if snapDur > 0 {
 		// Trace context: every epoch this save covers waited through it.
 		for src, seq := range job.seqs {
 			obs.Traces().AddSnapshotUpTo(src, seq, snapDur)
-		}
-	}
-	r.chainMu.Lock()
-	r.lastID, r.forceFull = id, false
-	r.chainMu.Unlock()
-	if job.full && r.retain > 0 {
-		if err := r.store.Compact(r.retain); err != nil {
-			return fmt.Errorf("checkpoint: compact store: %w", err)
 		}
 	}
 	if r.repl != nil {
@@ -694,11 +418,93 @@ func (r *SPRecovery) saveAndAck(job *saveJob) error {
 	return nil
 }
 
+// saver is the save plumbing both recovery managers embed: it runs the
+// manager's do hook inline, or — SetAsync — on an asyncWriter goroutine,
+// leaving only the state capture (which must see the between-epochs
+// quiescent point) on the epoch path.
+type saver struct {
+	do func(*saveJob) error
+	aw *asyncWriter
+	// deferredErr holds a save error from a torn-down async writer until
+	// the next snapshot call surfaces it.
+	deferredErr error
+}
+
+// SetAsync moves the durable save (encode + write + compaction, and on
+// the SP the replication wait + agent acks) onto a writer goroutine.
+// Call once before the run loop; pair with Close on shutdown so queued
+// snapshots drain. Disabling keeps any deferred save error, which the
+// next snapshot call surfaces.
+func (s *saver) SetAsync(on bool) {
+	if on == (s.aw != nil) {
+		return
+	}
+	if !on {
+		if err := s.Close(); err != nil && s.deferredErr == nil {
+			s.deferredErr = err
+		}
+		return
+	}
+	s.aw = newAsyncWriter(s.do)
+}
+
+// Flush blocks until every queued async save has completed and returns
+// (clearing) the first deferred save error, if any. A no-op without the
+// async writer.
+func (s *saver) Flush() error {
+	if s.aw == nil {
+		return nil
+	}
+	return s.aw.flush()
+}
+
+// Close drains the async writer (when enabled) and stops it.
+func (s *saver) Close() error {
+	if s.aw == nil {
+		return nil
+	}
+	err := s.aw.close()
+	s.aw = nil
+	return err
+}
+
+// takeDeferred returns (clearing) the error a torn-down writer left.
+func (s *saver) takeDeferred() error {
+	err := s.deferredErr
+	s.deferredErr = nil
+	return err
+}
+
+// asyncErr returns (clearing) the first error of an async save that
+// completed since the last call; nil in sync mode.
+func (s *saver) asyncErr() error {
+	if s.aw == nil {
+		return nil
+	}
+	return s.aw.takeErr()
+}
+
+// submit saves one captured job: inline in sync mode, queued behind the
+// writer otherwise — unless inline is forced, which drains the queue
+// first so saves keep capture order.
+func (s *saver) submit(job *saveJob, inline bool) error {
+	if s.aw == nil {
+		return s.do(job)
+	}
+	if inline {
+		if err := s.aw.flush(); err != nil {
+			return err
+		}
+		return s.do(job)
+	}
+	s.aw.enqueue(job)
+	return s.aw.takeErr()
+}
+
 // asyncWriter serializes snapshot saves on a dedicated goroutine with a
 // small bounded queue; enqueue blocks when the writer falls that far
 // behind (backpressure on the epoch loop instead of unbounded memory).
-// The do hook performs one save — SPRecovery.saveAndAck on stream
-// processors, AgentRecovery.save on agents.
+// The do hook performs one save (see saver).
 type asyncWriter struct {
 	do   func(*saveJob) error
 	mu   sync.Mutex

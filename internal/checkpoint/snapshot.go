@@ -41,21 +41,24 @@ type SourceState struct {
 // snapshots carry Stages/Factors/Pending (+ Seq/Acked from the shipper);
 // SP snapshots carry Stages/Sources/EmittedWM.
 type Snapshot struct {
+	// Checkpoint is the engine's captured cut: the low watermark, the
+	// stage rows (partial aggregates, buffered join misses) and, for an
+	// incremental snapshot, Delta and the per-stage Meta saying how the
+	// rows apply to the snapshot BaseID names. The scalar fields below
+	// (Seq, Sources, Factors, Pending) are complete in every snapshot —
+	// only stage rows are incremental.
+	stream.Checkpoint
+
 	// Seq is the epoch sequence the snapshot covers: the agent's last
 	// shipped epoch, or the sum of per-source applied sequences on the SP
 	// (a monotone progress measure used for cadence).
 	Seq uint64
-	// Watermark is the low watermark at capture time.
-	Watermark int64
 	// EmittedWM is the watermark through which results were already
 	// emitted to the durable result log (SP side).
 	EmittedWM int64
 	// Acked is the newest epoch the SP had acknowledged durable (agent
 	// side).
 	Acked uint64
-	// Stages maps operator stage → snapshotted rows (partial aggregates,
-	// buffered join misses).
-	Stages map[int]telemetry.Batch
 	// Sources maps source id → progress (SP side).
 	Sources map[uint32]SourceState
 	// Factors are the pipeline's per-proxy load factors (agent side).
@@ -68,15 +71,8 @@ type Snapshot struct {
 	// trusting a primary the cluster already moved past.
 	Term uint64
 
-	// Delta marks an incremental snapshot: Stages holds only state
-	// dirtied since the snapshot identified by BaseID, applied per Meta.
-	// Scalar fields (Seq, watermarks, Sources, Factors, Pending) are
-	// always complete — only stage rows are incremental.
-	Delta bool
-	// BaseID is the store id of the snapshot this delta extends.
+	// BaseID is the store id of the snapshot a delta extends.
 	BaseID uint64
-	// Meta describes, per stage, how delta rows apply to the base state.
-	Meta map[int]stream.StageDelta
 }
 
 // Encode serializes the snapshot as wire frames: a SnapshotHeader
@@ -175,14 +171,16 @@ func decodeSnapshot(fr *wire.FrameReader) (*Snapshot, error) {
 		return nil, fmt.Errorf("checkpoint: snapshot opens with %T, want header", first.Records[0].Data)
 	}
 	s := &Snapshot{
+		Checkpoint: stream.Checkpoint{
+			Watermark: hdr.Watermark,
+			Stages:    make(map[int]telemetry.Batch),
+			Delta:     hdr.Delta,
+		},
 		Seq:       hdr.Seq,
-		Watermark: hdr.Watermark,
 		EmittedWM: hdr.EmittedWM,
 		Acked:     hdr.Acked,
-		Delta:     hdr.Delta,
 		BaseID:    hdr.BaseID,
 		Term:      hdr.Term,
-		Stages:    make(map[int]telemetry.Batch),
 		Sources:   make(map[uint32]SourceState),
 	}
 	if s.Delta {

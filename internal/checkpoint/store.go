@@ -30,10 +30,6 @@ import (
 // base+delta chain) that fails.
 const manifestName = "MANIFEST"
 
-// DefaultRetain is the default snapshot retention for the recovery
-// managers' compaction: the newest consistent chains kept when pruning.
-const DefaultRetain = 4
-
 // Store is a durable append-only snapshot store rooted at one directory.
 // Snapshots form a linear history: a delta snapshot extends the
 // snapshot saved immediately before it (its BaseID), and restoring
@@ -63,6 +59,8 @@ type Store struct {
 	// snapshot cadence, reopening it per save would double the save's
 	// fixed syscall cost.
 	mf *os.File
+	// chain owns the base + delta policy of saves that go through it.
+	chain Chain
 }
 
 // OpenStore opens (creating if needed) a snapshot store directory.
@@ -71,6 +69,7 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("checkpoint: open store: %w", err)
 	}
 	s := &Store{dir: dir, nextID: 1, dec: wire.NewColumnarDecoder()}
+	s.chain.store, s.chain.retain = s, DefaultRetain
 	entries, err := s.entries()
 	if err != nil {
 		return nil, err
@@ -85,6 +84,17 @@ func OpenStore(dir string) (*Store, error) {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
+
+// Chain returns the store's base + delta chain.
+func (s *Store) Chain() *Chain { return &s.chain }
+
+// SetRetention sets how many base + delta chains the chain keeps when it
+// compacts at a new base (default DefaultRetain; 0 disables pruning).
+func (s *Store) SetRetention(n int) {
+	s.chain.mu.Lock()
+	s.chain.retain = n
+	s.chain.mu.Unlock()
+}
 
 // SnapshotFileName returns the file name a snapshot id is stored under.
 func SnapshotFileName(id uint64) string { return fmt.Sprintf("snap-%08d.ckpt", id) }

@@ -87,15 +87,6 @@ func (p *Processor) SetMaxShards(n int) {
 // ingest through it bypass the shards and keep the serial semantics.
 func (p *Processor) Engine() *stream.SPEngine { return p.engine }
 
-// SnapshotStages copies the root engine's Checkpointable operator state
-// (checkpoint.SPRecovery snapshots through this). Transport-fed flows
-// keep all state in the root; in-process sharded ingest additionally
-// holds per-shard partials that are folded into the root at each
-// Results call, so snapshot between Results for a consistent capture.
-func (p *Processor) SnapshotStages() map[int]telemetry.Batch {
-	return p.engine.SnapshotStages()
-}
-
 // Restore folds a source checkpoint into the root engine — the §IV-E
 // source-failure path: the SP finishes the failed source's in-flight
 // windows from its last checkpoint.

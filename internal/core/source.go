@@ -210,24 +210,11 @@ func (s *Source) profile(res stream.EpochResult) runtime.Estimates {
 	return est
 }
 
-// Checkpoint snapshots the pipeline's stateful operator state
-// non-destructively (§IV-E), stamped with the given epoch. Pair with
+// Capture copies the pipeline's stateful operator state (§IV-E), in
+// full or as a delta since the previous capture. Pair with
 // RestoreCheckpoint via checkpoint.AgentRecovery for durable,
 // epoch-aligned agent snapshots.
-func (s *Source) Checkpoint(epoch int64) *stream.Checkpoint {
-	return s.pipeline.Checkpoint(epoch)
-}
-
-// CheckpointDelta captures only operator state dirtied since the
-// previous capture (incremental snapshots) and starts a new dirty
-// generation.
-func (s *Source) CheckpointDelta(epoch int64) *stream.Checkpoint {
-	return s.pipeline.CheckpointDelta(epoch)
-}
-
-// MarkSnapshotClean starts a new dirty-tracking generation after a full
-// checkpoint capture that begins a snapshot chain.
-func (s *Source) MarkSnapshotClean() { s.pipeline.MarkSnapshotClean() }
+func (s *Source) Capture(full bool) stream.Checkpoint { return s.pipeline.Capture(full) }
 
 // RestoreCheckpoint folds a checkpoint back into the pipeline after a
 // restart: operator state merges in and the watermark resumes where the

@@ -198,7 +198,7 @@ func startStandby(t *testing.T, q *plan.Query, dir, primaryReplAddr string) *sta
 func (n *standbyNode) promote(t *testing.T) {
 	t.Helper()
 	n.runCancel()
-	rm, err := n.st.Promote(n.rc, haCadence, checkpoint.DefaultRetain)
+	rm, err := n.st.Promote(n.rc, haCadence)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/obs"
+	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
 )
@@ -28,7 +29,7 @@ func TestReplicationHelloVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := telemetry.NewAggRow(telemetry.NumKey(42), 0, 17.5)
-	snap := &checkpoint.Snapshot{Seq: 3, Watermark: 9_000_000, Stages: map[int]telemetry.Batch{2: {telemetry.NewAggRecord(agg, 10_000_000)}}}
+	snap := &checkpoint.Snapshot{Seq: 3, Checkpoint: stream.Checkpoint{Watermark: 9_000_000, Stages: map[int]telemetry.Batch{2: {telemetry.NewAggRecord(agg, 10_000_000)}}}}
 	if _, err := store.Save(snap); err != nil {
 		t.Fatal(err)
 	}

@@ -36,14 +36,9 @@ type Standby struct {
 	rlog     *checkpoint.ResultLog
 	counters *obs.Registry
 
-	maxChain int
-	retain   int
-
 	mu            sync.Mutex
 	folded        *checkpoint.Snapshot
 	lastPrimaryID uint64 // newest primary store id applied
-	lastLocalID   uint64 // newest local store id saved
-	localChain    int    // local deltas since the last local full base
 	primaryTerm   uint64 // newest term seen in the replication stream
 	connected     bool
 	lastContact   time.Time
@@ -72,7 +67,6 @@ func NewStandby(proc *core.Processor, dir string, counters *obs.Registry) (*Stan
 	}
 	s := &Standby{
 		proc: proc, engine: proc.Engine(), store: store, rlog: rlog, counters: counters,
-		maxChain: checkpoint.DefaultMaxChain, retain: checkpoint.DefaultRetain,
 		lastContact: time.Now(),
 	}
 	// Warm the shadow from whatever a previous incarnation replicated;
@@ -303,38 +297,24 @@ func (s *Standby) ApplySnapshot(rep *wire.ReplSnapshot) error {
 }
 
 // saveLocalLocked persists a replicated snapshot in the standby's own
-// store. Deltas chain onto the previous local save (the replication
-// stream is linear, so the base is always the preceding snapshot);
-// chains are bounded like the primary's, re-basing on the folded full
-// state, and compacted to the retention.
+// store, through the store's chain — the same base/delta bound, failed-
+// save rule and compaction as the primary's. A replicated base restarts
+// the local chain; a delta chains onto the previous local save (the
+// replication stream is linear), or re-bases on the folded full state
+// when the chain says a base is due.
 func (s *Standby) saveLocalLocked(snap *checkpoint.Snapshot, delta bool) error {
-	full := !delta || s.lastLocalID == 0 || s.localChain >= s.maxChain
-	var toSave *checkpoint.Snapshot
-	if full {
-		cp := *s.folded
-		cp.Delta, cp.BaseID, cp.Meta = false, 0, nil
-		toSave = &cp
-	} else {
-		cp := *snap
-		cp.BaseID = s.lastLocalID
-		toSave = &cp
+	chain := s.store.Chain()
+	if !delta {
+		chain.Reset()
+	}
+	toSave := *snap
+	if chain.Next() {
+		toSave = *s.folded
+		toSave.Delta, toSave.BaseID, toSave.Meta = false, 0, nil
 	}
 	toSave.Term = s.primaryTerm
-	id, err := s.store.Save(toSave)
-	if err != nil {
-		s.lastLocalID, s.localChain = 0, 0
+	if _, err := chain.Save(&toSave); err != nil {
 		return fmt.Errorf("ha: save replicated snapshot locally: %w", err)
-	}
-	s.lastLocalID = id
-	if full {
-		s.localChain = 0
-		if s.retain > 0 {
-			if err := s.store.Compact(s.retain); err != nil {
-				return fmt.Errorf("ha: compact local store: %w", err)
-			}
-		}
-	} else {
-		s.localChain++
 	}
 	return nil
 }
@@ -373,9 +353,9 @@ func (s *Standby) NextTerm() uint64 {
 // replication did not cover — and a recovery manager over the local
 // store and mirrored result log continues checkpointing and exactly-once
 // emission where the primary left off. Stop feeding Run's connection
-// first (it refuses new connections once promoted). every/retain
-// configure the new primary's snapshot cadence and compaction.
-func (s *Standby) Promote(rc *transport.Receiver, every, retain int) (*checkpoint.SPRecovery, error) {
+// first (it refuses new connections once promoted). every is the new
+// primary's snapshot cadence.
+func (s *Standby) Promote(rc *transport.Receiver, every int) (*checkpoint.SPRecovery, error) {
 	s.mu.Lock()
 	if s.promoted {
 		s.mu.Unlock()
@@ -394,7 +374,6 @@ func (s *Standby) Promote(rc *transport.Receiver, every, retain int) (*checkpoin
 		}
 	}
 	rm := checkpoint.NewSPRecovery(s.store, s.rlog, s.engine, rc, every)
-	rm.SetRetention(retain)
 	if folded != nil {
 		rm.Prime(folded)
 	}

@@ -155,7 +155,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		h.Observe(time.Millisecond)
 		start := Now()
 		Since(StageIngest, start)
-		SinceN(StageDecode, start, 7, 42)
+		Since(StageDecode, start)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %.1f allocs/op, want 0", n)
 	}

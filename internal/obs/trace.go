@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Stage names one segment of the epoch lifecycle, in pipeline order:
 // the agent generates an epoch, runs its source-side pipeline, encodes
@@ -78,7 +72,6 @@ func StageHistogram(s Stage) Histogram {
 func Observe(s Stage, d time.Duration) {
 	if s < stageCount {
 		stageHists[s].Observe(d)
-		exportSpan(s, d, 0, 0)
 	}
 }
 
@@ -103,89 +96,4 @@ func ObserveSince(s Stage, start time.Time) time.Duration {
 	d := time.Since(start)
 	Observe(s, d)
 	return d
-}
-
-// ObserveDurN records an already-measured stage duration with span
-// context, for callers that timed the stage themselves.
-func ObserveDurN(s Stage, d time.Duration, source uint32, epoch uint64) {
-	if s < stageCount {
-		stageHists[s].Observe(d)
-		exportSpan(s, d, source, epoch)
-	}
-}
-
-// SinceN is Since with span context: source and epoch tag the exported
-// span record when span export is on. The histogram update is
-// identical to Since.
-func SinceN(s Stage, start time.Time, source uint32, epoch uint64) {
-	if start.IsZero() {
-		return
-	}
-	d := time.Since(start)
-	if s < stageCount {
-		stageHists[s].Observe(d)
-		exportSpan(s, d, source, epoch)
-	}
-}
-
-// Span is one exported stage timing in the JSONL span sink.
-type Span struct {
-	TsMicros  int64  `json:"ts_us"`
-	Stage     string `json:"stage"`
-	DurMicros int64  `json:"dur_us"`
-	Source    uint32 `json:"source,omitempty"`
-	Epoch     uint64 `json:"epoch,omitempty"`
-}
-
-// spanSink is the optional full-span JSONL export. Histograms are
-// always on; the sink samples one span in sampleEvery per stage, so
-// full tracing stays opt-in and bounded.
-var spanOn atomic.Bool
-
-var spanSink struct {
-	mu          sync.Mutex
-	enc         *json.Encoder
-	sampleEvery int64
-	seen        [stageCount]int64
-}
-
-// SetSpanSink directs sampled span records to w as JSON lines, one in
-// sampleEvery per stage (1 = every span). A nil writer disables
-// export.
-func SetSpanSink(w io.Writer, sampleEvery int) {
-	spanSink.mu.Lock()
-	defer spanSink.mu.Unlock()
-	if w != nil {
-		spanSink.enc = json.NewEncoder(w)
-	} else {
-		spanSink.enc = nil
-	}
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	spanSink.sampleEvery = int64(sampleEvery)
-	spanOn.Store(w != nil)
-}
-
-func exportSpan(s Stage, d time.Duration, source uint32, epoch uint64) {
-	if !spanOn.Load() {
-		return
-	}
-	spanSink.mu.Lock()
-	defer spanSink.mu.Unlock()
-	if spanSink.enc == nil {
-		return
-	}
-	n := spanSink.seen[s]
-	spanSink.seen[s]++
-	if n%spanSink.sampleEvery != 0 {
-		return
-	}
-	_ = spanSink.enc.Encode(Span{
-		TsMicros:  time.Now().UnixMicro(),
-		Stage:     s.String(),
-		DurMicros: d.Microseconds(),
-		Source:    source,
-		Epoch:     epoch,
-	})
 }

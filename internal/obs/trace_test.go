@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -25,52 +23,5 @@ func TestObserveRecordsDefaultHistogram(t *testing.T) {
 	Observe(StageSnapshot, 3*time.Millisecond)
 	if got := stageHists[StageSnapshot].Count(); got != before+1 {
 		t.Fatalf("count %d -> %d", before, got)
-	}
-}
-
-// TestSpanSinkSampling: the JSONL sink exports one span in sampleEvery
-// per stage, tagged with source and epoch when SinceN supplied them.
-func TestSpanSinkSampling(t *testing.T) {
-	var buf bytes.Buffer
-	SetSpanSink(&buf, 2)
-	defer SetSpanSink(nil, 1)
-	for i := 0; i < 6; i++ {
-		Observe(StageEncode, time.Millisecond)
-	}
-	var spans []Span
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var sp Span
-		if err := dec.Decode(&sp); err != nil {
-			t.Fatal(err)
-		}
-		spans = append(spans, sp)
-	}
-	if len(spans) != 3 {
-		t.Fatalf("sampled %d spans from 6 observations at 1-in-2", len(spans))
-	}
-	for _, sp := range spans {
-		if sp.Stage != "encode" || sp.DurMicros != 1000 {
-			t.Fatalf("span = %+v", sp)
-		}
-	}
-
-	buf.Reset()
-	SetSpanSink(&buf, 1)
-	start := time.Now().Add(-2 * time.Millisecond)
-	SinceN(StageShip, start, 9, 41)
-	var sp Span
-	if err := json.Unmarshal(buf.Bytes(), &sp); err != nil {
-		t.Fatal(err)
-	}
-	if sp.Stage != "ship" || sp.Source != 9 || sp.Epoch != 41 || sp.DurMicros < 2000 {
-		t.Fatalf("span = %+v", sp)
-	}
-
-	SetSpanSink(nil, 1)
-	n := buf.Len()
-	Observe(StageShip, time.Millisecond)
-	if buf.Len() != n {
-		t.Fatal("disabled sink still exported")
 	}
 }

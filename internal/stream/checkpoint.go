@@ -1,14 +1,11 @@
 package stream
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"sort"
 
 	"jarvis/internal/operator"
 	"jarvis/internal/telemetry"
-	"jarvis/internal/wire"
 )
 
 // Checkpointing (paper §IV-E): a data source periodically snapshots the
@@ -19,14 +16,13 @@ import (
 // records — a checkpoint is literally "the partial rows that would have
 // been drained", tagged with the operator stage that must absorb them.
 
-// Checkpoint is a snapshot of a pipeline's stateful operator state.
+// Checkpoint is one capture of an engine's stateful operator state —
+// the cut a checkpoint.Snapshot embeds and persists.
 type Checkpoint struct {
-	// Epoch stamps when the snapshot was taken.
-	Epoch int64
-	// Watermark is the pipeline's low watermark at snapshot time.
+	// Watermark is the engine's low watermark at capture time.
 	Watermark int64
 	// Stages maps operator stage → partial aggregate rows. In a delta
-	// checkpoint, only rows touched since the previous capture.
+	// capture, only rows touched since the previous capture.
 	Stages map[int]telemetry.Batch
 	// Delta marks an incremental capture: Stages holds only state dirtied
 	// since the previous capture, interpreted per Meta.
@@ -48,54 +44,38 @@ type StageDelta struct {
 	Closed []int64
 }
 
-// Checkpoint captures the pipeline's stateful operator state without
-// disturbing it (state is copied, not drained). The paper notes
-// checkpoint frequency trades network traffic for recovery cost; callers
-// choose when to invoke this.
-func (p *Pipeline) Checkpoint(epoch int64) *Checkpoint {
-	cp := &Checkpoint{
-		Epoch:     epoch,
-		Watermark: p.watermark,
-		Stages:    make(map[int]telemetry.Batch),
-	}
-	for i := 0; i < p.opts.Boundary; i++ {
-		g, ok := p.ops[i].(operator.Checkpointable)
-		if !ok {
-			continue
-		}
-		if rows := snapshotOp(g); len(rows) > 0 {
-			cp.Stages[i] = rows
-		}
-	}
+// Capture copies the pipeline's stateful operator state without
+// disturbing it (see capture). The paper notes checkpoint frequency
+// trades network traffic for recovery cost; callers choose when to
+// invoke this.
+func (p *Pipeline) Capture(full bool) Checkpoint {
+	cp := capture(p.ops[:p.opts.Boundary], full)
+	cp.Watermark = p.watermark
 	return cp
 }
 
-// CheckpointDelta captures only the state dirtied since the previous
-// capture (full or delta) and starts a new dirty generation. Operators
-// that track dirtiness (operator.DeltaCheckpointable) contribute touched
-// rows plus closed-window tombstones; other Checkpointable operators are
-// captured wholesale in replace mode. Pair with a full Checkpoint +
-// MarkSnapshotClean as the chain base.
-func (p *Pipeline) CheckpointDelta(epoch int64) *Checkpoint {
-	cp := &Checkpoint{
-		Epoch:     epoch,
-		Watermark: p.watermark,
-		Stages:    make(map[int]telemetry.Batch),
-		Delta:     true,
-		Meta:      make(map[int]StageDelta),
-	}
-	captureDelta(p.ops[:p.opts.Boundary], cp)
+// Capture is the SP-side counterpart of Pipeline.Capture, stamped with
+// the effective (minimum) source watermark.
+func (e *SPEngine) Capture(full bool) Checkpoint {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cp := capture(e.ops, full)
+	cp.Watermark = e.effectiveWMLocked()
 	return cp
 }
 
-// MarkSnapshotClean starts a new dirty-tracking generation on every
-// delta-capable operator. Call it right after a full Checkpoint capture
-// that begins a snapshot chain, so the next CheckpointDelta is relative
-// to that capture.
-func (p *Pipeline) MarkSnapshotClean() { markClean(p.ops[:p.opts.Boundary]) }
-
-// captureDelta fills a delta checkpoint from the given operators.
-func captureDelta(ops []operator.Operator, cp *Checkpoint) {
+// capture is the one capture routine behind both engines. A full capture
+// copies every Checkpointable operator's open windows; a delta capture
+// only the state dirtied since the previous capture: operators that
+// track dirtiness (operator.DeltaCheckpointable) contribute touched rows
+// plus closed-window tombstones, the rest are captured wholesale in
+// replace mode. Either way the capture starts a new dirty generation, so
+// the next delta is relative to it.
+func capture(ops []operator.Operator, full bool) Checkpoint {
+	cp := Checkpoint{Stages: make(map[int]telemetry.Batch), Delta: !full}
+	if !full {
+		cp.Meta = make(map[int]StageDelta)
+	}
 	for i, op := range ops {
 		g, ok := op.(operator.Checkpointable)
 		if !ok {
@@ -104,53 +84,43 @@ func captureDelta(ops []operator.Operator, cp *Checkpoint) {
 		dc, isDelta := g.(operator.DeltaCheckpointable)
 		var closed []int64
 		tracked := false
-		if isDelta {
+		if isDelta && !full {
 			closed, tracked = dc.ClosedWindows()
 		}
-		if !tracked {
-			// No dirty tracking — or the operator overflowed its
-			// tombstone memory (no MarkClean for too long): ship the full
-			// state in replace mode (the meta entry is required even when
-			// empty, so the reconstruction clears state the operator no
-			// longer holds).
-			if rows := snapshotOp(g); len(rows) > 0 {
-				cp.Stages[i] = rows
-			}
-			cp.Meta[i] = StageDelta{Replace: true}
-			if isDelta {
-				dc.MarkClean()
-			}
-			continue
-		}
-		dirty := dc.DirtyWindows()
 		var rows telemetry.Batch
-		if gc, ok := g.(groupCounter); ok {
-			total := 0
+		emit := func(r telemetry.Record) { rows = append(rows, r) }
+		if tracked {
+			dirty := dc.DirtyWindows()
+			rows = presize(g, dirty)
 			for _, w := range dirty {
-				total += gc.GroupCount(w)
+				dc.SnapshotDirtyWindow(w, emit)
 			}
-			rows = make(telemetry.Batch, 0, total)
-		}
-		for _, w := range dirty {
-			dc.SnapshotDirtyWindow(w, func(r telemetry.Record) { rows = append(rows, r) })
+			if len(rows) > 0 || len(closed) > 0 {
+				cp.Meta[i] = StageDelta{Closed: closed}
+			}
+		} else {
+			// A full capture — or, inside a delta, an operator without dirty
+			// tracking or one that overflowed its tombstone memory (no
+			// MarkClean for too long): its whole state, in replace mode (the
+			// meta entry is required even when empty, so the reconstruction
+			// clears state the operator no longer holds).
+			windows := g.OpenWindows()
+			rows = presize(g, windows)
+			for _, w := range windows {
+				g.SnapshotWindow(w, emit)
+			}
+			if !full {
+				cp.Meta[i] = StageDelta{Replace: true}
+			}
 		}
 		if len(rows) > 0 {
 			cp.Stages[i] = rows
 		}
-		if len(rows) > 0 || len(closed) > 0 {
-			cp.Meta[i] = StageDelta{Closed: closed}
-		}
-		dc.MarkClean()
-	}
-}
-
-// markClean advances dirty tracking on every delta-capable operator.
-func markClean(ops []operator.Operator) {
-	for _, op := range ops {
-		if dc, ok := op.(operator.DeltaCheckpointable); ok {
+		if isDelta {
 			dc.MarkClean()
 		}
 	}
+	return cp
 }
 
 // groupCounter is implemented by stateful operators that can report a
@@ -159,91 +129,18 @@ type groupCounter interface {
 	GroupCount(window int64) int
 }
 
-// snapshotOp captures one Checkpointable operator's open windows into a
-// single batch, presized when the operator can report group counts.
-func snapshotOp(g operator.Checkpointable) telemetry.Batch {
-	windows := g.OpenWindows()
-	var rows telemetry.Batch
-	if gc, ok := g.(groupCounter); ok {
-		total := 0
-		for _, w := range windows {
-			total += gc.GroupCount(w)
-		}
-		rows = make(telemetry.Batch, 0, total)
-	}
-	for _, w := range windows {
-		g.SnapshotWindow(w, func(r telemetry.Record) { rows = append(rows, r) })
-	}
-	return rows
-}
-
-// Encode serializes the checkpoint with the wire codec (one frame per
-// stage; StreamID carries the stage, Source carries the epoch low bits).
-func (cp *Checkpoint) Encode(w io.Writer) error {
-	fw := wire.NewFrameWriter(w)
-	// Header frame: watermark + epoch via a watermark record.
-	hdr := telemetry.Record{
-		Time:     cp.Watermark,
-		WireSize: 17,
-		Data:     &wire.Watermark{Time: cp.Watermark},
-	}
-	if err := fw.WriteFrame(wire.Frame{
-		StreamID: ^uint32(0),
-		Source:   uint32(cp.Epoch),
-		Records:  telemetry.Batch{hdr},
-	}); err != nil {
-		return err
-	}
-	for stage, rows := range cp.Stages {
-		if err := fw.WriteFrame(wire.Frame{
-			StreamID: uint32(stage),
-			Source:   uint32(cp.Epoch),
-			Records:  rows,
-		}); err != nil {
-			return err
-		}
-	}
-	return fw.Flush()
-}
-
-// DecodeCheckpoint reads a checkpoint previously written by Encode.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	fr := wire.NewFrameReader(r)
-	first, err := fr.ReadFrame()
-	if err != nil {
-		return nil, fmt.Errorf("stream: checkpoint header: %w", err)
-	}
-	if first.StreamID != ^uint32(0) || len(first.Records) != 1 {
-		return nil, fmt.Errorf("stream: malformed checkpoint header")
-	}
-	wm, ok := first.Records[0].Data.(*wire.Watermark)
+// presize returns an empty batch with capacity for the rows of the
+// given windows, when the operator can report group counts.
+func presize(g operator.Checkpointable, windows []int64) telemetry.Batch {
+	gc, ok := g.(groupCounter)
 	if !ok {
-		return nil, fmt.Errorf("stream: checkpoint header is not a watermark")
+		return nil
 	}
-	cp := &Checkpoint{
-		Epoch:     int64(first.Source),
-		Watermark: wm.Time,
-		Stages:    make(map[int]telemetry.Batch),
+	total := 0
+	for _, w := range windows {
+		total += gc.GroupCount(w)
 	}
-	for {
-		f, err := fr.ReadFrame()
-		if err == io.EOF {
-			return cp, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		cp.Stages[int(f.StreamID)] = f.Records
-	}
-}
-
-// Bytes serializes the checkpoint to a buffer.
-func (cp *Checkpoint) Bytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return make(telemetry.Batch, 0, total)
 }
 
 // RestoreCheckpoint folds a checkpoint back into this pipeline's own
@@ -276,46 +173,6 @@ func (p *Pipeline) RestoreCheckpoint(cp *Checkpoint) error {
 		p.maxEventSeen = cp.Watermark
 	}
 	return nil
-}
-
-// SnapshotStages copies every Checkpointable operator's open-window state
-// without disturbing it — the SP-side counterpart of Pipeline.Checkpoint,
-// used by the recovery manager to take epoch-aligned engine snapshots.
-func (e *SPEngine) SnapshotStages() map[int]telemetry.Batch {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[int]telemetry.Batch)
-	for i, op := range e.ops {
-		g, ok := op.(operator.Checkpointable)
-		if !ok {
-			continue
-		}
-		if rows := snapshotOp(g); len(rows) > 0 {
-			out[i] = rows
-		}
-	}
-	return out
-}
-
-// SnapshotStagesDelta captures only the engine state dirtied since the
-// previous capture, with per-stage apply metadata — the SP-side
-// counterpart of Pipeline.CheckpointDelta. It starts a new dirty
-// generation on delta-capable operators.
-func (e *SPEngine) SnapshotStagesDelta() (map[int]telemetry.Batch, map[int]StageDelta) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cp := &Checkpoint{Stages: make(map[int]telemetry.Batch), Meta: make(map[int]StageDelta)}
-	captureDelta(e.ops, cp)
-	return cp.Stages, cp.Meta
-}
-
-// MarkSnapshotClean starts a new dirty generation on every delta-capable
-// operator; call it after a full SnapshotStages capture that begins a
-// snapshot chain.
-func (e *SPEngine) MarkSnapshotClean() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	markClean(e.ops)
 }
 
 // RestoreStage folds snapshot rows back into the operator that captured

@@ -1,54 +1,12 @@
 package stream
 
 import (
-	"bytes"
 	"testing"
 
 	"jarvis/internal/plan"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/workload"
 )
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	p, err := NewPipeline(plan.S2SProbe(), DefaultOptions(1.0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = p.SetLoadFactors([]float64{1, 1, 1})
-	gen := workload.NewPingGen(workload.DefaultPingConfig(5))
-	for e := 0; e < 3; e++ {
-		p.RunEpoch(gen.NextWindow(1_000_000))
-	}
-	cp := p.Checkpoint(3)
-	if len(cp.Stages[2]) == 0 {
-		t.Fatal("G+R state missing from checkpoint")
-	}
-	if cp.Watermark == 0 {
-		t.Fatal("watermark missing")
-	}
-
-	data, err := cp.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCheckpoint(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 3 || got.Watermark != cp.Watermark {
-		t.Fatalf("header: %+v vs %+v", got, cp)
-	}
-	if len(got.Stages[2]) != len(cp.Stages[2]) {
-		t.Fatalf("stage rows: %d vs %d", len(got.Stages[2]), len(cp.Stages[2]))
-	}
-	for i := range cp.Stages[2] {
-		a := cp.Stages[2][i].Data.(*telemetry.AggRow)
-		b := got.Stages[2][i].Data.(*telemetry.AggRow)
-		if *a != *b {
-			t.Fatalf("row %d: %+v vs %+v", i, a, b)
-		}
-	}
-}
 
 func TestCheckpointNonDestructive(t *testing.T) {
 	p, err := NewPipeline(plan.S2SProbe(), DefaultOptions(1.0, 0))
@@ -58,8 +16,11 @@ func TestCheckpointNonDestructive(t *testing.T) {
 	_ = p.SetLoadFactors([]float64{1, 1, 1})
 	gen := workload.NewPingGen(workload.DefaultPingConfig(6))
 	p.RunEpoch(gen.NextWindow(1_000_000))
-	a := p.Checkpoint(1)
-	b := p.Checkpoint(1)
+	a := p.Capture(true)
+	b := p.Capture(true)
+	if len(a.Stages[2]) == 0 || a.Watermark == 0 {
+		t.Fatalf("G+R state or watermark missing from capture: %d rows, watermark %d", len(a.Stages[2]), a.Watermark)
+	}
 	if len(a.Stages[2]) != len(b.Stages[2]) {
 		t.Fatal("checkpointing must not consume state")
 	}
@@ -109,7 +70,7 @@ func runPartitionedLocal(t *testing.T, q *plan.Query, seed uint64, crashAt int) 
 
 	var final telemetry.Batch
 	crashed := false
-	var lastCP *Checkpoint
+	var lastCP Checkpoint
 	for e := 0; e < 14; e++ {
 		var batch telemetry.Batch
 		if e < 10 {
@@ -119,15 +80,7 @@ func runPartitionedLocal(t *testing.T, q *plan.Query, seed uint64, crashAt int) 
 			if !crashed {
 				crashed = true
 				// Recovery: restore the checkpoint into the SP.
-				data, err := lastCP.Bytes()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cp, err := DecodeCheckpoint(bytes.NewReader(data))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sp.Restore(1, cp); err != nil {
+				if err := sp.Restore(1, &lastCP); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -156,7 +109,7 @@ func runPartitionedLocal(t *testing.T, q *plan.Query, seed uint64, crashAt int) 
 		sp.ObserveWatermark(1, res.Watermark)
 		final = append(final, sp.Advance()...)
 		if crashAt >= 0 && e == crashAt {
-			lastCP = src.Checkpoint(int64(e))
+			lastCP = src.Capture(true)
 		}
 	}
 	rows := map[telemetry.GroupKey]telemetry.AggRow{}
@@ -173,21 +126,4 @@ func runPartitionedLocal(t *testing.T, q *plan.Query, seed uint64, crashAt int) 
 		}
 	}
 	return rows
-}
-
-func TestDecodeCheckpointErrors(t *testing.T) {
-	if _, err := DecodeCheckpoint(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input must error")
-	}
-	// A frame that is not a header.
-	var buf bytes.Buffer
-	p, _ := NewPipeline(plan.S2SProbe(), DefaultOptions(1, 0))
-	cp := p.Checkpoint(0)
-	_ = cp.Encode(&buf)
-	data := buf.Bytes()
-	// Corrupt the stream id of the header frame (bytes 4..8 after len).
-	data[4], data[5], data[6], data[7] = 0, 0, 0, 1
-	if _, err := DecodeCheckpoint(bytes.NewReader(data)); err == nil {
-		t.Fatal("bad header must error")
-	}
 }

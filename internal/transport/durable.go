@@ -263,7 +263,7 @@ func (d *DurableShipper) ShipEpoch(res stream.EpochResult) error {
 	d.seq++
 	encStart := obs.Now()
 	data, err := d.encodeEpoch(d.seq, res, encStart)
-	obs.SinceN(obs.StageEncode, encStart, d.source, d.seq)
+	obs.Since(obs.StageEncode, encStart)
 	if err != nil {
 		d.seq--
 		d.mu.Unlock()
@@ -276,14 +276,13 @@ func (d *DurableShipper) ShipEpoch(res stream.EpochResult) error {
 		d.counters.Inc(CtrEpochsDropped)
 	}
 	conn := d.conn
-	seq := d.seq
 	d.mu.Unlock()
 	if conn == nil {
 		return nil
 	}
 	shipStart := obs.Now()
 	_, werr := conn.Write(data)
-	obs.SinceN(obs.StageShip, shipStart, d.source, seq)
+	obs.Since(obs.StageShip, shipStart)
 	if werr != nil {
 		d.disconnect(conn)
 	}

@@ -38,7 +38,7 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 // data-frame format the transport ships (control frames stay
 // count-prefixed row frames — they are single tiny records). A writer
 // left in row mode produces the count-prefixed format throughout: the
-// on-disk format of checkpoint.ResultLog and stream.Checkpoint.Encode.
+// on-disk format of checkpoint.ResultLog.
 func (fw *FrameWriter) SetColumnar(v bool) { fw.columnar = v }
 
 // SetCompression switches columnar data frames to the flate-compressed
