@@ -19,9 +19,11 @@
 package checkpoint
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
@@ -73,33 +75,122 @@ type Snapshot struct {
 
 	// BaseID is the store id of the snapshot a delta extends.
 	BaseID uint64
+
+	// enc is the byte form Store.Save last wrote, or Store.Decode read,
+	// this snapshot in. Encode and Save reuse it — verbatim while the
+	// header fields still match, a fresh header frame over the same body
+	// otherwise — so a replicated snapshot's rows are encoded once, on
+	// the primary, however many stores and standbys they reach. The body
+	// covers Meta, Stages, Sources, Factors and Pending: code that edits
+	// one of those on a snapshot carrying bytes must zero enc (ApplyDelta
+	// does for its base, Full for the Meta it strips).
+	enc encoding
+}
+
+// encoding is a snapshot's remembered byte form: data holds the
+// SnapshotHeader frame that encodes hdr and, from offset body on, every
+// other frame. Copies of a snapshot share data; it is never written to.
+type encoding struct {
+	hdr  wire.SnapshotHeader
+	data []byte
+	body int
+}
+
+// bodyEncodes counts body encodes: the work a replicated snapshot pays
+// exactly once. Tests read it.
+var bodyEncodes atomic.Int64
+
+// Full returns a copy of s standing as a chain base: not a delta,
+// extending nothing, no per-stage delta Meta. The copy shares s's rows,
+// and s's remembered bytes unless they encode Meta.
+func (s *Snapshot) Full() Snapshot {
+	full := *s
+	if len(s.Meta) > 0 {
+		full.enc = encoding{}
+	}
+	full.Delta, full.BaseID, full.Meta = false, 0, nil
+	return full
 }
 
 // Encode serializes the snapshot as wire frames: a SnapshotHeader
 // control frame, StageMeta control frames (delta snapshots), one
 // columnar data frame per stage, a SourceState control frame, a
 // LoadFactors control frame and one ReplayEpoch control frame per
-// pending epoch.
+// pending epoch. A snapshot that remembers its bytes writes those; Encode
+// itself leaves s as it is.
 func (s *Snapshot) Encode(w io.Writer) error {
-	fw := wire.NewFrameWriter(w)
-	fw.SetColumnar(true)
-	return s.encodeTo(fw)
+	c := *s
+	data, err := new(encoder).encode(&c)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
 }
 
-// encodeTo writes the snapshot through an existing frame writer (already
-// redirected at the destination), letting callers reuse its buffers.
-func (s *Snapshot) encodeTo(fw *wire.FrameWriter) error {
-	ctl := func(data any, size int) error {
-		rec := telemetry.Record{WireSize: size, Data: data}
-		return fw.WriteFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}})
-	}
-	hdr := &wire.SnapshotHeader{
+// encoder turns snapshots into bytes; a Store keeps one so the frame
+// writer's megabyte-scale scratch is grown once, not per snapshot.
+type encoder struct {
+	fw *wire.FrameWriter
+	// size is what the last base (0) and the last delta (1) encoded to:
+	// the capacity the next one's buffer starts at.
+	size [2]int
+}
+
+// encode returns s's encoding and remembers it in s. What s already
+// remembers is not encoded again: nothing is when the header fields
+// still match, only the header frame otherwise.
+func (e *encoder) encode(s *Snapshot) ([]byte, error) {
+	hdr := wire.SnapshotHeader{
 		Seq: s.Seq, Watermark: s.Watermark, EmittedWM: s.EmittedWM, Acked: s.Acked,
 		BaseID: s.BaseID, Delta: s.Delta, Term: s.Term,
 	}
-	if err := ctl(hdr, 49); err != nil {
-		return err
+	if s.enc.data != nil && s.enc.hdr == hdr {
+		return s.enc.data, nil
 	}
+	kind := 0
+	if s.Delta {
+		kind = 1
+	}
+	// The header frame is under 100 bytes; an eighth of slack absorbs the
+	// drift between consecutive snapshots without a regrow.
+	want := len(s.enc.data) + 100
+	if s.enc.data == nil {
+		want = e.size[kind] + e.size[kind]/8
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, want))
+	if e.fw == nil {
+		e.fw = wire.NewFrameWriter(buf)
+		e.fw.SetColumnar(true)
+	} else {
+		e.fw.Reset(buf)
+	}
+	if err := writeControl(e.fw, &hdr, 49); err != nil {
+		return nil, err
+	}
+	if err := e.fw.Flush(); err != nil {
+		return nil, err
+	}
+	body := buf.Len()
+	if s.enc.data != nil {
+		buf.Write(s.enc.data[s.enc.body:])
+	} else if err := s.encodeBody(e.fw); err != nil {
+		return nil, err
+	}
+	e.size[kind] = buf.Len()
+	s.enc = encoding{hdr: hdr, data: buf.Bytes(), body: body}
+	return s.enc.data, nil
+}
+
+// writeControl writes one control record as a frame of its own.
+func writeControl(fw *wire.FrameWriter, data any, size int) error {
+	rec := telemetry.Record{WireSize: size, Data: data}
+	return fw.WriteFrame(wire.Frame{StreamID: wire.ControlStreamID, Records: telemetry.Batch{rec}})
+}
+
+// encodeBody writes and flushes every frame after the header.
+func (s *Snapshot) encodeBody(fw *wire.FrameWriter) error {
+	bodyEncodes.Add(1)
 	metaStages := make([]int, 0, len(s.Meta))
 	for st := range s.Meta {
 		metaStages = append(metaStages, st)
@@ -108,7 +199,7 @@ func (s *Snapshot) encodeTo(fw *wire.FrameWriter) error {
 	for _, st := range metaStages {
 		m := s.Meta[st]
 		rec := &wire.StageMeta{Stage: st, Replace: m.Replace, Closed: m.Closed}
-		if err := ctl(rec, 20+9*len(m.Closed)); err != nil {
+		if err := writeControl(fw, rec, 20+9*len(m.Closed)); err != nil {
 			return err
 		}
 	}
@@ -140,12 +231,12 @@ func (s *Snapshot) encodeTo(fw *wire.FrameWriter) error {
 		}
 	}
 	if len(s.Factors) > 0 {
-		if err := ctl(&wire.LoadFactors{Factors: s.Factors}, 18+8*len(s.Factors)); err != nil {
+		if err := writeControl(fw, &wire.LoadFactors{Factors: s.Factors}, 18+8*len(s.Factors)); err != nil {
 			return err
 		}
 	}
 	for _, p := range s.Pending {
-		if err := ctl(&wire.ReplayEpoch{Seq: p.Seq, Data: p.Data}, 26+len(p.Data)); err != nil {
+		if err := writeControl(fw, &wire.ReplayEpoch{Seq: p.Seq, Data: p.Data}, 26+len(p.Data)); err != nil {
 			return fmt.Errorf("checkpoint: encode replay epoch %d: %w", p.Seq, err)
 		}
 	}
@@ -182,6 +273,9 @@ func decodeSnapshot(fr *wire.FrameReader) (*Snapshot, error) {
 		BaseID:    hdr.BaseID,
 		Term:      hdr.Term,
 		Sources:   make(map[uint32]SourceState),
+		// Where the body starts in the bytes being read; Store.Decode, which
+		// holds them, adds data.
+		enc: encoding{hdr: *hdr, body: 4 + len(fr.RawFrame())},
 	}
 	if s.Delta {
 		s.Meta = make(map[int]stream.StageDelta)
@@ -249,13 +343,15 @@ func rowRef(rec *telemetry.Record) (groupRef, bool) {
 }
 
 // ApplyDelta folds one delta snapshot into the reconstructed base state,
-// mutating and returning base. Scalar fields always take the delta's
+// mutating and returning base (which forgets its remembered bytes: they
+// no longer say what it holds). Scalar fields always take the delta's
 // values (they are complete in every snapshot); stage rows apply per the
 // delta's Meta: replace mode swaps a stage wholesale, keyed mode drops
 // rows of closed windows and supersedes rows group by group. Besides the
 // store's chain reconstruction, the HA standby uses it to fold the
 // primary's replicated deltas into its in-memory state.
 func ApplyDelta(base, d *Snapshot) *Snapshot {
+	base.enc = encoding{}
 	base.Seq = d.Seq
 	base.Watermark = d.Watermark
 	base.EmittedWM = d.EmittedWM

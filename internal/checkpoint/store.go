@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -48,13 +49,15 @@ type Store struct {
 	Sync bool
 
 	nextID uint64
-	// fw is reused across saves so the megabyte-scale frame buffer is
-	// grown once, not per snapshot.
-	fw *wire.FrameWriter
-	// dec is the store's shared columnar decoder: strings repeated
-	// across the files of a chain (group keys, tenants) decode to one
+	// enc is reused across saves so the frame writer's megabyte-scale
+	// scratch is grown once, not per snapshot.
+	enc encoder
+	// fr is the store's one frame reader, and with it one columnar
+	// decoder: strings repeated across the files of a chain and across
+	// the snapshots Decode is handed (group keys, tenants) decode to one
 	// allocation.
-	dec *wire.ColumnarDecoder
+	fr  *wire.FrameReader
+	src bytes.Reader
 	// mf is the manifest held open for appending: at every-epoch
 	// snapshot cadence, reopening it per save would double the save's
 	// fixed syscall cost.
@@ -68,7 +71,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: open store: %w", err)
 	}
-	s := &Store{dir: dir, nextID: 1, dec: wire.NewColumnarDecoder()}
+	s := &Store{dir: dir, nextID: 1, fr: wire.NewFrameReader(nil)}
 	s.chain.store, s.chain.retain = s, DefaultRetain
 	entries, err := s.entries()
 	if err != nil {
@@ -145,43 +148,26 @@ func (s *Store) entries() ([]manifestEntry, error) {
 }
 
 // Save writes a snapshot durably and returns the id the store assigned
-// it. The snapshot file is written under its final name and its
-// manifest line is appended only after a successful close — a listed
-// entry is therefore always a fully written file (a crash mid-write
-// leaves an unlisted orphan, overwritten by the next incarnation since
-// ids resume past the manifest's maximum). Delta snapshots record
-// snap.BaseID in the manifest so restores can rebuild the chain.
+// it. The snapshot is encoded in memory — or not at all, when it still
+// carries the bytes an earlier Save or Decode gave it — and remembers the
+// bytes written, so replicating it does not encode it again. The file is
+// written under its final name with one write and its manifest line is
+// appended only after a successful close — a listed entry is therefore
+// always a fully written file (a crash mid-write leaves an unlisted
+// orphan, overwritten by the next incarnation since ids resume past the
+// manifest's maximum). Delta snapshots record snap.BaseID in the manifest
+// so restores can rebuild the chain.
 func (s *Store) Save(snap *Snapshot) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	data, err := s.enc.encode(snap)
+	if err != nil {
+		return 0, fmt.Errorf("checkpoint: encode snapshot: %w", err)
+	}
 	id := s.nextID
 	name := SnapshotFileName(id)
-	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := s.writeFile(name, data); err != nil {
 		return 0, fmt.Errorf("checkpoint: save: %w", err)
-	}
-	if s.fw == nil {
-		s.fw = wire.NewFrameWriter(f)
-		s.fw.SetColumnar(true)
-	} else {
-		s.fw.Reset(f)
-	}
-	fail := func(err error) (uint64, error) {
-		_ = f.Close()
-		_ = os.Remove(filepath.Join(s.dir, name))
-		return 0, err
-	}
-	if err := snap.encodeTo(s.fw); err != nil {
-		return fail(fmt.Errorf("checkpoint: encode snapshot: %w", err))
-	}
-	if s.Sync {
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(filepath.Join(s.dir, name))
-		return 0, err
 	}
 	kind := "f"
 	if snap.Delta {
@@ -208,6 +194,26 @@ func (s *Store) Save(snap *Snapshot) (uint64, error) {
 	}
 	s.nextID++
 	return id, nil
+}
+
+// writeFile writes one snapshot file in full, or leaves none.
+func (s *Store) writeFile(name string, data []byte) error {
+	path := filepath.Join(s.dir, name)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && s.Sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(path)
+	}
+	return err
 }
 
 // openManifest opens the manifest for appending, first terminating any
@@ -257,17 +263,33 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// decodeFile decodes one snapshot file through the store's shared
-// columnar decoder.
+// decodeFile decodes one snapshot file through the store's reader.
 func (s *Store) decodeFile(name string) (*Snapshot, error) {
 	f, err := os.Open(filepath.Join(s.dir, filepath.Base(name)))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	fr := wire.NewFrameReader(f)
-	fr.UseDecoder(s.dec)
-	return decodeSnapshot(fr)
+	s.fr.Reset(f)
+	return decodeSnapshot(s.fr)
+}
+
+// Decode decodes a snapshot some store's Save encoded — the HA standby
+// is handed the primary's over the replication stream — through this
+// store's reader. The snapshot remembers data, which the caller must
+// leave alone from here on: saving it here writes those bytes, not a
+// second encoding of the rows just decoded.
+func (s *Store) Decode(data []byte) (*Snapshot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.src.Reset(data)
+	s.fr.Reset(&s.src)
+	snap, err := decodeSnapshot(s.fr)
+	if err != nil {
+		return nil, err
+	}
+	snap.enc.data = data
+	return snap, nil
 }
 
 // chain returns the base + delta chain ending at entry (base first), or

@@ -40,6 +40,9 @@ type Publisher struct {
 	term       uint64
 	lastPubID  uint64 // newest published snapshot's store id
 	lastPubSeq uint64 // ... and its progress measure (applied epochs)
+	// wake is what a blocked WaitDurable waits on; wakeLocked closes it
+	// when an ack lands or a standby leaves. nil while nobody waits.
+	wake chan struct{}
 }
 
 // subscriber is one attached standby connection.
@@ -174,10 +177,8 @@ func (p *Publisher) attach(conn net.Conn, hello *wire.ReplHello) (*subscriber, e
 	if ok {
 		// The folded chain is a complete state: replicate it as a full
 		// snapshot standing in for id, so live deltas chain onto it.
-		snap.Delta = false
-		snap.BaseID = 0
-		snap.Meta = nil
-		data, err := encodeSnapshot(snap)
+		full := snap.Full()
+		data, err := encodeSnapshot(&full)
 		if err != nil {
 			return nil, err
 		}
@@ -253,13 +254,27 @@ func (p *Publisher) writeLoop(sub *subscriber) {
 func (p *Publisher) detach(sub *subscriber) {
 	p.mu.Lock()
 	if !sub.closed {
-		sub.closed = true
-		close(sub.ch)
-		delete(p.subs, sub)
+		p.dropLocked(sub)
 		p.updateLagLocked()
 	}
 	p.mu.Unlock()
 	_ = sub.conn.Close()
+}
+
+// dropLocked unregisters a standby and releases whoever waits on its ack.
+func (p *Publisher) dropLocked(sub *subscriber) {
+	sub.closed = true
+	close(sub.ch)
+	delete(p.subs, sub)
+	p.wakeLocked()
+}
+
+// wakeLocked makes a blocked WaitDurable look again.
+func (p *Publisher) wakeLocked() {
+	if p.wake != nil {
+		close(p.wake)
+		p.wake = nil
+	}
 }
 
 func (p *Publisher) noteAck(sub *subscriber, ack *wire.ReplAck) {
@@ -271,6 +286,7 @@ func (p *Publisher) noteAck(sub *subscriber, ack *wire.ReplAck) {
 		sub.ackSeq = ack.Seq
 	}
 	p.updateLagLocked()
+	p.wakeLocked()
 	p.mu.Unlock()
 }
 
@@ -303,9 +319,7 @@ func (p *Publisher) broadcastLocked(frame []byte) {
 		select {
 		case sub.ch <- frame:
 		default:
-			sub.closed = true
-			close(sub.ch)
-			delete(p.subs, sub)
+			p.dropLocked(sub)
 			_ = sub.conn.Close()
 		}
 	}
@@ -349,7 +363,9 @@ func (p *Publisher) PublishSnapshot(id uint64, snap *checkpoint.Snapshot) {
 // WaitDurable implements checkpoint.Replicator: block until every
 // attached standby acked snapshot id, or no standby is attached, or the
 // timeout expires. SPRecovery gates agent acks on it so pruned epochs
-// are always recoverable from a standby while one is attached.
+// are always recoverable from a standby while one is attached. It sleeps
+// on the publisher's wake-up — an ack, a detach, a dropped standby — and
+// looks again, so it returns as the ack arrives, not a poll period later.
 //
 // With zero standbys attached acks proceed on primary durability alone —
 // warm-standby replication is asynchronous by design, and stalling every
@@ -358,28 +374,37 @@ func (p *Publisher) PublishSnapshot(id uint64, snap *checkpoint.Snapshot) {
 // actual loss. The degraded window is made visible instead:
 // CtrAcksWithoutStandby counts every snapshot acked that way.
 func (p *Publisher) WaitDurable(id uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	var expired <-chan time.Time // armed by the first look that has to wait
 	for {
 		p.mu.Lock()
-		attached := len(p.subs)
-		ok := true
+		attached, durable := len(p.subs), true
 		for sub := range p.subs {
 			if sub.ackedID < id {
-				ok = false
+				durable = false
 				break
 			}
 		}
+		if !durable && p.wake == nil {
+			p.wake = make(chan struct{})
+		}
+		wake := p.wake
 		p.mu.Unlock()
-		if ok {
+		if durable {
 			if attached == 0 {
 				p.counters.Inc(CtrAcksWithoutStandby)
 			}
 			return true
 		}
-		if time.Now().After(deadline) {
+		if expired == nil {
+			t := time.NewTimer(timeout)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-wake:
+		case <-expired:
 			return false
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -428,20 +453,36 @@ func replRowsFrame(rows telemetry.Batch) ([]byte, error) {
 	return encodeFrame(wire.Frame{StreamID: wire.ReplRowsStreamID, Records: rows})
 }
 
+// frameEncoder is the reusable state of encodeFrame. A frame writer is
+// tens of kilobytes of tables and buffers: too much to build and zero
+// for every 50-byte ack.
+type frameEncoder struct {
+	buf bytes.Buffer
+	fw  *wire.FrameWriter
+}
+
+var frameEncoders = sync.Pool{New: func() any {
+	e := new(frameEncoder)
+	e.fw = wire.NewFrameWriter(&e.buf)
+	e.fw.SetColumnar(true)
+	return e
+}}
+
 // encodeFrame renders one replication frame: mirrored rows go columnar,
 // control records stay row frames (a columnar writer never re-encodes
 // the control stream).
 func encodeFrame(f wire.Frame) ([]byte, error) {
-	var buf bytes.Buffer
-	fw := wire.NewFrameWriter(&buf)
-	fw.SetColumnar(true)
-	if err := fw.WriteFrame(f); err != nil {
+	e := frameEncoders.Get().(*frameEncoder)
+	defer frameEncoders.Put(e)
+	e.buf.Reset()
+	e.fw.Reset(&e.buf)
+	if err := e.fw.WriteFrame(f); err != nil {
 		return nil, err
 	}
-	if err := fw.Flush(); err != nil {
+	if err := e.fw.Flush(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(e.buf.Bytes()), nil
 }
 
 // replAckFrame encodes one ReplAck control frame (standby side).

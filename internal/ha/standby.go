@@ -1,7 +1,6 @@
 package ha
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -36,14 +35,22 @@ type Standby struct {
 	rlog     *checkpoint.ResultLog
 	counters *obs.Registry
 
-	mu            sync.Mutex
-	folded        *checkpoint.Snapshot
+	mu     sync.Mutex
+	folded *checkpoint.Snapshot
+	// shadowStale: folded is ahead of the shadow engine. serveConn acks a
+	// snapshot once it is folded and stored and reloads the shadow after;
+	// whoever needs the shadow in between (Promote) reloads it first.
+	shadowStale   bool
 	lastPrimaryID uint64 // newest primary store id applied
 	primaryTerm   uint64 // newest term seen in the replication stream
 	connected     bool
 	lastContact   time.Time
 	promoted      bool
 	conn          net.Conn
+
+	// beforeReload, when a test sets it, runs on the replication
+	// goroutine between a snapshot's ack and its shadow reload, outside mu.
+	beforeReload func()
 }
 
 // NewStandby wires a standby over the node's shadow processor and a
@@ -200,7 +207,26 @@ func (s *Standby) serveConn(ctx context.Context, conn net.Conn) {
 				if !ok {
 					continue
 				}
-				if err := s.ApplySnapshot(rep); err != nil {
+				// Folded and in the local store is what the primary's
+				// WaitDurable waits for, so the ack leaves now; the shadow
+				// reload — O(total state) — follows it, off the ack path.
+				s.mu.Lock()
+				err := s.foldLocked(rep)
+				s.mu.Unlock()
+				if err == nil {
+					if ack, aerr := replAckFrame(rep.ID, rep.Seq); aerr == nil {
+						if _, werr := conn.Write(ack); werr != nil {
+							return
+						}
+					}
+					if s.beforeReload != nil {
+						s.beforeReload()
+					}
+					s.mu.Lock()
+					err = s.reloadShadowLocked()
+					s.mu.Unlock()
+				}
+				if err != nil {
 					s.counters.Inc(CtrRestoreErrors)
 					// Desync (e.g. a delta whose base we never saw): drop
 					// the connection and re-attach for a full resync.
@@ -208,11 +234,6 @@ func (s *Standby) serveConn(ctx context.Context, conn net.Conn) {
 					s.lastPrimaryID = 0
 					s.mu.Unlock()
 					return
-				}
-				if ack, aerr := replAckFrame(rep.ID, rep.Seq); aerr == nil {
-					if _, werr := conn.Write(ack); werr != nil {
-						return
-					}
 				}
 			}
 		}
@@ -254,12 +275,22 @@ func (s *Standby) appendMirror(rows telemetry.Batch) (telemetry.Batch, error) {
 
 // ApplySnapshot applies one replicated snapshot: decode, fold into the
 // in-memory state, persist to the local store, and reload the shadow
-// engine so it always mirrors the newest replicated cut. Already-applied
-// ids (duplicates around an attach resync) are skipped; a delta whose
-// base was never applied is a desync error.
+// engine so it mirrors the newest replicated cut. Already-applied ids
+// (duplicates around an attach resync) are skipped; a delta whose base
+// was never applied is a desync error.
 func (s *Standby) ApplySnapshot(rep *wire.ReplSnapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.foldLocked(rep); err != nil {
+		return err
+	}
+	return s.reloadShadowLocked()
+}
+
+// foldLocked is the durable half of applying a snapshot: decoded, folded
+// into the in-memory state and written — the bytes that arrived, under a
+// local header — to the local store. It leaves the shadow reload owed.
+func (s *Standby) foldLocked(rep *wire.ReplSnapshot) error {
 	if s.promoted {
 		// Promote closed the replication connection, but its reader may
 		// still drain already-buffered frames; loading them now would
@@ -273,7 +304,7 @@ func (s *Standby) ApplySnapshot(rep *wire.ReplSnapshot) error {
 	if rep.Term > s.primaryTerm {
 		s.primaryTerm = rep.Term
 	}
-	snap, err := checkpoint.DecodeSnapshot(bytes.NewReader(rep.Data))
+	snap, err := s.store.Decode(rep.Data)
 	if err != nil {
 		return fmt.Errorf("ha: decode replicated snapshot %d: %w", rep.ID, err)
 	}
@@ -286,13 +317,25 @@ func (s *Standby) ApplySnapshot(rep *wire.ReplSnapshot) error {
 		s.folded = snap
 	}
 	s.lastPrimaryID = rep.ID
+	s.shadowStale = true
 	if err := s.saveLocalLocked(snap, rep.Delta); err != nil {
 		return err
+	}
+	s.counters.Inc(CtrSnapshotsApplied)
+	return nil
+}
+
+// reloadShadowLocked brings the shadow engine up to folded when a fold
+// left it behind. After promotion the engine is serving and stays as
+// Promote adopted it.
+func (s *Standby) reloadShadowLocked() error {
+	if !s.shadowStale || s.promoted {
+		return nil
 	}
 	if err := s.loadShadow(s.folded); err != nil {
 		return fmt.Errorf("ha: refresh shadow engine: %w", err)
 	}
-	s.counters.Inc(CtrSnapshotsApplied)
+	s.shadowStale = false
 	return nil
 }
 
@@ -307,10 +350,12 @@ func (s *Standby) saveLocalLocked(snap *checkpoint.Snapshot, delta bool) error {
 	if !delta {
 		chain.Reset()
 	}
+	// A copy: the local header (Term here, BaseID in Chain.Save) differs
+	// from the one that arrived, the body — and the bytes snap remembers
+	// for it — does not.
 	toSave := *snap
 	if chain.Next() {
-		toSave = *s.folded
-		toSave.Delta, toSave.BaseID, toSave.Meta = false, 0, nil
+		toSave = s.folded.Full()
 	}
 	toSave.Term = s.primaryTerm
 	if _, err := chain.Save(&toSave); err != nil {
@@ -360,6 +405,12 @@ func (s *Standby) Promote(rc *transport.Receiver, every int) (*checkpoint.SPReco
 	if s.promoted {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("ha: already promoted")
+	}
+	// A snapshot acked but not yet loaded: the engine adopted below must
+	// hold every cut the primary was told is durable.
+	if err := s.reloadShadowLocked(); err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
 	s.promoted = true
 	if s.conn != nil {

@@ -10,28 +10,13 @@ import (
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/core"
 	"jarvis/internal/plan"
-	"jarvis/internal/stream"
-	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
 )
 
-// replicated builds the id-th snapshot of a linear replication stream:
-// id 1 is a base, every later one a delta adding one group.
+// replicated is linearSnapshot(id) as the replication stream carries it.
 func replicated(t *testing.T, id uint64) *wire.ReplSnapshot {
 	t.Helper()
-	agg := telemetry.NewAggRow(telemetry.NumKey(id), 0, float64(id))
-	snap := &checkpoint.Snapshot{
-		Checkpoint: stream.Checkpoint{
-			Watermark: int64(id) * 1_000_000,
-			Stages:    map[int]telemetry.Batch{2: {telemetry.NewAggRecord(agg, 10_000_000)}},
-		},
-		Seq:     id,
-		Sources: map[uint32]checkpoint.SourceState{1: {Watermark: int64(id) * 1_000_000, AppliedSeq: id}},
-	}
-	if id > 1 {
-		snap.Delta, snap.BaseID = true, id-1
-		snap.Meta = map[int]stream.StageDelta{2: {}}
-	}
+	snap := linearSnapshot(id)
 	var enc bytes.Buffer
 	if err := snap.Encode(&enc); err != nil {
 		t.Fatal(err)

@@ -216,6 +216,9 @@ type Pipeline struct {
 	results    telemetry.Batch
 	colDrains  []wire.ColumnarBatch
 	colResults wire.ColumnarBatch
+	// colDrainBytes is colDrains' accounting size, summed section by
+	// section as routeCols splits them off.
+	colDrainBytes int64
 
 	// restored holds records a RestoreCheckpoint emitted past the local
 	// chain; the next epoch's results lead with them.
@@ -370,6 +373,7 @@ func (p *Pipeline) RunEpochColumnar(cb *wire.ColumnarBatch) EpochResult {
 	for i := range p.colDrains {
 		p.colDrains[i].Secs = p.colDrains[i].Secs[:0]
 	}
+	p.colDrainBytes = 0
 	p.colResults.Secs = p.colResults.Secs[:0]
 
 	// Records queued in earlier epochs were already committed to local
@@ -536,17 +540,20 @@ func (p *Pipeline) routeRows(i int, in, fwd telemetry.Batch, room int) telemetry
 }
 
 // routeCols is routeRows for a SoA section: the split is a pair of fresh
-// selection vectors over the shared columns. (Two explicit loops: a
-// shared closure costs a call per row on the agent's hottest path.)
+// selection vectors over the shared columns, and the drained rows' bytes
+// are billed in one sum over the drain vector instead of row by row (so
+// the per-row calls below pass no size).
+// (Two explicit loops: a shared closure costs a call per row on the
+// agent's hottest path.)
 func (p *Pipeline) routeCols(i int, sec *wire.ColSec, room int) (fwdSel, drSel []int32) {
 	px := p.proxies[i]
 	fwdSel, drSel = p.takeSel(), p.takeSel()
 	if sec.Sel != nil {
 		for _, idx := range sec.Sel {
 			if len(fwdSel) >= room {
-				px.NoteForcedDrain(sec.RowBytes(int(idx)))
+				px.NoteForcedDrain(0)
 				drSel = append(drSel, idx)
-			} else if px.RouteSize(sec.RowBytes(int(idx))) {
+			} else if px.route() {
 				fwdSel = append(fwdSel, idx)
 			} else {
 				drSel = append(drSel, idx)
@@ -555,15 +562,18 @@ func (p *Pipeline) routeCols(i int, sec *wire.ColSec, room int) (fwdSel, drSel [
 	} else {
 		for idx := range sec.Times {
 			if len(fwdSel) >= room {
-				px.NoteForcedDrain(sec.RowBytes(idx))
+				px.NoteForcedDrain(0)
 				drSel = append(drSel, int32(idx))
-			} else if px.RouteSize(sec.RowBytes(idx)) {
+			} else if px.route() {
 				fwdSel = append(fwdSel, int32(idx))
 			} else {
 				drSel = append(drSel, int32(idx))
 			}
 		}
 	}
+	drained := sec.SelBytes(drSel)
+	px.stats.DrainedBytes += drained
+	p.colDrainBytes += drained
 	return p.lendSel(fwdSel), p.lendSel(drSel)
 }
 
@@ -696,8 +706,9 @@ func (p *Pipeline) finishEpoch() EpochResult {
 			p.prevStates[i] = st
 		}
 	}
+	res.DrainedBytes = p.colDrainBytes
 	for i := range p.drains {
-		res.DrainedBytes += p.drains[i].TotalBytes() + p.colDrains[i].TotalBytes()
+		res.DrainedBytes += p.drains[i].TotalBytes()
 	}
 	res.ResultBytes = p.results.TotalBytes() + p.colResults.TotalBytes()
 	return res

@@ -95,6 +95,16 @@ func (px *Proxy) Route(rec telemetry.Record) bool { return px.RouteSize(rec.Wire
 // mixing the two is bit-identical to the same sequence of materialized
 // records through Route alone.
 func (px *Proxy) RouteSize(bytes int) bool {
+	if px.route() {
+		return true
+	}
+	px.stats.DrainedBytes += int64(bytes)
+	return false
+}
+
+// route is RouteSize's decision and record counts without the drained
+// bytes, for the caller that bills a section's drained rows in one sum.
+func (px *Proxy) route() bool {
 	px.stats.In++
 	px.acc += px.p
 	if px.acc >= 1-1e-12 {
@@ -103,7 +113,6 @@ func (px *Proxy) RouteSize(bytes int) bool {
 		return true
 	}
 	px.stats.Drained++
-	px.stats.DrainedBytes += int64(bytes)
 	return false
 }
 

@@ -86,6 +86,13 @@ func (e *SPEngine) Ingest(stage int, batch telemetry.Batch) error {
 // headers and operators replace, never overwrite, shared columns and
 // rows.
 func (e *SPEngine) IngestColumnar(stage int, cb *wire.ColumnarBatch) error {
+	return e.IngestSized(stage, cb, cb.TotalBytes())
+}
+
+// IngestSized is IngestColumnar for a caller that already summed the
+// batch's accounting bytes (the receiver does once per frame, at
+// arrival): the engine books that sum instead of walking the batch again.
+func (e *SPEngine) IngestSized(stage int, cb *wire.ColumnarBatch, bytes int64) error {
 	start := obs.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -96,7 +103,7 @@ func (e *SPEngine) IngestColumnar(stage int, cb *wire.ColumnarBatch) error {
 	if live == 0 {
 		return nil
 	}
-	e.ingestBytes += cb.TotalBytes()
+	e.ingestBytes += bytes
 	e.ingestCount += int64(live)
 	e.runLocked(stage, cb.Secs)
 	obs.Since(obs.StageIngest, start)

@@ -335,7 +335,7 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 				rc.compRatio.Set(float64(rc.ctrRawBytes.Value()) / float64(w))
 			}
 		}
-		rc.noteFrame(f)
+		rc.noteFrame(&f)
 		if f.StreamID == wire.ControlStreamID {
 			for _, rec := range f.Records {
 				switch c := rec.Data.(type) {
@@ -463,10 +463,14 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 	}
 }
 
-func (rc *Receiver) noteFrame(f wire.Frame) {
+// noteFrame counts an arrived frame. Its payload bytes are summed here,
+// once, into the frame: admission and the engine's ingress accounting
+// read the sum off the staged frame.
+func (rc *Receiver) noteFrame(f *wire.Frame) {
+	f.Bytes = f.PayloadBytes()
 	rc.mu.Lock()
 	rc.frames++
-	rc.bytesIn += f.PayloadBytes()
+	rc.bytesIn += f.Bytes
 	rc.mu.Unlock()
 	rc.counters.Inc(CtrFramesIn)
 }
@@ -495,7 +499,7 @@ func eachWatermark(f wire.Frame, fn func(wm int64)) {
 // path it was decoded for.
 func (rc *Receiver) ingest(f wire.Frame) error {
 	if f.Cols != nil {
-		return rc.engine.IngestColumnar(int(f.StreamID), f.Cols)
+		return rc.engine.IngestSized(int(f.StreamID), f.Cols, f.PayloadBytes())
 	}
 	return rc.engine.Ingest(int(f.StreamID), f.Records)
 }

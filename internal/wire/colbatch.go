@@ -125,56 +125,82 @@ func (cb *ColumnarBatch) Records() int {
 	return n
 }
 
-// rowBytes returns the accounting wire size of one live row, matching
-// what the row-materializing decoder would stamp into Record.WireSize.
-func (s *ColSec) rowBytes(i int) int64 {
+// bytes sums the accounting wire sizes — what the row-materializing
+// decoder would stamp into Record.WireSize — of the rows sel names, or of
+// every row when sel is nil. The section's kind is resolved once, not
+// per row: fixed-size payloads (probes) sum in O(1), the others walk only
+// their string columns.
+func (s *ColSec) bytes(sel []int32) int64 {
+	n := int64(len(sel))
+	if sel == nil {
+		n = int64(len(s.Times))
+	}
 	switch {
 	case s.Ping != nil:
-		return telemetry.PingProbeWireSize
+		return telemetry.PingProbeWireSize * n
 	case s.ToR != nil:
-		return telemetry.ToRProbeWireSize
+		return telemetry.ToRProbeWireSize * n
 	case s.Log != nil:
-		return int64(len(s.Log.Raw[i]))
+		return strBytes(s.Log.Raw, sel, 0)
 	case s.Job != nil:
-		return int64(len(s.Job.Tenant[i]) + len(s.Job.StatName[i]) + 8 + 8 + 4 + 16)
+		return strBytes(s.Job.Tenant, sel, 0) + strBytes(s.Job.StatName, sel, 0) + (8+8+4+16)*n
 	case s.Agg != nil:
-		keyLen := 8
-		if s.Agg.KeyStr[i] != "" {
-			keyLen = len(s.Agg.KeyStr[i])
-		}
-		return int64(keyLen + 8 + 8 + 8 + 8 + 8 + 16)
+		// A numeric key weighs 8 bytes, a string key its length.
+		return strBytes(s.Agg.KeyStr, sel, 8) + (8+8+8+8+8+16)*n
 	default:
 		return 0
 	}
 }
 
+// strBytes sums the lengths of col's strings at sel (all of col when sel
+// is nil), counting an empty string as empty bytes.
+func strBytes(col []string, sel []int32, empty int64) (total int64) {
+	add := func(v string) {
+		if v == "" {
+			total += empty
+		} else {
+			total += int64(len(v))
+		}
+	}
+	if sel == nil {
+		for _, v := range col {
+			add(v)
+		}
+		return total
+	}
+	for _, i := range sel {
+		add(col[i])
+	}
+	return total
+}
+
 // RowBytes returns the accounting wire size of one row — the WireSize a
 // materialized Record for it would carry. Callers pass live indices; the
 // selection vector itself is not consulted.
-func (s *ColSec) RowBytes(i int) int { return int(s.rowBytes(i)) }
+func (s *ColSec) RowBytes(i int) int {
+	sel := [1]int32{int32(i)}
+	return int(s.bytes(sel[:]))
+}
+
+// SelBytes returns the summed accounting wire size of exactly the rows
+// sel names (none for an empty or nil sel), whatever the section's own
+// selection vector says.
+func (s *ColSec) SelBytes(sel []int32) int64 {
+	if len(sel) == 0 {
+		return 0
+	}
+	return s.bytes(sel)
+}
 
 // TotalBytes returns the sum of live rows' accounting wire sizes — the
-// columnar equivalent of telemetry.Batch.TotalBytes. Fixed-size payload
-// sections (probes) sum in O(1); only variable-size payloads walk rows.
+// columnar equivalent of telemetry.Batch.TotalBytes.
 func (cb *ColumnarBatch) TotalBytes() int64 {
 	var total int64
 	for si := range cb.Secs {
-		s := &cb.Secs[si]
-		switch {
-		case s.Rows != nil:
+		if s := &cb.Secs[si]; s.Rows != nil {
 			total += s.Rows.TotalBytes()
-		case s.Ping != nil:
-			total += telemetry.PingProbeWireSize * int64(s.Len())
-		case s.ToR != nil:
-			total += telemetry.ToRProbeWireSize * int64(s.Len())
-		case s.Sel != nil:
-			for _, i := range s.Sel {
-				total += s.rowBytes(int(i))
-			}
-		default:
-			for i := 0; i < len(s.Times); i++ {
-				total += s.rowBytes(i)
-			}
+		} else {
+			total += s.bytes(s.Sel)
 		}
 	}
 	return total

@@ -463,3 +463,56 @@ func TestLegacyHelloDecodes(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnarBytesMatchRows: the kind-hoisted byte sums (TotalBytes,
+// SelBytes, RowBytes) weigh every section kind exactly as the
+// materialized records' WireSize does, dense and under a selection.
+func TestColumnarBytesMatchRows(t *testing.T) {
+	var cb ColumnarBatch
+	payload := writeColumnar(t, Frame{StreamID: 1, Records: mixedBatch()}, false)[16:]
+	if err := NewColumnarDecoder().DecodeColumnar(payload, &cb); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string) {
+		t.Helper()
+		var rows telemetry.Batch
+		cb.AppendRows(&rows)
+		if got, want := cb.TotalBytes(), rows.TotalBytes(); got != want {
+			t.Fatalf("%s: columns weigh %d bytes, their rows %d", name, got, want)
+		}
+		for si := range cb.Secs {
+			s := &cb.Secs[si]
+			if s.Rows != nil {
+				continue
+			}
+			var sec telemetry.Batch
+			s.AppendRows(&sec)
+			var live []int32
+			s.Live(func(i int) { live = append(live, int32(i)) })
+			for k, i := range live {
+				if got := s.RowBytes(int(i)); got != sec[k].WireSize {
+					t.Fatalf("%s: section %d row %d weighs %d, its record %d", name, si, i, got, sec[k].WireSize)
+				}
+			}
+			if got, want := s.SelBytes(live), sec.TotalBytes(); got != want {
+				t.Fatalf("%s: section %d: SelBytes %d, rows %d", name, si, got, want)
+			}
+		}
+	}
+	check("dense")
+	for si := range cb.Secs {
+		s := &cb.Secs[si]
+		if s.Rows != nil {
+			continue
+		}
+		if s.SelBytes(nil) != 0 || s.SelBytes([]int32{}) != 0 {
+			t.Fatalf("section %d: an empty selection weighs something", si)
+		}
+		for i := 0; i < s.N(); i++ {
+			if i%3 != 1 {
+				s.Sel = append(s.Sel, int32(i))
+			}
+		}
+	}
+	check("selected")
+}

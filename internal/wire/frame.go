@@ -69,11 +69,19 @@ type Frame struct {
 	// the frame arrived columnar. Exactly one of Records/Cols is set for
 	// a data frame.
 	Cols *ColumnarBatch
+	// Bytes caches PayloadBytes once a holder has summed it — a holder
+	// that leaves the payload as it is from then on (the receiver, which
+	// sums a frame at arrival and again needs the sum at admission and at
+	// ingest). 0 means not summed. Writers ignore it.
+	Bytes int64
 }
 
 // PayloadBytes returns the frame's accounting payload size, whichever
-// form it was decoded into.
+// form it was decoded into: the cached sum when there is one.
 func (f *Frame) PayloadBytes() int64 {
+	if f.Bytes != 0 {
+		return f.Bytes
+	}
 	if f.Cols != nil {
 		return f.Cols.TotalBytes()
 	}
