@@ -57,9 +57,7 @@ type Standby struct {
 // local durable directory (snapshot store + mirrored result log). The
 // processor must be built from the same query as the primary's, so
 // replicated stage ids line up; shadow loads go through
-// Processor.LoadSnapshot, which also keeps the sharded in-process
-// ingest state coherent with the restored root engine after promotion.
-// counters may be nil.
+// Processor.LoadSnapshot. counters may be nil.
 func NewStandby(proc *core.Processor, dir string, counters *obs.Registry) (*Standby, error) {
 	if counters == nil {
 		counters = obs.NewRegistry()

@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"container/heap"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -230,16 +231,6 @@ type Cluster struct {
 	cEpochs   obs.Counter
 	cFailover obs.Counter
 }
-
-// rwConn adapts a (reader, ack-buffer) pair to the receiver's conn
-// interface for synchronous flush sessions.
-type rwConn struct {
-	r *bytes.Reader
-	w *bytes.Buffer
-}
-
-func (c rwConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
-func (c rwConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 
 // NewCluster compiles a ClusterConfig into a runnable simulation.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -570,8 +561,11 @@ func (rn *replayNode) tick() error {
 		buf.Write(f)
 	}
 	rn.cursor++
-	var ack bytes.Buffer
-	return rn.sp.rc.HandleConn(rwConn{bytes.NewReader(buf.Bytes()), &ack})
+	// A recording has no shipper to adopt acks: they are discarded.
+	return rn.sp.rc.HandleConn(struct {
+		io.Reader
+		io.Writer
+	}{&buf, io.Discard})
 }
 
 // tick runs one virtual epoch on a spec node: generate (or skip), run
@@ -601,29 +595,10 @@ func (n *clusterNode) tick(epoch, dataEpochs int, durMicros int64) error {
 		// and drain on the first flush after recovery.
 		return nil
 	}
-	return n.flush()
-}
-
-// flush runs one synchronous shipper→SP session: hello + all pending
-// epochs in, acks out. A shed epoch requests replay via its ack; one
-// immediate re-flush serves it without waiting a full epoch.
-func (n *clusterNode) flush() error {
-	for attempt := 0; attempt < 2; attempt++ {
-		data, err := n.ship.ResumeBytes()
-		if err != nil {
-			return err
-		}
-		var ack bytes.Buffer
-		if err := n.sp.rc.HandleConn(rwConn{bytes.NewReader(data), &ack}); err != nil {
-			return fmt.Errorf("sim: node %d flush: %w", n.spec.Index, err)
-		}
-		replay, err := n.ship.AdoptAcks(ack.Bytes())
-		if err != nil {
-			return err
-		}
-		if !replay {
-			return nil
-		}
+	// Hello + all pending epochs in, acks out; a shed epoch's replay
+	// request is served at once, not a full epoch later.
+	if err := n.ship.Flush(n.sp.rc); err != nil {
+		return fmt.Errorf("sim: node %d flush: %w", n.spec.Index, err)
 	}
 	return nil
 }

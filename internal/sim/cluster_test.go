@@ -245,12 +245,7 @@ func recordClusterCapture(t *testing.T, epochs, quietTail int) (capture, dump []
 			t.Fatal(err)
 		}
 	}
-	data, err := ship.ResumeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack bytes.Buffer
-	if err := rc.HandleConn(rwConn{bytes.NewReader(data), &ack}); err != nil {
+	if err := ship.Flush(rc); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Err(); err != nil {

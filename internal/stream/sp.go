@@ -23,8 +23,8 @@ import (
 // reports consumed CPU rather than capping it.
 //
 // All exported methods are safe for concurrent use: an engine may be fed
-// by transport connections and the sharded Processor at once, each with
-// their own locking discipline, so the engine serializes internally.
+// by several receivers and restore paths at once, each with their own
+// locking discipline, so the engine serializes internally.
 type SPEngine struct {
 	mu    sync.Mutex
 	query *plan.Query
@@ -186,20 +186,7 @@ func (e *SPEngine) effectiveWMLocked() int64 {
 func (e *SPEngine) Advance() telemetry.Batch {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.advanceToLocked(e.effectiveWMLocked())
-}
-
-// AdvanceTo flushes stateful operators up to an explicit watermark and
-// returns the final records emitted since the last call. The concurrent
-// Processor uses it to flush its shard replicas at the globally merged
-// watermark instead of each shard's local minimum.
-func (e *SPEngine) AdvanceTo(wm int64) telemetry.Batch {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.advanceToLocked(wm)
-}
-
-func (e *SPEngine) advanceToLocked(wm int64) telemetry.Batch {
+	wm := e.effectiveWMLocked()
 	emit := func(out telemetry.Record) { e.flushRows = append(e.flushRows, out) }
 	for i, op := range e.ops {
 		if !op.Stateful() {

@@ -180,11 +180,7 @@ func TestColumnarRowParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var acks bytes.Buffer
-				if err := rc.HandleConn(rwConn{bytes.NewReader(data), &acks}); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sh.AdoptAcks(acks.Bytes()); err != nil {
+				if err := sh.Flush(rc); err != nil {
 					t.Fatal(err)
 				}
 				return data

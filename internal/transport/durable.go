@@ -391,12 +391,9 @@ func (d *DurableShipper) helloLocked() ([]byte, error) {
 // ResumeBytes renders the shipper's resume stream as one byte string:
 // the Hello handshake followed by every pending (unacked) epoch in the
 // canonical encoding. It is the connectionless counterpart of
-// ConnectConn for synchronous flush sessions — the deterministic
-// cluster sim writes the stream straight into a receiver's HandleConn,
-// collects the ack bytes it wrote back, and feeds them to AdoptAcks; no
-// goroutines, no sockets, no wall clock. Replayed pending epochs
-// deduplicate against the receiver's applied frontier exactly as a live
-// reconnect's replay does.
+// ConnectConn for synchronous flush sessions (Flush). Replayed pending
+// epochs deduplicate against the receiver's applied frontier exactly as
+// a live reconnect's replay does.
 func (d *DurableShipper) ResumeBytes() ([]byte, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -439,6 +436,34 @@ func (d *DurableShipper) AdoptAcks(data []byte) (replay bool, err error) {
 			replay = true
 		}
 	}
+}
+
+// Flush runs one synchronous session into a receiver in this process:
+// the resume stream goes straight into HandleConn, the ack bytes it
+// wrote back are adopted, and a replay request (a shed epoch) is served
+// by one immediate second session. No goroutines, no sockets, no wall
+// clock — the deterministic cluster sim and the in-process building
+// block (core.Processor.Consume) speak the full protocol this way. On
+// an error the unacked epochs stay pending for the next Flush.
+func (d *DurableShipper) Flush(rc *Receiver) error {
+	for attempt := 0; attempt < 2; attempt++ {
+		data, err := d.ResumeBytes()
+		if err != nil {
+			return err
+		}
+		var acks bytes.Buffer
+		conn := struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(data), &acks}
+		if err := rc.HandleConn(conn); err != nil {
+			return err
+		}
+		if replay, err := d.AdoptAcks(acks.Bytes()); err != nil || !replay {
+			return err
+		}
+	}
+	return nil
 }
 
 // readAck scans frames until the first Ack control record.

@@ -30,16 +30,25 @@
 # epochs). A run the harness declares void is repeated, and counted per
 # side. Every run's result line is kept under .bench_build/pair/runs/seed<S>/.
 #
+# Beside the metrics it prints, per run and per side, the share of the run's
+# CPU time the hypervisor gave to another guest (steal: /proc/stat's cpu
+# line, 8th value, before and after, over the sum of the first eight), and
+# how many runs lost more than 10 %: a side whose slow runs are its stolen
+# runs was slowed by the box, not by its code. A void run's line carries its
+# own. --owner prints the same per round.
+#
 # --owner runs the layer benchmarks instead (bench_test.go, the `go test
 # -bench` functions matching the regexp): the root test binary of each side
-# is built once, and each of N rounds runs both — alternating which goes
-# first — with -test.benchmem -test.cpu 2 -test.count 1. Per benchmark it
-# prints both sides' min / median / max of ns/op, B/op and allocs/op and the
-# rounds each side won on ns/op; a benchmark one side does not have reads
-# n/a there. It reports, it does not judge: there is no bound for a layer,
-# and when bench_test.go itself differs between the sides the two binaries
-# link different code and lay identical functions out at different
-# addresses, which alone moves a flate-heavy loop by several per cent.
+# is built once — both from the working tree's bench_test.go, copied over
+# the base's the way benchmark/ is, because two different files lay
+# identical functions out at different addresses, which alone moves a
+# flate-heavy loop by several per cent; a base that does not compile with
+# it keeps its own file, and stderr says so — and each of N rounds runs
+# both, alternating which goes first, with -test.benchmem -test.cpu 2
+# -test.count 1. Per benchmark it prints both sides' min / median / max of
+# ns/op, B/op and allocs/op and the rounds each side won on ns/op; a
+# benchmark one side does not have reads n/a there. It reports, it does
+# not judge: there is no bound for a layer.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -67,6 +76,23 @@ metrics="$(awk '/"end_to_end"/ {on=1} on && /\]/ {exit}
   on && /"name"/ {gsub(/[",]/, ""); name=$2} on && /"better"/ {gsub(/[",]/, ""); better=$2}
   on && /"bound"/ {gsub(/[",]/, ""); print name, better, $2}' BENCHMARK.json)"
 
+# ticks prints "steal total" of the guest's cpu line so far, in clock ticks
+# over all cores ("0 0" where there is no /proc/stat); steal_since <steal>
+# <total> the per cent of the ticks since then that were stolen; steal_line
+# <side> <prefix> one side's runs (<prefix>.<i>.steal, in run order) and how
+# many of them lost over 10 %.
+ticks() { awk '$1 == "cpu" { for (f = 2; f <= 9; f++) t += $f; print $9 + 0, t + 0; exit }' /proc/stat 2> /dev/null || echo 0 0; }
+steal_since() {
+  local s1 t1
+  read -r s1 t1 < <(ticks)
+  awk -v s="$((s1 - $1))" -v t="$((t1 - $2))" 'BEGIN { printf "%.1f\n", (t > 0) ? 100 * s / t : 0 }'
+}
+steal_line() {
+  local i
+  for ((i = 0; i < pairs; i++)); do cat "$2.$i.steal"; done | awk -v side="$1" '{ runs = runs " " $1; if ($1 > 10) over++ }
+    END { printf "%-22s %s%s   %d of %d runs above 10 %%\n", "steal %", side, runs, over, NR }'
+}
+
 pair="$root/.bench_build/pair"
 rm -rf "$pair/base" "$pair/runs"
 mkdir -p "$pair/base" "$pair/runs"
@@ -76,12 +102,24 @@ cp -r benchmark "$pair/base/benchmark"
 
 if [ -n "$owner" ]; then
   echo "base $(git rev-parse --short "$base_ref") in $pair/base, change = working tree; owner benchmarks /$owner/, $pairs rounds, -cpu 2"
-  (cd "$pair/base" && go test -c -o "$pair/base.test" .)
+  # Both binaries link the working tree's bench_test.go, as both trees run the
+  # working tree's benchmark/: the base keeps its own only when it does not
+  # compile against the newer file.
+  cp "$pair/base/bench_test.go" "$pair/base.bench_test.go"
+  cp bench_test.go "$pair/base/bench_test.go"
+  if ! (cd "$pair/base" && go test -c -o "$pair/base.test" . 2> "$pair/runs/base.build.txt"); then
+    echo "bench-pair: the base does not compile with the working tree's bench_test.go ($(head -n 2 "$pair/runs/base.build.txt" | tail -n 1)); it keeps its own, so the two binaries link different benchmark code" >&2
+    cp "$pair/base.bench_test.go" "$pair/base/bench_test.go"
+    (cd "$pair/base" && go test -c -o "$pair/base.test" .)
+  fi
   go test -c -o "$pair/change.test" .
   # owner_run <side> <tree> <i>: one round of one side, from its package directory.
   owner_run() {
+    local s0 t0
+    read -r s0 t0 < <(ticks)
     (cd "$2" && "$pair/$1.test" -test.run '^$' -test.bench "$owner" -test.benchmem -test.cpu 2 -test.count 1 -test.timeout 60m) \
       > "$pair/runs/owner.$1.$3.txt" || { echo "bench-pair: $1 owner round $3 failed:" >&2; tail -n 20 "$pair/runs/owner.$1.$3.txt" >&2; exit 1; }
+    steal_since "$s0" "$t0" > "$pair/runs/owner.$1.$3.steal"
   }
   for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then
@@ -116,6 +154,10 @@ if [ -n "$owner" ]; then
           delta = (b != "n/a" && c != "n/a" && med[name, "base", units[u]] > 0) ? sprintf("%+.2f%%", 100 * (med[name, "change", units[u]] - med[name, "base", units[u]]) / med[name, "base", units[u]]) : ""
           printf "  %-10s base %-36s change %-36s %s\n", units[u], b, c, delta } }
       if (!names) print "\nno benchmark on either side matches the regexp" }'
+  echo
+  for side in base change; do
+    steal_line "$side" "$pair/runs/owner.$side"
+  done
   exit 0
 fi
 
@@ -126,12 +168,14 @@ echo "base $(git rev-parse --short "$base_ref") in $pair/base, change = working 
 # open loop, lost connection, wrong output) is counted against its side and
 # repeated.
 run() {
-  local out="$runs/$3.$1.$4.json" try
+  local out="$runs/$3.$1.$4.json" try s0 t0
   for try in 1 2 3; do
+    read -r s0 t0 < <(ticks)
     if bash "$2/benchmark/run.sh" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0 2> "$runs/stderr" | tail -n 1 > "$out"; then
+      steal_since "$s0" "$t0" > "$runs/$3.$1.$4.steal"
       return
     fi
-    tail -n 1 "$runs/stderr" >> "$runs/$3.$1.void"
+    echo "$(tail -n 1 "$runs/stderr") [steal $(steal_since "$s0" "$t0") %]" >> "$runs/$3.$1.void"
   done
   echo "bench-pair: $1 run $4 of $3 (seed $seed) was void three times: $(tail -n 1 "$runs/stderr")" >&2
   exit 1
@@ -190,6 +234,7 @@ for seed in $seeds; do
       read -r f a < "$runs/$w.$side.failed.txt"
       printf '%-22s %s %d of %d epochs\n' failed "$side" "$f" "$a"
       [ ! -e "$runs/$w.$side.void" ] || printf '%-22s %s %d repeated: %s\n' "void runs" "$side" "$(wc -l < "$runs/$w.$side.void")" "$(sort -u "$runs/$w.$side.void" | tr '\n' ';')"
+      steal_line "$side" "$runs/$w.$side"
     done
     if awk 'NR == FNR {b = $1 / ($2 ? $2 : 1); next} {exit !($1 / ($2 ? $2 : 1) > b)}' "$runs/$w.base.failed.txt" "$runs/$w.change.failed.txt"; then
       echo "failed                 the change fails a larger share of epochs: regressed"
