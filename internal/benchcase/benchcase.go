@@ -324,6 +324,72 @@ func LogIngest() (*stream.SPEngine, [][]StageBatch, error) {
 	return engine, epochs, nil
 }
 
+// WindowClose builds the window close of the repository benchmark's
+// s2s-neardata SP: an S2SProbe engine plus what its two agents (budget
+// 1.0, every load factor 1, the harness's source addresses 10.0.0.1 and
+// 10.0.0.2) ship in the epoch their first 10 s window closes — one
+// partial AggRow per (src, dst) pair, about 20 000 each — decoded to SoA
+// as the receiver hands them to SPEngine.IngestColumnar. Both sources are
+// registered at that epoch's watermark, past the window's end, so
+// ingesting the batches and calling Advance merges about 40 000 groups
+// and closes the window; doing both again reopens and recloses it. It
+// also returns the group count one close emits.
+func WindowClose() (*stream.SPEngine, []StageBatch, int, error) {
+	engine, err := stream.NewSPEngine(plan.S2SProbe())
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var batches []StageBatch
+	groups := 0
+	for a := uint32(1); a <= 2; a++ {
+		pipe, err := stream.NewPipeline(plan.S2SProbe(), stream.DefaultOptions(1.0, 0))
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if err := pipe.SetLoadFactors([]float64{1, 1, 1}); err != nil {
+			return nil, nil, 0, err
+		}
+		cfg := workload.DefaultPingConfig(uint64(a))
+		cfg.SrcIP = 0x0A000000 + a
+		gen := workload.NewPingGen(cfg)
+		var res stream.EpochResult
+		for epoch := 0; len(res.Results)+res.ColResults.Records() == 0; epoch++ {
+			if epoch == 20 {
+				return nil, nil, 0, fmt.Errorf("benchcase: agent %d closed no window in %d one-second epochs", a, epoch)
+			}
+			var cb wire.ColumnarBatch
+			gen.NextWindowCols(1_000_000, &cb)
+			res = pipe.RunEpochColumnar(&cb)
+		}
+		groups += len(res.Results) + res.ColResults.Records()
+		sh := transport.NewDurableShipper(a, 0)
+		if err := sh.ShipEpoch(res); err != nil {
+			return nil, nil, 0, err
+		}
+		data, err := sh.ResumeBytes()
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		fr := wire.NewFrameReader(bytes.NewReader(data))
+		fr.SetColumnarExec(true)
+		for {
+			f, err := fr.ReadFrame()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			if f.Cols != nil && f.StreamID != wire.ControlStreamID && f.StreamID != transport.WatermarkStreamID {
+				batches = append(batches, StageBatch{Stage: int(f.StreamID), Cols: f.Cols})
+			}
+		}
+		engine.RegisterSource(a)
+		engine.ObserveWatermark(a, res.Watermark)
+	}
+	return engine, batches, groups, nil
+}
+
 // NewEpochDecoder returns a frame reader set up as Receiver.HandleConn
 // sets its own up: data frames decode to SoA sections in pooled arenas.
 func NewEpochDecoder() *wire.FrameReader {

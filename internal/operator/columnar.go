@@ -179,26 +179,13 @@ func (g *GroupAgg) observeNumKeyed(st *numAggState, window int64, key uint64, va
 		st.win = g.window(window)
 		st.win.gen = g.gen
 		st.winID, st.haveWin = window, true
-		if st.win.wantCacheGrow() {
-			st.win.growCache()
-		}
 	}
-	// Direct-mapped cell cache (Fibonacci hash). See aggWindow.cache for
-	// why hits can't be stale; misses fall through to the window map.
-	slot := &st.win.cache[(key*0x9e3779b97f4a7c15)>>st.win.cacheShift]
-	cell := slot.cell
-	if cell == nil || slot.key != key {
-		cell = st.win.num[key]
-		if cell == nil {
-			cell = &aggCell{row: telemetry.NewAggRow(telemetry.NumKey(key), window, val), gen: g.gen}
-			st.win.num[key] = cell
-			slot.key, slot.cell = key, cell
-			return
-		}
-		slot.key, slot.cell = key, cell
+	if cell := st.win.nums.find(key); cell != nil {
+		cell.row.Observe(val)
+		cell.gen = g.gen
+		return
 	}
-	cell.row.Observe(val)
-	cell.gen = g.gen
+	st.win.nums.insert(aggCell{row: telemetry.NewAggRow(telemetry.NumKey(key), window, val), gen: g.gen})
 }
 
 // aggPingPairRTT aggregates a ping section straight from its columns:
@@ -318,9 +305,7 @@ func (g *GroupAgg) aggJobStats(sec *wire.ColSec, useStat bool) {
 			}
 			cell = win.lookup(key)
 			if cell == nil {
-				cell = &aggCell{row: telemetry.NewAggRow(key, w, val), gen: g.gen}
-				win.store(key, cell)
-				win.byRef[ref] = cell
+				win.byRef[ref] = win.store(aggCell{row: telemetry.NewAggRow(key, w, val), gen: g.gen})
 				return
 			}
 			win.byRef[ref] = cell

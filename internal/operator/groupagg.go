@@ -1,9 +1,7 @@
 package operator
 
 import (
-	"slices"
 	"sort"
-	"strings"
 
 	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
@@ -49,6 +47,13 @@ type GroupAgg struct {
 	// syms is the symbol table behind sym: the operator's own copies of
 	// the key parts its byRef caches are keyed on.
 	syms map[string]string
+	// numHint is the numeric group count of the last window closed: what
+	// a new window's table is presized for.
+	numHint int
+	// order and strCells are window-close scratch: the ordering routine's
+	// buffers and the string-keyed cells of the window being emitted.
+	order    keyOrder
+	strCells []*aggCell
 }
 
 // maxClosedTombstones bounds the closed-window list an operator keeps
@@ -71,68 +76,18 @@ func (g *GroupAgg) noteClosed(w int64) {
 }
 
 // aggWindow is one window's group state plus its newest touch stamp.
-// Purely numeric keys (the probe queries' case) live in a map hashed on
-// the bare uint64 — hashing and comparing the full GroupKey struct (8 B
-// + string header) costs ~2× per record on the aggregation hot path.
+// Purely numeric keys (the probe queries' case) live in nums, one flat
+// table keyed on the bare uint64 with its cells in insertion order;
+// keys carrying a string live in str, one heap cell per group.
 type aggWindow struct {
-	num map[uint64]*aggCell             // keys with Str == ""
-	str map[telemetry.GroupKey]*aggCell // keys carrying a string
-	gen uint64
+	nums numTable                        // keys with Str == ""
+	str  map[telemetry.GroupKey]*aggCell // keys carrying a string
+	gen  uint64
 	// byRef caches cells under their columnar refs (tenant, statName,
 	// bucket) so the SoA JobStats kernel assembles the canonical string
 	// key once per group, not once per row. Entries alias cells of str;
 	// the cache dies with the window.
 	byRef map[jobRefKey]*aggCell
-	// cache is a direct-mapped front for num, indexed by a Fibonacci
-	// hash of the key. The SoA aggregation kernels re-observe the same
-	// hot groups every epoch, and the map probe (hash + SIMD group
-	// scan) dominates their per-record cost; a cache hit replaces it
-	// with one multiply, one compare and one load. Entries never go
-	// stale: a window's key→cell binding is append-only (every store
-	// site is guarded by a lookup miss), so a cached pointer stays the
-	// canonical cell until the window itself is deleted.
-	cache      []aggCellSlot
-	cacheShift uint8
-}
-
-// aggCellSlot is one direct-mapped cache entry; cell == nil marks empty.
-type aggCellSlot struct {
-	key  uint64
-	cell *aggCell
-}
-
-// Cache sizing: start at 4096 slots (64 KiB) and quadruple while the
-// window holds more numeric groups than half the slot count, capped at
-// 65536 slots (1 MiB) — at the paper's Pingmesh cardinality (~20k live
-// pairs per window) that settles at a ~0.3 load factor. Growth is
-// checked once per run of equal window ids, not per record, and resets
-// the slots (they refill from map hits within one section).
-const (
-	aggCacheMinSlots = 1 << 12
-	aggCacheMaxSlots = 1 << 16
-)
-
-// wantCacheGrow reports whether the window's cell cache is absent or
-// undersized for its current group count.
-func (w *aggWindow) wantCacheGrow() bool {
-	return w.cache == nil ||
-		(len(w.num) > len(w.cache)>>1 && len(w.cache) < aggCacheMaxSlots)
-}
-
-func (w *aggWindow) growCache() {
-	size := aggCacheMinSlots
-	for size <= 2*len(w.num) && size < aggCacheMaxSlots {
-		size <<= 2
-	}
-	if len(w.cache) >= size {
-		return
-	}
-	w.cache = make([]aggCellSlot, size)
-	shift := uint8(64)
-	for s := size; s > 1; s >>= 1 {
-		shift--
-	}
-	w.cacheShift = shift
 }
 
 // aggCell is one group's row plus its newest touch stamp.
@@ -141,25 +96,36 @@ type aggCell struct {
 	gen uint64
 }
 
+// lookup returns key's cell, or nil. A numeric key's cell is valid until
+// the window's next store.
 func (w *aggWindow) lookup(key telemetry.GroupKey) *aggCell {
 	if key.Str == "" {
-		return w.num[key.Num]
+		return w.nums.find(key.Num)
 	}
 	return w.str[key]
 }
 
-func (w *aggWindow) store(key telemetry.GroupKey, cell *aggCell) {
-	if key.Str == "" {
-		w.num[key.Num] = cell
-		return
+// store adds a group the window does not hold yet, keyed on its row's
+// key, and returns its cell.
+func (w *aggWindow) store(c aggCell) *aggCell {
+	if c.row.Key.Str == "" {
+		return w.nums.insert(c)
 	}
+	p := new(aggCell)
+	*p = c
+	return w.adopt(p)
+}
+
+// adopt files a string-keyed cell the caller allocated under its key.
+func (w *aggWindow) adopt(c *aggCell) *aggCell {
 	if w.str == nil {
 		w.str = make(map[telemetry.GroupKey]*aggCell)
 	}
-	w.str[key] = cell
+	w.str[c.row.Key] = c
+	return c
 }
 
-func (w *aggWindow) count() int { return len(w.num) + len(w.str) }
+func (w *aggWindow) count() int { return len(w.nums.cells) + len(w.str) }
 
 // NewGroupAgg creates a grouping/aggregation operator. windowDurMicros
 // must match the upstream Window operator so flushed window ids map to
@@ -180,11 +146,12 @@ func NewGroupAgg(name string, windowDurMicros int64,
 	}
 }
 
-// window returns (creating if needed) the state for window id w.
+// window returns (creating if needed) the state for window id w; a new
+// window's numeric table is presized for the last closed window's groups.
 func (g *GroupAgg) window(w int64) *aggWindow {
 	win := g.state[w]
 	if win == nil {
-		win = &aggWindow{num: make(map[uint64]*aggCell)}
+		win = &aggWindow{nums: newNumTable(g.numHint)}
 		g.state[w] = win
 	}
 	return win
@@ -281,7 +248,7 @@ func (g *GroupAgg) observeRows(in telemetry.Batch) {
 		val := g.valFn(*rec)
 		cell := win.lookup(key)
 		if cell == nil {
-			win.store(key, &aggCell{row: telemetry.NewAggRow(key, rec.Window, val), gen: g.gen})
+			win.store(aggCell{row: telemetry.NewAggRow(key, rec.Window, val), gen: g.gen})
 			continue
 		}
 		cell.row.Observe(val)
@@ -290,49 +257,68 @@ func (g *GroupAgg) observeRows(in telemetry.Batch) {
 }
 
 func (g *GroupAgg) mergePartial(window int64, partial *telemetry.AggRow) {
-	if partial.Window != 0 {
-		window = partial.Window
-	}
+	window = partialWindow(window, partial)
 	win := g.window(window)
 	win.gen = g.gen
 	cell := win.lookup(partial.Key)
 	if cell == nil {
-		cell = &aggCell{row: *partial, gen: g.gen}
-		cell.row.Window = window
-		win.store(partial.Key, cell)
+		c := aggCell{row: *partial, gen: g.gen}
+		c.row.Window = window
+		win.store(c)
 		return
 	}
 	cell.row.Merge(*partial)
 	cell.gen = g.gen
 }
 
-// AbsorbSnapshot implements SnapshotAbsorber: it merges a whole batch of
-// AggRow snapshot rows with one arena allocation for all new groups,
-// instead of one heap row per group — the bulk restore path.
+// partialWindow is the window a partial row merges into: its own, or the
+// carrying record's when the row names none.
+func partialWindow(window int64, partial *telemetry.AggRow) int64 {
+	if partial.Window != 0 {
+		return partial.Window
+	}
+	return window
+}
+
+// AbsorbSnapshot implements SnapshotAbsorber: the bulk restore path. A
+// window it opens is presized for its own numeric rows in the batch (one
+// batch holds every open window of a stage), and all new string-keyed
+// groups share one arena allocation instead of one heap cell each.
 func (g *GroupAgg) AbsorbSnapshot(rows telemetry.Batch) bool {
+	nStr, numRows := 0, make(map[int64]int)
 	for i := range rows {
-		if _, ok := rows[i].Data.(*telemetry.AggRow); !ok {
+		row, ok := rows[i].Data.(*telemetry.AggRow)
+		if !ok {
 			return false
 		}
+		if row.Key.Str != "" {
+			nStr++
+		} else {
+			numRows[partialWindow(rows[i].Window, row)]++
+		}
 	}
-	cells := make([]aggCell, len(rows))
+	strCells := make([]aggCell, nStr)
 	k := 0
 	for i := range rows {
 		partial := rows[i].Data.(*telemetry.AggRow)
-		window := rows[i].Window
-		if partial.Window != 0 {
-			window = partial.Window
+		window := partialWindow(rows[i].Window, partial)
+		win := g.state[window]
+		if win == nil {
+			win = &aggWindow{nums: newNumTable(numRows[window])}
+			g.state[window] = win
 		}
-		win := g.window(window)
 		win.gen = g.gen
 		cell := win.lookup(partial.Key)
 		if cell == nil {
-			cell = &cells[k]
-			k++
-			cell.row = *partial
-			cell.row.Window = window
-			cell.gen = g.gen
-			win.store(partial.Key, cell)
+			c := aggCell{row: *partial, gen: g.gen}
+			c.row.Window = window
+			if c.row.Key.Str == "" {
+				win.nums.insert(c)
+			} else {
+				strCells[k] = c
+				win.adopt(&strCells[k])
+				k++
+			}
 			continue
 		}
 		cell.row.Merge(*partial)
@@ -372,11 +358,11 @@ func (g *GroupAgg) Drain(emit Emit) {
 // SnapshotWindow emits copies of a window's partial rows without
 // clearing state — checkpointing support (paper §IV-E): the emitted rows
 // can reconstruct the window on another node while this one keeps
-// aggregating. Unlike Flush, snapshot rows are unsorted: they restore by
-// merging into a replica's hash state, where order is irrelevant, and
-// skipping the sort keeps the per-epoch checkpoint overhead low.
+// aggregating. Unlike Flush, snapshot rows are not sorted (see emitRows):
+// they restore by merging into a replica's state, where order is
+// irrelevant.
 func (g *GroupAgg) SnapshotWindow(w int64, emit Emit) {
-	g.emitRows(w, (w+1)*g.windowDur, false, 0, emit)
+	g.emitRows(w, (w+1)*g.windowDur, 0, emit)
 }
 
 // DirtyWindows implements DeltaCheckpointable.
@@ -394,7 +380,7 @@ func (g *GroupAgg) DirtyWindows() []int64 {
 // SnapshotDirtyWindow implements DeltaCheckpointable: like
 // SnapshotWindow but only rows touched since the last MarkClean.
 func (g *GroupAgg) SnapshotDirtyWindow(w int64, emit Emit) {
-	g.emitRows(w, (w+1)*g.windowDur, false, g.gen, emit)
+	g.emitRows(w, (w+1)*g.windowDur, g.gen, emit)
 }
 
 // ClosedWindows implements DeltaCheckpointable.
@@ -415,37 +401,61 @@ func (g *GroupAgg) MarkClean() {
 	g.closedLost = false
 }
 
+// emitWindow emits a closing window's rows ordered by key — (Num, Str),
+// through the operator's keyOrder — and remembers its numeric group
+// count for the next window's table.
 func (g *GroupAgg) emitWindow(w, end int64, emit Emit) {
-	g.emitRows(w, end, true, 0, emit)
-}
-
-// emitRows copies a window's rows into an arena and emits them. minGen
-// filters to cells stamped at or above it (0 = all); sorted orders the
-// output by key for deterministic Flush emission.
-func (g *GroupAgg) emitRows(w, end int64, sorted bool, minGen uint64, emit Emit) {
 	win := g.state[w]
 	if win == nil {
 		return
 	}
-	// One pass over the maps copies every row into an arena — no
-	// per-group heap AggRow and no second map lookup after sorting (a
-	// row's Key always equals its map key). Flush and snapshot emit tens
-	// of thousands of rows per window; this path dominates checkpoint
-	// cost.
+	nums, strs := win.nums.cells, g.strCells[:0]
+	for _, c := range win.str {
+		strs = append(strs, c)
+	}
+	cell := func(i int) *aggCell {
+		if i < len(nums) {
+			return &nums[i]
+		}
+		return strs[i-len(nums)]
+	}
+	arena := make([]telemetry.AggRow, 0, len(nums)+len(strs))
+	for _, e := range g.order.sort(len(nums)+len(strs), func(i int) telemetry.GroupKey { return cell(i).row.Key }) {
+		arena = append(arena, cell(int(e.idx)).row)
+	}
+	clear(strs)
+	g.strCells = strs[:0]
+	g.numHint = len(nums)
+	emitArena(arena, end, emit)
+}
+
+// emitRows emits copies of a window's rows — numeric groups in insertion
+// order, then string-keyed ones in map order — filtered to cells stamped
+// at or above minGen (0 = all): the snapshot path, where order does not
+// matter to the restore and skipping the sort keeps captures cheap.
+func (g *GroupAgg) emitRows(w, end int64, minGen uint64, emit Emit) {
+	win := g.state[w]
+	if win == nil {
+		return
+	}
 	arena := make([]telemetry.AggRow, 0, win.count())
-	for _, cell := range win.num {
-		if cell.gen >= minGen {
-			arena = append(arena, cell.row)
+	for i := range win.nums.cells {
+		if c := &win.nums.cells[i]; c.gen >= minGen {
+			arena = append(arena, c.row)
 		}
 	}
-	for _, cell := range win.str {
-		if cell.gen >= minGen {
-			arena = append(arena, cell.row)
+	for _, c := range win.str {
+		if c.gen >= minGen {
+			arena = append(arena, c.row)
 		}
 	}
-	if sorted {
-		sortAggRows(arena)
-	}
+	emitArena(arena, end, emit)
+}
+
+// emitArena emits each row of a fresh arena as a record pointing into it:
+// Flush and snapshot emit tens of thousands of rows per window, so no row
+// gets a heap copy of its own.
+func emitArena(arena []telemetry.AggRow, end int64, emit Emit) {
 	for i := range arena {
 		emit(telemetry.Record{
 			Time:     end,
@@ -454,60 +464,6 @@ func (g *GroupAgg) emitRows(w, end int64, sorted bool, minGen uint64, emit Emit)
 			Data:     &arena[i],
 		})
 	}
-}
-
-// sortAggRows orders rows by key (Num, Str); string comparison is
-// skipped entirely when no key carries a string (the common case for
-// probe queries).
-func sortAggRows(arena []telemetry.AggRow) {
-	numericOnly := true
-	for i := range arena {
-		if arena[i].Key.Str != "" {
-			numericOnly = false
-			break
-		}
-	}
-	if numericOnly {
-		slices.SortFunc(arena, func(a, b telemetry.AggRow) int {
-			switch {
-			case a.Key.Num < b.Key.Num:
-				return -1
-			case a.Key.Num > b.Key.Num:
-				return 1
-			default:
-				return 0
-			}
-		})
-		return
-	}
-	slices.SortFunc(arena, func(a, b telemetry.AggRow) int {
-		switch {
-		case a.Key.Num < b.Key.Num:
-			return -1
-		case a.Key.Num > b.Key.Num:
-			return 1
-		}
-		return strings.Compare(a.Key.Str, b.Key.Str)
-	})
-}
-
-// sortedKeys returns a window's group keys ordered by (Num, Str) — the
-// shared helper for operators that emit via per-key clones.
-func sortedKeys[V any](win map[telemetry.GroupKey]V) []telemetry.GroupKey {
-	keys := make([]telemetry.GroupKey, 0, len(win))
-	for k := range win {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b telemetry.GroupKey) int {
-		switch {
-		case a.Num < b.Num:
-			return -1
-		case a.Num > b.Num:
-			return 1
-		}
-		return strings.Compare(a.Str, b.Str)
-	})
-	return keys
 }
 
 // Key and value extractors for the paper's queries.

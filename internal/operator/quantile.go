@@ -33,6 +33,8 @@ type GroupQuantile struct {
 	// cover.
 	kernel     AggKernel
 	colScratch telemetry.Batch
+	// order is the window-close ordering routine's scratch.
+	order keyOrder
 }
 
 // NewGroupQuantile creates the operator. The histogram range [lo, hi)
@@ -230,11 +232,16 @@ func (g *GroupQuantile) openWindows() []int64 {
 	return out
 }
 
+// emitWindow emits clones of a window's sketches ordered by key — (Num,
+// Str), through the operator's keyOrder.
 func (g *GroupQuantile) emitWindow(w, end int64, emit Emit) {
 	win := g.state[w]
-	keys := sortedKeys(win)
-	for _, k := range keys {
-		row := win[k].Clone()
+	keys := make([]telemetry.GroupKey, 0, len(win))
+	for k := range win {
+		keys = append(keys, k)
+	}
+	for _, e := range g.order.sort(len(keys), func(i int) telemetry.GroupKey { return keys[i] }) {
+		row := win[keys[e.idx]].Clone()
 		emit(telemetry.Record{
 			Time:     end,
 			Window:   w,
