@@ -22,6 +22,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"math/rand/v2"
 	"net"
 	"os"
 	"path/filepath"
@@ -38,11 +39,13 @@ import (
 	"jarvis/internal/experiments"
 	"jarvis/internal/ha"
 	"jarvis/internal/lp"
+	"jarvis/internal/operator"
 	"jarvis/internal/partition"
 	"jarvis/internal/plan"
 	"jarvis/internal/runtime"
 	"jarvis/internal/sim"
 	"jarvis/internal/stream"
+	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
 	"jarvis/internal/workload"
 	"jarvis/internal/workload/spec"
@@ -335,6 +338,7 @@ var ownerBenchmarks = []string{
 	"BenchmarkSPIngestSpansColumnar",
 	"BenchmarkSPIngestLogColumnar",
 	"BenchmarkWindowClose",
+	"BenchmarkGroupProbe",
 	"BenchmarkReceiverDecode",
 	"BenchmarkReceiverDecodeLog",
 	"BenchmarkWireEncodePing",
@@ -493,6 +497,54 @@ func BenchmarkWindowClose(b *testing.B) {
 		}
 		return nil
 	})
+}
+
+// BenchmarkGroupProbe is the numeric group probe on its own: 20 000
+// packed (src, dst) keys — one Pingmesh agent's peers — each observed
+// twice into one open window through GroupAgg's ping kernel, as one
+// 40 000-row section. The untimed first call opens the groups, so the
+// loop times lookups only. /roundrobin sends the keys in the order they
+// were inserted, like an agent probing its peers in turn; /shuffled in
+// a fixed random order, where an order-dependent shortcut cannot help.
+func BenchmarkGroupProbe(b *testing.B) {
+	const peers = 20_000
+	order := make([]int, 2*peers)
+	for i := range order {
+		order[i] = i % peers
+	}
+	for _, bc := range []struct {
+		name  string
+		order []int
+	}{{"roundrobin", order}, {"shuffled", rand.New(rand.NewPCG(1, 2)).Perm(2 * peers)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := &wire.PingCols{}
+			sec := wire.ColSec{Tag: wire.TagPingProbe, Ping: c}
+			for i, peer := range bc.order {
+				peer %= peers
+				sec.Times = append(sec.Times, int64(i))
+				sec.Windows = append(sec.Windows, 0)
+				c.TS = append(c.TS, int64(i))
+				c.SrcIP = append(c.SrcIP, 0x0A000001)
+				c.SrcCluster = append(c.SrcCluster, 0x0A00)
+				c.DstIP = append(c.DstIP, 0x0B000000+uint32(peer))
+				c.DstCluster = append(c.DstCluster, 0x0B00)
+				c.RTT = append(c.RTT, uint32(400+i%997))
+				c.Err = append(c.Err, 0)
+			}
+			g := operator.NewGroupAgg("latAgg", 10_000_000, operator.ProbePairKey, operator.ProbeRTT)
+			g.SetAggKernel(operator.AggKernelPingPairRTT)
+			secs := make([]wire.ColSec, 1)
+			b.SetBytes(int64(2*peers) * telemetry.PingProbeWireSize)
+			benchWarm(b, func() error {
+				secs[0] = sec
+				g.ProcessColumnar(&wire.ColumnarBatch{Secs: secs})
+				if n := g.GroupCount(0); n != peers {
+					return fmt.Errorf("%d groups, want %d", n, peers)
+				}
+				return nil
+			})
+		})
+	}
 }
 
 // BenchmarkSPIngestLogColumnar and BenchmarkReceiverDecodeLog are the SP

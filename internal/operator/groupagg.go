@@ -47,8 +47,10 @@ type GroupAgg struct {
 	// syms is the symbol table behind sym: the operator's own copies of
 	// the key parts its byRef caches are keyed on.
 	syms map[string]string
-	// numHint is the numeric group count of the last window closed: what
-	// a new window's table is presized for.
+	// spare is the numeric table of the last window closed, emptied: the
+	// next window opened takes it. Without one, a new window's table is
+	// presized for numHint, the numeric group count of the last close.
+	spare   numTable
 	numHint int
 	// order and strCells are window-close scratch: the ordering routine's
 	// buffers and the string-keyed cells of the window being emitted.
@@ -147,11 +149,16 @@ func NewGroupAgg(name string, windowDurMicros int64,
 }
 
 // window returns (creating if needed) the state for window id w; a new
-// window's numeric table is presized for the last closed window's groups.
+// window takes the spare numeric table, or one presized for the last
+// closed window's groups.
 func (g *GroupAgg) window(w int64) *aggWindow {
 	win := g.state[w]
 	if win == nil {
-		win = &aggWindow{nums: newNumTable(g.numHint)}
+		win = &aggWindow{nums: g.spare}
+		if g.spare.slots == nil {
+			win.nums = newNumTable(g.numHint)
+		}
+		g.spare = numTable{}
 		g.state[w] = win
 	}
 	return win
@@ -402,8 +409,8 @@ func (g *GroupAgg) MarkClean() {
 }
 
 // emitWindow emits a closing window's rows ordered by key — (Num, Str),
-// through the operator's keyOrder — and remembers its numeric group
-// count for the next window's table.
+// through the operator's keyOrder — and hands its numeric table, emptied,
+// to the next window (the rows emitted are copies).
 func (g *GroupAgg) emitWindow(w, end int64, emit Emit) {
 	win := g.state[w]
 	if win == nil {
@@ -426,6 +433,8 @@ func (g *GroupAgg) emitWindow(w, end int64, emit Emit) {
 	clear(strs)
 	g.strCells = strs[:0]
 	g.numHint = len(nums)
+	win.nums.reset()
+	g.spare, win.nums = win.nums, numTable{}
 	emitArena(arena, end, emit)
 }
 

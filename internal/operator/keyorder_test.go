@@ -130,36 +130,50 @@ func FuzzGroupOrder(f *testing.F) {
 }
 
 // TestNumTable pins the flat table's contract: every inserted key is
-// found at its cell, absent keys are not, cells stay in insertion order
-// across growth, and a table presized for its group count never grows.
+// found at its cell — in insertion order, where the cursor answers, and
+// in reverse, where the index does — absent keys are not, cells stay in
+// insertion order across growth, a table presized for its group count
+// never grows, and a reset table is empty and takes the same keys again
+// without growing.
 func TestNumTable(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	keys := uniqueKeys(10_000, func() telemetry.GroupKey { return telemetry.NumKey(rng.Uint64() >> rng.IntN(64)) })
 	for _, hint := range []int{0, len(keys)} {
 		tbl := newNumTable(hint)
-		slots := len(tbl.slots)
-		for i, k := range keys {
-			if tbl.find(k.Num) != nil {
-				t.Fatalf("hint %d: key %d found before its insert", hint, k.Num)
+		for round := range 2 {
+			slots := len(tbl.slots)
+			for i, k := range keys {
+				if tbl.find(k.Num) != nil {
+					t.Fatalf("hint %d round %d: key %d found before its insert", hint, round, k.Num)
+				}
+				c := tbl.insert(aggCell{row: telemetry.NewAggRow(k, 0, float64(i))})
+				if c.row.Key != k {
+					t.Fatalf("hint %d: insert returned the cell of %+v", hint, c.row.Key)
+				}
 			}
-			c := tbl.insert(aggCell{row: telemetry.NewAggRow(k, 0, float64(i))})
-			if c.row.Key != k {
-				t.Fatalf("hint %d: insert returned the cell of %+v", hint, c.row.Key)
+			for pass := range 2 {
+				for j := range keys {
+					i := j
+					if pass == 1 {
+						i = len(keys) - 1 - j
+					}
+					if c := tbl.find(keys[i].Num); c == nil || c.row.Sum != float64(i) {
+						t.Fatalf("hint %d round %d pass %d: key %d found as %+v", hint, round, pass, keys[i].Num, c)
+					}
+				}
 			}
-		}
-		for i, k := range keys {
-			if c := tbl.find(k.Num); c == nil || c.row.Sum != float64(i) {
-				t.Fatalf("hint %d: key %d found as %+v", hint, k.Num, c)
+			for i, k := range keys {
+				if tbl.cells[i].row.Key != k {
+					t.Fatalf("hint %d: cell %d holds %+v, want insertion order", hint, i, tbl.cells[i].row.Key)
+				}
 			}
-			if tbl.cells[i].row.Key != k {
-				t.Fatalf("hint %d: cell %d holds %+v, want insertion order", hint, i, tbl.cells[i].row.Key)
+			if (hint > 0 || round > 0) && len(tbl.slots) != slots {
+				t.Fatalf("hint %d round %d: the table grew from %d to %d slots", hint, round, slots, len(tbl.slots))
 			}
-		}
-		if hint > 0 && len(tbl.slots) != slots {
-			t.Fatalf("a table presized for %d groups grew from %d to %d slots", hint, slots, len(tbl.slots))
-		}
-		if 4*len(tbl.cells) > 3*len(tbl.slots) {
-			t.Fatalf("hint %d: %d groups in %d slots is past the 3/4 load bound", hint, len(tbl.cells), len(tbl.slots))
+			if 4*len(tbl.cells) > 3*len(tbl.slots) {
+				t.Fatalf("hint %d: %d groups in %d slots is past the 3/4 load bound", hint, len(tbl.cells), len(tbl.slots))
+			}
+			tbl.reset()
 		}
 	}
 	var empty numTable

@@ -5,12 +5,17 @@ package operator
 // insertion order — what a capture walks, so equal input captures equal
 // bytes — found through an open-addressed index whose slots hold a key
 // and 1 + its cell's position, probed linearly from a Fibonacci hash of
-// the key. Nothing is deleted; the table dies with its window. A cell
-// pointer is valid until the next insert, which may move the slice.
+// the key. Nothing is deleted; a closing window hands its table on to
+// the operator's next window (reset). A cell pointer is valid until the
+// next insert, which may move the slice.
 type numTable struct {
 	slots []numSlot
 	shift uint8 // 64 − log2(len(slots)): the hash's top bits pick a slot
 	cells []aggCell
+	// next is the position after the last cell found or inserted: a
+	// source probing its peers round-robin asks for the keys in the order
+	// they were inserted, so find tries that one cell before it hashes.
+	next int
 }
 
 // numSlot is one index entry; pos == 0 marks it empty.
@@ -32,12 +37,18 @@ func newNumTable(hint int) numTable {
 	return t
 }
 
-// find returns key's cell, or nil.
+// find returns key's cell, or nil. Keys are unique, so the cell at the
+// cursor, when it matches, is the one the index would return.
 func (t *numTable) find(key uint64) *aggCell {
+	if t.next < len(t.cells) && t.cells[t.next].row.Key.Num == key {
+		t.next++
+		return &t.cells[t.next-1]
+	}
 	if len(t.slots) == 0 {
 		return nil
 	}
 	if s := t.slot(key); s.pos != 0 {
+		t.next = int(s.pos)
 		return &t.cells[s.pos-1]
 	}
 	return nil
@@ -52,7 +63,15 @@ func (t *numTable) insert(c aggCell) *aggCell {
 	s := t.slot(c.row.Key.Num)
 	t.cells = append(t.cells, c)
 	s.key, s.pos = c.row.Key.Num, uint32(len(t.cells))
+	t.next = len(t.cells)
 	return &t.cells[len(t.cells)-1]
+}
+
+// reset empties the table for another window, keeping its index size and
+// cell capacity.
+func (t *numTable) reset() {
+	clear(t.slots)
+	t.cells, t.next = t.cells[:0], 0
 }
 
 // resize rebuilds the index (at least 16 slots) with room for n groups

@@ -442,3 +442,54 @@ func TestMixedWaveTightBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestDenseSpillAtFullLoad pins spill on a section forwarded whole: at
+// load factor 1 a generator's dense section (no selection vector) that
+// fits the stage's budget plus queue room is forwarded as it is, and a
+// budget that runs out mid-section must still queue exactly its tail
+// rows, in order, leaving every epoch — the arrival one and the quiet
+// ones that run the queue down — equal to the row-input run's.
+func TestDenseSpillAtFullLoad(t *testing.T) {
+	rowGen := workload.NewPingGen(workload.DefaultPingConfig(5))
+	colGen := workload.NewPingGen(workload.DefaultPingConfig(5))
+	for _, budget := range []float64{0.0003, 0.001, 0.002} {
+		newPipe := func() *Pipeline {
+			p, err := NewPipeline(plan.S2SProbe(), DefaultOptions(budget, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.SetLoadFactors([]float64{1, 1, 1}); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		rowPipe, colPipe := newPipe(), newPipe()
+		input := rowGen.NextWindow(1_000_000)
+		var cb wire.ColumnarBatch
+		colGen.NextWindowCols(1_000_000, &cb)
+		if len(cb.Secs) != 1 || cb.Secs[0].Sel != nil {
+			t.Fatalf("generator wave is not one dense section: %d sections", len(cb.Secs))
+		}
+		for epoch := 0; epoch < 3; epoch++ {
+			rres := rowPipe.RunEpoch(input)
+			cres := colPipe.RunEpochColumnar(&cb)
+			if err := colEpochsEqual(rres, cres); err != nil {
+				t.Fatalf("budget %v epoch %d: %v", budget, epoch, err)
+			}
+			if err := batchesEqual(rowPipe.queues[0], colPipe.queues[0]); err != nil {
+				t.Fatalf("budget %v epoch %d: queues differ: %v", budget, epoch, err)
+			}
+			if epoch > 0 {
+				continue
+			}
+			done := cres.Stats[0].Processed
+			if done == 0 || done >= len(input) {
+				t.Fatalf("budget %v: %d of %d rows processed — the budget does not run out mid-section", budget, done, len(input))
+			}
+			if err := batchesEqual(colPipe.queues[0], input[done:]); err != nil {
+				t.Fatalf("budget %v: stage 0 queue is not the section's tail: %v", budget, err)
+			}
+			input, cb = nil, wire.ColumnarBatch{}
+		}
+	}
+}

@@ -194,7 +194,8 @@ func QueryState(stats []ProxyStats) ProxyState {
 // control proxy in front of each, a token-bucket CPU budget, bounded
 // queues and drain paths. One loop (runWave) moves every record: each
 // epoch drives waves of sections stage by stage through the proxies
-// (which decide drain-vs-forward per record) into the operators, with
+// (which decide drain-vs-forward per record, or per section at load
+// factor 0 and 1) into the operators, with
 // budget charged per stage and all epoch buffers drawn from pools or
 // reused scratch.
 type Pipeline struct {
@@ -418,7 +419,8 @@ func (p *Pipeline) RunEpochColumnar(cb *wire.ColumnarBatch) EpochResult {
 // runWave is the pipeline's one execution loop: it drives a wave of
 // sections through stages start..Boundary-1. At each stage the proxy
 // routes every live row in order (forced drains past the budget+queue
-// bound first, then the error-diffusion decision), the budget is charged
+// bound first, then the error-diffusion decision; a SoA section whose
+// rows all share one fate moves whole, see routeCols), the budget is charged
 // for the prefix of forwarded rows it covers, that prefix goes through
 // the operator in one ProcessColumnar call, and the remainder is queued
 // as rows. With carry set each stage also runs as much of its queue as
@@ -462,18 +464,9 @@ func (p *Pipeline) runWave(start int, wave []wire.ColSec, carry bool) {
 				}
 				continue
 			}
-			fwdSel, drSel := p.routeCols(i, sec, maxFwd-fwdTotal)
-			fwdTotal += len(fwdSel)
-			if len(drSel) > 0 {
-				dsec := *sec
-				dsec.Sel = drSel
-				p.colDrains[i].Secs = append(p.colDrains[i].Secs, dsec)
-			}
-			if len(fwdSel) > 0 {
-				fsec := *sec
-				fsec.Sel = fwdSel
-				fwd = append(fwd, fsec)
-			}
+			var nf int
+			fwd, nf = p.routeCols(i, sec, maxFwd-fwdTotal, fwd)
+			fwdTotal += nf
 		}
 
 		// Budget pass: the prefix of forwarded rows the tokens cover is
@@ -539,15 +532,26 @@ func (p *Pipeline) routeRows(i int, in, fwd telemetry.Batch, room int) telemetry
 	return fwd
 }
 
-// routeCols is routeRows for a SoA section: the split is a pair of fresh
-// selection vectors over the shared columns, and the drained rows' bytes
-// are billed in one sum over the drain vector instead of row by row (so
-// the per-row calls below pass no size).
-// (Two explicit loops: a shared closure costs a call per row on the
-// agent's hottest path.)
-func (p *Pipeline) routeCols(i int, sec *wire.ColSec, room int) (fwdSel, drSel []int32) {
+// routeCols routes one SoA section at stage i: its forwarded view is
+// appended to fwd (returned with the forwarded row count), its drained
+// view to the stage's column drains, with the drained rows' bytes billed
+// in one sum. At load factor 0, and at 1 when all of the section's rows
+// fit in room, every row has the same fate, so the section goes whole,
+// selection vector untouched, and the proxy is charged in one step (see
+// Proxy.routeRun). Otherwise each row is routed in turn like routeRows
+// does (two explicit loops: a shared closure costs a call per row), the
+// split a pair of fresh selection vectors over the shared columns.
+func (p *Pipeline) routeCols(i int, sec *wire.ColSec, room int, fwd []wire.ColSec) ([]wire.ColSec, int) {
 	px := p.proxies[i]
-	fwdSel, drSel = p.takeSel(), p.takeSel()
+	if n := sec.Len(); n > 0 && (px.p == 0 || (px.p == 1 && n <= room)) {
+		if px.routeRun(n) {
+			return append(fwd, *sec), n
+		}
+		one := wire.ColumnarBatch{Secs: []wire.ColSec{*sec}}
+		p.drainCols(i, sec, sec.Sel, one.TotalBytes())
+		return fwd, 0
+	}
+	fwdSel, drSel := p.takeSel(), p.takeSel()
 	if sec.Sel != nil {
 		for _, idx := range sec.Sel {
 			if len(fwdSel) >= room {
@@ -571,10 +575,26 @@ func (p *Pipeline) routeCols(i int, sec *wire.ColSec, room int) (fwdSel, drSel [
 			}
 		}
 	}
-	drained := sec.SelBytes(drSel)
-	px.stats.DrainedBytes += drained
-	p.colDrainBytes += drained
-	return p.lendSel(fwdSel), p.lendSel(drSel)
+	fwdSel, drSel = p.lendSel(fwdSel), p.lendSel(drSel)
+	if len(drSel) > 0 {
+		p.drainCols(i, sec, drSel, sec.SelBytes(drSel))
+	}
+	if len(fwdSel) > 0 {
+		fsec := *sec
+		fsec.Sel = fwdSel
+		fwd = append(fwd, fsec)
+	}
+	return fwd, len(fwdSel)
+}
+
+// drainCols adds the view of sec's rows at sel, of the given accounting
+// size, to stage i's column drains.
+func (p *Pipeline) drainCols(i int, sec *wire.ColSec, sel []int32, bytes int64) {
+	dsec := *sec
+	dsec.Sel = sel
+	p.colDrains[i].Secs = append(p.colDrains[i].Secs, dsec)
+	p.proxies[i].stats.DrainedBytes += bytes
+	p.colDrainBytes += bytes
 }
 
 // spill truncates a routed forward wave to its first n live rows and
@@ -595,6 +615,15 @@ func (p *Pipeline) spill(i int, fwd []wire.ColSec, n int) []wire.ColSec {
 			p.queues[i] = append(p.queues[i], sec.Rows[keep:]...)
 			sec.Rows = sec.Rows[:keep]
 		} else {
+			if sec.Sel == nil {
+				// A section forwarded whole carries no selection vector:
+				// name its rows so the head and tail can be split.
+				all := p.takeSel()
+				for k := range sec.Times {
+					all = append(all, int32(k))
+				}
+				sec.Sel = p.lendSel(all)
+			}
 			tail := *sec
 			tail.Sel = sec.Sel[keep:]
 			tail.AppendRows(&p.queues[i])

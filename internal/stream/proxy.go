@@ -116,6 +116,24 @@ func (px *Proxy) route() bool {
 	return false
 }
 
+// routeRun routes n ≥ 1 rows that share one fate (p is 0, or p is 1 and
+// no drain is forced): the first through route, the rest by count. That
+// is n calls of route, since acc then stands still: at p = 0 acc + 0 is
+// acc, always below 1 − 1e-12, so every row drains; at p = 1 acc ≥
+// −1e-12, every row forwards, and one update leaves acc' = fl(acc+1) − 1
+// exactly (Sterbenz: fl(acc+1) is in [1/2, 2]), a fixed point of
+// acc + 1 − 1 in float64.
+func (px *Proxy) routeRun(n int) bool {
+	fwd := px.route()
+	px.stats.In += n - 1
+	if fwd {
+		px.stats.Forwarded += n - 1
+	} else {
+		px.stats.Drained += n - 1
+	}
+	return fwd
+}
+
 // NoteProcessedN records n forwarded records consumed within budget by
 // the downstream operator, in one amortized update.
 func (px *Proxy) NoteProcessedN(n int) { px.stats.Processed += n }
