@@ -404,7 +404,12 @@ func benchWarm(b *testing.B, op func() error) {
 	}
 }
 
-func benchPipelineEpoch(b *testing.B, recycle bool) {
+// BenchmarkPipelineEpoch measures an epoch over a row batch — RunEpoch
+// presenting the rows to the wave loop as one Rows section. It is the
+// one row-entry benchmark kept: the in-process building block
+// (core.Source.RunEpoch under jarvis.BuildingBlock) is a production
+// caller of it.
+func BenchmarkPipelineEpoch(b *testing.B) {
 	pipe, batch, err := benchcase.PipelineEpoch()
 	if err != nil {
 		b.Fatal(err)
@@ -413,21 +418,9 @@ func benchPipelineEpoch(b *testing.B, recycle bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := pipe.RunEpoch(batch)
-		if recycle {
-			res.Recycle()
-		}
+		pipe.RunEpoch(batch)
 	}
 }
-
-// BenchmarkPipelineEpoch measures an epoch over a row batch — RunEpoch
-// presenting the rows to the wave loop as one Rows section. It is the
-// one row-entry benchmark kept: the in-process building block
-// (core.Source.RunEpoch under jarvis.BuildingBlock) is a production
-// caller of it. The Recycled variant additionally returns epoch buffers
-// to the pool, as the in-process Processor does.
-func BenchmarkPipelineEpoch(b *testing.B)         { benchPipelineEpoch(b, false) }
-func BenchmarkPipelineEpochRecycled(b *testing.B) { benchPipelineEpoch(b, true) }
 
 // BenchmarkAgentEpochColumnar measures the agent-side SoA epoch: the
 // generator's column sections flow through RunEpochColumnar with no

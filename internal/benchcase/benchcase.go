@@ -161,10 +161,10 @@ func DrainedPingCols() (*wire.ColumnarBatch, error) {
 	var cb wire.ColumnarBatch
 	gen.NextWindowCols(1_000_000, &cb)
 	res := pipe.RunEpochColumnar(&cb)
-	if len(res.ColDrains) == 0 || res.ColDrains[0].Records() == 0 {
+	if len(res.Drains) == 0 || res.Drains[0].Records() == 0 {
 		return nil, fmt.Errorf("benchcase: the starved pipeline drained nothing at its first proxy")
 	}
-	return res.ColDrains[0].Clone(), nil
+	return res.Drains[0].Clone(), nil
 }
 
 // FrameCodec returns the two halves of one wire-codec iteration over a
@@ -353,7 +353,7 @@ func WindowClose() (*stream.SPEngine, []StageBatch, int, error) {
 		cfg.SrcIP = 0x0A000000 + a
 		gen := workload.NewPingGen(cfg)
 		var res stream.EpochResult
-		for epoch := 0; len(res.Results)+res.ColResults.Records() == 0; epoch++ {
+		for epoch := 0; res.Results.Records() == 0; epoch++ {
 			if epoch == 20 {
 				return nil, nil, 0, fmt.Errorf("benchcase: agent %d closed no window in %d one-second epochs", a, epoch)
 			}
@@ -361,7 +361,7 @@ func WindowClose() (*stream.SPEngine, []StageBatch, int, error) {
 			gen.NextWindowCols(1_000_000, &cb)
 			res = pipe.RunEpochColumnar(&cb)
 		}
-		groups += len(res.Results) + res.ColResults.Records()
+		groups += res.Results.Records()
 		sh := transport.NewDurableShipper(a, 0)
 		if err := sh.ShipEpoch(res); err != nil {
 			return nil, nil, 0, err

@@ -163,10 +163,11 @@ func TestDeltaRestoreMatchesFullRestore(t *testing.T) {
 		in2 := gen2.NextWindow(1_000_000)
 		r1 := pipe.RunEpoch(in)
 		r2 := fresh.RunEpoch(in2)
-		c1 := canonicalBatch(t, r1.Results)
-		c2 := canonicalBatch(t, r2.Results)
-		if !bytes.Equal(c1, c2) {
-			t.Fatalf("epoch %d: restored pipeline diverged (%d vs %d result rows)", e, len(r2.Results), len(r1.Results))
+		var rows1, rows2 telemetry.Batch
+		r1.Results.AppendRows(&rows1)
+		r2.Results.AppendRows(&rows2)
+		if !bytes.Equal(canonicalBatch(t, rows1), canonicalBatch(t, rows2)) {
+			t.Fatalf("epoch %d: restored pipeline diverged (%d vs %d result rows)", e, len(rows2), len(rows1))
 		}
 	}
 }

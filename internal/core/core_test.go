@@ -198,7 +198,7 @@ func TestProcessorConsumeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := stream.EpochResult{
-		Results:     telemetry.Batch{telemetry.NewProbeRecord(&telemetry.PingProbe{})},
+		Results:     rowsBatch(telemetry.Batch{telemetry.NewProbeRecord(&telemetry.PingProbe{})}),
 		ResultStage: 99,
 	}
 	if err := proc.Consume(1, bad); err == nil {

@@ -80,33 +80,32 @@ func (p *Processor) session(source uint32) (*transport.DurableShipper, *transpor
 	return ship, p.rc
 }
 
-// Consume ingests one source's epoch result: drains enter the stages
-// their proxies guarded, results enter the result stage, and the
-// source's watermark advances the merge. Row and columnar sections
-// (RunEpoch / RunEpochColumnar results) are both ingested. Safe for
-// concurrent use.
+// Consume ingests one source's epoch result: each stage's drains enter
+// the stage its proxy guarded, the results enter the result stage, and
+// the source's watermark advances the merge. Each is one batch, its
+// row-form records leading as one Rows section, read from the pipeline's
+// buffers before Consume returns. Safe for concurrent use.
 //
 // The epoch's stage ranges are validated first; a result that fails
 // there, or that cannot be encoded, is rejected whole. Past that point
-// the source's shipper owns the epoch — its buffers are recycled — and
-// it has been applied when Consume returns nil. If the session fails
-// instead, the epoch stays in the shipper's replay buffer and the
-// source's next Consume replays it ahead of its own; the receiver's
-// sequence frontier discards whatever had already been applied. The
-// caller must therefore never Consume the same result twice.
+// the source's shipper holds the epoch's encoded bytes, and it has been
+// applied when Consume returns nil. If the session fails instead, the
+// epoch stays in the shipper's replay buffer and the source's next
+// Consume replays it ahead of its own; the receiver's sequence frontier
+// discards whatever had already been applied. The caller must therefore
+// never Consume the same result twice.
 func (p *Processor) Consume(source uint32, res stream.EpochResult) error {
 	nops := len(p.query.Ops)
-	if len(res.Drains) > nops || len(res.ColDrains) > nops {
-		return fmt.Errorf("core: %d row / %d columnar drain stages for %d operators", len(res.Drains), len(res.ColDrains), nops)
+	if len(res.Drains) > nops {
+		return fmt.Errorf("core: %d drain stages for %d operators", len(res.Drains), nops)
 	}
-	if (len(res.Results) > 0 || len(res.ColResults.Secs) > 0) && (res.ResultStage < 0 || res.ResultStage > nops) {
+	if len(res.Results.Secs) > 0 && (res.ResultStage < 0 || res.ResultStage > nops) {
 		return fmt.Errorf("core: result stage %d out of range [0,%d]", res.ResultStage, nops)
 	}
 	ship, rc := p.session(source)
 	if err := ship.ShipEpoch(res); err != nil {
 		return err
 	}
-	res.Recycle()
 	if err := ship.Flush(rc); err != nil {
 		return fmt.Errorf("core: source %d session: %w", source, err)
 	}

@@ -22,12 +22,17 @@ import (
 // epochFor builds a synthetic epoch result delivering a source's raw
 // records at stage 0 (the all-drain regime of a zero-load-factor source).
 func epochFor(batch telemetry.Batch, nops int) stream.EpochResult {
-	drains := make([]telemetry.Batch, nops)
-	drains[0] = batch
+	drains := make([]wire.ColumnarBatch, nops)
+	drains[0] = rowsBatch(batch)
 	return stream.EpochResult{
 		Drains:    drains,
 		Watermark: batch.MaxTime(),
 	}
+}
+
+// rowsBatch presents records as an epoch output batch: one Rows section.
+func rowsBatch(rows telemetry.Batch) wire.ColumnarBatch {
+	return wire.ColumnarBatch{Secs: []wire.ColSec{{Rows: rows}}}
 }
 
 // collectRows folds result rows into (key, window) → count for
@@ -178,11 +183,9 @@ func TestProcessorConsumeAfterTransportIngest(t *testing.T) {
 	}
 }
 
-// TestProcessorConsumeColumnar feeds RunEpochColumnar results — records
-// travel in ColDrains/ColResults, not Drains/Results — through Consume.
-// They must land exactly where the same trace run as rows lands; a
-// Consume that reads only the row fields advances the watermark over
-// nothing and closes every window empty.
+// TestProcessorConsumeColumnar feeds RunEpochColumnar results — drains
+// that are SoA sections, results that are flushed rows — through
+// Consume. They must land exactly where the same trace run as rows lands.
 func TestProcessorConsumeColumnar(t *testing.T) {
 	const sources = 3
 	q := plan.S2SProbe()
@@ -223,9 +226,13 @@ func TestProcessorConsumeColumnar(t *testing.T) {
 					t.Fatal(err)
 				}
 				if columnar && epoch == 0 {
-					n := res.ColResults.Records()
-					for s := range res.ColDrains {
-						n += res.ColDrains[s].Records()
+					n := 0
+					for s := range res.Drains {
+						for _, sec := range res.Drains[s].Secs {
+							if sec.Rows == nil {
+								n += sec.Len()
+							}
+						}
 					}
 					if n == 0 {
 						t.Fatal("columnar epoch carries no columnar records: the test is vacuous")
@@ -366,9 +373,8 @@ func TestProcessorConsumeIsTheWireSession(t *testing.T) {
 			compare(lastEpoch)
 		}
 		lastEpoch = epoch
-		// The live side encodes first: Consume recycles the result. Each
-		// epoch is applied before the next source ships, so both engines
-		// fold the sources in the same order.
+		// Each epoch is applied before the next source ships, so both
+		// engines fold the sources in the same order.
 		if err := ships[source-1].ShipEpoch(res); err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +458,6 @@ func TestProcessorConsumeReplaysFailedFlush(t *testing.T) {
 			if err := ship.ShipEpoch(res); err != nil {
 				t.Fatal(err)
 			}
-			res.Recycle()
 			data, err := ship.ResumeBytes()
 			if err != nil {
 				t.Fatal(err)

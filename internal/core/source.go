@@ -128,14 +128,7 @@ func (s *Source) RunEpochColumnar(cb *wire.ColumnarBatch) (stream.EpochResult, e
 
 // afterEpoch records the epoch and lets the runtime adapt on it.
 func (s *Source) afterEpoch(res stream.EpochResult) (stream.EpochResult, error) {
-	// Keep only the scalar view: the caller owns the epoch's drain and
-	// result buffers (and typically recycles them via Processor.Consume),
-	// so LastResult must not alias pool-owned memory.
 	s.lastResult = res
-	s.lastResult.Drains = nil
-	s.lastResult.Results = nil
-	s.lastResult.ColDrains = nil
-	s.lastResult.ColResults = wire.ColumnarBatch{}
 	s.epochs++
 	if !s.opts.Adapt {
 		return res, nil
@@ -223,10 +216,9 @@ func (s *Source) RestoreCheckpoint(cp *stream.Checkpoint) error {
 	return s.pipeline.RestoreCheckpoint(cp)
 }
 
-// LastResult returns the most recent epoch's result with the record
-// buffers dropped: stats, watermark and byte/budget accounting are
-// retained, Drains/Results are nil (they belong to the epoch's consumer
-// and may already have been recycled).
+// LastResult returns the most recent epoch's result. Its Drains and
+// Results are one batch per output, row-form records leading as one Rows
+// section, and stay owned by the pipeline: valid until the next epoch.
 func (s *Source) LastResult() stream.EpochResult { return s.lastResult }
 
 // Epochs returns how many epochs have run.

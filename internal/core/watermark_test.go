@@ -41,12 +41,12 @@ func TestNoDuplicateWindowRowsUnderExhaustedBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for stage, d := range res.Drains {
-					if err := sp.Ingest(stage, d); err != nil {
+				for stage := range res.Drains {
+					if err := sp.IngestColumnar(stage, &res.Drains[stage]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := sp.Ingest(res.ResultStage, res.Results); err != nil {
+				if err := sp.IngestColumnar(res.ResultStage, &res.Results); err != nil {
 					t.Fatal(err)
 				}
 				sp.ObserveWatermark(1, res.Watermark)

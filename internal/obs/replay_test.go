@@ -24,11 +24,9 @@ func TestDecisionTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := 0; e < 20; e++ {
-		res, err := src.RunEpoch(gen.NextWindow(1_000_000))
-		if err != nil {
+		if _, err := src.RunEpoch(gen.NextWindow(1_000_000)); err != nil {
 			t.Fatal(err)
 		}
-		res.Recycle()
 	}
 
 	ds := obs.Decisions().Recent(0)

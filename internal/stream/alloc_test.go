@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"runtime"
 	"testing"
 
 	"jarvis/internal/plan"
@@ -9,12 +10,15 @@ import (
 	"jarvis/internal/workload"
 )
 
-// Allocation regression guards for the batch-vectorized engine: once the
-// pools are warm and the in-process consumer recycles epoch buffers, a
-// steady-state epoch must not allocate per record. The legacy record
-// path allocated an emit closure per record per stage (~3 allocs/record,
-// >100k per epoch at the paper's 10× rate); these bounds would fail
-// loudly on any regression back toward that.
+// Allocation regression guards for the batch-vectorized engine, run the
+// way every caller runs an epoch: the pipeline owns its output buffers
+// (one batch per stage's drains and one for the results, row-form records
+// leading as one Rows section) until its next epoch, and nobody hands
+// them back. Once its scratch is warm, a steady-state epoch must not
+// allocate per record. The legacy record path allocated an emit closure
+// per record per stage (~3 allocs/record, >100k per epoch at the paper's
+// 10× rate); these bounds would fail loudly on any regression back
+// toward that.
 
 func TestSteadyStateEpochAllocs(t *testing.T) {
 	p := s2sPipeline(t, 1.5)
@@ -23,19 +27,14 @@ func TestSteadyStateEpochAllocs(t *testing.T) {
 	}
 	gen := workload.NewPingGen(workload.DefaultPingConfig(17))
 	batch := gen.NextWindow(1_000_000)
-	// Warm up: grow scratch buffers, pool inventory and group state.
+	// Warm up: grow scratch buffers, output buffers and group state.
 	for i := 0; i < 3; i++ {
-		res := p.RunEpoch(batch)
-		res.Recycle()
+		p.RunEpoch(batch)
 	}
-	avg := testing.AllocsPerRun(50, func() {
-		res := p.RunEpoch(batch)
-		res.Recycle()
-	})
+	avg := testing.AllocsPerRun(50, func() { p.RunEpoch(batch) })
 	// The epoch re-feeds the same window, so group state is stable; the
-	// only tolerated allocations are small per-epoch headers (stats
-	// slice, pool bookkeeping) — nothing proportional to the ~38k input
-	// records.
+	// only tolerated allocations are small per-epoch headers (the stats
+	// slice) — nothing proportional to the ~38k input records.
 	if avg > 32 {
 		t.Fatalf("steady-state epoch allocates %.1f times (want ≤ 32)", avg)
 	}
@@ -52,13 +51,9 @@ func TestWarmAgentPipelineAllocs(t *testing.T) {
 	// Re-feeding the same columns is safe: the pipeline never writes
 	// through shared column arrays (mutation discipline in wire.ColSec).
 	for i := 0; i < 3; i++ {
-		res := p.RunEpochColumnar(&cb)
-		res.Recycle()
+		p.RunEpochColumnar(&cb)
 	}
-	avg := testing.AllocsPerRun(50, func() {
-		res := p.RunEpochColumnar(&cb)
-		res.Recycle()
-	})
+	avg := testing.AllocsPerRun(50, func() { p.RunEpochColumnar(&cb) })
 	// Same budget as the row epoch: per-epoch headers only, nothing
 	// proportional to the ~38k input records — the SoA wave reuses the
 	// pipeline's section buffers and selection-vector freelist.
@@ -89,38 +84,73 @@ func TestSteadyStateSPIngestAllocs(t *testing.T) {
 	}
 }
 
+// TestRecycledEpochBuffersAreReused checks that the pipeline recycles its
+// own output buffers: the next epoch drains into the same backing array
+// as the one before, with nothing handed back by the caller.
 func TestRecycledEpochBuffersAreReused(t *testing.T) {
 	p := s2sPipeline(t, 1.5)
 	if err := p.SetLoadFactors([]float64{0.5, 0.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	gen := workload.NewPingGen(workload.DefaultPingConfig(19))
-	res := p.RunEpoch(gen.NextWindow(1_000_000))
-	if len(res.Drains[0]) == 0 {
-		t.Fatal("expected drains at 50% load factor")
+	window := gen.NextWindow(1_000_000)
+	drainRows := func(res EpochResult) telemetry.Batch {
+		d := res.Drains[0]
+		if len(d.Secs) == 0 || d.Secs[0].Rows == nil {
+			t.Fatal("expected row drains at 50% load factor")
+		}
+		return d.Secs[0].Rows
 	}
-	// After recycling, the next epoch may reuse the same backing arrays;
-	// the recycled result must no longer reference them.
-	res.Recycle()
-	if res.Drains != nil || res.Results != nil {
-		t.Fatal("recycle must drop buffer references")
+	first := drainRows(p.RunEpoch(window))
+	base, capacity := &first[:1][0], cap(first)
+	second := drainRows(p.RunEpoch(window))
+	if len(second) > capacity {
+		t.Fatalf("second epoch drained %d rows, more than the first epoch's buffer holds (%d)", len(second), capacity)
 	}
-	res2 := p.RunEpoch(gen.NextWindow(1_000_000))
-	if len(res2.Drains[0]) == 0 {
-		t.Fatal("second epoch should drain too")
+	if &second[:1][0] != base {
+		t.Fatal("second epoch must drain into the first epoch's buffer")
 	}
 }
 
-func TestBatchPoolRoundTrip(t *testing.T) {
-	b := telemetry.GetBatch()
-	b = append(b, telemetry.Record{Time: 1})
-	grown := cap(b)
-	telemetry.PutBatch(b)
-	c := telemetry.GetBatch()
-	if len(c) != 0 {
-		t.Fatal("pooled batch must come back empty")
+// TestWarmEpochAllocBytes bounds what a warm epoch allocates in bytes,
+// on row input and on SoA input: the drain and result buffers, row-form
+// ones included, are the pipeline's own and are reused by its next epoch,
+// so nothing the size of the ~19k drained rows may be allocated again.
+func TestWarmEpochAllocBytes(t *testing.T) {
+	gen := workload.NewPingGen(workload.DefaultPingConfig(17))
+	batch := gen.NextWindow(1_000_000)
+	var cb wire.ColumnarBatch
+	gen.NextWindowCols(1_000_000, &cb)
+	for _, tc := range []struct {
+		name string
+		run  func(p *Pipeline)
+	}{
+		{"rows", func(p *Pipeline) { p.RunEpoch(batch) }},
+		{"soa", func(p *Pipeline) { p.RunEpochColumnar(&cb) }},
+	} {
+		p := s2sPipeline(t, 1.5)
+		if err := p.SetLoadFactors([]float64{1, 0.9, 0.8}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			tc.run(p)
+		}
+		if b := allocBytesPerRun(20, func() { tc.run(p) }); b > 4<<10 {
+			t.Errorf("%s: warm epoch allocates %.0f bytes (want ≤ 4 KiB)", tc.name, b)
+		}
 	}
-	if cap(c) < 1 || cap(c) > 1<<20 && grown < 1<<20 {
-		t.Fatalf("unexpected capacity %d", cap(c))
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the average heap
+// bytes one call of f allocates, measured on one P.
+func allocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -98,14 +98,7 @@ func runPartitionedLocal(t *testing.T, q *plan.Query, seed uint64, crashAt int) 
 			src.ObserveTime(int64(e+1) * 1_000_000)
 		}
 		res := src.RunEpoch(batch)
-		for stage, d := range res.Drains {
-			if len(d) > 0 {
-				_ = sp.Ingest(stage, d)
-			}
-		}
-		if len(res.Results) > 0 {
-			_ = sp.Ingest(res.ResultStage, res.Results)
-		}
+		_ = ingestEpoch(sp, res)
 		sp.ObserveWatermark(1, res.Watermark)
 		final = append(final, sp.Advance()...)
 		if crashAt >= 0 && e == crashAt {

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"testing"
 
@@ -76,38 +75,21 @@ func colParityCases() []colParityCase {
 	return cases
 }
 
-// materializeColEpoch folds a columnar epoch's SoA buffers into row form
-// in global record order (row drains precede columnar drains per stage;
-// flush results precede arrival-survivor columns).
-func materializeColEpoch(res EpochResult) (drains []telemetry.Batch, results telemetry.Batch) {
-	drains = make([]telemetry.Batch, len(res.Drains))
-	for i := range res.Drains {
-		drains[i] = append(drains[i], res.Drains[i]...)
-		if i < len(res.ColDrains) {
-			res.ColDrains[i].AppendRows(&drains[i])
+// ingestEpoch feeds an epoch's drains and results to an SP replica, one
+// batch per non-empty stage, the way the receiver applies the shipper's
+// frames.
+func ingestEpoch(sp *SPEngine, res EpochResult) error {
+	for stage := range res.Drains {
+		if len(res.Drains[stage].Secs) > 0 {
+			if err := sp.IngestColumnar(stage, &res.Drains[stage]); err != nil {
+				return err
+			}
 		}
 	}
-	results = append(results, res.Results...)
-	res.ColResults.AppendRows(&results)
-	return drains, results
-}
-
-func colEpochsEqual(row, col EpochResult) error {
-	cd, cr := materializeColEpoch(col)
-	for i := range row.Drains {
-		if err := batchesEqual(row.Drains[i], cd[i]); err != nil {
-			return fmt.Errorf("drains[%d]: %w", i, err)
-		}
+	if len(res.Results.Secs) > 0 {
+		return sp.IngestColumnar(res.ResultStage, &res.Results)
 	}
-	if err := batchesEqual(row.Results, cr); err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
-	rowCmp := row
-	rowCmp.Drains, rowCmp.Results = nil, nil
-	colCmp := col
-	colCmp.Drains, colCmp.Results = nil, nil
-	colCmp.ColDrains, colCmp.ColResults = nil, wire.ColumnarBatch{}
-	return epochsEqual(rowCmp, colCmp)
+	return nil
 }
 
 func TestColumnarAgentEpochParity(t *testing.T) {
@@ -172,13 +154,13 @@ func TestColumnarAgentEpochParity(t *testing.T) {
 				if err := matchesOracle(ores, rres); err != nil {
 					t.Fatalf("epoch %d: rows vs oracle: %v", epoch, err)
 				}
-				if err := colEpochsEqual(rres, cres); err != nil {
+				if err := epochsEqual(rres, cres); err != nil {
 					t.Fatalf("epoch %d: %v", epoch, err)
 				}
 
 				// SP replicas: the oracle's records enter one at a time; the
-				// row epoch feeds Ingest; the columnar epoch feeds its SoA
-				// buffers through IngestColumnar like the receiver would.
+				// row and columnar epochs feed their batches through
+				// IngestColumnar like the receiver would.
 				feedOne := func(stage int, recs telemetry.Batch) {
 					for i := range recs {
 						if err := oracleSP.Ingest(stage, recs[i:i+1]); err != nil {
@@ -192,42 +174,15 @@ func TestColumnarAgentEpochParity(t *testing.T) {
 				feedOne(rres.ResultStage, ores.Results)
 				oracleSP.ObserveWatermark(1, ores.Watermark)
 
-				for stage, d := range rres.Drains {
-					if len(d) > 0 {
-						if err := rowSP.Ingest(stage, d); err != nil {
-							t.Fatal(err)
-						}
-					}
+				for stage := range cres.Drains {
+					sawColDrain = sawColDrain || hasSoA(cres.Drains[stage])
 				}
-				if len(rres.Results) > 0 {
-					if err := rowSP.Ingest(rres.ResultStage, rres.Results); err != nil {
-						t.Fatal(err)
-					}
+				if err := ingestEpoch(rowSP, rres); err != nil {
+					t.Fatal(err)
 				}
 				rowSP.ObserveWatermark(1, rres.Watermark)
-
-				for stage := range cres.Drains {
-					if len(cres.Drains[stage]) > 0 {
-						if err := colSP.Ingest(stage, cres.Drains[stage]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if stage < len(cres.ColDrains) && len(cres.ColDrains[stage].Secs) > 0 {
-						sawColDrain = true
-						if err := colSP.IngestColumnar(stage, &cres.ColDrains[stage]); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if len(cres.Results) > 0 {
-					if err := colSP.Ingest(cres.ResultStage, cres.Results); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if len(cres.ColResults.Secs) > 0 {
-					if err := colSP.IngestColumnar(cres.ResultStage, &cres.ColResults); err != nil {
-						t.Fatal(err)
-					}
+				if err := ingestEpoch(colSP, cres); err != nil {
+					t.Fatal(err)
 				}
 				colSP.ObserveWatermark(1, cres.Watermark)
 
@@ -376,7 +331,7 @@ func TestMixedWaveTightBudget(t *testing.T) {
 				}
 				rres := rowPipe.RunEpoch(input)
 				mres := mixPipe.RunEpochColumnar(&wave)
-				if err := colEpochsEqual(rres, mres); err != nil {
+				if err := epochsEqual(rres, mres); err != nil {
 					t.Fatalf("epoch %d: %v", epoch, err)
 				}
 				// Stages spend the budget in order, so the last one starves;
@@ -385,27 +340,14 @@ func TestMixedWaveTightBudget(t *testing.T) {
 				sawForced = sawForced || last.Drained > 0
 				sawSpill = sawSpill || last.Pending > 0
 
-				for stage := range rres.Drains {
-					if err := rowSP.Ingest(stage, rres.Drains[stage]); err != nil {
-						t.Fatal(err)
-					}
-					if err := mixSP.Ingest(stage, mres.Drains[stage]); err != nil {
-						t.Fatal(err)
-					}
-					if len(mres.ColDrains[stage].Secs) > 0 {
-						sawMixedDrain = sawMixedDrain || len(mres.Drains[stage]) > 0
-						if err := mixSP.IngestColumnar(stage, &mres.ColDrains[stage]); err != nil {
-							t.Fatal(err)
-						}
-					}
+				for stage := range mres.Drains {
+					d := mres.Drains[stage]
+					sawMixedDrain = sawMixedDrain || (len(d.Secs) > 1 && d.Secs[0].Rows != nil && hasSoA(d))
 				}
-				if err := rowSP.Ingest(rres.ResultStage, rres.Results); err != nil {
+				if err := ingestEpoch(rowSP, rres); err != nil {
 					t.Fatal(err)
 				}
-				if err := mixSP.Ingest(mres.ResultStage, mres.Results); err != nil {
-					t.Fatal(err)
-				}
-				if err := mixSP.IngestColumnar(mres.ResultStage, &mres.ColResults); err != nil {
+				if err := ingestEpoch(mixSP, mres); err != nil {
 					t.Fatal(err)
 				}
 				rowSP.ObserveWatermark(1, rres.Watermark)
@@ -473,7 +415,7 @@ func TestDenseSpillAtFullLoad(t *testing.T) {
 		for epoch := 0; epoch < 3; epoch++ {
 			rres := rowPipe.RunEpoch(input)
 			cres := colPipe.RunEpochColumnar(&cb)
-			if err := colEpochsEqual(rres, cres); err != nil {
+			if err := epochsEqual(rres, cres); err != nil {
 				t.Fatalf("budget %v epoch %d: %v", budget, epoch, err)
 			}
 			if err := batchesEqual(rowPipe.queues[0], colPipe.queues[0]); err != nil {

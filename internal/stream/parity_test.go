@@ -9,6 +9,7 @@ import (
 	"jarvis/internal/operator"
 	"jarvis/internal/plan"
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 	"jarvis/internal/workload"
 )
 
@@ -109,7 +110,7 @@ func (o *oracle) runEpoch(input telemetry.Batch) oracleEpoch {
 	return ep
 }
 
-// matchesOracle compares a pipeline epoch (already in row form) with the
+// matchesOracle compares a pipeline epoch, materialized, with the
 // oracle's. Proxy states depend on the budget the oracle does not model,
 // so they are left out.
 func matchesOracle(o oracleEpoch, res EpochResult) error {
@@ -121,11 +122,11 @@ func matchesOracle(o oracleEpoch, res EpochResult) error {
 		}
 	}
 	for i := range o.Drains {
-		if err := batchesEqual(o.Drains[i], res.Drains[i]); err != nil {
+		if err := batchesEqual(o.Drains[i], rowsOf(res.Drains[i])); err != nil {
 			return fmt.Errorf("drains[%d]: %w", i, err)
 		}
 	}
-	if err := batchesEqual(o.Results, res.Results); err != nil {
+	if err := batchesEqual(o.Results, rowsOf(res.Results)); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	if o.Watermark != res.Watermark {
@@ -177,6 +178,25 @@ func batchesEqual(a, b telemetry.Batch) error {
 	return nil
 }
 
+// rowsOf materializes one epoch output batch into records, in order.
+func rowsOf(cb wire.ColumnarBatch) telemetry.Batch {
+	var out telemetry.Batch
+	cb.AppendRows(&out)
+	return out
+}
+
+// hasSoA reports whether an epoch output batch holds a SoA section.
+func hasSoA(cb wire.ColumnarBatch) bool {
+	for i := range cb.Secs {
+		if cb.Secs[i].Rows == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// epochsEqual compares two epochs record by record, whatever form each
+// output's records travelled in.
 func epochsEqual(a, b EpochResult) error {
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		return fmt.Errorf("stats differ:\n %+v\n %+v", a.Stats, b.Stats)
@@ -185,11 +205,11 @@ func epochsEqual(a, b EpochResult) error {
 		return fmt.Errorf("drain stages %d vs %d", len(a.Drains), len(b.Drains))
 	}
 	for i := range a.Drains {
-		if err := batchesEqual(a.Drains[i], b.Drains[i]); err != nil {
+		if err := batchesEqual(rowsOf(a.Drains[i]), rowsOf(b.Drains[i])); err != nil {
 			return fmt.Errorf("drains[%d]: %w", i, err)
 		}
 	}
-	if err := batchesEqual(a.Results, b.Results); err != nil {
+	if err := batchesEqual(rowsOf(a.Results), rowsOf(b.Results)); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	if a.ResultStage != b.ResultStage {

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"sync"
 
 	"jarvis/internal/obs"
 	"jarvis/internal/operator"
@@ -48,28 +47,20 @@ func DefaultOptions(budgetFrac float64, boundary int) Options {
 type EpochResult struct {
 	// Stats holds per-proxy counters and states, one per local operator.
 	Stats []ProxyStats
-	// Drains[i] and ColDrains[i] together hold the records drained at
-	// proxy i; they must be delivered to the stream processor's replica of
-	// operator i. A drained record stays in the form it travelled in:
-	// Drains[i] takes the ones that were rows (cascades of carried-over
-	// queue records, Rows sections of the arrival wave, flush cascades),
-	// ColDrains[i] the
-	// ones that were SoA sections — views over the wave's column arrays,
-	// narrowed by drain selection vectors. Consumers deliver Drains[i]
-	// before ColDrains[i]. Carry-over runs before the arrival wave, so that
-	// is record order whenever the wave is all rows (RunEpoch) or all SoA
-	// (the generators); in a wave mixing both, order is kept within each
-	// form only.
-	Drains    []telemetry.Batch
-	ColDrains []wire.ColumnarBatch
-	// Results and ColResults hold the records emitted past the last local
-	// operator, split by form like the drains: Results takes restored
-	// records, carry-over cascades, Rows-section survivors and the
-	// end-of-epoch flush emissions, ColResults the arrival wave's SoA
-	// survivors. The shared columns of ColDrains/ColResults stay valid
-	// until the pipeline's next epoch; Recycle only drops the references.
-	Results    telemetry.Batch
-	ColResults wire.ColumnarBatch
+	// Drains[i] holds the records drained at proxy i; they must be
+	// delivered to the stream processor's replica of operator i. Results
+	// holds the records emitted past the last local operator. Each is one
+	// batch in one form: the records that travelled as rows (restored
+	// records, cascades of carried-over queue records, Rows sections of
+	// the arrival wave, flush emissions) lead as one Rows section, and the
+	// SoA sections follow — views over the wave's column arrays, narrowed
+	// by selection vectors. Carry-over runs before the arrival wave, so
+	// that is record order whenever the wave is all rows (RunEpoch) or all
+	// SoA (the generators); in a wave mixing both, order is kept within
+	// each form only. The pipeline owns every buffer here, and the caller's
+	// columns they reference, until its next epoch.
+	Drains  []wire.ColumnarBatch
+	Results wire.ColumnarBatch
 	// ResultStage is the SP-side operator index Results should enter:
 	// the last local operator's own index when it is stateful (partial
 	// aggregates merge into the replica), one past it otherwise.
@@ -107,68 +98,6 @@ type EpochTiming struct {
 // TotalOutBytes is the epoch's total network transfer from the source.
 func (r *EpochResult) TotalOutBytes() int64 { return r.DrainedBytes + r.ResultBytes }
 
-// Recycle returns the epoch's drain and result buffers to the shared
-// batch pool and drops the references, so the next epoch reuses their
-// backing arrays instead of allocating. Call it only once every record
-// has been consumed (the in-process Processor recycles after SP ingest);
-// the scalar fields stay valid, the batches do not.
-func (r *EpochResult) Recycle() {
-	for i := range r.Drains {
-		if r.Drains[i] != nil {
-			telemetry.PutBatch(r.Drains[i])
-			r.Drains[i] = nil
-		}
-	}
-	putDrainSet(r.Drains)
-	r.Drains = nil
-	if r.Results != nil {
-		telemetry.PutBatch(r.Results)
-		r.Results = nil
-	}
-	// Columnar outputs borrow the pipeline's scratch (and, transitively,
-	// the caller's column arrays): dropping the references is all recycling
-	// means for them.
-	r.ColDrains = nil
-	r.ColResults = wire.ColumnarBatch{}
-}
-
-// drainSetFree recycles the per-epoch []Batch drain headers (one slot per
-// operator) behind a small bounded freelist shared by all pipelines.
-var (
-	drainSetMu   sync.Mutex
-	drainSetFree [][]telemetry.Batch
-)
-
-func getDrainSet(n int) []telemetry.Batch {
-	drainSetMu.Lock()
-	for i := len(drainSetFree) - 1; i >= 0; i-- {
-		if cap(drainSetFree[i]) < n {
-			continue // leave smaller headers for smaller pipelines
-		}
-		d := drainSetFree[i]
-		last := len(drainSetFree) - 1
-		drainSetFree[i] = drainSetFree[last]
-		drainSetFree = drainSetFree[:last]
-		drainSetMu.Unlock()
-		d = d[:n]
-		clear(d)
-		return d
-	}
-	drainSetMu.Unlock()
-	return make([]telemetry.Batch, n)
-}
-
-func putDrainSet(d []telemetry.Batch) {
-	if cap(d) == 0 {
-		return
-	}
-	drainSetMu.Lock()
-	if len(drainSetFree) < 64 {
-		drainSetFree = append(drainSetFree, d[:0])
-	}
-	drainSetMu.Unlock()
-}
-
 // QueryState classifies the whole pipeline per §IV-C: congested if any
 // proxy is congested, idle if all are idle, stable otherwise.
 func QueryState(stats []ProxyStats) ProxyState {
@@ -195,9 +124,8 @@ func QueryState(stats []ProxyStats) ProxyState {
 // queues and drain paths. One loop (runWave) moves every record: each
 // epoch drives waves of sections stage by stage through the proxies
 // (which decide drain-vs-forward per record, or per section at load
-// factor 0 and 1) into the operators, with
-// budget charged per stage and all epoch buffers drawn from pools or
-// reused scratch.
+// factor 0 and 1) into the operators, with budget charged per stage and
+// all epoch buffers reused across epochs.
 type Pipeline struct {
 	query   *plan.Query
 	ops     []operator.Operator
@@ -210,14 +138,14 @@ type Pipeline struct {
 	maxEventSeen int64
 	watermark    int64
 
-	// epoch outputs, reset at the start of every epoch: drains/results
-	// are pooled row batches the caller recycles, colDrains/colResults
-	// are section views the pipeline keeps.
-	drains     []telemetry.Batch
-	results    telemetry.Batch
-	colDrains  []wire.ColumnarBatch
-	colResults wire.ColumnarBatch
-	// colDrainBytes is colDrains' accounting size, summed section by
+	// epoch outputs, owned by the pipeline and reset at the start of every
+	// epoch: drains/results are the sections EpochResult hands out, and
+	// drainRows/resultRows collect the row-form records that lead them.
+	drains     []wire.ColumnarBatch
+	results    wire.ColumnarBatch
+	drainRows  []telemetry.Batch
+	resultRows telemetry.Batch
+	// colDrainBytes is the SoA drains' accounting size, summed section by
 	// section as routeCols splits them off.
 	colDrainBytes int64
 
@@ -269,7 +197,8 @@ func NewPipeline(q *plan.Query, opts Options) (*Pipeline, error) {
 		bucket:    NewTokenBucket(opts.BudgetFrac * float64(opts.EpochMicros)),
 		cm:        cm,
 		opts:      opts,
-		colDrains: make([]wire.ColumnarBatch, len(ops)),
+		drains:    make([]wire.ColumnarBatch, len(ops)),
+		drainRows: make([]telemetry.Batch, len(ops)),
 	}
 	for i := range p.proxies {
 		p.proxies[i] = NewProxy(i) // load factors start at zero (Startup)
@@ -334,8 +263,9 @@ func (p *Pipeline) PendingTotal() int {
 }
 
 // RunEpoch executes one epoch over a row batch: it presents the rows as
-// one Rows section and runs RunEpochColumnar, so drains come back in
-// Drains and results in Results. The batch is only read.
+// one Rows section and runs RunEpochColumnar, so every drain and result
+// comes back as a single leading Rows section, owned by the pipeline
+// until its next epoch. The batch is only read.
 func (p *Pipeline) RunEpoch(input telemetry.Batch) EpochResult {
 	var cb wire.ColumnarBatch
 	if len(input) > 0 {
@@ -354,28 +284,27 @@ func (p *Pipeline) RunEpoch(input telemetry.Batch) EpochResult {
 // stats, drains, results and watermark do not depend on whether a trace
 // arrives as columns or as rows.
 //
-// The caller's batch is treated read-only, and the returned ColDrains /
-// ColResults sections reference its column arrays: callers must consume
-// the result before mutating the input columns or running the next
-// epoch.
+// The caller's batch is treated read-only. The returned Drains and
+// Results are the pipeline's buffers, and their SoA sections reference
+// the batch's column arrays: callers must consume the result before
+// mutating the input columns or running the next epoch.
 func (p *Pipeline) RunEpochColumnar(cb *wire.ColumnarBatch) EpochResult {
 	start := obs.Now()
 	p.bucket.Refill()
-	p.drains = getDrainSet(len(p.ops))
-	p.results = telemetry.GetBatch()
-	p.results = append(p.results, p.restored...)
+	p.resultRows = append(p.resultRows[:0], p.restored...)
 	p.restored = nil
 
 	// Reclaim selection vectors lent to the previous epoch's result and
-	// reset the columnar output buffers (their previous contents were
-	// consumed before this call, per the contract above).
+	// reset the output buffers (their previous contents were consumed
+	// before this call, per the contract above).
 	p.selFree = append(p.selFree, p.selLent...)
 	p.selLent = p.selLent[:0]
-	for i := range p.colDrains {
-		p.colDrains[i].Secs = p.colDrains[i].Secs[:0]
+	for i := range p.drains {
+		p.drains[i].Reset()
+		p.drainRows[i] = p.drainRows[i][:0]
 	}
 	p.colDrainBytes = 0
-	p.colResults.Secs = p.colResults.Secs[:0]
+	p.results.Reset()
 
 	// Records queued in earlier epochs were already committed to local
 	// processing: they run before the new arrivals.
@@ -503,9 +432,9 @@ func (p *Pipeline) runWave(start int, wave []wire.ColSec, carry bool) {
 	for si := range in {
 		switch sec := &in[si]; {
 		case sec.Rows != nil:
-			p.results = append(p.results, sec.Rows...)
+			p.resultRows = append(p.resultRows, sec.Rows...)
 		case sec.Len() > 0:
-			p.colResults.Secs = append(p.colResults.Secs, *sec)
+			p.results.Secs = append(p.results.Secs, *sec)
 		}
 	}
 	p.colA, p.colB = bufA[:0], bufB[:0]
@@ -513,7 +442,7 @@ func (p *Pipeline) runWave(start int, wave []wire.ColSec, carry bool) {
 }
 
 // routeRows routes one Rows section at stage i: forwarded records are
-// appended to fwd (returned), drained ones to the stage's drain buffer.
+// appended to fwd (returned), drained ones to the stage's drain rows.
 // Once room more records have been forwarded the rest force-drain
 // without consulting the proxy.
 func (p *Pipeline) routeRows(i int, in, fwd telemetry.Batch, room int) telemetry.Batch {
@@ -522,11 +451,11 @@ func (p *Pipeline) routeRows(i int, in, fwd telemetry.Batch, room int) telemetry
 	for k := range in {
 		if len(fwd) >= limit {
 			px.NoteForcedDrain(in[k].WireSize)
-			p.appendDrain(i, in[k])
+			p.drainRows[i] = append(p.drainRows[i], in[k])
 		} else if px.Route(in[k]) {
 			fwd = append(fwd, in[k])
 		} else {
-			p.appendDrain(i, in[k])
+			p.drainRows[i] = append(p.drainRows[i], in[k])
 		}
 	}
 	return fwd
@@ -534,7 +463,7 @@ func (p *Pipeline) routeRows(i int, in, fwd telemetry.Batch, room int) telemetry
 
 // routeCols routes one SoA section at stage i: its forwarded view is
 // appended to fwd (returned with the forwarded row count), its drained
-// view to the stage's column drains, with the drained rows' bytes billed
+// view to the stage's drains, with the drained rows' bytes billed
 // in one sum. At load factor 0, and at 1 when all of the section's rows
 // fit in room, every row has the same fate, so the section goes whole,
 // selection vector untouched, and the proxy is charged in one step (see
@@ -588,11 +517,11 @@ func (p *Pipeline) routeCols(i int, sec *wire.ColSec, room int, fwd []wire.ColSe
 }
 
 // drainCols adds the view of sec's rows at sel, of the given accounting
-// size, to stage i's column drains.
+// size, to stage i's drains.
 func (p *Pipeline) drainCols(i int, sec *wire.ColSec, sel []int32, bytes int64) {
 	dsec := *sec
 	dsec.Sel = sel
-	p.colDrains[i].Secs = append(p.colDrains[i].Secs, dsec)
+	p.drains[i].Secs = append(p.drains[i].Secs, dsec)
 	p.proxies[i].stats.DrainedBytes += bytes
 	p.colDrainBytes += bytes
 }
@@ -659,17 +588,8 @@ func (p *Pipeline) lendSel(s []int32) []int32 {
 	return s
 }
 
-// appendDrain adds one record to stage i's drain buffer, lazily drawing
-// the buffer from the shared pool on the first drain of the epoch.
-func (p *Pipeline) appendDrain(i int, rec telemetry.Record) {
-	if p.drains[i] == nil {
-		p.drains[i] = telemetry.GetBatch()
-	}
-	p.drains[i] = append(p.drains[i], rec)
-}
-
 // finishEpoch advances the watermark, flushes closed windows and builds
-// the epoch's result from the per-proxy stats and drain buffers.
+// the epoch's result from the per-proxy stats and output buffers.
 func (p *Pipeline) finishEpoch() EpochResult {
 	// Watermark: just below the smallest event time still queued locally,
 	// or the max seen if no backlog. Queues are not time-ordered — a
@@ -702,14 +622,19 @@ func (p *Pipeline) finishEpoch() EpochResult {
 	}
 
 	res := EpochResult{
-		Stats:       make([]ProxyStats, len(p.proxies)),
-		Drains:      p.drains,
-		ColDrains:   p.colDrains,
-		Results:     p.results,
-		ColResults:  p.colResults,
-		ResultStage: p.resultStage(),
-		Watermark:   p.watermark,
+		Stats:        make([]ProxyStats, len(p.proxies)),
+		Drains:       p.drains,
+		ResultStage:  p.resultStage(),
+		Watermark:    p.watermark,
+		DrainedBytes: p.colDrainBytes,
 	}
+	for i := range p.drains {
+		res.DrainedBytes += p.drainRows[i].TotalBytes()
+		lead(&p.drains[i], p.drainRows[i])
+	}
+	lead(&p.results, p.resultRows)
+	res.Results = p.results
+	res.ResultBytes = p.results.TotalBytes()
 	if capacity := p.bucket.Capacity(); capacity > 0 {
 		res.BudgetUsedFrac = p.bucket.Used() / capacity
 		res.SpareBudgetFrac = p.bucket.SpareFraction()
@@ -735,12 +660,18 @@ func (p *Pipeline) finishEpoch() EpochResult {
 			p.prevStates[i] = st
 		}
 	}
-	res.DrainedBytes = p.colDrainBytes
-	for i := range p.drains {
-		res.DrainedBytes += p.drains[i].TotalBytes()
-	}
-	res.ResultBytes = p.results.TotalBytes() + p.colResults.TotalBytes()
 	return res
+}
+
+// lead puts rows, when there are any, in front of cb's sections as one
+// Rows section: the row-form records come first in an epoch's output.
+func lead(cb *wire.ColumnarBatch, rows telemetry.Batch) {
+	if len(rows) == 0 {
+		return
+	}
+	cb.Secs = append(cb.Secs, wire.ColSec{})
+	copy(cb.Secs[1:], cb.Secs)
+	cb.Secs[0] = wire.ColSec{Rows: rows}
 }
 
 func (p *Pipeline) resultStage() int {

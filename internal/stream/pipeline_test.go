@@ -73,7 +73,9 @@ func TestDemandPctScalesWithRate(t *testing.T) {
 }
 
 // feedEpochs drives the pipeline with one-second epochs of generated
-// Pingmesh data and returns the per-epoch results.
+// Pingmesh data and returns the per-epoch results. Each epoch reuses the
+// pipeline's output buffers, so only the scalar fields of an earlier
+// result stay meaningful.
 func feedEpochs(p *Pipeline, gen *workload.PingGen, epochs int) []EpochResult {
 	out := make([]EpochResult, 0, epochs)
 	for i := 0; i < epochs; i++ {
@@ -102,7 +104,7 @@ func TestPipelineAllLocalAmpleBudget(t *testing.T) {
 	}
 	var flushed *EpochResult
 	for i := range results {
-		if len(results[i].Results) > 0 {
+		if results[i].ResultBytes > 0 {
 			flushed = &results[i]
 			break
 		}
@@ -126,7 +128,7 @@ func TestPipelineZeroLoadFactorsDrainEverything(t *testing.T) {
 	p := s2sPipeline(t, 1.0) // Startup: load factors are zero by default
 	gen := workload.NewPingGen(workload.DefaultPingConfig(2))
 	res := p.RunEpoch(gen.NextWindow(1_000_000))
-	if len(res.Drains[0]) == 0 {
+	if res.Drains[0].Records() == 0 {
 		t.Fatal("everything should drain at stage 0")
 	}
 	if res.Stats[0].Forwarded != 0 || res.Stats[0].Drained != res.Stats[0].In {
@@ -207,14 +209,14 @@ func TestPipelineBoundaryForcesDrain(t *testing.T) {
 	res := p.RunEpoch(gen.NextWindow(1_000_000))
 	// F's output crosses the boundary via the results path, entering the
 	// SP at stage 2 (the replica of the first remote operator).
-	if len(res.Results) == 0 {
+	if res.Results.Records() == 0 {
 		t.Fatal("records must cross the boundary toward the SP")
 	}
 	if res.ResultStage != 2 {
 		// Last local op (F) is stateless → results enter SP at stage 2.
 		t.Fatalf("result stage = %d, want 2", res.ResultStage)
 	}
-	for _, r := range res.Results {
+	for _, r := range rowsOf(res.Results) {
 		if _, ok := r.Data.(*telemetry.PingProbe); !ok {
 			t.Fatalf("boundary output should be raw probes, got %T", r.Data)
 		}
@@ -272,8 +274,8 @@ func TestPipelineQueueOverflowDrains(t *testing.T) {
 	if got := pendingAt(p, 0); got != 10 {
 		t.Fatalf("queue should cap at 10, got %d", got)
 	}
-	if len(res.Drains[0]) != 90 {
-		t.Fatalf("overflow should drain: %d", len(res.Drains[0]))
+	if n := res.Drains[0].Records(); n != 90 {
+		t.Fatalf("overflow should drain: %d", n)
 	}
 }
 
@@ -352,7 +354,7 @@ func TestPipelineEmitPastBoundaryWithFlatMap(t *testing.T) {
 	_ = p.SetLoadFactors([]float64{1, 1, 1, 1, 1, 1})
 	gen := workload.NewLogGen(workload.DefaultLogConfig(2))
 	res := p.RunEpoch(gen.NextWindow(200_000))
-	if len(res.Results) == 0 {
+	if res.Results.Records() == 0 {
 		t.Fatal("parse output should cross the boundary")
 	}
 	if res.ResultStage != 4 {

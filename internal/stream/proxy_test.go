@@ -168,15 +168,15 @@ func FuzzRouteSection(f *testing.F) {
 			px.SetLoadFactor(factors[flags>>2%5])
 			twin.SetLoadFactor(factors[flags>>2%5])
 
-			nf, nd := len(fwd), len(p.colDrains[0].Secs)
+			nf, nd := len(fwd), len(p.drains[0].Secs)
 			var k int
 			fwd, k = p.routeCols(0, &sec, room-fwdTotal, fwd)
 			fwdTotal += k
 			for j := nf; j < len(fwd); j++ {
 				live(&fwd[j], s, &gotFwd)
 			}
-			for j := nd; j < len(p.colDrains[0].Secs); j++ {
-				live(&p.colDrains[0].Secs[j], s, &gotDrain)
+			for j := nd; j < len(p.drains[0].Secs); j++ {
+				live(&p.drains[0].Secs[j], s, &gotDrain)
 			}
 
 			sec.Live(func(i int) {

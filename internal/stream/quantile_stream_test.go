@@ -43,17 +43,8 @@ func runQuantilePartitioned(t *testing.T, budget float64, factors []float64, see
 			src.ObserveTime(int64(e+1) * 1_000_000)
 		}
 		res := src.RunEpoch(batch)
-		for stage, d := range res.Drains {
-			if len(d) > 0 {
-				if err := sp.Ingest(stage, d); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if len(res.Results) > 0 {
-			if err := sp.Ingest(res.ResultStage, res.Results); err != nil {
-				t.Fatal(err)
-			}
+		if err := ingestEpoch(sp, res); err != nil {
+			t.Fatal(err)
 		}
 		sp.ObserveWatermark(1, res.Watermark)
 		final = append(final, sp.Advance()...)

@@ -41,17 +41,8 @@ func runPartitioned(t *testing.T, budget float64, factors []float64, seed uint64
 			src.ObserveTime(int64(e+1) * 1_000_000)
 		}
 		res := src.RunEpoch(batch)
-		for stage, d := range res.Drains {
-			if len(d) > 0 {
-				if err := sp.Ingest(stage, d); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if len(res.Results) > 0 {
-			if err := sp.Ingest(res.ResultStage, res.Results); err != nil {
-				t.Fatal(err)
-			}
+		if err := ingestEpoch(sp, res); err != nil {
+			t.Fatal(err)
 		}
 		sp.ObserveWatermark(1, res.Watermark)
 		final = append(final, sp.Advance()...)

@@ -188,32 +188,18 @@ func (d *DurableShipper) encodeEpoch(seq uint64, res stream.EpochResult, encStar
 		d.encFW.Reset(&d.encBuf)
 	}
 	fw := d.encFW
-	// Row drains precede columnar drains at the same stage: the pipeline
-	// cascades carryover rows before the arrival wave, so this frame order
-	// preserves global record order for the SP's aggregation.
-	nStages := len(res.Drains)
-	if len(res.ColDrains) > nStages {
-		nStages = len(res.ColDrains)
-	}
-	for stage := 0; stage < nStages; stage++ {
-		if stage < len(res.Drains) && len(res.Drains[stage]) > 0 {
-			if err := fw.WriteFrame(wire.Frame{StreamID: uint32(stage), Source: d.source, Records: res.Drains[stage]}); err != nil {
-				return nil, err
-			}
-		}
-		if stage < len(res.ColDrains) && len(res.ColDrains[stage].Secs) > 0 {
-			if err := fw.WriteFrame(wire.Frame{StreamID: uint32(stage), Source: d.source, Cols: &res.ColDrains[stage]}); err != nil {
+	// One frame per non-empty stage, then the results: within each, the
+	// pipeline's leading Rows section keeps the carried-over rows ahead of
+	// the arrival wave, the record order the SP's aggregation expects.
+	for stage := range res.Drains {
+		if len(res.Drains[stage].Secs) > 0 {
+			if err := fw.WriteFrame(wire.Frame{StreamID: uint32(stage), Source: d.source, Cols: &res.Drains[stage]}); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if len(res.Results) > 0 {
-		if err := fw.WriteFrame(wire.Frame{StreamID: uint32(res.ResultStage), Source: d.source, Records: res.Results}); err != nil {
-			return nil, err
-		}
-	}
-	if len(res.ColResults.Secs) > 0 {
-		if err := fw.WriteFrame(wire.Frame{StreamID: uint32(res.ResultStage), Source: d.source, Cols: &res.ColResults}); err != nil {
+	if len(res.Results.Secs) > 0 {
+		if err := fw.WriteFrame(wire.Frame{StreamID: uint32(res.ResultStage), Source: d.source, Cols: &res.Results}); err != nil {
 			return nil, err
 		}
 	}

@@ -30,7 +30,7 @@ func TestHandshakeRejects(t *testing.T) {
 	// One epoch that would emit a result row if any of it were ingested:
 	// a probe in window 0 and a watermark far past the window's end.
 	probe := telemetry.NewProbeRecord(&telemetry.PingProbe{Timestamp: 1_000_000, SrcIP: 1, DstIP: 2, RTTMicros: 50})
-	epoch := stream.EpochResult{Drains: []telemetry.Batch{{probe}}, ResultStage: 3, Watermark: 20_000_000}
+	epoch := stream.EpochResult{Drains: []wire.ColumnarBatch{rowsBatch(telemetry.Batch{probe})}, ResultStage: 3, Watermark: 20_000_000}
 	encoded := NewDurableShipper(3, 0)
 	if err := encoded.ShipEpoch(epoch); err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"jarvis/internal/plan"
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 	"jarvis/internal/workload"
 )
 
@@ -63,7 +64,7 @@ func TestOverloadChaosKillRestart(t *testing.T) {
 	}
 
 	epoch := func(src uint32, batch telemetry.Batch, wm int64) stream.EpochResult {
-		return stream.EpochResult{Drains: []telemetry.Batch{batch}, Watermark: wm}
+		return stream.EpochResult{Drains: []wire.ColumnarBatch{rowsBatch(batch)}, Watermark: wm}
 	}
 	const heavy = 8
 	var vipBatches, hotBatches []telemetry.Batch
@@ -277,7 +278,7 @@ func TestOverloadChaosPressureGated(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := func(batch telemetry.Batch, wm int64) stream.EpochResult {
-		return stream.EpochResult{Drains: []telemetry.Batch{batch}, Watermark: wm}
+		return stream.EpochResult{Drains: []wire.ColumnarBatch{rowsBatch(batch)}, Watermark: wm}
 	}
 
 	// Heavy phase: a sustained hot stream (~300 KB epochs at 5/s against

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -127,47 +128,98 @@ func TestShipOverPipeEquivalence(t *testing.T) {
 	}
 }
 
+// rowsBatch presents records as an epoch output batch: one Rows section,
+// the form a pipeline gives the records that travelled as rows.
+func rowsBatch(rows telemetry.Batch) wire.ColumnarBatch {
+	return wire.ColumnarBatch{Secs: []wire.ColSec{{Rows: rows}}}
+}
+
 // TestShipperAccounting pins what one shipped epoch costs on the wire:
-// the encoded epoch is one drain frame plus one watermark frame (then the
-// EpochEnd commit marker), carrying exactly the drain's and the
-// watermark's payload bytes.
+// one data frame per non-empty stage and one for the results, then one
+// watermark frame (and the EpochEnd commit marker), carrying exactly
+// their payload bytes. A batch that holds a Rows section followed by a
+// SoA section still ships as one frame, which decodes to the rows and
+// then the SoA rows.
 func TestShipperAccounting(t *testing.T) {
-	sh := NewDurableShipper(1, 0)
-	res := stream.EpochResult{
-		Drains: []telemetry.Batch{
-			{telemetry.NewProbeRecord(&telemetry.PingProbe{Timestamp: 1})},
+	probe := telemetry.NewProbeRecord(&telemetry.PingProbe{Timestamp: 1})
+	soa := wire.ColSec{
+		Tag: wire.TagPingProbe, Times: []int64{2, 3}, Windows: []int64{0, 0},
+		Ping: &wire.PingCols{
+			TS: []int64{2, 3}, SrcIP: []uint32{1, 1}, SrcCluster: []uint32{0, 0},
+			DstIP: []uint32{2, 3}, DstCluster: []uint32{0, 0}, RTT: []uint32{50, 60}, Err: []uint32{0, 0},
 		},
-		ResultStage: 1,
-		Watermark:   5,
 	}
-	if err := sh.ShipEpoch(res); err != nil {
-		t.Fatal(err)
+	mixed := wire.ColumnarBatch{Secs: []wire.ColSec{{Rows: telemetry.Batch{probe}}, soa}}
+	mixedRows := telemetry.Batch{probe}
+	soaPart := wire.ColumnarBatch{Secs: []wire.ColSec{soa}}
+	soaPart.AppendRows(&mixedRows)
+	mixedBytes := probe.WireSize + int(soaPart.TotalBytes())
+
+	cases := []struct {
+		name  string
+		res   stream.EpochResult
+		data  []telemetry.Batch // each data frame's records, in frame order
+		bytes []int             // each data frame's payload bytes
+	}{
+		{
+			name: "rows",
+			res: stream.EpochResult{
+				Drains: []wire.ColumnarBatch{rowsBatch(telemetry.Batch{probe})}, ResultStage: 1, Watermark: 5,
+			},
+			data:  []telemetry.Batch{{probe}},
+			bytes: []int{telemetry.PingProbeWireSize},
+		},
+		{
+			name: "mixed",
+			res: stream.EpochResult{
+				Drains: []wire.ColumnarBatch{mixed}, Results: mixed, ResultStage: 1, Watermark: 5,
+			},
+			data:  []telemetry.Batch{mixedRows, mixedRows},
+			bytes: []int{mixedBytes, mixedBytes},
+		},
 	}
-	_, _, pending := sh.State()
-	if len(pending) != 1 {
-		t.Fatalf("pending epochs = %d", len(pending))
-	}
-	var frames, bytesOut int64
-	fr := wire.NewFrameReader(bytes.NewReader(pending[0].Data))
-	for {
-		f, err := fr.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	for _, tc := range cases {
+		sh := NewDurableShipper(1, 0)
+		if err := sh.ShipEpoch(tc.res); err != nil {
 			t.Fatal(err)
 		}
-		if f.StreamID == wire.ControlStreamID {
-			continue
+		_, _, pending := sh.State()
+		if len(pending) != 1 {
+			t.Fatalf("%s: pending epochs = %d", tc.name, len(pending))
 		}
-		frames++
-		bytesOut += f.PayloadBytes()
-	}
-	if frames != 2 { // one drain + one watermark
-		t.Fatalf("frames = %d", frames)
-	}
-	if bytesOut != telemetry.PingProbeWireSize+17 { // drain + watermark
-		t.Fatalf("bytes = %d", bytesOut)
+		var data []telemetry.Batch
+		var sizes []int
+		watermarks := 0
+		fr := wire.NewFrameReader(bytes.NewReader(pending[0].Data))
+		for {
+			f, err := fr.ReadFrame()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch f.StreamID {
+			case wire.ControlStreamID:
+			case WatermarkStreamID:
+				watermarks++
+				if f.PayloadBytes() != 17 {
+					t.Fatalf("%s: watermark payload %d bytes", tc.name, f.PayloadBytes())
+				}
+			default:
+				data = append(data, f.Records)
+				sizes = append(sizes, int(f.PayloadBytes()))
+			}
+		}
+		if watermarks != 1 || len(data) != len(tc.data) {
+			t.Fatalf("%s: %d data and %d watermark frames, want %d and 1", tc.name, len(data), watermarks, len(tc.data))
+		}
+		if !reflect.DeepEqual(data, tc.data) {
+			t.Fatalf("%s: frames decode to %v, want %v", tc.name, data, tc.data)
+		}
+		if !reflect.DeepEqual(sizes, tc.bytes) {
+			t.Fatalf("%s: frame payload bytes %v, want %v", tc.name, sizes, tc.bytes)
+		}
 	}
 }
 
@@ -180,7 +232,7 @@ func TestReceiverWatermarkRouting(t *testing.T) {
 	sh := NewDurableShipper(3, 0)
 	rec := telemetry.NewProbeRecord(&telemetry.PingProbe{Timestamp: 1_000_000, SrcIP: 1, DstIP: 2, RTTMicros: 50})
 	res := stream.EpochResult{
-		Drains:      []telemetry.Batch{{rec}},
+		Drains:      []wire.ColumnarBatch{rowsBatch(telemetry.Batch{rec})},
 		ResultStage: 3,
 		Watermark:   20_000_000,
 	}
@@ -207,8 +259,7 @@ func TestReceiverBadStage(t *testing.T) {
 	sh := NewDurableShipper(1, 0)
 	rec := telemetry.NewProbeRecord(&telemetry.PingProbe{})
 	res := stream.EpochResult{
-		Drains:      nil,
-		Results:     telemetry.Batch{rec},
+		Results:     rowsBatch(telemetry.Batch{rec}),
 		ResultStage: 99, // invalid stage
 		Watermark:   1,
 	}

@@ -62,7 +62,7 @@ func TestWireBytesPerRecordBudget(t *testing.T) {
 		raw, flate float64 // ceilings, bytes per record
 	}{
 		// 38 462 raw probes: 2.13 / 1.70 B (v2: 27.00 / 4.84).
-		{"raw ping", []wire.Frame{{Records: ping.Drains[0]}}, 2.25, 1.78},
+		{"raw ping", []wire.Frame{{Cols: &ping.Drains[0]}}, 2.25, 1.78},
 		// 19 447 partial aggregates: 24.33 / 4.87 B (v3: 24.33 / 6.40, v2:
 		// 37.00 / 8.58) — integral sums: the zero mantissa planes vanish.
 		{"agg partials", agg, 25.5, 5.2},
