@@ -811,10 +811,9 @@ func BenchmarkDeltaSnapshotSave(b *testing.B) {
 // BenchmarkEpochReplay applies one shipped drain-heavy S2SProbe epoch to
 // an SP engine through the receiver — hello, staged columnar frames,
 // commit, ack — the per-epoch cost of catching up after a restart.
-// BenchmarkReceiverDecode isolates the wire-level share of it with the
-// row-materializing decoder (a FrameReader without columnar exec; the
-// receiver's own pooled SoA decode is BenchmarkWireDecodePing and
-// BenchmarkReceiverDecodeLog). MB/s of both is over the epoch's wire
+// BenchmarkReceiverDecode isolates the wire-level share of it: the
+// receiver's decode (SoA sections in pooled arenas, recycled at the
+// epoch's end) of the same stream. MB/s of both is over the epoch's wire
 // bytes.
 func BenchmarkEpochReplay(b *testing.B) {
 	_, epochBytes, err := benchcase.ShippedEpoch()
@@ -834,18 +833,9 @@ func BenchmarkReceiverDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fr := wire.NewFrameReader(bytes.NewReader(epochBytes))
+	fr := benchcase.NewEpochDecoder()
 	b.SetBytes(int64(len(epochBytes)))
-	benchWarm(b, func() error {
-		fr.Reset(bytes.NewReader(epochBytes))
-		for {
-			if _, err := fr.ReadFrame(); err == io.EOF {
-				return nil
-			} else if err != nil {
-				return err
-			}
-		}
-	})
+	benchWarm(b, func() error { return benchcase.DecodeEpoch(fr, epochBytes) })
 }
 
 // BenchmarkReplicationApply times Standby.ApplySnapshot on a full

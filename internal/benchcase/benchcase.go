@@ -64,7 +64,6 @@ func SPIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error) 
 	batch := gen.NextWindow(1_000_000)
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	if err := fw.WriteFrame(wire.Frame{StreamID: 0, Source: 1, Records: batch}); err != nil {
 		return nil, nil, nil, err
 	}
@@ -72,7 +71,6 @@ func SPIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error) 
 		return nil, nil, nil, err
 	}
 	fr := wire.NewFrameReader(bytes.NewReader(buf.Bytes()))
-	fr.SetColumnarExec(true)
 	f, err := fr.ReadFrame()
 	if err != nil {
 		return nil, nil, nil, err
@@ -176,7 +174,6 @@ func DrainedPingCols() (*wire.ColumnarBatch, error) {
 func FrameCodec(cb *wire.ColumnarBatch) (encode func() ([]byte, error), decode func([]byte) error) {
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	fw.SetCompression(true)
 	encode = func() ([]byte, error) {
 		buf.Reset()
@@ -223,7 +220,6 @@ func SpanIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error
 	batch := gen.NextWindow(1_000_000)
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	if err := fw.WriteFrame(wire.Frame{StreamID: 0, Source: 1, Records: batch}); err != nil {
 		return nil, nil, nil, err
 	}
@@ -231,7 +227,6 @@ func SpanIngest() (*stream.SPEngine, telemetry.Batch, *wire.ColumnarBatch, error
 		return nil, nil, nil, err
 	}
 	fr := wire.NewFrameReader(bytes.NewReader(buf.Bytes()))
-	fr.SetColumnarExec(true)
 	f, err := fr.ReadFrame()
 	if err != nil {
 		return nil, nil, nil, err
@@ -304,7 +299,6 @@ func LogIngest() (*stream.SPEngine, [][]StageBatch, error) {
 	epochs := make([][]StageBatch, len(streams))
 	for i, data := range streams {
 		fr := wire.NewFrameReader(bytes.NewReader(data))
-		fr.SetColumnarExec(true)
 		for {
 			f, err := fr.ReadFrame()
 			if err == io.EOF {
@@ -371,7 +365,6 @@ func WindowClose() (*stream.SPEngine, []StageBatch, int, error) {
 			return nil, nil, 0, err
 		}
 		fr := wire.NewFrameReader(bytes.NewReader(data))
-		fr.SetColumnarExec(true)
 		for {
 			f, err := fr.ReadFrame()
 			if err == io.EOF {
@@ -394,7 +387,6 @@ func WindowClose() (*stream.SPEngine, []StageBatch, int, error) {
 // sets its own up: data frames decode to SoA sections in pooled arenas.
 func NewEpochDecoder() *wire.FrameReader {
 	fr := wire.NewFrameReader(bytes.NewReader(nil))
-	fr.SetColumnarExec(true)
 	fr.EnableArenaPooling()
 	return fr
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"jarvis/internal/stream"
@@ -253,5 +254,102 @@ func TestResultLogTruncatesTornTail(t *testing.T) {
 	rows, err := ReadResultLog(path)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("read back: rows=%d err=%v", len(rows), err)
+	}
+}
+
+// pinnedResultBatches are the three appends testdata/resultlog.pinned
+// holds: aggregate and quantile rows with numeric and string keys over
+// three 10 s windows, each stamped with its window's end.
+func pinnedResultBatches() []telemetry.Batch {
+	const win = 10_000_000
+	agg := func(key telemetry.GroupKey, w, count int64, sum, min, max float64) telemetry.Record {
+		return telemetry.NewAggRecord(telemetry.AggRow{Key: key, Window: w, Count: count, Sum: sum, Min: min, Max: max}, (w+1)*win)
+	}
+	quant := func(key telemetry.GroupKey, w int64, counts ...int64) telemetry.Record {
+		q := &telemetry.QuantileRow{Key: key, Window: w, Lo: 0, Hi: 1000, Counts: counts}
+		for _, c := range counts {
+			q.Total += c
+		}
+		return telemetry.Record{Time: (w + 1) * win, Window: w, WireSize: q.WireSize(), Data: q}
+	}
+	return []telemetry.Batch{
+		{
+			agg(telemetry.NumKey(0x0a000001_0a000002), 0, 3, 1500.5, 250.25, 750),
+			agg(telemetry.StrKey("tenant-a|cpu|3"), 0, 1, 42, 42, 42),
+			quant(telemetry.StrKey("svc|lat"), 0, 0, 4, 9, 2, 1),
+		},
+		{
+			quant(telemetry.NumKey(7), 1, 1, 0, 0, 0, 0, 3),
+			agg(telemetry.NumKey(0x0a000001_0a000002), 1, 2, -8.5, -10, 1.5),
+		},
+		{
+			agg(telemetry.StrKey("tenant-b|mem|0"), 2, 5, 5e9, 1e-3, 4.99e9),
+			agg(telemetry.NumKey(0), 2, 1, 0, 0, 0),
+			quant(telemetry.StrKey("svc|lat"), 2, 2, 2, 2, 2, 2),
+		},
+	}
+}
+
+// TestResultLogFormatPinned pins the result log's on-disk bytes: one
+// count-prefixed row frame per append. testdata/resultlog.pinned was
+// written once, by appending pinnedResultBatches to a fresh log with the
+// build whose data frames could still be written as row frames, and is
+// never regenerated. The rows must read back from it, reopening it must
+// recover the row count and emitted watermark, and appending the same
+// rows to a fresh log must reproduce it byte for byte — which fails if
+// result frames ever go columnar.
+func TestResultLogFormatPinned(t *testing.T) {
+	const pinned = "testdata/resultlog.pinned"
+	want, err := os.ReadFile(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows telemetry.Batch
+	for _, b := range pinnedResultBatches() {
+		rows = append(rows, b...)
+	}
+	got, err := ReadResultLog(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rows) {
+		t.Fatalf("pinned log reads back as %v, want %v", got, rows)
+	}
+
+	dir := t.TempDir()
+	reopened := filepath.Join(dir, "reopened.log")
+	if err := os.WriteFile(reopened, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenResultLog(reopened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Rows() != int64(len(rows)) || l.EmittedWM() != 30_000_000 {
+		t.Fatalf("reopened pinned log: rows=%d wm=%d, want %d and 30000000", l.Rows(), l.EmittedWM(), len(rows))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := filepath.Join(dir, "fresh.log")
+	l, err = OpenResultLog(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range pinnedResultBatches() {
+		if kept, err := l.Append(b); err != nil || len(kept) != len(b) {
+			t.Fatalf("append kept %d of %d rows: %v", len(kept), len(b), err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("a fresh log of the pinned rows is %d bytes unlike the pinned %d:\n%x\n%x", len(data), len(want), data, want)
 	}
 }

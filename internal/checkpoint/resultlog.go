@@ -105,15 +105,12 @@ func (l *ResultLog) Append(rowsIn telemetry.Batch) (telemetry.Batch, error) {
 	if len(kept) == 0 {
 		return nil, nil
 	}
-	var buf bytes.Buffer
-	fw := wire.NewFrameWriter(&buf)
-	if err := fw.WriteFrame(wire.Frame{Records: kept}); err != nil {
+	// Row frames, not columnar ones: this is the log's on-disk format.
+	frame, err := wire.AppendRowFrame(nil, 0, 0, kept)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode result rows: %w", err)
 	}
-	if err := fw.Flush(); err != nil {
-		return nil, err
-	}
-	if _, err := l.f.Write(buf.Bytes()); err != nil {
+	if _, err := l.f.Write(frame); err != nil {
 		// A partial frame may have reached the file; rewind to the last
 		// good frame boundary so the next append does not strand rows
 		// behind a torn frame. The high-water mark is untouched, so the
@@ -122,7 +119,7 @@ func (l *ResultLog) Append(rowsIn telemetry.Batch) (telemetry.Batch, error) {
 		_, _ = l.f.Seek(l.size, io.SeekStart)
 		return nil, fmt.Errorf("checkpoint: append result rows: %w", err)
 	}
-	l.size += int64(buf.Len())
+	l.size += int64(len(frame))
 	l.emittedWM = maxT
 	l.rows += int64(len(kept))
 	return kept, nil

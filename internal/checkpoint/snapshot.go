@@ -161,7 +161,6 @@ func (e *encoder) encode(s *Snapshot) ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, 0, want))
 	if e.fw == nil {
 		e.fw = wire.NewFrameWriter(buf)
-		e.fw.SetColumnar(true)
 	} else {
 		e.fw.Reset(buf)
 	}
@@ -250,7 +249,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 }
 
 func decodeSnapshot(fr *wire.FrameReader) (*Snapshot, error) {
-	first, err := fr.ReadFrame()
+	first, err := fr.ReadRows()
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: snapshot header: %w", err)
 	}
@@ -281,7 +280,7 @@ func decodeSnapshot(fr *wire.FrameReader) (*Snapshot, error) {
 		s.Meta = make(map[int]stream.StageDelta)
 	}
 	for {
-		f, err := fr.ReadFrame()
+		f, err := fr.ReadRows()
 		if err == io.EOF {
 			return s, nil
 		}

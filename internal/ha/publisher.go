@@ -464,13 +464,11 @@ type frameEncoder struct {
 var frameEncoders = sync.Pool{New: func() any {
 	e := new(frameEncoder)
 	e.fw = wire.NewFrameWriter(&e.buf)
-	e.fw.SetColumnar(true)
 	return e
 }}
 
 // encodeFrame renders one replication frame: mirrored rows go columnar,
-// control records stay row frames (a columnar writer never re-encodes
-// the control stream).
+// control records stay row frames.
 func encodeFrame(f wire.Frame) ([]byte, error) {
 	e := frameEncoders.Get().(*frameEncoder)
 	defer frameEncoders.Put(e)

@@ -188,7 +188,7 @@ func (s *Standby) serveConn(ctx context.Context, conn net.Conn) {
 	defer stop()
 	fr := wire.NewFrameReader(conn)
 	for {
-		f, err := fr.ReadFrame()
+		f, err := fr.ReadRows()
 		if err != nil {
 			return
 		}

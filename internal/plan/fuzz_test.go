@@ -30,7 +30,6 @@ func FuzzColumnarJoinDifferential(f *testing.F) {
 	seed := func(batch telemetry.Batch) {
 		var buf bytes.Buffer
 		fw := wire.NewFrameWriter(&buf)
-		fw.SetColumnar(true)
 		if err := fw.WriteFrame(wire.Frame{StreamID: 1, Records: batch}); err != nil {
 			f.Fatal(err)
 		}

@@ -215,7 +215,6 @@ func soaOf(t *testing.T, rows telemetry.Batch) []wire.ColSec {
 	t.Helper()
 	var buf bytes.Buffer
 	fw := wire.NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	if err := fw.WriteFrame(wire.Frame{Records: rows}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,6 @@ func soaOf(t *testing.T, rows telemetry.Batch) []wire.ColSec {
 		t.Fatal(err)
 	}
 	fr := wire.NewFrameReader(&buf)
-	fr.SetColumnarExec(true)
 	f, err := fr.ReadFrame()
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func (f *fakeClock) advance(d time.Duration) {
 }
 
 // probeFrames builds one epoch's staged frames: n ping probes in a
-// single stage-0 data frame.
+// single stage-0 data frame, columnar as the receiver stages it.
 func probeFrames(src uint32, base int64, n int) []wire.Frame {
 	batch := make(telemetry.Batch, 0, n)
 	for i := 0; i < n; i++ {
@@ -44,7 +44,8 @@ func probeFrames(src uint32, base int64, n int) []wire.Frame {
 			Timestamp: base + int64(i), SrcIP: 1, DstIP: 2, RTTMicros: 500,
 		}))
 	}
-	return []wire.Frame{{StreamID: 0, Source: src, Records: batch}}
+	cb := rowsBatch(batch)
+	return []wire.Frame{{StreamID: 0, Source: src, Cols: &cb}}
 }
 
 func newAdmissionReceiver(t *testing.T, cfg admission.Config) (*Receiver, *admission.Controller) {
@@ -545,7 +546,8 @@ func TestDegradeDontDropBoundedError(t *testing.T) {
 	rc.registerConn(1, 1, aw)
 
 	frame := func(batch telemetry.Batch) []wire.Frame {
-		return []wire.Frame{{StreamID: 0, Source: 1, Records: batch}}
+		cb := rowsBatch(batch)
+		return []wire.Frame{{StreamID: 0, Source: 1, Cols: &cb}}
 	}
 	for i, batch := range epochs {
 		commit(t, rc, 1, uint64(i+1), frame(batch), aw)

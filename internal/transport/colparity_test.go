@@ -138,14 +138,14 @@ func TestColumnarRowParity(t *testing.T) {
 			colRC := NewReceiver(colEngine) // decoded SoA sections
 			soaRC := NewReceiver(soaEngine) // fed by the SoA agent pipeline
 
-			// feedRows decodes the shipped epoch into row batches (a plain
-			// frame reader materializes records) and applies each frame to
-			// the engine whole (the row reference) or one record at a time
-			// (the record-at-a-time reference).
+			// feedRows decodes the shipped epoch into row batches (ReadRows
+			// materializes records) and applies each frame to the engine
+			// whole (the row reference) or one record at a time (the
+			// record-at-a-time reference).
 			feedRows := func(e *stream.SPEngine, data []byte, whole bool) {
 				fr := wire.NewFrameReader(bytes.NewReader(data))
 				for {
-					f, err := fr.ReadFrame()
+					f, err := fr.ReadRows()
 					if err != nil {
 						break
 					}

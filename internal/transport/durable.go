@@ -182,7 +182,6 @@ func (d *DurableShipper) encodeEpoch(seq uint64, res stream.EpochResult, encStar
 	d.encBuf.Reset()
 	if d.encFW == nil {
 		d.encFW = wire.NewFrameWriter(&d.encBuf)
-		d.encFW.SetColumnar(true)
 		d.encFW.SetCompression(d.compress)
 	} else {
 		d.encFW.Reset(&d.encBuf)

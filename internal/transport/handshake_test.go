@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"slices"
 	"testing"
 
 	"jarvis/internal/plan"
@@ -18,14 +19,15 @@ type refuseGate struct{}
 func (refuseGate) AdmitHello(uint64) (uint64, error) { return 0, io.ErrClosedPipe }
 
 // TestHandshakeRejects pins the one connection contract from both ends.
-// Receiver side: a Hello below wire v4, or any data, watermark or
-// EpochEnd frame ahead of the Hello, closes the connection with
-// recv_errors counted, nothing acked and nothing ingested — including on
-// a standby, where hello-less frames used to reach the engine without
-// ever meeting the gate. Shipper side: an ack that negotiates below v4,
-// or lacks compression support for a compressing shipper, fails Connect
-// with the replay buffer untouched, and a following Connect to a good
-// receiver delivers every pending epoch.
+// Receiver side: a Hello below wire v4, any data, watermark or EpochEnd
+// frame ahead of the Hello, or a row-form data frame after it closes the
+// connection with recv_errors counted, no epoch acked and nothing
+// ingested — including on a standby, where hello-less frames used to
+// reach the engine without ever meeting the gate. Shipper side: an ack
+// that negotiates below v4, or lacks compression support for a
+// compressing shipper, fails Connect with the replay buffer untouched,
+// and a following Connect to a good receiver delivers every pending
+// epoch.
 func TestHandshakeRejects(t *testing.T) {
 	// One epoch that would emit a result row if any of it were ingested:
 	// a probe in window 0 and a watermark far past the window's end.
@@ -38,10 +40,9 @@ func TestHandshakeRejects(t *testing.T) {
 	_, _, pending := encoded.State()
 	epochBytes := pending[0].Data // columnar drain, watermark, EpochEnd
 
-	frames := func(columnar bool, fs ...wire.Frame) []byte {
+	frames := func(fs ...wire.Frame) []byte {
 		var buf bytes.Buffer
 		fw := wire.NewFrameWriter(&buf)
-		fw.SetColumnar(columnar)
 		for _, f := range fs {
 			if err := fw.WriteFrame(f); err != nil {
 				t.Fatal(err)
@@ -52,6 +53,18 @@ func TestHandshakeRejects(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	// rowFrames writes data frames in the count-prefixed row form, which
+	// FrameWriter keeps for control frames only.
+	rowFrames := func(fs ...wire.Frame) []byte {
+		var out []byte
+		for _, f := range fs {
+			var err error
+			if out, err = wire.AppendRowFrame(out, f.StreamID, f.Source, f.Records); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
 	control := func(size int, data any) wire.Frame {
 		return wire.Frame{StreamID: wire.ControlStreamID, Source: 3, Records: telemetry.Batch{{WireSize: size, Data: data}}}
 	}
@@ -60,20 +73,26 @@ func TestHandshakeRejects(t *testing.T) {
 		{Time: 20_000_000, WireSize: 17, Data: &wire.Watermark{Time: 20_000_000}},
 	}}
 
+	hello := frames(control(29, &wire.Hello{Source: 3, Version: wire.CurrentWireVersion}))
+	epochEnd := frames(control(33, &wire.EpochEnd{Seq: 1, Watermark: 20_000_000}))
 	recvCases := []struct {
 		name   string
 		gate   HelloGate
 		stream []byte
+		// helloAcked: the Hello itself passes, so its ack (naming durable
+		// seq 0) is the one ack the connection may carry.
+		helloAcked bool
 	}{
-		{"hello v0 (pre-versioning)", nil, append(frames(false, control(29, &wire.Hello{Source: 3})), epochBytes...)},
-		{"hello v1", nil, append(frames(false, control(29, &wire.Hello{Source: 3, Version: wire.WireV1})), epochBytes...)},
-		{"hello v2 (unpacked columns)", nil, append(frames(false, control(29, &wire.Hello{Source: 3, Version: wire.WireV2, Compress: true})), epochBytes...)},
-		{"hello v3 (big-endian floats)", nil, append(frames(false, control(29, &wire.Hello{Source: 3, Version: wire.WireV3, Compress: true})), epochBytes...)},
-		{"data frame before hello", nil, epochBytes},
-		{"row data frame before hello", nil, frames(false, drain, watermark)},
-		{"watermark frame before hello", nil, frames(true, watermark, drain)},
-		{"epoch end before hello", nil, frames(false, control(33, &wire.EpochEnd{Seq: 1, Watermark: 20_000_000}))},
-		{"hello-less columnar stream on a standby", refuseGate{}, frames(true, drain, watermark)},
+		{"hello v0 (pre-versioning)", nil, append(frames(control(29, &wire.Hello{Source: 3})), epochBytes...), false},
+		{"hello v1", nil, append(frames(control(29, &wire.Hello{Source: 3, Version: wire.WireV1})), epochBytes...), false},
+		{"hello v2 (unpacked columns)", nil, append(frames(control(29, &wire.Hello{Source: 3, Version: wire.WireV2, Compress: true})), epochBytes...), false},
+		{"hello v3 (big-endian floats)", nil, append(frames(control(29, &wire.Hello{Source: 3, Version: wire.WireV3, Compress: true})), epochBytes...), false},
+		{"data frame before hello", nil, epochBytes, false},
+		{"row data frame before hello", nil, rowFrames(drain, watermark), false},
+		{"row data frame after hello", nil, slices.Concat(hello, rowFrames(drain, watermark), epochEnd), true},
+		{"watermark frame before hello", nil, frames(watermark, drain), false},
+		{"epoch end before hello", nil, epochEnd, false},
+		{"hello-less columnar stream on a standby", refuseGate{}, frames(drain, watermark), false},
 	}
 	for _, tc := range recvCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,8 +115,19 @@ func TestHandshakeRejects(t *testing.T) {
 			if rc.AppliedSeq(3) != 0 || rc.Counters().Get(CtrEpochsApplied) != 0 {
 				t.Fatal("an epoch was applied from a rejected connection")
 			}
-			if acks.Len() != 0 {
-				t.Fatalf("receiver acked a rejected connection (%d bytes)", acks.Len())
+			fr := wire.NewFrameReader(&acks)
+			for n := 0; ; n++ {
+				f, err := fr.ReadFrame()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				ack, ok := f.Records[0].Data.(*wire.Ack)
+				if !tc.helloAcked || n > 0 || !ok || ack.Seq != 0 {
+					t.Fatalf("receiver acked a rejected connection: %+v", f.Records[0].Data)
+				}
 			}
 		})
 	}
@@ -129,7 +159,7 @@ func TestHandshakeRejects(t *testing.T) {
 			client, server := net.Pipe()
 			go func() {
 				if _, err := wire.NewFrameReader(server).ReadFrame(); err == nil {
-					_, _ = server.Write(frames(false, control(29, &tc.ack)))
+					_, _ = server.Write(frames(control(29, &tc.ack)))
 				}
 				_, _ = io.Copy(io.Discard, server)
 			}()

@@ -289,15 +289,15 @@ func (w *ackWriter) sendAck(source uint32, seq uint64, throttleMicros uint64, re
 // discipline: the connection must open with a Hello announcing wire v4 or
 // newer; after it, frames are staged and applied atomically, exactly
 // once, at each EpochEnd marker, and acks flow back on the same
-// connection. A Hello below v4, or any data, watermark or EpochEnd frame
-// ahead of the Hello, ends the connection with an error (recv_errors)
+// connection. A Hello below v4, any data, watermark or EpochEnd frame
+// ahead of the Hello, or a data or watermark frame in row form (a v4
+// peer's are columnar) ends the connection with an error (recv_errors)
 // and nothing ingested.
 func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 	fr := wire.NewFrameReader(conn)
 	// Data frames decode straight into pooled SoA arenas for
 	// SPEngine.IngestColumnar; they are recycled at each consumption point
 	// below, once nothing references the columns.
-	fr.SetColumnarExec(true)
 	fr.EnableArenaPooling()
 	var (
 		aw        *ackWriter
@@ -445,6 +445,10 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 			rc.counters.Inc(CtrRecvErrors)
 			return fmt.Errorf("transport: frame for stream %d before hello", f.StreamID)
 		}
+		if f.Cols == nil {
+			rc.counters.Inc(CtrRecvErrors)
+			return fmt.Errorf("transport: row-form frame for stream %d; wire v4 data frames are columnar", f.StreamID)
+		}
 		if shedding {
 			// Mid-shed: the rest of the epoch's frames drop on the floor.
 			fr.RecycleArenas()
@@ -475,33 +479,22 @@ func (rc *Receiver) noteFrame(f *wire.Frame) {
 	rc.counters.Inc(CtrFramesIn)
 }
 
-// eachWatermark invokes fn for every watermark record in a frame,
-// whichever form it was decoded into (columnar watermark sections
-// materialize at decode, so they sit in the batch's row fallbacks).
+// eachWatermark invokes fn for every watermark record in a frame
+// (columnar watermark sections materialize at decode, so they sit in the
+// batch's row fallbacks).
 func eachWatermark(f wire.Frame, fn func(wm int64)) {
-	for _, rec := range f.Records {
-		if wm, ok := rec.Data.(*wire.Watermark); ok {
-			fn(wm.Time)
-		}
-	}
-	if f.Cols != nil {
-		for si := range f.Cols.Secs {
-			for _, rec := range f.Cols.Secs[si].Rows {
-				if wm, ok := rec.Data.(*wire.Watermark); ok {
-					fn(wm.Time)
-				}
+	for si := range f.Cols.Secs {
+		for _, rec := range f.Cols.Secs[si].Rows {
+			if wm, ok := rec.Data.(*wire.Watermark); ok {
+				fn(wm.Time)
 			}
 		}
 	}
 }
 
-// ingest applies one data frame to the engine on whichever execution
-// path it was decoded for.
+// ingest applies one data frame to the engine.
 func (rc *Receiver) ingest(f wire.Frame) error {
-	if f.Cols != nil {
-		return rc.engine.IngestSized(int(f.StreamID), f.Cols, f.PayloadBytes())
-	}
-	return rc.engine.Ingest(int(f.StreamID), f.Records)
+	return rc.engine.IngestSized(int(f.StreamID), f.Cols, f.PayloadBytes())
 }
 
 // registerConn records the connection serving a source and returns the
@@ -708,15 +701,12 @@ func (rc *Receiver) applyEpochLocked(src uint32, seq uint64, watermark int64, fr
 }
 
 // frameRows materializes a frame's records as rows that own their
-// memory: columnar frames append through the decoder's fresh per-batch
-// arenas, so the result is safe to hold past RecycleArenas.
+// memory (AppendRows allocates fresh payload arenas), so the result is
+// safe to hold past RecycleArenas.
 func frameRows(f wire.Frame) telemetry.Batch {
-	if f.Cols != nil {
-		var rows telemetry.Batch
-		f.Cols.AppendRows(&rows)
-		return rows
-	}
-	return f.Records
+	var rows telemetry.Batch
+	f.Cols.AppendRows(&rows)
+	return rows
 }
 
 // framesBytes sums an epoch's payload bytes (the unit the admission
@@ -744,15 +734,13 @@ func appendAckTarget(targets []ackTarget, t ackTarget) []ackTarget {
 }
 
 // queueDelayedLocked parks one epoch in the source's delay queue,
-// row-materializing its frames so nothing references the connection's
-// decode arenas.
+// row-materializing each frame into one Rows section so nothing
+// references the connection's decode arenas.
 func (rc *Receiver) queueDelayedLocked(src uint32, e *wire.EpochEnd, staged []wire.Frame) {
 	mat := make([]wire.Frame, 0, len(staged))
 	for _, f := range staged {
-		if f.Cols != nil {
-			f = wire.Frame{StreamID: f.StreamID, Source: f.Source, Records: frameRows(f)}
-		}
-		mat = append(mat, f)
+		rows := &wire.ColumnarBatch{Secs: []wire.ColSec{{Rows: frameRows(f)}}}
+		mat = append(mat, wire.Frame{StreamID: f.StreamID, Source: f.Source, Cols: rows, Bytes: f.Bytes})
 	}
 	var arrival time.Time
 	if rc.admit != nil {

@@ -192,7 +192,7 @@ func TestShipperAccounting(t *testing.T) {
 		watermarks := 0
 		fr := wire.NewFrameReader(bytes.NewReader(pending[0].Data))
 		for {
-			f, err := fr.ReadFrame()
+			f, err := fr.ReadRows()
 			if err == io.EOF {
 				break
 			}

@@ -42,7 +42,6 @@ func TestWireBytesPerRecordBudget(t *testing.T) {
 	}
 	var logFrames []wire.Frame
 	fr := wire.NewFrameReader(bytes.NewReader(logs[0]))
-	fr.SetColumnarExec(true)
 	for {
 		f, err := fr.ReadFrame()
 		if err == io.EOF {
@@ -85,7 +84,6 @@ func TestWireBytesPerRecordBudget(t *testing.T) {
 			for i, compress := range []bool{false, true} {
 				var buf bytes.Buffer
 				fw := wire.NewFrameWriter(&buf)
-				fw.SetColumnar(true)
 				fw.SetCompression(compress)
 				if err := fw.WriteFrame(f); err != nil {
 					t.Fatal(err)

@@ -161,7 +161,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	fr := NewFrameReader(&buf)
 	for i, want := range frames {
-		got, err := fr.ReadFrame()
+		got, err := fr.ReadRows()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}

@@ -1,6 +1,10 @@
 package wire
 
-import "jarvis/internal/telemetry"
+import (
+	"slices"
+
+	"jarvis/internal/telemetry"
+)
 
 // ColumnarBatch is a decoded columnar frame kept in SoA (structure-of-arrays)
 // form: per-field columns backed by the decode arena and the decoder's
@@ -125,8 +129,8 @@ func (cb *ColumnarBatch) Records() int {
 	return n
 }
 
-// bytes sums the accounting wire sizes — what the row-materializing
-// decoder would stamp into Record.WireSize — of the rows sel names, or of
+// bytes sums the accounting wire sizes — what AppendRows stamps into
+// Record.WireSize — of the rows sel names, or of
 // every row when sel is nil. The section's kind is resolved once, not
 // per row: fixed-size payloads (probes) sum in O(1), the others walk only
 // their string columns.
@@ -207,10 +211,10 @@ func (cb *ColumnarBatch) TotalBytes() int64 {
 }
 
 // AppendRows materializes every live row into records appended to *out,
-// in order, allocating fresh per-section arenas — exactly the records the
-// row-materializing decoder would have produced (after any filtering and
-// window assignment recorded in the section). The appended records own
-// their payload memory and may be retained freely.
+// in order (after any filtering and window assignment recorded in the
+// sections), allocating fresh per-section payload arenas. The appended
+// records own their payload memory and may be retained freely, also past
+// the decoder's RecycleArenas.
 func (cb *ColumnarBatch) AppendRows(out *telemetry.Batch) {
 	for si := range cb.Secs {
 		cb.Secs[si].AppendRows(out)
@@ -230,78 +234,90 @@ func (s *ColSec) Live(fn func(i int)) {
 	}
 }
 
+// row returns the column index of the section's k-th live row.
+func (s *ColSec) row(k int) int {
+	if s.Sel != nil {
+		return int(s.Sel[k])
+	}
+	return k
+}
+
 // AppendRows materializes one section's live rows into *out.
 func (s *ColSec) AppendRows(out *telemetry.Batch) {
 	if s.Rows != nil {
 		*out = append(*out, s.Rows...)
 		return
 	}
+	n := s.Len()
+	*out = slices.Grow(*out, n)
+	recs := (*out)[len(*out) : len(*out)+n]
+	*out = (*out)[:len(*out)+n]
 	switch {
 	case s.Ping != nil:
-		arena := make([]telemetry.PingProbe, 0, s.Len())
-		c := s.Ping
-		s.Live(func(i int) {
-			arena = append(arena, telemetry.PingProbe{
+		arena, c := make([]telemetry.PingProbe, n), s.Ping
+		for k := range arena {
+			i := s.row(k)
+			arena[k] = telemetry.PingProbe{
 				Timestamp: c.TS[i], SrcIP: c.SrcIP[i], SrcCluster: c.SrcCluster[i],
 				DstIP: c.DstIP[i], DstCluster: c.DstCluster[i],
 				RTTMicros: c.RTT[i], ErrCode: c.Err[i],
-			})
-			*out = append(*out, telemetry.Record{
+			}
+			recs[k] = telemetry.Record{
 				Time: s.Times[i], Window: s.Windows[i],
-				WireSize: telemetry.PingProbeWireSize, Data: &arena[len(arena)-1],
-			})
-		})
+				WireSize: telemetry.PingProbeWireSize, Data: &arena[k],
+			}
+		}
 	case s.ToR != nil:
-		arena := make([]telemetry.ToRProbe, 0, s.Len())
-		c := s.ToR
-		s.Live(func(i int) {
-			arena = append(arena, telemetry.ToRProbe{
+		arena, c := make([]telemetry.ToRProbe, n), s.ToR
+		for k := range arena {
+			i := s.row(k)
+			arena[k] = telemetry.ToRProbe{
 				Timestamp: c.TS[i], SrcToR: c.SrcToR[i], DstToR: c.DstToR[i], RTTMicros: c.RTT[i],
-			})
-			*out = append(*out, telemetry.Record{
+			}
+			recs[k] = telemetry.Record{
 				Time: s.Times[i], Window: s.Windows[i],
-				WireSize: telemetry.ToRProbeWireSize, Data: &arena[len(arena)-1],
-			})
-		})
+				WireSize: telemetry.ToRProbeWireSize, Data: &arena[k],
+			}
+		}
 	case s.Log != nil:
-		arena := make([]telemetry.LogLine, 0, s.Len())
-		c := s.Log
-		s.Live(func(i int) {
-			arena = append(arena, telemetry.LogLine{Timestamp: c.TS[i], Raw: c.Raw[i]})
-			*out = append(*out, telemetry.Record{
+		arena, c := make([]telemetry.LogLine, n), s.Log
+		for k := range arena {
+			i := s.row(k)
+			arena[k] = telemetry.LogLine{Timestamp: c.TS[i], Raw: c.Raw[i]}
+			recs[k] = telemetry.Record{
 				Time: s.Times[i], Window: s.Windows[i],
-				WireSize: len(c.Raw[i]), Data: &arena[len(arena)-1],
-			})
-		})
+				WireSize: len(c.Raw[i]), Data: &arena[k],
+			}
+		}
 	case s.Job != nil:
-		arena := make([]telemetry.JobStats, 0, s.Len())
-		c := s.Job
-		s.Live(func(i int) {
-			arena = append(arena, telemetry.JobStats{
+		arena, c := make([]telemetry.JobStats, n), s.Job
+		for k := range arena {
+			i := s.row(k)
+			p := &arena[k]
+			*p = telemetry.JobStats{
 				Timestamp: c.TS[i], Tenant: c.Tenant[i], StatName: c.StatName[i],
 				Stat: c.Stat[i], Bucket: int(c.Bucket[i]),
-			})
-			p := &arena[len(arena)-1]
-			*out = append(*out, telemetry.Record{
+			}
+			recs[k] = telemetry.Record{
 				Time: s.Times[i], Window: s.Windows[i],
 				WireSize: p.JobStatsWireSize(), Data: p,
-			})
-		})
+			}
+		}
 	case s.Agg != nil:
-		arena := make([]telemetry.AggRow, 0, s.Len())
-		c := s.Agg
-		s.Live(func(i int) {
-			arena = append(arena, telemetry.AggRow{
+		arena, c := make([]telemetry.AggRow, n), s.Agg
+		for k := range arena {
+			i := s.row(k)
+			p := &arena[k]
+			*p = telemetry.AggRow{
 				Key:    telemetry.GroupKey{Num: c.KeyNum[i], Str: c.KeyStr[i]},
 				Window: c.Window[i], Count: c.Count[i],
 				Sum: c.Sum[i], Min: c.Min[i], Max: c.Max[i],
-			})
-			p := &arena[len(arena)-1]
-			*out = append(*out, telemetry.Record{
+			}
+			recs[k] = telemetry.Record{
 				Time: s.Times[i], Window: s.Windows[i],
 				WireSize: p.AggRowWireSize(), Data: p,
-			})
-		})
+			}
+		}
 	}
 }
 
@@ -328,8 +344,9 @@ func (cb *ColumnarBatch) Clone() *ColumnarBatch {
 // 12-byte header) into SoA sections appended to cb, without
 // materializing telemetry.Record structs for the section types the SoA
 // layer models. Column arrays are freshly allocated per call (one arena
-// allocation per column, not per record) and own their memory; strings
-// resolve by column role like the row-materializing path.
+// allocation per column, not per record) and own their memory, or come
+// from the decoder's pool when EnableArenaPooling is on; strings resolve
+// by column role (str).
 func (d *ColumnarDecoder) DecodeColumnar(payload []byte, cb *ColumnarBatch) error {
 	r, err := d.open(payload)
 	if err != nil {

@@ -13,16 +13,16 @@ import (
 // and byte-plane float columns, the only data-frame format the transport
 // ships.
 //
-// A count-prefixed row frame (control records, result logs, agent
-// checkpoints) serializes its batch record by record, so the decode side
-// pays one struct allocation (plus string allocations) per record. A
-// columnar frame stores the same batch column-wise: records are grouped
-// into *sections* of consecutive same-type records, and each section
-// holds per-field contiguous arrays — every integer field (event times,
-// windows, ids, counts, string references) as a packed column
-// (packed.go), floats as byte planes (planes.go), and strings as
-// references into a per-frame string table. The decoder materializes a
-// whole section into one arena slice, so decoding a frame costs
+// A count-prefixed row frame (control records, result logs) serializes
+// its batch record by record, so the decode side pays one struct
+// allocation (plus string allocations) per record. A columnar frame
+// stores the same batch column-wise: records are grouped into *sections*
+// of consecutive same-type records, and each section holds per-field
+// contiguous arrays — every integer field (event times, windows, ids,
+// counts, string references) as a packed column (packed.go), floats as
+// byte planes (planes.go), and strings as references into a per-frame
+// string table. The decoder reads each column into one arena and keeps
+// the frame in that SoA form (ColumnarBatch), so decoding a frame costs
 // O(sections) allocations instead of O(records).
 //
 // Layout (the frame header's record-count field holds ColumnarMarker):
@@ -301,7 +301,7 @@ func (e *columnarEncoder) floats(k, n int) [][]float64 { return scratch(&e.f64, 
 
 // encodeSection writes one run of same-type records as a wire section:
 // the integer columns gathered into scratch and packed, in the order
-// decodeSectionBody reads them, then the float columns.
+// the decoder reads them (sectionIntCols), then the float columns.
 func (e *columnarEncoder) encodeSection(dst []byte, tag byte, sec telemetry.Batch) ([]byte, error) {
 	dst, err := e.sectionHeader(dst, tag, len(sec))
 	if err != nil {
@@ -560,15 +560,11 @@ func (e *columnarEncoder) encodeColSec(dst []byte, s *ColSec) ([]byte, error) {
 	return dst, nil
 }
 
-// ColumnarDecoder materializes columnar payloads. One decoder serves
-// one connection (or one snapshot store): its canonicalization cache
-// makes the key strings that repeat across frames — group keys, tenants,
-// stat names — decode to a single shared string instead of a fresh
-// allocation per frame. Each DecodeBatch call materializes records
-// into freshly allocated per-section arenas, so decoded records own
-// their memory and may be retained freely (a retained log line keeps
-// its frame's string copy alive, as a retained record keeps its
-// section arena); the per-record allocation of the v1 decoder is gone.
+// ColumnarDecoder decodes columnar payloads into ColumnarBatch columns
+// (DecodeColumnar). One decoder serves one connection (or one snapshot
+// store): its canonicalization cache makes the key strings that repeat
+// across frames — group keys, tenants, stat names — decode to a single
+// shared string instead of a fresh allocation per frame.
 type ColumnarDecoder struct {
 	canon map[string]string
 	// The current frame's string table: tab is the table's bytes (a view
@@ -671,68 +667,56 @@ func popArena[T any](free *[][]T, n int) ([]T, bool) {
 	return s[:n], true
 }
 
-func (d *ColumnarDecoder) i64Arena(n int) []int64 {
-	if d.pool != nil {
-		s, ok := popArena(&d.pool.i64, n)
-		if !ok {
-			s = make([]int64, n)
-		}
-		d.lent.i64 = append(d.lent.i64, s)
-		return s
+// lend returns an n-element arena from free, or a fresh one, and records
+// it in lent for the next RecycleArenas.
+func lend[T any](free, lent *[][]T, n int) []T {
+	s, ok := popArena(free, n)
+	if !ok {
+		s = make([]T, n)
 	}
-	return make([]int64, n)
+	*lent = append(*lent, s)
+	return s
+}
+
+func (d *ColumnarDecoder) i64Arena(n int) []int64 {
+	if d.pool == nil {
+		return make([]int64, n)
+	}
+	return lend(&d.pool.i64, &d.lent.i64, n)
 }
 
 func (d *ColumnarDecoder) u32Arena(n int) []uint32 {
-	if d.pool != nil {
-		s, ok := popArena(&d.pool.u32, n)
-		if !ok {
-			s = make([]uint32, n)
-		}
-		d.lent.u32 = append(d.lent.u32, s)
-		return s
+	if d.pool == nil {
+		return make([]uint32, n)
 	}
-	return make([]uint32, n)
+	return lend(&d.pool.u32, &d.lent.u32, n)
 }
 
 func (d *ColumnarDecoder) u64Arena(n int) []uint64 {
-	if d.pool != nil {
-		s, ok := popArena(&d.pool.u64, n)
-		if !ok {
-			s = make([]uint64, n)
-		}
-		d.lent.u64 = append(d.lent.u64, s)
-		return s
+	if d.pool == nil {
+		return make([]uint64, n)
 	}
-	return make([]uint64, n)
+	return lend(&d.pool.u64, &d.lent.u64, n)
 }
 
 func (d *ColumnarDecoder) f64Arena(n int) []float64 {
-	if d.pool != nil {
-		s, ok := popArena(&d.pool.f64, n)
-		if !ok {
-			s = make([]float64, n)
-		}
-		d.lent.f64 = append(d.lent.f64, s)
-		return s
+	if d.pool == nil {
+		return make([]float64, n)
 	}
-	return make([]float64, n)
+	return lend(&d.pool.f64, &d.lent.f64, n)
 }
 
+// strArena lends a string arena, recorded as holding payload strings
+// (cleared when recycled) or key strings.
 func (d *ColumnarDecoder) strArena(n int, payload bool) []string {
-	if d.pool != nil {
-		s, ok := popArena(&d.pool.str, n)
-		if !ok {
-			s = make([]string, n)
-		}
-		if payload {
-			d.lent.raw = append(d.lent.raw, s)
-		} else {
-			d.lent.str = append(d.lent.str, s)
-		}
-		return s
+	switch {
+	case d.pool == nil:
+		return make([]string, n)
+	case payload:
+		return lend(&d.pool.str, &d.lent.raw, n)
+	default:
+		return lend(&d.pool.str, &d.lent.str, n)
 	}
-	return make([]string, n)
 }
 
 // tabEntry is one string-table entry's extent within the table bytes.
@@ -810,25 +794,6 @@ func (d *ColumnarDecoder) open(payload []byte) (*reader, error) {
 	return &reader{buf: payload[:tableOff], off: 4}, nil
 }
 
-// DecodeBatch parses one columnar payload and appends the materialized
-// records to *out.
-func (d *ColumnarDecoder) DecodeBatch(payload []byte, out *telemetry.Batch) error {
-	r, err := d.open(payload)
-	if err != nil {
-		return err
-	}
-	for r.off < len(r.buf) {
-		tag, n, err := d.sectionHeader(r)
-		if err != nil {
-			return err
-		}
-		if err := d.decodeSectionBody(r, tag, n, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readTable indexes the frame's string table; entries are resolved on
 // reference, by column role (str).
 func (d *ColumnarDecoder) readTable(buf []byte) error {
@@ -873,7 +838,8 @@ func (r *reader) take(n int) []byte {
 }
 
 // intCols reads k packed integer columns of n values each into the
-// decoder's reusable scratch — what the row walker scatters into records.
+// decoder's reusable scratch — what decodeSectionBody scatters into
+// records and strCol resolves.
 func (d *ColumnarDecoder) intCols(r *reader, k, n int) [][]int64 {
 	c := scratch(&d.vals, d.cols[:k], n)
 	for i := range c {
@@ -905,8 +871,7 @@ func (d *ColumnarDecoder) admit(n uint64) error {
 	return nil
 }
 
-// sectionHeader reads one section's tag and record count (shared by the
-// row-materializing and SoA decoders). The count sizes arenas, so it is
+// sectionHeader reads one section's tag and record count. The count sizes arenas, so it is
 // bounded before anything is allocated: a raw record takes at least its
 // tag and 16-byte header, and a packed column at least two bytes per
 // 128-value block, so the bytes that remain cap the count at 64 per byte
@@ -951,9 +916,10 @@ func sectionIntCols(tag byte) int {
 	}
 }
 
-// decodeSectionBody materializes one section (header already consumed)
-// into records appended to *out: the packed integer columns are read
-// into scratch in wire order, then scattered into one arena.
+// decodeSectionBody materializes one section without SoA columns — raw,
+// quantile or watermark, header already consumed — into records appended
+// to *out: the packed integer columns are read into scratch in wire
+// order, then scattered into one arena.
 func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *telemetry.Batch) error {
 	if tag == tagRawSection {
 		for i := 0; i < n; i++ {
@@ -978,91 +944,6 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 	*out = slices.Grow(*out, n)
 	recs := (*out)[len(*out) : len(*out)+n]
 	switch tag {
-	case TagPingProbe:
-		arena := make([]telemetry.PingProbe, n)
-		for i := range arena {
-			arena[i] = telemetry.PingProbe{
-				Timestamp: times[i] + c[2][i],
-				SrcIP:     uint32(c[3][i]), SrcCluster: uint32(c[4][i]),
-				DstIP: uint32(c[5][i]), DstCluster: uint32(c[6][i]),
-				RTTMicros: uint32(c[7][i]), ErrCode: uint32(c[8][i]),
-			}
-			recs[i] = telemetry.Record{
-				Time: times[i], Window: windows[i],
-				WireSize: telemetry.PingProbeWireSize, Data: &arena[i],
-			}
-		}
-	case TagToRProbe:
-		arena := make([]telemetry.ToRProbe, n)
-		for i := range arena {
-			arena[i] = telemetry.ToRProbe{
-				Timestamp: times[i] + c[2][i],
-				SrcToR:    uint32(c[3][i]), DstToR: uint32(c[4][i]), RTTMicros: uint32(c[5][i]),
-			}
-			recs[i] = telemetry.Record{
-				Time: times[i], Window: windows[i],
-				WireSize: telemetry.ToRProbeWireSize, Data: &arena[i],
-			}
-		}
-	case TagLogLine:
-		arena := make([]telemetry.LogLine, n)
-		for i := range arena {
-			raw, err := d.str(c[3][i], true)
-			if err != nil {
-				return err
-			}
-			arena[i] = telemetry.LogLine{Timestamp: times[i] + c[2][i], Raw: raw}
-			recs[i] = telemetry.Record{
-				Time: times[i], Window: windows[i],
-				WireSize: len(raw), Data: &arena[i],
-			}
-		}
-	case TagJobStats:
-		f := d.floatCols(r, 1, n)
-		if r.err != nil {
-			return r.err
-		}
-		arena := make([]telemetry.JobStats, n)
-		for i := range arena {
-			tenant, err := d.str(c[3][i], false)
-			if err != nil {
-				return err
-			}
-			name, err := d.str(c[4][i], false)
-			if err != nil {
-				return err
-			}
-			arena[i] = telemetry.JobStats{
-				Timestamp: times[i] + c[2][i], Tenant: tenant, StatName: name,
-				Stat:   f[0][i],
-				Bucket: int(c[5][i]),
-			}
-			recs[i] = telemetry.Record{
-				Time: times[i], Window: windows[i],
-				WireSize: arena[i].JobStatsWireSize(), Data: &arena[i],
-			}
-		}
-	case TagAggRow:
-		f := d.floatCols(r, 3, n)
-		if r.err != nil {
-			return r.err
-		}
-		arena := make([]telemetry.AggRow, n)
-		for i := range arena {
-			key, err := d.str(c[3][i], false)
-			if err != nil {
-				return err
-			}
-			p := &arena[i]
-			p.Key = telemetry.GroupKey{Num: uint64(c[2][i]), Str: key}
-			p.Window = windows[i] + c[4][i]
-			p.Count = c[5][i]
-			p.Sum, p.Min, p.Max = f[0][i], f[1][i], f[2][i]
-			recs[i] = telemetry.Record{
-				Time: times[i], Window: windows[i],
-				WireSize: p.AggRowWireSize(), Data: p,
-			}
-		}
 	case TagQuantileRow:
 		f := d.floatCols(r, 2, n)
 		if r.err != nil {

@@ -88,7 +88,6 @@ func TestColumnarRoundTrip(t *testing.T) {
 	batch := mixedBatch()
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	if err := fw.WriteFrame(Frame{StreamID: 3, Source: 7, Records: batch}); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
-	got, err := fr.ReadFrame()
+	got, err := fr.ReadRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,6 @@ func TestColumnarInternSharing(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	for i := 0; i < 2; i++ {
 		if err := fw.WriteFrame(Frame{StreamID: 1, Records: telemetry.Batch{rec()}}); err != nil {
 			t.Fatal(err)
@@ -138,11 +136,11 @@ func TestColumnarInternSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
-	f1, err := fr.ReadFrame()
+	f1, err := fr.ReadRows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := fr.ReadFrame()
+	f2, err := fr.ReadRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +172,9 @@ func TestCanonSurvivesUniqueLines(t *testing.T) {
 		j := &telemetry.JobStats{Timestamp: int64(i), Tenant: tenants[i%len(tenants)], StatName: stats[i%len(stats)], Stat: float64(i)}
 		jobs = append(jobs, telemetry.Record{Time: int64(i), WireSize: j.JobStatsWireSize(), Data: j})
 	}
-	dec := NewColumnarDecoder()
 	fr := NewFrameReader(bytes.NewReader(nil))
-	fr.UseDecoder(dec)
-	fr.SetColumnarExec(true)
 	fr.EnableArenaPooling()
+	dec := fr.dec
 	var first string
 	const frames, perFrame = 40, 5000
 	for k := 0; k < frames; k++ {
@@ -231,7 +227,6 @@ func writeColumnar(t testing.TB, f Frame, compress bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	fw.SetCompression(compress)
 	if err := fw.WriteFrame(f); err != nil {
 		t.Fatal(err)
@@ -262,7 +257,7 @@ func TestSectionCountGuard(t *testing.T) {
 	}
 	for _, batch := range []telemetry.Batch{probes, jobs} {
 		data := writeColumnar(t, Frame{StreamID: 2, Records: batch}, false)
-		got, err := NewFrameReader(bytes.NewReader(data)).ReadFrame()
+		got, err := NewFrameReader(bytes.NewReader(data)).ReadRows()
 		if err != nil {
 			t.Fatalf("dense %d-record frame of %d bytes rejected: %v", len(batch), len(data), err)
 		}
@@ -304,15 +299,13 @@ func TestSectionCountGuard(t *testing.T) {
 		{"float column a byte short of its planes", short},
 	} {
 		payload := tc.payload
-		var rows telemetry.Batch
 		var cb ColumnarBatch
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rowErr := NewColumnarDecoder().DecodeBatch(payload, &rows)
-		colErr := NewColumnarDecoder().DecodeColumnar(payload, &cb)
+		err := NewColumnarDecoder().DecodeColumnar(payload, &cb)
 		runtime.ReadMemStats(&after)
-		if rowErr == nil || colErr == nil {
-			t.Fatalf("%s: decoded (rows err %v, columnar err %v)", tc.name, rowErr, colErr)
+		if err == nil {
+			t.Fatalf("%s: decoded", tc.name)
 		}
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<20 {
 			t.Fatalf("%s: refusing a %d-byte payload allocated %d MiB", tc.name, len(payload), grown>>20)
@@ -361,7 +354,6 @@ func TestColsEncodeMatchesRows(t *testing.T) {
 func TestColumnarEmptyBatch(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	if err := fw.WriteFrame(Frame{StreamID: 5, Records: nil}); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +364,7 @@ func TestColumnarEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Records) != 0 || got.StreamID != 5 {
+	if got.Cols == nil || got.Cols.Records() != 0 || got.StreamID != 5 {
 		t.Fatalf("empty columnar frame decoded to %+v", got)
 	}
 	if _, err := NewFrameReader(bytes.NewReader(buf.Bytes())).ReadFrame(); err != nil {
@@ -380,13 +372,12 @@ func TestColumnarEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestColumnarControlFramesStayV1 checks that a columnar writer still
-// encodes control-stream frames record-at-a-time, so handshakes remain
-// readable pre-negotiation.
+// TestColumnarControlFramesStayV1 checks that the writer encodes
+// control-stream frames record-at-a-time, so handshakes remain readable
+// pre-negotiation.
 func TestColumnarControlFramesStayV1(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	rec := telemetry.Record{WireSize: 29, Data: &Hello{Source: 1, Seq: 2, Version: WireV4}}
 	if err := fw.WriteFrame(Frame{StreamID: ControlStreamID, Records: telemetry.Batch{rec}}); err != nil {
 		t.Fatal(err)
@@ -410,9 +401,6 @@ func TestColumnarControlFramesStayV1(t *testing.T) {
 	// reported instead of silently materialized.
 	if err := fw.WriteFrame(Frame{StreamID: ControlStreamID, Cols: &ColumnarBatch{}}); err == nil {
 		t.Fatal("control frame accepted a columnar batch")
-	}
-	if err := NewFrameWriter(&buf).WriteFrame(Frame{StreamID: 1, Cols: &ColumnarBatch{}}); err == nil {
-		t.Fatal("row-mode writer accepted a columnar batch")
 	}
 }
 

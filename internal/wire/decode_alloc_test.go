@@ -26,7 +26,6 @@ func epochScaleFrame(tb testing.TB) []byte {
 	}
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	if err := fw.WriteFrame(Frame{StreamID: 0, Source: 1, Records: batch}); err != nil {
 		tb.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func epochScaleFrame(tb testing.TB) []byte {
 
 // TestWarmDecodeAllocs is the tier-1 regression guard for the zero-alloc
 // decode path: a warm reader materializing a 38k-record columnar frame
-// must allocate O(sections), not O(records). The v1 record-at-a-time
+// into rows (ReadRows) must allocate O(sections), not O(records). The v1 record-at-a-time
 // decoder allocated ~38k times on this input; the bound fails loudly on
 // any regression back toward per-record allocation.
 func TestWarmDecodeAllocs(t *testing.T) {
@@ -47,18 +46,19 @@ func TestWarmDecodeAllocs(t *testing.T) {
 	// Warm up: grow the frame buffer, scratch columns and intern cache.
 	for i := 0; i < 3; i++ {
 		fr.Reset(bytes.NewReader(data))
-		if _, err := fr.ReadFrame(); err != nil {
+		if _, err := fr.ReadRows(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(20, func() {
 		fr.Reset(bytes.NewReader(data))
-		if _, err := fr.ReadFrame(); err != nil {
-			t.Fatal(err)
+		if f, err := fr.ReadRows(); err != nil || len(f.Records) != 38000 {
+			t.Fatalf("decoded %d records, %v", len(f.Records), err)
 		}
 	})
-	// Tolerated: the per-decode arena, the records slice and small
-	// scratch growth — nothing proportional to the 38k records.
+	// Tolerated: the per-decode payload arena, the records slice, the
+	// batch and section headers — nothing proportional to the 38k
+	// records.
 	if avg > 16 {
 		t.Fatalf("warm columnar decode allocates %.1f times for a 38k-record frame (want ≤ 16)", avg)
 	}
@@ -74,7 +74,6 @@ func TestWarmDecodeAllocs(t *testing.T) {
 			frames[i] = uniqueLinesFrame(t, i, 5000, nil)
 		}
 		fr := NewFrameReader(bytes.NewReader(nil))
-		fr.SetColumnarExec(true)
 		fr.EnableArenaPooling()
 		next := 0
 		decode := func() {
@@ -107,7 +106,6 @@ func uniqueLinesFrame(tb testing.TB, frame, n int, tail telemetry.Batch) []byte 
 	batch = append(batch, tail...)
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	fw.SetColumnar(true)
 	if err := fw.WriteFrame(Frame{StreamID: 0, Source: 1, Records: batch}); err != nil {
 		tb.Fatal(err)
 	}
@@ -117,8 +115,8 @@ func uniqueLinesFrame(tb testing.TB, frame, n int, tail telemetry.Batch) []byte 
 	return buf.Bytes()
 }
 
-// BenchmarkColumnarDecodeEpoch tracks the wire-level decode rate of one
-// epoch-scale columnar frame.
+// BenchmarkColumnarDecodeEpoch tracks the rate of one epoch-scale
+// columnar frame decoded to rows (ReadRows).
 func BenchmarkColumnarDecodeEpoch(b *testing.B) {
 	data := epochScaleFrame(b)
 	fr := NewFrameReader(bytes.NewReader(data))
@@ -127,7 +125,7 @@ func BenchmarkColumnarDecodeEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fr.Reset(bytes.NewReader(data))
-		if _, err := fr.ReadFrame(); err != nil {
+		if _, err := fr.ReadRows(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,11 +18,13 @@ import (
 const MaxFrameSize = 64 << 20
 
 // FrameWriter writes length-prefixed frames, each containing a batch of
-// encoded records for one logical stream (identified by StreamID).
+// encoded records for one logical stream (identified by StreamID). Data
+// frames are columnar (wire v4), the only data-frame format; control
+// frames are count-prefixed row frames (AppendRowFrame) — they are
+// single tiny records.
 type FrameWriter struct {
 	w        *bufio.Writer
 	buf      []byte
-	columnar bool
 	compress bool
 	cbuf     []byte // raw columnar payload scratch when compressing
 	zw       *flate.Writer
@@ -34,16 +36,8 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 	return &FrameWriter{w: bufio.NewWriter(w)}
 }
 
-// SetColumnar switches data frames to the columnar encoding, the only
-// data-frame format the transport ships (control frames stay
-// count-prefixed row frames — they are single tiny records). A writer
-// left in row mode produces the count-prefixed format throughout: the
-// on-disk format of checkpoint.ResultLog.
-func (fw *FrameWriter) SetColumnar(v bool) { fw.columnar = v }
-
-// SetCompression switches columnar data frames to the flate-compressed
-// encoding (control and row frames are never compressed). It has no
-// effect unless SetColumnar(true) is also in force. Every FrameReader
+// SetCompression switches data frames to the flate-compressed columnar
+// encoding (control frames are never compressed). Every FrameReader
 // inflates compressed frames transparently.
 func (fw *FrameWriter) SetCompression(v bool) { fw.compress = v }
 
@@ -62,12 +56,12 @@ type Frame struct {
 	StreamID uint32
 	// Source identifies the data source node the frame came from.
 	Source uint32
-	// Records is the batch payload.
+	// Records is the batch payload of a row frame: a control frame, or a
+	// data frame ReadRows materialized.
 	Records telemetry.Batch
-	// Cols holds the frame's payload in SoA form instead of Records when
-	// the reader runs in columnar-execution mode (SetColumnarExec) and
-	// the frame arrived columnar. Exactly one of Records/Cols is set for
-	// a data frame.
+	// Cols is the batch payload of a columnar frame in SoA form, as
+	// ReadFrame decodes it; a writer prefers it to Records when both are
+	// set. Exactly one of Records/Cols is set for a decoded frame.
 	Cols *ColumnarBatch
 	// Bytes caches PayloadBytes once a holder has summed it — a holder
 	// that leaves the payload as it is from then on (the receiver, which
@@ -88,46 +82,71 @@ func (f *Frame) PayloadBytes() int64 {
 	return f.Records.TotalBytes()
 }
 
-// WriteFrame encodes and writes one frame. A columnar writer's data
-// frame may carry its payload as Records or as Cols (when both are set,
-// Cols wins); a row frame carries Records only, and Cols is an error. It
-// does not flush; call Flush at epoch boundaries.
+// WriteFrame encodes and writes one frame: a control frame as a row
+// frame (AppendRowFrame), which carries Records only, and any other
+// frame columnar, from Cols when set and from Records otherwise. It does
+// not flush; call Flush at epoch boundaries.
 func (fw *FrameWriter) WriteFrame(f Frame) error {
-	fw.buf = fw.buf[:0]
-	fw.buf = binary.BigEndian.AppendUint32(fw.buf, f.StreamID)
-	fw.buf = binary.BigEndian.AppendUint32(fw.buf, f.Source)
 	var err error
-	if fw.columnar && f.StreamID != ControlStreamID {
-		if fw.compress {
-			fw.cbuf, err = fw.encodePayload(fw.cbuf[:0], f)
-			if err != nil {
-				return err
-			}
-			fw.buf = binary.BigEndian.AppendUint32(fw.buf, ColumnarFlateMarker)
+	switch {
+	case f.StreamID == ControlStreamID && f.Cols != nil:
+		return fmt.Errorf("wire: control frame cannot carry a columnar batch")
+	case f.StreamID == ControlStreamID:
+		fw.buf, err = AppendRowFrame(fw.buf[:0], f.StreamID, f.Source, f.Records)
+	case fw.compress:
+		if fw.cbuf, err = fw.encodePayload(fw.cbuf[:0], f); err == nil {
+			fw.buf = appendFrameHeader(fw.buf[:0], f.StreamID, f.Source, ColumnarFlateMarker)
 			fw.buf = binary.AppendUvarint(fw.buf, uint64(len(fw.cbuf)))
-			if err := fw.deflate(fw.cbuf); err != nil {
-				return err
-			}
-			return fw.writePayload()
+			err = fw.deflate(fw.cbuf)
 		}
-		fw.buf = binary.BigEndian.AppendUint32(fw.buf, ColumnarMarker)
-		fw.buf, err = fw.encodePayload(fw.buf, f)
-		if err != nil {
-			return err
-		}
-		return fw.writePayload()
+	default:
+		fw.buf, err = fw.encodePayload(appendFrameHeader(fw.buf[:0], f.StreamID, f.Source, ColumnarMarker), f)
 	}
-	if f.Cols != nil {
-		return fmt.Errorf("wire: row frame on stream %d cannot carry a columnar batch", f.StreamID)
+	if err == nil {
+		err = finishFrame(fw.buf, 0)
 	}
-	fw.buf = binary.BigEndian.AppendUint32(fw.buf, uint32(len(f.Records)))
-	for _, rec := range f.Records {
-		fw.buf, err = EncodeRecord(fw.buf, rec)
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	return fw.writePayload()
+	_, err = fw.w.Write(fw.buf)
+	return err
+}
+
+// AppendRowFrame appends one complete count-prefixed row frame — length
+// prefix, 12-byte header, then each record's row encoding — to dst: the
+// control-frame format and the on-disk format of checkpoint.ResultLog.
+func AppendRowFrame(dst []byte, streamID, source uint32, recs telemetry.Batch) ([]byte, error) {
+	start := len(dst)
+	dst = appendFrameHeader(dst, streamID, source, uint32(len(recs)))
+	var err error
+	for i := 0; i < len(recs) && err == nil; i++ {
+		dst, err = EncodeRecord(dst, recs[i])
+	}
+	if err == nil {
+		err = finishFrame(dst, start)
+	}
+	return dst, err
+}
+
+// appendFrameHeader opens a frame: a length prefix (patched by
+// finishFrame), the stream and source ids, and the record count or
+// columnar marker.
+func appendFrameHeader(dst []byte, streamID, source, count uint32) []byte {
+	dst = append(dst, 0, 0, 0, 0)
+	dst = binary.BigEndian.AppendUint32(dst, streamID)
+	dst = binary.BigEndian.AppendUint32(dst, source)
+	return binary.BigEndian.AppendUint32(dst, count)
+}
+
+// finishFrame bounds the frame that starts at buf[start:] by MaxFrameSize
+// and patches its length prefix.
+func finishFrame(buf []byte, start int) error {
+	n := len(buf) - start - 4
+	if n > MaxFrameSize {
+		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrameSize)
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(n))
+	return nil
 }
 
 // encodePayload appends the frame's columnar payload (table offset,
@@ -166,20 +185,6 @@ func (fw *FrameWriter) deflate(raw []byte) error {
 	return fw.zw.Close()
 }
 
-// writePayload length-prefixes and writes the assembled frame in fw.buf.
-func (fw *FrameWriter) writePayload() error {
-	if len(fw.buf) > MaxFrameSize {
-		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", len(fw.buf), MaxFrameSize)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(fw.buf)))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(fw.buf)
-	return err
-}
-
 // Flush flushes buffered frames to the underlying writer.
 func (fw *FrameWriter) Flush() error { return fw.w.Flush() }
 
@@ -188,14 +193,14 @@ func (fw *FrameWriter) Flush() error { return fw.w.Flush() }
 // cross-frame string canonicalization cache) lives for the reader's
 // lifetime — one reader per connection or per snapshot store.
 type FrameReader struct {
-	r       *bufio.Reader
-	buf     []byte
-	dec     *ColumnarDecoder
-	colExec bool
-	zsrc    *bytes.Reader
-	zr      io.ReadCloser
-	zbuf    []byte
-	stats   FrameStats
+	r     *bufio.Reader
+	buf   []byte
+	dec   *ColumnarDecoder
+	zsrc  *bytes.Reader
+	zr    io.ReadCloser
+	zbuf  []byte
+	stats FrameStats
+	rows  ColumnarBatch // ReadRows' decode scratch, reused frame to frame
 }
 
 // FrameStats is a reader's cumulative wire accounting: frame count,
@@ -223,12 +228,6 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // the internal frame buffer and the columnar decoder (with its
 // canonicalization cache).
 func (fr *FrameReader) Reset(r io.Reader) { fr.r.Reset(r) }
-
-// UseDecoder shares a columnar decoder (and its string canonicalization
-// cache) with this reader — callers that read many related streams (a
-// snapshot store reading a base + delta chain) decode repeated strings
-// to one allocation across all of them.
-func (fr *FrameReader) UseDecoder(d *ColumnarDecoder) { fr.dec = d }
 
 // EnableArenaPooling switches the reader's columnar decoder to pooled
 // column arenas (creating the decoder if needed). The connection owner
@@ -258,17 +257,19 @@ func (fr *FrameReader) RecycleArenas() {
 // transport flight recorder) must copy.
 func (fr *FrameReader) RawFrame() []byte { return fr.buf }
 
-// SetColumnarExec switches the reader to columnar-execution decoding:
-// columnar data frames are returned as SoA batches (Frame.Cols) instead
-// of materialized records, so a connection's payload can flow
-// decode→execute with zero row materialization (the receiver); snapshot
-// and standby readers leave it off and get rows. Row frames (control
-// records, result logs) decode to Records either way.
-func (fr *FrameReader) SetColumnarExec(v bool) { fr.colExec = v }
+// SetColumnarExec is a no-op kept for callers built against the
+// two-decoder reader: ReadFrame always decodes a columnar frame to
+// Frame.Cols, and ReadRows is the row form.
+func (fr *FrameReader) SetColumnarExec(bool) {}
 
-// ReadFrame reads and decodes the next frame. It returns io.EOF cleanly at
+// ReadFrame reads and decodes the next frame: a row frame to Records, a
+// columnar one (compressed or not) to Cols. It returns io.EOF cleanly at
 // end of stream.
-func (fr *FrameReader) ReadFrame() (Frame, error) {
+func (fr *FrameReader) ReadFrame() (Frame, error) { return fr.read(nil) }
+
+// read is ReadFrame decoding a columnar payload into cb (a fresh batch
+// when nil).
+func (fr *FrameReader) read(cb *ColumnarBatch) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return Frame{}, err
@@ -307,7 +308,7 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 	count := binary.BigEndian.Uint32(fr.buf[8:])
 	if count == ColumnarMarker {
 		fr.stats.RawBytes += int64(n) + 4
-		return fr.decodeColumnar(f, fr.buf[12:])
+		return fr.decodeColumnar(f, fr.buf[12:], cb)
 	}
 	if count == ColumnarFlateMarker {
 		raw, err := fr.inflateFramePayload(fr.buf[12:])
@@ -318,7 +319,7 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 		// 12-byte header plus the inflated columnar payload.
 		fr.stats.CompressedFrames++
 		fr.stats.RawBytes += int64(len(raw)) + 16
-		return fr.decodeColumnar(f, raw)
+		return fr.decodeColumnar(f, raw, cb)
 	}
 	fr.stats.RawBytes += int64(n) + 4
 	// Every record costs at least a tag byte plus the 16-byte header, so
@@ -340,20 +341,41 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 	return f, nil
 }
 
-// decodeColumnar decodes a columnar payload into the frame, SoA or
-// materialized depending on the reader's execution mode.
-func (fr *FrameReader) decodeColumnar(f Frame, payload []byte) (Frame, error) {
+// ReadRows reads the next frame like ReadFrame and returns its payload as
+// Records whatever form it travelled in, for the consumers that keep
+// rows (snapshot stages, the standby's result mirror). A columnar frame
+// decodes through the reader's pooled arenas, is materialized into rows
+// that own their memory, and the arenas are recycled before ReadRows
+// returns — so a reader read with ReadRows must not also hold batches
+// ReadFrame returned.
+func (fr *FrameReader) ReadRows() (Frame, error) {
+	fr.EnableArenaPooling()
+	fr.rows.Reset()
+	f, err := fr.read(&fr.rows)
+	if err != nil || f.Cols == nil {
+		return f, err
+	}
+	if n := f.Cols.Records(); n > 0 {
+		f.Records = make(telemetry.Batch, 0, n)
+		f.Cols.AppendRows(&f.Records)
+	}
+	f.Cols = nil
+	clear(fr.rows.Secs) // the scratch must not pin this frame's rows
+	fr.RecycleArenas()
+	return f, nil
+}
+
+// decodeColumnar decodes a columnar payload into cb, or a fresh batch
+// when nil, and makes it the frame's Cols.
+func (fr *FrameReader) decodeColumnar(f Frame, payload []byte, cb *ColumnarBatch) (Frame, error) {
 	if fr.dec == nil {
 		fr.dec = NewColumnarDecoder()
 	}
-	if fr.colExec {
-		f.Cols = &ColumnarBatch{}
-		if err := fr.dec.DecodeColumnar(payload, f.Cols); err != nil {
-			return Frame{}, fmt.Errorf("wire: columnar frame: %w", err)
-		}
-		return f, nil
+	if cb == nil {
+		cb = &ColumnarBatch{}
 	}
-	if err := fr.dec.DecodeBatch(payload, &f.Records); err != nil {
+	f.Cols = cb
+	if err := fr.dec.DecodeColumnar(payload, f.Cols); err != nil {
 		return Frame{}, fmt.Errorf("wire: columnar frame: %w", err)
 	}
 	return f, nil

@@ -221,7 +221,7 @@ func FuzzDecodeEpochTrace(f *testing.F) {
 
 // FuzzReadFrame checks that the frame reader never panics on arbitrary
 // bytes and that successfully decoded frames round-trip through
-// WriteFrame/ReadFrame.
+// WriteFrame/ReadRows.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
@@ -237,7 +237,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
 		for {
-			frame, err := fr.ReadFrame()
+			frame, err := fr.ReadRows()
 			if err != nil {
 				if err == io.EOF || err == io.ErrUnexpectedEOF {
 					return
@@ -252,7 +252,7 @@ func FuzzReadFrame(f *testing.F) {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := NewFrameReader(bytes.NewReader(out.Bytes())).ReadFrame()
+			got, err := NewFrameReader(bytes.NewReader(out.Bytes())).ReadRows()
 			if err != nil {
 				t.Fatalf("decode of re-encoded frame: %v", err)
 			}
@@ -272,7 +272,6 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 	seed := func(batch telemetry.Batch) {
 		var buf bytes.Buffer
 		fw := NewFrameWriter(&buf)
-		fw.SetColumnar(true)
 		fw.SetCompression(true)
 		if err := fw.WriteFrame(Frame{StreamID: 1, Source: 3, Records: batch}); err != nil {
 			f.Fatal(err)
@@ -290,20 +289,9 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 16, 0, 0, 0, 1, 0, 0, 0, 3, 0xFF, 0xFF, 0xFF, 0xFD, 4, 0, 0, 0})
 	f.Add(inflateBombFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		encodeAll := func(batch telemetry.Batch) []byte {
-			var out []byte
-			var err error
-			for _, rec := range batch {
-				out, err = EncodeRecord(out, rec)
-				if err != nil {
-					t.Fatalf("decoded record does not re-encode: %v", err)
-				}
-			}
-			return out
-		}
 		fr := NewFrameReader(bytes.NewReader(data))
 		for {
-			frame, err := fr.ReadFrame()
+			frame, err := fr.ReadRows()
 			if err != nil {
 				return // corrupt input is fine, panics are not
 			}
@@ -311,7 +299,6 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 			// Round-trip through a compressing writer.
 			var out bytes.Buffer
 			w := NewFrameWriter(&out)
-			w.SetColumnar(true)
 			w.SetCompression(true)
 			if err := w.WriteFrame(frame); err != nil {
 				t.Fatalf("re-encode of decoded frame: %v", err)
@@ -319,32 +306,27 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := NewFrameReader(bytes.NewReader(out.Bytes())).ReadFrame()
+			got, err := NewFrameReader(bytes.NewReader(out.Bytes())).ReadRows()
 			if err != nil {
 				t.Fatalf("decode of compressed re-encoding: %v", err)
 			}
 			if got.StreamID != frame.StreamID || got.Source != frame.Source {
 				t.Fatalf("frame header round-trip mismatch: %+v vs %+v", got, frame)
 			}
-			if !bytes.Equal(encodeAll(got.Records), encodeAll(frame.Records)) {
+			if !bytes.Equal(canonical(t, got.Records), canonical(t, frame.Records)) {
 				t.Fatal("compressed round-trip changed the records")
 			}
 		}
 	})
 }
 
-// FuzzDecodeColumnarBatch checks that the v2 columnar decoder never
-// panics on arbitrary payloads and that every successfully decoded
-// batch round-trips: re-encoding it columnar and decoding again yields
-// records with identical v1 encodings.
-func FuzzDecodeColumnarBatch(f *testing.F) {
-	// Seeds: one payload per section type plus a mixed frame, as the
-	// encoder produces them (the payload is the frame body after the
-	// 12-byte header).
+// addColumnarSeeds seeds a payload fuzzer with one payload per section
+// type plus a mixed one, as the encoder produces them (the payload is
+// the frame body after the 12-byte header), and the empty payload.
+func addColumnarSeeds(f *testing.F) {
 	seed := func(batch telemetry.Batch) {
 		var buf bytes.Buffer
 		fw := NewFrameWriter(&buf)
-		fw.SetColumnar(true)
 		if err := fw.WriteFrame(Frame{StreamID: 1, Records: batch}); err != nil {
 			f.Fatal(err)
 		}
@@ -358,102 +340,99 @@ func FuzzDecodeColumnarBatch(f *testing.F) {
 	}
 	seed(telemetry.Batch(seedRecords()))
 	f.Add([]byte{})
+}
+
+// FuzzDecodeColumnarBatch checks that the columnar decoder never panics
+// on arbitrary payloads and that every successfully decoded batch
+// round-trips: re-encoding its rows columnar and reading them back
+// yields records with identical row encodings.
+func FuzzDecodeColumnarBatch(f *testing.F) {
+	addColumnarSeeds(f)
 	f.Add([]byte{0, 0, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewColumnarDecoder()
-		var out telemetry.Batch
-		if err := dec.DecodeBatch(data, &out); err != nil {
+		var cb ColumnarBatch
+		if err := NewColumnarDecoder().DecodeColumnar(data, &cb); err != nil {
 			return // corrupt input is fine, panics are not
 		}
-		var first []byte
-		var err error
-		for _, rec := range out {
-			first, err = EncodeRecord(first, rec)
-			if err != nil {
-				t.Fatalf("decoded record does not re-encode: %v", err)
-			}
+		var out telemetry.Batch
+		cb.AppendRows(&out)
+		if len(out) != cb.Records() {
+			t.Fatalf("%d live rows materialized to %d records", cb.Records(), len(out))
 		}
 		var buf bytes.Buffer
 		fw := NewFrameWriter(&buf)
-		fw.SetColumnar(true)
 		if err := fw.WriteFrame(Frame{StreamID: 1, Records: out}); err != nil {
 			t.Fatalf("re-encode of decoded batch: %v", err)
 		}
 		if err := fw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewFrameReader(bytes.NewReader(buf.Bytes())).ReadFrame()
+		got, err := NewFrameReader(bytes.NewReader(buf.Bytes())).ReadRows()
 		if err != nil {
 			t.Fatalf("decode of re-encoded batch: %v", err)
 		}
-		var second []byte
-		for _, rec := range got.Records {
-			second, err = EncodeRecord(second, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(first, second) {
+		if first, second := canonical(t, out), canonical(t, got.Records); !bytes.Equal(first, second) {
 			t.Fatalf("columnar round-trip not stable:\n%x\n%x", first, second)
 		}
 	})
 }
 
-// FuzzDecodeColumnarVsRows differentially fuzzes the two v2 decoders:
-// for any payload, the SoA decoder (DecodeColumnar + AppendRows) must
-// accept exactly the inputs the row-materializing decoder accepts and
-// produce records with identical v1 encodings — the byte-level
-// foundation under the columnar execution path's parity guarantee.
-func FuzzDecodeColumnarVsRows(f *testing.F) {
-	seed := func(batch telemetry.Batch) {
-		var buf bytes.Buffer
-		fw := NewFrameWriter(&buf)
-		fw.SetColumnar(true)
-		if err := fw.WriteFrame(Frame{StreamID: 1, Records: batch}); err != nil {
-			f.Fatal(err)
-		}
-		if err := fw.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes()[16:])
-	}
-	for _, rec := range seedRecords() {
-		seed(telemetry.Batch{rec})
-	}
-	seed(telemetry.Batch(seedRecords()))
-	f.Add([]byte{})
+// FuzzEncodeColsVsRows differentially fuzzes the two section encoders:
+// for any payload DecodeColumnar accepts, the column-direct encoder
+// (encodeCols) and the row encoder (encode, over AppendRows' records)
+// must write the same bytes — packing modes, block widths, float planes
+// and string table order included. encode cuts a section wherever the
+// record type changes and only there, while encodeCols keeps the cuts
+// of the batch it is given, so the byte check runs on the batch in
+// encode's cuts (its output decoded again, what every encoder-written
+// frame already is); the payload's own batch, whatever its cuts, must
+// encode column-direct to bytes that decode back to its rows.
+func FuzzEncodeColsVsRows(f *testing.F) {
+	addColumnarSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var rows telemetry.Batch
-		rowErr := NewColumnarDecoder().DecodeBatch(data, &rows)
 		var cb ColumnarBatch
-		colErr := NewColumnarDecoder().DecodeColumnar(data, &cb)
-		if (rowErr == nil) != (colErr == nil) {
-			t.Fatalf("decoder disagreement: rows err=%v, columnar err=%v", rowErr, colErr)
-		}
-		if rowErr != nil {
+		if err := NewColumnarDecoder().DecodeColumnar(data, &cb); err != nil {
 			return
 		}
-		var fromCols telemetry.Batch
-		cb.AppendRows(&fromCols)
-		if cb.Records() != len(rows) || len(fromCols) != len(rows) {
-			t.Fatalf("record counts differ: rows %d, columnar %d (materialized %d)",
-				len(rows), cb.Records(), len(fromCols))
+		var rows telemetry.Batch
+		cb.AppendRows(&rows)
+		var enc columnarEncoder
+		fromRows, err := enc.encode(nil, rows)
+		if err != nil {
+			t.Fatalf("decoded rows do not re-encode: %v", err)
 		}
-		var a, b []byte
-		var err error
+		var cut ColumnarBatch
+		if err := NewColumnarDecoder().DecodeColumnar(fromRows, &cut); err != nil {
+			t.Fatalf("row encoding does not decode: %v", err)
+		}
+		fromCols, err := enc.encodeCols(nil, &cut)
+		if err != nil {
+			t.Fatalf("decoded batch does not re-encode: %v", err)
+		}
+		if !bytes.Equal(fromCols, fromRows) {
+			t.Fatalf("encoders disagree:\ncolumns %x\nrows    %x", fromCols, fromRows)
+		}
+
+		own, err := enc.encodeCols(nil, &cb)
+		if err != nil {
+			t.Fatalf("payload batch does not re-encode: %v", err)
+		}
+		var back ColumnarBatch
+		if err := NewColumnarDecoder().DecodeColumnar(own, &back); err != nil {
+			t.Fatalf("column-direct encoding does not decode: %v", err)
+		}
+		var got telemetry.Batch
+		back.AppendRows(&got)
+		if len(got) != len(rows) {
+			t.Fatalf("column-direct round trip: %d records, want %d", len(got), len(rows))
+		}
 		for i := range rows {
-			if a, err = EncodeRecord(a, rows[i]); err != nil {
-				t.Fatalf("row record does not re-encode: %v", err)
-			}
-			if b, err = EncodeRecord(b, fromCols[i]); err != nil {
-				t.Fatalf("columnar record does not re-encode: %v", err)
-			}
-			if rows[i].WireSize != fromCols[i].WireSize {
-				t.Fatalf("record %d wire size: rows %d vs columnar %d", i, rows[i].WireSize, fromCols[i].WireSize)
+			if got[i].WireSize != rows[i].WireSize {
+				t.Fatalf("record %d wire size %d, want %d", i, got[i].WireSize, rows[i].WireSize)
 			}
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("decoders disagree:\n%x\n%x", a, b)
+		if !bytes.Equal(canonical(t, got), canonical(t, rows)) {
+			t.Fatal("column-direct round trip changed the records")
 		}
 	})
 }

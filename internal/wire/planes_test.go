@@ -70,7 +70,7 @@ func planesRoundTrip(t *testing.T, vals []float64) {
 // codec for every special value, at the lengths around the 8-value
 // transpose and the 128-value block — on its own, and through whole
 // frames, uncompressed and compressed, dense and behind a selection
-// vector, by the row and the SoA decoder.
+// vector, read as SoA columns and as rows.
 func TestFloatPlanesRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 127, 128, 129, 1000, 50_000} {
 		vals := lognormal(n, int64(n))
@@ -88,7 +88,6 @@ func TestFloatPlanesRoundTrip(t *testing.T) {
 		}
 		for _, compress := range []bool{false, true} {
 			fr := NewFrameReader(bytes.NewReader(writeColumnar(t, Frame{StreamID: 1, Records: recs}, compress)))
-			fr.SetColumnarExec(true)
 			f, err := fr.ReadFrame()
 			if err != nil {
 				t.Fatalf("%d values, compress %v: %v", n, compress, err)
@@ -105,7 +104,7 @@ func TestFloatPlanesRoundTrip(t *testing.T) {
 				sec.Sel = append(sec.Sel, int32(i))
 				want = append(want, vals[i])
 			}
-			back, err := NewFrameReader(bytes.NewReader(writeColumnar(t, Frame{StreamID: 1, Cols: f.Cols}, compress))).ReadFrame()
+			back, err := NewFrameReader(bytes.NewReader(writeColumnar(t, Frame{StreamID: 1, Cols: f.Cols}, compress))).ReadRows()
 			if err != nil {
 				t.Fatal(err)
 			}
