@@ -88,7 +88,7 @@ func TestAdmissionDelayAndDrain(t *testing.T) {
 	})
 	ctrl.Register(1, "acme", admission.Silver)
 	aw := discardAckWriter()
-	rc.registerConn(1, 1, aw)
+	rc.registerConn(1, false, aw)
 
 	commit(t, rc, 1, 1, frames, aw)
 	if got := rc.AppliedSeq(1); got != 1 {
@@ -149,8 +149,8 @@ func TestAdmissionShedAndGapHeal(t *testing.T) {
 	ctrl.Register(1, "vip", admission.Gold)
 	ctrl.Register(2, "noisy", admission.BestEffort)
 	awGold, awBE := discardAckWriter(), discardAckWriter()
-	rc.registerConn(1, 1, awGold)
-	rc.registerConn(2, 1, awBE)
+	rc.registerConn(1, false, awGold)
+	rc.registerConn(2, false, awBE)
 
 	commit(t, rc, 2, 1, frames, awBE) // fills the BE burst
 	commit(t, rc, 2, 2, frames, awBE) // delayed
@@ -222,7 +222,7 @@ func TestAdmissionGapSeenTwiceForceDrains(t *testing.T) {
 	})
 	rc.Admission().Register(1, "acme", admission.Silver)
 	aw := discardAckWriter()
-	rc.registerConn(1, 1, aw)
+	rc.registerConn(1, false, aw)
 
 	commit(t, rc, 1, 1, frames, aw) // admitted
 	commit(t, rc, 1, 2, frames, aw) // delayed
@@ -276,7 +276,7 @@ func TestAdmissionGapEscapeSurvivesMultiEpochReplay(t *testing.T) {
 	// Session 1: the agent resumes at seq 4 and replays epochs 5 and 6;
 	// the receiver has nothing applied, so 1..4 is the hole. Both
 	// sightings must request replay without dislodging the marker.
-	rc.registerConn(1, 4, aw)
+	rc.registerConn(1, false, aw)
 	if targets := commit(t, rc, 1, 5, frames, aw); len(targets) != 1 || !targets[0].replay {
 		t.Fatalf("first sighting of 5 must request replay: %+v", targets)
 	}
@@ -290,7 +290,7 @@ func TestAdmissionGapEscapeSurvivesMultiEpochReplay(t *testing.T) {
 	// Session 2: the agent reconnects (re-hello, Seq > 0) and replays
 	// the same two epochs — everything it still buffers. The second
 	// sighting of 5 proves the hole unfillable: accept the jump.
-	rc.registerConn(1, 4, aw)
+	rc.registerConn(1, false, aw)
 	commit(t, rc, 1, 5, frames, aw)
 	if got := rc.AppliedSeq(1); got != 5 {
 		t.Fatalf("jump not accepted on second sighting across sessions, frontier %d", got)
@@ -543,7 +543,7 @@ func TestDegradeDontDropBoundedError(t *testing.T) {
 	ctrl.Register(1, "tenant-000", admission.BestEffort)
 	// Best-effort weight defaults to 0.5×; keep the math above exact.
 	aw := discardAckWriter()
-	rc.registerConn(1, 1, aw)
+	rc.registerConn(1, false, aw)
 
 	frame := func(batch telemetry.Batch) []wire.Frame {
 		cb := rowsBatch(batch)

@@ -326,14 +326,11 @@ func (d *DurableShipper) ConnectConn(conn io.ReadWriteCloser) error {
 	// ShipEpoch may interleave a newer epoch ahead of the replayed ones
 	// (the receiver would then discard the replay as stale duplicates).
 	d.wmu.Lock()
+	d.adoptAck(ack)
 	d.mu.Lock()
 	if old := d.conn; old != nil {
 		d.conn = nil
 		_ = old.Close()
-	}
-	d.pruneLocked(ack.Seq)
-	if ack.Term > d.term {
-		d.term = ack.Term
 	}
 	replay := clonePending(d.pending)
 	d.conn = conn
@@ -410,16 +407,8 @@ func (d *DurableShipper) AdoptAcks(data []byte) (replay bool, err error) {
 		if rerr != nil {
 			return replay, fmt.Errorf("transport: adopt acks: %w", rerr)
 		}
-		d.mu.Lock()
-		d.pruneLocked(ack.Seq)
-		if ack.Term > d.term {
-			d.term = ack.Term
-		}
-		d.throttle = ack.ThrottleMicros
-		d.mu.Unlock()
-		if ack.Replay {
-			replay = true
-		}
+		d.adoptAck(ack)
+		replay = replay || ack.Replay
 	}
 }
 
@@ -480,13 +469,7 @@ func (d *DurableShipper) readAcks(conn io.WriteCloser, fr *wire.FrameReader) {
 			d.disconnect(conn)
 			return
 		}
-		d.mu.Lock()
-		d.pruneLocked(ack.Seq)
-		if ack.Term > d.term {
-			d.term = ack.Term
-		}
-		d.throttle = ack.ThrottleMicros
-		d.mu.Unlock()
+		d.adoptAck(ack)
 		if ack.Replay {
 			d.replayPending(conn)
 		}
@@ -515,10 +498,15 @@ func (d *DurableShipper) replayPending(conn io.WriteCloser) {
 	}
 }
 
-func (d *DurableShipper) pruneLocked(seq uint64) {
-	if seq > d.acked {
-		d.acked = seq
-	}
+// adoptAck applies one SP ack, whichever path read it: the replay
+// buffer prunes to the ack's durable frontier, a newer primary term is
+// adopted, and its throttle hint replaces the last one.
+func (d *DurableShipper) adoptAck(ack *wire.Ack) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.acked = max(d.acked, ack.Seq)
+	d.term = max(d.term, ack.Term)
+	d.throttle = ack.ThrottleMicros
 	i := 0
 	for i < len(d.pending) && d.pending[i].Seq <= d.acked {
 		i++

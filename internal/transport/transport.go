@@ -15,8 +15,25 @@
 // (duplicates from replay are discarded whole), and acknowledges
 // durability back to the agent so it can prune its bounded replay buffer.
 // Both sides speak wire v4 (columnar data frames, optionally flate-
-// compressed by the shipper): a Hello below v4, or any frame ahead of the
-// Hello, closes the connection and counts as a recv_error.
+// compressed by the shipper).
+//
+// The receiver's connection rules are one pure step that HandleConn runs
+// for every session (TCP, Flush, sim replay, ReplayTraffic); first match:
+//
+//	frame                                   before Hello   after Hello
+//	control, not a lone Hello or EpochEnd   refuse         refuse
+//	Hello below wire v4                     refuse         refuse
+//	any frame naming another source         -              refuse
+//	Hello                                   vet            vet
+//	EpochEnd                                refuse         commit
+//	row-form data or watermark              refuse         refuse
+//	columnar data or watermark              refuse         stage
+//
+// Vet asks the HelloGate (term fencing, standby). Its refusal counts
+// hellos_rejected, any other refusal recv_errors, and the connection
+// closes with nothing of it ingested. An admitted Hello registers its
+// source (Seq 0, a fresh incarnation, resets the source's frontier) and
+// acks the durable seq.
 package transport
 
 import (
@@ -201,16 +218,10 @@ func (rc *Receiver) Admission() *admission.Controller {
 	return rc.admit
 }
 
-func (rc *Receiver) admission() *admission.Controller {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.admit
-}
-
 // throttleFor computes the backpressure hint to piggyback on a source's
 // acks (0 without a controller or for a healthy tenant).
 func (rc *Receiver) throttleFor(src uint32) uint64 {
-	if ctrl := rc.admission(); ctrl != nil {
+	if ctrl := rc.Admission(); ctrl != nil {
 		return ctrl.ThrottleMicros(src)
 	}
 	return 0
@@ -224,12 +235,6 @@ func (rc *Receiver) SetTrafficRecorder(t *TrafficRecorder) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.traffic = t
-}
-
-func (rc *Receiver) trafficRecorder() *TrafficRecorder {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.traffic
 }
 
 // Counters exposes the receiver's health counters (shared with the
@@ -247,10 +252,12 @@ func (rc *Receiver) SetHelloGate(g HelloGate) {
 	rc.gate = g
 }
 
-func (rc *Receiver) helloGate() HelloGate {
+// hooks reads the hello gate and the frame recorder, which are installed
+// before connections are served.
+func (rc *Receiver) hooks() (HelloGate, *TrafficRecorder) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.gate
+	return rc.gate, rc.traffic
 }
 
 // SetManualAck switches acknowledgement to the recovery manager: epochs
@@ -285,14 +292,81 @@ func (w *ackWriter) sendAck(source uint32, seq uint64, throttleMicros uint64, re
 	return w.fw.Flush()
 }
 
-// HandleConn consumes frames from conn until EOF under the sequenced
-// discipline: the connection must open with a Hello announcing wire v4 or
-// newer; after it, frames are staged and applied atomically, exactly
-// once, at each EpochEnd marker, and acks flow back on the same
-// connection. A Hello below v4, any data, watermark or EpochEnd frame
-// ahead of the Hello, or a data or watermark frame in row form (a v4
-// peer's are columnar) ends the connection with an error (recv_errors)
-// and nothing ingested.
+// connState is what one connection has established: whether a Hello
+// was admitted on it, and the source that Hello announced.
+type connState struct {
+	src   uint32
+	hello bool
+}
+
+type actionKind uint8
+
+const (
+	actRefuse actionKind = iota // close the connection: count ctr, return err
+	actVet                      // ask the HelloGate, then step again with its verdict
+	actAdmit                    // register the Hello's source and ack its durable seq
+	actCommit                   // apply the staged epoch at its EpochEnd
+	actStage                    // stage the data or watermark frame
+)
+
+// action is the one thing a step asks HandleConn to do.
+type action struct {
+	kind  actionKind
+	fresh bool   // actAdmit: Hello Seq 0, a new incarnation restarting at 1
+	ctr   string // actRefuse: the counter the refusal counts
+	err   error  // actRefuse
+}
+
+func refuse(format string, args ...any) action {
+	return action{kind: actRefuse, ctr: CtrRecvErrors, err: fmt.Errorf("transport: "+format, args...)}
+}
+
+// step is the connection's handshake: the rule table of the package doc,
+// first match wins. vetted reports whether the HelloGate has ruled on
+// the frame's Hello, and gateErr is its refusal. step does no I/O and
+// reads no clock, lock or shared state.
+func step(st connState, f *wire.Frame, vetted bool, gateErr error) (connState, action) {
+	var rec any
+	if f.StreamID == wire.ControlStreamID && len(f.Records) == 1 {
+		rec = f.Records[0].Data
+	}
+	h, hello := rec.(*wire.Hello)
+	_, end := rec.(*wire.EpochEnd)
+	switch {
+	case f.StreamID == wire.ControlStreamID && !hello && !end:
+		return st, refuse("control frame of %d records (%T) is not a lone Hello or EpochEnd", len(f.Records), rec)
+	case hello && h.Version < wire.WireV4:
+		// Older builds' integer and float columns are unreadable here:
+		// admitting one defers the failure, or decodes v3 floats wrong.
+		return st, refuse("hello announces wire v%d, need v%d or newer", h.Version, wire.WireV4)
+	case st.hello && f.Source != st.src:
+		// A peer ships only its own source: another source's watermark
+		// would pin that source's progress, and with it every window.
+		return st, refuse("frame for source %d on source %d's connection", f.Source, st.src)
+	case hello && !vetted:
+		return st, action{kind: actVet}
+	case hello && gateErr != nil:
+		// Fencing (the agent carries a newer primary's term) or a standby
+		// not yet promoted: closing without an ack sends the agent to its
+		// next endpoint.
+		return st, action{kind: actRefuse, ctr: CtrHellosRejected, err: fmt.Errorf("transport: hello rejected: %w", gateErr)}
+	case hello:
+		return connState{src: h.Source, hello: true}, action{kind: actAdmit, fresh: h.Seq == 0}
+	case !st.hello:
+		// The hello gate (standby, fencing), admission and sequence dedup
+		// have not vetted this peer, so nothing it sends may reach the engine.
+		return st, refuse("frame for stream %d before hello", f.StreamID)
+	case end:
+		return st, action{kind: actCommit}
+	case f.Cols == nil:
+		return st, refuse("row-form frame for stream %d; wire v4 data frames are columnar", f.StreamID)
+	}
+	return st, action{kind: actStage}
+}
+
+// HandleConn consumes frames from conn until EOF: it passes each frame to
+// step and performs the action returned. Epochs apply atomically, exactly
+// once, at their EpochEnd, and acks flow back on the same connection.
 func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 	fr := wire.NewFrameReader(conn)
 	// Data frames decode straight into pooled SoA arenas for
@@ -300,21 +374,22 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 	// below, once nothing references the columns.
 	fr.EnableArenaPooling()
 	var (
+		st        connState
 		aw        *ackWriter
-		src       uint32
-		sequenced bool
 		staged    []wire.Frame
 		shedding  bool          // staged-frame overflow: drop until the next EpochEnd
 		decAccum  time.Duration // frame-decode time since the last EpochEnd (trace context)
+		lastStats wire.FrameStats
 	)
-	tap := rc.trafficRecorder().newTap()
+	discard := func() { staged = staged[:0]; fr.RecycleArenas() }
+	gate, traffic := rc.hooks()
+	tap := traffic.newTap()
 	defer tap.close()
 	defer func() {
-		if sequenced {
-			rc.dropWriter(src, aw)
+		if st.hello {
+			rc.dropWriter(st.src, aw)
 		}
 	}()
-	var lastStats wire.FrameStats
 	for {
 		decStart := obs.Now()
 		f, err := fr.ReadFrame()
@@ -322,149 +397,116 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 			return nil
 		}
 		if err != nil {
-			rc.counters.Inc(CtrRecvErrors)
-			return fmt.Errorf("transport: read frame: %w", err)
+			return rc.refuse(refuse("read frame: %w", err))
 		}
 		decAccum += obs.ObserveSince(obs.StageDecode, decStart)
 		tap.capture(fr.RawFrame())
-		if st := fr.Stats(); st != lastStats {
-			rc.ctrWireBytes.Add(st.WireBytes - lastStats.WireBytes)
-			rc.ctrRawBytes.Add(st.RawBytes - lastStats.RawBytes)
-			lastStats = st
+		if fs := fr.Stats(); fs != lastStats {
+			rc.ctrWireBytes.Add(fs.WireBytes - lastStats.WireBytes)
+			rc.ctrRawBytes.Add(fs.RawBytes - lastStats.RawBytes)
+			lastStats = fs
 			if w := rc.ctrWireBytes.Value(); w > 0 {
 				rc.compRatio.Set(float64(rc.ctrRawBytes.Value()) / float64(w))
 			}
 		}
 		rc.noteFrame(&f)
-		if f.StreamID == wire.ControlStreamID {
-			for _, rec := range f.Records {
-				switch c := rec.Data.(type) {
-				case *wire.Hello:
-					if c.Version < wire.WireV4 {
-						// 0 is a pre-versioning build, 2 and 3 builds whose
-						// integer or float columns this decoder cannot read.
-						// Acks advertise v4 and no shipper downgrades below it,
-						// so admitting the peer would only defer the failure to
-						// its first epoch — or, for v3 floats, decode it wrong.
-						rc.counters.Inc(CtrRecvErrors)
-						return fmt.Errorf("transport: hello announces wire v%d, need v%d or newer", c.Version, wire.WireV4)
-					}
-					var ackTerm uint64
-					if g := rc.helloGate(); g != nil {
-						t, gerr := g.AdmitHello(c.Term)
-						if gerr != nil {
-							// Rejected: fencing (the agent carries a newer
-							// primary's term) or a standby not yet promoted.
-							// Closing without an ack sends the agent to its
-							// next endpoint.
-							rc.counters.Inc(CtrHellosRejected)
-							return fmt.Errorf("transport: hello rejected: %w", gerr)
-						}
-						ackTerm = t
-					}
-					if sequenced {
-						rc.dropWriter(src, aw)
-					}
-					src, sequenced, shedding = c.Source, true, false
-					tap.pinHello(fr.RawFrame())
-					staged = staged[:0]
-					// Any frames staged before this Hello are dropped whole;
-					// their decoded columns are unreferenced now.
-					fr.RecycleArenas()
-					if ctrl := rc.admission(); ctrl != nil {
-						ctrl.Register(src, c.Tenant, admission.ClassFromWire(c.Class))
-					}
-					aw = &ackWriter{fw: wire.NewFrameWriter(conn), term: ackTerm}
-					seq := rc.registerConn(src, c.Seq, aw)
-					if err := aw.sendAck(src, seq, rc.throttleFor(src), false); err != nil {
-						rc.counters.Inc(CtrRecvErrors)
-						return fmt.Errorf("transport: hello ack: %w", err)
-					}
-					rc.counters.Inc(CtrAcksSent)
-				case *wire.EpochEnd:
-					if !sequenced {
-						rc.counters.Inc(CtrRecvErrors)
-						return fmt.Errorf("transport: epoch end before hello")
-					}
-					tap.noteEpoch()
-					if c.TraceID != 0 {
-						// The agent armed cross-process tracing for this epoch:
-						// join its half (clock stamps and stage durations from
-						// the trailing extension) with the SP-side arrival and
-						// accumulated frame-decode time. A shed epoch's entry
-						// stays in-flight so the replayed copy is marked as
-						// such when it re-begins.
-						obs.Traces().Begin(obs.EpochTrace{
-							TraceID:       c.TraceID,
-							Source:        src,
-							Epoch:         c.Seq,
-							StartMicros:   c.StartMicros,
-							GenMicros:     int64(c.GenMicros),
-							PipeMicros:    int64(c.PipeMicros),
-							EncMicros:     int64(c.EncMicros),
-							SentMicros:    c.SentMicros,
-							ArrivalMicros: time.Now().UnixMicro(),
-							DecodeMicros:  decAccum.Microseconds(),
-						})
-					}
-					decAccum = 0
-					if shedding {
-						// The epoch overflowed the staging bound mid-flight:
-						// discard it whole and ask for a replay once the
-						// shipper's next ack arrives. Its seq never advances
-						// the applied frontier, so the replayed copy is not a
-						// duplicate.
-						shedding = false
-						staged = staged[:0]
-						fr.RecycleArenas()
-						rc.noteShed(src, c.Seq, "staged_overflow", false)
-						if err := aw.sendAck(src, rc.durableSeq(src), rc.throttleFor(src), true); err == nil {
-							rc.counters.Inc(CtrAcksSent)
-						}
-						continue
-					}
-					targets, err := rc.commitEpoch(src, c, staged, aw)
-					staged = staged[:0]
-					// The epoch (or duplicate) is fully consumed: the engine
-					// copied everything it keeps (delayed epochs were
-					// row-materialized), so the staged frames' column arenas
-					// can be reused for the next epoch.
-					fr.RecycleArenas()
-					if err != nil {
-						return err
-					}
-					rc.sendAcks(targets)
-				}
+
+		prev := st
+		var (
+			act     action
+			ackTerm uint64
+		)
+		if st, act = step(prev, &f, false, nil); act.kind == actVet {
+			var gateErr error
+			if gate != nil {
+				ackTerm, gateErr = gate.AdmitHello(f.Records[0].Data.(*wire.Hello).Term)
 			}
-			continue
+			st, act = step(prev, &f, true, gateErr)
 		}
-		if !sequenced {
-			// No Hello yet: the hello gate (standby, fencing), admission and
-			// sequence dedup have not vetted this peer, so nothing it sends
-			// may reach the engine.
-			rc.counters.Inc(CtrRecvErrors)
-			return fmt.Errorf("transport: frame for stream %d before hello", f.StreamID)
+		switch act.kind {
+		case actRefuse:
+			return rc.refuse(act)
+		case actAdmit:
+			c := f.Records[0].Data.(*wire.Hello)
+			if prev.hello {
+				rc.dropWriter(prev.src, aw)
+			}
+			shedding = false
+			tap.pinHello(fr.RawFrame())
+			discard() // frames staged before this Hello are dropped whole
+			if ctrl := rc.Admission(); ctrl != nil {
+				ctrl.Register(st.src, c.Tenant, admission.ClassFromWire(c.Class))
+			}
+			aw = &ackWriter{fw: wire.NewFrameWriter(conn), term: ackTerm}
+			seq := rc.registerConn(st.src, act.fresh, aw)
+			if err := aw.sendAck(st.src, seq, rc.throttleFor(st.src), false); err != nil {
+				return rc.refuse(refuse("hello ack: %w", err))
+			}
+			rc.counters.Inc(CtrAcksSent)
+		case actCommit:
+			c := f.Records[0].Data.(*wire.EpochEnd)
+			tap.noteEpoch()
+			if c.TraceID != 0 {
+				// Join the agent's half of the epoch trace with the SP-side
+				// arrival and decode time. A shed epoch's entry stays
+				// in-flight, so its replayed copy is marked as such.
+				obs.Traces().Begin(obs.EpochTrace{
+					TraceID:       c.TraceID,
+					Source:        st.src,
+					Epoch:         c.Seq,
+					StartMicros:   c.StartMicros,
+					GenMicros:     int64(c.GenMicros),
+					PipeMicros:    int64(c.PipeMicros),
+					EncMicros:     int64(c.EncMicros),
+					SentMicros:    c.SentMicros,
+					ArrivalMicros: time.Now().UnixMicro(),
+					DecodeMicros:  decAccum.Microseconds(),
+				})
+			}
+			decAccum = 0
+			if shedding {
+				// The epoch overflowed the staging bound mid-flight:
+				// discard it whole and ask for a replay once the
+				// shipper's next ack arrives. Its seq never advances
+				// the applied frontier, so the replayed copy is not a
+				// duplicate.
+				shedding = false
+				discard()
+				rc.noteShed(st.src, c.Seq, "staged_overflow", false)
+				if err := aw.sendAck(st.src, rc.durableSeq(st.src), rc.throttleFor(st.src), true); err == nil {
+					rc.counters.Inc(CtrAcksSent)
+				}
+				break
+			}
+			targets, err := rc.commitEpoch(st.src, c, staged, aw)
+			// The engine copied everything it keeps (delayed epochs are
+			// row-materialized), so the staged frames' arenas are free.
+			discard()
+			if err != nil {
+				return err
+			}
+			rc.sendAcks(targets)
+		case actStage:
+			if len(staged) >= maxStagedFrames {
+				// Metered shedding instead of a connection-fatal error: drop
+				// what is staged and the rest of the epoch, and have the
+				// shipper replay it after its EpochEnd.
+				shedding = true
+			}
+			if shedding {
+				discard()
+			} else {
+				staged = append(staged, f)
+			}
 		}
-		if f.Cols == nil {
-			rc.counters.Inc(CtrRecvErrors)
-			return fmt.Errorf("transport: row-form frame for stream %d; wire v4 data frames are columnar", f.StreamID)
-		}
-		if shedding {
-			// Mid-shed: the rest of the epoch's frames drop on the floor.
-			fr.RecycleArenas()
-			continue
-		}
-		if len(staged) >= maxStagedFrames {
-			// Metered shedding instead of a connection-fatal error: drop
-			// what is staged, skip to this epoch's EpochEnd and have the
-			// shipper replay it later.
-			shedding = true
-			staged = staged[:0]
-			fr.RecycleArenas()
-			continue
-		}
-		staged = append(staged, f)
 	}
+}
+
+// refuse ends a connection on a refusal action: it counts the refusal
+// and returns its error.
+func (rc *Receiver) refuse(a action) error {
+	rc.counters.Inc(a.ctr)
+	return a.err
 }
 
 // noteFrame counts an arrived frame. Its payload bytes are summed here,
@@ -479,40 +521,18 @@ func (rc *Receiver) noteFrame(f *wire.Frame) {
 	rc.counters.Inc(CtrFramesIn)
 }
 
-// eachWatermark invokes fn for every watermark record in a frame
-// (columnar watermark sections materialize at decode, so they sit in the
-// batch's row fallbacks).
-func eachWatermark(f wire.Frame, fn func(wm int64)) {
-	for si := range f.Cols.Secs {
-		for _, rec := range f.Cols.Secs[si].Rows {
-			if wm, ok := rec.Data.(*wire.Watermark); ok {
-				fn(wm.Time)
-			}
-		}
-	}
-}
-
-// ingest applies one data frame to the engine.
-func (rc *Receiver) ingest(f wire.Frame) error {
-	return rc.engine.IngestSized(int(f.StreamID), f.Cols, f.PayloadBytes())
-}
-
 // registerConn records the connection serving a source and returns the
-// sequence number to ack in the Hello reply (newest durable epoch).
-//
-// A Hello carrying Seq == 0 from a source we have already applied epochs
-// for is a fresh incarnation (an agent restarted without a checkpoint
-// dir): its numbering restarts at 1, so keeping the old frontier would
-// silently discard everything it ships. The dedup frontier resets — the
-// previous incarnation's epochs stay applied, so cross-incarnation
-// semantics degrade to at-least-once, which beats silent loss. A
-// restored agent (Seq > 0) keeps the frontier and replays into it.
-func (rc *Receiver) registerConn(src uint32, helloSeq uint64, aw *ackWriter) uint64 {
+// sequence number to ack in the Hello reply (newest durable epoch). A
+// fresh incarnation (Hello Seq 0: an agent restarted without a
+// checkpoint dir) numbers from 1 again, so its dedup frontier resets or
+// everything it ships would be discarded; the old incarnation's epochs
+// stay applied, so across incarnations delivery is at-least-once.
+func (rc *Receiver) registerConn(src uint32, fresh bool, aw *ackWriter) uint64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.engine.RegisterSource(src)
 	rc.writers[src] = aw
-	if helloSeq == 0 && rc.applied[src] > 0 {
+	if fresh && rc.applied[src] > 0 {
 		// The outstanding-gap marker belongs to the dead sequence space
 		// too; a resumed hello (Seq > 0) keeps it, so a hole that
 		// survives a full replay still escapes on its second sighting
@@ -677,7 +697,15 @@ func (rc *Receiver) applyEpochLocked(src uint32, seq uint64, watermark int64, fr
 	}
 	for _, f := range frames {
 		if f.StreamID == WatermarkStreamID {
-			eachWatermark(f, func(wm int64) { rc.engine.ObserveWatermark(f.Source, wm) })
+			// Columnar watermark sections materialize at decode, so their
+			// records sit in the batch's row fallbacks.
+			for si := range f.Cols.Secs {
+				for _, rec := range f.Cols.Secs[si].Rows {
+					if wm, ok := rec.Data.(*wire.Watermark); ok {
+						rc.engine.ObserveWatermark(src, wm.Time)
+					}
+				}
+			}
 			continue
 		}
 		if deg != nil {
@@ -688,7 +716,7 @@ func (rc *Receiver) applyEpochLocked(src uint32, seq uint64, watermark int64, fr
 			}
 			continue
 		}
-		if err := rc.ingest(f); err != nil {
+		if err := rc.engine.IngestSized(int(f.StreamID), f.Cols, f.PayloadBytes()); err != nil {
 			rc.counters.Inc(CtrRecvErrors)
 			return fmt.Errorf("transport: apply epoch %d: %w", seq, err)
 		}
@@ -886,11 +914,11 @@ func (rc *Receiver) shedOverflowLocked(targets []ackTarget) []ackTarget {
 // controller is installed, its decision trace.
 func (rc *Receiver) noteShed(src uint32, seq uint64, cause string, fromQueue bool) {
 	rc.counters.Inc(CtrEpochsShed)
-	if ctrl := rc.admission(); ctrl != nil {
+	if ctrl := rc.Admission(); ctrl != nil {
 		// The controller's shed decision reaches the flight recorder via
 		// the decision-log notify hook.
 		ctrl.NoteShed(src, seq, cause, fromQueue)
-	} else if t := rc.trafficRecorder(); t != nil {
+	} else if _, t := rc.hooks(); t != nil {
 		// No controller, no decision emitted: trigger the dump directly.
 		t.trigger("shed:"+cause, true)
 	}
@@ -938,12 +966,8 @@ func (rc *Receiver) AppliedSeq(source uint32) uint64 {
 func (rc *Receiver) SetApplied(source uint32, seq uint64) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if seq > rc.applied[source] {
-		rc.applied[source] = seq
-	}
-	if seq > rc.durable[source] {
-		rc.durable[source] = seq
-	}
+	rc.applied[source] = max(rc.applied[source], seq)
+	rc.durable[source] = max(rc.durable[source], seq)
 }
 
 // Freeze runs f while epoch application is paused, passing a copy of the
@@ -964,28 +988,16 @@ func (rc *Receiver) Freeze(f func(applied map[uint32]uint64)) {
 // them on each source's live connection (recovery-manager mode; pair
 // with SetManualAck(true)).
 func (rc *Receiver) AckSeqs(seqs map[uint32]uint64) {
-	type target struct {
-		aw  *ackWriter
-		src uint32
-		seq uint64
-	}
-	var targets []target
+	var targets []ackTarget
 	rc.mu.Lock()
 	for src, seq := range seqs {
-		if seq > rc.durable[src] {
-			rc.durable[src] = seq
-		}
+		rc.durable[src] = max(rc.durable[src], seq)
 		if aw := rc.writers[src]; aw != nil {
-			targets = append(targets, target{aw, src, rc.durable[src]})
+			targets = append(targets, ackTarget{aw: aw, src: src, seq: rc.durable[src]})
 		}
 	}
 	rc.mu.Unlock()
-	for _, t := range targets {
-		if err := t.aw.sendAck(t.src, t.seq, rc.throttleFor(t.src), false); err == nil {
-			rc.counters.Inc(CtrAcksSent)
-			obs.Traces().FinishUpTo(t.src, t.seq, time.Now().UnixMicro())
-		}
-	}
+	rc.sendAcks(targets)
 }
 
 // Advance flushes the engine up to the merged watermark and returns new
