@@ -492,13 +492,18 @@ func BenchmarkWindowClose(b *testing.B) {
 	})
 }
 
-// BenchmarkGroupProbe is the numeric group probe on its own: 20 000
-// packed (src, dst) keys — one Pingmesh agent's peers — each observed
-// twice into one open window through GroupAgg's ping kernel, as one
-// 40 000-row section. The untimed first call opens the groups, so the
-// loop times lookups only. /roundrobin sends the keys in the order they
-// were inserted, like an agent probing its peers in turn; /shuffled in
-// a fixed random order, where an order-dependent shortcut cannot help.
+// BenchmarkGroupProbe is the group probe on its own: 20 000 packed
+// (src, dst) keys — one Pingmesh agent's peers — each observed twice
+// into one open window through GroupAgg's ping kernel, as one 40 000-row
+// section. The untimed first call opens the groups, so the loop times
+// lookups only. /roundrobin sends the keys in the order they were
+// inserted, like an agent probing its peers in turn; /shuffled in a
+// fixed random order, where an order-dependent shortcut cannot help.
+// /jobstats-canonical and /jobstats-sliced probe 2 048 (tenant, stat
+// name) groups — TraceSpanAgg's shape — with 40 000 rows through the
+// JobStats kernel: canonical rows repeat one copy of each name, as a
+// decoded section does, sliced rows each slice their own line, as the
+// agent's parsed sections do.
 func BenchmarkGroupProbe(b *testing.B) {
 	const peers = 20_000
 	order := make([]int, 2*peers)
@@ -533,6 +538,57 @@ func BenchmarkGroupProbe(b *testing.B) {
 				g.ProcessColumnar(&wire.ColumnarBatch{Secs: secs})
 				if n := g.GroupCount(0); n != peers {
 					return fmt.Errorf("%d groups, want %d", n, peers)
+				}
+				return nil
+			})
+		})
+	}
+	for _, sliced := range []bool{false, true} {
+		name := "jobstats-canonical"
+		if sliced {
+			name = "jobstats-sliced"
+		}
+		b.Run(name, func(b *testing.B) {
+			const tenants, stats, rows = 32, 64, 40_000
+			names := make([]string, tenants+stats)
+			for i := range names {
+				names[i] = fmt.Sprintf("svc-%02d", i)
+				if i >= tenants {
+					names[i] = fmt.Sprintf("op-%02d", i-tenants)
+				}
+			}
+			c := &wire.JobCols{}
+			sec := wire.ColSec{Tag: wire.TagJobStats, Job: c}
+			var lines strings.Builder
+			for i := range rows {
+				k := i * 7919 % (tenants * stats) // visits every group
+				tenant, stat := names[k%tenants], names[tenants+k/tenants]
+				sec.Times = append(sec.Times, int64(i))
+				sec.Windows = append(sec.Windows, 0)
+				c.TS = append(c.TS, int64(i))
+				c.Tenant = append(c.Tenant, tenant)
+				c.StatName = append(c.StatName, stat)
+				c.Stat = append(c.Stat, float64(1+i%50))
+				c.Bucket = append(c.Bucket, 0)
+				lines.WriteString(tenant + " " + stat + "\n")
+			}
+			if sliced {
+				arena, at := lines.String(), 0
+				for i := range rows {
+					t, s := len(c.Tenant[i]), len(c.StatName[i])
+					c.Tenant[i], c.StatName[i] = arena[at:at+t], arena[at+t+1:at+t+1+s]
+					at += t + s + 2
+				}
+			}
+			g := operator.NewGroupAgg("spanAgg", 10_000_000, operator.JobStatsKey, operator.JobStatsVal)
+			g.SetAggKernel(operator.AggKernelJobStatsDur)
+			secs := make([]wire.ColSec, 1)
+			b.SetBytes(int64(lines.Len()))
+			benchWarm(b, func() error {
+				secs[0] = sec
+				g.ProcessColumnar(&wire.ColumnarBatch{Secs: secs})
+				if n := g.GroupCount(0); n != tenants*stats {
+					return fmt.Errorf("%d groups, want %d", n, tenants*stats)
 				}
 				return nil
 			})

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"strings"
+	"unsafe"
 
 	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
@@ -69,7 +70,7 @@ const (
 	// (tenant, statName, bucket) and counts — JobStatsKey/JobStatsOne.
 	// The string form "tenant|statName|bucket" is assembled once per
 	// group (when the group is first seen), not once per row: lookups go
-	// through a per-window cache keyed on the column strings.
+	// through a per-window index keyed on symbol ids of the strings.
 	AggKernelJobStatsCount
 	// AggKernelJobStatsDur keys JobStats sections like
 	// AggKernelJobStatsCount but aggregates the Stat value instead of
@@ -180,12 +181,13 @@ func (g *GroupAgg) observeNumKeyed(st *numAggState, window int64, key uint64, va
 		st.win.gen = g.gen
 		st.winID, st.haveWin = window, true
 	}
-	if cell := st.win.nums.find(key); cell != nil {
+	cell, slot := st.win.nums.find(key)
+	if cell != nil {
 		cell.row.Observe(val)
 		cell.gen = g.gen
 		return
 	}
-	st.win.nums.insert(aggCell{row: telemetry.NewAggRow(telemetry.NumKey(key), window, val), gen: g.gen})
+	st.win.nums.insert(slot, aggCell{row: telemetry.NewAggRow(telemetry.NumKey(key), window, val), gen: g.gen})
 }
 
 // aggPingPairRTT aggregates a ping section straight from its columns:
@@ -224,61 +226,114 @@ func (g *GroupAgg) aggToRPairRTT(sec *wire.ColSec) {
 	}
 }
 
-// jobRefKey is the columnar lookup key for JobStats groups: the column
-// strings plus the bucket, hashed without assembling the
-// "tenant|statName|bucket" string the canonical key uses. Stored keys
-// hold symbol-table copies (GroupAgg.sym), never the probing row's
-// strings.
-type jobRefKey struct {
-	tenant, stat string
-	bucket       int64
-}
-
 // maxSyms bounds the symbol table; flooded with unique key parts it
-// resets rather than growing without bound (entries still referenced by
-// open windows stay alive through those references).
+// resets rather than growing without bound (dropSyms).
 const maxSyms = 1 << 16
 
-// sym returns the operator's own copy of a key part. The tenant and stat
-// name columns of a parsed log section slice a per-section arena (and a
-// decoded section's may slice whatever its producer chose); a byRef
-// entry lives as long as its window, so storing the column's string
-// would pin that arena — one ~600 KB buffer per group in the worst case —
-// for the window's ten seconds. The table holds one short copy per
-// distinct tenant and stat name instead.
-func (g *GroupAgg) sym(s string) string {
-	if c, ok := g.syms[s]; ok {
-		return c
+// symFront is a direct-mapped cache in front of syms, keyed on a
+// string's (data address, length) and valid for one section (gen): the
+// section keeps its strings alive, so within it the same address and
+// length are the same bytes. Held as a number, an address pins nothing.
+// A decoded section's key columns repeat the decoder's canonical copies
+// and nearly always hit; a parsed section's slice their own lines.
+type symFront struct {
+	slots [1 << symFrontBits]struct {
+		p       uintptr
+		n       int
+		gen, id uint32
 	}
-	if g.syms == nil || len(g.syms) >= maxSyms {
-		g.syms = make(map[string]string)
-	}
-	c := strings.Clone(s)
-	g.syms[c] = c
-	return c
+	gen uint32
 }
 
-// aggJobStatsCount aggregates a JobStats section keyed on interned
-// string refs, counting one per row — JobStatsKey/JobStatsOne.
-func (g *GroupAgg) aggJobStatsCount(sec *wire.ColSec) {
-	g.aggJobStats(sec, false)
+const symFrontBits = 10
+
+// nextSection starts a section: every cached address goes stale.
+func (f *symFront) nextSection() {
+	if f.gen++; f.gen == 0 { // wrapped: no old slot may look current
+		*f = symFront{gen: 1}
+	}
 }
 
-// aggJobStatsDur is aggJobStatsCount folding the Stat column instead of
-// counting — JobStatsKey/JobStatsVal.
-func (g *GroupAgg) aggJobStatsDur(sec *wire.ColSec) {
-	g.aggJobStats(sec, true)
+// symID returns the id of a JobStats key part, numbering it on first
+// sighting under a copy of its bytes: a parsed section's Tenant and
+// StatName columns slice a per-section arena, and syms outlives the
+// section, so storing the column's string would pin that arena.
+func (g *GroupAgg) symID(s string) uint32 {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	slot := &g.front.slots[uint64(p)*0x9E3779B97F4A7C15>>(64-symFrontBits)]
+	if slot.p != p || slot.n != len(s) || slot.gen != g.front.gen {
+		id, ok := g.syms[s]
+		if !ok {
+			id = uint32(len(g.syms))
+			g.syms[strings.Clone(s)] = id
+		}
+		slot.p, slot.n, slot.gen, slot.id = p, len(s), g.front.gen, id
+	}
+	return slot.id
+}
+
+// dropSyms empties the symbol table, and with it every open window's id
+// index and the section cache, whose ids are about to be reused. The
+// indexes are caches: a group's next row finds its cell again through
+// the canonical string key.
+func (g *GroupAgg) dropSyms() {
+	g.syms = make(map[string]uint32)
+	for _, win := range g.state {
+		clear(win.jobs.slots)
+		win.jobs.n = 0
+	}
+	g.front.nextSection()
+}
+
+// jobIndex finds a window's JobStats cells of str by (tenant id<<32 |
+// stat id, bucket): an open-addressed index shaped like numTable's. An
+// empty slot has no cell; n counts the filled ones.
+type jobIndex struct {
+	slots []jobSlot
+	shift uint8
+	n     int
+}
+
+type jobSlot struct {
+	ids    uint64
+	bucket int64
+	cell   *aggCell
+}
+
+// slot returns (ids, bucket)'s slot, or the empty slot the caller files
+// it in, doubling the index first if that would load it past 3/4.
+func (x *jobIndex) slot(ids uint64, bucket int64) *jobSlot {
+	if 4*(x.n+1) > 3*len(x.slots) {
+		old := x.slots
+		size, shift := indexSize(len(old))
+		x.slots, x.shift = make([]jobSlot, size), shift
+		for _, s := range old {
+			if s.cell != nil {
+				*x.slot(s.ids, s.bucket) = s
+			}
+		}
+	}
+	mask := uint64(len(x.slots) - 1)
+	for i := (ids ^ uint64(bucket)<<16) * 0x9e3779b97f4a7c15 >> x.shift; ; i = (i + 1) & mask {
+		if s := &x.slots[i]; s.cell == nil || s.ids == ids && s.bucket == bucket {
+			return s
+		}
+	}
 }
 
 // aggJobStats aggregates a JobStats section keyed on its string columns:
-// the canonical string key is assembled only when a group is first seen
-// in a window; afterwards rows reach their cell through the per-window
-// byRef cache. Everything stored — the assembled key, the byRef entry —
-// is the operator's own copy, so no state outlives the epoch pointing
-// into a section's strings. useStat selects the folded value: the Stat
-// column (durations) or a constant 1 (counts).
+// a row's tenant and stat name become symbol ids (symID) and the ids and
+// bucket find its cell through the window's jobs index. Only on an index
+// miss is the canonical string key assembled, to find or create the
+// row-path cell. Nothing stored points into the section's strings.
+// useStat selects the folded value: the Stat column (durations,
+// JobStatsVal) or a constant 1 (counts, JobStatsOne).
 func (g *GroupAgg) aggJobStats(sec *wire.ColSec, useStat bool) {
 	c := sec.Job
+	if g.front == nil {
+		g.front, g.syms = new(symFront), make(map[string]uint32)
+	}
+	g.front.nextSection()
 	var win *aggWindow
 	winID, haveWin := int64(0), false
 	sec.Live(func(i int) {
@@ -292,25 +347,27 @@ func (g *GroupAgg) aggJobStats(sec *wire.ColSec, useStat bool) {
 		if useStat {
 			val = c.Stat[i]
 		}
-		ref := jobRefKey{tenant: c.Tenant[i], stat: c.StatName[i], bucket: c.Bucket[i]}
-		cell := win.byRef[ref]
-		if cell == nil {
-			// First sighting through the columnar path: assemble the
-			// canonical key once, find or create the row-path cell, and
-			// cache it under the symbol-table copies of the refs.
-			key := telemetry.StrKey(ref.tenant + "|" + ref.stat + "|" + itoa(int(ref.bucket)))
-			ref.tenant, ref.stat = g.sym(ref.tenant), g.sym(ref.stat)
-			if win.byRef == nil {
-				win.byRef = make(map[jobRefKey]*aggCell)
-			}
-			cell = win.lookup(key)
-			if cell == nil {
-				win.byRef[ref] = win.store(aggCell{row: telemetry.NewAggRow(key, w, val), gen: g.gen})
-				return
-			}
-			win.byRef[ref] = cell
+		ids := uint64(g.symID(c.Tenant[i]))<<32 | uint64(g.symID(c.StatName[i]))
+		s := win.jobs.slot(ids, c.Bucket[i])
+		if s.cell != nil {
+			s.cell.row.Observe(val)
+			s.cell.gen = g.gen
+			return
 		}
-		cell.row.Observe(val)
-		cell.gen = g.gen
+		key := telemetry.StrKey(c.Tenant[i] + "|" + c.StatName[i] + "|" + itoa(int(c.Bucket[i])))
+		cell := win.lookup(key)
+		if cell == nil {
+			cell = win.store(aggCell{row: telemetry.NewAggRow(key, w, val), gen: g.gen})
+		} else {
+			cell.row.Observe(val)
+			cell.gen = g.gen
+		}
+		*s = jobSlot{ids: ids, bucket: c.Bucket[i], cell: cell}
+		win.jobs.n++
+		// A new id never hits an index, so every insert into syms passes
+		// here; the ids of this row are filed before the reset drops them.
+		if len(g.syms) >= maxSyms {
+			g.dropSyms()
+		}
 	})
 }

@@ -44,9 +44,11 @@ type GroupAgg struct {
 	// without a kernel.
 	kernel     AggKernel
 	colScratch telemetry.Batch
-	// syms is the symbol table behind sym: the operator's own copies of
-	// the key parts its byRef caches are keyed on.
-	syms map[string]string
+	// syms numbers the JobStats key parts (tenant, stat name) the
+	// windows' id indexes are keyed on, holding the operator's own copy of
+	// each; front answers a section's repeats of them (symID).
+	syms  map[string]uint32
+	front *symFront
 	// spare is the numeric table of the last window closed, emptied: the
 	// next window opened takes it. Without one, a new window's table is
 	// presized for numHint, the numeric group count of the last close.
@@ -85,11 +87,10 @@ type aggWindow struct {
 	nums numTable                        // keys with Str == ""
 	str  map[telemetry.GroupKey]*aggCell // keys carrying a string
 	gen  uint64
-	// byRef caches cells under their columnar refs (tenant, statName,
-	// bucket) so the SoA JobStats kernel assembles the canonical string
-	// key once per group, not once per row. Entries alias cells of str;
-	// the cache dies with the window.
-	byRef map[jobRefKey]*aggCell
+	// jobs finds cells of str by symbol ids so the SoA JobStats kernel
+	// assembles the canonical string key once per group, not once per
+	// row; it dies with the window.
+	jobs jobIndex
 }
 
 // aggCell is one group's row plus its newest touch stamp.
@@ -102,7 +103,8 @@ type aggCell struct {
 // the window's next store.
 func (w *aggWindow) lookup(key telemetry.GroupKey) *aggCell {
 	if key.Str == "" {
-		return w.nums.find(key.Num)
+		c, _ := w.nums.find(key.Num)
+		return c
 	}
 	return w.str[key]
 }
@@ -111,7 +113,7 @@ func (w *aggWindow) lookup(key telemetry.GroupKey) *aggCell {
 // key, and returns its cell.
 func (w *aggWindow) store(c aggCell) *aggCell {
 	if c.row.Key.Str == "" {
-		return w.nums.insert(c)
+		return w.nums.insert(nil, c)
 	}
 	p := new(aggCell)
 	*p = c
@@ -219,9 +221,9 @@ func (g *GroupAgg) ProcessColumnar(cb *wire.ColumnarBatch) {
 		case sec.ToR != nil && g.kernel == AggKernelToRPairRTT:
 			g.aggToRPairRTT(sec)
 		case sec.Job != nil && g.kernel == AggKernelJobStatsCount:
-			g.aggJobStatsCount(sec)
+			g.aggJobStats(sec, false)
 		case sec.Job != nil && g.kernel == AggKernelJobStatsDur:
-			g.aggJobStatsDur(sec)
+			g.aggJobStats(sec, true)
 		default:
 			g.colScratch = g.colScratch[:0]
 			sec.AppendRows(&g.colScratch)
@@ -320,7 +322,7 @@ func (g *GroupAgg) AbsorbSnapshot(rows telemetry.Batch) bool {
 			c := aggCell{row: *partial, gen: g.gen}
 			c.row.Window = window
 			if c.row.Key.Str == "" {
-				win.nums.insert(c)
+				win.nums.insert(nil, c)
 			} else {
 				strCells[k] = c
 				win.adopt(&strCells[k])

@@ -280,9 +280,10 @@ func BenchmarkGroupAggProcess(b *testing.B) {
 // state lives for the window. After a LogAnalytics-sized window (64
 // tenants × 3 stats × 12 buckets = 2 304 groups, spread over many
 // sections) is ingested through the SoA kernel and a GC is forced, no
-// group key, row key or byRef string may point into any section's arena
-// — or one group would pin one ~600 KB buffer for the window's ten
-// seconds.
+// group key, row key or symbol-table string may point into any section's
+// arena — or one group would pin one ~600 KB buffer for the window's ten
+// seconds. The window's id index holds ids, not strings: it must file
+// every group once.
 func TestGroupAggStateDoesNotPinSectionStrings(t *testing.T) {
 	g := NewGroupAgg("histogram", 10_000_000, JobStatsKey, JobStatsOne)
 	g.SetAggKernel(AggKernelJobStatsCount)
@@ -326,8 +327,8 @@ func TestGroupAggStateDoesNotPinSectionStrings(t *testing.T) {
 	runtime.GC()
 
 	win := g.state[0]
-	if win == nil || len(win.str) != 64*3*12 || len(win.byRef) != len(win.str) {
-		t.Fatalf("window holds %d groups, %d refs, want 2304 of each", len(win.str), len(win.byRef))
+	if win == nil || len(win.str) != 64*3*12 || win.jobs.n != len(win.str) {
+		t.Fatalf("window holds %d groups, %d indexed, want 2304 of each", len(win.str), win.jobs.n)
 	}
 	check := func(what, s string) {
 		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
@@ -341,11 +342,159 @@ func TestGroupAggStateDoesNotPinSectionStrings(t *testing.T) {
 		check("group key", k.Str)
 		check("row key", cell.row.Key.Str)
 	}
-	for ref := range win.byRef {
-		check("byRef tenant", ref.tenant)
-		check("byRef stat", ref.stat)
+	for s := range g.syms {
+		check("symbol", s)
 	}
 	if len(g.syms) != 64+len(stats) {
 		t.Fatalf("symbol table holds %d strings, want one per tenant and stat name (%d)", len(g.syms), 64+len(stats))
 	}
+}
+
+// jobRow is one JobStats row of a kernel test: its window, tenant, stat
+// name, value and bucket.
+type jobRow struct {
+	win          int64
+	tenant, stat string
+	val          float64
+	bucket       int64
+}
+
+// jobSection builds a JobStats section over rows, using their strings as
+// they are: the caller decides which rows share a string's bytes.
+func jobSection(rows []jobRow) wire.ColSec {
+	sec := wire.ColSec{Tag: wire.TagJobStats, Job: &wire.JobCols{}}
+	for i, r := range rows {
+		sec.Times = append(sec.Times, int64(i))
+		sec.Windows = append(sec.Windows, r.win)
+		sec.Job.TS = append(sec.Job.TS, int64(i))
+		sec.Job.Tenant = append(sec.Job.Tenant, r.tenant)
+		sec.Job.StatName = append(sec.Job.StatName, r.stat)
+		sec.Job.Stat = append(sec.Job.Stat, r.val)
+		sec.Job.Bucket = append(sec.Job.Bucket, r.bucket)
+	}
+	return sec
+}
+
+// jobKernelHarness feeds the same JobStats rows to one GroupAgg per
+// kernel and to a row-path reference per kernel (observeRows with
+// JobStatsKey), which it gives copies of every string as fed: a section
+// fed through section may be rewritten in place afterwards.
+type jobKernelHarness struct {
+	kernels, refs [2]*GroupAgg
+}
+
+func newJobKernelHarness() *jobKernelHarness {
+	h := &jobKernelHarness{}
+	for i, k := range []AggKernel{AggKernelJobStatsCount, AggKernelJobStatsDur} {
+		val := JobStatsOne
+		if k == AggKernelJobStatsDur {
+			val = JobStatsVal
+		}
+		h.kernels[i] = NewGroupAgg("kernel", winDur, JobStatsKey, val)
+		h.kernels[i].SetAggKernel(k)
+		h.refs[i] = NewGroupAgg("rows", winDur, JobStatsKey, val)
+	}
+	return h
+}
+
+func (h *jobKernelHarness) section(rows []jobRow) {
+	var recs telemetry.Batch
+	for _, r := range rows {
+		recs = append(recs, telemetry.Record{Window: r.win, Data: &telemetry.JobStats{
+			Tenant: strings.Clone(r.tenant), StatName: strings.Clone(r.stat),
+			Stat: r.val, Bucket: int(r.bucket),
+		}})
+	}
+	for i := range h.kernels {
+		h.kernels[i].ProcessColumnar(&wire.ColumnarBatch{Secs: []wire.ColSec{jobSection(rows)}})
+		h.refs[i].observeRows(recs)
+	}
+}
+
+// check flushes every operator and fails unless each kernel emitted what
+// its row-path reference did, no (window, key) twice, want rows in all.
+func (h *jobKernelHarness) check(t *testing.T, want int) {
+	t.Helper()
+	for i := range h.kernels {
+		var got, ref telemetry.Batch
+		h.kernels[i].Flush(1<<62, collect(&got))
+		h.refs[i].Flush(1<<62, collect(&ref))
+		if len(got) != want || len(ref) != want {
+			t.Fatalf("kernel %d: %d rows, row path %d, want %d", i, len(got), len(ref), want)
+		}
+		seen := make(map[[2]any]bool)
+		for j := range got {
+			a, b := got[j].Data.(*telemetry.AggRow), ref[j].Data.(*telemetry.AggRow)
+			if *a != *b {
+				t.Fatalf("kernel %d row %d: %+v, row path %+v", i, j, *a, *b)
+			}
+			if k := [2]any{a.Window, a.Key}; seen[k] {
+				t.Fatalf("kernel %d: window %d key %q emitted twice", i, a.Window, a.Key.Str)
+			} else {
+				seen[k] = true
+			}
+		}
+	}
+}
+
+// TestJobStatsSymbolCacheSound holds the section cache to its one
+// assumption — same address and length mean same bytes within a section,
+// not across sections. One buffer is rewritten between two sections so
+// that different names of equal length sit at the same address: they must
+// stay different groups. Within a section, equal names at different
+// addresses must meet in one group.
+func TestJobStatsSymbolCacheSound(t *testing.T) {
+	h := newJobKernelHarness()
+	buf := make([]byte, 8)
+	at := func(off int) string { return unsafe.String(&buf[off], 4) }
+	for sec, names := range []string{"acmeload", "zorbcpu%"} {
+		copy(buf, names)
+		tenant, stat := at(0), at(4)
+		h.section([]jobRow{
+			{0, tenant, stat, 3, 1},
+			{0, tenant, stat, 5, 1},
+			{0, strings.Clone(tenant), strings.Clone(stat), 7, 1},
+			{0, tenant, strings.Clone(stat), 11, 2},
+			{1, strings.Clone(tenant), stat, float64(13 + sec), 1},
+		})
+	}
+	// Two tenants × (bucket 1, bucket 2) in window 0, and one group each
+	// in window 1.
+	h.check(t, 6)
+}
+
+// TestJobStatsSymbolTableOverflow floods the symbol table past maxSyms
+// with distinct tenants across two open windows. The reset drops every
+// window's id index while groups first seen before it are observed again
+// after it, and ids are handed out anew: each group must still fold into
+// its one cell, as on the row path.
+func TestJobStatsSymbolTableOverflow(t *testing.T) {
+	const tenants = maxSyms + maxSyms/4
+	names := make([]string, tenants)
+	for i := range names {
+		names[i] = fmt.Sprintf("t%06d", i)
+	}
+	h := newJobKernelHarness()
+	// Sections are not aligned to maxSyms, so the reset falls early in
+	// one, with the low tenants already in the section cache.
+	const perSec = 5000
+	for lo := 0; lo < tenants; lo += perSec {
+		var rows []jobRow
+		for i := lo; i < min(lo+perSec, tenants); i++ {
+			rows = append(rows, jobRow{int64(i % 2), names[i], "op", float64(i % 7), int64(i % 3)})
+			// Revisit a group from four sections back (across the
+			// reset for the sections after it), and a low tenant
+			// whose id the reset hands to another name.
+			if old := i - 4*perSec; old >= 0 {
+				rows = append(rows, jobRow{int64(old % 2), names[old], "op", 1, int64(old % 3)})
+			}
+			j := i % 64
+			rows = append(rows, jobRow{int64(j % 2), names[j], "op", 2, int64(j % 3)})
+		}
+		h.section(rows)
+	}
+	if n := len(h.kernels[0].syms); n >= maxSyms || n == 0 {
+		t.Fatalf("symbol table holds %d names after the flood, want a reset below %d", n, maxSyms)
+	}
+	h.check(t, tenants)
 }

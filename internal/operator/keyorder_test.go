@@ -143,10 +143,14 @@ func TestNumTable(t *testing.T) {
 		for round := range 2 {
 			slots := len(tbl.slots)
 			for i, k := range keys {
-				if tbl.find(k.Num) != nil {
+				found, slot := tbl.find(k.Num)
+				if found != nil {
 					t.Fatalf("hint %d round %d: key %d found before its insert", hint, round, k.Num)
 				}
-				c := tbl.insert(aggCell{row: telemetry.NewAggRow(k, 0, float64(i))})
+				if i%2 == 1 {
+					slot = nil // insert without the slot find handed back
+				}
+				c := tbl.insert(slot, aggCell{row: telemetry.NewAggRow(k, 0, float64(i))})
 				if c.row.Key != k {
 					t.Fatalf("hint %d: insert returned the cell of %+v", hint, c.row.Key)
 				}
@@ -157,7 +161,7 @@ func TestNumTable(t *testing.T) {
 					if pass == 1 {
 						i = len(keys) - 1 - j
 					}
-					if c := tbl.find(keys[i].Num); c == nil || c.row.Sum != float64(i) {
+					if c, _ := tbl.find(keys[i].Num); c == nil || c.row.Sum != float64(i) {
 						t.Fatalf("hint %d round %d pass %d: key %d found as %+v", hint, round, pass, keys[i].Num, c)
 					}
 				}
@@ -177,8 +181,10 @@ func TestNumTable(t *testing.T) {
 		}
 	}
 	var empty numTable
-	if empty.find(0) != nil || empty.find(1) != nil {
-		t.Fatal("an empty table found a key")
+	for _, k := range []uint64{0, 1} {
+		if c, s := empty.find(k); c != nil || s != nil {
+			t.Fatal("an empty table found a key or handed out a slot")
+		}
 	}
 }
 

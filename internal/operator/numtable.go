@@ -37,30 +37,36 @@ func newNumTable(hint int) numTable {
 	return t
 }
 
-// find returns key's cell, or nil. Keys are unique, so the cell at the
-// cursor, when it matches, is the one the index would return.
-func (t *numTable) find(key uint64) *aggCell {
+// find returns key's cell, or nil and the slot insert files the key in
+// (nil when the table has no index yet). Keys are unique, so the cell at
+// the cursor, when it matches, is the one the index would return.
+func (t *numTable) find(key uint64) (*aggCell, *numSlot) {
 	if t.next < len(t.cells) && t.cells[t.next].row.Key.Num == key {
 		t.next++
-		return &t.cells[t.next-1]
+		return &t.cells[t.next-1], nil
 	}
 	if len(t.slots) == 0 {
-		return nil
+		return nil, nil
 	}
-	if s := t.slot(key); s.pos != 0 {
+	s := t.slot(key)
+	if s.pos != 0 {
 		t.next = int(s.pos)
-		return &t.cells[s.pos-1]
+		return &t.cells[s.pos-1], nil
 	}
-	return nil
+	return nil, s
 }
 
-// insert adds a cell whose key is absent and returns it, doubling the
-// index first if the insert would load it past 3/4.
-func (t *numTable) insert(c aggCell) *aggCell {
+// insert adds a cell whose key is absent and returns it. s is the slot a
+// missed find handed back, or nil to probe for one; the index doubles
+// first if the insert would load it past 3/4, which also probes afresh.
+func (t *numTable) insert(s *numSlot, c aggCell) *aggCell {
 	if 4*(len(t.cells)+1) > 3*len(t.slots) {
 		t.resize(len(t.slots))
+		s = nil
 	}
-	s := t.slot(c.row.Key.Num)
+	if s == nil {
+		s = t.slot(c.row.Key.Num)
+	}
 	t.cells = append(t.cells, c)
 	s.key, s.pos = c.row.Key.Num, uint32(len(t.cells))
 	t.next = len(t.cells)
@@ -74,14 +80,10 @@ func (t *numTable) reset() {
 	t.cells, t.next = t.cells[:0], 0
 }
 
-// resize rebuilds the index (at least 16 slots) with room for n groups
-// at a load of at most 3/4, re-filing the cells from the dense slice.
+// resize rebuilds the index with room for n groups, re-filing the cells
+// from the dense slice.
 func (t *numTable) resize(n int) {
-	size, shift := 16, uint8(64-4)
-	for 3*size < 4*n {
-		size <<= 1
-		shift--
-	}
+	size, shift := indexSize(n)
 	t.slots, t.shift = make([]numSlot, size), shift
 	for i := range t.cells {
 		s := t.slot(t.cells[i].row.Key.Num)
@@ -97,4 +99,16 @@ func (t *numTable) slot(key uint64) *numSlot {
 			return s
 		}
 	}
+}
+
+// indexSize is the slot count (a power of two, at least 16) of an index
+// with room for n entries at a load of at most 3/4, and 64 − its log2:
+// the shift that makes a Fibonacci hash's top bits pick a slot.
+func indexSize(n int) (int, uint8) {
+	size, shift := 16, uint8(64-4)
+	for 3*size < 4*n {
+		size <<= 1
+		shift--
+	}
+	return size, shift
 }

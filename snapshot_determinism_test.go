@@ -16,8 +16,8 @@ import (
 // snapshots, and an engine restored from that snapshot captures the same
 // bytes again. GroupAgg walks a window's numeric groups in insertion
 // order, and a restore inserts them in snapshot order. Only numeric keys
-// are covered: string-keyed GroupAgg groups (the str map, with byRef
-// beside it) and GroupQuantile's windows are still captured in map order,
+// are covered: string-keyed GroupAgg groups (the str map) and
+// GroupQuantile's windows are still captured in map order,
 // so the snapshots of string-keyed and quantile queries are not yet
 // byte-deterministic.
 func TestNumericCaptureDeterministic(t *testing.T) {
