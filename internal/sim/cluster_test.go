@@ -2,7 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"jarvis/internal/obs"
@@ -70,18 +75,69 @@ func determinismSpec(query string) string {
 }`, query)
 }
 
+// determinismGolden pins the first run of every determinism spec across
+// commits: run-versus-run identity cannot see a change that alters both
+// runs the same way. Regenerate it with
+// SIM_REGEN=1 go test ./internal/sim -run TestClusterDeterminismDoubleRun.
+var determinismGolden = filepath.Join("testdata", "determinism.golden")
+
+// goldenLines renders a run as the golden's lines for one query: per SP
+// its row count and the sha256 of its result log, then the sha256 of
+// the run's decision trace.
+func goldenLines(query string, r *ClusterResult) []string {
+	names := make([]string, 0, len(r.ResultLogs))
+	for name := range r.ResultLogs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var lines []string
+	for _, name := range names {
+		log := r.ResultLogs[name]
+		rows := bytes.Count(log, []byte("\n")) - bytes.Count(log, []byte("epoch "))
+		lines = append(lines, fmt.Sprintf("%s sp=%s rows=%d log=%x", query, name, rows, sha256.Sum256(log)))
+	}
+	return append(lines, fmt.Sprintf("%s decisions=%x", query, sha256.Sum256(r.Decisions)))
+}
+
 // TestClusterDeterminismDoubleRun is the core contract: for every
 // canonical workload, two independent compilations and runs of the same
 // 100-node spec — including an SP crash, checkpoint recovery, admission
 // control, churn, and a rate spike — produce byte-identical result logs
-// AND byte-identical decision traces. Run under -race in CI; any hidden
-// goroutine or wall-clock dependence breaks it.
+// AND byte-identical decision traces, and the first run matches the
+// committed golden. Run under -race in CI; any hidden goroutine or
+// wall-clock dependence breaks it.
 func TestClusterDeterminismDoubleRun(t *testing.T) {
-	for _, query := range []string{"s2s", "t2t", "log", "spans"} {
+	regen := os.Getenv("SIM_REGEN") != ""
+	var want []string
+	if !regen {
+		data, err := os.ReadFile(determinismGolden)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with SIM_REGEN=1): %v", err)
+		}
+		want = strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	}
+	var got []string
+	queries := []string{"s2s", "t2t", "log", "spans"}
+	for _, query := range queries {
 		t.Run(query, func(t *testing.T) {
 			doc := determinismSpec(query)
 			r1 := runCluster(t, doc, ClusterConfig{CheckpointDir: t.TempDir()})
 			r2 := runCluster(t, doc, ClusterConfig{CheckpointDir: t.TempDir()})
+
+			lines := goldenLines(query, r1)
+			got = append(got, lines...)
+			if !regen {
+				var pinned []string
+				for _, l := range want {
+					if strings.HasPrefix(l, query+" ") {
+						pinned = append(pinned, l)
+					}
+				}
+				if strings.Join(lines, "\n") != strings.Join(pinned, "\n") {
+					t.Errorf("run differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
+						determinismGolden, strings.Join(lines, "\n"), strings.Join(pinned, "\n"))
+				}
+			}
 
 			if r1.Nodes != 100 {
 				t.Fatalf("nodes = %d, want 100", r1.Nodes)
@@ -113,6 +169,18 @@ func TestClusterDeterminismDoubleRun(t *testing.T) {
 				t.Fatalf("summary stats diverged: %+v vs %+v", r1, r2)
 			}
 		})
+	}
+	if regen {
+		if len(got) == 0 || !strings.HasPrefix(got[len(got)-1], queries[len(queries)-1]+" ") {
+			t.Fatal("SIM_REGEN needs every query's subtest to run")
+		}
+		if err := os.MkdirAll(filepath.Dir(determinismGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(determinismGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("regenerated %s (%d lines)", determinismGolden, len(got))
 	}
 }
 
