@@ -60,10 +60,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,33 +69,27 @@ import (
 
 	"jarvis/internal/admission"
 	"jarvis/internal/checkpoint"
-	"jarvis/internal/core"
 	"jarvis/internal/experiments"
 	"jarvis/internal/ha"
 	"jarvis/internal/obs"
+	"jarvis/internal/spnode"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/transport"
 )
 
 type config struct {
-	listen, query, sources string
-	ckptDir                string
-	ckptEvery, ckptRetain  int
-	ckptAsync              bool
-	replListen             string
-	standby                bool
-	peer                   string
-	term                   uint64
-	takeoverAfter          time.Duration
-	obsListen              string
-	obsDecisions           string
-	admitRate              float64
-	admitBurst             float64
-	admitMaxDelayed        int
-	admitDegradeRate       float64
-	admitPressure          float64
-	admitTenantRate        tenantRateFlag
-	recordTraffic          string
+	node             spnode.Config // the SP assembly's flags; run adds query, sources and admission
+	query, sources   string
+	takeoverAfter    time.Duration
+	obsListen        string
+	obsDecisions     string
+	admitRate        float64
+	admitBurst       float64
+	admitMaxDelayed  int
+	admitDegradeRate float64
+	admitPressure    float64
+	admitTenantRate  tenantRateFlag
+	recordTraffic    string
 }
 
 // tenantRateFlag collects repeatable -admit-tenant-rate tenant=bytes/s
@@ -127,33 +119,39 @@ func (f tenantRateFlag) Set(s string) error {
 	return nil
 }
 
-func main() {
-	var cfg config
-	flag.StringVar(&cfg.listen, "listen", ":7700", "address to accept agents on")
-	flag.StringVar(&cfg.query, "query", "s2s", "query to run (s2s|t2t|log)")
-	flag.StringVar(&cfg.sources, "sources", "1", "comma-separated source ids to wait for")
-	flag.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "durable snapshot directory (empty = no checkpointing)")
-	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", checkpoint.DefaultEvery, "applied epochs between durable snapshots (1 = every epoch, cheap with delta snapshots)")
-	flag.IntVar(&cfg.ckptRetain, "checkpoint-retain", checkpoint.DefaultRetain, "base+delta snapshot chains to keep when compacting (0 = keep all)")
-	flag.BoolVar(&cfg.ckptAsync, "checkpoint-async", false, "save snapshots on a writer goroutine (acks still wait for the durable save)")
-	flag.StringVar(&cfg.replListen, "repl-listen", "", "replication listener for warm standbys (primary; requires -checkpoint-dir)")
-	flag.BoolVar(&cfg.standby, "standby", false, "run as a warm standby (requires -peer and -checkpoint-dir)")
-	flag.StringVar(&cfg.peer, "peer", "", "primary's replication address to sync from (standby)")
-	flag.Uint64Var(&cfg.term, "term", 1, "primary fencing term (epoch lease token)")
-	flag.DurationVar(&cfg.takeoverAfter, "takeover-after", 3*time.Second, "standby: promote after the replication link is down this long (0 = never)")
-	flag.StringVar(&cfg.obsListen, "obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)")
-	flag.StringVar(&cfg.obsDecisions, "obs-decisions", "", "append runtime adaptation decisions to this JSONL file")
-	flag.Float64Var(&cfg.admitRate, "admit-rate", 0, "per-tenant admission budget in bytes/sec of epoch payload for a weight-1 (silver) class; 0 disables admission control")
-	flag.Float64Var(&cfg.admitBurst, "admit-burst", 0, "admission bucket capacity in bytes (0 = 2x -admit-rate); must exceed the largest epoch a tenant ships or that epoch can never drain")
-	flag.IntVar(&cfg.admitMaxDelayed, "admit-max-delayed", 0, "delay-queue bound across all tenants before shed-and-replay (0 = default 256)")
-	flag.Float64Var(&cfg.admitDegradeRate, "admit-degrade-rate", 0, "sampling rate for degraded tenants' raw records, in (0,1) (0 = default 0.25)")
-	flag.Float64Var(&cfg.admitPressure, "admit-pressure", 0, "ingest p99 threshold in seconds: tenants degrade only while the live ingest p99 exceeds this, and promote once it clears (0 = bucket streaks alone decide)")
-	cfg.admitTenantRate = tenantRateFlag{}
-	flag.Var(cfg.admitTenantRate, "admit-tenant-rate", "absolute admission budget override `tenant=bytes/s` for one tenant, layered over -admit-rate (repeatable)")
-	flag.StringVar(&cfg.recordTraffic, "record-traffic", "", "record every sequenced wire frame of every connection to this file (replayable via transport.ReplayTraffic or jarvis-sim -replay)")
-	flag.Parse()
+// newFlags registers every jarvis-sp flag on one FlagSet and returns it
+// with the config the flags parse into.
+func newFlags(name string) (*flag.FlagSet, *config) {
+	cfg := &config{admitTenantRate: tenantRateFlag{}}
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.StringVar(&cfg.node.Listen, "listen", ":7700", "address to accept agents on")
+	fs.StringVar(&cfg.query, "query", "s2s", "query to run (s2s|t2t|log)")
+	fs.StringVar(&cfg.sources, "sources", "1", "comma-separated source ids to wait for")
+	fs.StringVar(&cfg.node.CheckpointDir, "checkpoint-dir", "", "durable snapshot directory (empty = no checkpointing)")
+	fs.IntVar(&cfg.node.Every, "checkpoint-every", checkpoint.DefaultEvery, "applied epochs between durable snapshots (1 = every epoch, cheap with delta snapshots)")
+	fs.IntVar(&cfg.node.Retain, "checkpoint-retain", checkpoint.DefaultRetain, "base+delta snapshot chains to keep when compacting (0 = keep all)")
+	fs.BoolVar(&cfg.node.Async, "checkpoint-async", false, "save snapshots on a writer goroutine (acks still wait for the durable save)")
+	fs.StringVar(&cfg.node.ReplListen, "repl-listen", "", "replication listener for warm standbys (primary; requires -checkpoint-dir)")
+	fs.BoolVar(&cfg.node.Standby, "standby", false, "run as a warm standby (requires -peer and -checkpoint-dir)")
+	fs.StringVar(&cfg.node.Peer, "peer", "", "primary's replication address to sync from (standby)")
+	fs.Uint64Var(&cfg.node.Term, "term", 1, "primary fencing term (epoch lease token)")
+	fs.DurationVar(&cfg.takeoverAfter, "takeover-after", 3*time.Second, "standby: promote after the replication link is down this long (0 = never)")
+	fs.StringVar(&cfg.obsListen, "obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)")
+	fs.StringVar(&cfg.obsDecisions, "obs-decisions", "", "append runtime adaptation decisions to this JSONL file")
+	fs.Float64Var(&cfg.admitRate, "admit-rate", 0, "per-tenant admission budget in bytes/sec of epoch payload for a weight-1 (silver) class; 0 disables admission control")
+	fs.Float64Var(&cfg.admitBurst, "admit-burst", 0, "admission bucket capacity in bytes (0 = 2x -admit-rate); must exceed the largest epoch a tenant ships or that epoch can never drain")
+	fs.IntVar(&cfg.admitMaxDelayed, "admit-max-delayed", 0, "delay-queue bound across all tenants before shed-and-replay (0 = default 256)")
+	fs.Float64Var(&cfg.admitDegradeRate, "admit-degrade-rate", 0, "sampling rate for degraded tenants' raw records, in (0,1) (0 = default 0.25)")
+	fs.Float64Var(&cfg.admitPressure, "admit-pressure", 0, "ingest p99 threshold in seconds: tenants degrade only while the live ingest p99 exceeds this, and promote once it clears (0 = bucket streaks alone decide)")
+	fs.Var(cfg.admitTenantRate, "admit-tenant-rate", "absolute admission budget override `tenant=bytes/s` for one tenant, layered over -admit-rate (repeatable)")
+	fs.StringVar(&cfg.recordTraffic, "record-traffic", "", "record every sequenced wire frame of every connection to this file (replayable via transport.ReplayTraffic or jarvis-sim -replay)")
+	return fs, cfg
+}
 
-	if err := run(cfg); err != nil {
+func main() {
+	fs, cfg := newFlags(os.Args[0])
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: a bad flag exits here
+	if err := run(*cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "jarvis-sp:", err)
 		os.Exit(1)
 	}
@@ -164,11 +162,14 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	proc, err := core.NewProcessor(q)
-	if err != nil {
-		return err
+	cfg.node.Query = q
+	for _, tok := range strings.Split(cfg.sources, ",") {
+		id, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 32)
+		if err != nil {
+			return fmt.Errorf("bad source id %q: %w", tok, err)
+		}
+		cfg.node.Sources = append(cfg.node.Sources, uint32(id))
 	}
-	rc := transport.NewReceiver(proc.Engine())
 
 	// Live ingest p99: a windowed quantile over the always-on
 	// stage_latency_seconds{stage="ingest"} histogram. Feeds the
@@ -198,7 +199,7 @@ func run(cfg config) error {
 			acfg.PressureThreshold = cfg.admitPressure
 		}
 		admit = admission.NewController(acfg)
-		rc.SetAdmission(admit)
+		cfg.node.Admission = admit
 		fmt.Printf("jarvis-sp: admission control on (%.0f B/s per silver tenant, burst %.0f B, degrade rate %.2f)\n",
 			acfg.RateBytesPerSec, acfg.BurstBytes, acfg.DegradeRate)
 		if len(cfg.admitTenantRate) > 0 {
@@ -230,6 +231,12 @@ func run(cfg config) error {
 		}()
 		fmt.Printf("jarvis-sp: recording traffic to %s\n", cfg.recordTraffic)
 	}
+
+	node, err := spnode.Open(cfg.node)
+	if err != nil {
+		return err
+	}
+	rc, gate := node.Receiver(), node.Gate()
 	rec := transport.NewTrafficRecorder(stream)
 	rec.ArmRing(rc.Counters())
 	rc.SetTrafficRecorder(rec)
@@ -239,70 +246,14 @@ func run(cfg config) error {
 			fmt.Fprintln(os.Stderr, "jarvis-sp: traffic recorder:", err)
 		}
 	}()
-
-	var (
-		rm   *checkpoint.SPRecovery
-		st   *ha.Standby
-		pub  *ha.Publisher
-		gate *ha.Gate
-	)
-	if cfg.standby {
-		if cfg.ckptDir == "" || cfg.peer == "" {
-			return fmt.Errorf("-standby requires -checkpoint-dir and -peer")
+	defer node.Crash() // a fenced or failed run; a no-op after Close
+	if node.Restored() {
+		fmt.Printf("jarvis-sp: restored snapshot (result log at %d rows, watermark %d µs)\n",
+			node.ResultLog().Rows(), node.ResultLog().EmittedWM())
+		if gate.Term() > cfg.node.Term {
+			fmt.Printf("jarvis-sp: resuming at restored term %d\n", gate.Term())
 		}
-		if cfg.replListen != "" {
-			// Serving replicas from a (possibly promoted) standby is a
-			// manual hand-off today (see the ROADMAP follow-on); refusing
-			// the flag beats silently dropping it.
-			return fmt.Errorf("-repl-listen is not supported with -standby: point new standbys at the promoted node explicitly")
-		}
-		gate = ha.NewGate(ha.RoleStandby, 0, nil)
-		st, err = ha.NewStandby(proc, cfg.ckptDir, gate.Counters())
-		if err != nil {
-			return err
-		}
-		st.Store().SetRetention(cfg.ckptRetain)
-	} else if cfg.ckptDir != "" {
-		store, err := checkpoint.OpenStore(cfg.ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetRetention(cfg.ckptRetain)
-		rlog, err := checkpoint.OpenResultLog(filepath.Join(cfg.ckptDir, "results.log"))
-		if err != nil {
-			return err
-		}
-		defer rlog.Close()
-		rm = checkpoint.NewSPRecovery(store, rlog, proc.Engine(), rc, cfg.ckptEvery)
-		rm.SetAsync(cfg.ckptAsync)
-		restored, err := rm.Restore()
-		if err != nil {
-			return err
-		}
-		if restored {
-			fmt.Printf("jarvis-sp: restored snapshot (result log at %d rows, watermark %d µs)\n",
-				rlog.Rows(), rlog.EmittedWM())
-		}
-		// Resume at the highest term this node ever reached: a restarted
-		// promoted standby must not fall back to the flag default and get
-		// fenced by its own agents.
-		term := cfg.term
-		if rt := rm.RestoredTerm(); rt > term {
-			term = rt
-			fmt.Printf("jarvis-sp: resuming at restored term %d\n", term)
-		}
-		rm.SetTerm(term)
-		gate = ha.NewGate(ha.RolePrimary, term, nil)
-		if cfg.replListen != "" {
-			pub = ha.NewPublisher(store, filepath.Join(cfg.ckptDir, "results.log"), term, gate.Counters())
-			rm.SetReplicator(pub, 0)
-		}
-	} else if cfg.replListen != "" {
-		return fmt.Errorf("-repl-listen requires -checkpoint-dir")
-	} else {
-		gate = ha.NewGate(ha.RolePrimary, cfg.term, nil)
 	}
-	rc.SetHelloGate(gate)
 
 	if cfg.obsDecisions != "" {
 		f, err := os.OpenFile(cfg.obsDecisions, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -312,6 +263,7 @@ func run(cfg config) error {
 		defer f.Close()
 		obs.Decisions().SetSink(f)
 	}
+	pub := node.Publisher()
 	if cfg.obsListen != "" {
 		osrv := obs.NewServer()
 		osrv.AddRegistry(rc.Counters(), gate.Counters())
@@ -327,7 +279,7 @@ func run(cfg config) error {
 				"wire_version":  rc.MaxVersion(),
 				"bytes_in":      rc.BytesIn(),
 				"frames_in":     rc.Frames(),
-				"watermark_us":  proc.Engine().EffectiveWatermark(),
+				"watermark_us":  node.Engine().EffectiveWatermark(),
 				"ingest_p99_s":  ingestP99.P99(),
 				"traces_joined": obs.Traces().Total(),
 			}
@@ -337,7 +289,7 @@ func run(cfg config) error {
 				}
 			}
 			wms := map[string]int64{}
-			proc.Engine().SourceWatermarks(func(src uint32, wm int64) {
+			node.Engine().SourceWatermarks(func(src uint32, wm int64) {
 				wms[strconv.FormatUint(uint64(src), 10)] = wm
 			})
 			st["source_watermarks_us"] = wms
@@ -358,112 +310,65 @@ func run(cfg config) error {
 		fmt.Printf("jarvis-sp: introspection on http://%s/metrics\n", addr)
 	}
 
-	for _, tok := range strings.Split(cfg.sources, ",") {
-		id, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 32)
-		if err != nil {
-			return fmt.Errorf("bad source id %q: %w", tok, err)
-		}
-		rc.RegisterSource(uint32(id))
-	}
-
-	ln, err := net.Listen("tcp", cfg.listen)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("jarvis-sp: %s on %s as %s, waiting for sources [%s]\n",
-		q.Name, ln.Addr(), gate.Role(), cfg.sources)
+		q.Name, node.Addr(), gate.Role(), cfg.sources)
+	if pub != nil {
+		fmt.Printf("jarvis-sp: replicating to standbys on %s (term %d)\n", node.ReplAddr(), gate.Term())
+	}
+	if cfg.node.Standby {
+		fmt.Printf("jarvis-sp: standby syncing from %s (takeover after %v)\n", cfg.node.Peer, cfg.takeoverAfter)
+	}
 
-	srv := transport.NewServer(rc)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if pub != nil {
-		rln, err := net.Listen("tcp", cfg.replListen)
-		if err != nil {
+	served := make(chan error, 1)
+	go func() { served <- node.Serve(ctx) }()
+	ticker := time.NewTicker(time.Second)
+	defer ticker.Stop()
+	for {
+		select {
+		case err := <-served:
+			// Interrupted (or the listener failed): a final snapshot so a
+			// clean shutdown loses nothing.
+			if cerr := node.Close(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "jarvis-sp: final snapshot:", cerr)
+			}
+			fmt.Printf("jarvis-sp: transport counters: %s\n", rc.Counters())
+			fmt.Printf("jarvis-sp: ha counters: %s\n", gate.Counters())
 			return err
+		case <-ticker.C:
 		}
-		fmt.Printf("jarvis-sp: replicating to standbys on %s (term %d)\n", rln.Addr(), gate.Term())
-		go func() { _ = pub.Serve(ctx, rln) }()
-	}
-	if st != nil {
-		go st.Run(ctx, cfg.peer)
-		fmt.Printf("jarvis-sp: standby syncing from %s (takeover after %v)\n", cfg.peer, cfg.takeoverAfter)
-	}
-
-	advance := func() (telemetry.Batch, error) {
-		if rm != nil {
-			return rm.Advance()
-		}
-		return rc.Advance(), nil
-	}
-	fenced := make(chan struct{})
-	go func() {
-		ticker := time.NewTicker(time.Second)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				if rm != nil {
-					// Final snapshot so a clean shutdown loses nothing.
-					if err := rm.Snapshot(); err != nil {
-						fmt.Fprintln(os.Stderr, "jarvis-sp: final snapshot:", err)
-					}
-					_ = rm.Close()
-				}
-				fmt.Printf("jarvis-sp: transport counters: %s\n", rc.Counters())
-				fmt.Printf("jarvis-sp: ha counters: %s\n", gate.Counters())
-				return
-			case <-ticker.C:
-				// Keep the ingest-p99 window rotating even when nothing
-				// polls it (snapshots are lazy, one per interval).
-				ingestP99.Tick()
-				switch gate.Role() {
-				case ha.RoleFenced:
-					// A newer primary exists: stop emitting and shut down.
-					fmt.Fprintf(os.Stderr, "jarvis-sp: fenced at term %d — a newer primary was promoted\n", gate.Term())
-					close(fenced)
-					return
-				case ha.RoleStandby:
-					// The shadow engine only mirrors the primary; advancing
-					// it would emit rows the primary owns. Watch the link
-					// and promote when the takeover policy says so.
-					if cfg.takeoverAfter > 0 && st.DownFor() > cfg.takeoverAfter {
-						prm, perr := st.Promote(rc, cfg.ckptEvery)
-						if perr != nil {
-							fmt.Fprintln(os.Stderr, "jarvis-sp: promote:", perr)
-							continue
-						}
-						rm = prm
-						rm.SetAsync(cfg.ckptAsync)
-						gate.Promote(st.NextTerm())
-						fmt.Printf("jarvis-sp: promoted to primary at term %d (replicated snapshot id %d, %d mirrored rows)\n",
-							gate.Term(), st.LastApplied(), st.ResultLog().Rows())
-					}
+		// Keep the ingest-p99 window rotating even when nothing polls it
+		// (snapshots are lazy, one per interval).
+		ingestP99.Tick()
+		switch gate.Role() {
+		case ha.RoleFenced:
+			// A newer primary exists: stop emitting and shut down.
+			fmt.Fprintf(os.Stderr, "jarvis-sp: fenced at term %d — a newer primary was promoted\n", gate.Term())
+			return fmt.Errorf("fenced: superseded by a newer primary (term > %d)", gate.Term())
+		case ha.RoleStandby:
+			// The shadow engine only mirrors the primary. Watch the link
+			// and promote when the takeover policy says so.
+			if st := node.Standby(); cfg.takeoverAfter > 0 && st.DownFor() > cfg.takeoverAfter {
+				if err := node.Promote(); err != nil {
+					fmt.Fprintln(os.Stderr, "jarvis-sp: promote:", err)
 					continue
 				}
-				// Advance may return rows AND an error (rows durably logged
-				// but the follow-up snapshot failed): always print what was
-				// emitted — the result log will not hand these rows back.
-				rows, err := advance()
-				if len(rows) > 0 {
-					printRows(rows)
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "jarvis-sp:", err)
-				}
+				fmt.Printf("jarvis-sp: promoted to primary at term %d (replicated snapshot id %d, %d mirrored rows)\n",
+					gate.Term(), st.LastApplied(), st.ResultLog().Rows())
 			}
+			continue
 		}
-	}()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ctx, ln) }()
-	select {
-	case <-fenced:
-		_ = srv.Close()
-		<-errCh
-		return fmt.Errorf("fenced: superseded by a newer primary (term > %d)", gate.Term())
-	case err := <-errCh:
-		return err
+		// Advance may return rows AND an error (rows durably logged but the
+		// follow-up snapshot failed): always print what was emitted — the
+		// result log will not hand these rows back.
+		rows, err := node.Advance()
+		if len(rows) > 0 {
+			printRows(rows)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "jarvis-sp:", err)
+		}
 	}
 }
 

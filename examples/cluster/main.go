@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"sort"
 	"sync"
@@ -30,6 +29,7 @@ import (
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/ha"
 	"jarvis/internal/obs"
+	"jarvis/internal/spnode"
 	"jarvis/internal/transport"
 )
 
@@ -39,120 +39,45 @@ const (
 	dataEpochs = 11
 )
 
-// spNode is one SP incarnation: engine + receiver + gate, with the
-// recovery manager and (primary role) replication publisher on top.
-type spNode struct {
-	rc       *transport.Receiver
-	rm       *checkpoint.SPRecovery
-	rlog     *checkpoint.ResultLog
-	gate     *ha.Gate
-	pub      *ha.Publisher
-	st       *ha.Standby
-	srv      *transport.Server
-	addr     string
-	replAddr string
-	cancel   context.CancelFunc
+// nodeConfig is what the primary and the standby share: the query, one
+// source per agent, and a snapshot every 4 applied epochs.
+func nodeConfig(dir string) spnode.Config {
+	cfg := spnode.Config{
+		Query: jarvis.S2SProbe(), CheckpointDir: dir,
+		Every: 4, Retain: checkpoint.DefaultRetain, Listen: "127.0.0.1:0",
+	}
+	for id := uint32(1); id <= agents; id++ {
+		cfg.Sources = append(cfg.Sources, id)
+	}
+	return cfg
 }
 
 // startPrimary brings up a primary over dir that replicates to standbys.
-func startPrimary(dir string, term uint64) (*spNode, error) {
-	proc, err := jarvis.NewProcessor(jarvis.S2SProbe())
+func startPrimary(dir string, term uint64) (*spnode.Node, error) {
+	cfg := nodeConfig(dir)
+	cfg.Term, cfg.ReplListen = term, "127.0.0.1:0"
+	n, err := spnode.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	store, err := checkpoint.OpenStore(dir)
-	if err != nil {
-		return nil, err
+	if n.Restored() {
+		fmt.Printf("primary restarted from snapshot (result log already holds %d rows)\n", n.ResultLog().Rows())
 	}
-	rlog, err := checkpoint.OpenResultLog(dir + "/results.log")
-	if err != nil {
-		return nil, err
-	}
-	rc := transport.NewReceiver(proc.Engine())
-	gate := ha.NewGate(ha.RolePrimary, term, nil)
-	rc.SetHelloGate(gate)
-	rm := checkpoint.NewSPRecovery(store, rlog, proc.Engine(), rc, 4)
-	pub := ha.NewPublisher(store, dir+"/results.log", term, gate.Counters())
-	rm.SetReplicator(pub, 0)
-	if restored, err := rm.Restore(); err != nil {
-		return nil, err
-	} else if restored {
-		fmt.Printf("primary restarted from snapshot (result log already holds %d rows)\n", rlog.Rows())
-	}
-	for id := uint32(1); id <= agents; id++ {
-		rc.RegisterSource(id)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := transport.NewServer(rc)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { _ = srv.Serve(ctx, ln) }()
-	go func() { _ = pub.Serve(ctx, rln) }()
-	return &spNode{
-		rc: rc, rm: rm, rlog: rlog, gate: gate, pub: pub, srv: srv,
-		addr: ln.Addr().String(), replAddr: rln.Addr().String(), cancel: cancel,
-	}, nil
+	go n.Serve(context.Background())
+	return n, nil
 }
 
 // startStandby brings up a warm standby syncing from the primary's
 // replication address; its gate rejects agents until promotion.
-func startStandby(dir, peer string) (*spNode, error) {
-	proc, err := jarvis.NewProcessor(jarvis.S2SProbe())
+func startStandby(dir, peer string) (*spnode.Node, error) {
+	cfg := nodeConfig(dir)
+	cfg.Standby, cfg.Peer = true, peer
+	n, err := spnode.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	st, err := ha.NewStandby(proc, dir, nil)
-	if err != nil {
-		return nil, err
-	}
-	gate := ha.NewGate(ha.RoleStandby, 0, st.Counters())
-	rc := transport.NewReceiver(proc.Engine())
-	rc.SetHelloGate(gate)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := transport.NewServer(rc)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { _ = srv.Serve(ctx, ln) }()
-	go st.Run(ctx, peer)
-	return &spNode{
-		rc: rc, gate: gate, st: st, srv: srv,
-		addr: ln.Addr().String(), cancel: cancel,
-	}, nil
-}
-
-// promote fails the standby over: adopt the warm shadow engine and bump
-// the fencing term.
-func (n *spNode) promote() error {
-	rm, err := n.st.Promote(n.rc, 4)
-	if err != nil {
-		return err
-	}
-	n.rm = rm
-	n.rlog = n.st.ResultLog()
-	n.gate.Promote(n.st.NextTerm())
-	return nil
-}
-
-func (n *spNode) stop() {
-	n.cancel()
-	_ = n.srv.Close()
-	if n.pub != nil {
-		_ = n.pub.Close()
-	}
-	if n.rm != nil {
-		_ = n.rm.Close()
-	}
-	if n.rlog != nil {
-		_ = n.rlog.Close()
-	}
+	go n.Serve(context.Background())
+	return n, nil
 }
 
 func main() {
@@ -171,16 +96,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sb, err := startStandby(sbDir, pri.replAddr)
+	sb, err := startStandby(sbDir, pri.ReplAddr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("primary on %s (replicating on %s, term 1), standby on %s\n",
-		pri.addr, pri.replAddr, sb.addr)
+		pri.Addr(), pri.ReplAddr(), sb.Addr())
 
 	// endpoints is what every agent dials: primary first, standby second.
 	var epMu sync.Mutex
-	endpoints := []string{pri.addr, sb.addr}
+	endpoints := []string{pri.Addr().String(), sb.Addr().String()}
 	getEndpoints := func() []string {
 		epMu.Lock()
 		defer epMu.Unlock()
@@ -202,7 +127,7 @@ func main() {
 
 	// Collect results from whichever node currently holds the primary
 	// role — and kill the primary partway through.
-	var active atomic.Pointer[spNode]
+	var active atomic.Pointer[spnode.Node]
 	active.Store(pri)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -215,14 +140,14 @@ func main() {
 		case <-killAt:
 			fmt.Println("\n*** killing the primary mid-run ***")
 			killStart := time.Now()
-			pri.stop()
-			if err := sb.promote(); err != nil {
+			pri.Crash()
+			if err := sb.Promote(); err != nil {
 				log.Fatal(err)
 			}
 			downtime = time.Since(killStart)
 			active.Store(sb)
 			fmt.Printf("*** standby promoted to primary at term %d (replicated snapshot id %d, %d mirrored rows) ***\n\n",
-				sb.gate.Term(), sb.st.LastApplied(), sb.st.ResultLog().Rows())
+				sb.Gate().Term(), sb.Standby().LastApplied(), sb.ResultLog().Rows())
 			killAt = nil
 			rejoinAt = time.After(300 * time.Millisecond)
 		case <-rejoinAt:
@@ -234,35 +159,33 @@ func main() {
 				log.Fatal(err)
 			}
 			epMu.Lock()
-			endpoints = []string{stale.addr, sb.addr}
+			endpoints = []string{stale.Addr().String(), sb.Addr().String()}
 			epMu.Unlock()
-			fmt.Printf("*** old primary rejoined on %s at stale term 1 ***\n", stale.addr)
+			fmt.Printf("*** old primary rejoined on %s at stale term 1 ***\n", stale.Addr())
 			go func() {
-				for stale.gate.Role() != ha.RoleFenced {
+				for stale.Gate().Role() != ha.RoleFenced {
 					time.Sleep(20 * time.Millisecond)
 				}
-				fmt.Printf("*** stale primary fenced (%s) ***\n", stale.gate.Counters())
-				stale.stop()
+				fmt.Printf("*** stale primary fenced (%s) ***\n", stale.Gate().Counters())
+				stale.Crash()
 			}()
 			rejoinAt = nil
 		case <-done:
 			time.Sleep(200 * time.Millisecond)
 			sp := active.Load()
-			if out, err := sp.rm.Advance(); err == nil {
+			if out, err := sp.Advance(); err == nil {
 				rows += printRows(out, rows)
 			}
 			fmt.Printf("\nresult log on the promoted standby: %d rows, every row exactly once across the failover\n",
-				sp.rlog.Rows())
-			fmt.Printf("ha counters: %s\n", sp.gate.Counters())
+				sp.ResultLog().Rows())
+			fmt.Printf("ha counters: %s\n", sp.Gate().Counters())
 			printSummary(sp, downtime)
-			sp.stop()
+			if err := sp.Close(); err != nil {
+				log.Fatal(err)
+			}
 			return
 		case <-time.After(50 * time.Millisecond):
-			sp := active.Load()
-			if sp.rm == nil {
-				continue
-			}
-			if out, err := sp.rm.Advance(); err == nil {
+			if out, err := active.Load().Advance(); err == nil {
 				rows += printRows(out, rows)
 			}
 		}
@@ -272,9 +195,9 @@ func main() {
 // printSummary condenses the run into its headline numbers: how much
 // work the surviving node applied vs. replayed, how long the cluster had
 // no primary, and every adaptation decision the process recorded.
-func printSummary(sp *spNode, downtime time.Duration) {
+func printSummary(sp *spnode.Node, downtime time.Duration) {
 	fmt.Println("--- summary ---")
-	tc := sp.rc.Counters()
+	tc := sp.Receiver().Counters()
 	fmt.Printf("promoted node: %d epochs applied, %d replayed (deduplicated), %d hellos rejected\n",
 		tc.Get(transport.CtrEpochsApplied), tc.Get(transport.CtrEpochsReplayed), tc.Get(transport.CtrHellosRejected))
 	fmt.Printf("failover downtime (kill to promoted): %v\n", downtime)

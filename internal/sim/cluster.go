@@ -1,8 +1,9 @@
 // Cluster-scale deterministic simulation: where Node models one agent
 // analytically, Cluster runs hundreds to thousands of REAL agent
 // pipelines (stream.Pipeline epochs over columnar batches) against real
-// SP engines — receiver, admission controller, checkpoint/recovery
-// machinery included — under one shared virtual clock. Scheduling is a
+// SPs — each the production assembly, spnode.Open, with its receiver,
+// admission controller and checkpoint/recovery machinery — under one
+// shared virtual clock. Scheduling is a
 // discrete-event heap: no goroutines race, no wall-clock sleeps happen,
 // and two runs of the same compiled spec produce byte-identical result
 // logs and decision traces, which is what makes 1000-node failover
@@ -31,6 +32,7 @@ import (
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/obs"
 	"jarvis/internal/plan"
+	"jarvis/internal/spnode"
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/transport"
@@ -171,22 +173,16 @@ func (h eventHeap) peekAt() (int64, bool) {
 	return h[0].at, true
 }
 
-// simSP is one simulated stream processor: a real engine behind a real
-// receiver, optionally with admission control and durable recovery.
+// simSP is one simulated stream processor: the production SP assembly
+// (spnode), optionally with admission control and durable recovery. A
+// crash is node.Crash; recovery opens a new node from the same config.
 type simSP struct {
-	name    string // SP key ("s2s", "spans", "replay:s2s", ...)
-	query   string // canonical query name
-	engine  *stream.SPEngine
-	rc      *transport.Receiver
-	admit   *admission.Controller
-	rm      *checkpoint.SPRecovery
-	store   *checkpoint.Store
-	rlog    *checkpoint.ResultLog
-	dir     string // checkpoint dir ("" = stateless)
-	sources []uint32
-	down    bool
-	log     bytes.Buffer
-	rows    int
+	name string // SP key ("s2s", "spans", "replay:s2s", ...)
+	cfg  spnode.Config
+	node *spnode.Node
+	down bool
+	log  bytes.Buffer
+	rows int
 }
 
 // clusterNode is one spec node wired to a live pipeline and shipper.
@@ -285,8 +281,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cls, _ := admission.ParseClass(sn.Class)
 		ship.SetIdentity(sn.Group, cls)
 		sp := c.sps[sn.Query]
-		sp.sources = append(sp.sources, src)
-		sp.rc.RegisterSource(src)
+		sp.cfg.Sources = append(sp.cfg.Sources, src)
 		c.nodes = append(c.nodes, &clusterNode{spec: sn, pipe: pipe, ship: ship, sp: sp})
 	}
 
@@ -316,9 +311,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp.sources = append(sp.sources, rn.src)
-			sp.rc.RegisterSource(rn.src)
+			sp.cfg.Sources = append(sp.cfg.Sources, rn.src)
 			c.replays = append(c.replays, rn)
+		}
+	}
+	for _, name := range c.spOrder {
+		sp := c.sps[name]
+		var err error
+		if sp.node, err = spnode.Open(sp.cfg); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil
@@ -365,19 +366,18 @@ func (c *Cluster) torTable() *telemetry.ToRTable {
 	return c.tor
 }
 
-// newSP assembles one stream processor for a canonical query.
+// newSP configures one stream processor for a canonical query; NewCluster
+// opens it once every source is known.
 func (c *Cluster) newSP(name, query string) (*simSP, error) {
 	q, err := c.queryFor(query)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := stream.NewSPEngine(q)
-	if err != nil {
-		return nil, err
+	every := checkpoint.DefaultEvery
+	if e := c.sc.Spec.SP.CheckpointEvery; e > 0 {
+		every = e
 	}
-	sp := &simSP{name: name, query: query, engine: engine}
-	sp.rc = transport.NewReceiver(engine)
-
+	sp := &simSP{name: name, cfg: spnode.Config{Query: q, Every: every, Retain: checkpoint.DefaultRetain}}
 	if p := c.sc.Spec.SP; p.AdmitRateMbps > 0 {
 		acfg := admission.DefaultConfig()
 		acfg.RateBytesPerSec = p.AdmitRateMbps * 1e6 / 8
@@ -389,23 +389,12 @@ func (c *Cluster) newSP(name, query string) (*simSP, error) {
 			acfg.MaxDelayedEpochs = p.MaxDelayedEpochs
 		}
 		acfg.Now = c.virtualNow
-		sp.admit = admission.NewController(acfg)
-		sp.rc.SetAdmission(sp.admit)
+		sp.cfg.Admission = admission.NewController(acfg)
 	}
 	if c.cfg.CheckpointDir != "" {
-		sp.dir = filepath.Join(c.cfg.CheckpointDir, sanitizeName(name))
-		if err := sp.openRecovery(c.checkpointEvery()); err != nil {
-			return nil, err
-		}
+		sp.cfg.CheckpointDir = filepath.Join(c.cfg.CheckpointDir, sanitizeName(name))
 	}
 	return sp, nil
-}
-
-func (c *Cluster) checkpointEvery() int {
-	if e := c.sc.Spec.SP.CheckpointEvery; e > 0 {
-		return e
-	}
-	return checkpoint.DefaultEvery
 }
 
 // virtualNow is the cluster's shared clock, injected into time-based
@@ -414,94 +403,21 @@ func (c *Cluster) virtualNow() time.Time {
 	return simClockBase.Add(time.Duration(c.now) * time.Microsecond)
 }
 
-func sanitizeName(s string) string {
-	b := []byte(s)
-	for i, ch := range b {
-		if ch == ':' || ch == '/' {
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
-// openRecovery (re)opens the SP's durable store, result log and
-// recovery manager, restoring the latest consistent snapshot.
-func (sp *simSP) openRecovery(every int) error {
-	store, err := checkpoint.OpenStore(sp.dir)
-	if err != nil {
-		return err
-	}
-	rlog, err := checkpoint.OpenResultLog(filepath.Join(sp.dir, "results.log"))
-	if err != nil {
-		return err
-	}
-	sp.store, sp.rlog = store, rlog
-	sp.rm = checkpoint.NewSPRecovery(store, rlog, sp.engine, sp.rc, every)
-	if _, err := sp.rm.Restore(); err != nil {
-		return err
-	}
-	return nil
-}
+func sanitizeName(s string) string { return strings.NewReplacer(":", "_", "/", "_").Replace(s) }
 
 // advance drains delayed epochs, flushes closed windows, and appends
-// the new rows to the SP's canonical result log.
+// the new rows to the SP's canonical result log (nothing while down).
 func (sp *simSP) advance(epoch int) error {
-	var rows telemetry.Batch
-	var err error
-	if sp.rm != nil {
-		rows, err = sp.rm.Advance()
-	} else {
-		rows = sp.rc.Advance()
+	if sp.down {
+		return nil
 	}
+	rows, err := sp.node.Advance()
 	if len(rows) > 0 {
 		fmt.Fprintf(&sp.log, "epoch %d\n", epoch)
 		sp.log.Write(renderResultRows(rows))
 		sp.rows += len(rows)
 	}
 	return err
-}
-
-// crash abandons the SP's live state mid-flight: no final snapshot, no
-// result flush — exactly what a process kill leaves behind.
-func (sp *simSP) crash() {
-	sp.down = true
-	if sp.rlog != nil {
-		_ = sp.rlog.Close()
-	}
-	if sp.store != nil {
-		_ = sp.store.Close()
-	}
-	sp.rm, sp.store, sp.rlog = nil, nil, nil
-}
-
-// recover rebuilds the SP from durable state (or fresh, when
-// stateless) and re-registers its sources. The admission controller
-// survives — its budgets are control-plane state, not process state
-// worth losing in a sim of SP restarts.
-func (sp *simSP) recover(c *Cluster, every int) error {
-	q, err := c.queryFor(sp.query)
-	if err != nil {
-		return err
-	}
-	engine, err := stream.NewSPEngine(q)
-	if err != nil {
-		return err
-	}
-	sp.engine = engine
-	sp.rc = transport.NewReceiver(engine)
-	if sp.admit != nil {
-		sp.rc.SetAdmission(sp.admit)
-	}
-	for _, src := range sp.sources {
-		sp.rc.RegisterSource(src)
-	}
-	if sp.dir != "" {
-		if err := sp.openRecovery(every); err != nil {
-			return err
-		}
-	}
-	sp.down = false
-	return nil
 }
 
 // newReplayNode splits a recorded connection into per-epoch runs and
@@ -562,7 +478,7 @@ func (rn *replayNode) tick() error {
 	}
 	rn.cursor++
 	// A recording has no shipper to adopt acks: they are discarded.
-	return rn.sp.rc.HandleConn(struct {
+	return rn.sp.node.Receiver().HandleConn(struct {
 		io.Reader
 		io.Writer
 	}{&buf, io.Discard})
@@ -597,7 +513,7 @@ func (n *clusterNode) tick(epoch, dataEpochs int, durMicros int64) error {
 	}
 	// Hello + all pending epochs in, acks out; a shed epoch's replay
 	// request is served at once, not a full epoch later.
-	if err := n.ship.Flush(n.sp.rc); err != nil {
+	if err := n.ship.Flush(n.sp.node.Receiver()); err != nil {
 		return fmt.Errorf("sim: node %d flush: %w", n.spec.Index, err)
 	}
 	return nil
@@ -646,17 +562,16 @@ func (c *Cluster) Run() (*ClusterResult, error) {
 		} else if target, ok := spec.CanonicalQuery(f.Query); ok && c.sps[target] != nil {
 			targets = append(targets, target)
 		}
-		outage := f.OutageEpochs
-		if outage < 1 {
-			outage = 1
-		}
+		outage := max(f.OutageEpochs, 1)
 		for _, target := range targets {
 			sp := c.sps[target]
 			c.schedule(int64(f.Epoch)*dur, prioFault, func() {
 				if sp.down {
 					return
 				}
-				sp.crash()
+				// A process kill: no final snapshot, no result flush.
+				sp.node.Crash()
+				sp.down = true
 				c.failovers++
 				c.cFailover.Inc()
 				obs.Emit(obs.Decision{
@@ -670,7 +585,15 @@ func (c *Cluster) Run() (*ClusterResult, error) {
 					if !sp.down {
 						return
 					}
-					fail(sp.recover(c, c.checkpointEvery()))
+					// Recovery reopens from durable state (or fresh, when
+					// stateless). The admission controller survives: its
+					// budgets are control-plane state, not process state.
+					node, err := spnode.Open(sp.cfg)
+					if err != nil {
+						fail(err)
+						return
+					}
+					sp.node, sp.down = node, false
 					obs.Emit(obs.Decision{
 						TsMicros: c.now, Kind: "sim_sp_recover", Cause: "outage_elapsed",
 						Detail: sp.name, Epoch: uint64(c.now / dur),
@@ -682,43 +605,25 @@ func (c *Cluster) Run() (*ClusterResult, error) {
 
 	// Node and SP events self-reschedule epoch over epoch, so the heap
 	// holds one event per live entity rather than epochs×nodes.
-	for _, n := range c.nodes {
-		n := n
-		var tickFn func()
-		tickFn = func() {
+	everyEpoch := func(prio int, step func(epoch int) error) {
+		var fn func()
+		fn = func() {
 			epoch := int(c.now / dur)
-			fail(n.tick(epoch, dataEpochs, dur))
+			fail(step(epoch))
 			if epoch+1 < total {
-				c.schedule(c.now+dur, prioNode, tickFn)
+				c.schedule(c.now+dur, prio, fn)
 			}
 		}
-		c.schedule(0, prioNode, tickFn)
+		c.schedule(0, prio, fn)
+	}
+	for _, n := range c.nodes {
+		everyEpoch(prioNode, func(epoch int) error { return n.tick(epoch, dataEpochs, dur) })
 	}
 	for _, rn := range c.replays {
-		rn := rn
-		var tickFn func()
-		tickFn = func() {
-			epoch := int(c.now / dur)
-			fail(rn.tick())
-			if epoch+1 < total {
-				c.schedule(c.now+dur, prioNode, tickFn)
-			}
-		}
-		c.schedule(0, prioNode, tickFn)
+		everyEpoch(prioNode, func(int) error { return rn.tick() })
 	}
 	for _, name := range c.spOrder {
-		sp := c.sps[name]
-		var advFn func()
-		advFn = func() {
-			epoch := int(c.now / dur)
-			if !sp.down {
-				fail(sp.advance(epoch))
-			}
-			if epoch+1 < total {
-				c.schedule(c.now+dur, prioAdvance, advFn)
-			}
-		}
-		c.schedule(0, prioAdvance, advFn)
+		everyEpoch(prioAdvance, c.sps[name].advance)
 	}
 
 	epochsSeen := int64(0)
@@ -765,25 +670,16 @@ func (c *Cluster) Run() (*ClusterResult, error) {
 		sp := c.sps[name]
 		res.ResultLogs[name] = append([]byte(nil), sp.log.Bytes()...)
 		res.Rows += sp.rows
-		res.EpochGaps += sp.rc.Counters().Get(transport.CtrEpochGaps)
-		if sp.admit != nil {
-			res.EpochsDelayed += sp.admit.Counters().Counter(admission.CtrEpochsDelayed).Value()
-			res.EpochsDegraded += sp.admit.Counters().Counter(admission.CtrEpochsDegraded).Value()
-			res.Jain[name] = sp.admit.JainIndex()
-			for tenant, st := range sp.admit.TenantStats() {
+		res.EpochGaps += sp.node.Receiver().Counters().Get(transport.CtrEpochGaps)
+		if admit := sp.cfg.Admission; admit != nil {
+			res.EpochsDelayed += admit.Counters().Counter(admission.CtrEpochsDelayed).Value()
+			res.EpochsDegraded += admit.Counters().Counter(admission.CtrEpochsDegraded).Value()
+			res.Jain[name] = admit.JainIndex()
+			for tenant, st := range admit.TenantStats() {
 				res.Tenants[tenant] = st
 			}
 		}
-		if sp.rm != nil {
-			_ = sp.rm.Snapshot()
-			_ = sp.rm.Close()
-		}
-		if sp.rlog != nil {
-			_ = sp.rlog.Close()
-		}
-		if sp.store != nil {
-			_ = sp.store.Close()
-		}
+		_ = sp.node.Close() // a crashed node's Close does nothing
 	}
 	res.Decisions = renderDecisions(obs.Decisions().Recent(0))
 	res.WallSeconds = time.Since(wallStart).Seconds()
