@@ -562,7 +562,10 @@ func (c *Cluster) Run() (*ClusterResult, error) {
 		} else if target, ok := spec.CanonicalQuery(f.Query); ok && c.sps[target] != nil {
 			targets = append(targets, target)
 		}
-		outage := max(f.OutageEpochs, 1)
+		outage := f.OutageEpochs
+		if outage < 1 {
+			outage = 1
+		}
 		for _, target := range targets {
 			sp := c.sps[target]
 			c.schedule(int64(f.Epoch)*dur, prioFault, func() {
