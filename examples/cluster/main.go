@@ -2,7 +2,8 @@
 // data source agents run as separate goroutines connected over loopback
 // TCP — the same wire protocol cmd/jarvis-sp and cmd/jarvis-agent speak
 // across machines — with the high-availability subsystem (internal/ha)
-// enabled end to end. The primary replicates its snapshot chain and
+// enabled end to end. Both SPs are built by spnode.Open, the assembly
+// cmd/jarvis-sp runs. The primary replicates its snapshot chain and
 // result log to the standby and withholds agent acks until the standby
 // confirms durability; each agent ships sequenced epochs through a
 // durable shipper with a multi-endpoint failover dialer.
