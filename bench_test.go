@@ -64,7 +64,7 @@ func BenchmarkFig3(b *testing.B) {
 // --- Fig. 7: throughput vs CPU budget, three queries ---
 
 func benchFig7(b *testing.B, name string) {
-	q, rate, err := experiments.QueryByName(name)
+	q, rate, err := plan.QueryByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -42,80 +42,90 @@ import (
 	"time"
 
 	"jarvis/internal/admission"
+	"jarvis/internal/agentnode"
 	"jarvis/internal/checkpoint"
-	"jarvis/internal/core"
-	"jarvis/internal/experiments"
 	"jarvis/internal/obs"
+	"jarvis/internal/plan"
 	"jarvis/internal/transport"
 	"jarvis/internal/wire"
 	"jarvis/internal/workload"
 )
 
-func main() {
-	spAddr := flag.String("sp", "127.0.0.1:7700", "stream processor endpoints, comma-separated (primary first, then standbys)")
-	id := flag.Uint("id", 1, "source id")
-	queryName := flag.String("query", "s2s", "query to run (s2s|t2t|log)")
-	budget := flag.Float64("budget", 0.6, "CPU budget as a fraction of one core")
-	epochs := flag.Int("epochs", 60, "epochs to run (0 = forever)")
-	realtime := flag.Bool("realtime", false, "pace epochs at one per second of wall time")
-	ckptDir := flag.String("checkpoint-dir", "", "durable snapshot directory (empty = no checkpointing)")
-	ckptEvery := flag.Int("checkpoint-every", checkpoint.DefaultEvery, "epochs between durable snapshots (1 = every epoch, cheap with delta snapshots)")
-	ckptRetain := flag.Int("checkpoint-retain", checkpoint.DefaultRetain, "base+delta snapshot chains to keep when compacting (0 = keep all)")
-	ckptAsync := flag.Bool("checkpoint-async", false, "save snapshots on a writer goroutine (the epoch path only captures state)")
-	compress := flag.Bool("wire-compress", true, "flate-compress columnar data frames (the SP must advertise support in its ack; every current build does)")
-	obsListen := flag.String("obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)")
-	obsDecisions := flag.String("obs-decisions", "", "append runtime adaptation decisions to this JSONL file")
-	tenantName := flag.String("tenant", "", "tenant name announced in the hello (empty = derived from the source id by the SP)")
-	className := flag.String("class", "silver", "SLO class announced in the hello (gold|silver|best-effort)")
-	flag.Parse()
+type config struct {
+	node                    agentnode.Config // the agent assembly's flags; run adds the id, query and rate
+	sp, query               string
+	id                      uint
+	epochs                  int
+	realtime                bool
+	obsListen, obsDecisions string
+}
 
-	if err := run(*spAddr, uint32(*id), *queryName, *budget, *epochs, *realtime, *ckptDir, *ckptEvery, *ckptRetain, *ckptAsync, *compress, *obsListen, *obsDecisions, *tenantName, *className); err != nil {
+// newFlags registers every jarvis-agent flag on one FlagSet and returns
+// it with the config the flags parse into.
+func newFlags(name string) (*flag.FlagSet, *config) {
+	cfg := &config{}
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.StringVar(&cfg.sp, "sp", "127.0.0.1:7700", "stream processor endpoints, comma-separated (primary first, then standbys)")
+	fs.UintVar(&cfg.id, "id", 1, "source id")
+	fs.StringVar(&cfg.query, "query", "s2s", "query to run (s2s|t2t|log|spans)")
+	fs.Float64Var(&cfg.node.BudgetFrac, "budget", 0.6, "CPU budget as a fraction of one core")
+	fs.IntVar(&cfg.epochs, "epochs", 60, "epochs to run (0 = forever)")
+	fs.BoolVar(&cfg.realtime, "realtime", false, "pace epochs at one per second of wall time")
+	fs.StringVar(&cfg.node.CheckpointDir, "checkpoint-dir", "", "durable snapshot directory (empty = no checkpointing)")
+	fs.IntVar(&cfg.node.Every, "checkpoint-every", checkpoint.DefaultEvery, "epochs between durable snapshots (1 = every epoch, cheap with delta snapshots)")
+	fs.IntVar(&cfg.node.Retain, "checkpoint-retain", checkpoint.DefaultRetain, "base+delta snapshot chains to keep when compacting (0 = keep all)")
+	fs.BoolVar(&cfg.node.Async, "checkpoint-async", false, "save snapshots on a writer goroutine (the epoch path only captures state)")
+	fs.BoolVar(&cfg.node.Compress, "wire-compress", true, "flate-compress columnar data frames (the SP must advertise support in its ack; every current build does)")
+	fs.StringVar(&cfg.obsListen, "obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)")
+	fs.StringVar(&cfg.obsDecisions, "obs-decisions", "", "append runtime adaptation decisions to this JSONL file")
+	fs.StringVar(&cfg.node.Tenant, "tenant", "", "tenant name announced in the hello (empty = derived from the source id by the SP)")
+	fs.StringVar(&cfg.node.Class, "class", "silver", "SLO class announced in the hello (gold|silver|best-effort)")
+	return fs, cfg
+}
+
+func main() {
+	fs, cfg := newFlags(os.Args[0])
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: a bad flag exits here
+	if err := run(*cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "jarvis-agent:", err)
 		os.Exit(1)
 	}
 }
 
-func run(spAddr string, id uint32, queryName string, budget float64, epochs int, realtime bool, ckptDir string, ckptEvery, ckptRetain int, ckptAsync, compress bool, obsListen, obsDecisions, tenantName, className string) error {
-	endpoints := transport.ParseEndpoints(spAddr)
+func run(cfg config) error {
+	endpoints := transport.ParseEndpoints(cfg.sp)
 	if len(endpoints) == 0 {
-		return fmt.Errorf("no SP endpoints in %q", spAddr)
+		return fmt.Errorf("no SP endpoints in %q", cfg.sp)
 	}
-	q, rate, err := experiments.QueryByName(queryName)
+	q, rate, err := plan.QueryByName(cfg.query)
 	if err != nil {
 		return err
 	}
-	src, err := core.NewSource(q, core.SourceOptions{
-		ID:         id,
-		BudgetFrac: budget,
-		RateMbps:   rate,
-		Adapt:      true,
-	})
+	id := uint32(cfg.id)
+	cfg.node.Query, cfg.node.ID, cfg.node.RateMbps, cfg.node.Adapt = q, id, rate, true
+	agent, err := agentnode.Open(cfg.node)
 	if err != nil {
 		return err
 	}
-	ship := transport.NewDurableShipper(id, 0)
-	ship.SetCompression(compress)
-	class, err := admission.ParseClass(className)
-	if err != nil {
-		return err
-	}
-	ship.SetIdentity(tenantName, class)
+	defer agent.Close()
+	src, ship := agent.Source(), agent.Shipper()
 
-	if obsDecisions != "" {
-		f, err := os.OpenFile(obsDecisions, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if cfg.obsDecisions != "" {
+		f, err := os.OpenFile(cfg.obsDecisions, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		obs.Decisions().SetSink(f)
 	}
-	if obsListen != "" {
+	if cfg.obsListen != "" {
+		class, _ := admission.ParseClass(cfg.node.Class) // Open refused a bad one
 		osrv := obs.NewServer()
 		osrv.AddRegistry(ship.Counters())
 		osrv.SetStatus(func() any {
 			return map[string]any{
 				"source":       id,
-				"query":        queryName,
+				"query":        cfg.query,
 				"phase":        src.Phase().String(),
 				"load_factors": src.LoadFactors(),
 				"epochs":       src.Epochs(),
@@ -125,12 +135,12 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 				"term":         ship.Term(),
 				"peer_version": ship.PeerVersion(),
 				"connected":    ship.Connected(),
-				"tenant":       tenantName,
+				"tenant":       cfg.node.Tenant,
 				"class":        class.String(),
 				"throttle_us":  ship.ThrottleHint().Microseconds(),
 			}
 		})
-		addr, err := osrv.Start(obsListen)
+		addr, err := osrv.Start(cfg.obsListen)
 		if err != nil {
 			return err
 		}
@@ -138,29 +148,12 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 		fmt.Printf("jarvis-agent %d: introspection on http://%s/metrics\n", id, addr)
 	}
 
-	var arec *checkpoint.AgentRecovery
-	resume := uint64(0)
-	if ckptDir != "" {
-		store, err := checkpoint.OpenStore(ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetRetention(ckptRetain)
-		arec = checkpoint.NewAgentRecovery(store, ckptEvery, src, ship)
-		arec.SetAsync(ckptAsync)
-		defer arec.Close()
-		var restored bool
-		resume, restored, err = arec.Restore()
-		if err != nil {
-			return err
-		}
-		if restored {
-			fmt.Printf("jarvis-agent %d: resumed from snapshot after epoch %d (%d unacked epochs buffered)\n",
-				id, resume, ship.Seq()-ship.Acked())
-		}
+	resume := agent.Resume()
+	if resume > 0 {
+		fmt.Printf("jarvis-agent %d: resumed from snapshot after epoch %d (%d unacked epochs buffered)\n",
+			id, resume, ship.Seq()-ship.Acked())
 	}
-
-	next := mkGenerator(queryName, uint64(id))
+	next := mkGenerator(q.Name, uint64(id))
 	// The synthetic generator is deterministic: fast-forward it past the
 	// epochs the snapshot already covers (a real agent would resume its
 	// upstream ingest instead).
@@ -173,40 +166,23 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 		fmt.Fprintf(os.Stderr, "jarvis-agent %d: no SP reachable (%v), buffering epochs\n", id, err)
 	}
 	fmt.Printf("jarvis-agent %d: %s at %.1f Mbps, budget %.0f%%, sp %v\n",
-		id, q.Name, rate, budget*100, endpoints)
+		id, q.Name, rate, cfg.node.BudgetFrac*100, endpoints)
 
-	for e := int(resume); epochs == 0 || e < epochs; e++ {
+	for e := int(resume); cfg.epochs == 0 || e < cfg.epochs; e++ {
 		start := time.Now()
-		var genDur time.Duration
-		genStart := obs.Now()
-		cb.Reset()
-		next(1_000_000, &cb)
-		if !genStart.IsZero() {
-			genDur = time.Since(genStart)
-			obs.Observe(obs.StageGenerate, genDur)
-		}
-		res, err := src.RunEpochColumnar(&cb)
-		if err != nil {
-			return err
-		}
-		if !genStart.IsZero() {
-			// Trace context: the epoch began at generate start; the shipper
-			// seals encode timing and the trace id into the EpochEnd.
-			res.Timing.StartMicros = genStart.UnixMicro()
-			res.Timing.GenMicros = genDur.Microseconds()
-		}
 		if !ship.Connected() {
 			if addr, err := ship.ConnectAny(endpoints); err == nil {
 				fmt.Printf("  reconnected to %s (term %d), replayed through epoch %d\n", addr, ship.Term(), ship.Seq())
 			}
 		}
-		if err := ship.ShipEpoch(res); err != nil {
+		// Trace context: the epoch begins at generate start (zero when
+		// lifecycle timing is off).
+		genStart := obs.Now()
+		cb.Reset()
+		next(1_000_000, &cb)
+		res, err := agent.Step(&cb, genStart)
+		if err != nil {
 			return err
-		}
-		if arec != nil {
-			if err := arec.AfterEpoch(ship.Seq()); err != nil {
-				return err
-			}
 		}
 		if hint := ship.ThrottleHint(); hint > 0 {
 			// The SP's last ack asked for breathing room: slow the shipping
@@ -219,26 +195,26 @@ func run(spAddr string, id uint32, queryName string, budget float64, epochs int,
 				e, src.Phase(), res.BudgetUsedFrac*100, lf, float64(res.TotalOutBytes())*8/1e6,
 				ship.Acked(), ship.Seq())
 		}
-		if realtime {
+		if cfg.realtime {
 			if d := time.Second - time.Since(start); d > 0 {
 				time.Sleep(d)
 			}
 		}
 	}
-	if arec != nil {
-		if err := arec.Flush(); err != nil {
-			return err
-		}
+	if err := agent.Close(); err != nil {
+		return err
 	}
 	fmt.Printf("jarvis-agent %d: done; transport counters: %s\n", id, ship.Counters())
 	return nil
 }
 
-// mkGenerator returns the columnar epoch generator for the chosen query.
+// mkGenerator returns the columnar epoch generator for the named query.
 func mkGenerator(queryName string, seed uint64) func(durMicros int64, cb *wire.ColumnarBatch) {
 	switch queryName {
-	case "log", "loganalytics":
+	case "LogAnalytics":
 		return workload.NewLogGen(workload.DefaultLogConfig(seed)).NextWindowCols
+	case "TraceSpanAgg":
+		return workload.NewSpanGen(workload.DefaultSpanConfig(seed)).NextWindowCols
 	default:
 		cfg := workload.DefaultPingConfig(seed)
 		cfg.SrcIP = 0x0A000000 + uint32(seed)

@@ -31,7 +31,7 @@ import (
 	"strconv"
 	"strings"
 
-	"jarvis/internal/experiments"
+	"jarvis/internal/plan"
 	"jarvis/internal/runtime"
 	"jarvis/internal/sim"
 	"jarvis/internal/transport"
@@ -137,7 +137,7 @@ func runCluster(specPath string, nodes int, checkpointDir string, printLogs bool
 }
 
 func run(queryName string, budget float64, epochs int, variant string, seed uint64, eventSpecs []string) error {
-	q, rate, err := experiments.QueryByName(queryName)
+	q, rate, err := plan.QueryByName(queryName)
 	if err != nil {
 		return err
 	}

@@ -69,9 +69,9 @@ import (
 
 	"jarvis/internal/admission"
 	"jarvis/internal/checkpoint"
-	"jarvis/internal/experiments"
 	"jarvis/internal/ha"
 	"jarvis/internal/obs"
+	"jarvis/internal/plan"
 	"jarvis/internal/spnode"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/transport"
@@ -125,7 +125,7 @@ func newFlags(name string) (*flag.FlagSet, *config) {
 	cfg := &config{admitTenantRate: tenantRateFlag{}}
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	fs.StringVar(&cfg.node.Listen, "listen", ":7700", "address to accept agents on")
-	fs.StringVar(&cfg.query, "query", "s2s", "query to run (s2s|t2t|log)")
+	fs.StringVar(&cfg.query, "query", "s2s", "query to run (s2s|t2t|log|spans)")
 	fs.StringVar(&cfg.sources, "sources", "1", "comma-separated source ids to wait for")
 	fs.StringVar(&cfg.node.CheckpointDir, "checkpoint-dir", "", "durable snapshot directory (empty = no checkpointing)")
 	fs.IntVar(&cfg.node.Every, "checkpoint-every", checkpoint.DefaultEvery, "applied epochs between durable snapshots (1 = every epoch, cheap with delta snapshots)")
@@ -158,7 +158,7 @@ func main() {
 }
 
 func run(cfg config) error {
-	q, _, err := experiments.QueryByName(cfg.query)
+	q, _, err := plan.QueryByName(cfg.query)
 	if err != nil {
 		return err
 	}

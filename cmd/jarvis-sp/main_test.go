@@ -24,7 +24,7 @@ func TestFlagSurface(t *testing.T) {
 		{"obs-decisions", "", "append runtime adaptation decisions to this JSONL file"},
 		{"obs-listen", "", "introspection HTTP listener (/metrics, /status, /decisions, /debug/pprof)"},
 		{"peer", "", "primary's replication address to sync from (standby)"},
-		{"query", "s2s", "query to run (s2s|t2t|log)"},
+		{"query", "s2s", "query to run (s2s|t2t|log|spans)"},
 		{"record-traffic", "", "record every sequenced wire frame of every connection to this file (replayable via transport.ReplayTraffic or jarvis-sim -replay)"},
 		{"repl-listen", "", "replication listener for warm standbys (primary; requires -checkpoint-dir)"},
 		{"sources", "1", "comma-separated source ids to wait for"},

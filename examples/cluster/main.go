@@ -3,7 +3,8 @@
 // TCP — the same wire protocol cmd/jarvis-sp and cmd/jarvis-agent speak
 // across machines — with the high-availability subsystem (internal/ha)
 // enabled end to end. Both SPs are built by spnode.Open, the assembly
-// cmd/jarvis-sp runs. The primary replicates its snapshot chain and
+// cmd/jarvis-sp runs, and every agent by agentnode.Open, the one
+// cmd/jarvis-agent runs. The primary replicates its snapshot chain and
 // result log to the standby and withholds agent acks until the standby
 // confirms durability; each agent ships sequenced epochs through a
 // durable shipper with a multi-endpoint failover dialer.
@@ -27,11 +28,13 @@ import (
 	"time"
 
 	"jarvis"
+	"jarvis/internal/agentnode"
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/ha"
 	"jarvis/internal/obs"
 	"jarvis/internal/spnode"
 	"jarvis/internal/transport"
+	"jarvis/internal/wire"
 )
 
 const (
@@ -219,34 +222,29 @@ func printSummary(sp *spnode.Node, downtime time.Duration) {
 }
 
 func runAgent(getEndpoints func() []string, id uint32, budget float64) error {
-	src, err := jarvis.NewSource(jarvis.S2SProbe(), jarvis.SourceOptions{
-		ID:         id,
-		BudgetFrac: budget,
-		RateMbps:   26.2,
-		Adapt:      true,
+	agent, err := agentnode.Open(agentnode.Config{
+		SourceOptions: jarvis.SourceOptions{ID: id, BudgetFrac: budget, RateMbps: 26.2, Adapt: true},
+		Query:         jarvis.S2SProbe(),
 	})
 	if err != nil {
 		return err
 	}
-	ship := transport.NewDurableShipper(id, 0)
+	defer agent.Close()
+	ship := agent.Shipper()
 	if _, err := ship.ConnectAny(getEndpoints()); err != nil {
 		return err
 	}
-	defer ship.Close()
 
 	cfg := jarvis.DefaultPingConfig(uint64(id) * 17)
 	cfg.SrcIP = 0x0A000000 + id
 	gen := jarvis.NewPingGen(cfg)
+	var cb wire.ColumnarBatch
 	for e := 0; e < epochs; e++ {
-		var batch jarvis.Batch
+		cb.Reset()
 		if e < dataEpochs {
-			batch = gen.NextWindow(1_000_000)
+			gen.NextWindowCols(1_000_000, &cb)
 		} else {
-			src.ObserveTime(int64(e+1) * 1_000_000) // quiet tail closes windows
-		}
-		res, err := src.RunEpoch(batch)
-		if err != nil {
-			return err
+			agent.Source().ObserveTime(int64(e+1) * 1_000_000) // quiet tail closes windows
 		}
 		if e == 13 && id == 1 {
 			// Agent 1's connection flaps and it re-dials its configured
@@ -266,7 +264,7 @@ func runAgent(getEndpoints func() []string, id uint32, budget float64) error {
 					id, addr, ship.Term())
 			}
 		}
-		if err := ship.ShipEpoch(res); err != nil {
+		if _, err := agent.Step(&cb, time.Time{}); err != nil {
 			return err
 		}
 		time.Sleep(60 * time.Millisecond) // pace the demo so the outage lands mid-run

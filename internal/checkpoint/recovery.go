@@ -468,6 +468,17 @@ func (s *saver) Close() error {
 	return err
 }
 
+// Abandon stops the async writer without saving what is still queued,
+// as a process kill would; the save in progress completes.
+func (s *saver) Abandon() {
+	if s.aw != nil {
+		s.aw.mu.Lock()
+		s.aw.q = nil
+		s.aw.mu.Unlock()
+		_ = s.Close()
+	}
+}
+
 // takeDeferred returns (clearing) the error a torn-down writer left.
 func (s *saver) takeDeferred() error {
 	err := s.deferredErr

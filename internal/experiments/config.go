@@ -12,10 +12,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"jarvis/internal/plan"
-	"jarvis/internal/telemetry"
-	"jarvis/internal/workload"
 )
 
 // Network constants from §VI-A (after the paper's 10× scaling).
@@ -29,33 +25,6 @@ const (
 
 // Budgets is the CPU-budget sweep of Fig. 7 (percent of one core).
 var Budgets = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-
-// T2TQuery builds the T2TProbe query against a synthetic IP→ToR table of
-// the given size (§VI's default is 500; Fig. 8(b) starts at 50).
-func T2TQuery(tableSize int) *plan.Query {
-	ips := make([]uint32, tableSize)
-	for i := range ips {
-		ips[i] = 0x0B000000 + uint32(i)
-	}
-	return plan.T2TProbe(telemetry.NewToRTable(ips, 40))
-}
-
-// QueryByName returns one of the canonical queries: "s2s", "t2t", "log",
-// "spans".
-func QueryByName(name string) (*plan.Query, float64, error) {
-	switch strings.ToLower(name) {
-	case "s2s", "s2sprobe":
-		return plan.S2SProbe(), workload.PingmeshMbps10x, nil
-	case "t2t", "t2tprobe":
-		return T2TQuery(500), workload.PingmeshMbps10x, nil
-	case "log", "loganalytics":
-		return plan.LogAnalytics(), workload.LogMbps10x, nil
-	case "spans", "tracespanagg":
-		return plan.TraceSpanAgg(), workload.SpanMbps10x, nil
-	default:
-		return nil, 0, fmt.Errorf("experiments: unknown query %q", name)
-	}
-}
 
 // table is a small fixed-width text table builder shared by the drivers.
 type table struct {

@@ -343,17 +343,6 @@ func TestOverheadClaim(t *testing.T) {
 	}
 }
 
-func TestQueryByName(t *testing.T) {
-	for _, name := range []string{"s2s", "t2t", "log", "S2SProbe"} {
-		if _, _, err := QueryByName(name); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if _, _, err := QueryByName("nope"); err == nil {
-		t.Fatal("unknown query must error")
-	}
-}
-
 func TestAblationVariants(t *testing.T) {
 	r, err := Ablation(0.60)
 	if err != nil {

@@ -57,7 +57,7 @@ func Fig7(name string, q *plan.Query, rateMbps float64) (*Fig7Result, error) {
 func Fig7All() (map[string]*Fig7Result, error) {
 	out := map[string]*Fig7Result{}
 	for _, name := range []string{"s2s", "t2t", "log"} {
-		q, rate, err := QueryByName(name)
+		q, rate, err := plan.QueryByName(name)
 		if err != nil {
 			return nil, err
 		}

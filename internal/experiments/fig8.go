@@ -81,7 +81,7 @@ func Fig8S2S() (*Fig8Result, error) {
 // (as the paper does to stabilize the next run).
 func Fig8T2T() (*Fig8Result, error) {
 	mk := func(seed uint64) (*sim.Node, error) {
-		cfg := sim.DefaultNodeConfig(T2TQuery(50), workload.PingmeshMbps10x, 0.10)
+		cfg := sim.DefaultNodeConfig(plan.T2TQuery(50), workload.PingmeshMbps10x, 0.10)
 		cfg.Seed = seed
 		return sim.NewNode(cfg)
 	}

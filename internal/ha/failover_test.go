@@ -1,17 +1,19 @@
-package ha
+package ha_test
 
 import (
 	"bytes"
 	"context"
-	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"jarvis/internal/agentnode"
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/core"
+	"jarvis/internal/ha"
 	"jarvis/internal/obs"
 	"jarvis/internal/plan"
+	"jarvis/internal/spnode"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/transport"
 	"jarvis/internal/wire"
@@ -27,6 +29,8 @@ import (
 // result log must be byte-identical to an uninterrupted single-SP run —
 // mirrored prefix, replay-regenerated suffix, watermark dedup in
 // between. A second test rejoins the stale primary and proves fencing.
+// Every SP here is the production assembly (spnode.Open) and the agent
+// is agentnode.Open's, so these runs prove the code the binaries run.
 
 const (
 	haDataEpochs  = 10
@@ -53,7 +57,7 @@ const (
 type haCase struct {
 	name  string
 	query func() *plan.Query
-	gen   func() func(int64) telemetry.Batch
+	gen   func() func(int64, *wire.ColumnarBatch)
 }
 
 func haTable() *telemetry.ToRTable {
@@ -66,184 +70,79 @@ func haTable() *telemetry.ToRTable {
 }
 
 func haCases() []haCase {
-	pingGen := func() func(int64) telemetry.Batch {
-		g := workload.NewPingGen(workload.DefaultPingConfig(7))
-		return g.NextWindow
+	pingGen := func() func(int64, *wire.ColumnarBatch) {
+		return workload.NewPingGen(workload.DefaultPingConfig(7)).NextWindowCols
 	}
 	return []haCase{
 		{name: "S2SProbe", query: plan.S2SProbe, gen: pingGen},
 		{name: "T2TProbe", query: func() *plan.Query { return plan.T2TProbe(haTable()) }, gen: pingGen},
-		{name: "LogAnalytics", query: plan.LogAnalytics, gen: func() func(int64) telemetry.Batch {
-			g := workload.NewLogGen(workload.DefaultLogConfig(7))
-			return g.NextWindow
+		{name: "LogAnalytics", query: plan.LogAnalytics, gen: func() func(int64, *wire.ColumnarBatch) {
+			return workload.NewLogGen(workload.DefaultLogConfig(7)).NextWindowCols
 		}},
 	}
 }
 
-// primaryNode is one primary SP incarnation: engine + receiver + gate +
-// recovery manager, optionally replicating to standbys.
-type primaryNode struct {
-	rc       *transport.Receiver
-	rm       *checkpoint.SPRecovery
-	rlog     *checkpoint.ResultLog
-	gate     *Gate
-	pub      *Publisher
-	srv      *transport.Server
-	addr     string
-	replAddr string
-	cancel   context.CancelFunc
+// spConfig is what every SP in these runs shares: one source, a
+// snapshot every haCadence applied epochs, a primary's term 1 (a
+// standby promotes to 2), and an agent listener.
+func spConfig(q *plan.Query, dir string) spnode.Config {
+	return spnode.Config{
+		Query: q, Sources: []uint32{1}, CheckpointDir: dir,
+		Every: haCadence, Retain: checkpoint.DefaultRetain, Term: 1, Listen: "127.0.0.1:0",
+	}
 }
 
-// startPrimary brings up a primary over dir at the given term. With
-// repl, a replication listener serves standbys and agent acks are gated
-// on standby durability.
-func startPrimary(t *testing.T, q *plan.Query, dir string, term uint64, repl bool) *primaryNode {
+// serve opens the node and serves it until the test closes or crashes it.
+func serve(t *testing.T, cfg spnode.Config) *spnode.Node {
 	t.Helper()
-	proc, err := core.NewProcessor(q)
+	n, err := spnode.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rlog, err := checkpoint.OpenResultLog(filepath.Join(dir, "results.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := transport.NewReceiver(proc.Engine())
-	gate := NewGate(RolePrimary, term, nil)
-	rc.SetHelloGate(gate)
-	rm := checkpoint.NewSPRecovery(store, rlog, proc.Engine(), rc, haCadence)
-	if _, err := rm.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	rc.RegisterSource(1)
-	n := &primaryNode{rc: rc, rm: rm, rlog: rlog, gate: gate}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	n.addr = ln.Addr().String()
-	n.srv = transport.NewServer(rc)
-	ctx, cancel := context.WithCancel(context.Background())
-	n.cancel = cancel
-	go func() { _ = n.srv.Serve(ctx, ln) }()
-	if repl {
-		rln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.replAddr = rln.Addr().String()
-		n.pub = NewPublisher(store, filepath.Join(dir, "results.log"), term, gate.Counters())
-		rm.SetReplicator(n.pub, 10*time.Second)
-		go func() { _ = n.pub.Serve(ctx, rln) }()
-	}
+	go func() { _ = n.Serve(context.Background()) }()
 	return n
 }
 
-func (n *primaryNode) stop() {
-	n.cancel()
-	_ = n.srv.Close()
-	if n.pub != nil {
-		_ = n.pub.Close()
-	}
-	_ = n.rm.Close()
-	_ = n.rlog.Close()
-}
-
-// standbyNode is the warm standby: shadow engine + receiver whose gate
-// rejects agents until promotion.
-type standbyNode struct {
-	st        *Standby
-	rc        *transport.Receiver
-	gate      *Gate
-	rm        *checkpoint.SPRecovery // set at promotion
-	srv       *transport.Server
-	addr      string
-	cancel    context.CancelFunc
-	runCancel context.CancelFunc
-}
-
-func startStandby(t *testing.T, q *plan.Query, dir, primaryReplAddr string) *standbyNode {
+// openAgent opens source 1's agent deterministic (fixed factors, no
+// adaptation), so replayed epochs re-ship identical content.
+func openAgent(t *testing.T, tc haCase) *agentnode.Agent {
 	t.Helper()
-	proc, err := core.NewProcessor(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewStandby(proc, dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := NewGate(RoleStandby, 0, st.Counters())
-	rc := transport.NewReceiver(proc.Engine())
-	rc.SetHelloGate(gate)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := transport.NewServer(rc)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { _ = srv.Serve(ctx, ln) }()
-	runCtx, runCancel := context.WithCancel(context.Background())
-	go st.Run(runCtx, primaryReplAddr)
-	return &standbyNode{
-		st: st, rc: rc, gate: gate, srv: srv,
-		addr: ln.Addr().String(), cancel: cancel, runCancel: runCancel,
-	}
-}
-
-// promote fails the standby over: stop syncing, adopt the warm shadow,
-// bump the term.
-func (n *standbyNode) promote(t *testing.T) {
-	t.Helper()
-	n.runCancel()
-	rm, err := n.st.Promote(n.rc, haCadence)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.rm = rm
-	if !n.gate.Promote(n.st.NextTerm()) {
-		t.Fatal("gate promotion refused")
-	}
-}
-
-func (n *standbyNode) stop() {
-	n.runCancel()
-	n.cancel()
-	_ = n.srv.Close()
-	if n.rm != nil {
-		_ = n.rm.Close()
-	}
-	_ = n.st.ResultLog().Close()
-}
-
-// haAgent runs the source pipeline deterministically (fixed factors, no
-// adaptation) so replayed epochs re-ship identical content.
-type haAgent struct {
-	src  *core.Source
-	ship *transport.DurableShipper
-	gen  func(int64) telemetry.Batch
-}
-
-func startHAAgent(t *testing.T, tc haCase) *haAgent {
-	t.Helper()
-	src, err := core.NewSource(tc.query(), core.SourceOptions{
-		BudgetFrac: 4.0,
-		RateMbps:   workload.PingmeshMbps10x,
-		Adapt:      false,
+	agent, err := agentnode.Open(agentnode.Config{
+		SourceOptions: core.SourceOptions{ID: 1, BudgetFrac: 4.0, RateMbps: workload.PingmeshMbps10x},
+		Query:         tc.query(),
+		MaxPending:    64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ones := make([]float64, len(src.Query().Ops))
+	ones := make([]float64, len(agent.Source().Query().Ops))
 	for i := range ones {
 		ones[i] = 1
 	}
-	if err := src.SetLoadFactors(ones); err != nil {
+	if err := agent.Source().SetLoadFactors(ones); err != nil {
 		t.Fatal(err)
 	}
-	return &haAgent{src: src, ship: transport.NewDurableShipper(1, 64), gen: tc.gen()}
+	return agent
+}
+
+// stepEpoch generates epoch e (a quiet tail past haDataEpochs) and
+// steps the agent, re-dialing endpoints first when disconnected.
+func stepEpoch(t *testing.T, agent *agentnode.Agent, gen func(int64, *wire.ColumnarBatch), cb *wire.ColumnarBatch, e int, endpoints []string) {
+	t.Helper()
+	cb.Reset()
+	if e <= haDataEpochs {
+		gen(1_000_000, cb)
+	} else {
+		agent.Source().ObserveTime(int64(e) * 1_000_000)
+	}
+	if ship := agent.Shipper(); !ship.Connected() {
+		if _, err := ship.ConnectAny(endpoints); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := agent.Step(cb, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func waitApplied(t *testing.T, rc *transport.Receiver, source uint32, seq uint64) {
@@ -262,21 +161,21 @@ func waitApplied(t *testing.T, rc *transport.Receiver, source uint32, seq uint64
 // learn its socket is dead when the kernel delivers the EOF, so an epoch
 // written into the dead connection is re-driven by the replay on the
 // next ConnectAny.
-func waitAppliedFailover(t *testing.T, agent *haAgent, rc *transport.Receiver, seq uint64, endpoints []string) {
+func waitAppliedFailover(t *testing.T, ship *transport.DurableShipper, rc *transport.Receiver, seq uint64, endpoints []string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for rc.AppliedSeq(1) < seq {
 		if time.Now().After(deadline) {
 			t.Fatalf("standby never applied epoch %d (at %d)", seq, rc.AppliedSeq(1))
 		}
-		if !agent.ship.Connected() {
-			_, _ = agent.ship.ConnectAny(endpoints)
+		if !ship.Connected() {
+			_, _ = ship.ConnectAny(endpoints)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-func waitStandbySynced(t *testing.T, st *Standby) {
+func waitStandbySynced(t *testing.T, st *ha.Standby) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !st.Connected() {
@@ -313,36 +212,33 @@ func canonicalBytes(t *testing.T, rows telemetry.Batch) []byte {
 	return buf
 }
 
+// advance flushes the node's closed windows, failing the test on error.
+func advance(t *testing.T, n *spnode.Node) {
+	t.Helper()
+	if _, err := n.Advance(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // referenceRun is an uninterrupted single-SP run with the same recovery
 // stack; its result log is the ground truth.
 func referenceRun(t *testing.T, tc haCase) telemetry.Batch {
 	t.Helper()
 	dir := t.TempDir()
-	sp := startPrimary(t, tc.query(), dir, 1, false)
-	agent := startHAAgent(t, tc)
-	if _, err := agent.ship.ConnectAny([]string{sp.addr}); err != nil {
+	sp := serve(t, spConfig(tc.query(), dir))
+	agent := openAgent(t, tc)
+	defer agent.Close()
+	endpoints := []string{sp.Addr().String()}
+	gen := tc.gen()
+	var cb wire.ColumnarBatch
+	for e := 1; e <= haTotalEpochs; e++ {
+		stepEpoch(t, agent, gen, &cb, e, endpoints)
+		waitApplied(t, sp.Receiver(), 1, agent.Shipper().Seq())
+		advance(t, sp)
+	}
+	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for e := 1; e <= haTotalEpochs; e++ {
-		var input telemetry.Batch
-		if e <= haDataEpochs {
-			input = agent.gen(1_000_000)
-		} else {
-			agent.src.ObserveTime(int64(e) * 1_000_000)
-		}
-		res, err := agent.src.RunEpoch(input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := agent.ship.ShipEpoch(res); err != nil {
-			t.Fatal(err)
-		}
-		waitApplied(t, sp.rc, 1, agent.ship.Seq())
-		if _, err := sp.rm.Advance(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sp.stop()
 	rows, err := checkpoint.ReadResultLog(filepath.Join(dir, "results.log"))
 	if err != nil {
 		t.Fatal(err)
@@ -358,48 +254,38 @@ func referenceRun(t *testing.T, tc haCase) telemetry.Batch {
 func failoverRun(t *testing.T, tc haCase, killEpoch int, rejoin bool) telemetry.Batch {
 	t.Helper()
 	priDir, sbDir := t.TempDir(), t.TempDir()
-	pri := startPrimary(t, tc.query(), priDir, 1, true)
-	sb := startStandby(t, tc.query(), sbDir, pri.replAddr)
-	waitStandbySynced(t, sb.st)
+	// The primary replicates to the standby and gates agent acks on its
+	// durability; the standby's gate rejects agents until promotion.
+	priCfg, sbCfg := spConfig(tc.query(), priDir), spConfig(tc.query(), sbDir)
+	priCfg.ReplListen = "127.0.0.1:0"
+	pri := serve(t, priCfg)
+	sbCfg.Standby, sbCfg.Peer = true, pri.ReplAddr().String()
+	sb := serve(t, sbCfg)
+	waitStandbySynced(t, sb.Standby())
 
-	agent := startHAAgent(t, tc)
-	endpoints := []string{pri.addr, sb.addr}
-	if _, err := agent.ship.ConnectAny(endpoints); err != nil {
+	agent := openAgent(t, tc)
+	defer agent.Close()
+	ship := agent.Shipper()
+	endpoints := []string{pri.Addr().String(), sb.Addr().String()}
+	if _, err := ship.ConnectAny(endpoints); err != nil {
 		t.Fatal(err)
 	}
 
-	primaryUp := true
-	var stale *primaryNode
+	primaryUp, promoted := true, false
+	var stale *spnode.Node
 	var (
 		killAt   time.Time
 		restored uint64 // the standby's applied frontier at promotion
 	)
+	gen := tc.gen()
+	var cb wire.ColumnarBatch
 	for e := 1; e <= haTotalEpochs; e++ {
-		var input telemetry.Batch
-		if e <= haDataEpochs {
-			input = agent.gen(1_000_000)
-		} else {
-			agent.src.ObserveTime(int64(e) * 1_000_000)
-		}
-		res, err := agent.src.RunEpoch(input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !agent.ship.Connected() {
-			if _, err := agent.ship.ConnectAny(endpoints); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := agent.ship.ShipEpoch(res); err != nil {
-			t.Fatal(err)
-		}
+		stepEpoch(t, agent, gen, &cb, e, endpoints)
 		if primaryUp {
-			waitApplied(t, pri.rc, 1, agent.ship.Seq())
-			if _, err := pri.rm.Advance(); err != nil {
-				t.Fatal(err)
-			}
-		} else if sb.rm != nil {
-			waitAppliedFailover(t, agent, sb.rc, agent.ship.Seq(), endpoints)
+			waitApplied(t, pri.Receiver(), 1, ship.Seq())
+			advance(t, pri)
+		} else if promoted {
+			waitAppliedFailover(t, ship, sb.Receiver(), ship.Seq(), endpoints)
 			if e == killEpoch+1 {
 				// Downtime: from the kill until the promoted standby has
 				// applied every stalled epoch and the first new one.
@@ -409,9 +295,7 @@ func failoverRun(t *testing.T, tc haCase, killEpoch int, rejoin bool) telemetry.
 					t.Errorf("failover downtime %v exceeds %v", downtime, haDowntimeBound)
 				}
 			}
-			if _, err := sb.rm.Advance(); err != nil {
-				t.Fatal(err)
-			}
+			advance(t, sb)
 		}
 
 		if e == killEpoch && primaryUp {
@@ -420,25 +304,31 @@ func failoverRun(t *testing.T, tc haCase, killEpoch int, rejoin bool) telemetry.
 				// emitted rows reached the mirror before the crash, so this
 				// variant exercises mirror + replay-dedup rather than pure
 				// regeneration.
-				waitCounter(t, sb.st.Counters(), CtrRowsMirrored, 1)
+				waitCounter(t, sb.Standby().Counters(), ha.CtrRowsMirrored, 1)
 			}
 			// Kill the primary and promote the warm standby; the agent's
 			// next epoch finds the connection dead and fails over.
 			killAt = time.Now()
-			pri.stop()
+			pri.Crash()
 			primaryUp = false
-			sb.promote(t)
+			if err := sb.Promote(); err != nil {
+				t.Fatal(err)
+			}
+			if role := sb.Gate().Role(); role != ha.RolePrimary {
+				t.Fatalf("promoted standby is %s", role)
+			}
+			promoted = true
 			// The stalled epochs are the ones shipped but not covered by a
 			// replicated snapshot. The promoted receiver must resume exactly
 			// at that cut — no acked epoch behind it, every stalled one still
 			// in the agent's replay buffer: one higher and a stalled epoch is
 			// discarded as a duplicate, one lower and a covered epoch is
 			// applied on top of state that already contains it.
-			restored = sb.rc.AppliedSeq(1)
+			restored = sb.Receiver().AppliedSeq(1)
 			if want := uint64(killEpoch - killEpoch%haCadence); restored != want {
 				t.Fatalf("promoted standby resumes after epoch %d, want %d (the last replicated cut before the kill at %d)", restored, want, killEpoch)
 			}
-			if acked := agent.ship.Acked(); acked > restored {
+			if acked := ship.Acked(); acked > restored {
 				t.Fatalf("agent was acked through epoch %d but the standby only covers %d", acked, restored)
 			}
 		}
@@ -446,73 +336,72 @@ func failoverRun(t *testing.T, tc haCase, killEpoch int, rejoin bool) telemetry.
 			// By now the agent has failed over and adopted the promoted
 			// term. The stale primary comes back from its own directory at
 			// its old term; a direct connect must fence it.
-			if term := agent.ship.Term(); term < 2 {
+			if term := ship.Term(); term < 2 {
 				t.Fatalf("agent term = %d before rejoin, want ≥ 2", term)
 			}
-			stale = startPrimary(t, tc.query(), priDir, 1, false)
-			if err := agent.ship.Connect(stale.addr); err == nil {
+			stale = serve(t, spConfig(tc.query(), priDir))
+			staleAddr := stale.Addr().String()
+			if err := ship.Connect(staleAddr); err == nil {
 				t.Fatal("stale primary accepted a failed-over agent")
 			}
-			if stale.gate.Role() != RoleFenced {
-				t.Fatalf("stale primary role = %v, want fenced", stale.gate.Role())
+			if stale.Gate().Role() != ha.RoleFenced {
+				t.Fatalf("stale primary role = %v, want fenced", stale.Gate().Role())
 			}
-			if got := stale.gate.Counters().Get(CtrFenced); got != 1 {
+			if got := stale.Gate().Counters().Get(ha.CtrFenced); got != 1 {
 				t.Fatalf("fenced counter = %d", got)
 			}
 			// Fencing is sticky: a second attempt is rejected too.
-			if err := agent.ship.Connect(stale.addr); err == nil {
+			if err := ship.Connect(staleAddr); err == nil {
 				t.Fatal("fenced primary accepted a hello")
 			}
 			// With the stale primary back in the endpoint list, the dialer
 			// must still settle on the promoted standby.
-			endpoints = []string{stale.addr, sb.addr}
-			if addr, err := agent.ship.ConnectAny(endpoints); err != nil || addr != sb.addr {
+			endpoints = []string{staleAddr, sb.Addr().String()}
+			if addr, err := ship.ConnectAny(endpoints); err != nil || addr != sb.Addr().String() {
 				t.Fatalf("dialer settled on %q (err %v), want the standby", addr, err)
 			}
 		}
 	}
-	waitAppliedFailover(t, agent, sb.rc, agent.ship.Seq(), endpoints)
-	if _, err := sb.rm.Advance(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.rm.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	waitAppliedFailover(t, ship, sb.Receiver(), ship.Seq(), endpoints)
+	advance(t, sb)
 
 	// Every epoch past the replicated cut — the stalled ones, replayed from
 	// the agent's buffer, and the ones produced after the kill — was applied
 	// by the promoted standby exactly once: no gap in the sequence, and as
 	// many applies as epochs (a duplicate is discarded and counted apart).
-	if got, want := sb.rc.AppliedSeq(1), agent.ship.Seq(); got != want {
+	if got, want := sb.Receiver().AppliedSeq(1), ship.Seq(); got != want {
 		t.Fatalf("promoted standby applied through epoch %d, agent shipped %d", got, want)
 	}
-	if got, want := sb.rc.Counters().Get(transport.CtrEpochsApplied), int64(agent.ship.Seq()-restored); got != want {
-		t.Fatalf("promoted standby applied %d epochs, want %d (epochs %d..%d once each)", got, want, restored+1, agent.ship.Seq())
+	if got, want := sb.Receiver().Counters().Get(transport.CtrEpochsApplied), int64(ship.Seq()-restored); got != want {
+		t.Fatalf("promoted standby applied %d epochs, want %d (epochs %d..%d once each)", got, want, restored+1, ship.Seq())
 	}
 
 	// Sanity: the failover actually exercised the machinery.
-	if got := agent.ship.Counters().Get(transport.CtrFailovers); got < 1 {
+	if got := ship.Counters().Get(transport.CtrFailovers); got < 1 {
 		t.Fatalf("agent recorded %d failovers, want ≥ 1", got)
 	}
-	if got := sb.st.Counters().Get(CtrSnapshotsApplied); got < 1 {
+	sbc := sb.Standby().Counters()
+	if got := sbc.Get(ha.CtrSnapshotsApplied); got < 1 {
 		t.Fatalf("standby applied %d replicated snapshots, want ≥ 1", got)
 	}
-	if got := sb.st.Counters().Get(CtrRowsMirrored); killEpoch >= haKillMid && got < 1 {
+	if got := sbc.Get(ha.CtrRowsMirrored); killEpoch >= haKillMid && got < 1 {
 		t.Fatalf("standby mirrored %d result rows, want ≥ 1", got)
 	}
-	if got := sb.st.Counters().Get(CtrFailovers); got != 1 {
+	if got := sbc.Get(ha.CtrFailovers); got != 1 {
 		t.Fatalf("standby promotions = %d, want 1", got)
 	}
-	if agent.ship.Dropped() != 0 {
-		t.Fatalf("replay buffer evicted %d unacked epochs", agent.ship.Dropped())
+	if ship.Dropped() != 0 {
+		t.Fatalf("replay buffer evicted %d unacked epochs", ship.Dropped())
 	}
-	if term := agent.ship.Term(); term < 2 {
+	if term := ship.Term(); term < 2 {
 		t.Fatalf("agent never adopted the promoted term (at %d)", term)
 	}
 
-	sb.stop()
+	if err := sb.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if stale != nil {
-		stale.stop()
+		stale.Crash()
 	}
 	rows, err := checkpoint.ReadResultLog(filepath.Join(sbDir, "results.log"))
 	if err != nil {

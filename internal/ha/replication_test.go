@@ -431,3 +431,18 @@ func TestWaitDurableWakesOnAckAndDetach(t *testing.T) {
 		t.Fatalf("%d standbys attached after the overflow drop", pub.Standbys())
 	}
 }
+
+// canonicalBytes renders rows as their concatenated wire encodings so
+// "byte-identical results" is checked independent of frame boundaries.
+func canonicalBytes(t *testing.T, rows telemetry.Batch) []byte {
+	t.Helper()
+	var buf []byte
+	var err error
+	for _, rec := range rows {
+		buf, err = wire.EncodeRecord(buf, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}

@@ -225,3 +225,35 @@ func TestPrefixHelpers(t *testing.T) {
 		t.Fatal("prefix beyond length should equal total")
 	}
 }
+
+func TestQueryByName(t *testing.T) {
+	for _, name := range []string{"s2s", "t2t", "log", "spans", "S2SProbe"} {
+		if _, _, err := QueryByName(name); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if _, _, err := QueryByName("nope"); err == nil {
+		t.Fatal("unknown query must error")
+	}
+}
+
+// TestRegistryT2TCoversAgents: the registry's T2T table lists every
+// daemon agent's source IP and is §VI's 500 entries, so its join costs
+// what T2TQuery(500)'s does.
+func TestRegistryT2TCoversAgents(t *testing.T) {
+	tor := registryToR()
+	if tor.Len() != 500 {
+		t.Fatalf("table has %d entries, want 500", tor.Len())
+	}
+	for id := uint32(1); id <= registrySources; id++ {
+		if _, ok := tor.Lookup(0x0A000000 + id); !ok {
+			t.Fatalf("agent %d's source IP is not in the table", id)
+		}
+	}
+	q, _, _ := QueryByName("t2t")
+	for i, op := range T2TQuery(500).Ops {
+		if got := q.Ops[i].CostPct; got != op.CostPct {
+			t.Fatalf("op %s costs %v, T2TQuery(500)'s %v", op.Name, got, op.CostPct)
+		}
+	}
+}

@@ -1,10 +1,9 @@
 // Cluster-scale deterministic simulation: where Node models one agent
-// analytically, Cluster runs hundreds to thousands of REAL agent
-// pipelines (stream.Pipeline epochs over columnar batches) against real
-// SPs — each the production assembly, spnode.Open, with its receiver,
-// admission controller and checkpoint/recovery machinery — under one
-// shared virtual clock. Scheduling is a
-// discrete-event heap: no goroutines race, no wall-clock sleeps happen,
+// analytically, Cluster runs hundreds to thousands of REAL agents and
+// SPs — the production assemblies agentnode.Open (load factors pinned)
+// and spnode.Open (receiver, admission controller, checkpoint/recovery)
+// — under one shared virtual clock. Scheduling is a discrete-event
+// heap: no goroutines race, no wall-clock sleeps happen,
 // and two runs of the same compiled spec produce byte-identical result
 // logs and decision traces, which is what makes 1000-node failover
 // scenarios regression-testable under -race.
@@ -24,16 +23,18 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"jarvis/internal/admission"
+	"jarvis/internal/agentnode"
 	"jarvis/internal/checkpoint"
+	"jarvis/internal/core"
 	"jarvis/internal/obs"
 	"jarvis/internal/plan"
 	"jarvis/internal/spnode"
-	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
 	"jarvis/internal/transport"
 	"jarvis/internal/wire"
@@ -185,11 +186,11 @@ type simSP struct {
 	rows int
 }
 
-// clusterNode is one spec node wired to a live pipeline and shipper.
+// clusterNode is one spec node: the production agent assembly
+// (agentnode) with adaptation off and every load factor pinned to 1.
 type clusterNode struct {
 	spec      *spec.Node
-	pipe      *stream.Pipeline
-	ship      *transport.DurableShipper
+	agent     *agentnode.Agent
 	sp        *simSP
 	eventTime int64
 	cb        wire.ColumnarBatch
@@ -258,31 +259,27 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.spOrder = append(c.spOrder, q)
 	}
 
-	// Spec nodes: real pipelines, sequenced durable shippers.
+	// Spec nodes: agent assemblies whose sessions their ticks drive.
 	for i := range sc.Nodes {
 		sn := &sc.Nodes[i]
 		q, err := c.queryFor(sn.Query)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := stream.NewPipeline(q, stream.DefaultOptions(4.0, 0))
+		src := uint32(sn.Index + 1)
+		agent, err := agentnode.Open(agentnode.Config{
+			SourceOptions: core.SourceOptions{ID: src, BudgetFrac: 4.0},
+			Query:         q, MaxPending: maxPending, Tenant: sn.Group, Class: sn.Class,
+		})
 		if err != nil {
 			return nil, err
 		}
-		ones := make([]float64, len(q.Ops))
-		for j := range ones {
-			ones[j] = 1
-		}
-		if err := pipe.SetLoadFactors(ones); err != nil {
+		if err := agent.Source().SetLoadFactors(slices.Repeat([]float64{1}, len(agent.Source().Query().Ops))); err != nil {
 			return nil, err
 		}
-		src := uint32(sn.Index + 1)
-		ship := transport.NewDurableShipper(src, maxPending)
-		cls, _ := admission.ParseClass(sn.Class)
-		ship.SetIdentity(sn.Group, cls)
 		sp := c.sps[sn.Query]
 		sp.cfg.Sources = append(sp.cfg.Sources, src)
-		c.nodes = append(c.nodes, &clusterNode{spec: sn, pipe: pipe, ship: ship, sp: sp})
+		c.nodes = append(c.nodes, &clusterNode{spec: sn, agent: agent, sp: sp})
 	}
 
 	// Replay sources: dedicated SPs so recorded watermark timelines
@@ -329,17 +326,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // is built once to cover every simulated source and peer address, so
 // joins hit exactly as they would against a production ToR inventory.
 func (c *Cluster) queryFor(name string) (*plan.Query, error) {
-	switch name {
-	case "s2s":
-		return plan.S2SProbe(), nil
-	case "t2t":
+	if name == "t2t" {
 		return plan.T2TProbe(c.torTable()), nil
-	case "log":
-		return plan.LogAnalytics(), nil
-	case "spans":
-		return plan.TraceSpanAgg(), nil
 	}
-	return nil, fmt.Errorf("sim: unknown canonical query %q", name)
+	q, _, err := plan.QueryByName(name)
+	return q, err
 }
 
 // torTable covers the ping workloads' address space: every node's
@@ -484,26 +475,22 @@ func (rn *replayNode) tick() error {
 	}{&buf, io.Discard})
 }
 
-// tick runs one virtual epoch on a spec node: generate (or skip), run
-// the real pipeline, ship the epoch, and flush the shipper's pending
+// tick runs one virtual epoch on a spec node: generate (or skip), step
+// the agent (run the epoch and ship it), and flush the shipper's pending
 // stream synchronously into the SP.
 func (n *clusterNode) tick(epoch, dataEpochs int, durMicros int64) error {
 	n.eventTime += durMicros
-	active := epoch < dataEpochs && n.spec.Active(epoch)
-	var res stream.EpochResult
-	if active {
-		n.cb.Reset()
+	n.cb.Reset()
+	if epoch < dataEpochs && n.spec.Active(epoch) {
 		n.spec.EmitWindow(durMicros, &n.cb)
-		res = n.pipe.RunEpochColumnar(&n.cb)
 	} else {
 		if epoch < dataEpochs {
 			// Churned out: the generator keeps event-time pace silently.
 			n.spec.Skip(durMicros)
 		}
-		n.pipe.ObserveTime(n.eventTime)
-		res = n.pipe.RunEpoch(nil)
+		n.agent.Source().ObserveTime(n.eventTime)
 	}
-	if err := n.ship.ShipEpoch(res); err != nil {
+	if _, err := n.agent.Step(&n.cb, time.Time{}); err != nil {
 		return err
 	}
 	if n.sp.down {
@@ -513,7 +500,7 @@ func (n *clusterNode) tick(epoch, dataEpochs int, durMicros int64) error {
 	}
 	// Hello + all pending epochs in, acks out; a shed epoch's replay
 	// request is served at once, not a full epoch later.
-	if err := n.ship.Flush(n.sp.node.Receiver()); err != nil {
+	if err := n.agent.Shipper().Flush(n.sp.node.Receiver()); err != nil {
 		return fmt.Errorf("sim: node %d flush: %w", n.spec.Index, err)
 	}
 	return nil
@@ -667,7 +654,7 @@ func (c *Cluster) Run() (*ClusterResult, error) {
 		Tenants:        map[string]admission.TenantStats{},
 	}
 	for _, n := range c.nodes {
-		res.Unacked = append(res.Unacked, int(n.ship.Seq()-n.ship.Acked()))
+		res.Unacked = append(res.Unacked, int(n.agent.Shipper().Seq()-n.agent.Shipper().Acked()))
 	}
 	for _, name := range c.spOrder {
 		sp := c.sps[name]
