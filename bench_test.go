@@ -26,6 +26,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -381,6 +382,50 @@ func TestOwnerBenchmarkNames(t *testing.T) {
 	for _, name := range ownerBenchmarks {
 		if !declared[name] {
 			t.Errorf("owner benchmark %s is referenced by docs/ROADMAP but not declared in the root package's _test.go files", name)
+		}
+	}
+}
+
+// TestDocPathsExist fails when README.md or docs/ARCHITECTURE.md names a
+// repository path in back-ticks — `internal/…`, `cmd/…`, `scripts/…` or
+// `examples/…`, a `:line` suffix dropped, globs allowed — that is not on
+// disk, so deleting or renaming a package cannot leave the package
+// tables describing code that is gone. CHANGES.md and ROADMAP.md are
+// history and may name what was deleted.
+func TestDocPathsExist(t *testing.T) {
+	span := regexp.MustCompile("`([^`]+)`")
+	lineSuffix := regexp.MustCompile(`:\d+(-\d+)?$`)
+	repoPath := regexp.MustCompile(`^(internal|cmd|scripts|examples)/`)
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Drop fenced blocks: their ``` lines would pair up with inline
+		// spans, and the commands inside are not path references.
+		var prose []string
+		fenced := false
+		for _, line := range strings.Split(string(raw), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if !fenced {
+				prose = append(prose, line)
+			}
+		}
+		for _, m := range span.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+			fields := strings.Fields(m[1])
+			if len(fields) == 0 {
+				continue
+			}
+			p := lineSuffix.ReplaceAllString(strings.TrimPrefix(fields[0], "./"), "")
+			if !repoPath.MatchString(p) {
+				continue
+			}
+			if matches, err := filepath.Glob(p); err != nil || len(matches) == 0 {
+				t.Errorf("%s names `%s`, which is not in the repository", doc, p)
+			}
 		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"jarvis/internal/plan"
-	"jarvis/internal/runtime"
 	"jarvis/internal/telemetry"
-	"jarvis/internal/topology"
 	"jarvis/internal/workload"
 )
 
@@ -191,47 +189,5 @@ func TestHierarchyMatchesFlat(t *testing.T) {
 		if hier[k] != want {
 			t.Fatalf("group %v: hierarchy %d vs flat %d", k, hier[k], want)
 		}
-	}
-}
-
-func TestDeployFromDirectory(t *testing.T) {
-	dir := topology.StarTopology(3, 0.6, 26.2)
-	blocks, err := Deploy(dir, plan.S2SProbe(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 1 {
-		t.Fatalf("blocks = %d", len(blocks))
-	}
-	db := blocks[0]
-	if len(db.Block.Sources) != 3 {
-		t.Fatalf("sources = %d", len(db.Block.Sources))
-	}
-	for _, src := range db.Block.Sources {
-		if src.Budget() != 0.6 {
-			t.Fatalf("budget = %v", src.Budget())
-		}
-		if src.Boundary() != 3 {
-			t.Fatalf("boundary = %d", src.Boundary())
-		}
-	}
-	// Runs end to end.
-	gen := workload.NewPingGen(workload.DefaultPingConfig(1))
-	batches := []telemetry.Batch{gen.NextWindow(1_000_000), nil, nil}
-	if _, err := db.Block.RunEpoch(batches); err != nil {
-		t.Fatal(err)
-	}
-
-	// Runtime override.
-	noAdapt := &RuntimeConfigOpt{Config: runtime.LPOnly(), Adapt: false}
-	blocks, err = Deploy(dir, plan.S2SProbe(), noAdapt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = blocks
-
-	// Invalid directory fails.
-	if _, err := Deploy(topology.NewDirectory(), plan.S2SProbe(), nil); err == nil {
-		t.Fatal("empty directory must fail")
 	}
 }

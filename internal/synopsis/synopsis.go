@@ -1,16 +1,14 @@
-// Package synopsis implements the data-synopsis techniques Jarvis is
-// compared against in §VI-D: the window-based sampling protocol (WSP)
-// used for Fig. 9, plus reservoir sampling and an equi-width histogram
-// sketch (the synopses surveyed in the paper's §II-B discussion).
+// Package synopsis implements the data synopsis Jarvis is compared
+// against in §VI-D: the window-based sampling protocol (WSP) used for
+// Fig. 9.
 //
-// Synopses trade query accuracy for network transfer; the Fig. 9
+// A synopsis trades query accuracy for network transfer; the Fig. 9
 // experiment quantifies the trade-off on Pingmesh alerting, where the
 // records that matter (high-latency probes) are sparse and easily missed
 // by sampling — Jarvis achieves the same transfer reduction losslessly.
 package synopsis
 
 import (
-	"math"
 	"math/rand/v2"
 
 	"jarvis/internal/telemetry"
@@ -48,126 +46,4 @@ func (w *WSP) Sample(batch telemetry.Batch) telemetry.Batch {
 		}
 	}
 	return out
-}
-
-// Reservoir is Vitter's algorithm R: a uniform fixed-size sample of an
-// unbounded stream.
-type Reservoir struct {
-	k     int
-	seen  int64
-	items telemetry.Batch
-	rng   *rand.Rand
-}
-
-// NewReservoir creates a reservoir holding k records.
-func NewReservoir(k int, seed uint64) *Reservoir {
-	if k < 1 {
-		k = 1
-	}
-	return &Reservoir{k: k, rng: rand.New(rand.NewPCG(seed, seed+7))}
-}
-
-// Add offers one record to the reservoir.
-func (r *Reservoir) Add(rec telemetry.Record) {
-	r.seen++
-	if len(r.items) < r.k {
-		r.items = append(r.items, rec)
-		return
-	}
-	j := r.rng.Int64N(r.seen)
-	if j < int64(r.k) {
-		r.items[j] = rec
-	}
-}
-
-// Items returns the current sample (shared slice; callers must not grow
-// it).
-func (r *Reservoir) Items() telemetry.Batch { return r.items }
-
-// Seen returns how many records were offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Histogram is an equi-width histogram sketch over [lo, hi) with n
-// buckets plus underflow/overflow, supporting approximate quantiles —
-// the Prometheus-style summary the paper cites as an alternative for
-// telemetry percentiles.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int64 // n+2: [under, b_0..b_{n-1}, over]
-	count   int64
-}
-
-// NewHistogram creates a sketch with n equal buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n+2)}
-}
-
-// Observe adds a value.
-func (h *Histogram) Observe(v float64) {
-	h.count++
-	n := len(h.buckets) - 2
-	switch {
-	case v < h.lo:
-		h.buckets[0]++
-	case v >= h.hi:
-		h.buckets[n+1]++
-	default:
-		idx := int((v - h.lo) / (h.hi - h.lo) * float64(n))
-		if idx >= n {
-			idx = n - 1
-		}
-		h.buckets[idx+1]++
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// ApproxQuantile estimates the q-quantile by linear interpolation within
-// the containing bucket. Underflow clamps to lo, overflow to hi.
-func (h *Histogram) ApproxQuantile(q float64) float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.count)
-	acc := 0.0
-	n := len(h.buckets) - 2
-	width := (h.hi - h.lo) / float64(n)
-	for i, c := range h.buckets {
-		next := acc + float64(c)
-		if next >= target && c > 0 {
-			switch i {
-			case 0:
-				return h.lo
-			case n + 1:
-				return h.hi
-			default:
-				frac := 0.0
-				if c > 0 {
-					frac = (target - acc) / float64(c)
-				}
-				return h.lo + (float64(i-1)+frac)*width
-			}
-		}
-		acc = next
-	}
-	return h.hi
-}
-
-// TransferBytes estimates the synopsis' network cost: the sampled share
-// of the raw batch for WSP-style synopses.
-func TransferBytes(batch telemetry.Batch, rate float64) int64 {
-	return int64(float64(batch.TotalBytes()) * rate)
 }

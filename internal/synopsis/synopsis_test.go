@@ -91,91 +91,3 @@ func TestWSPMissesSparseAnomalies(t *testing.T) {
 		t.Fatalf("0.2 sampling missed only %v of alerts; expected many (2 probes/pair)", missRate)
 	}
 }
-
-func TestReservoirFillsAndBounds(t *testing.T) {
-	r := NewReservoir(10, 3)
-	for i := 0; i < 1000; i++ {
-		r.Add(telemetry.Record{Time: int64(i)})
-	}
-	if len(r.Items()) != 10 {
-		t.Fatalf("reservoir size = %d", len(r.Items()))
-	}
-	if r.Seen() != 1000 {
-		t.Fatalf("seen = %d", r.Seen())
-	}
-	if NewReservoir(0, 1).k != 1 {
-		t.Fatal("k clamp")
-	}
-}
-
-func TestReservoirApproxUniform(t *testing.T) {
-	// Each element should appear with probability k/n; check first- vs
-	// second-half balance across many trials.
-	const k, n, trials = 5, 100, 400
-	firstHalf := 0
-	for seed := uint64(0); seed < trials; seed++ {
-		r := NewReservoir(k, seed)
-		for i := 0; i < n; i++ {
-			r.Add(telemetry.Record{Time: int64(i)})
-		}
-		for _, rec := range r.Items() {
-			if rec.Time < n/2 {
-				firstHalf++
-			}
-		}
-	}
-	frac := float64(firstHalf) / float64(trials*k)
-	if math.Abs(frac-0.5) > 0.05 {
-		t.Fatalf("first-half fraction = %v, want ≈0.5", frac)
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(0, 100, 20)
-	for i := 0; i < 10000; i++ {
-		h.Observe(float64(i % 100))
-	}
-	if h.Count() != 10000 {
-		t.Fatal("count")
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		got := h.ApproxQuantile(q)
-		want := q * 100
-		if math.Abs(got-want) > 5 { // within one bucket
-			t.Fatalf("q%.1f = %v, want ≈%v", q, got, want)
-		}
-	}
-}
-
-func TestHistogramEdges(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Observe(-5) // underflow
-	h.Observe(15) // overflow
-	h.Observe(5)
-	if got := h.ApproxQuantile(0); got != 0 {
-		t.Fatalf("underflow quantile = %v", got)
-	}
-	if got := h.ApproxQuantile(1); got != 10 {
-		t.Fatalf("overflow quantile = %v", got)
-	}
-	if !math.IsNaN(NewHistogram(0, 10, 5).ApproxQuantile(0.5)) {
-		t.Fatal("empty histogram should be NaN")
-	}
-	// Degenerate constructor inputs.
-	d := NewHistogram(5, 5, 0)
-	d.Observe(5)
-	if d.Count() != 1 {
-		t.Fatal("degenerate histogram must still count")
-	}
-	// Quantile clamping.
-	if h.ApproxQuantile(-1) != 0 || h.ApproxQuantile(2) != 10 {
-		t.Fatal("quantile clamping")
-	}
-}
-
-func TestTransferBytes(t *testing.T) {
-	batch := telemetry.Batch{{WireSize: 100}, {WireSize: 100}}
-	if got := TransferBytes(batch, 0.25); got != 50 {
-		t.Fatalf("transfer = %d", got)
-	}
-}

@@ -29,7 +29,6 @@ import (
 	"jarvis/internal/runtime"
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
-	"jarvis/internal/topology"
 	"jarvis/internal/workload"
 )
 
@@ -121,9 +120,6 @@ type (
 	// Hierarchy is a multi-level tree of building blocks under a root SP
 	// (Fig. 4(b)).
 	Hierarchy = core.Hierarchy
-	// MultiQueryNode runs several queries on one node with max-min fair
-	// CPU sharing (§IV-E).
-	MultiQueryNode = core.MultiQueryNode
 	// EpochResult is one epoch's output from a Source.
 	EpochResult = stream.EpochResult
 	// RuntimeConfig tunes the adaptation algorithm.
@@ -140,31 +136,8 @@ var (
 	NewBuildingBlock = core.NewBuildingBlock
 	// NewHierarchy creates a tree of building blocks under a root SP.
 	NewHierarchy = core.NewHierarchy
-	// NewMultiQueryNode creates a fair-sharing multi-query node.
-	NewMultiQueryNode = core.NewMultiQueryNode
 	// NewPingmeshSource is the quickstart helper used in examples.
 	NewPingmeshSource = core.NewPingmeshSource
-)
-
-// Topology and deployment (Fig. 4).
-type (
-	// Directory is the resource manager's node registry.
-	Directory = topology.Directory
-	// NodeInfo describes one node in the directory.
-	NodeInfo = topology.NodeInfo
-	// DeployedBlock is a runnable building block with its assignment.
-	DeployedBlock = core.DeployedBlock
-)
-
-// Topology constructors and deployment.
-var (
-	// NewDirectory creates an empty resource directory.
-	NewDirectory = topology.NewDirectory
-	// StarTopology builds one root SP with n uniform sources.
-	StarTopology = topology.StarTopology
-	// Deploy instantiates building blocks from a directory (optimize →
-	// rules → per-node assignment).
-	Deploy = core.Deploy
 )
 
 // Runtime configurations (§VI-C's three variants).
