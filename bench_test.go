@@ -22,6 +22,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"io/fs"
 	"math/rand/v2"
 	"net"
 	"os"
@@ -386,23 +387,19 @@ func TestOwnerBenchmarkNames(t *testing.T) {
 	}
 }
 
-// TestDocPathsExist fails when README.md or docs/ARCHITECTURE.md names a
-// repository path in back-ticks — `internal/…`, `cmd/…`, `scripts/…` or
-// `examples/…`, a `:line` suffix dropped, globs allowed — that is not on
-// disk, so deleting or renaming a package cannot leave the package
-// tables describing code that is gone. CHANGES.md and ROADMAP.md are
-// history and may name what was deleted.
-func TestDocPathsExist(t *testing.T) {
+// docSpans returns the back-ticked spans of README.md and
+// docs/ARCHITECTURE.md outside fenced blocks, keyed by document.
+func docSpans(t *testing.T) map[string][]string {
+	t.Helper()
 	span := regexp.MustCompile("`([^`]+)`")
-	lineSuffix := regexp.MustCompile(`:\d+(-\d+)?$`)
-	repoPath := regexp.MustCompile(`^(internal|cmd|scripts|examples)/`)
+	spans := map[string][]string{}
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Drop fenced blocks: their ``` lines would pair up with inline
-		// spans, and the commands inside are not path references.
+		// spans, and the commands inside are not references.
 		var prose []string
 		fenced := false
 		for _, line := range strings.Split(string(raw), "\n") {
@@ -415,7 +412,24 @@ func TestDocPathsExist(t *testing.T) {
 			}
 		}
 		for _, m := range span.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
-			fields := strings.Fields(m[1])
+			spans[doc] = append(spans[doc], m[1])
+		}
+	}
+	return spans
+}
+
+// TestDocPathsExist fails when README.md or docs/ARCHITECTURE.md names a
+// repository path in back-ticks — `internal/…`, `cmd/…`, `scripts/…` or
+// `examples/…`, a `:line` suffix dropped, globs allowed — that is not on
+// disk, so deleting or renaming a package cannot leave the package
+// tables describing code that is gone. CHANGES.md and ROADMAP.md are
+// history and may name what was deleted.
+func TestDocPathsExist(t *testing.T) {
+	lineSuffix := regexp.MustCompile(`:\d+(-\d+)?$`)
+	repoPath := regexp.MustCompile(`^(internal|cmd|scripts|examples)/`)
+	for doc, spans := range docSpans(t) {
+		for _, span := range spans {
+			fields := strings.Fields(span)
 			if len(fields) == 0 {
 				continue
 			}
@@ -425,6 +439,45 @@ func TestDocPathsExist(t *testing.T) {
 			}
 			if matches, err := filepath.Glob(p); err != nil || len(matches) == 0 {
 				t.Errorf("%s names `%s`, which is not in the repository", doc, p)
+			}
+		}
+	}
+}
+
+// TestDocTestsExist fails when README.md or docs/ARCHITECTURE.md names a
+// `Test…` in back-ticks — alone or inside a `go test -run …` command —
+// that no _test.go file in the repository declares as a top-level func,
+// so deleting or renaming a test cannot leave the docs citing a proof
+// that is gone. Hidden directories (.git, the benchmark's .bench_build
+// checkouts) are not the tree's tests and are skipped.
+func TestDocTestsExist(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func (Test[A-Z]\w*)\(`)
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile(`\bTest[A-Z]\w*`)
+	for doc, spans := range docSpans(t) {
+		for _, span := range spans {
+			for _, n := range name.FindAllString(span, -1) {
+				if !declared[n] {
+					t.Errorf("%s names `%s`, which no _test.go file declares", doc, n)
+				}
 			}
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"jarvis/internal/stream"
 	"jarvis/internal/telemetry"
@@ -351,5 +353,54 @@ func TestResultLogFormatPinned(t *testing.T) {
 	}
 	if !bytes.Equal(data, want) {
 		t.Fatalf("a fresh log of the pinned rows is %d bytes unlike the pinned %d:\n%x\n%x", len(data), len(want), data, want)
+	}
+}
+
+// TestAbandonDropsQueuedSaves holds one async save in progress with two
+// queued behind it: Abandon lets the one in progress complete, never
+// runs the queued ones, and leaves nothing for a later Close.
+func TestAbandonDropsQueuedSaves(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var ran []uint64
+	s := &saver{do: func(job *saveJob) error {
+		if job.snap.Seq == 1 {
+			close(started)
+			<-release
+		}
+		ran = append(ran, job.snap.Seq)
+		return nil
+	}}
+	s.SetAsync(true)
+	aw := s.aw
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := s.submit(&saveJob{snap: &Snapshot{Seq: seq}}, false); err != nil {
+			t.Fatal(err)
+		}
+		if seq == 1 {
+			<-started
+		}
+	}
+	abandoned := make(chan struct{})
+	go func() { s.Abandon(); close(abandoned) }()
+	// Abandon empties the queue, then waits on the save in progress.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		aw.mu.Lock()
+		queued := len(aw.q)
+		aw.mu.Unlock()
+		if queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("Abandon left %d queued saves to run", queued)
+		}
+	}
+	close(release)
+	<-abandoned
+	if !slices.Equal(ran, []uint64{1}) {
+		t.Fatalf("saves run = %v, want only the one in progress [1]", ran)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after Abandon = %v", err)
 	}
 }

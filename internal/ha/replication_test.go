@@ -110,7 +110,10 @@ func sortedRows(t *testing.T, rows telemetry.Batch) []byte {
 	t.Helper()
 	enc := make([][]byte, len(rows))
 	for i, rec := range rows {
-		enc[i] = canonicalBytes(t, telemetry.Batch{rec})
+		var err error
+		if enc[i], err = wire.EncodeRecord(nil, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sort.Slice(enc, func(i, j int) bool { return bytes.Compare(enc[i], enc[j]) < 0 })
 	return bytes.Join(enc, nil)
@@ -430,19 +433,4 @@ func TestWaitDurableWakesOnAckAndDetach(t *testing.T) {
 	if pub.Standbys() != 0 {
 		t.Fatalf("%d standbys attached after the overflow drop", pub.Standbys())
 	}
-}
-
-// canonicalBytes renders rows as their concatenated wire encodings so
-// "byte-identical results" is checked independent of frame boundaries.
-func canonicalBytes(t *testing.T, rows telemetry.Batch) []byte {
-	t.Helper()
-	var buf []byte
-	var err error
-	for _, rec := range rows {
-		buf, err = wire.EncodeRecord(buf, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf
 }

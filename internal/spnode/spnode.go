@@ -241,7 +241,8 @@ func (n *Node) Serve(ctx context.Context) error {
 func (n *Node) Close() error { return n.shut(true) }
 
 // Crash stops serving and releases everything Open opened without a
-// final snapshot: what a process kill leaves on disk.
+// final snapshot or the async writer's queued ones (the save in
+// progress completes): what a process kill leaves on disk.
 func (n *Node) Crash() { _ = n.shut(false) }
 
 func (n *Node) shut(final bool) error {
@@ -257,8 +258,10 @@ func (n *Node) shut(final bool) error {
 		n.serving.Wait()
 	}
 	var errs []error
-	if final && n.rm != nil {
+	if n.rm != nil && final {
 		errs = append(errs, n.rm.Snapshot())
+	} else if n.rm != nil {
+		n.rm.Abandon() // a kill saves nothing queued; rm.Close is then a no-op
 	}
 	// Newest first: listeners, publisher, the recovery manager's queued
 	// saves, then the result log and store they write to.

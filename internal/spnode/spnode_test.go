@@ -1,15 +1,12 @@
 package spnode
 
 import (
-	"context"
 	"runtime"
 	"testing"
-	"time"
 
 	"jarvis/internal/admission"
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/core"
-	"jarvis/internal/ha"
 	"jarvis/internal/plan"
 	"jarvis/internal/transport"
 	"jarvis/internal/workload"
@@ -146,125 +143,15 @@ func TestOpenStartsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runtime.NumGoroutine(); got != before {
+	// Only a rise is the node's: an earlier test's goroutines may still
+	// be exiting.
+	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("Open started %d goroutines", got-before)
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := runtime.NumGoroutine(); got != before {
+	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("%d goroutines left after Close", got-before)
-	}
-}
-
-// TestFailoverOverTCP serves a primary and a standby over loopback: the
-// standby refuses agents, promotes at the next term once the primary is
-// killed, takes the agent's replay, and both nodes release everything
-// Serve started.
-func TestFailoverOverTCP(t *testing.T) {
-	before := runtime.NumGoroutine()
-	pri, err := Open(Config{
-		Query: plan.S2SProbe(), Sources: []uint32{1}, CheckpointDir: t.TempDir(), Every: 1,
-		Listen: "127.0.0.1:0", ReplListen: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := Open(Config{
-		Query: plan.S2SProbe(), CheckpointDir: t.TempDir(), Every: 1,
-		Standby: true, Peer: pri.ReplAddr().String(), Listen: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 2)
-	for _, n := range []*Node{pri, sb} {
-		go func() { served <- n.Serve(context.Background()) }()
-	}
-	if err := transport.NewDurableShipper(1, 0).Connect(sb.Addr().String()); err == nil {
-		t.Fatal("an unpromoted standby admitted an agent")
-	}
-	for deadline := time.Now().Add(5 * time.Second); sb.Standby().DownFor() > 0 || pri.Publisher().Standbys() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("standby never attached")
-		}
-	}
-
-	ship := transport.NewDurableShipper(1, 0)
-	if err := ship.Connect(pri.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	defer ship.Close()
-	src, err := core.NewSource(plan.S2SProbe(), core.SourceOptions{ID: 1, BudgetFrac: 1, RateMbps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.NewPingGen(workload.DefaultPingConfig(5))
-	runEpoch := func() {
-		res, err := src.RunEpoch(gen.NextWindow(1_000_000))
-		if err == nil {
-			err = ship.ShipEpoch(res)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for e := 0; e < 3; e++ {
-		runEpoch()
-	}
-	for deadline := time.Now().Add(5 * time.Second); ship.Acked() < 3; time.Sleep(time.Millisecond) {
-		if _, err := pri.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("primary acked %d of 3 epochs", ship.Acked())
-		}
-	}
-
-	// The agent is still connected: Crash must cut its connection, not
-	// wait for it.
-	crashed := make(chan struct{})
-	go func() { pri.Crash(); close(crashed) }()
-	select {
-	case <-crashed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Crash waited on a live agent connection")
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("primary Serve: %v", err)
-	}
-	if err := sb.Promote(); err != nil {
-		t.Fatal(err)
-	}
-	if role, term := sb.Gate().Role(), sb.Gate().Term(); role != ha.RolePrimary || term != 2 {
-		t.Fatalf("promoted standby is %s at term %d, want primary at 2", role, term)
-	}
-	_ = ship.Close()
-	if err := ship.Connect(sb.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	runEpoch()
-	for deadline := time.Now().Add(5 * time.Second); ship.Acked() < 4; time.Sleep(time.Millisecond) {
-		if _, err := sb.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("promoted standby acked %d of 4 epochs", ship.Acked())
-		}
-	}
-	if got := ship.Term(); got != 2 {
-		t.Fatalf("agent adopted term %d, want 2", got)
-	}
-	_ = ship.Close()
-	if err := sb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("standby Serve: %v", err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines outlived Close", runtime.NumGoroutine()-before)
-		}
 	}
 }
