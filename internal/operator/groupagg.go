@@ -290,20 +290,22 @@ func partialWindow(window int64, partial *telemetry.AggRow) int64 {
 }
 
 // AbsorbSnapshot implements SnapshotAbsorber: the bulk restore path. A
-// window it opens is presized for its own numeric rows in the batch (one
-// batch holds every open window of a stage), and all new string-keyed
-// groups share one arena allocation instead of one heap cell each.
+// window it opens is presized for its own numeric and string-keyed rows
+// in the batch (one batch holds every open window of a stage), and all
+// new string-keyed groups share one arena allocation instead of one heap
+// cell each.
 func (g *GroupAgg) AbsorbSnapshot(rows telemetry.Batch) bool {
-	nStr, numRows := 0, make(map[int64]int)
+	nStr, numRows, strRows := 0, make(map[int64]int), make(map[int64]int)
 	for i := range rows {
 		row, ok := rows[i].Data.(*telemetry.AggRow)
 		if !ok {
 			return false
 		}
-		if row.Key.Str != "" {
+		if w := partialWindow(rows[i].Window, row); row.Key.Str != "" {
 			nStr++
+			strRows[w]++
 		} else {
-			numRows[partialWindow(rows[i].Window, row)]++
+			numRows[w]++
 		}
 	}
 	strCells := make([]aggCell, nStr)
@@ -314,6 +316,9 @@ func (g *GroupAgg) AbsorbSnapshot(rows telemetry.Batch) bool {
 		win := g.state[window]
 		if win == nil {
 			win = &aggWindow{nums: newNumTable(numRows[window])}
+			if n := strRows[window]; n > 0 {
+				win.str = make(map[telemetry.GroupKey]*aggCell, n)
+			}
 			g.state[window] = win
 		}
 		win.gen = g.gen

@@ -307,92 +307,115 @@ func TestAdmissionGapEscapeSurvivesMultiEpochReplay(t *testing.T) {
 // TestStagedOverflowShedsNotFatal: a peer streaming more frames than the
 // staging bound between commit markers used to kill the connection; now
 // the epoch sheds (metered, replay-requested) and the connection — and
-// the epochs after it — live on.
+// the epochs after it — live on. The shipper's next epoch, already
+// pipelined, arrives across the hole before the replay: with or without
+// an admission controller the receiver must not apply it there, or the
+// shed epoch's replay is discarded as a duplicate and lost.
 func TestStagedOverflowShedsNotFatal(t *testing.T) {
-	rc, ctrl := newAdmissionReceiver(t, admission.Config{
-		RateBytesPerSec: 1 << 30, BurstBytes: 1 << 30, MaxDelayedEpochs: 64,
-		DegradeAfter: 1 << 30, PromoteAfter: 1 << 30, DegradeRate: 0.25,
-		Now: time.Now,
-	})
-	ctrl.Register(7, "acme", admission.Silver)
-	server, client := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- rc.HandleConn(server) }()
-
-	acks := make(chan *wire.Ack, 1024)
-	go func() {
-		defer close(acks)
-		fr := wire.NewFrameReader(client)
-		for {
-			f, err := fr.ReadFrame()
+	for _, tc := range []struct {
+		name  string
+		admit bool
+	}{{"admission on", true}, {"admission off", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			engine, err := stream.NewSPEngine(plan.S2SProbe())
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			for _, rec := range f.Records {
-				if a, ok := rec.Data.(*wire.Ack); ok {
-					acks <- a
+			rc := NewReceiver(engine)
+			if tc.admit {
+				rc.SetAdmission(admission.NewController(admission.Config{
+					RateBytesPerSec: 1 << 30, BurstBytes: 1 << 30, MaxDelayedEpochs: 64,
+					DegradeAfter: 1 << 30, PromoteAfter: 1 << 30, DegradeRate: 0.25,
+					Now: time.Now,
+				}))
+				rc.Admission().Register(7, "acme", admission.Silver)
+			}
+			server, client := net.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- rc.HandleConn(server) }()
+
+			acks := make(chan *wire.Ack, 1024)
+			go func() {
+				defer close(acks)
+				fr := wire.NewFrameReader(client)
+				for {
+					f, err := fr.ReadFrame()
+					if err != nil {
+						return
+					}
+					for _, rec := range f.Records {
+						if a, ok := rec.Data.(*wire.Ack); ok {
+							acks <- a
+						}
+					}
+				}
+			}()
+
+			fw := wire.NewFrameWriter(client)
+			writeControl := func(rec telemetry.Record) {
+				t.Helper()
+				if err := fw.WriteFrame(wire.Frame{StreamID: wire.ControlStreamID, Source: 7, Records: telemetry.Batch{rec}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := fw.Flush(); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-	}()
+			one := probeFrames(7, 0, 1)[0]
+			writeEpoch := func(seq uint64, frames int) {
+				t.Helper()
+				for i := 0; i < frames; i++ {
+					if err := fw.WriteFrame(one); err != nil {
+						t.Fatal(err)
+					}
+				}
+				writeControl(telemetry.Record{WireSize: 33, Data: &wire.EpochEnd{Seq: seq, Watermark: int64(seq) * 1_000_000}})
+			}
+			writeControl(telemetry.Record{WireSize: 29, Data: &wire.Hello{
+				Source: 7, Seq: 0, Version: wire.CurrentWireVersion,
+				Class: admission.Silver.Wire(), Tenant: "acme",
+			}})
 
-	fw := wire.NewFrameWriter(client)
-	writeControl := func(rec telemetry.Record) {
-		t.Helper()
-		if err := fw.WriteFrame(wire.Frame{StreamID: wire.ControlStreamID, Source: 7, Records: telemetry.Batch{rec}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeControl(telemetry.Record{WireSize: 29, Data: &wire.Hello{
-		Source: 7, Seq: 0, Version: wire.CurrentWireVersion,
-		Class: admission.Silver.Wire(), Tenant: "acme",
-	}})
+			// One more frame than the staging bound: the epoch must shed.
+			writeEpoch(1, maxStagedFrames+1)
+			deadline := time.After(10 * time.Second)
+			var sawReplay bool
+			for !sawReplay {
+				select {
+				case a := <-acks:
+					sawReplay = a.Replay
+				case <-deadline:
+					t.Fatal("no replay-request ack after staged overflow")
+				}
+			}
+			if got := rc.Counters().Get(CtrEpochsShed); got != 1 {
+				t.Fatalf("epochs_shed = %d, want 1", got)
+			}
 
-	// One more frame than the staging bound: the epoch must shed.
-	one := probeFrames(7, 0, 1)[0]
-	for i := 0; i <= maxStagedFrames; i++ {
-		if err := fw.WriteFrame(one); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeControl(telemetry.Record{WireSize: 33, Data: &wire.EpochEnd{Seq: 1, Watermark: 1_000_000}})
-
-	deadline := time.After(10 * time.Second)
-	var sawReplay bool
-	for !sawReplay {
-		select {
-		case a := <-acks:
-			sawReplay = a.Replay
-		case <-deadline:
-			t.Fatal("no replay-request ack after staged overflow")
-		}
-	}
-	if got := rc.Counters().Get(CtrEpochsShed); got != 1 {
-		t.Fatalf("epochs_shed = %d, want 1", got)
-	}
-
-	// The shipper replays the epoch (smaller this time) and continues:
-	// both must apply on the same, still-open connection.
-	for i := 0; i < 4; i++ {
-		if err := fw.WriteFrame(one); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeControl(telemetry.Record{WireSize: 33, Data: &wire.EpochEnd{Seq: 1, Watermark: 1_000_000}})
-	writeControl(telemetry.Record{WireSize: 33, Data: &wire.EpochEnd{Seq: 2, Watermark: 2_000_000}})
-	for rc.AppliedSeq(7) < 2 {
-		select {
-		case <-deadline:
-			t.Fatalf("frontier stuck at %d after shed", rc.AppliedSeq(7))
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	_ = client.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("staged overflow must not kill the connection: %v", err)
+			// Epoch 2 was pipelined before the shipper saw the replay
+			// request: it lands on the hole. The replay then re-sends
+			// epochs 1 (smaller this time) and 2, and the second replay
+			// request (the one epoch 2's gap earned) re-sends epoch 2 once
+			// more, by now a duplicate. All on the same, still-open
+			// connection.
+			writeEpoch(2, 1)
+			writeEpoch(1, 4)
+			writeEpoch(2, 1)
+			writeEpoch(2, 1)
+			_ = client.Close()
+			if err := <-done; err != nil {
+				t.Fatalf("staged overflow must not kill the connection: %v", err)
+			}
+			if got := rc.Counters().Get(CtrEpochsApplied); got != 2 {
+				t.Fatalf("epochs applied = %d, want 2", got)
+			}
+			if got := rc.AppliedSeq(7); got != 2 {
+				t.Fatalf("applied seq = %d, want 2", got)
+			}
+			if got := rc.Counters().Get(CtrEpochsReplayed); got != 1 {
+				t.Fatalf("epochs_replayed = %d, want 1 (the one duplicate of epoch 2)", got)
+			}
+		})
 	}
 }
 

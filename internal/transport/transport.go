@@ -25,15 +25,41 @@
 //	Hello below wire v4                     refuse         refuse
 //	any frame naming another source         -              refuse
 //	Hello                                   vet            vet
+//	EpochEnd of an epoch being shed         refuse         shed
 //	EpochEnd                                refuse         commit
 //	row-form data or watermark              refuse         refuse
+//	columnar, epoch being shed or too big   refuse         drop
 //	columnar data or watermark              refuse         stage
 //
 // Vet asks the HelloGate (term fencing, standby). Its refusal counts
 // hellos_rejected, any other refusal recv_errors, and the connection
 // closes with nothing of it ingested. An admitted Hello registers its
 // source (Seq 0, a fresh incarnation, resets the source's frontier) and
-// acks the durable seq.
+// acks the durable seq. An epoch is too big at maxStagedFrames frames:
+// it is shed, its frames dropped and its EpochEnd answered with a
+// replay request.
+//
+// The commit rules are a second pure step, decideCommit, over the
+// source's sequencing record. next is the newest applied or parked seq
+// plus one; the mark is the lowest seq discarded at a hole; a hole is
+// the receiver's own while an epoch it shed (staging overflow, full
+// delay queue) lies above the applied one. First match:
+//
+//	EpochEnd seq                               decision            ack
+//	below next                                 duplicate           durable
+//	above next, no admission, hole not own     jump                durable
+//	above next, no mark or below the mark      gap, mark it        replay
+//	above next, above the mark                 gap                 replay
+//	above next, at the mark (second sighting)  jump                durable
+//	at next, delay queue non-empty             park                durable
+//	at next, no admission                      apply               durable
+//	at next, admission                         ask; park or apply  durable
+//
+// A jump drains the delay queue by force and then commits as at next;
+// it and any apply clear the mark. A durable ack names the durable
+// frontier, which follows the applied one unless the recovery manager
+// acks (SetManualAck: no durable acks here). A replay ack asks the
+// shipper to resend everything above the durable frontier.
 package transport
 
 import (
@@ -41,6 +67,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"jarvis/internal/admission"
@@ -94,11 +121,8 @@ const (
 
 // maxStagedFrames bounds one connection's frames between EpochEnd
 // markers, protecting the SP from a peer that never commits. Overflow
-// sheds the epoch (metered, connection kept) instead of erroring out:
-// the frames staged so far are dropped, the epoch's EpochEnd discards
-// it whole, and a replay-request ack asks the shipper to re-send it
-// once the receiver has breathing room — the epoch is still in the
-// agent's replay buffer, so nothing is lost.
+// sheds the epoch instead of closing the connection; it is still in the
+// agent's replay buffer, so the replay it is asked for loses nothing.
 const maxStagedFrames = 1 << 16
 
 // HelloGate vets sequenced Hellos before a receiver admits them — the
@@ -125,33 +149,31 @@ type Receiver struct {
 	ctrRawBytes  obs.Counter
 	compRatio    obs.FloatGauge
 
-	// Sequenced-connection state: per-source applied and durably-acked
-	// epoch sequence numbers, plus the ack writer of each source's live
-	// connection.
-	applied   map[uint32]uint64
-	durable   map[uint32]uint64
-	writers   map[uint32]*ackWriter
+	// Sequencing: one record per source, the ack mode, the hello gate
+	// and the admission controller (nil disables overload protection).
+	// delayedN is the delay-queue total across sources, bounded by the
+	// controller's MaxDelayed.
+	seqs      map[uint32]*seqRecord
+	delayedN  int
 	manualAck bool
 	gate      HelloGate
-
-	// Overload protection (nil admit disables it).
-	// delayed holds over-budget epochs per source, row-materialized so
-	// they own their memory after the decode arenas recycle; delayedN is
-	// the total across sources (bounded by the controller's MaxDelayed).
-	// gapSeen remembers, per source, the first sequence discarded at a
-	// gap: seeing the same sequence a second time means the agent has
-	// replayed everything it still buffers and the hole cannot be filled,
-	// so the receiver force-drains the queue and accepts the jump.
-	admit    *admission.Controller
-	delayed  map[uint32][]*delayedEpoch
-	delayedN int
-	gapSeen  map[uint32]uint64
+	admit     *admission.Controller
 
 	// Frame recorder: stream capture and/or anomaly rings (nil = unarmed).
 	traffic *TrafficRecorder
 
-	bytesIn int64
-	frames  int64
+	bytesIn atomic.Int64
+}
+
+// seqRecord is one source's sequencing record: what decideCommit rules
+// on, plus the source's live connection's ack writer.
+type seqRecord struct {
+	applied uint64          // newest epoch applied
+	durable uint64          // newest epoch acknowledged durable
+	gap     uint64          // the mark: lowest seq discarded at a hole (0: none)
+	shed    uint64          // newest epoch this receiver shed itself
+	delayed []*delayedEpoch // parked epochs in seq order, row-materialized
+	aw      *ackWriter
 }
 
 // delayedEpoch is one over-budget epoch parked in the receiver's delay
@@ -183,12 +205,19 @@ func NewReceiver(engine *stream.SPEngine) *Receiver {
 		ctrWireBytes: reg.Counter(CtrWireBytesIn),
 		ctrRawBytes:  reg.Counter(CtrWireRawBytesIn),
 		compRatio:    reg.FloatGauge(GaugeWireCompressionRatio),
-		applied:      make(map[uint32]uint64),
-		durable:      make(map[uint32]uint64),
-		writers:      make(map[uint32]*ackWriter),
-		delayed:      make(map[uint32][]*delayedEpoch),
-		gapSeen:      make(map[uint32]uint64),
+		seqs:         make(map[uint32]*seqRecord),
 	}
+}
+
+// record returns a source's sequencing record, creating it on first use.
+// Call with rc.mu held.
+func (rc *Receiver) record(src uint32) *seqRecord {
+	r := rc.seqs[src]
+	if r == nil {
+		r = &seqRecord{}
+		rc.seqs[src] = r
+	}
+	return r
 }
 
 // SetAdmission installs an admission controller on the receiver's
@@ -252,14 +281,6 @@ func (rc *Receiver) SetHelloGate(g HelloGate) {
 	rc.gate = g
 }
 
-// hooks reads the hello gate and the frame recorder, which are installed
-// before connections are served.
-func (rc *Receiver) hooks() (HelloGate, *TrafficRecorder) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.gate, rc.traffic
-}
-
 // SetManualAck switches acknowledgement to the recovery manager: epochs
 // are acked only after a durable snapshot covers them (AckSeqs), instead
 // of immediately on application. Call before serving connections.
@@ -293,10 +314,13 @@ func (w *ackWriter) sendAck(source uint32, seq uint64, throttleMicros uint64, re
 }
 
 // connState is what one connection has established: whether a Hello
-// was admitted on it, and the source that Hello announced.
+// was admitted on it, the source that Hello announced, and how far the
+// epoch in flight has staged.
 type connState struct {
-	src   uint32
-	hello bool
+	src      uint32
+	hello    bool
+	staged   int  // frames staged toward the next EpochEnd
+	shedding bool // the epoch overflowed maxStagedFrames: shed it whole
 }
 
 type actionKind uint8
@@ -305,8 +329,10 @@ const (
 	actRefuse actionKind = iota // close the connection: count ctr, return err
 	actVet                      // ask the HelloGate, then step again with its verdict
 	actAdmit                    // register the Hello's source and ack its durable seq
-	actCommit                   // apply the staged epoch at its EpochEnd
+	actCommit                   // commit the staged epoch at its EpochEnd
+	actShed                     // shed the epoch at its EpochEnd: discard it, ask for a replay
 	actStage                    // stage the data or watermark frame
+	actDrop                     // drop what is staged and the frame: the epoch is being shed
 )
 
 // action is the one thing a step asks HandleConn to do.
@@ -321,10 +347,10 @@ func refuse(format string, args ...any) action {
 	return action{kind: actRefuse, ctr: CtrRecvErrors, err: fmt.Errorf("transport: "+format, args...)}
 }
 
-// step is the connection's handshake: the rule table of the package doc,
-// first match wins. vetted reports whether the HelloGate has ruled on
-// the frame's Hello, and gateErr is its refusal. step does no I/O and
-// reads no clock, lock or shared state.
+// step is the connection's handshake and staging: the frame rule table
+// of the package doc, first match wins. vetted reports whether the
+// HelloGate has ruled on the frame's Hello, and gateErr is its refusal.
+// step does no I/O and reads no clock, lock or shared state.
 func step(st connState, f *wire.Frame, vetted bool, gateErr error) (connState, action) {
 	var rec any
 	if f.StreamID == wire.ControlStreamID && len(f.Records) == 1 {
@@ -356,11 +382,19 @@ func step(st connState, f *wire.Frame, vetted bool, gateErr error) (connState, a
 		// The hello gate (standby, fencing), admission and sequence dedup
 		// have not vetted this peer, so nothing it sends may reach the engine.
 		return st, refuse("frame for stream %d before hello", f.StreamID)
+	case end && st.shedding:
+		return connState{src: st.src, hello: true}, action{kind: actShed}
 	case end:
-		return st, action{kind: actCommit}
+		return connState{src: st.src, hello: true}, action{kind: actCommit}
 	case f.Cols == nil:
 		return st, refuse("row-form frame for stream %d; wire v4 data frames are columnar", f.StreamID)
+	case st.shedding || st.staged >= maxStagedFrames:
+		// Metered shedding instead of a connection-fatal error: drop what
+		// is staged and the rest of the epoch, and have the shipper
+		// replay it after its EpochEnd.
+		return connState{src: st.src, hello: true, shedding: true}, action{kind: actDrop}
 	}
+	st.staged++
 	return st, action{kind: actStage}
 }
 
@@ -377,12 +411,13 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 		st        connState
 		aw        *ackWriter
 		staged    []wire.Frame
-		shedding  bool          // staged-frame overflow: drop until the next EpochEnd
 		decAccum  time.Duration // frame-decode time since the last EpochEnd (trace context)
 		lastStats wire.FrameStats
 	)
 	discard := func() { staged = staged[:0]; fr.RecycleArenas() }
-	gate, traffic := rc.hooks()
+	rc.mu.Lock() // the gate and the recorder are installed before serving
+	gate, traffic := rc.gate, rc.traffic
+	rc.mu.Unlock()
 	tap := traffic.newTap()
 	defer tap.close()
 	defer func() {
@@ -431,7 +466,6 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 			if prev.hello {
 				rc.dropWriter(prev.src, aw)
 			}
-			shedding = false
 			tap.pinHello(fr.RawFrame())
 			discard() // frames staged before this Hello are dropped whole
 			if ctrl := rc.Admission(); ctrl != nil {
@@ -443,7 +477,7 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 				return rc.refuse(refuse("hello ack: %w", err))
 			}
 			rc.counters.Inc(CtrAcksSent)
-		case actCommit:
+		case actCommit, actShed:
 			c := f.Records[0].Data.(*wire.EpochEnd)
 			tap.noteEpoch()
 			if c.TraceID != 0 {
@@ -464,21 +498,14 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 				})
 			}
 			decAccum = 0
-			if shedding {
-				// The epoch overflowed the staging bound mid-flight:
-				// discard it whole and ask for a replay once the
-				// shipper's next ack arrives. Its seq never advances
-				// the applied frontier, so the replayed copy is not a
-				// duplicate.
-				shedding = false
-				discard()
-				rc.noteShed(st.src, c.Seq, "staged_overflow", false)
-				if err := aw.sendAck(st.src, rc.durableSeq(st.src), rc.throttleFor(st.src), true); err == nil {
-					rc.counters.Inc(CtrAcksSent)
-				}
-				break
+			var targets []ackTarget
+			if act.kind == actShed {
+				rc.mu.Lock()
+				targets = rc.shedLocked(nil, st.src, aw, c.Seq, "staged_overflow", false)
+				rc.mu.Unlock()
+			} else {
+				targets, err = rc.commitEpoch(st.src, c, staged, aw)
 			}
-			targets, err := rc.commitEpoch(st.src, c, staged, aw)
 			// The engine copied everything it keeps (delayed epochs are
 			// row-materialized), so the staged frames' arenas are free.
 			discard()
@@ -487,17 +514,9 @@ func (rc *Receiver) HandleConn(conn io.ReadWriter) error {
 			}
 			rc.sendAcks(targets)
 		case actStage:
-			if len(staged) >= maxStagedFrames {
-				// Metered shedding instead of a connection-fatal error: drop
-				// what is staged and the rest of the epoch, and have the
-				// shipper replay it after its EpochEnd.
-				shedding = true
-			}
-			if shedding {
-				discard()
-			} else {
-				staged = append(staged, f)
-			}
+			staged = append(staged, f)
+		case actDrop:
+			discard()
 		}
 	}
 }
@@ -514,10 +533,7 @@ func (rc *Receiver) refuse(a action) error {
 // read the sum off the staged frame.
 func (rc *Receiver) noteFrame(f *wire.Frame) {
 	f.Bytes = f.PayloadBytes()
-	rc.mu.Lock()
-	rc.frames++
-	rc.bytesIn += f.Bytes
-	rc.mu.Unlock()
+	rc.bytesIn.Add(f.Bytes)
 	rc.counters.Inc(CtrFramesIn)
 }
 
@@ -531,47 +547,113 @@ func (rc *Receiver) registerConn(src uint32, fresh bool, aw *ackWriter) uint64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.engine.RegisterSource(src)
-	rc.writers[src] = aw
-	if fresh && rc.applied[src] > 0 {
-		// The outstanding-gap marker belongs to the dead sequence space
-		// too; a resumed hello (Seq > 0) keeps it, so a hole that
-		// survives a full replay still escapes on its second sighting
-		// even when the replay arrives on a new connection.
-		delete(rc.gapSeen, src)
-		rc.applied[src] = 0
-		rc.durable[src] = 0
+	r := rc.record(src)
+	if fresh && r.applied > 0 {
+		// The marks and the delay queue belong to the dead sequence space.
+		// A resumed hello (Seq > 0) keeps them, so a hole that survives a
+		// full replay escapes on its second sighting on any connection.
 		rc.counters.Inc(CtrSourceResets)
-		// A fresh incarnation restarts numbering at 1: epochs the previous
-		// incarnation left in the delay queue belong to a dead sequence
-		// space and would collide with the new one.
-		if q := rc.delayed[src]; len(q) > 0 && rc.admit != nil {
-			for _, ep := range q {
-				rc.delayedN--
-				rc.counters.Inc(CtrEpochsShed)
-				rc.admit.NoteShed(src, ep.seq, "source_reset", true)
-			}
-			delete(rc.delayed, src)
+		for _, ep := range r.delayed {
+			rc.delayedN--
+			rc.shedLocked(nil, src, nil, ep.seq, "source_reset", true)
 		}
+		*r = seqRecord{}
 	}
-	return rc.durable[src]
+	r.aw = aw
+	return r.durable
 }
 
 func (rc *Receiver) dropWriter(src uint32, aw *ackWriter) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rc.writers[src] == aw {
-		delete(rc.writers, src)
+	if r := rc.seqs[src]; r != nil && r.aw == aw {
+		r.aw = nil
 	}
 }
 
-// commitEpoch applies one staged epoch atomically and exactly once.
-// Duplicates (seq at or below the last applied or queued epoch) are
-// discarded whole. With an admission controller installed the commit is
-// metered: over-budget epochs are parked in the delay queue (drained
-// in class-priority order as budgets refill), a degraded tenant's raw
-// records are sampled down, and sequence gaps left by shed epochs are
-// healed with replay-request acks. It returns the acks to send once the
-// receiver's mutex is released.
+type commitKind uint8
+
+const (
+	cmDuplicate commitKind = iota // at or below the applied or parked frontier: discard
+	cmGap                         // a hole below it: discard, ask for a replay
+	cmAsk                         // ask admission, then decide again with its verdict
+	cmPark                        // park in the delay queue
+	cmApply                       // apply now
+)
+
+type ackKind uint8
+
+const (
+	ackNone    ackKind = iota
+	ackDurable         // the source's durable frontier
+	ackReplay          // the durable frontier, asking the shipper to resend above it
+)
+
+// ruling is what decideCommit rules for one epoch.
+type ruling struct {
+	kind     commitKind
+	ack      ackKind
+	gap      uint64 // the gap mark to keep
+	jump     bool   // accept the jump: force-drain the delay queue first
+	degraded bool   // cmApply: sample the epoch's raw records
+}
+
+// progressAck is the ack an epoch that needs no replay earns: the
+// durable frontier, or nothing while the recovery manager acks.
+func progressAck(manualAck bool) ackKind {
+	if manualAck {
+		return ackNone
+	}
+	return ackDurable
+}
+
+// decideCommit is the commit rule table of the package doc: what to do
+// with epoch seq given a copy of its source's record. metered reports an
+// admission controller; then an epoch that reaches admission first rules
+// cmAsk, and a second call with asked set rules on the verdict v. Like
+// step, it does no I/O and reads no clock, lock or shared state.
+func decideCommit(r seqRecord, seq uint64, metered, manualAck, asked bool, v admission.Verdict) ruling {
+	var parked uint64
+	if n := len(r.delayed); n > 0 {
+		parked = r.delayed[n-1].seq
+	}
+	next := max(r.applied, parked) + 1
+	healing := metered || r.shed > r.applied // a hole may be the receiver's own
+	switch {
+	case seq < next:
+		return ruling{kind: cmDuplicate, ack: progressAck(manualAck), gap: r.gap}
+	case seq > next && healing && (r.gap == 0 || seq < r.gap):
+		// A hole below this epoch (a shed, or replay-buffer eviction on
+		// the agent), first sighting: discard it and ask for a replay.
+		return ruling{kind: cmGap, ack: ackReplay, gap: seq}
+	case seq > next && healing && seq > r.gap:
+		// Above the mark: one replay re-ships them all, and moving the mark
+		// would let two buffered epochs alternate it and defeat the escape.
+		return ruling{kind: cmGap, ack: ackReplay, gap: r.gap}
+	}
+	// At next, or a jump: the mark's second sighting, or (no admission)
+	// a hole this receiver did not cause.
+	c := ruling{ack: progressAck(manualAck), jump: seq > next}
+	switch {
+	case !c.jump && parked > 0:
+		// Per-source order: behind a non-empty queue the epoch parks (its
+		// budget could not admit it anyway: the head exhausted the bucket).
+		c.kind = cmPark
+	case !metered:
+		c.kind = cmApply
+	case !asked:
+		c.kind = cmAsk
+	case v == admission.Delayed:
+		c.kind = cmPark
+	default:
+		c.kind, c.degraded = cmApply, v == admission.AdmittedDegraded
+	}
+	return c
+}
+
+// commitEpoch performs decideCommit's ruling on one staged epoch, so it
+// applies atomically and exactly once. It returns the acks to send once
+// the receiver's mutex is released.
 func (rc *Receiver) commitEpoch(src uint32, e *wire.EpochEnd, staged []wire.Frame, aw *ackWriter) ([]ackTarget, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -580,107 +662,50 @@ func (rc *Receiver) commitEpoch(src uint32, e *wire.EpochEnd, staged []wire.Fram
 	// newer of its own, and other sources' drains ride along on this
 	// commit's lock acquisition.
 	targets := rc.drainDelayedLocked()
-	selfAck := func(replay bool) []ackTarget {
-		return appendAckTarget(targets, ackTarget{aw: aw, src: src, seq: rc.durable[src], replay: replay})
+	r := rc.record(src)
+	prev := *r
+	c := decideCommit(prev, e.Seq, rc.admit != nil, rc.manualAck, false, 0)
+	if c.jump {
+		targets = rc.drainLocked(src, true, targets)
 	}
-	if e.Seq <= rc.applied[src] {
+	asked := c.kind == cmAsk
+	if asked {
+		c = decideCommit(prev, e.Seq, true, rc.manualAck, true, rc.admit.Admit(src, framesBytes(staged)))
+	}
+	if c.gap != r.gap && c.kind == cmGap {
+		rc.counters.Inc(CtrEpochGaps)
+	}
+	r.gap = c.gap
+	switch c.kind {
+	case cmDuplicate:
 		rc.counters.Inc(CtrEpochsReplayed)
-		// A duplicate of an already-applied epoch: its fresh trace entry
-		// (begun at EpochEnd decode) describes an epoch that will never be
-		// ingested again, so discard it rather than fake segments.
-		obs.Traces().Drop(src, e.Seq)
-		if rc.manualAck {
-			return targets, nil
+		if e.Seq <= prev.applied {
+			// Its trace entry, begun at EpochEnd, will never be ingested (a
+			// parked duplicate's entry is the parked epoch's own).
+			obs.Traces().Drop(src, e.Seq)
 		}
-		// Re-ack so a replaying agent converges on the durable frontier.
-		return selfAck(false), nil
-	}
-	if rc.admit != nil {
-		q := rc.delayed[src]
-		next := rc.applied[src] + 1
-		if len(q) > 0 {
-			last := q[len(q)-1]
-			if e.Seq <= last.seq {
-				// Replay overlap with an epoch already parked in the queue.
-				rc.counters.Inc(CtrEpochsReplayed)
-				if rc.manualAck {
-					return targets, nil
-				}
-				return selfAck(false), nil
-			}
-			next = last.seq + 1
-		}
-		if e.Seq > next {
-			// A hole below this epoch (a shed, or replay-buffer eviction on
-			// the agent). First sighting: discard and ask for a replay.
-			// A second sighting of the lowest outstanding gap sequence
-			// means the agent has replayed everything it still buffers and
-			// the hole is unfillable — force-drain the queue and accept
-			// the jump. Epochs above the outstanding gap are discarded
-			// without dislodging it: one replay re-ships them all, and
-			// tracking anything but the lowest would let two buffered
-			// epochs alternate the marker and defeat the escape.
-			g, outstanding := rc.gapSeen[src]
-			switch {
-			case !outstanding || e.Seq < g:
-				rc.gapSeen[src] = e.Seq
-				rc.counters.Inc(CtrEpochGaps)
-				return selfAck(true), nil
-			case e.Seq > g:
-				return selfAck(true), nil
-			}
-			delete(rc.gapSeen, src)
-			targets = rc.forceDrainLocked(src, targets)
-		} else {
-			delete(rc.gapSeen, src)
-		}
-		if len(rc.delayed[src]) > 0 {
-			// The queue did not fully drain: this epoch parks behind it to
-			// preserve per-source order (its budget could not admit it
-			// anyway — the queue head already exhausted the bucket).
-			// NoteBacklog keeps the degrade hysteresis moving even though no
-			// Admit verdict is taken on this path.
-			rc.queueDelayedLocked(src, e, staged)
+	case cmPark:
+		rc.queueDelayedLocked(r, e, staged)
+		if !asked {
+			// Keeps the degrade hysteresis moving though no verdict is taken.
 			rc.admit.NoteBacklog(src, framesBytes(staged))
-			rc.admit.NoteDelayed(src)
-			targets = rc.shedOverflowLocked(targets)
-			if rc.manualAck {
-				return targets, nil
-			}
-			return selfAck(false), nil
 		}
-		verdict := rc.admit.Admit(src, framesBytes(staged))
-		if verdict == admission.Delayed {
-			rc.queueDelayedLocked(src, e, staged)
-			rc.admit.NoteDelayed(src)
-			targets = rc.shedOverflowLocked(targets)
-			if rc.manualAck {
-				return targets, nil
-			}
-			return selfAck(false), nil
-		}
-		if err := rc.applyEpochLocked(src, e.Seq, e.Watermark, staged, verdict == admission.AdmittedDegraded); err != nil {
+		rc.admit.NoteDelayed(src)
+		targets = rc.shedOverflowLocked(targets)
+	case cmApply:
+		if err := rc.applyEpochLocked(src, e.Seq, e.Watermark, staged, c.degraded); err != nil {
 			return targets, err
 		}
-		rc.admit.ObserveCommitLatency(src, 0)
-		if rc.manualAck {
-			return targets, nil
+		if rc.admit != nil {
+			rc.admit.ObserveCommitLatency(src, 0)
 		}
-		rc.durable[src] = e.Seq
-		return selfAck(false), nil
 	}
-	if err := rc.applyEpochLocked(src, e.Seq, e.Watermark, staged, false); err != nil {
-		return targets, err
-	}
-	if rc.manualAck {
-		return targets, nil
-	}
-	rc.durable[src] = e.Seq
-	return selfAck(false), nil
+	return rc.ackLocked(targets, src, aw, c.ack), nil
 }
 
 // applyEpochLocked ingests one epoch's frames and advances the applied
-// frontier. Degraded commits row-materialize each data frame and sample
+// frontier, and with it the durable one unless the recovery manager
+// acks. Degraded commits row-materialize each data frame and sample
 // the tenant's raw records through the controller's degrader before
 // ingestion (partial aggregates and watermarks always pass exact).
 func (rc *Receiver) applyEpochLocked(src uint32, seq uint64, watermark int64, frames []wire.Frame, degraded bool) error {
@@ -722,7 +747,11 @@ func (rc *Receiver) applyEpochLocked(src uint32, seq uint64, watermark int64, fr
 		}
 	}
 	rc.engine.ObserveWatermark(src, watermark)
-	rc.applied[src] = seq
+	r := rc.record(src)
+	r.applied = seq
+	if !rc.manualAck {
+		r.durable = seq
+	}
 	rc.counters.Inc(CtrEpochsApplied)
 	obs.Traces().MarkDone(src, seq, time.Now().UnixMicro())
 	return nil
@@ -747,12 +776,17 @@ func framesBytes(frames []wire.Frame) int64 {
 	return n
 }
 
-// appendAckTarget folds an ack into the target list, replacing an
-// earlier entry for the same source (acks are cumulative; the newest
-// durable frontier and replay flag win).
-func appendAckTarget(targets []ackTarget, t ackTarget) []ackTarget {
+// ackLocked folds an ack of the source's durable frontier into targets,
+// replacing an earlier entry for the source (acks are cumulative; the
+// newest frontier and any replay request win). ackNone, or a source
+// without a live connection, adds nothing.
+func (rc *Receiver) ackLocked(targets []ackTarget, src uint32, aw *ackWriter, k ackKind) []ackTarget {
+	if k == ackNone || aw == nil {
+		return targets
+	}
+	t := ackTarget{aw: aw, src: src, seq: rc.record(src).durable, replay: k == ackReplay}
 	for i := range targets {
-		if targets[i].src == t.src {
+		if targets[i].src == src {
 			targets[i].seq = t.seq
 			targets[i].replay = targets[i].replay || t.replay
 			return targets
@@ -764,19 +798,15 @@ func appendAckTarget(targets []ackTarget, t ackTarget) []ackTarget {
 // queueDelayedLocked parks one epoch in the source's delay queue,
 // row-materializing each frame into one Rows section so nothing
 // references the connection's decode arenas.
-func (rc *Receiver) queueDelayedLocked(src uint32, e *wire.EpochEnd, staged []wire.Frame) {
+func (rc *Receiver) queueDelayedLocked(r *seqRecord, e *wire.EpochEnd, staged []wire.Frame) {
 	mat := make([]wire.Frame, 0, len(staged))
 	for _, f := range staged {
 		rows := &wire.ColumnarBatch{Secs: []wire.ColSec{{Rows: frameRows(f)}}}
 		mat = append(mat, wire.Frame{StreamID: f.StreamID, Source: f.Source, Cols: rows, Bytes: f.Bytes})
 	}
-	var arrival time.Time
-	if rc.admit != nil {
-		arrival = rc.admit.Now()
-	}
-	rc.delayed[src] = append(rc.delayed[src], &delayedEpoch{
+	r.delayed = append(r.delayed, &delayedEpoch{
 		seq: e.Seq, watermark: e.Watermark, bytes: framesBytes(staged),
-		arrival: arrival, frames: mat,
+		arrival: rc.admit.Now(), frames: mat,
 	})
 	rc.delayedN++
 }
@@ -789,9 +819,9 @@ func (rc *Receiver) drainDelayedLocked() []ackTarget {
 	if rc.admit == nil || rc.delayedN == 0 {
 		return nil
 	}
-	srcs := make([]uint32, 0, len(rc.delayed))
-	for src, q := range rc.delayed {
-		if len(q) > 0 {
+	var srcs []uint32
+	for src, r := range rc.seqs {
+		if len(r.delayed) > 0 {
 			srcs = append(srcs, src)
 		}
 	}
@@ -804,74 +834,43 @@ func (rc *Receiver) drainDelayedLocked() []ackTarget {
 	})
 	var targets []ackTarget
 	for _, src := range srcs {
-		q := rc.delayed[src]
-		drained := false
-		for len(q) > 0 && rc.admit.TryDrain(src, q[0].bytes) {
-			ep := q[0]
-			q = q[1:]
-			if err := rc.drainOneLocked(src, ep); err != nil {
-				// The engine rejected the epoch (poisoned payload): it is
-				// consumed, not re-queued — the error already counted.
-				break
-			}
-			drained = true
-		}
-		if len(q) == 0 {
-			delete(rc.delayed, src)
-		} else {
-			rc.delayed[src] = q
-		}
-		if drained && !rc.manualAck {
-			if aw := rc.writers[src]; aw != nil {
-				targets = appendAckTarget(targets, ackTarget{aw: aw, src: src, seq: rc.durable[src]})
-			}
-		}
+		targets = rc.drainLocked(src, false, targets)
 	}
 	return targets
 }
 
-// forceDrainLocked empties one source's delay queue unconditionally
-// (bucket debt instead of data loss) — the escape hatch when a sequence
-// hole above the queue turned out to be unfillable.
-func (rc *Receiver) forceDrainLocked(src uint32, targets []ackTarget) []ackTarget {
-	q := rc.delayed[src]
-	if len(q) == 0 {
-		return targets
-	}
+// drainLocked applies a source's delayed epochs in order while its
+// bucket affords them, or all of them when force (bucket debt instead of
+// data loss: the escape when a hole above the queue proved unfillable),
+// observing each one's queueing latency, and acks the advanced frontier.
+func (rc *Receiver) drainLocked(src uint32, force bool, targets []ackTarget) []ackTarget {
+	r := rc.record(src)
 	drained := false
-	for _, ep := range q {
-		rc.admit.ForceDrain(src, ep.bytes)
-		if err := rc.drainOneLocked(src, ep); err != nil {
+	for len(r.delayed) > 0 {
+		ep := r.delayed[0]
+		if force {
+			rc.admit.ForceDrain(src, ep.bytes)
+		} else if !rc.admit.TryDrain(src, ep.bytes) {
 			break
 		}
+		r.delayed = r.delayed[1:]
+		rc.delayedN--
+		if err := rc.applyEpochLocked(src, ep.seq, ep.watermark, ep.frames, rc.admit.DegradedRate(src) > 0); err != nil {
+			// The engine rejected the epoch (poisoned payload): it is
+			// consumed, not re-queued — the error already counted.
+			continue
+		}
+		rc.admit.NoteDrained(src)
+		rc.admit.ObserveCommitLatency(src, rc.admit.Now().Sub(ep.arrival))
 		drained = true
 	}
-	delete(rc.delayed, src)
-	if drained && !rc.manualAck {
-		if aw := rc.writers[src]; aw != nil {
-			targets = appendAckTarget(targets, ackTarget{aw: aw, src: src, seq: rc.durable[src]})
-		}
+	if len(r.delayed) == 0 {
+		r.delayed = nil
+	}
+	if drained {
+		targets = rc.ackLocked(targets, src, r.aw, progressAck(rc.manualAck))
 	}
 	return targets
-}
-
-// drainOneLocked applies one delayed epoch and advances the source's
-// frontiers, observing its queueing latency on the tenant's class
-// histogram. The caller has already charged the admission bucket.
-func (rc *Receiver) drainOneLocked(src uint32, ep *delayedEpoch) error {
-	rc.delayedN--
-	degraded := rc.admit.DegradedRate(src) > 0
-	if err := rc.applyEpochLocked(src, ep.seq, ep.watermark, ep.frames, degraded); err != nil {
-		return err
-	}
-	rc.admit.NoteDrained(src)
-	if !ep.arrival.IsZero() {
-		rc.admit.ObserveCommitLatency(src, rc.admit.Now().Sub(ep.arrival))
-	}
-	if !rc.manualAck {
-		rc.durable[src] = ep.seq
-	}
-	return nil
 }
 
 // shedOverflowLocked enforces the global delay-queue bound: while over
@@ -879,56 +878,44 @@ func (rc *Receiver) drainOneLocked(src uint32, ep *delayedEpoch) error {
 // shed epoch's sequence hole is healed later by gap detection — the
 // epoch is still unacked in its agent's replay buffer.
 func (rc *Receiver) shedOverflowLocked(targets []ackTarget) []ackTarget {
-	max := rc.admit.MaxDelayed()
-	for rc.delayedN > max {
-		victim := uint32(0)
-		victimClass := admission.Class(0)
-		found := false
-		for src, q := range rc.delayed {
-			if len(q) == 0 {
+	for rc.delayedN > rc.admit.MaxDelayed() {
+		var victim uint32
+		var vr *seqRecord
+		var victimClass admission.Class
+		for src, r := range rc.seqs {
+			if len(r.delayed) == 0 {
 				continue
 			}
 			c := rc.admit.Class(src)
-			if !found || c < victimClass || (c == victimClass && src < victim) {
-				victim, victimClass, found = src, c, true
+			if vr == nil || c < victimClass || (c == victimClass && src < victim) {
+				victim, vr, victimClass = src, r, c
 			}
 		}
-		if !found {
+		if vr == nil {
 			return targets
 		}
-		q := rc.delayed[victim]
-		ep := q[len(q)-1]
-		rc.delayed[victim] = q[:len(q)-1]
+		ep := vr.delayed[len(vr.delayed)-1]
+		vr.delayed = vr.delayed[:len(vr.delayed)-1]
 		rc.delayedN--
-		rc.counters.Inc(CtrEpochsShed)
-		rc.admit.NoteShed(victim, ep.seq, "delay_queue_full", true)
-		if aw := rc.writers[victim]; aw != nil {
-			// Tell the victim's shipper to slow down and replay later.
-			targets = appendAckTarget(targets, ackTarget{aw: aw, src: victim, seq: rc.durable[victim], replay: true})
-		}
+		targets = rc.shedLocked(targets, victim, vr.aw, ep.seq, "delay_queue_full", true)
 	}
 	return targets
 }
 
-// noteShed meters one shed epoch on the receiver's counters and, when a
-// controller is installed, its decision trace.
-func (rc *Receiver) noteShed(src uint32, seq uint64, cause string, fromQueue bool) {
+// shedLocked sheds one of a source's epochs: it is metered (on the
+// controller's decision trace, or straight to the flight recorder
+// without one), marked as a hole of the receiver's own, and answered
+// with a replay request.
+func (rc *Receiver) shedLocked(targets []ackTarget, src uint32, aw *ackWriter, seq uint64, cause string, fromQueue bool) []ackTarget {
+	r := rc.record(src)
+	r.shed = max(r.shed, seq)
 	rc.counters.Inc(CtrEpochsShed)
-	if ctrl := rc.Admission(); ctrl != nil {
-		// The controller's shed decision reaches the flight recorder via
-		// the decision-log notify hook.
-		ctrl.NoteShed(src, seq, cause, fromQueue)
-	} else if _, t := rc.hooks(); t != nil {
-		// No controller, no decision emitted: trigger the dump directly.
-		t.trigger("shed:"+cause, true)
+	if rc.admit != nil {
+		rc.admit.NoteShed(src, seq, cause, fromQueue)
+	} else if rc.traffic != nil {
+		rc.traffic.trigger("shed:"+cause, true)
 	}
-}
-
-// durableSeq reads a source's durable frontier.
-func (rc *Receiver) durableSeq(src uint32) uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.durable[src]
+	return rc.ackLocked(targets, src, aw, ackReplay)
 }
 
 // sendAcks writes the acks a commit produced, outside the receiver's
@@ -957,7 +944,7 @@ func (rc *Receiver) RegisterSource(id uint32) {
 func (rc *Receiver) AppliedSeq(source uint32) uint64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.applied[source]
+	return rc.record(source).applied
 }
 
 // SetApplied restores a source's applied (and durable) epoch sequence
@@ -966,20 +953,23 @@ func (rc *Receiver) AppliedSeq(source uint32) uint64 {
 func (rc *Receiver) SetApplied(source uint32, seq uint64) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.applied[source] = max(rc.applied[source], seq)
-	rc.durable[source] = max(rc.durable[source], seq)
+	r := rc.record(source)
+	r.applied = max(r.applied, seq)
+	r.durable = max(r.durable, seq)
 }
 
 // Freeze runs f while epoch application is paused, passing a copy of the
-// per-source applied sequences. The recovery manager snapshots the
-// engine inside f so the captured state and sequence numbers are
-// mutually consistent.
+// per-source applied sequences (sources that have applied an epoch). The
+// recovery manager snapshots the engine inside f so the captured state
+// and sequence numbers are mutually consistent.
 func (rc *Receiver) Freeze(f func(applied map[uint32]uint64)) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	cp := make(map[uint32]uint64, len(rc.applied))
-	for k, v := range rc.applied {
-		cp[k] = v
+	cp := make(map[uint32]uint64, len(rc.seqs))
+	for src, r := range rc.seqs {
+		if r.applied > 0 {
+			cp[src] = r.applied
+		}
 	}
 	f(cp)
 }
@@ -991,10 +981,9 @@ func (rc *Receiver) AckSeqs(seqs map[uint32]uint64) {
 	var targets []ackTarget
 	rc.mu.Lock()
 	for src, seq := range seqs {
-		rc.durable[src] = max(rc.durable[src], seq)
-		if aw := rc.writers[src]; aw != nil {
-			targets = append(targets, ackTarget{aw: aw, src: src, seq: rc.durable[src]})
-		}
+		r := rc.record(src)
+		r.durable = max(r.durable, seq)
+		targets = rc.ackLocked(targets, src, r.aw, ackDurable)
 	}
 	rc.mu.Unlock()
 	rc.sendAcks(targets)
@@ -1020,15 +1009,7 @@ func (rc *Receiver) Advance() telemetry.Batch {
 }
 
 // BytesIn returns payload bytes received.
-func (rc *Receiver) BytesIn() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.bytesIn
-}
+func (rc *Receiver) BytesIn() int64 { return rc.bytesIn.Load() }
 
 // Frames returns the number of frames received.
-func (rc *Receiver) Frames() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.frames
-}
+func (rc *Receiver) Frames() int64 { return rc.counters.Get(CtrFramesIn) }

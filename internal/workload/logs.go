@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"strings"
 
 	"jarvis/internal/telemetry"
@@ -58,6 +59,9 @@ func DefaultLogConfig(seed uint64) LogConfig {
 // convert between line rates and Mbps.
 const AvgLogLineBytes = 130
 
+// logPad is the padding oneLine draws from.
+var logPad = strings.Repeat("x", AvgLogLineBytes)
+
 // LogGen generates deterministic LogAnalytics lines.
 type LogGen struct {
 	cfg     LogConfig
@@ -65,6 +69,7 @@ type LogGen struct {
 	next    int64
 	tenants []string
 	arena   logArena
+	line    []byte // oneLine's formatting buffer
 }
 
 // NewLogGen builds a generator with a fixed tenant population.
@@ -115,11 +120,12 @@ func (g *LogGen) one() telemetry.Record {
 }
 
 // oneLine draws the next line without building the record (shared by the
-// row and columnar emitters).
+// row and columnar emitters). The line is formatted into the generator's
+// reused buffer and copied out once.
 func (g *LogGen) oneLine() (int64, string) {
 	ts := g.next
 	g.next += g.gap()
-	var line string
+	b := g.line[:0]
 	if g.rng.Float64() < g.cfg.MatchRate {
 		tenant := g.tenants[g.pickTenant()]
 		// Zipf-ish job time: mostly short, occasionally long jobs.
@@ -127,18 +133,22 @@ func (g *LogGen) oneLine() (int64, string) {
 		cpu := g.rng.Float64() * 100
 		mem := g.rng.Float64() * 100
 		// Mixed case and padding exercise the query's trim+lowercase Map.
-		line = fmt.Sprintf("  Tenant Name=%s, Job Running Time=%d, CPU Util=%.1f, Memory Util=%.1f  ",
-			tenant, jobMs, cpu, mem)
+		b = append(append(b, "  Tenant Name="...), tenant...)
+		b = strconv.AppendInt(append(b, ", Job Running Time="...), int64(jobMs), 10)
+		b = strconv.AppendFloat(append(b, ", CPU Util="...), cpu, 'f', 1, 64)
+		b = strconv.AppendFloat(append(b, ", Memory Util="...), mem, 'f', 1, 64)
+		b = append(b, "  "...)
 	} else {
-		line = fmt.Sprintf("kernel: eth0 link state change seq=%d flags=0x%x",
-			g.rng.Int32(), g.rng.Int32())
+		b = strconv.AppendInt(append(b, "kernel: eth0 link state change seq="...), int64(g.rng.Int32()), 10)
+		b = strconv.AppendInt(append(b, " flags=0x"...), int64(g.rng.Int32()), 16)
 	}
 	// Pad to keep average line size near AvgLogLineBytes so Mbps
 	// accounting matches the configured rate.
-	if pad := AvgLogLineBytes - len(line) - 10; pad > 0 {
-		line += " #" + strings.Repeat("x", pad)
+	if pad := AvgLogLineBytes - len(b) - 10; pad > 0 {
+		b = append(append(b, " #"...), logPad[:pad]...)
 	}
-	return ts, line
+	g.line = b
+	return ts, string(b)
 }
 
 // gap returns the event-time advance to the next line.
