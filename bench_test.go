@@ -339,6 +339,7 @@ var ownerBenchmarks = []string{
 	"BenchmarkSPIngestColumnar",
 	"BenchmarkSPIngestSpansColumnar",
 	"BenchmarkSPIngestLogColumnar",
+	"BenchmarkAgentEpochLogColumnar",
 	"BenchmarkWindowClose",
 	"BenchmarkGroupProbe",
 	"BenchmarkReceiverDecode",
@@ -697,10 +698,10 @@ func BenchmarkGroupProbe(b *testing.B) {
 // BenchmarkSPIngestLogColumnar and BenchmarkReceiverDecodeLog are the SP
 // ingest and the receiver-side decode of one LogAnalytics epoch shipped
 // 81 % raw (benchcase.LogShippedEpochs — the log-adaptive shape), cycling
-// through consecutive epochs: the string path's owner benchmarks (the
-// agent side of a log epoch has none — benchmark/'s core.run_epoch_ms on
-// log-adaptive is its number). Ingest MB/s is over the first epoch's
-// logical column bytes, decode MB/s over its wire bytes.
+// through consecutive epochs: the string path's owner benchmarks, with
+// BenchmarkAgentEpochLogColumnar for the agent side of the same epochs.
+// Ingest MB/s is over the first epoch's logical column bytes, decode MB/s
+// over its wire bytes.
 func BenchmarkSPIngestLogColumnar(b *testing.B) {
 	engine, epochs, err := benchcase.LogIngest()
 	if err != nil {
@@ -719,6 +720,33 @@ func BenchmarkSPIngestLogColumnar(b *testing.B) {
 				return err
 			}
 		}
+		return nil
+	})
+}
+
+// BenchmarkAgentEpochLogColumnar is the agent side of those epochs: the
+// LogAnalytics pipeline at load factors [3/16 1 1 1 1 1] (the first
+// proxy's setting log-adaptive converges to) running RunEpochColumnar
+// over 100 ms of LogGen column sections, cycling through LogEpochs
+// consecutive epochs. MB/s is over the first epoch's generated lines.
+func BenchmarkAgentEpochLogColumnar(b *testing.B) {
+	pipe, err := stream.NewPipeline(plan.LogAnalytics(), stream.DefaultOptions(1.0, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pipe.SetLoadFactors([]float64{3.0 / 16, 1, 1, 1, 1, 1}); err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewLogGen(workload.DefaultLogConfig(1))
+	epochs := make([]wire.ColumnarBatch, benchcase.LogEpochs)
+	for i := range epochs {
+		gen.NextWindowCols(100_000, &epochs[i])
+	}
+	b.SetBytes(epochs[0].TotalBytes())
+	i := 0
+	benchWarm(b, func() error {
+		i++
+		pipe.RunEpochColumnar(&epochs[i%len(epochs)])
 		return nil
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
@@ -55,6 +56,17 @@ func FuzzLogKernelsDifferential(f *testing.F) {
 		strings.Repeat("Tenant Name=long, CPU Util=50, ", 20) + "\u0130",
 	} {
 		f.Add([]byte(s))
+	}
+	// Every ASCII byte but the line break, at every offset in a word: the
+	// bytes around A–Z are where eight-byte lower-casing could slip.
+	var ascii []byte
+	for c := byte(1); c < 0x80; c++ {
+		if c != '\n' {
+			ascii = append(ascii, c)
+		}
+	}
+	for off := range 8 {
+		f.Add(append([]byte("tenant name=x, cpu util=1 "[:off]), ascii...))
 	}
 	g := workload.NewLogGen(workload.DefaultLogConfig(3))
 	var gen []string
@@ -194,5 +206,47 @@ func TestLogKernelAllocs(t *testing.T) {
 	// allocation more. A per-line allocation would cost thousands.
 	if large > 16 || large > small+2 {
 		t.Fatalf("log kernels allocate %.0f times for 5000 lines, %.0f for 500 (want the same ±2 and ≤ 16)", large, small)
+	}
+}
+
+// TestParseKernelSharesRepeatedKeys pins the parse kernel's one slice per
+// repeated key: over a section of generated lines, every row whose tenant
+// (or stat name) has the bytes of an earlier row's shares that row's
+// string data, so the JobStats kernel's address-keyed symbol cache hits
+// on it.
+func TestParseKernelSharesRepeatedKeys(t *testing.T) {
+	g := workload.NewLogGen(workload.DefaultLogConfig(5))
+	var raw []string
+	for _, rec := range g.Next(4000) {
+		raw = append(raw, rec.Data.(*telemetry.LogLine).Raw)
+	}
+	in := logSection(raw)
+	var norm, parsed []wire.ColSec
+	normalizeKernel(&in, &norm)
+	keep, _ := patternsColPred(&norm[0])
+	norm[0].Sel = []int32{}
+	for i := range norm[0].Log.Raw {
+		if keep(i) {
+			norm[0].Sel = append(norm[0].Sel, int32(i))
+		}
+	}
+	parseKernel(&norm[0], &parsed)
+	j := parsed[0].Job
+	if len(j.Tenant) < 3*len(norm[0].Sel)-3 {
+		t.Fatalf("%d lines parsed to %d rows", len(norm[0].Sel), len(j.Tenant))
+	}
+	for col, names := range map[string][]string{"tenant": j.Tenant, "stat name": j.StatName} {
+		first := map[string]*byte{}
+		for i, s := range names {
+			p := unsafe.StringData(s)
+			if q, ok := first[s]; !ok {
+				first[s] = p
+			} else if q != p {
+				t.Fatalf("row %d: %s %q is a slice of its own, not of the first row's", i, col, s)
+			}
+		}
+		if col == "stat name" && len(first) != 3 || col == "tenant" && len(first) != len(g.Tenants()) {
+			t.Fatalf("%d distinct %ss", len(first), col)
+		}
 	}
 }

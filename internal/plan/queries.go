@@ -1,10 +1,10 @@
 package plan
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"jarvis/internal/operator"
 	"jarvis/internal/telemetry"
@@ -202,7 +202,7 @@ func LogAnalytics() *Query {
 		if !ok {
 			return
 		}
-		stats, err := telemetry.ParseJobStats(ll.Timestamp, statFields(ll.Raw))
+		stats, err := telemetry.ParseJobStats(ll.Timestamp, ll.Raw)
 		if err != nil {
 			return // malformed lines are dropped, like a lossy parse
 		}
@@ -240,38 +240,10 @@ func LogAnalytics() *Query {
 		WithAggKernel(operator.AggKernelJobStatsCount)
 }
 
-// statFields strips the trailing free-form payload — everything from the
-// first " #" — after a line's key=value section (the '=' split of
-// Listing 3). It looks for the rare '#' and checks the byte before it: a
-// two-byte search for " #" restarts at every space of the line.
-func statFields(line string) string {
-	for off := 0; ; {
-		i := strings.IndexByte(line[off:], '#')
-		if i < 0 {
-			return line
-		}
-		if i += off; i > 0 && line[i-1] == ' ' {
-			return line[:i-1]
-		}
-		off = i + 1
-	}
-}
-
 // The LogAnalytics SoA kernels mirror the row functions above exactly,
 // minus the per-record telemetry.Record materialization and the
 // per-line strings: a section costs a fixed number of allocations, not
 // one or more per line (TestLogKernelAllocs).
-
-// asciiLower maps A–Z to a–z and every other byte to itself.
-var asciiLower = func() (t [256]byte) {
-	for i := range t {
-		t[i] = byte(i)
-		if 'A' <= i && i <= 'Z' {
-			t[i] += 'a' - 'A'
-		}
-	}
-	return t
-}()
 
 // appendNormalized returns strings.ToLower(strings.TrimSpace(s)), byte
 // for byte. An ASCII line is lower-cased through chunk into arena and the
@@ -290,18 +262,37 @@ func appendNormalized(arena *strings.Builder, chunk *[256]byte, s string) string
 	start := arena.Len()
 	for rest := s[lo:hi]; len(rest) > 0; {
 		n := min(len(rest), len(chunk))
-		high := byte(0)
-		for i := 0; i < n; i++ {
-			high |= rest[i]
-			chunk[i] = asciiLower[rest[i]]
-		}
-		if high >= utf8.RuneSelf {
+		if !lowerASCII(chunk[:n], rest[:n]) {
 			return strings.ToLower(strings.TrimSpace(s))
 		}
 		arena.Write(chunk[:n])
 		rest = rest[n:]
 	}
 	return arena.String()[start:]
+}
+
+// lowerASCII writes src into dst with A–Z lower-cased, eight bytes a
+// step: below 0x80, +0x3f sets a byte's top bit from 'A' up and +0x25
+// from past 'Z' up, neither carrying into the next byte, so the one and
+// not the other, shifted to 0x20, is OR'd into exactly the capitals. It
+// reports false, dst undefined, when src holds a byte ≥ 0x80.
+func lowerASCII(dst []byte, src string) bool {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	var high uint64
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		w := le64(src, i)
+		high |= w
+		binary.LittleEndian.PutUint64(dst[i:], w|((w+0x3f*ones)&^(w+0x25*ones)&tops)>>2)
+	}
+	for ; i < len(src); i++ {
+		high |= uint64(src[i])
+		dst[i] = src[i]
+		if src[i]-'A' < 26 {
+			dst[i] += 'a' - 'A'
+		}
+	}
+	return high&tops == 0
 }
 
 func asciiSpace(c byte) bool {
@@ -358,34 +349,35 @@ func patternsColPred(sec *wire.ColSec) (func(i int) bool, bool) {
 // output row per statistic on each parseable line, malformed lines
 // dropped — identical to the row path's parse, through the same field
 // scanner. Fields are scanned in place and appended straight to the
-// output columns; Tenant and StatName slice the input lines. A line
-// yields at most one row per comma, which sizes the columns up front (+1:
-// a line without a tenant holds one more until it is rolled back).
+// output columns; Tenant and StatName slice the input lines, one slice
+// per distinct name in the section (sectionKeys). The columns are sized
+// for a generated line's three statistics; longer lines grow them.
 func parseKernel(sec *wire.ColSec, out *[]wire.ColSec) bool {
 	if sec.Log == nil {
 		return false
 	}
 	c := sec.Log
-	n := 0
-	sec.Live(func(i int) { n += strings.Count(c.Raw[i], ",") })
+	n := 3 * sec.Len()
 	j := &wire.JobCols{
 		TS: make([]int64, 0, n), Tenant: make([]string, 0, n),
-		StatName: make([]string, 0, n+1), Stat: make([]float64, 0, n+1),
+		StatName: make([]string, 0, n), Stat: make([]float64, 0, n),
 	}
 	ns := wire.ColSec{Tag: wire.TagJobStats, Job: j,
 		Times: make([]int64, 0, n), Windows: make([]int64, 0, n)}
+	var keys sectionKeys
 	stat := func(name string, v float64) {
-		j.StatName = append(j.StatName, name)
+		j.StatName = append(j.StatName, keys.intern(name))
 		j.Stat = append(j.Stat, v)
 	}
 	sec.Live(func(i int) {
-		tenant, err := telemetry.ScanJobStats(statFields(c.Raw[i]), stat)
+		tenant, err := telemetry.ScanJobStats(c.Raw[i], stat)
 		if err != nil {
 			// Roll back the malformed line's partial rows.
 			j.StatName = j.StatName[:len(j.Tenant)]
 			j.Stat = j.Stat[:len(j.Tenant)]
 			return
 		}
+		tenant = keys.intern(tenant)
 		for k := len(j.Tenant); k < len(j.Stat); k++ {
 			ns.Times = append(ns.Times, sec.Times[i])
 			ns.Windows = append(ns.Windows, sec.Windows[i])
@@ -396,6 +388,51 @@ func parseKernel(sec *wire.ColSec, out *[]wire.ColSec) bool {
 	j.Bucket = make([]int64, len(ns.Times))
 	*out = append(*out, ns)
 	return true
+}
+
+// sectionKeys hands out one string per distinct name within a section,
+// the first slice of its bytes, so the JobStats kernel's symbol cache
+// (keyed on address and length) hits on every repeat. It is open-addressed
+// on a name's length and first and last eight bytes, which decide
+// equality outright up to 16 bytes; three-quarters full, it lets new
+// names through.
+type sectionKeys struct {
+	slots [256]struct {
+		head, tail uint64
+		s          string
+	}
+	n int
+}
+
+func (t *sectionKeys) intern(s string) string {
+	n := len(s)
+	var head, tail uint64
+	if n >= 8 {
+		head, tail = le64(s, 0), le64(s, n-8)
+	} else {
+		for i := range n {
+			head |= uint64(s[i]) << (8 * i)
+		}
+	}
+	for i := (head ^ tail + uint64(n)) * 0x9E3779B97F4A7C15 >> 56; ; i = (i + 1) % 256 {
+		k := &t.slots[i]
+		if len(k.s) == n && k.head == head && k.tail == tail && (n <= 16 || k.s == s) {
+			return k.s
+		}
+		if k.s == "" {
+			if 4*t.n < 3*len(t.slots) {
+				k.head, k.tail, k.s = head, tail, s
+				t.n++
+			}
+			return s
+		}
+	}
+}
+
+// le64 reads s[i:i+8] as a little-endian word.
+func le64(s string, i int) uint64 {
+	return uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+		uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
 }
 
 // bucketizeKernel replaces a JobStats section's bucket column with

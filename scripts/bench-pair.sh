@@ -18,8 +18,9 @@
 # one of
 #
 #   improved    the change won ≥ 9/10 of at least ten pairs (ties count for
-#               neither; an exact count needs no ten) and the medians
-#               differ by more than the parent's own interquartile range
+#               neither; a count that repeats exactly on both sides needs
+#               three, not ten) and the medians differ by more than the
+#               parent's own interquartile range
 #   regressed   the mirror image, by more than the metric's bound as well
 #   unresolved  the parent's interquartile range is wider than the bound,
 #               or the median is worse by more than the bound without the
@@ -213,8 +214,9 @@ for seed in $seeds; do
             bq1 = quart(sb, n, .25); bm = quart(sb, n, .5); bq3 = quart(sb, n, .75)
             cq1 = quart(sc, n, .25); cm = quart(sc, n, .5); cq3 = quart(sc, n, .75)
             iqr = bq3 - bq1; gain = (better == "lower") ? bm - cm : cm - bm   # > 0: the change is better
-            # ten pairs, unless the metric is a count that repeats (to 1e-6) on both sides
-            enough = n >= 10 || (iqr <= 1e-6 * bm && cq3 - cq1 <= 1e-6 * cm)
+            # ten pairs, unless the metric is a count that repeats (to 1e-6) on both
+            # sides over at least three: one or two pairs have no spread to show
+            enough = n >= 10 || (n >= 3 && iqr <= 1e-6 * bm && cq3 - cq1 <= 1e-6 * cm)
             verdict = "within"
             if (enough && won >= 0.9 * n && gain > iqr) verdict = "improved"
             else if (enough && lost >= 0.9 * n && -gain > iqr && -gain > bound * bm) verdict = "regressed"
